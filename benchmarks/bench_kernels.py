@@ -12,7 +12,7 @@ from repro.config import ExtractorConfig, PyramidConfig
 from repro.features import OrbExtractor, fast_corner_mask, harris_response_map
 from repro.geometry import PinholeCamera, Pose
 from repro.dataset import wall_scene
-from repro.matching import hamming_distance_matrix
+from repro.matching import BruteForceMatcher
 
 from conftest import print_section
 
@@ -45,14 +45,23 @@ def test_kernel_full_extraction(benchmark, small_image):
 
 
 def test_kernel_hamming_matrix(benchmark):
+    """The matcher at the QVGA operating point: 1024 frame descriptors
+    against a 5,400-point map (``slam-xyz-qvga``'s final map size)."""
     rng = np.random.default_rng(0)
-    frame = rng.integers(0, 256, (512, 32), dtype=np.uint8)
-    global_map = rng.integers(0, 256, (1024, 32), dtype=np.uint8)
-    matrix = benchmark(hamming_distance_matrix, frame, global_map)
-    print_section("Kernel: Hamming distance matrix (512 x 1024 descriptors)")
-    print(f"  mean distance: {matrix.mean():.1f} bits (random descriptors -> ~128)")
-    assert matrix.shape == (512, 1024)
-    assert 120 < matrix.mean() < 136
+    frame = rng.integers(0, 256, (1024, 32), dtype=np.uint8)
+    global_map = rng.integers(0, 256, (5400, 32), dtype=np.uint8)
+    global_map[:256] = frame[:256]
+    matcher = BruteForceMatcher()
+    matches = benchmark(matcher.match_arrays, frame, global_map)
+    print_section("Kernel: fused Hamming matcher (1024 x 5400 descriptors)")
+    stats = matcher.last_stats
+    print(f"  distance evaluations: {stats.distance_evaluations}, "
+          f"accepted: {stats.accepted}")
+    assert stats.distance_evaluations == 1024 * 5400
+    # the 256 planted copies match at distance 0; unrelated random
+    # descriptors sit ~128 bits apart and fail the 64-bit distance filter
+    assert matches.train_indices.tolist() == list(range(256))
+    assert matches.distances.tolist() == [0] * 256
 
 
 def test_kernel_scene_rendering(benchmark):

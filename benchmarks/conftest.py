@@ -73,6 +73,37 @@ def bench_sequence():
     )
 
 
+class _OneShotBenchmark:
+    """Stand-in for pytest-benchmark's ``benchmark`` fixture: one call, no stats.
+
+    Both forms the benches use, ``benchmark(fn, *args, **kwargs)`` and
+    ``benchmark.pedantic(fn, args=..., kwargs=..., rounds=..., ...)``, run
+    the target exactly once and return its result, so the reproduced tables
+    still print and their assertions still run without the plugin.
+    """
+
+    def __call__(self, function, *args, **kwargs):
+        return function(*args, **kwargs)
+
+    def pedantic(self, target, args=(), kwargs=None, rounds=1, iterations=1, warmup_rounds=0):
+        return target(*args, **(kwargs or {}))
+
+
+class _BenchmarkFallback:
+    """Plugin providing :class:`_OneShotBenchmark` as the ``benchmark`` fixture."""
+
+    @pytest.fixture
+    def benchmark(self):
+        return _OneShotBenchmark()
+
+
+def pytest_configure(config):
+    """Register the one-shot ``benchmark`` fixture when pytest-benchmark is
+    absent (not installed, or disabled with ``-p no:benchmark``)."""
+    if not config.pluginmanager.hasplugin("benchmark"):
+        config.pluginmanager.register(_BenchmarkFallback(), "benchmark-fallback")
+
+
 def pytest_addoption(parser):
     """``--trace-dir <path>`` opts any bench into Chrome trace export.
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..config import MatcherConfig
 from ..errors import DescriptorError
-from .hamming import hamming_distance_matrix
+from .hamming import as_descriptor_matrix, distance_tiles
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,10 @@ class BruteForceMatcher:
     ) -> MatchArrays:
         """Array fast path of :meth:`match`: no per-``Match`` construction.
 
-        Selection and every quality filter run as one array pass per
+        One fused pass over the distance tiles keeps, per query, the best
+        and second-best distance and the argmin (and, with cross-check, the
+        reverse argmin per train row), so the ``N x M`` distance matrix is
+        never built.  Every quality filter then runs as one array pass per
         criterion; the rejection counters tally exactly like the old
         per-query loop (distance first, then ratio, then cross-check), and
         the accepted rows come back as :class:`MatchArrays` so hot paths
@@ -128,46 +131,108 @@ class BruteForceMatcher:
             return MatchArrays.empty()
         if query.ndim != 2 or train.ndim != 2:
             raise DescriptorError("descriptor sets must be 2-D (N, bytes) arrays")
-        distances = hamming_distance_matrix(query, train)
-        stats.distance_evaluations = distances.size
-        best_train = np.argmin(distances, axis=1)
-        query_range = np.arange(distances.shape[0])
-        best_distance = distances[query_range, best_train]
-        alive = best_distance <= self.config.max_hamming_distance
+        ratio_test = self.config.ratio_threshold < 1.0 and train.shape[0] >= 2
+        best = _reduce_distance_tiles(
+            query, train, second_best=ratio_test, reverse_best=self.config.cross_check
+        )
+        stats.distance_evaluations = query.shape[0] * train.shape[0]
+        query_range = np.arange(query.shape[0])
+        alive = best.distance <= self.config.max_hamming_distance
         stats.rejected_distance = int(np.count_nonzero(~alive))
-        passes_ratio = self._ratio_test_mask(distances, best_train, best_distance)
+        passes_ratio = self._ratio_test_mask(best.distance, best.second_distance)
         stats.rejected_ratio = int(np.count_nonzero(alive & ~passes_ratio))
         alive &= passes_ratio
         if self.config.cross_check:
-            reverse_best = np.argmin(distances, axis=0)
-            mutual = reverse_best[best_train] == query_range
+            mutual = best.reverse_train[best.train] == query_range
             stats.rejected_cross_check = int(np.count_nonzero(alive & ~mutual))
             alive &= mutual
         accepted = np.nonzero(alive)[0].astype(np.int64)
         stats.accepted = int(accepted.size)
         return MatchArrays(
             query_indices=accepted,
-            train_indices=best_train[accepted].astype(np.int64),
-            distances=best_distance[accepted].astype(np.int64),
+            train_indices=best.train[accepted],
+            distances=best.distance[accepted].astype(np.int64),
         )
 
     def _ratio_test_mask(
-        self, distances: np.ndarray, best_train: np.ndarray, best_distance: np.ndarray
+        self, best_distance: np.ndarray, second_distance: np.ndarray | None
     ) -> np.ndarray:
         """Lowe ratio test for every query row at once.
 
-        The second-best distance is the row minimum with the best *position*
-        masked out (identical to the old per-row ``np.delete`` + partition);
-        a second-best of 0 always fails, and the test is skipped entirely
-        when disabled or when there is only one candidate.
+        A second-best of 0 always fails; ``second_distance`` is ``None``
+        when the test is disabled or there is only one candidate, and then
+        every row passes.
         """
-        num_queries, num_candidates = distances.shape
-        if self.config.ratio_threshold >= 1.0 or num_candidates < 2:
-            return np.ones(num_queries, dtype=bool)
-        masked = distances.astype(np.float64, copy=True)
-        masked[np.arange(num_queries), best_train] = np.inf
-        second = masked.min(axis=1)
+        if second_distance is None:
+            return np.ones(best_distance.shape[0], dtype=bool)
+        second = second_distance.astype(np.float64)
         return (second > 0) & (best_distance <= self.config.ratio_threshold * second)
+
+
+@dataclass(frozen=True)
+class _TileReduction:
+    """Per-query (and optionally per-train) reductions of the distance set.
+
+    ``train``/``distance`` are every query row's argmin (first index on
+    ties, as ``np.argmin``) and its distance.  ``second_distance`` is the
+    row minimum with the argmin *position* masked out, so a duplicate of
+    the best distance counts as second-best.  ``reverse_train`` is every
+    train column's argmin over the queries (lowest query index on ties).
+    """
+
+    train: np.ndarray
+    distance: np.ndarray
+    second_distance: np.ndarray | None
+    reverse_train: np.ndarray | None
+
+
+#: Fills the masked argmin position before the second-best row minimum;
+#: above every distance the int16 accumulator can hold.
+_MASKED_DISTANCE = np.iinfo(np.int16).max
+
+
+def _reduce_distance_tiles(
+    query: np.ndarray, train: np.ndarray, *, second_best: bool, reverse_best: bool
+) -> _TileReduction:
+    """Reduce the query x train distances tile by tile (never the full matrix).
+
+    Bit-identical to ``np.argmin`` / masked ``min`` over the full matrix:
+    rows reduce within one tile, and a train column's running minimum is
+    replaced only by a strictly smaller one from a later tile, so the lowest
+    query index keeps a tie.
+    """
+    num_queries, num_train = query.shape[0], train.shape[0]
+    best_train = np.empty(num_queries, dtype=np.int64)
+    best_distance = np.empty(num_queries, dtype=np.int16)
+    second = np.empty(num_queries, dtype=np.int16) if second_best else None
+    reverse_train = np.zeros(num_train, dtype=np.int64) if reverse_best else None
+    column_min = np.full(num_train, np.iinfo(np.int32).max, dtype=np.int32)
+    for start, block in distance_tiles(query, train):
+        height = block.shape[0]
+        stop = start + height
+        rows = np.arange(height)
+        tile_best = block.argmin(axis=1)
+        best_train[start:stop] = tile_best
+        best_distance[start:stop] = block[rows, tile_best]
+        if reverse_train is not None:
+            # (distance << 16 | row) keys: one min over the rows yields a
+            # column's minimum distance and, on ties, its lowest row
+            keys = np.left_shift(block, 16, dtype=np.int32)
+            keys |= rows.astype(np.int32)[:, np.newaxis]
+            tile_keys = keys.min(axis=0)
+            tile_min = tile_keys >> 16
+            improved = tile_min < column_min
+            column_min[improved] = tile_min[improved]
+            reverse_train[improved] = (tile_keys[improved] & 0xFFFF) + start
+        if second is not None:
+            block[rows, tile_best] = _MASKED_DISTANCE
+            second[start:stop] = block.min(axis=1)
+    return _TileReduction(
+        train=best_train,
+        distance=best_distance,
+        second_distance=second,
+        reverse_train=reverse_train,
+    )
 
 
 def match_minimum_distance(
@@ -179,15 +244,14 @@ def match_minimum_distance(
     current-frame descriptor, the index of the global-map descriptor with the
     minimum Hamming distance.  Filters are applied later on the host.
     """
-    query = np.asarray(query_descriptors, dtype=np.uint8)
-    train = np.asarray(train_descriptors, dtype=np.uint8)
+    query = as_descriptor_matrix(query_descriptors, "query descriptors")
+    train = as_descriptor_matrix(train_descriptors, "train descriptors")
     if query.size == 0 or train.size == 0:
         return []
-    distances = hamming_distance_matrix(query, train)
-    best = np.argmin(distances, axis=1)
+    best = _reduce_distance_tiles(query, train, second_best=False, reverse_best=False)
     return [
-        Match(query_index=qi, train_index=int(ti), distance=int(distances[qi, ti]))
-        for qi, ti in enumerate(best)
+        Match(query_index=qi, train_index=ti, distance=d)
+        for qi, (ti, d) in enumerate(zip(best.train.tolist(), best.distance.tolist()))
     ]
 
 

@@ -1,12 +1,16 @@
 """Tests for Hamming distance and the brute-force matcher."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.config import MatcherConfig
 from repro.errors import DescriptorError
+from repro.matching import hamming as hamming_module
 from repro.matching import (
     BruteForceMatcher,
     Match,
@@ -22,6 +26,17 @@ from repro.matching import (
 def _random_descriptors(count: int, seed: int = 0) -> np.ndarray:
     rng = np.random.default_rng(seed)
     return rng.integers(0, 256, size=(count, 32), dtype=np.uint8)
+
+
+#: Popcount of every byte value: the byte-table oracle the uint64 kernel
+#: is checked against.
+_POPCOUNT_TABLE = np.array([bin(value).count("1") for value in range(256)], dtype=np.uint8)
+
+
+def _byte_table_distances(query: np.ndarray, train: np.ndarray) -> np.ndarray:
+    """Full ``(N, M)`` distance matrix by XOR tensor and byte-table lookup."""
+    xor = np.bitwise_xor(query[:, np.newaxis, :], train[np.newaxis, :, :])
+    return _POPCOUNT_TABLE[xor].sum(axis=2, dtype=np.int32)
 
 
 class TestHammingDistance:
@@ -94,6 +109,25 @@ class TestDistanceMatrix:
             hamming_distance_matrix(
                 np.zeros((2, 32), dtype=np.uint8), np.zeros((2, 16), dtype=np.uint8)
             )
+
+    def test_accumulator_bound_rejects_longer_descriptors(self):
+        limit = hamming_module.MAX_DESCRIPTOR_BYTES
+        widest = np.full((1, limit), 255, dtype=np.uint8)
+        assert hamming_distance_matrix(widest, np.zeros_like(widest))[0, 0] == limit * 8
+        too_wide = np.zeros((1, limit + 1), dtype=np.uint8)
+        with pytest.raises(DescriptorError):
+            hamming_distance_matrix(too_wide, too_wide)
+
+    @pytest.mark.parametrize("width", [0, 1, 7, 8, 20, 33])
+    def test_any_byte_width_matches_byte_table(self, width):
+        rng = np.random.default_rng(width)
+        a = rng.integers(0, 256, (5, width), dtype=np.uint8)
+        b = rng.integers(0, 256, (9, width), dtype=np.uint8)
+        expected = _byte_table_distances(a, b)
+        got = hamming_distance_matrix(a, b)
+        assert got.dtype == np.int32
+        assert np.array_equal(got, expected)
+        assert hamming_distance(a[0], b[0]) == expected[0, 0]
 
 
 class TestMinimumDistanceMatching:
@@ -181,7 +215,7 @@ class TestVectorizedSelectionEquivalence:
     @staticmethod
     def _loop_oracle(query, train, config):
         """Literal transcription of the old per-query selection loop."""
-        distances = hamming_distance_matrix(query, train)
+        distances = _byte_table_distances(query, train)
         best_train = np.argmin(distances, axis=1)
         best_distance = distances[np.arange(distances.shape[0]), best_train]
         reverse_best = np.argmin(distances, axis=0) if config.cross_check else None
@@ -224,6 +258,89 @@ class TestVectorizedSelectionEquivalence:
             assert matcher.last_stats.rejected_ratio == rejected["ratio"]
             assert matcher.last_stats.rejected_cross_check == rejected["cross"]
             assert matcher.last_stats.accepted == len(expected)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        width=st.sampled_from([8, 16, 20, 32]),
+        num_query=st.integers(min_value=1, max_value=40),
+        num_train=st.integers(min_value=1, max_value=24),
+        tile_height=st.integers(min_value=1, max_value=9),
+        bits=st.sampled_from([1, 8]),
+        cross_check=st.booleans(),
+        ratio=st.sampled_from([1.0, 0.85, 0.5]),
+        max_distance=st.sampled_from([0, 256]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(width=32, num_query=1, num_train=1, tile_height=1, bits=8,
+             cross_check=True, ratio=0.5, max_distance=256, seed=0)
+    @example(width=20, num_query=23, num_train=1, tile_height=4, bits=1,
+             cross_check=True, ratio=0.85, max_distance=256, seed=1)
+    @example(width=16, num_query=1, num_train=24, tile_height=9, bits=1,
+             cross_check=False, ratio=0.5, max_distance=0, seed=2)
+    def test_tiled_kernel_equals_byte_table_oracle(
+        self, width, num_query, num_train, tile_height, bits, cross_check, ratio,
+        max_distance, seed,
+    ):
+        """The fused tiles are bit-identical to a full-matrix search.
+
+        ``bits=1`` draws bytes from {0, 1} and rows are duplicated across
+        and within both sets, so equal best distances, duplicated
+        second-bests and tied reverse argmins all occur; the tile height is
+        forced small so queries span several (partial) tiles.
+        """
+        rng = np.random.default_rng(seed)
+        query = rng.integers(0, 2**bits, (num_query, width), dtype=np.uint8)
+        train = rng.integers(0, 2**bits, (num_train, width), dtype=np.uint8)
+        train[rng.integers(0, num_train, num_train // 2)] = query[
+            rng.integers(0, num_query, num_train // 2)
+        ]
+        query[rng.integers(0, num_query, num_query // 3)] = query[
+            rng.integers(0, num_query, num_query // 3)
+        ]
+        train[rng.integers(0, num_train, num_train // 3)] = train[
+            rng.integers(0, num_train, num_train // 3)
+        ]
+        config = MatcherConfig(
+            max_hamming_distance=max_distance, ratio_threshold=ratio, cross_check=cross_check
+        )
+        matcher = BruteForceMatcher(config)
+        with mock.patch.object(hamming_module, "tile_rows", lambda num_train: tile_height):
+            got = matcher.match_arrays(query, train)
+            minimum = match_minimum_distance(query, train)
+        expected, rejected = self._loop_oracle(query, train, config)
+        assert got.query_indices.tolist() == [m.query_index for m in expected]
+        assert got.train_indices.tolist() == [m.train_index for m in expected]
+        assert got.distances.tolist() == [m.distance for m in expected]
+        stats = matcher.last_stats
+        assert stats.rejected_distance == rejected["distance"]
+        assert stats.rejected_ratio == rejected["ratio"]
+        assert stats.rejected_cross_check == rejected["cross"]
+        assert stats.accepted == len(expected)
+        assert stats.distance_evaluations == num_query * num_train
+        distances = _byte_table_distances(query, train)
+        best = np.argmin(distances, axis=1)
+        assert [(m.train_index, m.distance) for m in minimum] == [
+            (int(ti), int(distances[qi, ti])) for qi, ti in enumerate(best)
+        ]
+
+
+class TestMatcherMemory:
+    """The matcher reduces tiles; it never holds an ``N x M`` array."""
+
+    @pytest.mark.parametrize("cross_check", [False, True])
+    def test_peak_allocation_at_qvga_operating_point(self, cross_check):
+        rng = np.random.default_rng(7)
+        query = rng.integers(0, 256, (1024, 32), dtype=np.uint8)
+        train = rng.integers(0, 256, (5400, 32), dtype=np.uint8)
+        matcher = BruteForceMatcher(MatcherConfig(cross_check=cross_check))
+        tracemalloc.start()
+        try:
+            matcher.match_arrays(query, train)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the int32 distance matrix alone would be 22 MB, the XOR tensor 177 MB
+        assert peak < 32 * 2**20
 
 
 class TestMatchArrays:
