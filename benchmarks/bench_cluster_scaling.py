@@ -238,34 +238,17 @@ def _run_skew_row(config, images, shard_keys, expected, *, workers, policy, stea
     }
 
 
-def _transport_comparison(config, images, workers=2):
-    """Bytes copied per frame: shared-pyramid zero-copy path vs frame ring.
-
-    Same frames, same worker count; only ``pyramid.provider`` differs.  The
-    ring path pays one ``height x width`` memcpy per frame into the shared
-    slot, the zero-copy path publishes the pyramid once and hands workers a
-    job id — the report shows the per-frame byte difference directly.
-    """
-    from dataclasses import replace
-
-    comparison = {}
-    for label, provider in (("ring", "eager"), ("zero_copy", "shared")):
-        transport_config = replace(
-            config,
-            pyramid=replace(config.pyramid, provider=provider),
-        )
-        with ClusterServer(transport_config, num_workers=workers) as cluster:
-            cluster.extract_many(images)
-            stats = cluster.stats.as_dict()
-        comparison[label] = {
-            "provider": provider,
-            "frames_zero_copy": stats["frames_zero_copy"],
-            "frames_via_ring": stats["frames_via_ring"],
-            "ring_bytes_copied": stats["ring_bytes_copied"],
-            "bytes_copied_per_frame": stats["ring_bytes_copied"] / len(images),
-            "publish_fallbacks": stats["publish_fallbacks"],
-        }
-    return comparison
+def _ring_transport(config, images, workers=2):
+    """Bytes the frame ring copies per frame: one ``height x width`` memcpy
+    into the shared slot per submitted frame."""
+    with ClusterServer(config, num_workers=workers) as cluster:
+        cluster.extract_many(images)
+        stats = cluster.stats.as_dict()
+    return {
+        "frames_via_ring": stats["frames_via_ring"],
+        "ring_bytes_copied": stats["ring_bytes_copied"],
+        "bytes_copied_per_frame": stats["ring_bytes_copied"] / len(images),
+    }
 
 
 @pytest.mark.slow
@@ -305,7 +288,7 @@ def test_cluster_skewed_arrival_report(scaling_config):
             "zipf_key_cycle": ZIPF_KEY_CYCLE,
         },
         "rows": rows,
-        "transport": _transport_comparison(scaling_config, images[:12]),
+        "transport": _ring_transport(scaling_config, images[:12]),
     }
     print_section("cluster skewed arrivals: routing policy x work stealing")
     print(json.dumps(report, indent=2))
@@ -313,12 +296,6 @@ def test_cluster_skewed_arrival_report(scaling_config):
 
     by_label = {row["label"]: row for row in rows}
     assert all(row["steals"] == 0 for row in rows if not row["work_stealing"])
-    # the zero-copy fast path moves measurably fewer bytes per frame
-    transport = report["transport"]
-    assert (
-        transport["zero_copy"]["bytes_copied_per_frame"]
-        < transport["ring"]["bytes_copied_per_frame"]
-    )
     # the timing bar only binds where the hardware can express parallelism
     if cpu_count >= 2:
         assert (
@@ -332,8 +309,8 @@ def test_cluster_skewed_smoke_two_workers(scaling_config):
 
     No timing bar (single-core CI runners cannot express one) — asserts
     correctness, that stealing actually fires under the skew, and that the
-    zero-copy transport copies measurably fewer bytes per frame than the
-    ring; the JSON report is uploaded as a CI artifact.
+    frame ring carries every frame with one frame-sized copy; the JSON
+    report is uploaded as a CI artifact.
     """
     num_frames = 16
     images, shard_keys = _skewed_workload(scaling_config, num_frames)
@@ -358,7 +335,7 @@ def test_cluster_skewed_smoke_two_workers(scaling_config):
         row["label"] = label
         rows.append(row)
 
-    transport = _transport_comparison(scaling_config, images[:8])
+    transport = _ring_transport(scaling_config, images[:8])
     report = {
         "cpu_count": os.cpu_count() or 1,
         "workload": {"frames": num_frames, "zipf_key_cycle": ZIPF_KEY_CYCLE},
@@ -375,9 +352,7 @@ def test_cluster_skewed_smoke_two_workers(scaling_config):
     # actually fire to spread the backlog
     assert by_label["by_sequence_zipf+steal"]["steals"] > 0
     assert by_label["by_sequence_zipf+steal"]["imbalance"] < num_frames
-    assert transport["zero_copy"]["frames_zero_copy"] == 8
-    assert transport["zero_copy"]["publish_fallbacks"] == 0
-    assert (
-        transport["zero_copy"]["bytes_copied_per_frame"]
-        < transport["ring"]["bytes_copied_per_frame"]
+    assert transport["frames_via_ring"] == 8
+    assert transport["bytes_copied_per_frame"] == (
+        scaling_config.image_height * scaling_config.image_width
     )

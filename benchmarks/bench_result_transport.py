@@ -1,16 +1,18 @@
-"""Result transport: shared-memory ring vs pickled results on the queue.
+"""Result transport: shared-memory ring vs its per-result pickle fallback.
 
-The cluster's inbound hops are zero-copy (frame ring, shared pyramid
-cache); this report measures the *return* hop.  In ``pickle`` mode every
-:class:`~repro.features.ExtractionResult` is serialized through the worker's
-``multiprocessing`` result queue; in ``ring`` mode (the default) workers
-pack the result's flat arrays into a
+The cluster's inbound hop moves pixels through the shared-memory frame
+ring; this report measures the *return* hop.  Workers pack each
+:class:`~repro.features.ExtractionResult`'s flat arrays into a
 :class:`~repro.cluster.SharedResultRing` slot and the queue carries only a
-tiny slot descriptor (``docs/serving.md`` -> Result transport).
+tiny slot descriptor; a result that does not fit its slot is pickled
+through the worker's ``multiprocessing`` result queue instead
+(``docs/serving.md`` -> Result transport).
 
-The 2-worker smoke serves the same batch both ways, verifies both stay
-bit-identical to sequential extraction, and reports the bytes each
-transport moves through the queue per frame plus the throughput delta.
+The 2-worker smoke serves the same batch twice — once through the ring,
+once with result-ring slots too small for any result so every result takes
+the pickle fallback — verifies both stay bit-identical to sequential
+extraction, and reports the bytes each path moves through the queue per
+frame plus the throughput delta.
 The hard bar is on *bytes*, not time: queue payload per frame must shrink
 by >= 10x with the ring (descriptors are ~100 bytes where pickled results
 are tens of kilobytes), while the timing columns are informational on
@@ -26,6 +28,7 @@ import time
 import pytest
 
 from repro.cluster import ClusterServer, RingSlotRef
+from repro.cluster import server as server_module
 from repro.config import ExtractorConfig, PyramidConfig
 from repro.features import OrbExtractor
 from repro.image import random_blocks
@@ -43,7 +46,7 @@ def transport_config():
     return ExtractorConfig(
         image_width=160,
         image_height=120,
-        pyramid=PyramidConfig(num_levels=2, provider="shared"),
+        pyramid=PyramidConfig(num_levels=2),
         max_features=150,
     )
 
@@ -65,10 +68,8 @@ def _feature_key(result):
     return result.feature_records()  # the repo-wide bit-identity key
 
 
-def _serve(config, images, transport):
-    with ClusterServer(
-        config, num_workers=2, result_transport=transport
-    ) as server:
+def _serve(config, images):
+    with ClusterServer(config, num_workers=2) as server:
         start = time.perf_counter()
         results = server.extract_many(images)
         elapsed = time.perf_counter() - start
@@ -76,24 +77,27 @@ def _serve(config, images, transport):
     return results, elapsed, report
 
 
-def test_result_transport_smoke(transport_config, transport_images):
-    """2-worker smoke: ring vs pickle queue bytes per frame, both bit-exact."""
+def test_result_transport_smoke(transport_config, transport_images, monkeypatch):
+    """2-worker smoke: ring vs pickle-fallback queue bytes per frame, both
+    bit-exact."""
     sequential = [
         OrbExtractor(transport_config).extract(image) for image in transport_images
     ]
     baseline = [_feature_key(result) for result in sequential]
 
-    ring_results, ring_s, ring_stats = _serve(
-        transport_config, transport_images, "ring"
-    )
-    pickle_results, pickle_s, pickle_stats = _serve(
-        transport_config, transport_images, "pickle"
-    )
+    ring_results, ring_s, ring_stats = _serve(transport_config, transport_images)
+    with monkeypatch.context() as patch:
+        # result-ring slots too small for any packed result
+        patch.setattr(server_module, "max_packed_nbytes", lambda config: 64)
+        pickle_results, pickle_s, pickle_stats = _serve(
+            transport_config, transport_images
+        )
     assert [_feature_key(r) for r in ring_results] == baseline
     assert [_feature_key(r) for r in pickle_results] == baseline
     assert ring_stats["results_zero_copy"] == NUM_FRAMES
     assert pickle_stats["results_via_pickle"] == NUM_FRAMES
     assert ring_stats["leaked_slots"] == 0
+    assert pickle_stats["leaked_slots"] == 0
 
     # queue payload per frame: the pickled result itself vs the descriptor
     # entry that rides the queue when the arrays travel through shared
@@ -118,7 +122,7 @@ def test_result_transport_smoke(transport_config, transport_images):
         "throughput_delta_pct": round(100.0 * (pickle_s / ring_s - 1.0), 1),
         "bit_identical": True,
     }
-    print_section("Result transport: shared-memory ring vs pickled results")
+    print_section("Result transport: shared-memory ring vs pickle fallback")
     print(f"{'transport':<10} {'queue B/frame':>14} {'frames/s':>10}")
     print(
         f"{'pickle':<10} {report['pickle_queue_bytes_per_frame']:>14} "

@@ -13,10 +13,8 @@ ORB-SLAM on FPGA Platform" (Liu, Yang, Chen, Zhao -- DAC 2019):
   Harris + NMS + smoothing): the dense per-stage ``reference`` path and the
   fused arc-LUT/sparse-Harris ``vectorized`` default (bit-identical; see
   ``docs/frontend.md``).
-* :mod:`repro.pyramid` -- pluggable pyramid providers feeding those
-  engines: ``eager``, just-in-time ``streaming`` row-banded construction,
-  and a ``shared`` ``multiprocessing.shared_memory`` cache so N consumers
-  of a frame reuse one build (bit-identical; see ``docs/pyramid.md``).
+* :mod:`repro.pyramid` -- the pyramid provider feeding those engines one
+  eagerly built pyramid per frame (see ``docs/pyramid.md``).
 * :mod:`repro.serving` -- the :class:`~repro.serving.FrameServer`: many
   frames in flight through one shared engine/backend pair on a bounded
   thread pool.

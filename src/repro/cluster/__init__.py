@@ -2,9 +2,7 @@
 
 :class:`ClusterServer` spawns N worker processes, each owning one
 engine/backend pair, and streams frames to them through
-``multiprocessing.shared_memory`` ring slots (no pixel pickling) — or, when
-the ``shared`` pyramid provider is active, through the zero-copy
-shared-pyramid fast path that skips the ring write entirely.  Results
+``multiprocessing.shared_memory`` ring slots (no pixel pickling).  Results
 return the same way: workers pack each extraction result's flat arrays
 into a :class:`SharedResultRing` slot and the result queues carry only
 tiny descriptors (``docs/serving.md`` → Result transport).  It mirrors

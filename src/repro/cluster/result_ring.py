@@ -1,9 +1,8 @@
 """Shared-memory result transport: the reverse-direction twin of the frame ring.
 
-The inbound half of the cluster moves pixels zero-copy
-(:class:`~repro.cluster.shared_ring.SharedFrameRing`,
-:class:`~repro.pyramid.SharedPyramidCache`); this module gives the *return*
-path the same discipline.  Workers pack each
+The inbound half of the cluster moves pixels through shared memory
+(:class:`~repro.cluster.shared_ring.SharedFrameRing`); this module gives
+the *return* path the same discipline.  Workers pack each
 :class:`~repro.features.ExtractionResult` straight into a shared-memory slot
 (:mod:`repro.serving.resultpack` flat layout) and push only a tiny
 :class:`RingSlotRef` descriptor through the result queue; the collector

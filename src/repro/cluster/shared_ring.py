@@ -16,12 +16,8 @@ pool after the worker's result has been collected (the worker is guaranteed
 to have finished reading by then, because extraction results never
 reference the input pixels).  The free pool is guarded by a condition
 variable, so a producer parked on a full ring wakes the moment a slot is
-released (microseconds), not on the next poll tick.
-
-When the cluster's ``shared`` pyramid provider is active the ring is only
-the **fallback** transport: frames whose pyramid publish succeeds travel as
-a bare job id and the ring slot (and its memcpy) is skipped entirely — see
-``docs/pyramid.md`` for the zero-copy data flow.
+released (microseconds), not on the next poll tick.  Every cluster frame
+travels this way (``docs/serving.md`` → Shared-memory frame transport).
 """
 
 from __future__ import annotations

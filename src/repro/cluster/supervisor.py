@@ -124,8 +124,10 @@ class Supervisor:
     server's death handler, (2) kills workers whose heartbeat has stalled
     while they hold dispatched jobs, (3) respawns dead workers whose
     backoff window has passed, (4) expires queued jobs past their
-    deadline, and (5) grows/shrinks the pool.  Ticks never raise: a
-    failing respawn simply reschedules with a doubled backoff.
+    deadline, and (5) grows/shrinks the pool.  A failing respawn simply
+    reschedules with a doubled backoff; a tick that raises is counted in
+    ``cluster_supervisor_tick_errors_total`` and journaled as a
+    ``supervisor_tick_error`` row, and the loop carries on.
     """
 
     def __init__(
@@ -141,6 +143,10 @@ class Supervisor:
             config.interval_s for config in (supervision, elasticity) if config
         ]
         self._interval_s = min(intervals) if intervals else 0.05
+        self._tick_errors = server.registry.counter(
+            "cluster_supervisor_tick_errors_total",
+            help="supervisor control ticks that raised",
+        )
         self._stop_event = threading.Event()
         self._thread = threading.Thread(
             target=self._run, name="cluster-supervisor", daemon=True
@@ -166,10 +172,16 @@ class Supervisor:
         while not self._stop_event.wait(self._interval_s):
             try:
                 self.tick()
-            except Exception:
-                # the control loop must outlive any single bad tick; the
-                # next tick re-observes the same state and retries
-                continue
+            except Exception as error:
+                # the control loop must outlive any single bad tick (the
+                # next tick re-observes the same state and retries), but a
+                # tick that fails every time must not go unnoticed
+                self._tick_errors.inc()
+                self._server.journal.log(
+                    "supervisor_tick_error",
+                    error=type(error).__name__,
+                    message=str(error),
+                )
 
     # -- one control tick --------------------------------------------------
     def tick(self) -> None:

@@ -5,39 +5,26 @@ extraction pipeline of the paper's accelerator — built inside the worker
 process from the pickled :class:`~repro.config.ExtractorConfig`, so engines
 in different workers share nothing and the GIL of one process never stalls
 another.  Frames arrive as ``(job_id, key, slot, height, width)`` control
-messages; ``key`` is the frame's pyramid-cache key (the caller-supplied
-frame id, or the job id when none was given).
-
-Two transports feed a worker, decided per frame by the producer:
-
-* **ring transport** (``slot`` is an index) — pixels are read through a
-  zero-copy view of the shared-memory ring
-  (:mod:`repro.cluster.shared_ring`); the only transport when the pyramid
-  provider is local, the fallback when a shared-cache publish fails;
-* **zero-copy fast path** (``slot`` is ``None``) — the producer already
-  published the frame's whole pyramid (level 0 included) into the
-  :class:`~repro.pyramid.SharedPyramidCache` and pinned it, so the worker
-  attaches the cached pyramid by ``key`` and extracts straight from the
-  shared pages — **no frame bytes were copied into the ring at all**
-  (``docs/pyramid.md``).
+messages; ``key`` is the frame id (the caller-supplied one, or the job id
+when none was given) and labels the worker's trace spans.  The pixels are
+read through a view of ring slot ``slot`` of the shared-memory frame ring
+(:mod:`repro.cluster.shared_ring`).
 
 Results leave the worker through two transports, decided per result:
 
-* **result ring** (default) — the worker packs the result's flat arrays
-  straight into its own range of the
+* **result ring** — the worker packs the result's flat arrays straight
+  into its own range of the
   :class:`~repro.cluster.result_ring.SharedResultRing`
   (:mod:`repro.serving.resultpack` layout) and the batch entry carries only
   a tiny :class:`~repro.cluster.result_ring.RingSlotRef`;
-* **pickle fallback** — when no ring is configured, the worker's range is
-  momentarily exhausted, or a result outgrows its slot, the
-  :class:`~repro.features.ExtractionResult` itself rides the queue exactly
-  as before the ring existed.
+* **pickle fallback** — when the worker's range is momentarily exhausted
+  or a result outgrows its slot, the
+  :class:`~repro.features.ExtractionResult` itself rides the queue.
 
 Either way batch entries are buffered per worker and flushed as ONE queue
-put when the batch fills (``result_batch`` entries, a
-:class:`~repro.cluster.server.ClusterServer` knob) or the job queue runs
-dry, cutting pipe syscalls at high frame rates without delaying results
-while the worker is idle.
+put when the batch fills (:data:`DEFAULT_RESULT_BATCH` entries) or the job
+queue runs dry, cutting pipe syscalls at high frame rates without delaying
+results while the worker is idle.
 
 Robustness plumbing (``docs/serving.md`` → Failure semantics): workers
 ignore ``SIGINT`` so a Ctrl-C aimed at the parent never kills the pool out
@@ -61,10 +48,9 @@ from multiprocessing import shared_memory
 #: Control message closing a worker's job queue (graceful drain).
 SHUTDOWN = None
 
-#: Default for ``ClusterServer(result_batch=)``: results buffered per worker
-#: before a flush is forced.  The buffer also flushes whenever the job queue
-#: is momentarily empty, so batching only coalesces puts while the worker is
-#: saturated and never adds idle latency.
+#: Results buffered per worker before a flush is forced.  The buffer also
+#: flushes whenever the job queue is momentarily empty, so batching only
+#: coalesces puts while the worker is saturated and never adds idle latency.
 DEFAULT_RESULT_BATCH = 8
 
 #: How often a parked worker refreshes its heartbeat while waiting for work.
@@ -78,10 +64,8 @@ def worker_main(
     slot_bytes: int,
     job_queue,
     result_queue,
-    pyramid_handle=None,
-    heartbeat=None,
-    result_ring_handle=None,
-    result_batch: int = DEFAULT_RESULT_BATCH,
+    heartbeat,
+    result_ring_handle,
     trace_enabled: bool = False,
 ) -> None:
     """Consume frame jobs until the shutdown sentinel arrives.
@@ -99,12 +83,12 @@ def worker_main(
     (:meth:`repro.telemetry.Trace.add_worker_spans`).  Because spans ride
     the *result queue*, a crashed worker's already-flushed spans survive:
     the server drains the dead queue before reclaiming anything.
-    Neither the frame ring slot nor the cache pin is echoed back: the
-    server tracks both per job and frees them when the result (or failure)
-    is collected, which guarantees the worker has finished reading the
-    shared pages before they are reused.
+    The frame ring slot is not echoed back: the server tracks it per job
+    and frees it when the result (or failure) is collected, which
+    guarantees the worker has finished reading the shared pages before
+    they are reused.
 
-    ``heartbeat`` is an optional shared double array indexed by worker id;
+    ``heartbeat`` is a shared double array indexed by worker id;
     the worker stamps ``time.monotonic()`` into its slot between jobs so
     the supervisor's stall detector can tell a long extraction (beats
     between frames) from a wedged process (no beats at all).
@@ -119,7 +103,6 @@ def worker_main(
     from ..errors import ReproError
     from ..features import OrbExtractor
     from ..image import GrayImage
-    from ..pyramid import SharedPyramidCache
     from ..serving.resultpack import pack_into
     from ..telemetry import Tracer, set_tracer
     from .result_ring import RingSlotRef, SharedResultRing
@@ -135,16 +118,7 @@ def worker_main(
     # worker shares with the server process; that is a set-membership no-op,
     # and the server's unlink() is the single cleanup point.
     shm = shared_memory.SharedMemory(name=ring_name)
-    pyramid_cache = (
-        SharedPyramidCache.attach_handle(pyramid_handle)
-        if pyramid_handle is not None
-        else None
-    )
-    result_ring = (
-        SharedResultRing.attach(result_ring_handle)
-        if result_ring_handle is not None
-        else None
-    )
+    result_ring = SharedResultRing.attach(result_ring_handle)
     pending = []
 
     def pack_payload(result):
@@ -155,8 +129,6 @@ def worker_main(
         collector has not folded yet — and a result that outgrows its
         slot; correctness never depends on ring capacity.
         """
-        if result_ring is None:
-            return result
         slot = result_ring.try_claim(worker_id)
         if slot is None:
             return result
@@ -170,8 +142,7 @@ def worker_main(
         return RingSlotRef(slot, nbytes)
 
     def beat() -> None:
-        if heartbeat is not None:
-            heartbeat[worker_id] = time.monotonic()
+        heartbeat[worker_id] = time.monotonic()
 
     def trace_blob():
         """The drained span buffer + flush-time clock stamp (None if off)."""
@@ -193,7 +164,7 @@ def worker_main(
                 beat()
 
     try:
-        extractor = OrbExtractor(config, pyramid_cache=pyramid_cache)
+        extractor = OrbExtractor(config)
         beat()
         while True:
             try:
@@ -221,33 +192,10 @@ def worker_main(
             job_id, key, slot, height, width = message
             start = time.perf_counter()
             try:
-                if slot is None:
-                    # zero-copy fast path: the pyramid (level 0 included)
-                    # already lives in the shared cache, pinned by the
-                    # producer, so attach by key instead of reading the ring
-                    with tracer.span("attach_pyramid", frame=key):
-                        cached = pyramid_cache.attach(
-                            key, expected_shape=(height, width)
-                        )
-                    if cached is None:
-                        raise RuntimeError(
-                            f"zero-copy pyramid for frame key {key} missing "
-                            "from the shared cache"
-                        )
-                    try:
-                        with tracer.span("extract", frame=key):
-                            result = extractor.extract(
-                                cached.level(0).image, frame_id=key, pyramid=cached
-                            )
-                    finally:
-                        cached.close()
-                else:
-                    with tracer.span("ring_read", frame=key):
-                        pixels = attach_slot_view(
-                            shm, slot, slot_bytes, height, width
-                        )
-                    with tracer.span("extract", frame=key):
-                        result = extractor.extract(GrayImage(pixels), frame_id=key)
+                with tracer.span("ring_read", frame=key):
+                    pixels = attach_slot_view(shm, slot, slot_bytes, height, width)
+                with tracer.span("extract", frame=key):
+                    result = extractor.extract(GrayImage(pixels), frame_id=key)
                 with tracer.span("pack", frame=key):
                     payload = pack_payload(result)
                 latency = time.perf_counter() - start
@@ -257,11 +205,8 @@ def worker_main(
                 pending.append((job_id, None, latency, repr(error)))
             tracer.complete("serve_frame", start, frame=key)
             beat()
-            if len(pending) >= result_batch:
+            if len(pending) >= DEFAULT_RESULT_BATCH:
                 flush()
     finally:
-        if pyramid_cache is not None:
-            pyramid_cache.close()
-        if result_ring is not None:
-            result_ring.close()
+        result_ring.close()
         shm.close()

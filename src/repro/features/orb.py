@@ -31,10 +31,9 @@ ground-truth path; both are bit-identical (see ``docs/backends.md``).
 The full-frame detection pass (FAST + Harris + NMS + smoothing) is likewise
 delegated to a :class:`~repro.frontend.DetectionEngine` selected by
 ``ExtractorConfig.frontend`` (see ``docs/frontend.md``), and the multi-scale
-pyramid those engines consume comes from a
-:class:`~repro.pyramid.PyramidProvider` selected by
-``ExtractorConfig.pyramid.provider`` (eager / streaming / shared-cache, all
-bit-identical; see ``docs/pyramid.md``).  Candidates move through the
+pyramid those engines consume comes from the extractor's
+:class:`~repro.pyramid.PyramidProvider`, which builds every level of the
+frame up front (see ``docs/pyramid.md``).  Candidates move through the
 extractor as coordinate/score arrays, and :class:`Feature` objects are only
 materialised for the retained set.
 """
@@ -48,6 +47,7 @@ import numpy as np
 
 from ..config import ExtractorConfig
 from ..image import GrayImage, ImagePyramid, within_border
+from ..pyramid import PyramidProvider
 from ..telemetry import current_tracer
 from .brief import DescriptorEngine
 from .heap_filter import BoundedScoreHeap
@@ -335,22 +335,17 @@ class OrbExtractor:
         order and ``config.backend`` the keypoint compute backend.
     """
 
-    def __init__(
-        self, config: ExtractorConfig | None = None, pyramid_cache=None
-    ) -> None:
+    def __init__(self, config: ExtractorConfig | None = None) -> None:
         # imported here (not at module scope) so that repro.features,
-        # repro.backends, repro.frontend and repro.pyramid can be imported
-        # in any order without a cycle
+        # repro.backends and repro.frontend can be imported in any order
+        # without a cycle
         from ..backends import create_backend
         from ..frontend import create_engine
-        from ..pyramid import create_provider
 
         self.config = config or ExtractorConfig()
         self.backend = create_backend(self.config.backend, self.config)
         self.frontend = create_engine(self.config.frontend, self.config)
-        self.pyramid_provider = create_provider(
-            self.config.pyramid.provider, self.config, cache=pyramid_cache
-        )
+        self.pyramid_provider = PyramidProvider(self.config)
         self.descriptor_engine: DescriptorEngine = self.backend.descriptor_engine
         self._border = max(
             self.config.fast.border,
@@ -360,26 +355,15 @@ class OrbExtractor:
 
     # -- public API -------------------------------------------------------
     def extract(
-        self,
-        image: GrayImage,
-        frame_id: int | None = None,
-        pyramid: "ImagePyramid | None" = None,
+        self, image: GrayImage, frame_id: int | None = None
     ) -> ExtractionResult:
         """Extract up to ``config.max_features`` ORB features from ``image``.
 
-        ``frame_id`` keys cross-consumer pyramid reuse for the ``shared``
-        provider (cluster workers pass the frame's cache key); local
-        providers ignore it.  ``pyramid`` optionally supplies an
-        already-acquired pyramid over ``image`` — the cluster's zero-copy
-        fast path hands workers a cache attachment directly, so extraction
-        must not re-acquire (or release) one through the provider; the
-        caller keeps ownership of a supplied pyramid.
+        ``frame_id`` only labels this frame's tracer spans.
         """
         tracer = current_tracer()
-        owned = pyramid is None
-        if owned:
-            with tracer.span("acquire_pyramid", frame=frame_id):
-                pyramid = self.pyramid_provider.acquire(image, frame_id)
+        with tracer.span("acquire_pyramid", frame=frame_id):
+            pyramid = self.pyramid_provider.acquire(image)
         try:
             profile = ExtractionProfile(
                 workflow="rescheduled" if self.config.rescheduled_workflow else "original"
@@ -402,12 +386,7 @@ class OrbExtractor:
                 )
             return ExtractionResult(features=features, profile=profile)
         finally:
-            if owned:
-                self.pyramid_provider.release(pyramid)
-
-    def close(self) -> None:
-        """Release provider-owned resources (a self-created shared pyramid cache)."""
-        self.pyramid_provider.close()
+            self.pyramid_provider.release(pyramid)
 
     # -- per-level candidate detection --------------------------------------
     def _detect_level_candidates(

@@ -66,7 +66,7 @@ class ImageResizerModule:
         """Shape of the next level, from the shared rounding rule.
 
         Delegates to :func:`repro.image.resize_dimensions` — the same
-        arithmetic every software pyramid provider uses — so the hardware
+        arithmetic the software pyramid uses — so the hardware
         model and the software levels cannot drift.
         """
         return resize_dimensions(image.height, image.width, self.pyramid_config.scale_factor)

@@ -11,22 +11,20 @@ functional output.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
 from ..config import PyramidConfig
 from ..errors import ImageError
 from .image import GrayImage
-from .scratch import Workspace, workspace_array
 
 
 def resize_dimensions(height: int, width: int, scale: float) -> Tuple[int, int]:
     """Destination ``(height, width)`` of one nearest-neighbour resize step.
 
     The single definition of the level-size rounding rule, shared by the
-    software pyramid, every :mod:`repro.pyramid` provider and the hardware
-    Image Resizing model (:mod:`repro.hw.resizer`), so level geometry cannot
+    software pyramid and the hardware Image Resizing model (:mod:`repro.hw.resizer`), so level geometry cannot
     drift between the software and hardware paths.
     """
     if scale < 1.0:
@@ -38,28 +36,16 @@ def resize_source_indices(dst_size: int, src_size: int, scale: float) -> np.ndar
     """Source index of every destination sample along one axis.
 
     Destination sample ``i`` reads source sample ``floor(i * scale)``
-    clamped to the source extent — the hardware resizer's sampling grid,
-    shared by the eager, streaming and shared-cache builds.
+    clamped to the source extent — the hardware resizer's sampling grid.
     """
     return np.minimum((np.arange(dst_size) * scale).astype(np.int64), src_size - 1)
 
 
-def resize_nearest_into(
-    src: np.ndarray,
-    scale: float,
-    out: np.ndarray,
-    band_rows: Optional[int] = None,
-    workspace: Optional[Workspace] = None,
-) -> np.ndarray:
+def resize_nearest_into(src: np.ndarray, scale: float, out: np.ndarray) -> np.ndarray:
     """Nearest-neighbour downsample ``src`` into the preallocated ``out``.
 
     ``out`` must have exactly the shape :func:`resize_dimensions` predicts
-    for ``src`` and ``scale``.  With ``band_rows`` set the destination is
-    produced in row bands (source rows gathered into a reused ``workspace``
-    scratch strip, then columns gathered into the output band), bounding the
-    per-call scratch to one band regardless of level size; the banded and
-    whole-level paths gather identical indices, so the output is
-    bit-identical either way.
+    for ``src`` and ``scale``.
     """
     src_h, src_w = src.shape
     if out.shape != resize_dimensions(src_h, src_w, scale):
@@ -70,18 +56,7 @@ def resize_nearest_into(
     dst_h, dst_w = out.shape
     src_rows = resize_source_indices(dst_h, src_h, scale)
     src_cols = resize_source_indices(dst_w, src_w, scale)
-    if band_rows is None or band_rows >= dst_h:
-        out[:] = src[np.ix_(src_rows, src_cols)]
-        return out
-    if band_rows < 1:
-        raise ImageError("band_rows must be positive")
-    for start in range(0, dst_h, band_rows):
-        stop = min(start + band_rows, dst_h)
-        band = workspace_array(
-            workspace, "pyramid_row_band", (stop - start, src_w), src.dtype
-        )
-        band[:] = src[src_rows[start:stop]]
-        out[start:stop] = band[:, src_cols]
+    out[:] = src[np.ix_(src_rows, src_cols)]
     return out
 
 
@@ -91,9 +66,8 @@ def pyramid_level_shapes(
     """Shape of every pyramid level for a ``height`` x ``width`` base image.
 
     Pure arithmetic (no pixels touched): applies :func:`resize_dimensions`
-    level by level, so lazily-built pyramids can report pixel counts — and
-    the shared-memory cache can compute slot layouts — without building
-    anything.
+    level by level, so the input check and the hardware model can reason
+    about level sizes without building anything.
     """
     cfg = config or PyramidConfig()
     shapes = [(int(height), int(width))]
@@ -204,7 +178,7 @@ class ImagePyramid:
     def from_levels(
         cls, levels: Sequence[PyramidLevel], config: PyramidConfig
     ) -> "ImagePyramid":
-        """Wrap already-built levels (cache attachments, tests) without rebuilding."""
+        """Wrap already-built levels without rebuilding them."""
         if not levels:
             raise ImageError("pyramid must have at least one level")
         pyramid = cls.__new__(cls)

@@ -58,16 +58,14 @@ def percentile_ms(latencies_s: Iterable[float], q: float) -> float:
 
 
 def stable_frame_id(sequence_name: str, frame_index: int) -> int:
-    """Deterministic, collision-resistant frame id for pyramid-cache reuse.
+    """Deterministic, collision-resistant frame id (trace and journal label).
 
     Two runs over the same sequence — even in different processes or with
-    different engines — derive the same id for the same frame, so N-engine
-    comparisons against one shared pyramid cache attach to ONE cached
-    pyramid N times instead of building/publishing N.  The sequence name is
-    folded through CRC-32 into the high bits and the frame index occupies
-    the low 32 bits, keeping ids non-negative and inside the cache's int64
-    header fields while separating same-index frames of different
-    sequences.
+    different engines — derive the same id for the same frame, so their
+    traces line up frame for frame.  The sequence name is folded through
+    CRC-32 into the high bits and the frame index occupies the low 32 bits,
+    keeping ids non-negative int64 values while separating same-index
+    frames of different sequences.
     """
     if frame_index < 0:
         raise ReproError("frame_index must be non-negative")
@@ -75,22 +73,6 @@ def stable_frame_id(sequence_name: str, frame_index: int) -> int:
         raise ReproError("frame_index exceeds the 32-bit id field")
     sequence_hash = zlib.crc32(sequence_name.encode("utf-8")) & 0x7FFFFFFF
     return (sequence_hash << 32) | frame_index
-
-
-def local_extraction_config(config: ExtractorConfig) -> ExtractorConfig:
-    """``config`` with process-shared resources swapped for in-process ones.
-
-    The cluster's ``degrade_to_local`` shed policy (and any caller that
-    wants a single-process twin of a cluster configuration) cannot use the
-    ``shared`` pyramid provider: it presumes a cross-process cache that the
-    local fallback neither owns nor should attach to.  Swapping it for the
-    ``eager`` provider changes only *where* the pyramid lives — every
-    provider builds bit-identical levels — so local results still match
-    worker results exactly.
-    """
-    if config.pyramid.provider != "shared":
-        return config
-    return config.with_pyramid_provider("eager")
 
 
 @runtime_checkable
@@ -355,9 +337,8 @@ class FrameServer:
         """Queue one frame; blocks while ``max_in_flight`` frames are pending.
 
         Returns a future resolving to the same :class:`ExtractionResult`
-        sequential extraction would produce.  ``frame_id`` keys pyramid
-        reuse when the engine's pyramid provider is ``shared`` (several
-        servers over one cache extract the same frame with one build).
+        sequential extraction would produce.  ``frame_id`` labels the
+        frame's tracer spans.
         ``deadline_s`` optionally bounds the frame's serving budget: a
         frame still queued behind the pool when its deadline passes fails
         with :class:`~repro.errors.JobFailed` instead of being extracted

@@ -124,11 +124,11 @@ class SlamSystem:
         identical to the sequential path because extraction is a pure
         per-frame function.
 
-        ``frame_ids`` overrides the pyramid-cache key submitted per frame;
-        by default each frame gets :func:`repro.serving.stable_frame_id`
-        of ``(sequence.name, frame.index)``, so N systems replaying the
-        same sequence against one shared pyramid cache attach to one
-        cached pyramid N times instead of building N.
+        ``frame_ids`` overrides the frame id submitted per frame (the label
+        on the server's trace spans and journal rows); by default each
+        frame gets :func:`repro.serving.stable_frame_id` of
+        ``(sequence.name, frame.index)``, so runs over the same sequence
+        label the same frame alike.
 
         ``frame_deadline_s`` optionally forwards a per-frame serving
         budget to servers that support one (``submit(...,

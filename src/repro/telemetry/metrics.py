@@ -3,15 +3,14 @@
 The paper's evaluation is built around per-stage counters (Table 2's
 runtime breakdown); the reproduction's serving layer accumulated ~25
 ad-hoc counter dicts across :class:`~repro.serving.ServingStats`,
-:class:`~repro.cluster.ClusterStats`, per-worker stats and the shared
-pyramid cache.  This module is the single store those views now share:
+:class:`~repro.cluster.ClusterStats`, and per-worker stats.  This module is the single store those views now share:
 
 * :class:`Counter` — monotonically increasing event count (plus a signed
   :meth:`Counter.add` escape hatch for the rare compensating adjustment,
   e.g. a submission abandoned before it ever ran);
 * :class:`Gauge` — a point-in-time value, settable or computed on read
-  from a callback (the Prometheus "collect" idiom — used for the pyramid
-  cache and transport-ring views whose source of truth is shared memory);
+  from a callback (the Prometheus "collect" idiom — used for the
+  transport-ring views whose source of truth is shared memory);
 * :class:`Histogram` — **fixed log-bucket** distribution: ``observe`` is
   O(1), ``percentile`` is O(buckets), memory is bounded by the bucket
   count, and p50/p95/p99 are accurate to one bucket's relative width
@@ -26,7 +25,7 @@ Metric mutation methods take a tiny per-metric lock, so standalone use is
 thread-safe; the serving stats additionally serialize related updates
 under their own coarser locks exactly as before.  The naming scheme
 (``serving_*``, ``cluster_*``, ``cluster_worker_*{worker=...}``,
-``pyramid_cache_*``, ``*_ring_*``) is documented — and drift-checked by
+``*_ring_*``) is documented — and drift-checked by
 ``tests/test_telemetry.py`` — in ``docs/observability.md``.
 """
 

@@ -1,7 +1,7 @@
 """Chaos matrix: the cluster serves bit-identical results through faults.
 
 Every scenario here drives a :class:`~repro.cluster.ClusterServer` through
-seeded faults — worker kills, stalls, publish failures, overload — and
+seeded faults — worker kills, stalls, overload — and
 asserts the robustness contract from ``docs/serving.md``: every submitted
 frame either completes **bit-identical to sequential extraction, in
 submission order**, or fails with a *structured* error carrying its
@@ -20,6 +20,7 @@ from dataclasses import replace
 import pytest
 
 from repro.chaos import FAULT_KINDS, FaultEvent, FaultPlan
+from repro.cluster import server as server_module
 from repro.cluster import (
     ClusterServer,
     ElasticityConfig,
@@ -30,7 +31,6 @@ from repro.config import ExtractorConfig, PyramidConfig
 from repro.errors import ReproError
 from repro.features import OrbExtractor
 from repro.image import random_blocks
-from repro.serving import local_extraction_config
 
 ENGINES = ("reference", "vectorized", "hwexact")
 
@@ -45,7 +45,7 @@ def chaos_config():
     return ExtractorConfig(
         image_width=160,
         image_height=120,
-        pyramid=PyramidConfig(num_levels=2, provider="shared"),
+        pyramid=PyramidConfig(num_levels=2),
         max_features=150,
     )
 
@@ -60,7 +60,7 @@ def _feature_key(result):
 
 
 def _sequential_baseline(config, images):
-    extractor = OrbExtractor(local_extraction_config(config))
+    extractor = OrbExtractor(config)
     return [_feature_key(extractor.extract(image)) for image in images]
 
 
@@ -107,15 +107,6 @@ class TestFaultPlan:
         with pytest.raises(ReproError):
             FaultEvent(at_submit=0, kind="meteor")
 
-    def test_publish_failures_are_consumed_once(self):
-        plan = FaultPlan([FaultEvent(at_submit=0, kind="publish_fail")])
-        plan.on_submit(server=None, job_id=0)
-        assert plan.take_publish_failure() is True
-        assert plan.take_publish_failure() is False
-        report = plan.report()
-        assert report["fired"] == 1
-        assert report["fired_by_kind"] == {"publish_fail": 1}
-
     def test_events_fire_at_most_once(self):
         plan = FaultPlan([FaultEvent(at_submit=2, kind="slow_frame")])
         plan.on_submit(server=None, job_id=2)
@@ -155,38 +146,12 @@ class TestKillStorm:
         assert report["leaked_slots"] == 0
         assert report["frames_failed"] == 0
 
-    def test_storm_with_publish_failures_falls_back_to_ring(
-        self, chaos_config, chaos_images
-    ):
-        plan = FaultPlan(
-            [
-                FaultEvent(at_submit=1, kind="publish_fail"),
-                FaultEvent(at_submit=4, kind="kill", worker_id=0),
-                FaultEvent(at_submit=7, kind="publish_fail"),
-            ]
-        )
-        baseline = _sequential_baseline(chaos_config, chaos_images)
-        server = ClusterServer(
-            chaos_config, num_workers=2, supervision=FAST_SUPERVISION, fault_plan=plan
-        )
-        with server:
-            futures = [
-                server.submit(image, frame_id=index)
-                for index, image in enumerate(chaos_images)
-            ]
-            served = [_feature_key(f.result(timeout=120)) for f in futures]
-        assert served == baseline
-        report = server.stats.as_dict()
-        assert report["frames_via_ring"] >= 2  # the forced publish failures
-        assert report["publish_fallbacks"] >= 2
-        assert report["leaked_slots"] == 0
 
-
-class TestRestartUnderZeroCopy:
-    """Kill between pyramid pin and result flush; the slot must come back."""
+class TestRestartMidFlight:
+    """Kill between ring write and result flush; the slots must come back."""
 
     @pytest.mark.parametrize("engine", ENGINES)
-    def test_killed_pinned_jobs_retry_and_reclaim(
+    def test_killed_dispatched_jobs_retry_and_reclaim(
         self, engine, chaos_config, chaos_images
     ):
         config = replace(chaos_config, frontend=engine, backend=engine)
@@ -201,9 +166,9 @@ class TestRestartUnderZeroCopy:
         )
         with server:
             _warm_up(server, images, sharded=True)
-            # stall the shard's worker so its jobs are provably pinned and
-            # in flight (published + pinned + dispatched, result not
-            # flushed), then kill it mid-flight
+            # stall the shard's worker so its jobs are provably in flight
+            # (written to the ring + dispatched, result not flushed), then
+            # kill it mid-flight
             assert server.chaos_stall(0, duration_s=30.0) == 0
             futures = [
                 server.submit(image, shard_key=0, frame_id=index)
@@ -216,17 +181,14 @@ class TestRestartUnderZeroCopy:
             assert server.stats.requeued > 0
             assert server.stats.retries > 0  # dispatched jobs were re-run
             assert _wait_until(lambda: server.stats.restarts >= 1)
-            # every published pyramid slot was retired and reclaimed, the
-            # crashed worker's leaked consumer leases voided by force-retire
-            cache_report = server.pyramid_cache_stats()
-            assert cache_report is not None
-            assert cache_report["slots_in_use"] == 0
+            # every frame ring slot the requeued jobs held came back
+            assert server._ring.in_flight() == 0
         assert server.stats.as_dict()["leaked_slots"] == 0
 
 
 class TestResultRingUnderChaos:
-    """The result ring's own acceptance gate: kill storms with the
-    zero-copy return path enabled leak no result slots and change no bits."""
+    """The result ring's own acceptance gate: kill storms leak no result
+    slots and change no bits, through the ring and its pickle fallback."""
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_kill_storm_with_ring_leaves_zero_leaked_result_slots(
@@ -242,7 +204,6 @@ class TestResultRingUnderChaos:
             num_workers=2,
             supervision=FAST_SUPERVISION,
             fault_plan=plan,
-            result_transport="ring",
         )
         with server:
             futures = [
@@ -261,9 +222,12 @@ class TestResultRingUnderChaos:
         assert report["results_zero_copy"] > 0
         assert report["leaked_slots"] == 0
 
-    def test_pickle_transport_survives_the_same_storm(
-        self, chaos_config, chaos_images
+    def test_forced_pickle_fallback_survives_the_same_storm(
+        self, chaos_config, chaos_images, monkeypatch
     ):
+        # result-ring slots too small for any packed result: every result
+        # takes the per-result pickle fallback through the queue
+        monkeypatch.setattr(server_module, "max_packed_nbytes", lambda config: 64)
         baseline = _sequential_baseline(chaos_config, chaos_images)
         plan = FaultPlan.storm(
             frames=len(chaos_images), every=4, num_workers=2, seed=29
@@ -273,7 +237,6 @@ class TestResultRingUnderChaos:
             num_workers=2,
             supervision=FAST_SUPERVISION,
             fault_plan=plan,
-            result_transport="pickle",
         )
         with server:
             futures = [
@@ -284,7 +247,7 @@ class TestResultRingUnderChaos:
         assert served == baseline
         report = server.stats.as_dict()
         assert report["results_zero_copy"] == 0
-        assert report["results_via_pickle"] >= len(chaos_images)
+        assert report["results_via_pickle"] == len(chaos_images)
         assert report["leaked_slots"] == 0
 
 
@@ -320,6 +283,39 @@ class TestStallDetection:
         assert report["restarts"] >= 1
         assert report["requeued"] >= 1
         assert report["leaked_slots"] == 0
+
+
+class TestSupervisorTickErrors:
+    def test_failed_tick_is_counted_journaled_and_supervision_continues(
+        self, chaos_config, chaos_images
+    ):
+        server = ClusterServer(
+            chaos_config, num_workers=2, supervision=FAST_SUPERVISION
+        )
+        with server:
+            supervisor = server._supervisor
+            real_tick = supervisor.tick
+            raised = []
+
+            def tick_failing_once():
+                if not raised:
+                    raised.append(True)
+                    raise RuntimeError("injected tick failure")
+                real_tick()
+
+            supervisor.tick = tick_failing_once
+            errors = server.registry.counter("cluster_supervisor_tick_errors_total")
+            assert _wait_until(lambda: errors.value == 1)
+            rows = server.journal.events(kind="supervisor_tick_error")
+            assert len(rows) == 1
+            assert rows[0].detail["error"] == "RuntimeError"
+            # later ticks still supervise: a killed worker is respawned
+            server.kill_worker(0)
+            assert _wait_until(lambda: server.stats.workers[0].restarts == 1)
+            assert _wait_until(lambda: len(server.alive_worker_ids()) == 2)
+            served = _feature_key(server.submit(chaos_images[0]).result(timeout=60))
+            assert errors.value == 1
+        assert served == _sequential_baseline(chaos_config, chaos_images[:1])[0]
 
 
 class TestDeadlines:
@@ -529,7 +525,7 @@ class TestSlamDeadlinePassThrough:
         from repro.serving import FrameServer
         from repro.slam import SlamSystem
 
-        slam_config = SlamConfig(extractor=local_extraction_config(chaos_config))
+        slam_config = SlamConfig(extractor=chaos_config)
         sequence = make_sequence(
             SequenceSpec(
                 name="fr1/xyz", num_frames=3, image_width=160, image_height=120

@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 
 from repro.analysis import BatchRunner
+from repro.cluster import server as server_module
+from repro.cluster import worker as worker_module
 from repro.cluster import (
     ClusterServer,
     LeastLoadedPolicy,
@@ -167,6 +169,10 @@ class TestClusterServer:
         assert all(worker.queue_depth == 0 for worker in stats.workers)
         report = stats.as_dict()
         assert report["frames_completed"] == len(cluster_images)
+        assert report["frames_via_ring"] == len(cluster_images)
+        assert report["ring_bytes_copied"] == sum(
+            image.pixels.size for image in cluster_images
+        )
         assert len(report["workers"]) == 2
 
     def test_round_robin_spreads_frames(self, cluster_config, cluster_images):
@@ -219,6 +225,11 @@ class TestClusterServer:
             # the reserved slot was returned: serving still works afterwards
             small = GrayImage(np.zeros((120, 160), dtype=np.uint8))
             assert server.submit(small).result(timeout=30) is not None
+
+    def test_negative_frame_id_rejected(self, cluster_config, cluster_images):
+        with ClusterServer(cluster_config, num_workers=1) as server:
+            with pytest.raises(ReproError):
+                server.submit(cluster_images[0], frame_id=-1)
 
 
 class TestClusterCrash:
@@ -480,76 +491,6 @@ class TestWorkStealing:
             assert "ewma_latency_ms" in worker and worker["ewma_latency_ms"] > 0.0
 
 
-class TestZeroCopyFastPath:
-    @pytest.fixture(scope="class")
-    def shared_config(self, cluster_config):
-        from dataclasses import replace
-
-        return replace(
-            cluster_config, pyramid=PyramidConfig(num_levels=2, provider="shared")
-        )
-
-    def test_zero_copy_skips_ring_entirely(
-        self, shared_config, cluster_config, cluster_images
-    ):
-        extractor = OrbExtractor(cluster_config)
-        sequential = [extractor.extract(image) for image in cluster_images]
-        with ClusterServer(shared_config, num_workers=2) as server:
-            served = server.extract_many(cluster_images)
-            stats = server.stats.as_dict()
-            cache_stats = server.pyramid_cache_stats()
-        assert stats["frames_zero_copy"] == len(cluster_images)
-        assert stats["frames_via_ring"] == 0
-        assert stats["ring_bytes_copied"] == 0  # no frame bytes copied at all
-        assert stats["publish_fallbacks"] == 0
-        assert cache_stats["zero_copy_frames"] == len(cluster_images)
-        assert cache_stats["local_builds"] == 0
-        for seq_result, cluster_result in zip(sequential, served):
-            assert _feature_key(seq_result) == _feature_key(cluster_result)
-
-    def test_falls_back_to_ring_when_cache_full(self, shared_config, cluster_images):
-        with ClusterServer(shared_config, num_workers=1, max_in_flight=2) as server:
-            cache = server._pyramid_cache
-            # lease every cache slot so publish cannot find a free or
-            # evictable slot: the zero-copy path must fall back to the ring
-            pixels = cluster_images[0].pixels
-            leases = []
-            for filler_key in (900001, 900002):
-                assert cache.publish(filler_key, pixels)
-                leases.append(cache.attach(filler_key))
-            try:
-                result = server.submit(cluster_images[1]).result()
-                stats = server.stats.as_dict()
-                cache_stats = server.pyramid_cache_stats()
-            finally:
-                for lease in leases:
-                    lease.close()
-        assert stats["frames_zero_copy"] == 0
-        assert stats["frames_via_ring"] == 1
-        assert stats["publish_fallbacks"] == 1
-        assert stats["ring_bytes_copied"] == pixels.size
-        assert cache_stats["ring_fallback_frames"] == 1
-        assert len(result.features) > 0
-
-    def test_repeated_frame_id_publishes_once(self, shared_config, cluster_images):
-        with ClusterServer(shared_config, num_workers=2, max_in_flight=4) as server:
-            futures = [
-                server.submit(cluster_images[0], frame_id=7777) for _ in range(4)
-            ]
-            results = [future.result() for future in futures]
-            cache_stats = server.pyramid_cache_stats()
-        assert cache_stats["publishes"] == 1  # one build serves all four
-        assert cache_stats["hits"] == 4
-        assert cache_stats["zero_copy_frames"] == 4
-        first_key = _feature_key(results[0])
-        assert all(_feature_key(result) == first_key for result in results[1:])
-
-    def test_negative_frame_id_rejected(self, cluster_config, cluster_images):
-        with ClusterServer(cluster_config, num_workers=1) as server:
-            with pytest.raises(ReproError):
-                server.submit(cluster_images[0], frame_id=-1)
-
-
 class TestSharedResultRing:
     def test_claim_write_free_cycle(self):
         with SharedResultRing(2, 3, slot_bytes=64) as ring:
@@ -613,10 +554,13 @@ class TestResultTransport:
         assert report["result_bytes_saved"] > 0
         assert report["leaked_slots"] == 0
 
-    def test_pickle_transport_is_bit_identical(self, cluster_config, cluster_images):
-        with ClusterServer(
-            cluster_config, num_workers=2, result_transport="pickle"
-        ) as server:
+    def test_forced_pickle_fallback_is_bit_identical(
+        self, cluster_config, cluster_images, monkeypatch
+    ):
+        # result-ring slots too small for any packed result: every result
+        # must take the per-result pickle fallback through the queue
+        monkeypatch.setattr(server_module, "max_packed_nbytes", lambda config: 64)
+        with ClusterServer(cluster_config, num_workers=2) as server:
             expected = [
                 OrbExtractor(cluster_config).extract(image)
                 for image in cluster_images
@@ -628,23 +572,18 @@ class TestResultTransport:
         assert report["results_zero_copy"] == 0
         assert report["results_via_pickle"] == len(cluster_images)
         assert report["result_bytes_saved"] == 0
+        assert report["leaked_slots"] == 0
 
     def test_result_batch_of_one_flushes_every_result(
-        self, cluster_config, cluster_images
+        self, cluster_config, cluster_images, monkeypatch
     ):
-        with ClusterServer(cluster_config, num_workers=1, result_batch=1) as server:
+        # fork-started workers inherit the patched module constant
+        monkeypatch.setattr(worker_module, "DEFAULT_RESULT_BATCH", 1)
+        with ClusterServer(cluster_config, num_workers=1) as server:
             served = server.extract_many(cluster_images)
             report = server.stats.as_dict()
         assert len(served) == len(cluster_images)
         assert report["results_zero_copy"] == len(cluster_images)
-
-    def test_invalid_transport_knobs_rejected(self, cluster_config):
-        with pytest.raises(ReproError, match="result_transport"):
-            ClusterServer(cluster_config, result_transport="carrier_pigeon")
-        with pytest.raises(ReproError, match="result_batch"):
-            ClusterServer(cluster_config, result_batch=0)
-        with pytest.raises(ReproError, match="pyramid_retention_s"):
-            ClusterServer(cluster_config, pyramid_retention_s=-1.0)
 
 
 class TestStableFrameIds:
@@ -656,36 +595,3 @@ class TestStableFrameIds:
         assert stable_frame_id("fr1/desk", 3) != base  # sequences separated
         with pytest.raises(ReproError):
             stable_frame_id("fr1/xyz", -1)
-
-    def test_n_engine_comparison_builds_each_pyramid_once(self, cluster_config):
-        """Two engines over one sequence attach to ONE cached pyramid each
-        frame (stable ids), instead of building per engine."""
-        from dataclasses import replace
-
-        from repro.pyramid import SharedPyramidCache
-
-        num_frames = 3
-        shared_cfg = replace(
-            cluster_config, pyramid=PyramidConfig(num_levels=2, provider="shared")
-        )
-        spec = SequenceSpec(
-            name="fr1/xyz", num_frames=num_frames, image_width=160, image_height=120
-        )
-        cache = SharedPyramidCache.create(shared_cfg, num_slots=num_frames + 1)
-        try:
-            records = []
-            for engine in ("reference", "vectorized"):
-                config = SlamConfig(
-                    extractor=replace(shared_cfg, frontend=engine, backend=engine),
-                    tracker=TrackerConfig(ransac_iterations=32, pose_iterations=6),
-                )
-                runner = BatchRunner(config=config, pyramid_cache=cache)
-                with FrameServer(extractor=runner.extractor, max_workers=2) as server:
-                    records.append(runner.run_sequence(spec, frame_server=server))
-            stats = cache.stats()
-        finally:
-            cache.close()
-        assert stats["publishes"] == num_frames  # built once, not per engine
-        assert stats["local_builds"] == 0
-        assert stats["hits"] >= 2 * num_frames  # both engines attached each frame
-        assert records[0].ate_mean_cm == records[1].ate_mean_cm

@@ -1,16 +1,11 @@
-"""repro.pyramid: provider parity, streaming laziness, shared-cache lifecycle.
+"""repro.pyramid: the provider seam, input validation and level geometry.
 
-The provider parity matrix extracts through every pyramid provider x every
-engine pair and asserts bit-identical retained features against the eager
-reference; the cache classes pin down refcounted leases, slot reclamation
-under concurrent workers, eviction and the cache-miss fallback; the
-integration classes cover the cluster producer-publish/worker-attach path
-and in-process multi-engine fan-out.
+The extractor builds every frame's pyramid through one
+:class:`~repro.pyramid.PyramidProvider`; these tests pin down its
+``acquire``/``release`` seam, the up-front rejection of images too small
+for the deepest level, and the level geometry it shares with
+:class:`~repro.image.ImagePyramid`.
 """
-
-import threading
-import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,22 +13,8 @@ import pytest
 from repro.config import ExtractorConfig, PyramidConfig
 from repro.errors import ImageError, ReproError
 from repro.features import OrbExtractor
-from repro.image import (
-    GrayImage,
-    ImagePyramid,
-    pyramid_level_shapes,
-    random_blocks,
-    resize_dimensions,
-    resize_nearest_into,
-)
-from repro.pyramid import (
-    SharedProvider,
-    SharedPyramidCache,
-    StreamingPyramid,
-    available_providers,
-    create_provider,
-    minimum_level_size,
-)
+from repro.image import GrayImage, ImagePyramid, pyramid_level_shapes, random_blocks
+from repro.pyramid import PyramidProvider, minimum_level_size
 
 
 @pytest.fixture(scope="module")
@@ -46,101 +27,28 @@ def pyramid_config():
     )
 
 
-@pytest.fixture(scope="module")
-def frames():
-    return [random_blocks(120, 160, block=9, seed=seed) for seed in range(3)]
+class TestPyramidProvider:
+    def test_extractor_builds_through_acquire_and_release(self, pyramid_config):
+        extractor = OrbExtractor(pyramid_config)
+        provider = extractor.pyramid_provider
+        assert isinstance(provider, PyramidProvider)
+        calls = []
+        acquire, release = provider.acquire, provider.release
+        provider.acquire = lambda image: calls.append("acquire") or acquire(image)
+        provider.release = lambda pyramid: calls.append("release") or release(pyramid)
+        extractor.extract(random_blocks(120, 160, block=9, seed=0))
+        assert calls == ["acquire", "release"]
 
-
-def _with(config, provider, engine="vectorized"):
-    return replace(
-        config,
-        pyramid=replace(config.pyramid, provider=provider),
-        frontend=engine,
-        backend=engine,
-    )
-
-
-class TestProviderRegistry:
-    def test_registered_providers(self):
-        assert available_providers() == ["eager", "shared", "streaming"]
-
-    def test_unknown_provider_lists_alternatives(self, pyramid_config):
-        with pytest.raises(ReproError) as excinfo:
-            OrbExtractor(_with(pyramid_config, "streamed"))
-        message = str(excinfo.value)
-        for name in available_providers():
-            assert name in message
-        assert "streaming" in message  # closest-match hint
-
-    def test_extractor_exposes_selected_provider(self, pyramid_config):
-        extractor = OrbExtractor(_with(pyramid_config, "streaming"))
-        assert extractor.pyramid_provider.name == "streaming"
-        assert OrbExtractor(pyramid_config).pyramid_provider.name == "eager"
-
-
-class TestProviderParityMatrix:
-    """3 providers x 3 engine pairs: bit-identical retained features."""
-
-    @pytest.fixture(scope="class")
-    def eager_by_engine(self, pyramid_config, frames):
-        results = {}
-        for engine in ("reference", "vectorized", "hwexact"):
-            extractor = OrbExtractor(_with(pyramid_config, "eager", engine))
-            results[engine] = [extractor.extract(image) for image in frames]
-        return results
-
-    @pytest.mark.parametrize("engine", ["reference", "vectorized", "hwexact"])
-    @pytest.mark.parametrize("provider", ["eager", "streaming", "shared"])
-    def test_bit_identical_features(
-        self, provider, engine, pyramid_config, frames, eager_by_engine
-    ):
-        extractor = OrbExtractor(_with(pyramid_config, provider, engine))
-        try:
-            for index, image in enumerate(frames):
-                result = extractor.extract(image, frame_id=index)
-                expected = eager_by_engine[engine][index]
-                assert result.feature_records() == expected.feature_records()
-                assert vars(result.profile) == vars(expected.profile)
-        finally:
-            extractor.close()
-
-
-class TestStreamingPyramid:
-    def test_levels_build_on_demand(self, frames):
-        config = PyramidConfig(num_levels=4)
-        pyramid = StreamingPyramid(frames[0], config)
-        assert pyramid.levels_built() == 1
-        assert pyramid.total_pixels() > 0  # shape arithmetic, no build
-        assert pyramid.levels_built() == 1
-        pyramid.level(2)
-        assert pyramid.levels_built() == 3
-        assert len(pyramid) == 4
-
-    def test_levels_bit_identical_to_eager(self, frames):
-        config = PyramidConfig(num_levels=4)
-        eager = ImagePyramid(frames[0], config)
-        streaming = StreamingPyramid(frames[0], config)
-        for eager_level, streaming_level in zip(eager, streaming):
-            assert np.array_equal(
-                eager_level.image.pixels, streaming_level.image.pixels
-            )
-            assert eager_level.scale == streaming_level.scale
-        assert streaming.pixel_counts() == eager.pixel_counts()
-        assert streaming.total_pixels() == eager.total_pixels()
-
-    def test_banded_resize_matches_whole_level(self, frames):
-        src = frames[0].pixels
-        out_shape = resize_dimensions(*src.shape, 1.2)
-        whole = np.empty(out_shape, dtype=np.uint8)
-        banded = np.empty(out_shape, dtype=np.uint8)
-        resize_nearest_into(src, 1.2, whole)
-        resize_nearest_into(src, 1.2, banded, band_rows=7, workspace={})
-        assert np.array_equal(whole, banded)
-
-    def test_level_out_of_range(self, frames):
-        pyramid = StreamingPyramid(frames[0], PyramidConfig(num_levels=2))
-        with pytest.raises(ImageError):
-            pyramid.level(2)
+    def test_acquired_levels_match_image_pyramid(self, pyramid_config):
+        image = random_blocks(120, 160, block=9, seed=1)
+        pyramid = PyramidProvider(pyramid_config).acquire(image)
+        expected = ImagePyramid(image, pyramid_config.pyramid)
+        assert [level.image.shape for level in pyramid] == pyramid_level_shapes(
+            120, 160, pyramid_config.pyramid
+        )
+        for level, reference in zip(pyramid, expected):
+            assert np.array_equal(level.image.pixels, reference.image.pixels)
+            assert level.scale == reference.scale
 
 
 class TestPyramidInputValidation:
@@ -156,293 +64,13 @@ class TestPyramidInputValidation:
         with pytest.raises(ImageError, match="GrayImage"):
             ImagePyramid([[1, 2], [3, 4]])
 
-    @pytest.mark.parametrize("provider", ["eager", "streaming", "shared"])
-    def test_extractor_rejects_too_small_image(self, provider, pyramid_config):
-        config = _with(pyramid_config, provider)
+    def test_extractor_rejects_too_small_image(self, pyramid_config):
         tiny = GrayImage(np.zeros((40, 40), dtype=np.uint8))
-        extractor = OrbExtractor(config)
-        try:
-            with pytest.raises(ReproError, match="deepest"):
-                extractor.extract(tiny, frame_id=0)
-        finally:
-            extractor.close()
+        with pytest.raises(ReproError, match="deepest"):
+            OrbExtractor(pyramid_config).extract(tiny, frame_id=0)
 
     def test_minimum_level_size_covers_patch_and_border(self, pyramid_config):
         window = minimum_level_size(pyramid_config)
         assert window == 2 * pyramid_config.fast.border + 1
         deepest = pyramid_level_shapes(120, 160, pyramid_config.pyramid)[-1]
         assert min(deepest) >= window  # the test workload itself is legal
-
-
-class TestSharedPyramidCache:
-    def test_publish_attach_release_roundtrip(self, pyramid_config, frames):
-        with SharedPyramidCache.create(pyramid_config, num_slots=2) as cache:
-            assert cache.publish(0, frames[0].pixels)
-            eager = ImagePyramid(frames[0], pyramid_config.pyramid)
-            cached = cache.attach(0)
-            assert cached is not None
-            for eager_level, cached_level in zip(eager, cached):
-                assert np.array_equal(
-                    eager_level.image.pixels, cached_level.image.pixels
-                )
-            assert cache.refcount(0) == 1
-            cached.close()
-            assert cache.refcount(0) == 0
-            cached.close()  # idempotent
-            assert cache.refcount(0) == 0
-
-    def test_publish_is_idempotent_per_frame(self, pyramid_config, frames):
-        with SharedPyramidCache.create(pyramid_config, num_slots=2) as cache:
-            assert cache.publish(5, frames[0].pixels)
-            assert cache.publish(5, frames[1].pixels)  # already cached: no-op
-            assert cache.stats()["publishes"] == 1
-
-    def test_attach_miss_returns_none(self, pyramid_config):
-        with SharedPyramidCache.create(pyramid_config, num_slots=1) as cache:
-            assert cache.attach(42) is None
-            assert cache.stats()["misses"] == 1
-
-    def test_retire_reclaims_slot_after_release(self, pyramid_config, frames):
-        with SharedPyramidCache.create(pyramid_config, num_slots=1) as cache:
-            assert cache.publish(0, frames[0].pixels)
-            lease = cache.attach(0)
-            cache.retire(0)  # still leased: slot must survive until release
-            assert not cache.publish(1, frames[1].pixels)
-            lease.close()
-            assert cache.publish(1, frames[1].pixels)
-            assert cache.attach(0) is None  # retired entry is gone
-
-    def test_forced_retire_voids_open_leases(self, pyramid_config, frames):
-        with SharedPyramidCache.create(pyramid_config, num_slots=1) as cache:
-            assert cache.publish(0, frames[0].pixels)
-            cache.attach(0)  # lease deliberately never released (crash model)
-            cache.retire(0, force=True)
-            assert cache.publish(1, frames[1].pixels)
-
-    def test_eviction_prefers_oldest_unreferenced(self, pyramid_config, frames):
-        with SharedPyramidCache.create(pyramid_config, num_slots=2) as cache:
-            assert cache.publish(0, frames[0].pixels)
-            assert cache.publish(1, frames[1].pixels)
-            lease = cache.attach(1)  # pin frame 1
-            assert cache.publish(2, frames[2].pixels)  # evicts frame 0
-            assert cache.stats()["evictions"] == 1
-            assert cache.attach(0) is None
-            assert cache.attach(2) is not None
-            lease.close()
-
-    def test_oversize_frame_refused_not_cached(self, pyramid_config):
-        with SharedPyramidCache.create(pyramid_config, num_slots=1) as cache:
-            big = np.zeros((240, 320), dtype=np.uint8)
-            assert not cache.publish(0, big)
-
-    def test_concurrent_lease_churn_leaves_refcounts_clean(
-        self, pyramid_config, frames
-    ):
-        """Worker-style churn: many threads attach/release the same frames."""
-        with SharedPyramidCache.create(pyramid_config, num_slots=3) as cache:
-            for frame_id, image in enumerate(frames):
-                assert cache.publish(frame_id, image.pixels)
-            errors = []
-
-            def churn(frame_id):
-                try:
-                    for _ in range(50):
-                        lease = cache.attach(frame_id)
-                        assert lease is not None
-                        lease.close()
-                except Exception as error:  # surfaced after join
-                    errors.append(error)
-
-            threads = [
-                threading.Thread(target=churn, args=(index % len(frames),))
-                for index in range(6)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            assert errors == []
-            for frame_id in range(len(frames)):
-                assert cache.refcount(frame_id) == 0
-            stats = cache.stats()
-            assert stats["hits"] == 6 * 50
-            assert stats["local_builds"] == 0
-
-
-class TestPyramidRetention:
-    """Session-scoped TTL: retire retains, replays revive, expiries reclaim."""
-
-    def test_retire_retains_and_replay_revives(self, pyramid_config, frames):
-        with SharedPyramidCache.create(
-            pyramid_config, num_slots=2, retention_s=30.0
-        ) as cache:
-            assert cache.publish(0, frames[0].pixels)
-            cache.attach(0).close()
-            cache.retire(0)
-            # replay of the same frame id: publish is a no-op on the
-            # retained copy and attach revives it instead of rebuilding
-            assert cache.publish(0, frames[0].pixels)
-            lease = cache.attach(0)
-            assert lease is not None
-            assert np.array_equal(lease.level(0).image.pixels, frames[0].pixels)
-            lease.close()
-            stats = cache.stats()
-            assert stats["publishes"] == 1
-            assert stats["retained_hits"] == 1
-
-    def test_expired_retention_misses_and_reclaims(self, pyramid_config, frames):
-        with SharedPyramidCache.create(
-            pyramid_config, num_slots=1, retention_s=0.05
-        ) as cache:
-            assert cache.publish(0, frames[0].pixels)
-            cache.retire(0)
-            time.sleep(0.08)
-            assert cache.attach(0) is None  # TTL lapsed: a plain miss
-            stats = cache.stats()
-            assert stats["retained_hits"] == 0
-            assert stats["misses"] == 1
-            # the lapsed slot is reusable without counting an eviction
-            assert cache.publish(1, frames[1].pixels)
-            assert cache.stats()["evictions"] == 0
-
-    def test_publish_prefers_lapsed_slot_over_evicting_valid(
-        self, pyramid_config, frames
-    ):
-        with SharedPyramidCache.create(
-            pyramid_config, num_slots=2, retention_s=0.05
-        ) as cache:
-            assert cache.publish(0, frames[0].pixels)
-            cache.retire(0)  # retained under a short TTL
-            assert cache.publish(1, frames[1].pixels)  # still-useful entry
-            time.sleep(0.08)
-            assert cache.publish(2, frames[2].pixels)  # takes frame 0's slot
-            assert cache.stats()["evictions"] == 0
-            assert cache.attach(1) is not None
-
-    def test_publish_can_evict_unexpired_retained_entry(
-        self, pyramid_config, frames
-    ):
-        with SharedPyramidCache.create(
-            pyramid_config, num_slots=1, retention_s=60.0
-        ) as cache:
-            assert cache.publish(0, frames[0].pixels)
-            cache.retire(0)
-            # retained frames never block new work: the single slot is
-            # reclaimed for the new frame, counted as an eviction
-            assert cache.publish(1, frames[1].pixels)
-            assert cache.stats()["evictions"] == 1
-            assert cache.attach(0) is None
-
-    def test_forced_retire_ignores_retention(self, pyramid_config, frames):
-        with SharedPyramidCache.create(
-            pyramid_config, num_slots=1, retention_s=60.0
-        ) as cache:
-            assert cache.publish(0, frames[0].pixels)
-            cache.retire(0, force=True)  # crash path: no retained copy
-            assert cache.attach(0) is None
-            assert cache.stats()["retained_hits"] == 0
-
-    def test_retention_must_be_positive(self, pyramid_config):
-        with pytest.raises(ImageError, match="retention_s"):
-            SharedPyramidCache.create(pyramid_config, retention_s=0.0)
-
-
-class TestSharedProviderFallback:
-    def test_cache_full_falls_back_to_local_build(self, pyramid_config, frames):
-        config = _with(pyramid_config, "shared")
-        with SharedPyramidCache.create(config, num_slots=1) as cache:
-            provider = SharedProvider(config, cache=cache)
-            assert cache.publish(0, frames[0].pixels)
-            lease = cache.attach(0)  # hold the only slot
-            pyramid = provider.acquire(frames[1], frame_id=1)  # miss + no slot
-            assert not hasattr(pyramid, "close")  # a plain local ImagePyramid
-            eager = ImagePyramid(frames[1], config.pyramid)
-            for eager_level, local_level in zip(eager, pyramid):
-                assert np.array_equal(
-                    eager_level.image.pixels, local_level.image.pixels
-                )
-            provider.release(pyramid)  # no-op for local builds
-            assert cache.stats()["local_builds"] == 1
-            lease.close()
-
-    def test_extraction_correct_through_fallback(self, pyramid_config, frames):
-        config = _with(pyramid_config, "shared")
-        expected = OrbExtractor(_with(pyramid_config, "eager")).extract(frames[1])
-        with SharedPyramidCache.create(config, num_slots=1) as cache:
-            assert cache.publish(0, frames[0].pixels)
-            lease = cache.attach(0)  # cache full: every new frame misses
-            extractor = OrbExtractor(config, pyramid_cache=cache)
-            result = extractor.extract(frames[1], frame_id=1)
-            assert result.feature_records() == expected.feature_records()
-            assert cache.stats()["local_builds"] == 1
-            lease.close()
-
-
-class TestMultiEngineFanOut:
-    def test_two_extractors_share_one_build(self, pyramid_config, frames):
-        """Multi-engine fan-out: N consumers of a frame, one pyramid build."""
-        config = _with(pyramid_config, "shared")
-        with SharedPyramidCache.create(config, num_slots=4) as cache:
-            first = OrbExtractor(config, pyramid_cache=cache)
-            second = OrbExtractor(
-                _with(pyramid_config, "shared", "reference"), pyramid_cache=cache
-            )
-            for frame_id, image in enumerate(frames):
-                first.extract(image, frame_id=frame_id)
-                second.extract(image, frame_id=frame_id)
-            stats = cache.stats()
-            assert stats["publishes"] == len(frames)  # one build per frame
-            assert stats["hits"] == 2 * len(frames)  # both consumers attach
-            assert stats["local_builds"] == 0
-
-
-class TestClusterSharedPyramid:
-    def test_workers_attach_instead_of_rebuilding(self, pyramid_config, frames):
-        from repro.cluster import ClusterServer
-
-        config = _with(pyramid_config, "shared")
-        expected = [OrbExtractor(_with(pyramid_config, "eager")).extract(f) for f in frames]
-        with ClusterServer(config, num_workers=2) as server:
-            served = server.extract_many(frames)
-            stats = server.pyramid_cache_stats()
-        for expected_result, served_result in zip(expected, served):
-            assert expected_result.feature_records() == served_result.feature_records()
-        assert stats["publishes"] == len(frames)  # producer builds once each
-        assert stats["hits"] == len(frames)  # every worker attached zero-copy
-        assert stats["local_builds"] == 0
-        assert stats["slots_in_use"] == 0  # all slots retired after collection
-
-    def test_cluster_replay_reuses_retained_pyramids(self, pyramid_config, frames):
-        from repro.cluster import ClusterServer
-
-        config = _with(pyramid_config, "shared")
-        frame_ids = list(range(len(frames)))
-        with ClusterServer(config, num_workers=2, pyramid_retention_s=60.0) as server:
-            first = server.extract_many(frames, frame_ids=frame_ids)
-            second = server.extract_many(frames, frame_ids=frame_ids)
-            stats = server.pyramid_cache_stats()
-        assert [r.feature_records() for r in first] == [
-            r.feature_records() for r in second
-        ]
-        assert stats["publishes"] == len(frames)  # replay rebuilt nothing
-        assert stats["retained_hits"] >= len(frames)
-
-    def test_cache_stats_readable_after_close(self, pyramid_config, frames):
-        from repro.cluster import ClusterServer
-
-        config = _with(pyramid_config, "shared")
-        server = ClusterServer(config, num_workers=1)
-        with server:
-            server.extract_many(frames)
-        stats = server.pyramid_cache_stats()  # final snapshot, like .stats
-        assert stats["publishes"] == len(frames)
-        assert stats["local_builds"] == 0
-        with pytest.raises(ImageError, match="closed"):
-            server._pyramid_cache.attach(0)
-
-    def test_eager_cluster_reports_no_cache(self, pyramid_config, frames):
-        from repro.cluster import ClusterServer
-
-        with ClusterServer(pyramid_config, num_workers=1) as server:
-            server.extract_many(frames[:1])
-            assert server.pyramid_cache_stats() is None

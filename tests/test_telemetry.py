@@ -18,6 +18,7 @@ import pytest
 
 from repro.chaos import FaultEvent, FaultPlan
 from repro.cluster import ClusterServer, ClusterStats, SupervisorConfig, WorkerStats
+from repro.cluster import worker as worker_module
 from repro.config import ExtractorConfig, PyramidConfig
 from repro.errors import ReproError
 from repro.features import OrbExtractor
@@ -411,8 +412,8 @@ class TestEventJournal:
 class TestStatsGoldenKeys:
     CLUSTER_KEYS = {
         "frames_submitted", "frames_completed", "frames_failed",
-        "max_in_flight", "queue_depth", "steals", "publish_fallbacks",
-        "frames_zero_copy", "frames_via_ring", "ring_bytes_copied",
+        "max_in_flight", "queue_depth", "steals",
+        "frames_via_ring", "ring_bytes_copied",
         "results_zero_copy", "results_via_pickle", "result_bytes_saved",
         "restarts", "retries", "requeued", "shed", "pool_grows",
         "pool_shrinks", "leaked_slots", "latency_p50_ms", "latency_p95_ms",
@@ -501,15 +502,17 @@ class TestClusterTracing:
         assert {"extract", "serve_frame"} <= worker_names
 
     def test_flushed_spans_survive_worker_crash(
-        self, telemetry_config, telemetry_images
+        self, telemetry_config, telemetry_images, monkeypatch
     ):
+        # flush (and ship spans) after every frame; fork-started workers
+        # inherit the patched module constant
+        monkeypatch.setattr(worker_module, "DEFAULT_RESULT_BATCH", 1)
         tracer = Tracer(enabled=True, track="server")
         with ClusterServer(
             telemetry_config,
             num_workers=1,
             supervision=FAST_SUPERVISION,
             tracer=tracer,
-            result_batch=1,  # flush (and ship spans) after every frame
         ) as server:
             server.extract_many(telemetry_images[:3])
             spans_before = len(server.trace().spans("worker-0"))
@@ -539,18 +542,18 @@ class TestClusterTracing:
         config = ExtractorConfig(
             image_width=160,
             image_height=120,
-            pyramid=PyramidConfig(num_levels=2, provider="shared"),
+            pyramid=PyramidConfig(num_levels=2),
             max_features=150,
         )
-        plan = FaultPlan([FaultEvent(at_submit=2, kind="publish_fail")], seed=11)
+        plan = FaultPlan([FaultEvent(at_submit=2, kind="kill")], seed=11)
         with ClusterServer(
             config, num_workers=1, supervision=FAST_SUPERVISION, fault_plan=plan
         ) as server:
             server.extract_many(telemetry_images[:4])
-            rows = server.journal.events(kind="chaos_publish_fail")
-            fallbacks = server.journal.events(kind="publish_fallback")
+            rows = server.journal.events(kind="chaos_kill")
+            deaths = server.journal.events(kind="worker_dead")
         assert len(rows) == 1 and rows[0].seed == 11
-        assert fallbacks and fallbacks[0].seed == 11
+        assert deaths and deaths[0].seed == 11
 
 
 # ---------------------------------------------------------------------------
@@ -569,11 +572,13 @@ class TestDocsDrift:
         config = ExtractorConfig(
             image_width=160,
             image_height=120,
-            pyramid=PyramidConfig(num_levels=2, provider="shared"),
+            pyramid=PyramidConfig(num_levels=2),
             max_features=150,
         )
         registry = MetricsRegistry()
-        with ClusterServer(config, num_workers=1, registry=registry) as server:
+        with ClusterServer(
+            config, num_workers=1, registry=registry, supervision=FAST_SUPERVISION
+        ) as server:
             server.extract_many(telemetry_images[:2])
         with FrameServer(config=ExtractorConfig(
             image_width=160,
