@@ -98,8 +98,10 @@ def run_hwexact_parity(
     }
 
 
-def _keypoint_set(result: ExtractionResult) -> set:
-    return {(f.keypoint.level, f.keypoint.x, f.keypoint.y) for f in result.features}
+def _rows_by_keypoint(result: ExtractionResult) -> Dict[tuple, int]:
+    """Row of each retained ``(level, x, y)`` in the result's arrays."""
+    keys = result.feature_arrays().keypoint_keys()
+    return {key: row for row, key in enumerate(keys)}
 
 
 def _coverage_1px(points: set, reference: set) -> float:
@@ -132,20 +134,20 @@ def compare_float_vs_fixed_extraction(
     fixed_result = OrbExtractor(
         replace(config, frontend="hwexact", backend="hwexact")
     ).extract(image)
-    float_keys = _keypoint_set(float_result)
-    fixed_keys = _keypoint_set(fixed_result)
+    float_rows = _rows_by_keypoint(float_result)
+    fixed_rows = _rows_by_keypoint(fixed_result)
+    float_keys = set(float_rows)
+    fixed_keys = set(fixed_rows)
     common = float_keys & fixed_keys
     union = float_keys | fixed_keys
-    float_by_key = {
-        (f.keypoint.level, f.keypoint.x, f.keypoint.y): f for f in float_result.features
-    }
-    fixed_by_key = {
-        (f.keypoint.level, f.keypoint.x, f.keypoint.y): f for f in fixed_result.features
-    }
+    float_descriptors = float_result.descriptor_matrix()
+    fixed_descriptors = fixed_result.descriptor_matrix()
     identical_descriptors = 0
     hamming_bits = []
     for key in common:
-        xor = np.bitwise_xor(float_by_key[key].descriptor, fixed_by_key[key].descriptor)
+        xor = np.bitwise_xor(
+            float_descriptors[float_rows[key]], fixed_descriptors[fixed_rows[key]]
+        )
         bits = int(np.unpackbits(xor).sum())
         hamming_bits.append(bits)
         identical_descriptors += bits == 0

@@ -47,10 +47,6 @@ class Keypoint:
             orientation_rad=orientation_rad,
         )
 
-    def level0_coordinates(self, scale: float) -> tuple[float, float]:
-        """Return coordinates mapped back to the level-0 image."""
-        return self.x * scale, self.y * scale
-
 
 @dataclass(frozen=True)
 class Feature:

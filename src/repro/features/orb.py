@@ -34,24 +34,29 @@ delegated to a :class:`~repro.frontend.DetectionEngine` selected by
 pyramid those engines consume comes from the extractor's
 :class:`~repro.pyramid.PyramidProvider`, which builds every level of the
 frame up front (see ``docs/pyramid.md``).  Candidates move through the
-extractor as coordinate/score arrays, and :class:`Feature` objects are only
-materialised for the retained set.
+extractor as coordinate/score arrays, the retained set is gathered out of
+them into one :class:`FeatureArrays`, and :class:`Feature` objects are only
+built if a caller asks for them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
 
-from ..config import ExtractorConfig
+from ..config import ExtractorConfig, PyramidConfig
 from ..image import GrayImage, ImagePyramid, within_border
 from ..pyramid import PyramidProvider
 from ..telemetry import current_tracer
 from .brief import DescriptorEngine
 from .heap_filter import BoundedScoreHeap
 from .keypoint import Feature, Keypoint
+
+if TYPE_CHECKING:
+    from ..backends import DescribedBatch
 
 
 @dataclass
@@ -82,13 +87,14 @@ class ExtractionProfile:
 class FeatureArrays:
     """The retained feature set as dense, contiguous arrays (length ``N``).
 
-    This is the wire-format view of an :class:`ExtractionResult`: every
-    per-:class:`~repro.features.keypoint.Feature` attribute flattened into
-    one array, so a result can be packed into flat buffers
-    (:mod:`repro.serving.resultpack`), shipped across a process boundary
-    without pickling, and rebuilt bit-identical on the other side.
-    ``orientation_bins`` uses ``-1`` and ``orientation_rads`` uses ``NaN``
-    for features whose orientation was never computed.
+    This is the one representation of a retained feature set, from the
+    extractor through the result transport to the tracker: one array per
+    :class:`~repro.features.keypoint.Feature` attribute, so a result can be
+    packed into flat buffers (:mod:`repro.serving.resultpack`), shipped
+    across a process boundary without pickling, and rebuilt bit-identical
+    on the other side.  ``orientation_bins`` uses ``-1`` and
+    ``orientation_rads`` uses ``NaN`` for features whose orientation was
+    never computed.
     """
 
     descriptors: np.ndarray  # (N, D) uint8 descriptor bytes
@@ -105,32 +111,38 @@ class FeatureArrays:
         return int(self.descriptors.shape[0])
 
     @classmethod
-    def from_features(cls, features: List[Feature]) -> "FeatureArrays":
-        """Flatten per-feature objects into dense arrays."""
-        if not features:
-            return cls.empty()
+    def from_level_columns(
+        cls,
+        pyramid: PyramidConfig,
+        descriptors: np.ndarray,
+        levels: np.ndarray,
+        xs: np.ndarray,
+        ys: np.ndarray,
+        scores: np.ndarray,
+        orientation_bins: np.ndarray,
+        orientation_rads: np.ndarray,
+    ) -> "FeatureArrays":
+        """Assemble the arrays from level-local columns.
+
+        Level-0 coordinates are each level-local coordinate times its
+        level's ``pyramid.level_scale``: one float64 product per value.
+        """
+        xs = xs.astype(np.int64, copy=False)
+        ys = ys.astype(np.int64, copy=False)
+        scales = np.array(
+            [pyramid.level_scale(level) for level in range(pyramid.num_levels)],
+            dtype=np.float64,
+        )[levels]
         return cls(
-            descriptors=np.stack([f.descriptor for f in features]),
-            levels=np.array([f.keypoint.level for f in features], dtype=np.int64),
-            xs=np.array([f.keypoint.x for f in features], dtype=np.int64),
-            ys=np.array([f.keypoint.y for f in features], dtype=np.int64),
-            scores=np.array([f.score for f in features], dtype=np.float64),
-            orientation_bins=np.array(
-                [
-                    -1 if f.keypoint.orientation_bin is None else f.keypoint.orientation_bin
-                    for f in features
-                ],
-                dtype=np.int64,
-            ),
-            orientation_rads=np.array(
-                [
-                    np.nan if f.keypoint.orientation_rad is None else f.keypoint.orientation_rad
-                    for f in features
-                ],
-                dtype=np.float64,
-            ),
-            x0=np.array([f.x0 for f in features], dtype=np.float64),
-            y0=np.array([f.y0 for f in features], dtype=np.float64),
+            descriptors=descriptors.astype(np.uint8, copy=False),
+            levels=levels.astype(np.int64, copy=False),
+            xs=xs,
+            ys=ys,
+            scores=scores.astype(np.float64, copy=False),
+            orientation_bins=orientation_bins.astype(np.int64, copy=False),
+            orientation_rads=orientation_rads.astype(np.float64, copy=False),
+            x0=xs * scales,
+            y0=ys * scales,
         )
 
     @classmethod
@@ -146,6 +158,10 @@ class FeatureArrays:
             x0=np.zeros(0, dtype=np.float64),
             y0=np.zeros(0, dtype=np.float64),
         )
+
+    def keypoint_keys(self) -> List[Tuple[int, int, int]]:
+        """``(level, x, y)`` of every retained feature, in retained order."""
+        return list(zip(self.levels.tolist(), self.xs.tolist(), self.ys.tolist()))
 
     def build_features(self) -> List[Feature]:
         """Materialise per-feature objects, bit-identical to the originals."""
@@ -173,50 +189,22 @@ class FeatureArrays:
 
 
 class ExtractionResult:
-    """Features extracted from one image plus the associated profile.
+    """The retained feature set of one image plus its extraction profile.
 
-    Besides the per-feature objects, the result exposes the retained set as
-    dense arrays (descriptor matrix, level-0 coordinates, scores, levels)
-    which the SLAM front-end consumes directly on its hot path; the arrays
-    are built once on first access and cached.
-
-    A result can be constructed either from per-feature objects (the
-    extractor path) or **arrays-first** via :meth:`from_arrays` (the
-    zero-copy result transport, :mod:`repro.serving.resultpack`).  In the
-    arrays-first form the ``features`` list is built lazily on first
-    access, so consumers that only read the dense arrays — the
-    server→:class:`~repro.slam.tracker.Tracker` hot path — never pay for
-    materialising ``N`` :class:`~repro.features.keypoint.Feature` objects
-    at all.
+    The retained set is held as one :class:`FeatureArrays` — the same flat
+    record stream the accelerator's Heap module keeps (descriptor,
+    coordinates, Harris score) — and every accessor below reads its
+    columns directly.  The SLAM front-end, the result transport
+    (:mod:`repro.serving.resultpack`) and the parity checks never build
+    per-feature objects; :attr:`features` materialises
+    :class:`~repro.features.keypoint.Feature` objects lazily for callers
+    that ask for them.
     """
 
-    def __init__(
-        self,
-        features: Optional[List[Feature]] = None,
-        profile: Optional[ExtractionProfile] = None,
-        arrays: Optional[FeatureArrays] = None,
-    ) -> None:
-        if (features is None) == (arrays is None):
-            raise ValueError(
-                "ExtractionResult takes exactly one of features= or arrays="
-            )
-        if profile is None:
-            raise ValueError("ExtractionResult requires a profile")
-        self._features = features
+    def __init__(self, arrays: FeatureArrays, profile: ExtractionProfile) -> None:
         self._arrays = arrays
         self.profile = profile
-        # lazily built array caches (features-backed results only)
-        self._descriptors: Optional[np.ndarray] = None
-        self._keypoints_xy: Optional[np.ndarray] = None
-        self._scores: Optional[np.ndarray] = None
-        self._levels: Optional[np.ndarray] = None
-
-    @classmethod
-    def from_arrays(
-        cls, arrays: FeatureArrays, profile: ExtractionProfile
-    ) -> "ExtractionResult":
-        """Arrays-first constructor: per-feature objects are built lazily."""
-        return cls(profile=profile, arrays=arrays)
+        self._features: Optional[List[Feature]] = None
 
     @property
     def features(self) -> List[Feature]:
@@ -227,22 +215,17 @@ class ExtractionResult:
 
     @property
     def feature_count(self) -> int:
-        """Number of retained features, without materialising them."""
-        if self._features is not None:
-            return len(self._features)
+        """Number of retained features."""
         return len(self._arrays)
 
     def feature_arrays(self) -> FeatureArrays:
-        """The retained set as dense arrays (built once, cached)."""
-        if self._arrays is None:
-            self._arrays = FeatureArrays.from_features(self._features)
+        """The retained set as dense arrays."""
         return self._arrays
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExtractionResult):
             return NotImplemented
-        # feature_records() is the repo-wide bit-identity key; comparing
-        # Feature objects directly would trip over ndarray truthiness
+        # feature_records() is the repo-wide bit-identity key
         return (
             self.feature_records() == other.feature_records()
             and self.profile == other.profile
@@ -256,47 +239,19 @@ class ExtractionResult:
 
     def descriptor_matrix(self) -> np.ndarray:
         """Return all descriptors stacked as an ``(N, 32)`` uint8 matrix."""
-        if self._arrays is not None:
-            return self._arrays.descriptors
-        if self._descriptors is None:
-            if not self.features:
-                self._descriptors = np.zeros((0, 32), dtype=np.uint8)
-            else:
-                self._descriptors = np.stack([f.descriptor for f in self.features])
-        return self._descriptors
+        return self._arrays.descriptors
 
     def keypoint_array(self) -> np.ndarray:
         """Return level-0 keypoint coordinates as an ``(N, 2)`` float array."""
-        if self._keypoints_xy is None:
-            if self._arrays is not None:
-                self._keypoints_xy = np.column_stack(
-                    (self._arrays.x0, self._arrays.y0)
-                )
-            elif not self.features:
-                self._keypoints_xy = np.zeros((0, 2), dtype=np.float64)
-            else:
-                self._keypoints_xy = np.array(
-                    [[f.x0, f.y0] for f in self.features], dtype=np.float64
-                )
-        return self._keypoints_xy
+        return np.column_stack((self._arrays.x0, self._arrays.y0))
 
     def score_array(self) -> np.ndarray:
         """Harris scores of the retained features, ``(N,)`` float64."""
-        if self._arrays is not None:
-            return self._arrays.scores
-        if self._scores is None:
-            self._scores = np.array([f.score for f in self.features], dtype=np.float64)
-        return self._scores
+        return self._arrays.scores
 
     def level_array(self) -> np.ndarray:
         """Pyramid level of each retained feature, ``(N,)`` int64."""
-        if self._arrays is not None:
-            return self._arrays.levels
-        if self._levels is None:
-            self._levels = np.array(
-                [f.keypoint.level for f in self.features], dtype=np.int64
-            )
-        return self._levels
+        return self._arrays.levels
 
     def feature_records(self) -> List[tuple]:
         """Hashable per-feature records, in retained order.
@@ -306,22 +261,26 @@ class ExtractionResult:
         process-served extraction (``tests/test_serving.py``,
         ``tests/test_cluster.py``) — so the definition of "identical
         features" cannot drift between suites.  Two results are bit-identical
-        iff their record lists compare equal.
+        iff their record lists compare equal.  A record is ``(level, x, y,
+        score, orientation_bin, orientation_rad, descriptor bytes, x0, y0)``
+        with ``None`` for an orientation that was never computed.
         """
-        return [
-            (
-                f.keypoint.level,
-                f.keypoint.x,
-                f.keypoint.y,
-                f.score,
-                f.keypoint.orientation_bin,
-                f.keypoint.orientation_rad,
-                f.descriptor.tobytes(),
-                f.x0,
-                f.y0,
+        arrays = self._arrays
+        bins = [None if value < 0 else value for value in arrays.orientation_bins.tolist()]
+        rads = [None if math.isnan(value) else value for value in arrays.orientation_rads.tolist()]
+        return list(
+            zip(
+                arrays.levels.tolist(),
+                arrays.xs.tolist(),
+                arrays.ys.tolist(),
+                arrays.scores.tolist(),
+                bins,
+                rads,
+                [row.tobytes() for row in arrays.descriptors],
+                arrays.x0.tolist(),
+                arrays.y0.tolist(),
             )
-            for f in self.features
-        ]
+        )
 
 
 class OrbExtractor:
@@ -370,10 +329,10 @@ class OrbExtractor:
             )
             profile.pixels_processed = pyramid.total_pixels()
             if self.config.rescheduled_workflow:
-                features = self._extract_rescheduled(pyramid, profile)
+                arrays = self._extract_rescheduled(pyramid, profile)
             else:
-                features = self._extract_original(pyramid, profile)
-            profile.features_retained = len(features)
+                arrays = self._extract_original(pyramid, profile)
+            profile.features_retained = len(arrays)
             if tracer.enabled:
                 # the engine's workload counters, attached to the timeline so
                 # a slow extract span can be explained without a second run
@@ -384,7 +343,7 @@ class OrbExtractor:
                     descriptors_computed=profile.descriptors_computed,
                     features_retained=profile.features_retained,
                 )
-            return ExtractionResult(features=features, profile=profile)
+            return ExtractionResult(arrays, profile)
         finally:
             self.pyramid_provider.release(pyramid)
 
@@ -419,35 +378,48 @@ class OrbExtractor:
             return empty
         return xs, ys, scores[inside]
 
-    def _feature_from_batch(self, batch, index: int, level: int) -> Feature:
-        """Materialise one retained :class:`Feature` from a described batch."""
-        keypoint = Keypoint(
-            x=int(batch.xs[index]),
-            y=int(batch.ys[index]),
-            score=float(batch.scores[index]),
-            level=level,
-            orientation_bin=int(batch.orientation_bins[index]),
-            orientation_rad=float(batch.orientation_rads[index]),
-        )
-        scale = self.config.pyramid.level_scale(level)
-        x0, y0 = keypoint.level0_coordinates(scale)
-        return Feature(
-            keypoint=keypoint, descriptor=batch.descriptors[index], x0=x0, y0=y0
+    def _retained_arrays(
+        self, batches: List[Tuple[int, DescribedBatch]], rows: np.ndarray
+    ) -> FeatureArrays:
+        """Gather the retained set out of the per-level described batches.
+
+        ``rows`` indexes the batches' rows concatenated in list order and
+        gives the retained order.
+        """
+        if rows.size == 0:
+            return FeatureArrays.empty()
+
+        def column(name: str) -> np.ndarray:
+            return np.concatenate([getattr(batch, name) for _, batch in batches])[rows]
+
+        levels = np.concatenate(
+            [np.full(batch.size, level, dtype=np.int64) for level, batch in batches]
+        )[rows]
+        return FeatureArrays.from_level_columns(
+            self.config.pyramid,
+            descriptors=column("descriptors"),
+            levels=levels,
+            xs=column("xs"),
+            ys=column("ys"),
+            scores=column("scores"),
+            orientation_bins=column("orientation_bins"),
+            orientation_rads=column("orientation_rads"),
         )
 
     # -- the two workflow orders --------------------------------------------
     def _extract_rescheduled(
         self, pyramid: ImagePyramid, profile: ExtractionProfile
-    ) -> List[Feature]:
+    ) -> FeatureArrays:
         """eSLAM order: describe every detected keypoint, then heap-filter.
 
         Each level's candidates are described as one batch by the backend and
-        bulk-inserted into the heap; only the retained winners become
-        :class:`Feature` objects.
+        bulk-inserted into the heap as global row indices; the winners are
+        gathered out of the batch columns in heap order.
         """
         tracer = current_tracer()
-        heap: BoundedScoreHeap[Tuple[int, int]] = BoundedScoreHeap(self.config.max_features)
-        batches: List[Tuple[int, object]] = []
+        heap: BoundedScoreHeap[int] = BoundedScoreHeap(self.config.max_features)
+        batches: List[Tuple[int, DescribedBatch]] = []
+        offset = 0
         for level in pyramid:
             with tracer.span("smooth", level=level.level):
                 smoothed = self.frontend.smooth(level.image)
@@ -460,22 +432,17 @@ class OrbExtractor:
             if batch.size == 0:
                 continue
             profile.descriptors_computed += batch.size
-            batch_index = len(batches)
             batches.append((level.level, batch))
-            heap.offer_batch(
-                batch.scores, [(batch_index, row) for row in range(batch.size)]
-            )
+            heap.offer_batch(batch.scores, range(offset, offset + batch.size))
+            offset += batch.size
         profile.heap_comparisons = heap.stats.comparisons
-        features: List[Feature] = []
         with tracer.span("filter"):
-            for batch_index, row in heap.items_by_score():
-                level, batch = batches[batch_index]
-                features.append(self._feature_from_batch(batch, row, level))
-        return features
+            rows = np.array(heap.items_by_score(), dtype=np.int64)
+            return self._retained_arrays(batches, rows)
 
     def _extract_original(
         self, pyramid: ImagePyramid, profile: ExtractionProfile
-    ) -> List[Feature]:
+    ) -> FeatureArrays:
         """Original order: collect all keypoints, filter to best N, then describe."""
         tracer = current_tracer()
         level_data = []
@@ -487,7 +454,7 @@ class OrbExtractor:
             level_data.append((level.level, smoothed, xs, ys, scores))
         all_scores = np.concatenate([entry[4] for entry in level_data])
         if all_scores.size == 0:
-            return []
+            return FeatureArrays.empty()
         level_ids = np.concatenate(
             [np.full(entry[4].size, index, dtype=np.int64) for index, entry in enumerate(level_data)]
         )
@@ -497,9 +464,10 @@ class OrbExtractor:
         # global best-N filter: stable sort matches the streaming tie-breaking
         order = np.argsort(-all_scores, kind="stable")
         retained = order[: self.config.max_features]
-        # describe the retained candidates level by level (one batch each) and
-        # scatter the results back into score-rank order
-        by_rank: List[Optional[Feature]] = [None] * int(retained.size)
+        # describe the retained candidates level by level (one batch each),
+        # then put the described rows back into score-rank order
+        batches: List[Tuple[int, DescribedBatch]] = []
+        ranks = []
         for index, (level, smoothed, xs, ys, scores) in enumerate(level_data):
             member_ranks = np.nonzero(level_ids[retained] == index)[0]
             if member_ranks.size == 0:
@@ -510,10 +478,11 @@ class OrbExtractor:
                     smoothed, xs[selection], ys[selection], scores[selection]
                 )
             profile.descriptors_computed += batch.size
-            for row in range(batch.size):
-                rank = int(member_ranks[int(batch.kept[row])])
-                by_rank[rank] = self._feature_from_batch(batch, row, level)
-        return [feature for feature in by_rank if feature is not None]
+            batches.append((level, batch))
+            ranks.append(member_ranks[batch.kept])
+        if not batches:
+            return FeatureArrays.empty()
+        return self._retained_arrays(batches, np.argsort(np.concatenate(ranks)))
 
 
 def extract_features(image: GrayImage, config: ExtractorConfig | None = None) -> ExtractionResult:
@@ -535,6 +504,6 @@ def check_workflow_equivalence(
     cfg = config or ExtractorConfig()
     rescheduled = OrbExtractor(replace(cfg, rescheduled_workflow=True)).extract(image)
     original = OrbExtractor(replace(cfg, rescheduled_workflow=False)).extract(image)
-    keys_a = {(f.keypoint.level, f.keypoint.x, f.keypoint.y) for f in rescheduled.features}
-    keys_b = {(f.keypoint.level, f.keypoint.x, f.keypoint.y) for f in original.features}
+    keys_a = set(rescheduled.feature_arrays().keypoint_keys())
+    keys_b = set(original.feature_arrays().keypoint_keys())
     return len(keys_a.symmetric_difference(keys_b))

@@ -28,8 +28,7 @@ import numpy as np
 
 from ...config import AcceleratorConfig, ExtractorConfig
 from ...errors import HardwareModelError
-from ...features import ExtractionResult, OrbExtractor
-from ...features.keypoint import Feature, Keypoint
+from ...features import ExtractionResult, FeatureArrays, OrbExtractor
 from ...features.nms import suppress_keypoints
 from ...features.orb import ExtractionProfile
 from ...features.orientation import ORIENTATION_BIN_RAD
@@ -191,9 +190,9 @@ class OrbExtractorAccelerator:
                     )
                 )
         profile.heap_comparisons = heap.comparisons
-        features = [self._feature_from_entry(entry) for entry in heap.retained()]
-        profile.features_retained = len(features)
-        result = ExtractionResult(features=features, profile=profile)
+        arrays = self._retained_arrays(heap.retained())
+        profile.features_retained = len(arrays)
+        result = ExtractionResult(arrays, profile)
         report = self.latency_from_profile(
             image,
             keypoints_after_nms=profile.keypoints_after_nms,
@@ -227,19 +226,21 @@ class OrbExtractorAccelerator:
         profile.keypoints_detected += detected
         return xs, ys, scores
 
-    def _feature_from_entry(self, entry: HeapEntry) -> Feature:
-        """Materialise one retained feature from a heap record."""
-        keypoint = Keypoint(
-            x=entry.x,
-            y=entry.y,
-            score=entry.score,
-            level=entry.level,
-            orientation_bin=entry.orientation_bin,
-            orientation_rad=entry.orientation_bin * ORIENTATION_BIN_RAD,
+    def _retained_arrays(self, entries: List[HeapEntry]) -> FeatureArrays:
+        """The heap's retained records as the extraction result's columns."""
+        if not entries:
+            return FeatureArrays.empty()
+        bins = np.array([entry.orientation_bin for entry in entries], dtype=np.int64)
+        return FeatureArrays.from_level_columns(
+            self.extractor_config.pyramid,
+            descriptors=np.stack([entry.descriptor for entry in entries]),
+            levels=np.array([entry.level for entry in entries], dtype=np.int64),
+            xs=np.array([entry.x for entry in entries], dtype=np.int64),
+            ys=np.array([entry.y for entry in entries], dtype=np.int64),
+            scores=np.array([entry.score for entry in entries], dtype=np.float64),
+            orientation_bins=bins,
+            orientation_rads=bins * ORIENTATION_BIN_RAD,
         )
-        scale = self.extractor_config.pyramid.level_scale(entry.level)
-        x0, y0 = keypoint.level0_coordinates(scale)
-        return Feature(keypoint=keypoint, descriptor=entry.descriptor, x0=x0, y0=y0)
 
     # -- cycle model ----------------------------------------------------------
     def latency_from_profile(

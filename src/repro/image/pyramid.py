@@ -174,18 +174,6 @@ class ImagePyramid:
             )
         self._levels = levels
 
-    @classmethod
-    def from_levels(
-        cls, levels: Sequence[PyramidLevel], config: PyramidConfig
-    ) -> "ImagePyramid":
-        """Wrap already-built levels without rebuilding them."""
-        if not levels:
-            raise ImageError("pyramid must have at least one level")
-        pyramid = cls.__new__(cls)
-        pyramid.config = config
-        pyramid._levels = list(levels)
-        return pyramid
-
     # -- access ----------------------------------------------------------
     @property
     def num_levels(self) -> int:

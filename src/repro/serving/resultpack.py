@@ -1,15 +1,15 @@
 """Flat-buffer codec for :class:`~repro.features.ExtractionResult`.
 
-The cluster's inbound transports never pickle pixels — frames travel
-through shared-memory ring slots and pyramids through the shared cache —
-but the *return* path used to serialize every result (descriptor matrix,
-keypoint arrays, per-feature objects) through ``pickle`` on a
-``multiprocessing`` queue.  This module is the reverse-direction codec
-that closes that gap: a result is packed into ONE flat, contiguous
-``uint8`` buffer whose layout is plain arrays end to end, so a worker can
-write it straight into a :class:`~repro.cluster.result_ring.SharedResultRing`
-slot and the collector can rebuild a bit-identical result with a single
-memcpy (or none, for short-lived consumers).
+The cluster's frames travel to the workers through shared-memory ring
+slots; this module is the codec for the return path.  An extraction
+result already holds its retained set as one
+:class:`~repro.features.FeatureArrays`, so packing copies those columns
+and the profile counters into ONE flat, contiguous ``uint8`` buffer whose
+layout is plain arrays end to end.  A worker writes it straight into a
+:class:`~repro.cluster.result_ring.SharedResultRing` slot, and the
+collector rebuilds a bit-identical result with a single memcpy (or none,
+for short-lived consumers) instead of unpickling it from a
+``multiprocessing`` queue.
 
 Layout (all sections 8-byte aligned, little-endian ``int64``/``float64``):
 
@@ -30,10 +30,8 @@ descriptors           ``uint8[N * D]`` (row-major ``(N, D)`` matrix)
 
 ``pack_into`` + ``unpack_result`` round-trip to a bit-identical result
 (``tests/test_resultpack.py`` asserts record-level equality across
-randomized feature counts and every engine pair).  Unpacking builds the
-result **arrays-first** (:meth:`ExtractionResult.from_arrays`), so
-per-feature objects are only materialised if a consumer actually asks for
-them — the tracker hot path reads the dense arrays and never does.
+randomized feature counts and every engine pair).  Neither side builds
+per-feature objects.
 """
 
 from __future__ import annotations
@@ -241,4 +239,4 @@ def unpack_result(
         per_level_keypoints=[int(value) for value in per_level],
         workflow=_WORKFLOWS[int(header[_H_WORKFLOW])],
     )
-    return ExtractionResult.from_arrays(arrays, profile)
+    return ExtractionResult(arrays, profile)

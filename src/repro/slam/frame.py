@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -30,10 +30,6 @@ class Frame:
     extraction: Optional[ExtractionResult] = None
     pose: Optional[Pose] = None  # world-to-camera, set by the tracker
     is_keyframe: bool = False
-    # materialised lazily from ``extraction`` — the tracking hot path only
-    # touches the dense arrays, so an arrays-first extraction result (the
-    # cluster's packed result transport) never builds Feature objects here
-    _features: Optional[List[Feature]] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         depth = np.asarray(self.depth, dtype=np.float64)
@@ -45,58 +41,41 @@ class Frame:
 
     # -- feature helpers -------------------------------------------------
     # The matrix/array accessors below are the SLAM hot path: they hand the
-    # extraction result's cached arrays straight to matching / RANSAC / map
-    # updating instead of rebuilding them from per-feature objects each call.
+    # extraction result's arrays straight to matching / RANSAC / map
+    # updating; no per-feature objects are built.
     def set_features(self, extraction: ExtractionResult) -> None:
         """Attach the result of ORB extraction to this frame."""
         self.extraction = extraction
-        self._features = None
 
     @property
     def features(self) -> List[Feature]:
         """Per-feature objects, materialised on first access."""
-        if self._features is None:
-            self._features = (
-                list(self.extraction.features) if self.extraction is not None else []
-            )
-        return self._features
+        return self.extraction.features if self.extraction is not None else []
 
     @property
     def feature_count(self) -> int:
         """Number of features, without materialising Feature objects."""
-        if self._features is not None:
-            return len(self._features)
         return self.extraction.feature_count if self.extraction is not None else 0
-
-    def _extraction_arrays_current(self) -> bool:
-        """True while the extraction's arrays still describe ``features``."""
-        return self.extraction is not None and (
-            self._features is None
-            or len(self._features) == self.extraction.feature_count
-        )
 
     def descriptor_matrix(self) -> np.ndarray:
         """Stack feature descriptors as an ``(N, 32)`` uint8 matrix."""
-        if self._extraction_arrays_current():
-            return self.extraction.descriptor_matrix()
-        if not self.features:
+        if self.extraction is None:
             return np.zeros((0, 32), dtype=np.uint8)
-        return np.stack([f.descriptor for f in self.features])
+        return self.extraction.descriptor_matrix()
 
     def keypoint_pixels(self) -> np.ndarray:
         """Level-0 pixel coordinates of all features, ``(N, 2)``."""
-        if self._extraction_arrays_current():
-            return self.extraction.keypoint_array()
-        if not self.features:
+        if self.extraction is None:
             return np.zeros((0, 2), dtype=np.float64)
-        return np.array([[f.x0, f.y0] for f in self.features], dtype=np.float64)
+        return self.extraction.keypoint_array()
 
     def feature_depth(self, feature_index: int) -> float:
         """Depth (metres) at the feature's level-0 pixel, 0 if invalid."""
-        if not 0 <= feature_index < len(self.features):
+        if not 0 <= feature_index < self.feature_count:
             raise TrackingError(f"feature index {feature_index} out of range")
-        feature = self.features[feature_index]
-        x, y = int(round(feature.x0)), int(round(feature.y0))
+        arrays = self.extraction.feature_arrays()
+        x = int(round(float(arrays.x0[feature_index])))
+        y = int(round(float(arrays.y0[feature_index])))
         if not (0 <= y < self.depth.shape[0] and 0 <= x < self.depth.shape[1]):
             return 0.0
         return float(self.depth[y, x])
@@ -126,6 +105,8 @@ class Frame:
         depth = self.feature_depth(feature_index)
         if depth <= 0:
             return None
-        feature = self.features[feature_index]
-        point_cam = self.camera.back_project(feature.x0, feature.y0, depth)
+        arrays = self.extraction.feature_arrays()
+        point_cam = self.camera.back_project(
+            float(arrays.x0[feature_index]), float(arrays.y0[feature_index]), depth
+        )
         return self.pose.inverse().transform(point_cam)

@@ -16,7 +16,7 @@ from typing import List, Optional
 import numpy as np
 
 from ..config import SlamConfig
-from ..errors import TrackingError
+from ..errors import GeometryError, TrackingError
 from ..features import OrbExtractor
 from ..geometry import PnpRansac, Pose, RansacConfig
 from ..matching import BruteForceMatcher, MatchArrays
@@ -239,7 +239,8 @@ class Tracker:
                 observed_depths=observed_depths,
                 initial_pose=self._last_pose,
             )
-        except Exception:  # degenerate configurations fall back to failure handling
+        except (GeometryError, np.linalg.LinAlgError):
+            # degenerate geometry is a tracking failure; anything else is a bug
             return None, MatchArrays.empty()
         workload.ransac_iterations = result.num_iterations
         workload.ransac_inliers = result.num_inliers

@@ -106,15 +106,6 @@ class TestSharedResizeArithmetic:
             large_blocks_image
         )
 
-    def test_from_levels_wraps_without_rebuilding(self, large_blocks_image):
-        config = PyramidConfig(num_levels=2)
-        source = ImagePyramid(large_blocks_image, config)
-        wrapped = ImagePyramid.from_levels(source.levels, config)
-        assert wrapped.num_levels == 2
-        assert wrapped.level(1).image is source.level(1).image
-        with pytest.raises(ImageError):
-            ImagePyramid.from_levels([], config)
-
 
 class TestPyramidPixelRatio:
     def test_four_vs_two_layers_matches_paper(self):

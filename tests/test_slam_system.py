@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.config import SlamConfig
-from repro.errors import TrackingError
-from repro.geometry import Pose
+from repro.errors import GeometryError, TrackingError
+from repro.geometry import PnpRansac, Pose
 from repro.slam import Frame, SlamSystem, Tracker, run_slam
 
 
@@ -83,6 +83,33 @@ class TestTrackerOnSequence:
         assert workload.distance_evaluations > 0
         assert workload.ransac_inliers > 0
         assert workload.map_size_after > 0
+
+
+class TestPoseEstimationErrors:
+    """Degenerate geometry is a tracking failure; any other error propagates."""
+
+    def test_programming_error_propagates(
+        self, monkeypatch, tiny_sequence, tiny_slam_config
+    ):
+        def broken(self, *args, **kwargs):
+            raise TypeError("bug inside pose estimation")
+
+        monkeypatch.setattr(PnpRansac, "estimate", broken)
+        with pytest.raises(TypeError, match="bug inside pose estimation"):
+            run_slam(tiny_sequence, tiny_slam_config, max_frames=2)
+
+    @pytest.mark.parametrize("error", [GeometryError, np.linalg.LinAlgError])
+    def test_degenerate_geometry_is_a_tracking_failure(
+        self, monkeypatch, tiny_sequence, tiny_slam_config, error
+    ):
+        def degenerate(self, *args, **kwargs):
+            raise error("degenerate correspondences")
+
+        monkeypatch.setattr(PnpRansac, "estimate", degenerate)
+        result = run_slam(tiny_sequence, tiny_slam_config, max_frames=2)
+        assert result.frame_results[0].tracked  # the map bootstrap needs no PnP
+        assert not result.frame_results[1].tracked
+        assert result.frame_results[1].pose.is_close(result.frame_results[0].pose)
 
 
 class TestSlamSystem:
