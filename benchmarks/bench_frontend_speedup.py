@@ -1,6 +1,6 @@
 """Front-end speedup: reference vs vectorized detection engine throughput.
 
-Times the two registered detection engines per stage (FAST, Harris, NMS,
+Times the two float detection engines per stage (FAST, Harris, NMS,
 smoothing) and fused (``detect`` + ``smooth``, the full level-0 front-end)
 on the same workloads, and prints the comparison as a JSON report.  The
 acceptance bar is a >= 4x fused speedup on the VGA level-0 workload while
@@ -27,7 +27,7 @@ from repro.features import OrbExtractor
 from repro.features.fast import fast_corner_mask
 from repro.features.harris import harris_response_map, harris_scores_sparse
 from repro.features.nms import non_maximum_suppression, suppress_keypoints_sparse
-from repro.frontend import create_engine
+from repro.frontend import ReferenceEngine, VectorizedEngine
 from repro.image import gaussian_blur
 from repro.serving import FrameServer
 
@@ -57,28 +57,22 @@ def _reference_stage_times(config, image):
 
 def _vectorized_stage_times(config, image):
     """Per-stage timings of the fused vectorized engine."""
-    engine = create_engine("vectorized", config)
-    workspace = engine._workspace()
-    engine.detect_with_count(image)  # warm-up (allocates scratch)
-    xs, ys = engine._fast_corners(image, workspace)
-    scores = harris_scores_sparse(image, xs, ys, workspace=workspace)
+    engine = VectorizedEngine(config)
+    engine.detect_with_count(image)  # warm-up
+    xs, ys = engine._fast_corners(image)
+    scores = harris_scores_sparse(image, xs, ys)
     return {
-        "fast_s": _best_of(lambda: engine._fast_corners(image, workspace)),
-        "harris_s": _best_of(
-            lambda: harris_scores_sparse(image, xs, ys, workspace=workspace)
-        ),
+        "fast_s": _best_of(lambda: engine._fast_corners(image)),
+        "harris_s": _best_of(lambda: harris_scores_sparse(image, xs, ys)),
         "nms_s": _best_of(
-            lambda: suppress_keypoints_sparse(
-                xs, ys, scores, image.shape, radius=1, workspace=workspace
-            )
+            lambda: suppress_keypoints_sparse(xs, ys, scores, image.shape, radius=1)
         ),
         "smooth_s": _best_of(lambda: engine.smooth(image)),
     }
 
 
-def _fused_time(name, config, image):
+def _fused_time(engine, image):
     """Fused level-0 front-end time (detect + smooth) for one engine."""
-    engine = create_engine(name, config)
     engine.detect_with_count(image)
     engine.smooth(image)  # warm-up
 
@@ -135,8 +129,8 @@ def _serving_report(config, image, num_frames=8, max_workers=4):
 def _speedup_report(config, image, workload_name):
     reference = _reference_stage_times(config, image)
     vectorized = _vectorized_stage_times(config, image)
-    fused_reference = _fused_time("reference", config, image)
-    fused_vectorized = _fused_time("vectorized", config, image)
+    fused_reference = _fused_time(ReferenceEngine(config), image)
+    fused_vectorized = _fused_time(VectorizedEngine(config), image)
     corners = int(fast_corner_mask(image, config.fast).sum())
     per_stage = {
         stage: {
@@ -159,8 +153,8 @@ def _speedup_report(config, image, workload_name):
             "speedup": fused_reference / fused_vectorized,
         },
         "full_extraction": {
-            "reference_s": _extraction_time(replace(config, frontend="reference"), image),
-            "vectorized_s": _extraction_time(replace(config, frontend="vectorized"), image),
+            "reference_s": _extraction_time(replace(config, engine="reference"), image),
+            "vectorized_s": _extraction_time(replace(config, engine="vectorized"), image),
         },
         "serving": _serving_report(config, image),
     }
@@ -197,8 +191,8 @@ def test_frontend_speedup_vga(vga_image):
 def test_frontend_parity_on_bench_workload(vga_image):
     """The bench workload itself is checked for bit-identical retained output."""
     config = ExtractorConfig()
-    reference = create_engine("reference", config)
-    vectorized = create_engine("vectorized", config)
+    reference = ReferenceEngine(config)
+    vectorized = VectorizedEngine(config)
     ref = reference.detect_with_count(vga_image)
     vec = vectorized.detect_with_count(vga_image)
     assert ref[3] == vec[3]

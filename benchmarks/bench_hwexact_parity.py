@@ -29,10 +29,8 @@ from repro.analysis import (
     run_hwexact_parity,
     run_quantization_divergence,
 )
-from repro.backends import create_backend
 from repro.config import ExtractorConfig, PyramidConfig
 from repro.features import OrbExtractor
-from repro.frontend import create_engine
 
 from conftest import print_section
 
@@ -47,13 +45,11 @@ def _best_of(callable_, repeats=3):
 
 
 def _stage_times(engine_name: str, config: ExtractorConfig, image):
-    """Per-stage front-end/backend timings for one registered engine pair."""
-    engine_config = replace(config, frontend=engine_name, backend=engine_name)
-    engine = create_engine(engine_name, engine_config)
-    backend = create_backend(engine_name, engine_config)
+    """Per-stage front-end/backend timings for one extraction engine."""
+    extractor = OrbExtractor(replace(config, engine=engine_name))
+    engine, backend = extractor.frontend, extractor.backend
     xs, ys, scores, _ = engine.detect_with_count(image)
     smoothed = engine.smooth(image)
-    extractor = OrbExtractor(engine_config)
     extractor.extract(image)  # warm-up
     return {
         "detect_s": _best_of(lambda: engine.detect_with_count(image)),
@@ -93,8 +89,7 @@ def test_hwexact_parity_and_divergence_report(small_image):
         image_height=240,
         pyramid=PyramidConfig(num_levels=2),
         max_features=400,
-        frontend="hwexact",
-        backend="hwexact",
+        engine="hwexact",
     )
     parity = run_hwexact_parity()  # reduced size: the hw model walks windows
     divergence = run_quantization_divergence(num_frames=6)
@@ -121,7 +116,7 @@ def test_hwexact_parity_and_divergence_report(small_image):
 @pytest.mark.slow
 def test_hwexact_vga_throughput(vga_image):
     """Paper-scale batched workload: 640x480, 4 levels, 1024 features."""
-    config = ExtractorConfig(frontend="hwexact", backend="hwexact")
+    config = ExtractorConfig(engine="hwexact")
     report = _throughput_report(config, vga_image, "hwexact-640x480")
     report["agreement"] = compare_float_vs_fixed_extraction(vga_image, config)
     print_section("hwexact: VGA quantized throughput and agreement")

@@ -16,7 +16,7 @@ the result queue, clock calibration) — and holds both to hard bars:
   (``Trace.validate()``), and every completed frame has submit→resolve
   coverage (``Trace.frame_coverage()``);
 * traced results are **bit-identical** to an untraced run of the same
-  frames (``feature_records()``), for every registered engine pair.
+  frames (``feature_records()``), for every extraction engine.
 
 Set ``BENCH_REPORT_DIR`` to also write ``bench_telemetry_overhead.json``
 plus the exported Chrome trace and a Prometheus text snapshot (CI uploads

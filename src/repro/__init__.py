@@ -6,13 +6,14 @@ ORB-SLAM on FPGA Platform" (Liu, Yang, Chen, Zhao -- DAC 2019):
 * :mod:`repro.features` -- the RS-BRIEF descriptor (the paper's algorithmic
   contribution), FAST/Harris/NMS/orientation and the full ORB extractor in
   both the original and the rescheduled (streaming) workflow.
-* :mod:`repro.backends` -- pluggable keypoint compute engines behind the
-  extractor: the scalar ``reference`` path and the batched ``vectorized``
-  default (bit-identical, registry-selected; see ``docs/backends.md``).
-* :mod:`repro.frontend` -- pluggable detection front-end engines (FAST +
-  Harris + NMS + smoothing): the dense per-stage ``reference`` path and the
-  fused arc-LUT/sparse-Harris ``vectorized`` default (bit-identical; see
-  ``docs/frontend.md``).
+* :mod:`repro.backends` -- keypoint compute backends behind the extractor:
+  the scalar ``reference`` path and the batched ``vectorized`` default
+  (bit-identical; see ``docs/backends.md``).
+* :mod:`repro.frontend` -- detection front-end engines (FAST + Harris + NMS
+  + smoothing): the dense per-stage ``reference`` path and the fused
+  arc-LUT/sparse-Harris ``vectorized`` default (bit-identical; see
+  ``docs/frontend.md``).  ``ExtractorConfig.engine`` picks one engine and
+  its same-named backend.
 * :mod:`repro.pyramid` -- the pyramid provider feeding those engines one
   eagerly built pyramid per frame (see ``docs/pyramid.md``).
 * :mod:`repro.serving` -- the :class:`~repro.serving.FrameServer`: many

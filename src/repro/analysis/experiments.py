@@ -382,7 +382,7 @@ class BatchRunner:
         """Run the specs concurrently, every sequence on the ONE shared engine.
 
         Sequences are independent SLAM runs, the extractor is stateless
-        across frames (thread-local scratch only), and numpy releases the
+        across frames (immutable tables only), and numpy releases the
         GIL inside its kernels, so a small thread pool overlaps the
         per-sequence work.  Records are appended in spec order, so the
         result — like each individual run — is identical to the sequential

@@ -3,7 +3,7 @@
 Two experiments back the tentpole claim of the hardware model:
 
 * :func:`run_hwexact_parity` — the batched ``hwexact`` engines
-  (``ExtractorConfig(frontend="hwexact", backend="hwexact")``) must
+  (``ExtractorConfig(engine="hwexact")``) must
   reproduce the hardware model's unit-by-unit quantized extraction
   (:meth:`repro.hw.OrbExtractorAccelerator.extract_quantized`) **bit for
   bit**: same retained keypoints, scores, orientation labels, descriptors
@@ -42,8 +42,7 @@ def _default_parity_config() -> ExtractorConfig:
         image_height=120,
         pyramid=PyramidConfig(num_levels=2),
         max_features=100,
-        frontend="hwexact",
-        backend="hwexact",
+        engine="hwexact",
     )
 
 
@@ -128,12 +127,8 @@ def compare_float_vs_fixed_extraction(
     pair for the float run and the ``hwexact`` pair for the fixed run.
     """
     config = config or _default_parity_config()
-    float_result = OrbExtractor(
-        replace(config, frontend="vectorized", backend="vectorized")
-    ).extract(image)
-    fixed_result = OrbExtractor(
-        replace(config, frontend="hwexact", backend="hwexact")
-    ).extract(image)
+    float_result = OrbExtractor(replace(config, engine="vectorized")).extract(image)
+    fixed_result = OrbExtractor(replace(config, engine="hwexact")).extract(image)
     float_rows = _rows_by_keypoint(float_result)
     fixed_rows = _rows_by_keypoint(fixed_result)
     float_keys = set(float_rows)
@@ -227,13 +222,9 @@ def _quantization_divergence_body(
     tracker = TrackerConfig(ransac_iterations=64, pose_iterations=10)
     runs = {}
     trajectories = {}
-    for label, frontend, backend in (
-        ("float", "vectorized", "vectorized"),
-        ("fixed", "hwexact", "hwexact"),
-    ):
+    for label, engine in (("float", "vectorized"), ("fixed", "hwexact")):
         slam_config = SlamConfig(
-            extractor=replace(extractor_config, frontend=frontend, backend=backend),
-            tracker=tracker,
+            extractor=replace(extractor_config, engine=engine), tracker=tracker
         )
         result = SlamSystem(slam_config).run(sequence)
         ate = result.ate()

@@ -1,18 +1,11 @@
-"""Pluggable keypoint compute backends for the ORB extractor.
+"""Keypoint compute backends for the ORB extractor.
 
-See :mod:`repro.backends.base` for the interface and registry; importing this
-package registers the three built-in backends (``reference``, ``vectorized``
-and the fixed-point ``hwexact``).  ``docs/backends.md`` and
-``docs/hwexact.md`` document the architecture.
+See :mod:`repro.backends.base` for the interface; the three backends are
+``reference``, ``vectorized`` and the fixed-point ``hwexact``.
+``docs/backends.md`` and ``docs/hwexact.md`` document the architecture.
 """
 
-from .base import (
-    DescribedBatch,
-    KeypointBackend,
-    available_backends,
-    create_backend,
-    register_backend,
-)
+from .base import DescribedBatch, KeypointBackend
 from .hwexact import HwExactBackend
 from .reference import ReferenceBackend
 from .vectorized import VectorizedBackend
@@ -20,9 +13,6 @@ from .vectorized import VectorizedBackend
 __all__ = [
     "DescribedBatch",
     "KeypointBackend",
-    "available_backends",
-    "create_backend",
-    "register_backend",
     "HwExactBackend",
     "ReferenceBackend",
     "VectorizedBackend",

@@ -1,11 +1,11 @@
-"""Keypoint compute backend interface and registry.
+"""Keypoint compute backend interface.
 
 The ORB extractor's hot path — orientation computation plus BRIEF/RS-BRIEF
-description for every detected keypoint — is delegated to a pluggable
+description for every detected keypoint — is delegated to a
 **keypoint compute backend**.  A backend is constructed once from an
 :class:`~repro.config.ExtractorConfig`, owns its precomputed tables (circular
 masks, rounded pattern locations, rotation gather tables) and then serves any
-number of frames.  Two implementations are registered:
+number of frames.  Three implementations exist:
 
 * ``reference`` -- the scalar per-keypoint path, kept as bit-exact ground
   truth (:mod:`repro.backends.reference`);
@@ -16,32 +16,25 @@ number of frames.  Two implementations are registered:
   rather than to the float backends (:mod:`repro.backends.hwexact`, see
   ``docs/hwexact.md``).
 
-Backends self-register through :func:`register_backend`, following the same
-parameterised-compute-unit-registry idiom as the hardware simulator: the
-configuration names the backend (``ExtractorConfig.backend``) and
-:func:`create_backend` resolves it.  Third parties can register additional
-backends (e.g. a GPU or fixed-point engine) without touching the extractor.
-
 The full-frame half of the extractor — FAST + Harris + NMS + smoothing — is
-served by the sibling detection-engine registry in :mod:`repro.frontend`
-(``ExtractorConfig.frontend``), which follows this same pattern and the
-same bit-exactness contract.  A backend instance must stay thread-safe
-across concurrent ``describe`` calls (precomputed tables only, no mutable
-per-call state) so that one instance can serve many frames in flight
-through :class:`repro.serving.FrameServer`.
+served by the detection engine of the same ``name`` in :mod:`repro.frontend`,
+under the same bit-exactness contract.  ``ExtractorConfig.engine`` names the
+pair and :class:`~repro.features.orb.OrbExtractor` builds both halves.  A
+backend instance must stay thread-safe across concurrent ``describe`` calls
+(precomputed tables only, no mutable per-call state) so that one instance
+can serve many frames in flight through :class:`repro.serving.FrameServer`.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, ClassVar, List, Type
+from typing import ClassVar
 
 import numpy as np
 
 from ..config import ExtractorConfig
 from ..image import GrayImage, within_border
-from ..registry import ClassRegistry
 
 
 @dataclass(frozen=True)
@@ -123,21 +116,3 @@ class KeypointBackend(ABC):
         ``smoothed`` is the Gaussian-blurred pyramid level.  Keypoints whose
         descriptor patch does not fit are dropped (see ``kept``).
         """
-
-
-_REGISTRY: ClassRegistry[KeypointBackend] = ClassRegistry("keypoint backend")
-
-
-def register_backend(name: str) -> Callable[[Type[KeypointBackend]], Type[KeypointBackend]]:
-    """Class decorator registering a backend under ``name``."""
-    return _REGISTRY.register(name)
-
-
-def available_backends() -> List[str]:
-    """Names of all registered backends, sorted."""
-    return _REGISTRY.names()
-
-
-def create_backend(name: str, config: ExtractorConfig | None = None) -> KeypointBackend:
-    """Instantiate the backend registered under ``name``."""
-    return _REGISTRY.create(name, config or ExtractorConfig())

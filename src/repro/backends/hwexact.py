@@ -29,12 +29,13 @@ import numpy as np
 from ..errors import HardwareModelError
 from ..image import GrayImage
 from ..quant.kernels import intensity_centroids_batched, orientation_bins_quantized
-from .base import DescribedBatch, KeypointBackend, register_backend
+from .base import DescribedBatch, KeypointBackend
 
 
-@register_backend("hwexact")
 class HwExactBackend(KeypointBackend):
     """Whole-level batched quantized orientation + RS-BRIEF description."""
+
+    name = "hwexact"
 
     #: keypoints per orientation gather chunk (bounds the (K, P, P) patch stack)
     chunk_size: int = 2048

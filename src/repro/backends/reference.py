@@ -4,7 +4,7 @@ This is the original software path of the extractor, preserved verbatim: one
 :func:`~repro.features.orientation.compute_orientation` call and one
 ``DescriptorEngine.describe`` call per keypoint.  It defines the reference
 semantics the ``vectorized`` backend must reproduce bit for bit, and it is
-what ``ExtractorConfig(backend="reference")`` selects.
+what ``ExtractorConfig(engine="reference")`` selects.
 """
 
 from __future__ import annotations
@@ -14,12 +14,13 @@ from typing import List
 import numpy as np
 
 from ..image import GrayImage
-from .base import DescribedBatch, KeypointBackend, register_backend
+from .base import DescribedBatch, KeypointBackend
 
 
-@register_backend("reference")
 class ReferenceBackend(KeypointBackend):
     """Per-keypoint scalar orientation + description (the ground-truth path)."""
+
+    name = "reference"
 
     def describe(
         self,

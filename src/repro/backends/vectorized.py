@@ -22,12 +22,13 @@ from __future__ import annotations
 import numpy as np
 
 from ..image import GrayImage
-from .base import DescribedBatch, KeypointBackend, register_backend
+from .base import DescribedBatch, KeypointBackend
 
 
-@register_backend("vectorized")
 class VectorizedBackend(KeypointBackend):
     """Whole-level batched orientation + description."""
+
+    name = "vectorized"
 
     #: keypoints per orientation gather chunk (bounds the (K, P, P) patch stack)
     chunk_size: int = 2048

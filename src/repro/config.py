@@ -16,6 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Tuple
 
+from .registry import unknown_name_message
+
+#: Names of the extraction engines ``ExtractorConfig.engine`` accepts.  Each
+#: names one detection engine (:mod:`repro.frontend`) and the keypoint
+#: backend of the same name (:mod:`repro.backends`).
+ENGINES: Tuple[str, ...] = ("reference", "vectorized", "hwexact")
+
 
 @dataclass(frozen=True)
 class PyramidConfig:
@@ -82,20 +89,18 @@ class DescriptorConfig:
 class ExtractorConfig:
     """Configuration of the full ORB extractor (software and hardware model).
 
-    ``backend`` selects the keypoint compute engine used for the orientation
-    and description hot path: ``"vectorized"`` (default) batches whole pyramid
-    levels through numpy, ``"reference"`` keeps the bit-exact per-keypoint
-    scalar path, ``"hwexact"`` runs the FPGA model's fixed-point arithmetic
-    (quantized orientation ratio LUT, requires ``use_rs_brief``).  See
-    :mod:`repro.backends`.
+    ``engine`` selects one of :data:`ENGINES`, which fixes both the detection
+    front end (FAST + Harris + NMS + smoothing, :mod:`repro.frontend`) and the
+    keypoint backend (orientation + description, :mod:`repro.backends`):
 
-    ``frontend`` selects the detection front-end engine (FAST + Harris + NMS
-    + smoothing): ``"vectorized"`` (default) runs the fused arc-LUT /
-    sparse-Harris pass, ``"reference"`` keeps the dense per-stage ground
-    truth, ``"hwexact"`` runs the quantized integer Harris and 8-bit
-    fixed-point smoother of the hardware model.  Select the ``hwexact`` pair
-    together to reproduce :mod:`repro.hw` extraction bit for bit (see
-    ``docs/hwexact.md``).
+    * ``"vectorized"`` (default) -- the fused arc-LUT / sparse-Harris front
+      end and whole-level batched description;
+    * ``"reference"`` -- the dense per-stage front end and the per-keypoint
+      scalar path, kept as bit-exact ground truth for ``"vectorized"``;
+    * ``"hwexact"`` -- the FPGA model's fixed-point arithmetic (integer
+      Harris, 8-bit smoother, quantized orientation ratio LUT), bit-identical
+      to :mod:`repro.hw` extraction (see ``docs/hwexact.md``); requires
+      ``use_rs_brief``.
     """
 
     image_width: int = 640
@@ -106,18 +111,22 @@ class ExtractorConfig:
     max_features: int = 1024
     use_rs_brief: bool = True
     rescheduled_workflow: bool = True
-    backend: str = "vectorized"
-    frontend: str = "vectorized"
+    engine: str = "vectorized"
 
     def __post_init__(self) -> None:
         if self.max_features <= 0:
             raise ValueError("max_features must be positive")
         if self.image_width <= 0 or self.image_height <= 0:
             raise ValueError("image dimensions must be positive")
-        if not isinstance(self.backend, str) or not self.backend:
-            raise ValueError("backend must be a non-empty backend name")
-        if not isinstance(self.frontend, str) or not self.frontend:
-            raise ValueError("frontend must be a non-empty detection engine name")
+        if self.engine not in ENGINES:
+            raise ValueError(
+                unknown_name_message("extraction engine", str(self.engine), ENGINES)
+            )
+        if self.engine == "hwexact" and not self.use_rs_brief:
+            raise ValueError(
+                "the hwexact engine models the accelerator datapath, which "
+                "implements RS-BRIEF only; set use_rs_brief=True"
+            )
 
     @property
     def image_shape(self) -> Tuple[int, int]:
@@ -126,14 +135,6 @@ class ExtractorConfig:
     def with_descriptor_mode(self, use_rs_brief: bool) -> "ExtractorConfig":
         """Return a copy of this configuration with the descriptor mode changed."""
         return replace(self, use_rs_brief=use_rs_brief)
-
-    def with_backend(self, backend: str) -> "ExtractorConfig":
-        """Return a copy of this configuration with a different compute backend."""
-        return replace(self, backend=backend)
-
-    def with_frontend(self, frontend: str) -> "ExtractorConfig":
-        """Return a copy of this configuration with a different detection engine."""
-        return replace(self, frontend=frontend)
 
 
 @dataclass(frozen=True)

@@ -12,14 +12,13 @@ small window around the pixel.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import Iterable, List
 
 import numpy as np
 
 from ..errors import FeatureError
 from ..image import GrayImage
-from ..image.filters import sobel_gradients
-from ..image.scratch import Workspace, edge_pad_into, workspace_array
+from ..image.filters import edge_pad_into, sobel_gradients
 
 #: Standard Harris sensitivity constant.
 HARRIS_K: float = 0.04
@@ -74,7 +73,6 @@ def harris_scores_sparse(
     ys: np.ndarray,
     k: float = HARRIS_K,
     block_radius: int = HARRIS_BLOCK_RADIUS,
-    workspace: Optional[Workspace] = None,
 ) -> np.ndarray:
     """Harris responses gathered only at ``(xs, ys)``, bit-identical to the map.
 
@@ -88,9 +86,6 @@ def harris_scores_sparse(
     same numbers.  The final ``det - k*trace**2`` is then evaluated with the
     reference's float64 expression, making the result bit-identical to
     ``harris_response_map(image)[ys, xs]``.
-
-    ``workspace`` optionally recycles the padded/integral buffers across
-    calls (see :mod:`repro.image.scratch`).
     """
     if block_radius < 1:
         raise FeatureError("block_radius must be >= 1")
@@ -107,14 +102,12 @@ def harris_scores_sparse(
         return np.zeros(0, dtype=np.float64)
     window = 2 * block_radius + 1
     # Sobel via edge-padded integer views (same values as sobel_gradients),
-    # accumulated into workspace buffers so no full-image temporary survives;
-    # int16 holds every intermediate (|gradient| <= 4*255)
-    padded = workspace_array(workspace, "harris_pixels", (height + 2, width + 2), np.int16)
-    edge_pad_into(image.pixels, 1, padded)
+    # accumulated in place; int16 holds every intermediate (|gradient| <= 4*255)
+    padded = edge_pad_into(image.pixels, 1, np.empty((height + 2, width + 2), np.int16))
     top, mid, bot = padded[:-2], padded[1:-1], padded[2:]
-    gx = workspace_array(workspace, "harris_gx_raw", (height, width), np.int16)
-    gy = workspace_array(workspace, "harris_gy_raw", (height, width), np.int16)
-    accum = workspace_array(workspace, "harris_accum", (height, width), np.int16)
+    gx = np.empty((height, width), np.int16)
+    gy = np.empty((height, width), np.int16)
+    accum = np.empty((height, width), np.int16)
     # gx = (top+2*mid+bot) on the right column minus the same on the left
     np.add(top[:, 2:], bot[:, 2:], out=gx)
     np.add(gx, mid[:, 2:], out=gx)
@@ -136,11 +129,9 @@ def harris_scores_sparse(
     # the pad step also widens to int32: np.multiply with int16 operands would
     # wrap in int16 before casting to an int32 out
     pad_shape = (height + 2 * block_radius, width + 2 * block_radius)
-    gx_pad = workspace_array(workspace, "harris_gx", pad_shape, np.int32)
-    gy_pad = workspace_array(workspace, "harris_gy", pad_shape, np.int32)
-    edge_pad_into(gx, block_radius, gx_pad)
-    edge_pad_into(gy, block_radius, gy_pad)
-    products = workspace_array(workspace, "harris_products", (3,) + pad_shape, np.int32)
+    gx_pad = edge_pad_into(gx, block_radius, np.empty(pad_shape, np.int32))
+    gy_pad = edge_pad_into(gy, block_radius, np.empty(pad_shape, np.int32))
+    products = np.empty((3,) + pad_shape, np.int32)
     np.multiply(gx_pad, gx_pad, out=products[0])
     np.multiply(gy_pad, gy_pad, out=products[1])
     np.multiply(gx_pad, gy_pad, out=products[2])
@@ -150,31 +141,16 @@ def harris_scores_sparse(
     # are bounded by pad_width * (4*255)**2, so narrow images keep the whole
     # prefix in int32 (exact either way; halves the memory traffic)
     prefix_dtype = np.int32 if (pad_shape[1] + 1) * 1_040_400 < 2**31 else np.int64
-    # buffer names carry the dtype so a pyramid whose levels straddle the
-    # int32-width threshold keeps one stable buffer per dtype instead of
-    # reallocating the two largest workspace arrays on every level
-    dtype_tag = np.dtype(prefix_dtype).name
-    prefix = workspace_array(
-        workspace, f"harris_prefix_{dtype_tag}", (3, pad_shape[0], pad_shape[1] + 1), prefix_dtype
-    )
+    prefix = np.empty((3, pad_shape[0], pad_shape[1] + 1), prefix_dtype)
     prefix[:, :, 0] = 0
     np.cumsum(products, axis=2, out=prefix[:, :, 1:])
     # horizontal window sums for every output column (dense subtract of two
     # prefix views), then the vertical accumulation is paid only at the K
     # requested points: one (K, window) gather per channel
-    spans = workspace_array(
-        workspace, f"harris_spans_{dtype_tag}", (3, pad_shape[0], width), prefix_dtype
-    )
-    np.subtract(prefix[:, :, window:], prefix[:, :, :width], out=spans)
-    # flat gathers are addressed against the (possibly larger) parent buffer
-    # so that smaller pyramid levels keep zero-copy views
-    parent = spans.base if spans.base is not None else spans
-    stride = parent.shape[2]
-    plane = parent.shape[1] * stride
-    flat = parent.reshape(-1)
-    gather = (ys[:, None] + np.arange(window, dtype=np.int64)[None, :]) * stride + xs[
-        :, None
-    ]
+    spans = np.subtract(prefix[:, :, window:], prefix[:, :, :width])
+    plane = pad_shape[0] * width
+    flat = spans.reshape(-1)
+    gather = (ys[:, None] + np.arange(window, dtype=np.int64)[None, :]) * width + xs[:, None]
     sums = np.empty((3, xs.size), dtype=np.float64)
     for channel in range(3):
         sums[channel] = np.take(flat, gather + channel * plane).sum(axis=1)

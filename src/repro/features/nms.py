@@ -7,12 +7,11 @@ maximum Harris score survives.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import FeatureError
-from ..image.scratch import Workspace, workspace_grid
 
 
 def non_maximum_suppression(
@@ -92,7 +91,6 @@ def suppress_keypoints_sparse(
     scores: np.ndarray,
     shape: Tuple[int, int],
     radius: int = 1,
-    workspace: Optional[Workspace] = None,
 ) -> np.ndarray:
     """Loop-free sparse NMS, bit-equivalent to :func:`non_maximum_suppression`.
 
@@ -103,7 +101,7 @@ def suppress_keypoints_sparse(
     1. a corner survives stage 1 iff its score is >= every corner score in
        its ``(2*radius+1)`` window (computed by scattering scores into a
        padded grid and gathering the window neighbours per corner — no
-       ``np.roll`` full-image copies, no ``np.full(-inf)`` temporaries);
+       ``np.roll`` full-image copies);
     2. any two stage-1 survivors within each other's window necessarily tie
        (each one's window max bounds the other's score), so the dense path's
        per-survivor tie-break loop is exactly a greedy raster-order maximal
@@ -111,9 +109,6 @@ def suppress_keypoints_sparse(
        from one ``lexsort``; the greedy selection is resolved in vectorised
        rounds (a node is decided once no earlier-raster neighbour is still
        undecided), each round an array op over the few conflicted nodes.
-
-    ``workspace`` recycles the scatter grids across calls; every touched cell
-    is restored so the grids keep their fill invariant.
     """
     if radius < 1:
         raise FeatureError("radius must be >= 1")
@@ -141,33 +136,25 @@ def suppress_keypoints_sparse(
     dys, dxs = np.meshgrid(span, span, indexing="ij")
     centre = (dys == 0) & (dxs == 0)
     dys, dxs = dys[~centre], dxs[~centre]
-    # all three scatter grids are requested up front with one shape so their
-    # parent buffers grow in lockstep and share a flat row stride
-    grid_shape = (height + 2 * radius, width + 2 * radius)
-    score_grid = workspace_grid(workspace, "nms_scores", grid_shape, np.float64, -np.inf)
-    flag_grid = workspace_grid(workspace, "nms_flags", grid_shape, bool, False)
-    id_grid = workspace_grid(workspace, "nms_ids", grid_shape, np.int64, -1)
-    flat_scores, stride = _flat_grid(score_grid)
-    flat_flags, flag_stride = _flat_grid(flag_grid)
-    flat_ids, id_stride = _flat_grid(id_grid)
-    if not (stride == flag_stride == id_stride):  # pragma: no cover - defensive
-        raise FeatureError("workspace NMS grids must share one allocation shape")
-    # one flat neighbour-index matrix drives every scatter/gather below
+    # flat padded scatter grids; one neighbour-index matrix drives every
+    # scatter/gather below
+    stride = width + 2 * radius
+    grid_size = (height + 2 * radius) * stride
     base = (sy + radius) * stride + (sx + radius)
     neighbour_index = base[:, None] + (dys * stride + dxs)[None, :]
     # stage 1: score >= max over window neighbours
+    flat_scores = np.full(grid_size, -np.inf)
     flat_scores[base] = ss
     keep = ss >= np.take(flat_scores, neighbour_index).max(axis=1)
-    flat_scores[base] = -np.inf  # restore the fill invariant
     # conflict detection: survivors with another survivor in their window
     survivors = np.nonzero(keep)[0]
+    flat_flags = np.zeros(grid_size, dtype=bool)
     flat_flags[base[survivors]] = True
     conflicted = np.take(flat_flags, neighbour_index[survivors]).any(axis=1)
-    flat_flags[base[survivors]] = False
     if conflicted.any():
         clashed = survivors[conflicted]
         keep[clashed] = _greedy_raster_independent_set(
-            flat_ids, base[clashed], neighbour_index[clashed], dys, dxs
+            grid_size, base[clashed], neighbour_index[clashed], dys, dxs
         )
     if order is None:
         return keep
@@ -176,18 +163,8 @@ def suppress_keypoints_sparse(
     return result
 
 
-def _flat_grid(grid: np.ndarray) -> Tuple[np.ndarray, int]:
-    """Flat view of a workspace grid's parent buffer plus its row stride.
-
-    Indexing the parent keeps smaller-than-buffer views (later pyramid
-    levels) zero-copy: callers compute flat indices with the parent stride.
-    """
-    parent = grid.base if grid.base is not None else grid
-    return parent.reshape(-1), int(parent.shape[1])
-
-
 def _greedy_raster_independent_set(
-    flat_ids: np.ndarray,
+    grid_size: int,
     base: np.ndarray,
     neighbour_index: np.ndarray,
     dys: np.ndarray,
@@ -195,19 +172,20 @@ def _greedy_raster_independent_set(
 ) -> np.ndarray:
     """Greedy raster-order MIS over tied survivors.
 
-    Nodes arrive in raster order with their flat grid positions (``base``)
-    and window gather indices.  Equivalent to visiting survivors
-    sequentially and suppressing each one's later tied neighbours, but
-    resolved in rounds: a node is decided as soon as all earlier-raster
-    window neighbours are decided, then selected iff none of them was
-    selected.  Each round decides at least the earliest undecided node, and
-    chains of ties (A kills B, which resurrects C, ...) propagate one link
-    per round; every round is pure array ops over the conflicted nodes.
+    Nodes arrive in raster order with their flat positions (``base``) in a
+    padded grid of ``grid_size`` cells and their window gather indices.
+    Equivalent to visiting survivors sequentially and suppressing each one's
+    later tied neighbours, but resolved in rounds: a node is decided as soon
+    as all earlier-raster window neighbours are decided, then selected iff
+    none of them was selected.  Each round decides at least the earliest
+    undecided node, and chains of ties (A kills B, which resurrects C, ...)
+    propagate one link per round; every round is pure array ops over the
+    conflicted nodes.
     """
     count = base.size
+    flat_ids = np.full(grid_size, -1, dtype=np.int64)
     flat_ids[base] = np.arange(count, dtype=np.int64)
     neighbour_ids = np.take(flat_ids, neighbour_index)
-    flat_ids[base] = -1  # restore the fill invariant
     # missing neighbours map to a sentinel slot that is never undecided/selected
     neighbour_ids = np.where(neighbour_ids < 0, count, neighbour_ids)
     earlier = (dys < 0) | ((dys == 0) & (dxs < 0))

@@ -23,14 +23,14 @@ this equivalence, and :class:`ExtractionProfile` records the operation
 counts (extra descriptors, cached candidates) that differ between them and
 feed the hardware/runtime models.
 
-The per-keypoint compute (orientation + description) is delegated to a
-pluggable :class:`~repro.backends.KeypointBackend` selected by
-``ExtractorConfig.backend``: the default ``vectorized`` backend batches whole
-pyramid levels through numpy while ``reference`` keeps the scalar
-ground-truth path; both are bit-identical (see ``docs/backends.md``).
-The full-frame detection pass (FAST + Harris + NMS + smoothing) is likewise
-delegated to a :class:`~repro.frontend.DetectionEngine` selected by
-``ExtractorConfig.frontend`` (see ``docs/frontend.md``), and the multi-scale
+``ExtractorConfig.engine`` names one extraction engine, which fixes two
+halves: the full-frame detection pass (FAST + Harris + NMS + smoothing) runs
+on a :class:`~repro.frontend.DetectionEngine` (see ``docs/frontend.md``) and
+the per-keypoint compute (orientation + description) on the
+:class:`~repro.backends.KeypointBackend` of the same name (see
+``docs/backends.md``).  The default ``vectorized`` engine batches whole
+pyramid levels through numpy while ``reference`` keeps the per-stage,
+per-keypoint ground truth; both are bit-identical.  The multi-scale
 pyramid those engines consume comes from the extractor's
 :class:`~repro.pyramid.PyramidProvider`, which builds every level of the
 frame up front (see ``docs/pyramid.md``).  Candidates move through the
@@ -291,19 +291,24 @@ class OrbExtractor:
     config:
         Extractor configuration; ``config.use_rs_brief`` selects the
         descriptor strategy, ``config.rescheduled_workflow`` the workflow
-        order and ``config.backend`` the keypoint compute backend.
+        order and ``config.engine`` the detection engine and keypoint backend.
     """
 
     def __init__(self, config: ExtractorConfig | None = None) -> None:
         # imported here (not at module scope) so that repro.features,
         # repro.backends and repro.frontend can be imported in any order
         # without a cycle
-        from ..backends import create_backend
-        from ..frontend import create_engine
+        from ..backends import HwExactBackend, ReferenceBackend, VectorizedBackend
+        from ..frontend import HwExactEngine, ReferenceEngine, VectorizedEngine
 
         self.config = config or ExtractorConfig()
-        self.backend = create_backend(self.config.backend, self.config)
-        self.frontend = create_engine(self.config.frontend, self.config)
+        frontend_class, backend_class = {
+            "reference": (ReferenceEngine, ReferenceBackend),
+            "vectorized": (VectorizedEngine, VectorizedBackend),
+            "hwexact": (HwExactEngine, HwExactBackend),
+        }[self.config.engine]
+        self.frontend = frontend_class(self.config)
+        self.backend = backend_class(self.config)
         self.pyramid_provider = PyramidProvider(self.config)
         self.descriptor_engine: DescriptorEngine = self.backend.descriptor_engine
         self._border = max(

@@ -1,26 +1,17 @@
-"""Pluggable detection front-end engines for the ORB extractor.
+"""Detection front-end engines for the ORB extractor.
 
-See :mod:`repro.frontend.base` for the interface and registry; importing
-this package registers the three built-in engines (``reference``,
-``vectorized`` and the fixed-point ``hwexact``).  ``docs/frontend.md`` and
-``docs/hwexact.md`` document the architecture.
+See :mod:`repro.frontend.base` for the interface; the three engines are
+``reference``, ``vectorized`` and the fixed-point ``hwexact``.
+``docs/frontend.md`` and ``docs/hwexact.md`` document the architecture.
 """
 
-from .base import (
-    DetectionEngine,
-    available_engines,
-    create_engine,
-    register_engine,
-)
+from .base import DetectionEngine
 from .hwexact import HwExactEngine
 from .reference import ReferenceEngine
 from .vectorized import VectorizedEngine
 
 __all__ = [
     "DetectionEngine",
-    "available_engines",
-    "create_engine",
-    "register_engine",
     "HwExactEngine",
     "ReferenceEngine",
     "VectorizedEngine",

@@ -1,13 +1,12 @@
-"""Detection front-end engine interface and registry.
+"""Detection front-end engine interface.
 
 The full-frame half of the ORB extractor — FAST segment test, Harris
 scoring, non-maximum suppression and Gaussian smoothing — is delegated to a
-pluggable **detection engine**, mirroring the keypoint compute backend layer
+**detection engine**, mirroring the keypoint compute backend layer
 (:mod:`repro.backends`).  An engine is constructed once from an
 :class:`~repro.config.ExtractorConfig`, owns its precomputed tables (the
-segment-test arc lookup table, Gaussian kernel, per-frame scratch buffers)
-and then serves any number of pyramid levels and frames.  Two
-implementations are registered:
+segment-test arc lookup table, Gaussian kernel) and then serves any number
+of pyramid levels and frames.  Three implementations exist:
 
 * ``reference`` -- composes the original per-stage functions
   (:func:`repro.features.fast.fast_corner_mask`,
@@ -18,37 +17,35 @@ implementations are registered:
 * ``vectorized`` -- the fused default: padded-slice ring comparisons packed
   into uint16 bitmasks resolved by a 65536-entry arc LUT, Harris responses
   gathered sparsely at FAST corners from integer integral images, loop-free
-  NMS and a slice-view Gaussian smoother reusing per-frame scratch buffers
-  (:mod:`repro.frontend.vectorized`);
+  NMS and a slice-view Gaussian smoother (:mod:`repro.frontend.vectorized`);
 * ``hwexact`` -- the fixed-point datapath of the FPGA model: integer
   windowed Harris accumulators and the 8-bit quantized Gaussian smoother,
   bit-identical to :mod:`repro.hw` extraction rather than to the float
   engines (:mod:`repro.frontend.hwexact`, see ``docs/hwexact.md``).
 
-Engines self-register through :func:`register_engine`;
-``ExtractorConfig.frontend`` names the engine and :func:`create_engine`
-resolves it, exactly like the backend registry.  ``docs/frontend.md``
-documents the architecture.
+Each engine is paired with the keypoint backend of the same ``name``;
+``ExtractorConfig.engine`` names the pair and
+:class:`~repro.features.orb.OrbExtractor` builds both halves.
+``docs/frontend.md`` documents the architecture.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable, ClassVar, List, Tuple, Type
+from typing import ClassVar, Tuple
 
 import numpy as np
 
 from ..config import ExtractorConfig
 from ..image import GrayImage
-from ..registry import ClassRegistry
 
 
 class DetectionEngine(ABC):
     """Full-frame detection engine behind the ORB extractor.
 
-    An engine instance holds only immutable tables plus thread-local scratch
-    buffers, so one instance can serve many extractors and many frames in
-    flight concurrently (see :class:`repro.serving.FrameServer`).
+    An engine instance holds only immutable tables and every call allocates
+    its own arrays, so one instance can serve many extractors and many
+    frames in flight concurrently (see :class:`repro.serving.FrameServer`).
     """
 
     name: ClassVar[str] = "abstract"
@@ -85,21 +82,3 @@ class DetectionEngine(ABC):
         sigma-2 kernel bit for bit; the quantized ``hwexact`` engine instead
         matches the hardware Image Smoother's 8-bit fixed-point kernel.
         """
-
-
-_REGISTRY: ClassRegistry[DetectionEngine] = ClassRegistry("detection engine")
-
-
-def register_engine(name: str) -> Callable[[Type[DetectionEngine]], Type[DetectionEngine]]:
-    """Class decorator registering a detection engine under ``name``."""
-    return _REGISTRY.register(name)
-
-
-def available_engines() -> List[str]:
-    """Names of all registered detection engines, sorted."""
-    return _REGISTRY.names()
-
-
-def create_engine(name: str, config: ExtractorConfig | None = None) -> DetectionEngine:
-    """Instantiate the detection engine registered under ``name``."""
-    return _REGISTRY.create(name, config or ExtractorConfig())

@@ -43,12 +43,13 @@ from ..quant.kernels import (
     quantize_gaussian_kernel,
     smooth_image_quantized,
 )
-from .base import DetectionEngine, register_engine
+from .base import DetectionEngine
 
 
-@register_engine("hwexact")
 class HwExactEngine(DetectionEngine):
     """Fixed-point front end: FAST + integer Harris + NMS + quantized smoother."""
+
+    name = "hwexact"
 
     def __init__(self, config) -> None:
         super().__init__(config)

@@ -20,12 +20,13 @@ from ..features.harris import harris_response_map
 from ..features.nms import non_maximum_suppression
 from ..image import GrayImage
 from ..image.filters import gaussian_blur
-from .base import DetectionEngine, register_engine
+from .base import DetectionEngine
 
 
-@register_engine("reference")
 class ReferenceEngine(DetectionEngine):
     """Dense per-stage detection: full corner map, full Harris map, dense NMS."""
+
+    name = "reference"
 
     def detect_with_count(
         self, level_image: GrayImage

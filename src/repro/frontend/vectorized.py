@@ -1,7 +1,7 @@
 """The fused vectorised detection engine (default).
 
 One pass per pyramid level with no full-image temporaries beyond a handful
-of reused scratch buffers:
+of per-call buffers:
 
 1. **FAST**: the 16 Bresenham-ring comparisons are evaluated on padded-slice
    views of the image (no ``np.roll`` copies), packed into two uint16
@@ -16,18 +16,17 @@ of reused scratch buffers:
 3. **NMS**: sparse, loop-free suppression with vectorised raster-order
    tie-breaking (:func:`~repro.features.nms.suppress_keypoints_sparse`).
 4. **Smoothing**: the separable 7x7 Gaussian runs on slice views of one
-   edge-padded scratch buffer (no per-tap ``np.roll`` copies).
+   edge-padded buffer (no per-tap ``np.roll`` copies).
 
 Every step lands on bit-identical results to the per-stage ``reference``
 engine (asserted by ``tests/test_frontend_parity.py``); see the individual
-helpers for the exactness arguments.  Scratch buffers are per-thread
-(``threading.local``), so one engine instance can serve many frames in
-flight (:class:`repro.serving.FrameServer`).
+helpers for the exactness arguments.  Every call allocates its own arrays
+and the engine holds only immutable tables, so one instance can serve many
+frames in flight (:class:`repro.serving.FrameServer`).
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Tuple
 
 import numpy as np
@@ -45,10 +44,10 @@ from ..image import GrayImage
 from ..image.filters import (
     GAUSSIAN_BLUR_SIGMA,
     GAUSSIAN_BLUR_SIZE,
+    edge_pad_into,
     gaussian_kernel_1d,
 )
-from ..image.scratch import Workspace, edge_pad_into, workspace_array
-from .base import DetectionEngine, register_engine
+from .base import DetectionEngine
 
 def _pack_ring_bits(flags: np.ndarray) -> np.ndarray:
     """Pack ``(16, K)`` ring flags into uint16 bitmasks (bit i = row i)."""
@@ -58,41 +57,29 @@ def _pack_ring_bits(flags: np.ndarray) -> np.ndarray:
     return masks
 
 
-@register_engine("vectorized")
 class VectorizedEngine(DetectionEngine):
     """Fused FAST + sparse Harris + sparse NMS + slice-view smoothing."""
+
+    name = "vectorized"
 
     def __init__(self, config) -> None:
         super().__init__(config)
         self._arc_lut = segment_arc_lut(config.fast.arc_length)
         self._cardinal_lut = cardinal_prefilter_lut(config.fast.arc_length)
         self._kernel = gaussian_kernel_1d(GAUSSIAN_BLUR_SIZE, GAUSSIAN_BLUR_SIGMA)
-        self._local = threading.local()
-
-    def _workspace(self) -> Workspace:
-        """Per-thread scratch buffers (the engine is shared across frames)."""
-        workspace = getattr(self._local, "workspace", None)
-        if workspace is None:
-            workspace = self._local.workspace = {}
-        return workspace
 
     # -- detection ---------------------------------------------------------
     def detect_with_count(
         self, level_image: GrayImage
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-        workspace = self._workspace()
-        xs, ys = self._fast_corners(level_image, workspace)
+        xs, ys = self._fast_corners(level_image)
         if xs.size == 0:
             return xs, ys, np.zeros(0, dtype=np.float64), 0
-        scores = harris_scores_sparse(level_image, xs, ys, workspace=workspace)
-        keep = suppress_keypoints_sparse(
-            xs, ys, scores, level_image.shape, radius=1, workspace=workspace
-        )
+        scores = harris_scores_sparse(level_image, xs, ys)
+        keep = suppress_keypoints_sparse(xs, ys, scores, level_image.shape, radius=1)
         return xs[keep], ys[keep], scores[keep], int(xs.size)
 
-    def _fast_corners(
-        self, image: GrayImage, workspace: Workspace
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    def _fast_corners(self, image: GrayImage) -> Tuple[np.ndarray, np.ndarray]:
         """FAST corners inside the border box, raster order, via the arc LUT.
 
         Two-stage: the dense pass evaluates only the four compass-point
@@ -116,18 +103,13 @@ class VectorizedEngine(DetectionEngine):
             return xs.astype(np.int64), ys.astype(np.int64)
         pixels = image.pixels
         inner = (height - 2 * border, width - 2 * border)
-        centre = workspace_array(workspace, "fast_centre", inner, np.int16)
-        np.copyto(centre, pixels[border : height - border, border : width - border])
-        high = workspace_array(workspace, "fast_high", inner, np.int16)
-        low = workspace_array(workspace, "fast_low", inner, np.int16)
-        np.add(centre, cfg.threshold, out=high)
-        np.subtract(centre, cfg.threshold, out=low)
-        flags = workspace_array(workspace, "fast_flags", inner, bool)
+        centre = pixels[border : height - border, border : width - border].astype(np.int16)
+        high = centre + cfg.threshold
+        low = centre - cfg.threshold
+        flags = np.empty(inner, dtype=bool)
         # stage 1: compass-point patterns, 4 ring positions instead of 16
-        bright4 = workspace_array(workspace, "fast_bright4", inner, np.uint8)
-        dark4 = workspace_array(workspace, "fast_dark4", inner, np.uint8)
-        bright4[:] = 0
-        dark4[:] = 0
+        bright4 = np.zeros(inner, dtype=np.uint8)
+        dark4 = np.zeros(inner, dtype=np.uint8)
         for bit, position in enumerate(FAST_CARDINAL_POSITIONS):
             dx, dy = FAST_CIRCLE_OFFSETS[position]
             ring = pixels[
@@ -138,15 +120,13 @@ class VectorizedEngine(DetectionEngine):
             np.bitwise_or(bright4, pattern_bit, out=bright4, where=flags)
             np.less(ring, low, out=flags)
             np.bitwise_or(dark4, pattern_bit, out=dark4, where=flags)
-        candidates = workspace_array(workspace, "fast_candidates", inner, bool)
-        np.take(self._cardinal_lut, bright4, out=candidates)
-        np.take(self._cardinal_lut, dark4, out=flags)
-        candidates |= flags
+        candidates = self._cardinal_lut[bright4]
+        candidates |= self._cardinal_lut[dark4]
         cand_ys, cand_xs = np.nonzero(candidates)
         if cand_xs.size == 0:
             return empty
         if cand_xs.size * 4 > candidates.size:
-            return self._fast_corners_dense(image, workspace, high, low, flags)
+            return self._fast_corners_dense(image, high, low, flags)
         # stage 2: full ring test, gathered only at the candidates.  The ring
         # is laid out (16, K) so comparisons and bit packing broadcast along
         # the contiguous candidate axis.
@@ -172,7 +152,6 @@ class VectorizedEngine(DetectionEngine):
     def _fast_corners_dense(
         self,
         image: GrayImage,
-        workspace: Workspace,
         high: np.ndarray,
         low: np.ndarray,
         flags: np.ndarray,
@@ -183,10 +162,8 @@ class VectorizedEngine(DetectionEngine):
         border = cfg.border
         pixels = image.pixels
         inner = (height - 2 * border, width - 2 * border)
-        brighter = workspace_array(workspace, "fast_brighter", inner, np.uint16)
-        darker = workspace_array(workspace, "fast_darker", inner, np.uint16)
-        brighter[:] = 0
-        darker[:] = 0
+        brighter = np.zeros(inner, dtype=np.uint16)
+        darker = np.zeros(inner, dtype=np.uint16)
         for index, (dx, dy) in enumerate(FAST_CIRCLE_OFFSETS):
             ring = pixels[
                 border + dy : height - border + dy, border + dx : width - border + dx
@@ -196,10 +173,8 @@ class VectorizedEngine(DetectionEngine):
             np.bitwise_or(brighter, bit, out=brighter, where=flags)
             np.less(ring, low, out=flags)
             np.bitwise_or(darker, bit, out=darker, where=flags)
-        corners = workspace_array(workspace, "fast_corners", inner, bool)
-        np.take(self._arc_lut, brighter, out=corners)
-        np.take(self._arc_lut, darker, out=flags)
-        corners |= flags
+        corners = self._arc_lut[brighter]
+        corners |= self._arc_lut[darker]
         ys, xs = np.nonzero(corners)
         return xs + border, ys + border
 
@@ -212,26 +187,18 @@ class VectorizedEngine(DetectionEngine):
         so every float64 multiply-add happens on the same operands in the
         same order and the rounded uint8 output cannot differ.
         """
-        workspace = self._workspace()
         kernel = self._kernel
         half = kernel.size // 2
         height, width = level_image.shape
-        padded = workspace_array(
-            workspace, "smooth_padded", (height + 2 * half, width + 2 * half), np.float64
+        padded = edge_pad_into(
+            level_image.pixels, half, np.empty((height + 2 * half, width + 2 * half))
         )
-        edge_pad_into(level_image.pixels, half, padded)
-        horizontal = workspace_array(
-            workspace, "smooth_horizontal", (height + 2 * half, width), np.float64
-        )
-        tap = workspace_array(
-            workspace, "smooth_tap", (height + 2 * half, width), np.float64
-        )
-        np.multiply(padded[:, 0:width], kernel[0], out=horizontal)
+        horizontal = padded[:, 0:width] * kernel[0]
+        tap = np.empty_like(horizontal)
         for offset in range(1, kernel.size):
             np.multiply(padded[:, offset : offset + width], kernel[offset], out=tap)
             horizontal += tap
-        output = workspace_array(workspace, "smooth_output", (height, width), np.float64)
-        np.multiply(horizontal[0:height, :], kernel[0], out=output)
+        output = horizontal[0:height, :] * kernel[0]
         tap_rows = tap[0:height, :]
         for offset in range(1, kernel.size):
             np.multiply(horizontal[offset : offset + height, :], kernel[offset], out=tap_rows)

@@ -127,7 +127,7 @@ class OrbExtractorAccelerator:
         filtered through the :class:`~.units.FeatureHeapUnit`.
 
         The output is bit-identical to the batched ``hwexact`` engine pair
-        (``ExtractorConfig(frontend="hwexact", backend="hwexact")``) —
+        (``ExtractorConfig(engine="hwexact")``) —
         asserted by ``tests/test_hwexact_parity.py`` — because both sides
         share the arithmetic kernels of :mod:`repro.quant`; this scalar
         orchestration is the cross-check that the batched engines really

@@ -1,8 +1,14 @@
 """Image substrate: containers, filtering, pyramids and synthetic textures."""
 
 from .image import GrayImage, box_sum, circular_mask, integral_image, within_border
-from .filters import box_blur, gaussian_blur, gaussian_kernel_1d, gaussian_kernel_2d, sobel_gradients
-from .scratch import edge_pad_into, workspace_array, workspace_grid
+from .filters import (
+    box_blur,
+    edge_pad_into,
+    gaussian_blur,
+    gaussian_kernel_1d,
+    gaussian_kernel_2d,
+    sobel_gradients,
+)
 from .pyramid import (
     ImagePyramid,
     PyramidLevel,
@@ -36,8 +42,6 @@ __all__ = [
     "gaussian_kernel_2d",
     "sobel_gradients",
     "edge_pad_into",
-    "workspace_array",
-    "workspace_grid",
     "ImagePyramid",
     "PyramidLevel",
     "nearest_neighbor_resize",

@@ -93,3 +93,20 @@ def sobel_gradients(image: GrayImage) -> tuple[np.ndarray, np.ndarray]:
         - (pixels[:-2, :-2] + 2.0 * pixels[:-2, 1:-1] + pixels[:-2, 2:])
     )
     return gx, gy
+
+
+def edge_pad_into(source: np.ndarray, pad: int, out: np.ndarray) -> np.ndarray:
+    """Edge-replicated padding written into a preallocated buffer.
+
+    Produces exactly ``np.pad(source, pad, mode="edge")`` (values only —
+    ``out`` may be a wider dtype, matching how the reference pipeline casts
+    before padding).  ``out`` must have shape ``(h + 2*pad, w + 2*pad)``.
+    """
+    h, w = source.shape
+    out[pad : pad + h, pad : pad + w] = source
+    if pad:
+        out[pad : pad + h, :pad] = out[pad : pad + h, pad : pad + 1]
+        out[pad : pad + h, pad + w :] = out[pad : pad + h, pad + w - 1 : pad + w]
+        out[:pad, :] = out[pad : pad + 1, :]
+        out[pad + h :, :] = out[pad + h - 1 : pad + h, :]
+    return out

@@ -1,13 +1,10 @@
-"""Generic name → class registry behind the pluggable compute layers.
+"""Generic name → class registry and the shared unknown-name message.
 
-Both engine layers of the extractor — keypoint compute backends
-(:mod:`repro.backends`) and detection front-end engines
-(:mod:`repro.frontend`) — follow the same parameterised-compute-unit
-registry idiom as the hardware simulator: implementations self-register
-under a name, the configuration names the implementation, and a factory
-resolves it.  :class:`ClassRegistry` is that idiom once, shared by both
-(and by any future layer), so registration and lookup semantics cannot
-drift between them.
+:class:`ClassRegistry` backs the cluster router's shard policies
+(:mod:`repro.cluster.router`): implementations self-register under a name,
+the configuration names the implementation, and a factory resolves it.
+:func:`unknown_name_message` formats every "no such name" error, including
+``ExtractorConfig`` validation of its ``engine`` name.
 """
 
 from __future__ import annotations
@@ -24,8 +21,8 @@ def unknown_name_message(kind: str, name: str, available: Sequence[str]) -> str:
     """Error message for an unresolved registry name.
 
     One shared formatter for every registry (and for configuration-level
-    validation), so an unknown ``ExtractorConfig.backend`` / ``frontend``
-    always reports the registered alternatives — plus a closest-match hint
+    validation), so an unknown ``ExtractorConfig.engine`` or shard policy
+    always reports the available alternatives — plus a closest-match hint
     for the common typo case.
     """
     listed = ", ".join(available) if available else "<none registered>"
@@ -40,7 +37,7 @@ class ClassRegistry(Generic[T]):
     """Name-keyed class registry with decorator registration.
 
     ``kind`` is the human-readable noun used in error messages (e.g.
-    ``"keypoint backend"``).  Registration stamps the class's ``name``
+    ``"shard policy"``).  Registration stamps the class's ``name``
     attribute so instances can report which implementation they are.
     """
 

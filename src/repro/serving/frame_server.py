@@ -7,8 +7,9 @@ therefore ONE detection engine (:mod:`repro.frontend`) and ONE keypoint
 compute backend (:mod:`repro.backends`) with all their precomputed tables —
 serves many frames in flight on a thread pool.  Extraction is a pure
 function of the image, numpy releases the GIL inside the array kernels, and
-the vectorized engines keep their scratch buffers in thread-local storage,
-so concurrent frames scale across cores without any cross-frame state.
+the engines are stateless (immutable tables, no thread-local scratch: every
+call allocates its own arrays), so concurrent frames scale across cores
+without any cross-frame state.
 
 A bounded in-flight window (semaphore) applies back-pressure: submitting
 more frames than ``max_in_flight`` blocks the producer instead of queueing

@@ -4,8 +4,8 @@ The ``vectorized`` keypoint compute backend replaces per-keypoint Python
 call chains with whole-level array passes; these tests pin down that it is a
 pure reformulation — same retained features, same orientations (to the bit),
 same descriptors and same operation counts — for both workflow orders and
-both descriptor modes.  They also cover the backend registry, the heap
-bulk-insert equivalence and the batch-aware SLAM frame APIs.
+both descriptor modes.  They also cover backend selection by engine name,
+the heap bulk-insert equivalence and the batch-aware SLAM frame APIs.
 """
 
 import numpy as np
@@ -13,18 +13,17 @@ import pytest
 
 from repro.backends import (
     DescribedBatch,
+    HwExactBackend,
     ReferenceBackend,
     VectorizedBackend,
-    available_backends,
-    create_backend,
 )
-from repro.config import ExtractorConfig, PyramidConfig, SlamConfig, TrackerConfig
+from repro.config import ENGINES, ExtractorConfig, PyramidConfig, SlamConfig, TrackerConfig
 from repro.errors import FeatureError
 from repro.features import BoundedScoreHeap, OrbExtractor
 from repro.image import random_blocks
 
 
-def _config(backend: str, use_rs_brief: bool, rescheduled: bool) -> ExtractorConfig:
+def _config(engine: str, use_rs_brief: bool, rescheduled: bool) -> ExtractorConfig:
     return ExtractorConfig(
         image_width=160,
         image_height=120,
@@ -32,7 +31,7 @@ def _config(backend: str, use_rs_brief: bool, rescheduled: bool) -> ExtractorCon
         max_features=100,
         use_rs_brief=use_rs_brief,
         rescheduled_workflow=rescheduled,
-        backend=backend,
+        engine=engine,
     )
 
 
@@ -89,8 +88,8 @@ class TestBackendParity:
         xs = rng.integers(0, 160, 64).astype(np.int64)
         ys = rng.integers(0, 120, 64).astype(np.int64)
         scores = rng.random(64)
-        ref = create_backend("reference", config).describe(smoothed, xs, ys, scores)
-        vec = create_backend("vectorized", config).describe(smoothed, xs, ys, scores)
+        ref = ReferenceBackend(config).describe(smoothed, xs, ys, scores)
+        vec = VectorizedBackend(config).describe(smoothed, xs, ys, scores)
         assert 0 < ref.size < 64  # some dropped, some kept
         assert np.array_equal(ref.kept, vec.kept)
         assert np.array_equal(ref.orientation_bins, vec.orientation_bins)
@@ -99,25 +98,30 @@ class TestBackendParity:
 
 
 class TestBackendRegistry:
+    """Backend selection: each engine name builds the backend of that name."""
+
     def test_builtin_backends_registered(self):
-        assert "reference" in available_backends()
-        assert "vectorized" in available_backends()
+        for name in ENGINES:
+            assert OrbExtractor(ExtractorConfig(engine=name)).backend.name == name
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(FeatureError):
-            create_backend("nonexistent")
+        with pytest.raises(ValueError):
+            ExtractorConfig(engine="nonexistent")
 
     def test_config_selects_backend_class(self):
         assert isinstance(
-            OrbExtractor(ExtractorConfig(backend="reference")).backend, ReferenceBackend
+            OrbExtractor(ExtractorConfig(engine="reference")).backend, ReferenceBackend
         )
         assert isinstance(
-            OrbExtractor(ExtractorConfig(backend="vectorized")).backend, VectorizedBackend
+            OrbExtractor(ExtractorConfig(engine="vectorized")).backend, VectorizedBackend
+        )
+        assert isinstance(
+            OrbExtractor(ExtractorConfig(engine="hwexact")).backend, HwExactBackend
         )
         assert OrbExtractor().backend.name == "vectorized"  # the default
 
     def test_empty_batch(self):
-        backend = create_backend("vectorized")
+        backend = VectorizedBackend(ExtractorConfig())
         empty = DescribedBatch.empty(32)
         assert empty.size == 0
         assert backend.descriptor_engine is not None
@@ -209,15 +213,15 @@ class TestComputeEngineSpeedup:
         )
         assert xs.size > 200
         timings = {}
-        for name in ("reference", "vectorized"):
-            backend = create_backend(name, config)
+        for backend_class in (ReferenceBackend, VectorizedBackend):
+            backend = backend_class(config)
             backend.describe(smoothed, xs, ys, scores)  # warm-up
             best = float("inf")
             for _ in range(3):
                 start = time.perf_counter()
                 backend.describe(smoothed, xs, ys, scores)
                 best = min(best, time.perf_counter() - start)
-            timings[name] = best
+            timings[backend.name] = best
         assert timings["reference"] / timings["vectorized"] >= 5.0
 
 

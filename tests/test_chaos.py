@@ -121,7 +121,7 @@ class TestKillStorm:
     def test_bit_identical_in_order_through_kill_storm(
         self, engine, chaos_config, chaos_images
     ):
-        config = replace(chaos_config, frontend=engine, backend=engine)
+        config = replace(chaos_config, engine=engine)
         baseline = _sequential_baseline(config, chaos_images)
         plan = FaultPlan.storm(
             frames=len(chaos_images), every=4, num_workers=2, seed=13
@@ -154,7 +154,7 @@ class TestRestartMidFlight:
     def test_killed_dispatched_jobs_retry_and_reclaim(
         self, engine, chaos_config, chaos_images
     ):
-        config = replace(chaos_config, frontend=engine, backend=engine)
+        config = replace(chaos_config, engine=engine)
         images = chaos_images[:4]
         baseline = _sequential_baseline(config, images)
         server = ClusterServer(
@@ -194,7 +194,7 @@ class TestResultRingUnderChaos:
     def test_kill_storm_with_ring_leaves_zero_leaked_result_slots(
         self, engine, chaos_config, chaos_images
     ):
-        config = replace(chaos_config, frontend=engine, backend=engine)
+        config = replace(chaos_config, engine=engine)
         baseline = _sequential_baseline(config, chaos_images)
         plan = FaultPlan.storm(
             frames=len(chaos_images), every=4, num_workers=2, seed=29

@@ -2,7 +2,7 @@
 
 The serving parity matrix runs sequential extraction, the thread
 :class:`~repro.serving.FrameServer` and the process
-:class:`~repro.cluster.ClusterServer` across every registered engine pair
+:class:`~repro.cluster.ClusterServer` across every extraction engine
 and both shard policies; the remaining classes pin down the transport,
 back-pressure, crash surfacing and the SLAM / batch-runner wiring.
 """
@@ -105,7 +105,7 @@ class TestServingParityMatrix:
 
         results = {}
         for engine in ("reference", "vectorized", "hwexact"):
-            config = replace(cluster_config, frontend=engine, backend=engine)
+            config = replace(cluster_config, engine=engine)
             extractor = OrbExtractor(config)
             results[engine] = [extractor.extract(image) for image in cluster_images]
         return results
@@ -117,7 +117,7 @@ class TestServingParityMatrix:
     ):
         from dataclasses import replace
 
-        config = replace(cluster_config, frontend=engine, backend=engine)
+        config = replace(cluster_config, engine=engine)
         sequential = sequential_by_engine[engine]
         shard_keys = (
             [index % 2 for index in range(len(cluster_images))]
@@ -137,7 +137,7 @@ class TestServingParityMatrix:
     ):
         from dataclasses import replace
 
-        config = replace(cluster_config, frontend=engine, backend=engine)
+        config = replace(cluster_config, engine=engine)
         with FrameServer(config=config, max_workers=2) as server:
             threaded = server.extract_many(cluster_images)
         for seq_result, thread_result in zip(sequential_by_engine[engine], threaded):
@@ -216,6 +216,21 @@ class TestClusterServer:
             ClusterServer(cluster_config, policy="nope")
         for name in available_policies():
             assert name in str(excinfo.value)
+
+    def test_bad_engine_rejected_before_any_worker_starts(self, cluster_config):
+        # rejected by ExtractorConfig itself, so no worker ever starts with it
+        import multiprocessing
+        from dataclasses import replace
+
+        workers_before = multiprocessing.active_children()
+        with pytest.raises(ValueError, match="did you mean 'vectorized'"):
+            ClusterServer(replace(cluster_config, engine="vectorised"), num_workers=1)
+        with pytest.raises(ValueError, match="RS-BRIEF"):
+            ClusterServer(
+                replace(cluster_config, engine="hwexact", use_rs_brief=False),
+                num_workers=1,
+            )
+        assert multiprocessing.active_children() == workers_before
 
     def test_oversize_frame_rejected_at_submit(self, cluster_config):
         big = GrayImage(np.zeros((240, 320), dtype=np.uint8))
@@ -442,7 +457,7 @@ class TestWorkStealing:
         """Stealing moves where a job runs, never what it computes."""
         from dataclasses import replace
 
-        config = replace(cluster_config, frontend=engine, backend=engine)
+        config = replace(cluster_config, engine=engine)
         extractor = OrbExtractor(config)
         sequential = [extractor.extract(image) for image in cluster_images] * 3
         images = cluster_images * 3

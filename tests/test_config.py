@@ -4,6 +4,7 @@ import pytest
 
 from repro.config import (
     AcceleratorConfig,
+    ENGINES,
     DescriptorConfig,
     ExtractorConfig,
     FastConfig,
@@ -80,12 +81,7 @@ class TestExtractorConfig:
         assert config.use_rs_brief is True
 
     def test_default_backend_is_vectorized(self):
-        assert ExtractorConfig().backend == "vectorized"
-
-    def test_with_backend_flips_only_the_backend(self):
-        config = ExtractorConfig().with_backend("reference")
-        assert config.backend == "reference"
-        assert config.max_features == ExtractorConfig().max_features
+        assert ExtractorConfig().engine == "vectorized"
 
     def test_rejects_non_positive_max_features(self):
         with pytest.raises(ValueError):
@@ -101,31 +97,38 @@ class TestExtractorConfig:
 
     def test_rejects_empty_backend_name(self):
         with pytest.raises(ValueError):
-            ExtractorConfig(backend="")
+            ExtractorConfig(engine="")
+
+    def test_hwexact_requires_rs_brief(self):
+        with pytest.raises(ValueError, match="RS-BRIEF"):
+            ExtractorConfig(engine="hwexact", use_rs_brief=False)
+        assert ExtractorConfig(engine="hwexact").use_rs_brief
+
+    def test_three_engine_pairs(self):
+        from repro.features import OrbExtractor
+
+        assert ENGINES == ("reference", "vectorized", "hwexact")
+        for name in ENGINES:
+            extractor = OrbExtractor(ExtractorConfig(engine=name))
+            assert (extractor.frontend.name, extractor.backend.name) == (name, name)
 
 
 class TestRegistryErrorMessages:
-    """Unknown backend/frontend names must list the registered alternatives."""
+    """Unknown engine names must list the available alternatives."""
 
     def test_unknown_backend_lists_available_names(self):
-        from repro.errors import FeatureError
-        from repro.features import OrbExtractor
-
-        with pytest.raises(FeatureError) as excinfo:
-            OrbExtractor(ExtractorConfig(backend="nonexistent"))
+        with pytest.raises(ValueError) as excinfo:
+            ExtractorConfig(engine="nonexistent")
         message = str(excinfo.value)
         for name in ("hwexact", "reference", "vectorized"):
             assert name in message
 
     def test_unknown_frontend_suggests_closest_match(self):
-        from repro.errors import FeatureError
-        from repro.features import OrbExtractor
-
-        with pytest.raises(FeatureError) as excinfo:
-            OrbExtractor(ExtractorConfig(frontend="vectorised"))
+        with pytest.raises(ValueError) as excinfo:
+            ExtractorConfig(engine="vectorised")
         message = str(excinfo.value)
         assert "did you mean 'vectorized'?" in message
-        assert "detection engine" in message
+        assert "extraction engine" in message
 
     def test_shared_helper_formats_empty_registry(self):
         from repro.registry import unknown_name_message

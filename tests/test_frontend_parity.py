@@ -11,7 +11,7 @@ for both workflow orders — on randomized synthetic images.
 import numpy as np
 import pytest
 
-from repro.config import ExtractorConfig, FastConfig, PyramidConfig
+from repro.config import ENGINES, ExtractorConfig, FastConfig, PyramidConfig
 from repro.errors import FeatureError
 from repro.features import (
     OrbExtractor,
@@ -26,16 +26,11 @@ from repro.features import (
     suppress_keypoints_sparse,
 )
 from repro.features.fast import FAST_CARDINAL_POSITIONS, cardinal_prefilter_lut
-from repro.frontend import (
-    ReferenceEngine,
-    VectorizedEngine,
-    available_engines,
-    create_engine,
-)
+from repro.frontend import HwExactEngine, ReferenceEngine, VectorizedEngine
 from repro.image import GrayImage, checkerboard, gaussian_blur, random_blocks
 
 
-def _config(frontend: str, width: int = 160, height: int = 120, **kwargs) -> ExtractorConfig:
+def _config(engine: str, width: int = 160, height: int = 120, **kwargs) -> ExtractorConfig:
     defaults = dict(
         image_width=width,
         image_height=height,
@@ -43,39 +38,41 @@ def _config(frontend: str, width: int = 160, height: int = 120, **kwargs) -> Ext
         max_features=100,
     )
     defaults.update(kwargs)
-    return ExtractorConfig(frontend=frontend, **defaults)
+    return ExtractorConfig(engine=engine, **defaults)
 
 
 @pytest.fixture(scope="module")
 def engines():
     config = ExtractorConfig()
-    return create_engine("reference", config), create_engine("vectorized", config)
+    return ReferenceEngine(config), VectorizedEngine(config)
 
 
 class TestEngineRegistry:
+    """Engine selection: each engine name builds the detection engine of that name."""
+
     def test_builtin_engines_registered(self):
-        assert "reference" in available_engines()
-        assert "vectorized" in available_engines()
+        for name in ENGINES:
+            assert OrbExtractor(ExtractorConfig(engine=name)).frontend.name == name
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(FeatureError):
-            create_engine("nonexistent")
+        with pytest.raises(ValueError):
+            ExtractorConfig(engine="nonexistent")
 
     def test_config_selects_engine_class(self):
         assert isinstance(
-            OrbExtractor(ExtractorConfig(frontend="reference")).frontend, ReferenceEngine
+            OrbExtractor(ExtractorConfig(engine="reference")).frontend, ReferenceEngine
         )
         assert isinstance(
-            OrbExtractor(ExtractorConfig(frontend="vectorized")).frontend, VectorizedEngine
+            OrbExtractor(ExtractorConfig(engine="vectorized")).frontend, VectorizedEngine
+        )
+        assert isinstance(
+            OrbExtractor(ExtractorConfig(engine="hwexact")).frontend, HwExactEngine
         )
         assert OrbExtractor().frontend.name == "vectorized"  # the default
 
     def test_invalid_frontend_config_rejected(self):
         with pytest.raises(ValueError):
-            ExtractorConfig(frontend="")
-
-    def test_with_frontend_helper(self):
-        assert ExtractorConfig().with_frontend("reference").frontend == "reference"
+            ExtractorConfig(engine="")
 
 
 class TestArcLut:
@@ -119,8 +116,7 @@ class TestFastParity:
     def test_corner_sets_match_dense_mask(self, seed, threshold):
         image = random_blocks(120, 160, block=9, seed=seed)
         config = ExtractorConfig(fast=FastConfig(threshold=threshold))
-        engine = create_engine("vectorized", config)
-        xs, ys = engine._fast_corners(image, engine._workspace())
+        xs, ys = VectorizedEngine(config)._fast_corners(image)
         mask = fast_corner_mask(image, config.fast)
         ref_ys, ref_xs = np.nonzero(mask)
         assert np.array_equal(xs, ref_xs)
@@ -131,20 +127,19 @@ class TestFastParity:
         rng = np.random.default_rng(3)
         image = GrayImage(rng.integers(0, 256, (96, 128), dtype=np.uint8))
         config = ExtractorConfig(fast=FastConfig(threshold=1))
-        engine = create_engine("vectorized", config)
-        xs, ys = engine._fast_corners(image, engine._workspace())
+        xs, ys = VectorizedEngine(config)._fast_corners(image)
         ref_ys, ref_xs = np.nonzero(fast_corner_mask(image, config.fast))
         assert np.array_equal(xs, ref_xs)
         assert np.array_equal(ys, ref_ys)
 
     def test_checkerboard_and_flat_images(self):
         config = ExtractorConfig()
-        engine = create_engine("vectorized", config)
+        engine = VectorizedEngine(config)
         board = checkerboard(96, 96, square=12)
-        xs, ys = engine._fast_corners(board, engine._workspace())
+        xs, ys = engine._fast_corners(board)
         assert xs.size == int(fast_corner_mask(board, config.fast).sum())
         flat = GrayImage.full(64, 64, 100)
-        xs, ys = engine._fast_corners(flat, engine._workspace())
+        xs, ys = engine._fast_corners(flat)
         assert xs.size == 0
 
     def test_detect_arrays_wrapper_equivalence(self, blocks_image):
@@ -268,11 +263,11 @@ class TestEngineParity:
             )
 
     def test_workspace_reuse_across_level_sizes(self):
-        # big frame first grows the scratch buffers; smaller frames then use
-        # sliced views — results must stay identical to fresh engines
+        # one engine instance fed shrinking and growing level sizes: every
+        # call allocates its own arrays, so no call may see another's shape
         config = ExtractorConfig()
-        vectorized = create_engine("vectorized", config)
-        reference = create_engine("reference", config)
+        vectorized = VectorizedEngine(config)
+        reference = ReferenceEngine(config)
         for shape in ((240, 320), (96, 128), (200, 264), (54, 76)):
             image = random_blocks(shape[0], shape[1], block=8, seed=shape[1])
             ref = reference.detect_with_count(image)
@@ -285,8 +280,8 @@ class TestEngineParity:
 
     def test_small_border_falls_back_to_dense(self):
         config = ExtractorConfig(fast=FastConfig(border=2))
-        vectorized = create_engine("vectorized", config)
-        reference = create_engine("reference", config)
+        vectorized = VectorizedEngine(config)
+        reference = ReferenceEngine(config)
         image = random_blocks(64, 64, block=6, seed=9)
         ref = reference.detect_with_count(image)
         vec = vectorized.detect_with_count(image)
@@ -343,8 +338,8 @@ class TestFrontendSpeedup:
         config = ExtractorConfig(image_width=320, image_height=240)
         image = random_blocks(240, 320, block=12, seed=4)
         timings = {}
-        for name in ("reference", "vectorized"):
-            engine = create_engine(name, config)
+        for engine_class in (ReferenceEngine, VectorizedEngine):
+            engine = engine_class(config)
             engine.detect_with_count(image)
             engine.smooth(image)  # warm-up
             best = float("inf")
@@ -353,5 +348,5 @@ class TestFrontendSpeedup:
                 engine.detect_with_count(image)
                 engine.smooth(image)
                 best = min(best, time.perf_counter() - start)
-            timings[name] = best
+            timings[engine.name] = best
         assert timings["reference"] / timings["vectorized"] >= 2.0

@@ -12,13 +12,11 @@ pair runs full synthetic-TUM sequences through the SLAM stack.
 import numpy as np
 import pytest
 
-from repro.backends import available_backends, create_backend
 from repro.backends.hwexact import HwExactBackend
 from repro.config import ExtractorConfig, PyramidConfig, SlamConfig, TrackerConfig
 from repro.dataset import SequenceSpec, make_sequence
 from repro.errors import HardwareModelError
 from repro.features import OrbExtractor
-from repro.frontend import available_engines, create_engine
 from repro.frontend.hwexact import HwExactEngine
 from repro.hw import OrbExtractorAccelerator
 from repro.hw.orb_extractor import FastDetectionUnit, ImageSmootherUnit, OrientationUnit
@@ -44,8 +42,7 @@ def _config(**kwargs) -> ExtractorConfig:
         image_height=120,
         pyramid=PyramidConfig(num_levels=2),
         max_features=100,
-        frontend="hwexact",
-        backend="hwexact",
+        engine="hwexact",
     )
     defaults.update(kwargs)
     return ExtractorConfig(**defaults)
@@ -57,10 +54,6 @@ def texture():
 
 
 class TestHwExactRegistry:
-    def test_registered_in_both_layers(self):
-        assert "hwexact" in available_backends()
-        assert "hwexact" in available_engines()
-
     def test_config_selects_hwexact_classes(self):
         extractor = OrbExtractor(_config())
         assert isinstance(extractor.frontend, HwExactEngine)
@@ -70,10 +63,10 @@ class TestHwExactRegistry:
 
     def test_backend_requires_rs_brief(self):
         with pytest.raises(HardwareModelError):
-            create_backend("hwexact", _config(use_rs_brief=False))
+            HwExactBackend(ExtractorConfig(use_rs_brief=False))
 
     def test_engine_construction(self):
-        engine = create_engine("hwexact", _config())
+        engine = HwExactEngine(_config())
         assert int(engine._kernel_fixed.sum()) == 256
 
 
@@ -132,7 +125,7 @@ class TestQuantizedSmootherParity:
 class TestQuantizedOrientationParity:
     def test_batched_matches_per_patch_unit(self, texture):
         unit = OrientationUnit()
-        engine = create_engine("hwexact", _config())
+        engine = HwExactEngine(_config())
         smoothed = engine.smooth(texture)
         xs, ys = np.meshgrid(np.arange(20, 140, 7), np.arange(20, 100, 7))
         xs = xs.ravel().astype(np.int64)

@@ -33,8 +33,7 @@ def _config(engine="vectorized", max_features=150):
         image_height=120,
         pyramid=PyramidConfig(num_levels=3),
         max_features=max_features,
-        frontend=engine,
-        backend=engine,
+        engine=engine,
     )
 
 

@@ -122,7 +122,7 @@ class TestServedSlam:
 
 
 class TestServingEngineMatrix:
-    """FrameServer must serve every registered engine pair unchanged."""
+    """FrameServer must serve every extraction engine unchanged."""
 
     @pytest.mark.parametrize("engine", ["reference", "vectorized", "hwexact"])
     def test_served_results_identical_to_sequential(
@@ -130,7 +130,7 @@ class TestServingEngineMatrix:
     ):
         from dataclasses import replace
 
-        config = replace(serving_config, frontend=engine, backend=engine)
+        config = replace(serving_config, engine=engine)
         extractor = OrbExtractor(config)
         sequential = [extractor.extract(image) for image in serving_images[:4]]
         with FrameServer(extractor=extractor, max_workers=3) as server:

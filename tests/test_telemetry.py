@@ -530,7 +530,7 @@ class TestClusterTracing:
     def test_tracing_never_changes_results(
         self, engine, telemetry_config, telemetry_images
     ):
-        config = replace(telemetry_config, frontend=engine, backend=engine)
+        config = replace(telemetry_config, engine=engine)
         sequential = [OrbExtractor(config).extract(im) for im in telemetry_images]
         tracer = Tracer(enabled=True, track="server")
         with ClusterServer(config, num_workers=2, tracer=tracer) as server:
