@@ -5,16 +5,26 @@ description for every detected keypoint — is delegated to a
 **keypoint compute backend**.  A backend is constructed once from an
 :class:`~repro.config.ExtractorConfig`, owns its precomputed tables (circular
 masks, rounded pattern locations, rotation gather tables) and then serves any
-number of frames.  Three implementations exist:
+number of frames.
 
-* ``reference`` -- the scalar per-keypoint path, kept as bit-exact ground
-  truth (:mod:`repro.backends.reference`);
-* ``vectorized`` -- the batched default that processes a whole pyramid level
-  per numpy pass (:mod:`repro.backends.vectorized`);
-* ``hwexact`` -- the fixed-point datapath of the FPGA model: quantized-ratio
-  orientation LUT plus RS-BRIEF, bit-identical to :mod:`repro.hw` extraction
-  rather than to the float backends (:mod:`repro.backends.hwexact`, see
+:meth:`KeypointBackend.describe` is the one batched path: it masks the
+keypoints whose patch leaves the level, orients the rest with the
+subclass's :meth:`~KeypointBackend.orient` and describes them all with one
+``describe_batch`` call.  Both batched backends orient from the one
+centroid kernel, :func:`repro.features.orientation.intensity_centroids`,
+and differ only in how they bin the centroid:
+
+* ``vectorized`` -- the float default: ``atan2`` and rounding to the
+  nearest bin (:mod:`repro.backends.vectorized`);
+* ``hwexact`` -- the fixed-point datapath of the FPGA model: the
+  quantized-ratio orientation LUT, reporting bin-centre angles, and
+  RS-BRIEF only; bit-identical to :mod:`repro.hw` extraction rather than to
+  the float backends (:mod:`repro.backends.hwexact`, see
   ``docs/hwexact.md``).
+
+``reference`` (:mod:`repro.backends.reference`) overrides ``describe`` with
+the scalar per-keypoint path and is kept as the bit-exact ground truth of
+``vectorized``.
 
 The full-frame half of the extractor — FAST + Harris + NMS + smoothing — is
 served by the detection engine of the same ``name`` in :mod:`repro.frontend`,
@@ -29,7 +39,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import ClassVar, Tuple
 
 import numpy as np
 
@@ -87,9 +97,11 @@ class KeypointBackend(ABC):
         # backends lazily, so importing the engine factory here keeps the
         # package import graph acyclic regardless of which side loads first
         from ..features.brief import make_descriptor_engine
+        from ..features.orientation import OrientationGrid
 
         self.config = config
         self.descriptor_engine = make_descriptor_engine(config.use_rs_brief, config.descriptor)
+        self.grid = OrientationGrid.build(config.descriptor.patch_radius)
 
     def patch_radius(self) -> int:
         """Border margin the descriptor pattern needs around a keypoint."""
@@ -103,7 +115,6 @@ class KeypointBackend(ABC):
         """
         return within_border(xs, ys, image.shape, self.config.descriptor.patch_radius)
 
-    @abstractmethod
     def describe(
         self,
         smoothed: GrayImage,
@@ -116,3 +127,27 @@ class KeypointBackend(ABC):
         ``smoothed`` is the Gaussian-blurred pyramid level.  Keypoints whose
         descriptor patch does not fit are dropped (see ``kept``).
         """
+        xs = np.asarray(xs, dtype=np.int64)
+        ys = np.asarray(ys, dtype=np.int64)
+        scores = np.asarray(scores, dtype=np.float64)
+        kept = np.nonzero(self.valid_mask(smoothed, xs, ys))[0]
+        if kept.size == 0:
+            return DescribedBatch.empty(self.config.descriptor.num_bytes)
+        xs, ys, scores = xs[kept], ys[kept], scores[kept]
+        bins, rads = self.orient(smoothed, xs, ys)
+        descriptors = self.descriptor_engine.describe_batch(smoothed, xs, ys, bins, rads)
+        return DescribedBatch(
+            xs=xs,
+            ys=ys,
+            scores=scores,
+            orientation_bins=bins,
+            orientation_rads=rads,
+            descriptors=descriptors,
+            kept=kept,
+        )
+
+    @abstractmethod
+    def orient(
+        self, smoothed: GrayImage, xs: np.ndarray, ys: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(bins, radians)`` of keypoints whose patch fits inside ``smoothed``."""

@@ -12,39 +12,26 @@ current minimum.  The paper calls the module a max-heap (it retains maximal
 scores); :class:`BoundedScoreHeap` implements the retention semantics and
 additionally counts the comparisons performed, which the hardware cycle
 model uses for its heap-insertion cost.
+
+The software extractor does not stream through the heap: :func:`select_top`
+is its closed form, returning the same retained rows and the same
+statistics from one stable argsort plus a blockwise count.  The scalar
+hardware model (:class:`~repro.hw.orb_extractor.units.FeatureHeapUnit`)
+keeps offering to :class:`BoundedScoreHeap` one feature at a time.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Generic, Iterable, List, Sequence, Tuple, TypeVar
+from typing import Generic, Iterable, List, Tuple, TypeVar
 
 import numpy as np
 
 from ..errors import FeatureError
 
 T = TypeVar("T")
-
-
-def _first_exceeding(scores: np.ndarray, start: int, threshold: float, chunk: int = 256) -> int:
-    """Index of the first score after ``start`` exceeding ``threshold``, or -1.
-
-    Scans in bounded chunks so a run of acceptances costs O(chunk) per
-    accepted item instead of re-scanning (and re-allocating an index array
-    over) the entire remaining tail each time.
-    """
-    count = scores.size
-    index = start
-    while index < count:
-        stop = min(count, index + chunk)
-        hits = scores[index:stop] > threshold
-        if hits.any():
-            return index + int(np.argmax(hits))
-        index = stop
-    return -1
 
 
 @dataclass
@@ -120,48 +107,6 @@ class BoundedScoreHeap(Generic[T]):
         for score, item in scored_items:
             self.offer(score, item)
 
-    def offer_batch(self, scores: np.ndarray, items: Sequence[T]) -> int:
-        """Bulk-insert a score array, preserving streaming-offer semantics.
-
-        Equivalent to calling :meth:`offer` for every ``(score, item)`` pair
-        in order — same retained set, same tie-breaking, same statistics —
-        but runs of sub-threshold scores are rejected in one vectorised scan
-        while the heap is full, instead of one Python call per feature.
-        Returns the number of retained items.
-        """
-        scores = np.asarray(scores, dtype=np.float64)
-        if scores.ndim != 1 or scores.size != len(items):
-            raise FeatureError("scores must be a 1-D array matching len(items)")
-        retained = 0
-        index = 0
-        count = scores.size
-        while index < count:
-            if not self.is_full:
-                if self.offer(float(scores[index]), items[index]):
-                    retained += 1
-                index += 1
-                continue
-            # the threshold only moves when an item is accepted, so every
-            # score <= threshold before the next beating score is a rejection
-            beating = _first_exceeding(scores, index, self._heap[0][0])
-            skipped = (count if beating < 0 else beating) - index
-            if skipped:
-                self._reject_run(skipped)
-                index += skipped
-            if beating < 0:
-                break
-            if self.offer(float(scores[index]), items[index]):
-                retained += 1
-            index += 1
-        return retained
-
-    def _reject_run(self, count: int) -> None:
-        """Account ``count`` consecutive rejections without touching the heap."""
-        # advance the tie-break counter exactly as `count` offers would have
-        deque(itertools.islice(self._counter, count), maxlen=0)
-        self.stats.rejections += count
-        self.stats.comparisons += count
-
     def items_by_score(self) -> List[T]:
         """Return retained items sorted by descending score (stable for ties)."""
         ordered = sorted(self._heap, key=lambda entry: (-entry[0], -entry[1]))
@@ -170,6 +115,60 @@ class BoundedScoreHeap(Generic[T]):
     def scores(self) -> List[float]:
         """Return retained scores in descending order."""
         return sorted((score for score, _, _ in self._heap), reverse=True)
+
+
+def select_top(scores: np.ndarray, capacity: int) -> Tuple[np.ndarray, HeapStatistics]:
+    """Rows a :class:`BoundedScoreHeap` keeps when offered ``scores`` in order.
+
+    Returns ``(rows, stats)``: ``rows`` are the ``capacity`` best indices by
+    (score descending, offer order ascending), in the order of
+    :meth:`BoundedScoreHeap.items_by_score`, and ``stats`` equals the heap's
+    :class:`HeapStatistics` after the same offers.  The first ``capacity``
+    offers are insertions; a later offer is a replacement iff fewer than
+    ``capacity`` earlier offers score at least as high (it then beats the
+    heap minimum), and a rejection otherwise.
+    """
+    if capacity <= 0:
+        raise FeatureError("heap capacity must be positive")
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.ndim != 1:
+        raise FeatureError("scores must be a 1-D array")
+    rows = np.argsort(-scores, kind="stable")[:capacity]
+    insertions = min(capacity, scores.size)
+    replacements = _count_replacements(scores, capacity)
+    stats = HeapStatistics(
+        insertions=insertions,
+        replacements=replacements,
+        rejections=scores.size - insertions - replacements,
+        # as BoundedScoreHeap.offer counts them: a sift per insertion into a
+        # heap of size k, one root comparison per offer once full, and a
+        # full-depth sift per replacement
+        comparisons=sum(size.bit_length() for size in range(1, insertions + 1))
+        + (scores.size - insertions)
+        + replacements * capacity.bit_length(),
+    )
+    return rows, stats
+
+
+def _count_replacements(scores: np.ndarray, capacity: int, block: int = 256) -> int:
+    """How many offers after the first ``capacity`` beat the heap minimum.
+
+    Offer ``i`` beats it iff fewer than ``capacity`` earlier scores are
+    ``>= scores[i]``.  Offers are counted a block at a time against ``best``,
+    the ``capacity`` highest earlier scores kept sorted.  A score at most
+    ``best[0]`` loses outright; for the rest, the earlier scores ``>=`` them
+    are the ones in ``best`` plus the earlier such scores of the block.
+    """
+    best = np.sort(scores[:capacity])
+    replacements = 0
+    for start in range(capacity, scores.size, block):
+        chunk = scores[start : start + block]
+        contenders = chunk[chunk > best[0]]
+        earlier = capacity - np.searchsorted(best, contenders, side="left")
+        earlier += np.tril(contenders[None, :] >= contenders[:, None], k=-1).sum(axis=1)
+        replacements += int(np.count_nonzero(earlier < capacity))
+        best = np.sort(np.concatenate([best, contenders]))[-capacity:]
+    return replacements
 
 
 def top_k_by_score(scored_items: Iterable[Tuple[float, T]], k: int) -> List[T]:

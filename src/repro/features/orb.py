@@ -52,7 +52,7 @@ from ..image import GrayImage, ImagePyramid, within_border
 from ..pyramid import PyramidProvider
 from ..telemetry import current_tracer
 from .brief import DescriptorEngine
-from .heap_filter import BoundedScoreHeap
+from .heap_filter import select_top
 from .keypoint import Feature, Keypoint
 
 if TYPE_CHECKING:
@@ -417,14 +417,14 @@ class OrbExtractor:
     ) -> FeatureArrays:
         """eSLAM order: describe every detected keypoint, then heap-filter.
 
-        Each level's candidates are described as one batch by the backend and
-        bulk-inserted into the heap as global row indices; the winners are
-        gathered out of the batch columns in heap order.
+        Each level's candidates are described as one batch by the backend.
+        The scores of all batches, in level order, are the heap's offer
+        stream: :func:`select_top` gives the rows the heap keeps, in heap
+        order, and its comparison count, and the winners are gathered out of
+        the batch columns.
         """
         tracer = current_tracer()
-        heap: BoundedScoreHeap[int] = BoundedScoreHeap(self.config.max_features)
         batches: List[Tuple[int, DescribedBatch]] = []
-        offset = 0
         for level in pyramid:
             with tracer.span("smooth", level=level.level):
                 smoothed = self.frontend.smooth(level.image)
@@ -438,11 +438,12 @@ class OrbExtractor:
                 continue
             profile.descriptors_computed += batch.size
             batches.append((level.level, batch))
-            heap.offer_batch(batch.scores, range(offset, offset + batch.size))
-            offset += batch.size
-        profile.heap_comparisons = heap.stats.comparisons
+        offers = [batch.scores for _, batch in batches]
         with tracer.span("filter"):
-            rows = np.array(heap.items_by_score(), dtype=np.int64)
+            rows, stats = select_top(
+                np.concatenate(offers) if offers else np.zeros(0), self.config.max_features
+            )
+            profile.heap_comparisons = stats.comparisons
             return self._retained_arrays(batches, rows)
 
     def _extract_original(
@@ -466,9 +467,9 @@ class OrbExtractor:
         local_indices = np.concatenate(
             [np.arange(entry[4].size, dtype=np.int64) for entry in level_data]
         )
-        # global best-N filter: stable sort matches the streaming tie-breaking
-        order = np.argsort(-all_scores, kind="stable")
-        retained = order[: self.config.max_features]
+        # global best-N filter, with the streaming heap's tie-breaking; this
+        # workflow's profile reports no heap comparisons
+        retained, _ = select_top(all_scores, self.config.max_features)
         # describe the retained candidates level by level (one batch each),
         # then put the described rows back into score-rank order
         batches: List[Tuple[int, DescribedBatch]] = []

@@ -12,13 +12,18 @@ functionally equivalent :func:`discretize_orientation` is used both here and
 by the hardware model.
 
 Two call styles are provided.  :func:`compute_orientation` is the scalar
-per-keypoint path (the reference backend).  :func:`compute_orientations`
-processes a whole array of keypoints at once by gathering every patch in a
-single fancy-indexing pass and reducing all centroids together; the
-:class:`OrientationGrid` caches the circular-mask and coordinate tables so a
-long-lived compute engine never rebuilds them.  Both paths perform the exact
-same float64 operations in the same order and therefore produce bit-identical
-orientations (asserted by the backend parity tests).
+per-keypoint path (the reference backend).  :func:`intensity_centroids` is
+the one batched centroid kernel: it gathers every patch of a keypoint array
+in one fancy-indexing pass per chunk and reduces all centroids together,
+with the circular-mask and coordinate tables cached in an
+:class:`OrientationGrid` so a long-lived backend never rebuilds them.  Both
+batched backends read it: :func:`compute_orientations` (the ``vectorized``
+backend) bins its centroids through ``atan2``, and the ``hwexact`` backend
+through the quantized ratio LUT
+(:func:`repro.quant.kernels.orientation_bins_quantized`).  The masked
+weights, coordinate products and their sums are exact integers in float64,
+so the batched centroids equal the scalar ones bit for bit (asserted by the
+backend and hwexact parity tests).
 """
 
 from __future__ import annotations
@@ -39,6 +44,8 @@ ORIENTATION_PATCH_RADIUS: int = 15
 NUM_ORIENTATION_BINS: int = 32
 #: Width of one orientation bin in radians (11.25 degrees).
 ORIENTATION_BIN_RAD: float = 2.0 * math.pi / NUM_ORIENTATION_BINS
+#: Keypoints per centroid gather chunk (bounds the ``(K, P*P)`` patch stack).
+CENTROID_CHUNK: int = 2048
 
 
 def intensity_centroid(patch: np.ndarray, mask: np.ndarray | None = None) -> Tuple[float, float]:
@@ -167,7 +174,7 @@ class OrientationGrid:
     path's ``float64 * bool`` without materialising a float patch first.
     ``offsets_y`` / ``offsets_x`` are the ``(P, P)`` integer patch offsets
     (``flat_offsets`` is their row-major flattening against an image stride,
-    see :func:`compute_orientations`).
+    see :func:`intensity_centroids`).
     """
 
     radius: int
@@ -202,36 +209,27 @@ class OrientationGrid:
         return (self.offsets_y * row_stride + self.offsets_x).ravel()
 
 
-def compute_orientations(
-    image: GrayImage,
-    xs: np.ndarray,
-    ys: np.ndarray,
-    radius: int = ORIENTATION_PATCH_RADIUS,
-    num_bins: int = NUM_ORIENTATION_BINS,
-    grid: OrientationGrid | None = None,
-    chunk_size: int = 2048,
+def intensity_centroids(
+    image: GrayImage, xs: np.ndarray, ys: np.ndarray, grid: OrientationGrid
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Batched :func:`compute_orientation` for keypoint arrays.
+    """Batched :func:`intensity_centroid` of the ``grid.radius`` patches at ``(xs, ys)``.
 
-    Gathers the ``(K, P, P)`` patch stack with one fancy-indexing pass per
-    chunk and reduces every intensity centroid together.  All keypoints must
-    satisfy ``image.contains(x, y, border=radius)``; the caller (the compute
-    backend) filters borders beforehand.  Returns ``(bins, angles)`` arrays of
-    shape ``(K,)`` that are bit-identical to the scalar path.
+    Gathers the patch stack with one fancy-indexing pass per chunk of
+    :data:`CENTROID_CHUNK` keypoints and reduces every centroid together.
+    Every patch must fit inside the image (the backends filter borders
+    beforehand).  Returns ``(us, vs)`` arrays of shape ``(K,)``; a patch of
+    zero total weight has centroid ``(0, 0)``, as in the scalar path.
     """
-    if num_bins <= 0:
-        raise FeatureError("num_bins must be positive")
     xs = np.asarray(xs, dtype=np.int64)
     ys = np.asarray(ys, dtype=np.int64)
     if xs.shape != ys.shape or xs.ndim != 1:
         raise FeatureError("xs and ys must be matching 1-D arrays")
-    if grid is None or grid.radius != radius:
-        grid = OrientationGrid.build(radius)
+    radius = grid.radius
     count = xs.size
-    bins = np.zeros(count, dtype=np.int64)
-    angles = np.zeros(count, dtype=np.float64)
+    us = np.zeros(count, dtype=np.float64)
+    vs = np.zeros(count, dtype=np.float64)
     if count == 0:
-        return bins, angles
+        return us, vs
     # flat indexing would silently wrap out-of-bounds patches; fail loudly
     # like the scalar image.patch does instead
     if (
@@ -247,23 +245,41 @@ def compute_orientations(
     flat_pixels = pixels.reshape(-1)
     flat_offsets = grid.flat_offsets(pixels.shape[1])
     centers = ys * pixels.shape[1] + xs
-    two_pi = 2.0 * math.pi
-    bin_width = two_pi / num_bins
-    for start in range(0, count, max(1, chunk_size)):
-        stop = min(count, start + max(1, chunk_size))
+    for start in range(0, count, CENTROID_CHUNK):
+        stop = min(count, start + CENTROID_CHUNK)
         # one gather for the whole chunk's patches, flattened in raster order
-        # so the per-keypoint reductions run in the scalar path's pixel order
         patches = flat_pixels[centers[start:stop, None] + flat_offsets[None, :]]
         weights = patches * grid.mask_flat
         totals = weights.sum(axis=1)
         wx = (weights * grid.xx_flat).sum(axis=1)
         wy = (weights * grid.yy_flat).sum(axis=1)
         safe = totals > 0
-        denom = np.where(safe, totals, 1.0)
-        u = np.where(safe, wx / denom, 0.0)
-        v = np.where(safe, wy / denom, 0.0)
-        angle = np.arctan2(v, u)
-        angle = np.where(angle < 0, angle + two_pi, angle)
-        angles[start:stop] = angle
-        bins[start:stop] = np.rint(np.mod(angle, two_pi) / bin_width).astype(np.int64) % num_bins
+        denominator = np.where(safe, totals, 1.0)
+        us[start:stop] = np.where(safe, wx / denominator, 0.0)
+        vs[start:stop] = np.where(safe, wy / denominator, 0.0)
+    return us, vs
+
+
+def compute_orientations(
+    image: GrayImage,
+    xs: np.ndarray,
+    ys: np.ndarray,
+    radius: int = ORIENTATION_PATCH_RADIUS,
+    num_bins: int = NUM_ORIENTATION_BINS,
+    grid: OrientationGrid | None = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Batched :func:`compute_orientation`: :func:`intensity_centroids` plus binning.
+
+    Returns ``(bins, angles)`` arrays of shape ``(K,)`` that are
+    bit-identical to the scalar path.
+    """
+    if num_bins <= 0:
+        raise FeatureError("num_bins must be positive")
+    if grid is None or grid.radius != radius:
+        grid = OrientationGrid.build(radius)
+    us, vs = intensity_centroids(image, xs, ys, grid)
+    two_pi = 2.0 * math.pi
+    angles = np.arctan2(vs, us)
+    angles = np.where(angles < 0, angles + two_pi, angles)
+    bins = np.rint(np.mod(angles, two_pi) / (two_pi / num_bins)).astype(np.int64) % num_bins
     return bins, angles

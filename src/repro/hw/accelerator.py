@@ -9,8 +9,9 @@ pipeline model in :mod:`repro.platforms`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -96,18 +97,40 @@ class EslamAccelerator:
 
     # -- analytic latencies (no image needed) ---------------------------------------
     def feature_extraction_latency_ms(
-        self, keypoints_after_nms: int, descriptors_computed: Optional[int] = None
+        self,
+        keypoints_after_nms: int,
+        descriptors_computed: Optional[int] = None,
+        pixels_processed: Optional[int] = None,
     ) -> float:
-        """FE latency for a nominal full-resolution frame and given keypoint load."""
-        blank = GrayImage.zeros(
-            self.extractor_config.image_height, self.extractor_config.image_width
-        )
+        """FE latency for a given keypoint load on a blank frame.
+
+        The frame is the configured one, or, given ``pixels_processed`` (the
+        pixels of all pyramid levels, as a workload counts them), the frame of
+        the configured aspect ratio whose pyramid holds that many pixels.
+        """
+        blank = GrayImage.zeros(*self.frame_shape(pixels_processed))
         report = self.extractor.latency_from_profile(
             blank,
             keypoints_after_nms=keypoints_after_nms,
             descriptors_computed=descriptors_computed,
         )
         return report.latency_ms
+
+    def frame_shape(self, pixels_processed: Optional[int] = None) -> Tuple[int, int]:
+        """``(height, width)`` of the frame whose pyramid has ``pixels_processed`` pixels.
+
+        Without a pixel count this is the configured frame.  Every pyramid
+        level shrinks both sides by the scale factor, so the pyramid holds
+        ``sum(scale**(-2 * level))`` frames' worth of pixels.
+        """
+        height = self.extractor_config.image_height
+        width = self.extractor_config.image_width
+        if pixels_processed is None:
+            return height, width
+        pyramid = self.extractor_config.pyramid
+        frames = sum(pyramid.level_scale(level) ** -2 for level in range(pyramid.num_levels))
+        side = math.sqrt(pixels_processed / (frames * height * width))
+        return max(1, round(height * side)), max(1, round(width * side))
 
     def feature_matching_latency_ms(self, num_features: int, num_map_points: int) -> float:
         """FM latency for the given matching workload."""

@@ -161,6 +161,7 @@ class EslamRuntimeModel:
         fe_ms = self.accelerator.feature_extraction_latency_ms(
             keypoints_after_nms=workload.descriptors_computed,
             descriptors_computed=workload.descriptors_computed,
+            pixels_processed=workload.pixels_processed,
         )
         fm_ms = self.accelerator.feature_matching_latency_ms(
             num_features=workload.features_retained,

@@ -35,7 +35,6 @@ from .kernels import (
     brief_descriptor_from_patch,
     harris_scores_quantized,
     harris_window_score_quantized,
-    intensity_centroids_batched,
     orientation_bin_from_patch_quantized,
     orientation_bins_quantized,
     quantization_overrides,
@@ -58,7 +57,6 @@ __all__ = [
     "smooth_image_quantized",
     "harris_window_score_quantized",
     "harris_scores_quantized",
-    "intensity_centroids_batched",
     "orientation_bins_quantized",
     "orientation_bin_from_patch_quantized",
     "brief_descriptor_from_patch",

@@ -45,7 +45,6 @@ import numpy as np
 from ..errors import HardwareModelError
 from ..features.orientation import (
     NUM_ORIENTATION_BINS,
-    OrientationGrid,
     intensity_centroid,
     orientation_lut_labels,
 )
@@ -292,61 +291,6 @@ def orientation_bin_from_patch_quantized(
     """Per-patch form of :func:`orientation_bins_quantized` (hardware unit path)."""
     u, v = intensity_centroid(np.asarray(patch, dtype=np.float64))
     return int(orientation_bins_quantized(np.array([u]), np.array([v]), num_bins)[0])
-
-
-def intensity_centroids_batched(
-    image: GrayImage,
-    xs: np.ndarray,
-    ys: np.ndarray,
-    radius: int,
-    grid: OrientationGrid | None = None,
-    chunk_size: int = 2048,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Batched intensity centroids, bit-identical to the scalar path.
-
-    One fancy-indexing gather per chunk; the masked weights, coordinate
-    products and their sums are all exact integers in float64, so the
-    reductions land on the same numbers as
-    :func:`repro.features.orientation.intensity_centroid` regardless of
-    summation order, and the single ``u = wx / total`` division is then the
-    identical float64 operation.
-    """
-    xs = np.asarray(xs, dtype=np.int64)
-    ys = np.asarray(ys, dtype=np.int64)
-    if xs.shape != ys.shape or xs.ndim != 1:
-        raise HardwareModelError("xs and ys must be matching 1-D arrays")
-    if grid is None or grid.radius != radius:
-        grid = OrientationGrid.build(radius)
-    count = xs.size
-    us = np.zeros(count, dtype=np.float64)
-    vs = np.zeros(count, dtype=np.float64)
-    if count == 0:
-        return us, vs
-    if (
-        int(xs.min()) < radius
-        or int(xs.max()) >= image.width - radius
-        or int(ys.min()) < radius
-        or int(ys.max()) >= image.height - radius
-    ):
-        raise HardwareModelError(
-            f"orientation patch of radius {radius} exceeds image bounds for some points"
-        )
-    pixels = np.ascontiguousarray(image.pixels)
-    flat_pixels = pixels.reshape(-1)
-    flat_offsets = grid.flat_offsets(pixels.shape[1])
-    centers = ys * pixels.shape[1] + xs
-    for start in range(0, count, max(1, chunk_size)):
-        stop = min(count, start + max(1, chunk_size))
-        patches = flat_pixels[centers[start:stop, None] + flat_offsets[None, :]]
-        weights = patches * grid.mask_flat
-        totals = weights.sum(axis=1)
-        wx = (weights * grid.xx_flat).sum(axis=1)
-        wy = (weights * grid.yy_flat).sum(axis=1)
-        safe = totals > 0
-        denominator = np.where(safe, totals, 1.0)
-        us[start:stop] = np.where(safe, wx / denominator, 0.0)
-        vs[start:stop] = np.where(safe, wy / denominator, 0.0)
-    return us, vs
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ call chains with whole-level array passes; these tests pin down that it is a
 pure reformulation — same retained features, same orientations (to the bit),
 same descriptors and same operation counts — for both workflow orders and
 both descriptor modes.  They also cover backend selection by engine name,
-the heap bulk-insert equivalence and the batch-aware SLAM frame APIs.
+the heap filter's equivalence to streaming heap offers and the batch-aware
+SLAM frame APIs.
 """
 
 import numpy as np
@@ -19,7 +20,7 @@ from repro.backends import (
 )
 from repro.config import ENGINES, ExtractorConfig, PyramidConfig, SlamConfig, TrackerConfig
 from repro.errors import FeatureError
-from repro.features import BoundedScoreHeap, OrbExtractor
+from repro.features import BoundedScoreHeap, OrbExtractor, select_top
 from repro.image import random_blocks
 
 
@@ -127,30 +128,69 @@ class TestBackendRegistry:
         assert backend.descriptor_engine is not None
 
 
-class TestHeapBulkInsert:
-    def test_offer_batch_matches_sequential(self):
-        rng = np.random.default_rng(3)
-        scores = rng.random(500)
-        sequential = BoundedScoreHeap(capacity=50)
-        for index, score in enumerate(scores):
-            sequential.offer(float(score), index)
-        batched = BoundedScoreHeap(capacity=50)
-        retained = batched.offer_batch(scores, list(range(500)))
-        assert batched.items_by_score() == sequential.items_by_score()
-        assert vars(batched.stats) == vars(sequential.stats)
-        assert retained == sequential.stats.insertions + sequential.stats.replacements
+def _heap_replay(scores, capacity):
+    """Offer ``scores`` to a streaming heap one at a time, in order."""
+    heap = BoundedScoreHeap(capacity=capacity)
+    for index, score in enumerate(scores):
+        heap.offer(float(score), index)
+    return heap.items_by_score(), vars(heap.stats)
 
-    def test_offer_batch_tie_breaking(self):
-        scores = np.array([1.0, 1.0, 1.0, 2.0, 1.0])
-        heap = BoundedScoreHeap(capacity=2)
-        heap.offer_batch(scores, ["a", "b", "c", "d", "e"])
-        # ties favour the earlier item, as in the streaming hardware
-        assert heap.items_by_score() == ["d", "a"]
 
-    def test_offer_batch_validates_shapes(self):
-        heap = BoundedScoreHeap(capacity=2)
+_SELECT_TOP_CASES = {
+    "random": (np.random.default_rng(3).random(2000), 300),
+    "integer-ties": (np.random.default_rng(4).integers(0, 6, 1500).astype(np.float64), 100),
+    "ascending": (np.arange(1200, dtype=np.float64), 64),
+    "descending": (np.arange(1200, 0, -1).astype(np.float64), 64),
+    "n=0": (np.zeros(0), 10),
+    "n<N": (np.random.default_rng(5).random(7), 10),
+    "n=N": (np.random.default_rng(6).random(10), 10),
+    "capacity-1": (np.random.default_rng(7).random(600), 1),
+}
+
+
+class TestHeapFilter:
+    """``select_top`` is the closed form of streaming offers to the heap."""
+
+    @pytest.mark.parametrize("case", list(_SELECT_TOP_CASES))
+    def test_select_top_matches_sequential_heap(self, case):
+        scores, capacity = _SELECT_TOP_CASES[case]
+        rows, stats = select_top(scores, capacity)
+        items, heap_stats = _heap_replay(scores, capacity)
+        assert rows.tolist() == items
+        assert vars(stats) == heap_stats
+
+    def test_select_top_validates_input(self):
         with pytest.raises(FeatureError):
-            heap.offer_batch(np.array([1.0, 2.0]), ["only-one"])
+            select_top(np.ones((2, 2)), 2)
+        with pytest.raises(FeatureError):
+            select_top(np.ones(3), 0)
+
+    @pytest.mark.parametrize("rescheduled", [True, False], ids=["rescheduled", "original"])
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_frame_filter_matches_heap_replay(self, parity_image, engine, rescheduled):
+        """A frame keeps, in order, what the heap keeps of its described scores."""
+        extractor = OrbExtractor(_config(engine, True, rescheduled))
+        described = []
+        describe = extractor.backend.describe
+
+        def recording_describe(*args):
+            batch = describe(*args)
+            described.append(batch.scores)
+            return batch
+
+        extractor.backend.describe = recording_describe
+        result = extractor.extract(parity_image)
+        offers = np.concatenate(described)
+        items, heap_stats = _heap_replay(offers, extractor.config.max_features)
+        assert result.score_array().tolist() == offers[items].tolist()
+        if rescheduled:
+            assert heap_stats["replacements"] > 0  # the frame overflows the heap
+            assert result.profile.heap_comparisons == heap_stats["comparisons"]
+        else:
+            # filtering precedes description, so only the retained set is
+            # described and this workflow's profile counts no heap work
+            assert offers.size == result.feature_count
+            assert result.profile.heap_comparisons == 0
 
 
 class TestFrameBatchApis:

@@ -16,7 +16,7 @@ from repro.backends.hwexact import HwExactBackend
 from repro.config import ExtractorConfig, PyramidConfig, SlamConfig, TrackerConfig
 from repro.dataset import SequenceSpec, make_sequence
 from repro.errors import HardwareModelError
-from repro.features import OrbExtractor
+from repro.features import OrbExtractor, OrientationGrid, intensity_centroids
 from repro.frontend.hwexact import HwExactEngine
 from repro.hw import OrbExtractorAccelerator
 from repro.hw.orb_extractor import FastDetectionUnit, ImageSmootherUnit, OrientationUnit
@@ -25,7 +25,6 @@ from repro.quant import (
     HARRIS_SCORE_FORMAT,
     harris_scores_quantized,
     harris_window_score_quantized,
-    intensity_centroids_batched,
     orientation_bins_quantized,
 )
 from repro.analysis import (
@@ -130,7 +129,7 @@ class TestQuantizedOrientationParity:
         xs, ys = np.meshgrid(np.arange(20, 140, 7), np.arange(20, 100, 7))
         xs = xs.ravel().astype(np.int64)
         ys = ys.ravel().astype(np.int64)
-        us, vs = intensity_centroids_batched(smoothed, xs, ys, radius=15)
+        us, vs = intensity_centroids(smoothed, xs, ys, OrientationGrid.build(15))
         bins = orientation_bins_quantized(us, vs)
         for index in range(xs.size):
             patch = smoothed.patch(int(xs[index]), int(ys[index]), 15)

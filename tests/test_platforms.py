@@ -6,6 +6,8 @@ agreement at the nominal workload is a correctness requirement, while
 workload scaling checks confirm the models are not constants.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import PlatformModelError
@@ -116,6 +118,16 @@ class TestEslamRuntimeModel:
         runtimes = EslamRuntimeModel().stage_runtimes(NOMINAL_WORKLOAD)
         assert runtimes.feature_extraction == pytest.approx(9.1, rel=0.25)
         assert runtimes.feature_matching == pytest.approx(4.0, rel=0.2)
+
+    def test_fe_follows_workload_pixels(self):
+        """The modelled FE times a frame of the workload's size, not the configured one."""
+        model = EslamRuntimeModel()
+        vga = model.stage_runtimes(NOMINAL_WORKLOAD)
+        qvga = model.stage_runtimes(replace(NOMINAL_WORKLOAD, pixels_processed=192_750))
+        assert model.accelerator.frame_shape(NOMINAL_WORKLOAD.pixels_processed) == (480, 640)
+        assert model.accelerator.frame_shape(192_750) == (240, 320)
+        assert qvga.feature_extraction < vga.feature_extraction
+        assert vga.feature_extraction == pytest.approx(9.1, rel=0.25)
 
     def test_host_stages_match_arm(self):
         eslam = EslamRuntimeModel().stage_runtimes(NOMINAL_WORKLOAD)
