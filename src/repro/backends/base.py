@@ -3,9 +3,9 @@
 The ORB extractor's hot path — orientation computation plus BRIEF/RS-BRIEF
 description for every detected keypoint — is delegated to a
 **keypoint compute backend**.  A backend is constructed once from an
-:class:`~repro.config.ExtractorConfig`, owns its precomputed tables (circular
-masks, rounded pattern locations, rotation gather tables) and then serves any
-number of frames.
+:class:`~repro.config.ExtractorConfig`, owns its precomputed tables (the
+circular patch's row spans, rounded pattern locations, rotation gather
+tables) and then serves any number of frames.
 
 :meth:`KeypointBackend.describe` is the one batched path: it masks the
 keypoints whose patch leaves the level, orients the rest with the

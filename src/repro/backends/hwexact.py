@@ -3,9 +3,11 @@
 Orients and describes whole keypoint batches under the exact arithmetic of
 the FPGA datapath model:
 
-* **Orientation** accumulates the intensity centroid over the circular
-  patch (exact-integer reductions, bit-identical to the scalar hardware
-  unit), quantizes the ratio ``v/u`` to the Q6.10
+* **Orientation** accumulates the intensity centroid one patch row at a
+  time, each row one span of a per-row prefix-sum table, as the
+  Orientation Computing unit adds one row per cycle (exact-integer
+  moments, bit-identical to the scalar hardware unit), quantizes the
+  ratio ``v/u`` to the Q6.10
   :data:`~repro.quant.formats.ORIENTATION_RATIO_FORMAT` and resolves the
   32-way label from the ratio and sign bits — the hardware LUT, no
   ``atan2``.  The continuous angle reported for each feature is the bin

@@ -3,8 +3,8 @@
 Processes one pyramid level per call with no Python-level per-keypoint work
 (the batched :meth:`~repro.backends.base.KeypointBackend.describe`):
 
-1. gather every keypoint's orientation patch in one fancy-indexing pass and
-   reduce all intensity centroids together
+1. compute every keypoint's intensity centroid row by row from two
+   per-row prefix-sum tables of the level, one span per patch row
    (:func:`~repro.features.orientation.intensity_centroids`), then bin each
    centroid's ``atan2`` angle to the nearest of the 32 orientations;
 2. evaluate the descriptor pattern as a single ``(K, 256)`` comparison —

@@ -13,17 +13,19 @@ by the hardware model.
 
 Two call styles are provided.  :func:`compute_orientation` is the scalar
 per-keypoint path (the reference backend).  :func:`intensity_centroids` is
-the one batched centroid kernel: it gathers every patch of a keypoint array
-in one fancy-indexing pass per chunk and reduces all centroids together,
-with the circular-mask and coordinate tables cached in an
-:class:`OrientationGrid` so a long-lived backend never rebuilds them.  Both
-batched backends read it: :func:`compute_orientations` (the ``vectorized``
-backend) bins its centroids through ``atan2``, and the ``hwexact`` backend
-through the quantized ratio LUT
-(:func:`repro.quant.kernels.orientation_bins_quantized`).  The masked
-weights, coordinate products and their sums are exact integers in float64,
-so the batched centroids equal the scalar ones bit for bit (asserted by the
-backend and hwexact parity tests).
+the one batched centroid kernel.  Like the hardware module, which adds one
+patch row per cycle, it accumulates the moments row by row: each row of the
+circular patch is one contiguous span, whose intensity sum and x-moment are
+two differences of per-row prefix sums of the level, so a keypoint costs
+``2r + 1`` spans instead of ``(2r + 1)**2`` pixel reads.  The span
+half-widths are cached in an :class:`OrientationGrid` so a long-lived
+backend never rebuilds them.  Both batched backends read it:
+:func:`compute_orientations` (the ``vectorized`` backend) bins its
+centroids through ``atan2``, and the ``hwexact`` backend through the
+quantized ratio LUT (:func:`repro.quant.kernels.orientation_bins_quantized`).
+The moments are exact integers, accumulated in int64 here and in float64 by
+the scalar path, so the batched centroids equal the scalar ones bit for bit
+(asserted by the orientation, backend and hwexact parity tests).
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ ORIENTATION_PATCH_RADIUS: int = 15
 NUM_ORIENTATION_BINS: int = 32
 #: Width of one orientation bin in radians (11.25 degrees).
 ORIENTATION_BIN_RAD: float = 2.0 * math.pi / NUM_ORIENTATION_BINS
-#: Keypoints per centroid gather chunk (bounds the ``(K, P*P)`` patch stack).
+#: Keypoints per centroid chunk (bounds the ``(K, 2r+1)`` row-span arrays).
 CENTROID_CHUNK: int = 2048
 
 
@@ -163,50 +165,35 @@ def compute_orientation(
 
 @dataclass(frozen=True)
 class OrientationGrid:
-    """Precomputed circular-mask / coordinate tables for batched orientation.
+    """Row-span table of the circular orientation patch.
 
-    Building the mask and the ``xx`` / ``yy`` coordinate grids once per engine
-    (instead of once per keypoint) is what makes the batched centroid a pure
-    gather + reduce.  The tables are stored flattened in raster (C) order so
-    the per-keypoint reduction visits patch pixels in exactly the order the
-    scalar path does; ``mask_flat`` is kept as float64 ``0.0 / 1.0`` weights
-    because ``uint8 * float64`` produces the same products as the scalar
-    path's ``float64 * bool`` without materialising a float patch first.
-    ``offsets_y`` / ``offsets_x`` are the ``(P, P)`` integer patch offsets
-    (``flat_offsets`` is their row-major flattening against an image stride,
-    see :func:`intensity_centroids`).
+    Every row ``dy`` of :func:`~repro.image.circular_mask` is one contiguous
+    run of pixels, symmetric about the centre column, so the patch is fully
+    described by its half-widths: row ``dy`` covers columns ``x - h(dy)`` to
+    ``x + h(dy)``.  ``half_widths`` holds ``h`` for ``dy = -radius .. radius``
+    as a ``(2 * radius + 1,)`` int64 array; :func:`intensity_centroids` turns
+    each row into one span of a row-prefix table.
     """
 
     radius: int
     mask: np.ndarray
-    mask_flat: np.ndarray
-    xx_flat: np.ndarray
-    yy_flat: np.ndarray
-    offsets_y: np.ndarray
-    offsets_x: np.ndarray
+    half_widths: np.ndarray
 
     @classmethod
     def build(cls, radius: int) -> "OrientationGrid":
         if radius < 0:
             raise FeatureError("radius must be non-negative")
         mask = circular_mask(radius)
-        coords = np.arange(-radius, radius + 1, dtype=np.float64)
-        yy, xx = np.meshgrid(coords, coords, indexing="ij")
-        icoords = np.arange(-radius, radius + 1, dtype=np.int64)
-        offsets_y, offsets_x = np.meshgrid(icoords, icoords, indexing="ij")
-        return cls(
-            radius=radius,
-            mask=mask,
-            mask_flat=mask.ravel().astype(np.float64),
-            xx_flat=(xx * mask).ravel(),
-            yy_flat=(yy * mask).ravel(),
-            offsets_y=offsets_y,
-            offsets_x=offsets_x,
-        )
-
-    def flat_offsets(self, row_stride: int) -> np.ndarray:
-        """Patch offsets as flat indices into an image with ``row_stride`` columns."""
-        return (self.offsets_y * row_stride + self.offsets_x).ravel()
+        half_widths = mask.sum(axis=1).astype(np.int64) // 2
+        columns = np.arange(-radius, radius + 1, dtype=np.int64)
+        spans = np.abs(columns)[None, :] <= half_widths[:, None]
+        # the span kernel is only exact if each row is one symmetric run
+        if not np.array_equal(spans, mask):
+            raise FeatureError(
+                f"circular mask of radius {radius} has a row that is not one "
+                "contiguous run centred on the patch column"
+            )
+        return cls(radius=radius, mask=mask, half_widths=half_widths)
 
 
 def intensity_centroids(
@@ -214,8 +201,19 @@ def intensity_centroids(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Batched :func:`intensity_centroid` of the ``grid.radius`` patches at ``(xs, ys)``.
 
-    Gathers the patch stack with one fancy-indexing pass per chunk of
-    :data:`CENTROID_CHUNK` keypoints and reduces every centroid together.
+    Accumulates the moments one patch row at a time, as the Orientation
+    Computing unit does.  Two int64 row-prefix tables of the level, each
+    with a leading zero column, give every row of every patch as one span
+    difference: ``P0`` is the running sum of ``I`` along x and ``P1`` the
+    running sum of ``x * I``.  For the span ``[x - h, x + h]`` of row
+    ``dy`` the row sums are ``s0 = P0[x + h + 1] - P0[x - h]`` and
+    ``s1 = P1[x + h + 1] - P1[x - h]``; the patch moments are
+    ``total = sum(s0)``, ``wx = sum(s1) - x * total`` and
+    ``wy = sum(dy * s0)``.  These are the exact integers the scalar path
+    sums in float64 (every partial sum stays below 2**53), so the centroids
+    equal it bit for bit.  Keypoints go through in chunks of
+    :data:`CENTROID_CHUNK`.
+
     Every patch must fit inside the image (the backends filter borders
     beforehand).  Returns ``(us, vs)`` arrays of shape ``(K,)``; a patch of
     zero total weight has centroid ``(0, 0)``, as in the scalar path.
@@ -241,20 +239,33 @@ def intensity_centroids(
         raise FeatureError(
             f"orientation patch of radius {radius} exceeds image bounds for some keypoints"
         )
-    pixels = np.ascontiguousarray(image.pixels)
-    flat_pixels = pixels.reshape(-1)
-    flat_offsets = grid.flat_offsets(pixels.shape[1])
-    centers = ys * pixels.shape[1] + xs
+    height, width = image.shape
+    stride = width + 1
+    prefix0 = np.empty((height, stride), dtype=np.int64)
+    prefix1 = np.empty((height, stride), dtype=np.int64)
+    prefix0[:, 0] = 0
+    prefix1[:, 0] = 0
+    np.cumsum(image.pixels, axis=1, dtype=np.int64, out=prefix0[:, 1:])
+    # x * I <= 255 * (width - 1) fits int32; the running sums are int64
+    weighted = image.pixels * np.arange(width, dtype=np.int32)
+    np.cumsum(weighted, axis=1, dtype=np.int64, out=prefix1[:, 1:])
+    prefix0 = prefix0.reshape(-1)
+    prefix1 = prefix1.reshape(-1)
+    dys = np.arange(-radius, radius + 1, dtype=np.int64)
+    lo_offsets = dys * stride - grid.half_widths
+    hi_offsets = dys * stride + grid.half_widths + 1
+    centers = ys * stride + xs
     for start in range(0, count, CENTROID_CHUNK):
         stop = min(count, start + CENTROID_CHUNK)
-        # one gather for the whole chunk's patches, flattened in raster order
-        patches = flat_pixels[centers[start:stop, None] + flat_offsets[None, :]]
-        weights = patches * grid.mask_flat
-        totals = weights.sum(axis=1)
-        wx = (weights * grid.xx_flat).sum(axis=1)
-        wy = (weights * grid.yy_flat).sum(axis=1)
+        chunk = centers[start:stop, None]
+        lo = chunk + lo_offsets
+        hi = chunk + hi_offsets
+        row_sums = np.take(prefix0, hi) - np.take(prefix0, lo)
+        totals = row_sums.sum(axis=1)
+        wx = (np.take(prefix1, hi) - np.take(prefix1, lo)).sum(axis=1) - xs[start:stop] * totals
+        wy = row_sums @ dys
         safe = totals > 0
-        denominator = np.where(safe, totals, 1.0)
+        denominator = np.where(safe, totals, 1)
         us[start:stop] = np.where(safe, wx / denominator, 0.0)
         vs[start:stop] = np.where(safe, wy / denominator, 0.0)
     return us, vs

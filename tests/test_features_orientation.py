@@ -6,17 +6,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.errors import FeatureError
 from repro.features import (
     NUM_ORIENTATION_BINS,
+    OrientationGrid,
     compute_orientation,
     discretize_orientation,
     intensity_centroid,
+    intensity_centroids,
     orientation_angle,
     orientation_lut_label,
 )
-from repro.image import GrayImage
+from repro.features import orientation as orientation_module
+from repro.image import GrayImage, circular_mask
 
 
 def _gradient_patch(angle_rad: float, radius: int = 15) -> np.ndarray:
@@ -123,3 +127,125 @@ class TestComputeOrientation:
     def test_rejects_patch_outside_image(self, blocks_image):
         with pytest.raises(Exception):
             compute_orientation(blocks_image, 2, 2, radius=15)
+
+
+
+def _with_hole(mask: np.ndarray) -> np.ndarray:
+    """``mask`` with its centre pixel cleared: the middle row becomes two runs."""
+    holed = mask.copy()
+    centre = mask.shape[0] // 2
+    holed[centre, centre] = False
+    return holed
+
+
+class TestOrientationGrid:
+    @pytest.mark.parametrize("radius", range(32))
+    def test_half_widths_trace_the_mask(self, radius):
+        grid = OrientationGrid.build(radius)
+        assert grid.half_widths.shape == (2 * radius + 1,)
+        assert grid.half_widths.dtype == np.int64
+        assert np.array_equal(grid.mask, circular_mask(radius))
+        for row, half in zip(grid.mask, grid.half_widths):
+            # each mask row is exactly the span [centre - h, centre + h]
+            assert np.nonzero(row)[0].tolist() == list(range(radius - half, radius + half + 1))
+
+    def test_rejects_negative_radius(self):
+        with pytest.raises(FeatureError):
+            OrientationGrid.build(-1)
+
+    @pytest.mark.parametrize(
+        "broken",
+        [_with_hole, lambda mask: np.roll(mask, 1, axis=1)],
+        ids=["two-runs", "off-centre"],
+    )
+    def test_rejects_masks_that_are_not_centred_spans(self, monkeypatch, broken):
+        monkeypatch.setattr(
+            orientation_module, "circular_mask", lambda radius: broken(circular_mask(radius))
+        )
+        with pytest.raises(FeatureError):
+            OrientationGrid.build(7)
+
+
+def _scalar_centroids(image: GrayImage, xs, ys, radius: int):
+    """The scalar oracle: :func:`intensity_centroid` of each square patch."""
+    pairs = [intensity_centroid(image.patch(int(x), int(y), radius)) for x, y in zip(xs, ys)]
+    us = np.array([u for u, _ in pairs], dtype=np.float64)
+    vs = np.array([v for _, v in pairs], dtype=np.float64)
+    return us, vs
+
+
+def _margin_keypoints(height: int, width: int, radius: int):
+    """Keypoints on the exact border margin: the four extreme corners and edge midpoints."""
+    x_edges = (radius, width - 1 - radius)
+    y_edges = (radius, height - 1 - radius)
+    points = [(x, y) for x in x_edges for y in y_edges]
+    points += [(x, height // 2) for x in x_edges] + [(width // 2, y) for y in y_edges]
+    xs, ys = zip(*points)
+    return np.array(xs, dtype=np.int64), np.array(ys, dtype=np.int64)
+
+
+@st.composite
+def _image_and_keypoints(draw):
+    radius = draw(st.sampled_from([0, 1, 2, 7, 15]))
+    height = draw(st.integers(2 * radius + 1, 2 * radius + 12))
+    width = draw(st.integers(2 * radius + 1, 2 * radius + 12))
+    pixels = draw(hnp.arrays(np.uint8, (height, width), elements=st.integers(0, 255)))
+    count = draw(st.integers(0, 12))
+    xs = draw(hnp.arrays(np.int64, count, elements=st.integers(radius, width - 1 - radius)))
+    ys = draw(hnp.arrays(np.int64, count, elements=st.integers(radius, height - 1 - radius)))
+    margin_xs, margin_ys = _margin_keypoints(height, width, radius)
+    return (
+        GrayImage(pixels),
+        np.concatenate([margin_xs, xs]),
+        np.concatenate([margin_ys, ys]),
+        radius,
+    )
+
+
+class TestIntensityCentroidsKernel:
+    """The row-span kernel equals the scalar centroid bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(_image_and_keypoints())
+    def test_bit_equal_to_scalar_centroid(self, drawn):
+        image, xs, ys, radius = drawn
+        us, vs = intensity_centroids(image, xs, ys, OrientationGrid.build(radius))
+        expected_us, expected_vs = _scalar_centroids(image, xs, ys, radius)
+        assert np.array_equal(us, expected_us)
+        assert np.array_equal(vs, expected_vs)
+
+    @pytest.mark.parametrize("radius", [0, 1, 2, 7, 15])
+    def test_margin_keypoints_on_blocks(self, blocks_image, radius):
+        height, width = blocks_image.shape
+        xs, ys = _margin_keypoints(height, width, radius)
+        us, vs = intensity_centroids(blocks_image, xs, ys, OrientationGrid.build(radius))
+        expected_us, expected_vs = _scalar_centroids(blocks_image, xs, ys, radius)
+        assert np.array_equal(us, expected_us)
+        assert np.array_equal(vs, expected_vs)
+
+    @pytest.mark.parametrize("value", [0, 255])
+    def test_constant_images(self, value):
+        image = GrayImage.full(40, 48, value)
+        xs, ys = _margin_keypoints(40, 48, 15)
+        us, vs = intensity_centroids(image, xs, ys, OrientationGrid.build(15))
+        expected_us, expected_vs = _scalar_centroids(image, xs, ys, 15)
+        assert np.array_equal(us, expected_us)
+        assert np.array_equal(vs, expected_vs)
+        # a flat patch is symmetric, and a black one has zero weight:
+        # both put the centroid at the centre
+        assert not us.any() and not vs.any()
+
+    def test_empty_keypoints(self, blocks_image):
+        empty = np.zeros(0, dtype=np.int64)
+        us, vs = intensity_centroids(blocks_image, empty, empty, OrientationGrid.build(15))
+        assert us.shape == vs.shape == (0,)
+
+    @pytest.mark.parametrize(
+        "x, y", [(14, 60), (145, 60), (80, 14), (80, 105)], ids=["left", "right", "top", "bottom"]
+    )
+    def test_out_of_bounds_keypoint_raises(self, blocks_image, x, y):
+        # blocks_image is 120x160; radius 15 allows x in [15, 144], y in [15, 104]
+        xs = np.array([80, x], dtype=np.int64)
+        ys = np.array([60, y], dtype=np.int64)
+        with pytest.raises(FeatureError):
+            intensity_centroids(blocks_image, xs, ys, OrientationGrid.build(15))
