@@ -1,11 +1,11 @@
-"""Backend speedup: reference vs vectorized keypoint compute throughput.
+"""Backend speedup: reference vs vectorized describe throughput.
 
-Times the two float keypoint compute backends on the same detected ORB
-candidate sets, times full-frame extraction with the whole ``reference`` and
-``vectorized`` engines, and prints the comparison as a
-JSON report (keypoints/s through the compute engine, frames/s end to end).
-The acceptance bar is a >= 5x compute-engine speedup for the ``vectorized``
-backend while ``tests/test_backends_parity.py`` proves the outputs are
+Times ``describe`` (orientation + description) of the two float engines on
+the same detected ORB candidate sets, times full-frame extraction with the
+whole ``reference`` and ``vectorized`` engines, and prints the comparison as
+a JSON report (keypoints/s through ``describe``, frames/s end to end).
+The acceptance bar is a >= 5x ``describe`` speedup for the ``vectorized``
+engine while ``tests/test_backends_parity.py`` proves the outputs are
 bit-identical (tier-1 also enforces the bar on a small workload, see
 ``TestComputeEngineSpeedup`` there).
 
@@ -20,8 +20,8 @@ from dataclasses import replace
 
 import pytest
 
-from repro.backends import ReferenceBackend, VectorizedBackend
 from repro.config import ExtractorConfig, PyramidConfig
+from repro.engines import ReferenceEngine, VectorizedEngine
 from repro.features import OrbExtractor
 from repro.features.orb import ExtractionProfile
 from repro.image import ImagePyramid, gaussian_blur
@@ -43,16 +43,16 @@ def _detect_candidates(config: ExtractorConfig, image):
     return levels
 
 
-def _time_backend(backend, levels, repeats: int = 3):
-    """Best-of-N time for describing every level's candidates with ``backend``."""
+def _time_describe(engine, levels, repeats: int = 3):
+    """Best-of-N time for describing every level's candidates with ``engine``."""
     keypoints = sum(xs.size for _, xs, ys, _ in levels)
     for smoothed, xs, ys, scores in levels:  # warm-up pass
-        backend.describe(smoothed, xs, ys, scores)
+        engine.describe(smoothed, xs, ys, scores)
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
         for smoothed, xs, ys, scores in levels:
-            backend.describe(smoothed, xs, ys, scores)
+            engine.describe(smoothed, xs, ys, scores)
         best = min(best, time.perf_counter() - start)
     return {
         "keypoints": keypoints,
@@ -79,8 +79,8 @@ def _time_extraction(config: ExtractorConfig, image, repeats: int = 2):
 
 def _speedup_report(config: ExtractorConfig, image, workload_name: str):
     levels = _detect_candidates(config, image)
-    reference = _time_backend(ReferenceBackend(config), levels)
-    vectorized = _time_backend(VectorizedBackend(config), levels)
+    reference = _time_describe(ReferenceEngine(config), levels)
+    vectorized = _time_describe(VectorizedEngine(config), levels)
     full_reference = _time_extraction(replace(config, engine="reference"), image)
     full_vectorized = _time_extraction(replace(config, engine="vectorized"), image)
     return {

@@ -1,7 +1,7 @@
-"""Front-end speedup: reference vs vectorized detection engine throughput.
+"""Front-end speedup: reference vs vectorized detection + smoothing throughput.
 
-Times the two float detection engines per stage (FAST, Harris, NMS,
-smoothing) and fused (``detect`` + ``smooth``, the full level-0 front-end)
+Times the detection and smoothing of the two float engines per stage (FAST,
+Harris, NMS, smoothing) and fused (``detect`` + ``smooth``, the full level-0 front-end)
 on the same workloads, and prints the comparison as a JSON report.  The
 acceptance bar is a >= 4x fused speedup on the VGA level-0 workload while
 ``tests/test_frontend_parity.py`` proves the outputs are bit-identical
@@ -27,7 +27,7 @@ from repro.features import OrbExtractor
 from repro.features.fast import fast_corner_mask
 from repro.features.harris import harris_response_map, harris_scores_sparse
 from repro.features.nms import non_maximum_suppression, suppress_keypoints_sparse
-from repro.frontend import ReferenceEngine, VectorizedEngine
+from repro.engines import ReferenceEngine, VectorizedEngine
 from repro.image import gaussian_blur
 from repro.serving import FrameServer
 

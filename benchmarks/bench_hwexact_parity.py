@@ -2,14 +2,14 @@
 
 Prints one JSON report with three sections:
 
-* **parity** — the batched ``hwexact`` engine pair vs the hardware model's
+* **parity** — the batched ``hwexact`` engine vs the hardware model's
   unit-by-unit quantized extraction (must be bit-identical, the tentpole
   guarantee of ``tests/test_hwexact_parity.py`` restated at benchmark scale);
 * **divergence** — float-vs-fixed keypoint/descriptor agreement rates and
   the end-to-end trajectory divergence on a synthetic TUM sequence (the
   paper's accuracy-preservation claim, quantified);
-* **throughput** — per-stage timings of the quantized front end and backend
-  next to the float ``vectorized`` engines, so the cost of running the
+* **throughput** — per-stage timings of the quantized engine next to the
+  float ``vectorized`` engine, so the cost of running the
   fixed-point datapath in software is on record alongside the other
   ``BENCH_*.json`` baselines.
 
@@ -45,16 +45,16 @@ def _best_of(callable_, repeats=3):
 
 
 def _stage_times(engine_name: str, config: ExtractorConfig, image):
-    """Per-stage front-end/backend timings for one extraction engine."""
+    """Per-stage timings for one extraction engine."""
     extractor = OrbExtractor(replace(config, engine=engine_name))
-    engine, backend = extractor.frontend, extractor.backend
+    engine = extractor.engine
     xs, ys, scores, _ = engine.detect_with_count(image)
     smoothed = engine.smooth(image)
     extractor.extract(image)  # warm-up
     return {
         "detect_s": _best_of(lambda: engine.detect_with_count(image)),
         "smooth_s": _best_of(lambda: engine.smooth(image)),
-        "describe_s": _best_of(lambda: backend.describe(smoothed, xs, ys, scores)),
+        "describe_s": _best_of(lambda: engine.describe(smoothed, xs, ys, scores)),
         "extract_s": _best_of(lambda: extractor.extract(image)),
         "keypoints": int(xs.size),
     }

@@ -6,21 +6,18 @@ ORB-SLAM on FPGA Platform" (Liu, Yang, Chen, Zhao -- DAC 2019):
 * :mod:`repro.features` -- the RS-BRIEF descriptor (the paper's algorithmic
   contribution), FAST/Harris/NMS/orientation and the full ORB extractor in
   both the original and the rescheduled (streaming) workflow.
-* :mod:`repro.backends` -- keypoint compute backends behind the extractor:
-  the scalar ``reference`` path and the batched ``vectorized`` default
-  (bit-identical; see ``docs/backends.md``).
-* :mod:`repro.frontend` -- detection front-end engines (FAST + Harris + NMS
-  + smoothing): the dense per-stage ``reference`` path and the fused
-  arc-LUT/sparse-Harris ``vectorized`` default (bit-identical; see
-  ``docs/frontend.md``).  ``ExtractorConfig.engine`` picks one engine and
-  its same-named backend.
+* :mod:`repro.engines` -- the extraction engines behind the extractor
+  (smoothing, FAST + Harris + NMS, orientation, description): the dense,
+  scalar ``reference`` path, the fused, batched ``vectorized`` default
+  (bit-identical) and the fixed-point ``hwexact`` engine (see
+  ``docs/engines.md``).  ``ExtractorConfig.engine`` picks one.
 * :mod:`repro.pyramid` -- the pyramid provider feeding those engines one
   eagerly built pyramid per frame (see ``docs/pyramid.md``).
 * :mod:`repro.serving` -- the :class:`~repro.serving.FrameServer`: many
-  frames in flight through one shared engine/backend pair on a bounded
+  frames in flight through one shared engine on a bounded
   thread pool.
 * :mod:`repro.cluster` -- the :class:`~repro.cluster.ClusterServer`:
-  process-sharded serving, one engine pair per worker, zero-copy frame
+  process-sharded serving, one engine per worker, zero-copy frame
   hand-off through shared-memory ring slots (see ``docs/serving.md``).
 * :mod:`repro.matching`, :mod:`repro.geometry`, :mod:`repro.optimization`,
   :mod:`repro.slam` -- the software SLAM pipeline (matching, PnP + RANSAC,

@@ -305,7 +305,7 @@ class BatchRunner:
     The expensive part of standing up a SLAM run is the extractor: descriptor
     pattern tables, rotation gather tables and orientation grids are rebuilt
     per :class:`OrbExtractor`.  ``BatchRunner`` builds the extractor (and its
-    keypoint compute backend, see :mod:`repro.backends`) once and shares it
+    extraction engine, see :mod:`repro.engines`) once and shares it
     across every accuracy sweep, which is how the Figure-8 style experiments
     amortise setup over five sequences x two descriptor modes.  Tracker-side
     settings may vary per run; the extractor configuration is fixed for the
@@ -471,7 +471,7 @@ class BatchRunner:
             "runs": len(self.records),
             "mean_ate_cm": sum(r.ate_mean_cm for r in self.records) / len(self.records),
             "total_frames": sum(r.num_frames for r in self.records),
-            "backend": self.extractor.backend.name,
+            "engine": self.extractor.engine.name,
             "rows": [record.as_row() for record in self.records],
         }
 

@@ -18,9 +18,8 @@ from typing import Tuple
 
 from .registry import unknown_name_message
 
-#: Names of the extraction engines ``ExtractorConfig.engine`` accepts.  Each
-#: names one detection engine (:mod:`repro.frontend`) and the keypoint
-#: backend of the same name (:mod:`repro.backends`).
+#: Names of the extraction engines (:mod:`repro.engines`)
+#: ``ExtractorConfig.engine`` accepts.
 ENGINES: Tuple[str, ...] = ("reference", "vectorized", "hwexact")
 
 
@@ -89,13 +88,13 @@ class DescriptorConfig:
 class ExtractorConfig:
     """Configuration of the full ORB extractor (software and hardware model).
 
-    ``engine`` selects one of :data:`ENGINES`, which fixes both the detection
-    front end (FAST + Harris + NMS + smoothing, :mod:`repro.frontend`) and the
-    keypoint backend (orientation + description, :mod:`repro.backends`):
+    ``engine`` selects one of :data:`ENGINES`, the extraction engine
+    (:mod:`repro.engines`) that smooths, detects (FAST + Harris + NMS),
+    orients and describes every pyramid level:
 
-    * ``"vectorized"`` (default) -- the fused arc-LUT / sparse-Harris front
-      end and whole-level batched description;
-    * ``"reference"`` -- the dense per-stage front end and the per-keypoint
+    * ``"vectorized"`` (default) -- fused arc-LUT / sparse-Harris detection
+      and whole-level batched orientation and description;
+    * ``"reference"`` -- dense per-stage detection and the per-keypoint
       scalar path, kept as bit-exact ground truth for ``"vectorized"``;
     * ``"hwexact"`` -- the FPGA model's fixed-point arithmetic (integer
       Harris, 8-bit smoother, quantized orientation ratio LUT), bit-identical

@@ -1,14 +1,17 @@
-"""The fused vectorised detection engine (default).
+"""The fused, batched extraction engine (default).
 
 One pass per pyramid level with no full-image temporaries beyond a handful
-of per-call buffers:
+of per-call buffers and no Python-level per-keypoint work:
 
-1. **FAST**: the 16 Bresenham-ring comparisons are evaluated on padded-slice
-   views of the image (no ``np.roll`` copies), packed into two uint16
-   bitmasks (brighter/darker), and the contiguous-arc test is resolved by
-   one gather from the precomputed 65536-entry
-   :func:`~repro.features.fast.segment_arc_lut` — exactly the combinational
-   7x7-window check the hardware FAST Detection module performs.
+1. **FAST**: two-stage.  The four compass-point comparisons run densely on
+   padded-slice views of the image (no ``np.roll`` copies) and reject every
+   pixel whose pattern cannot support a contiguous arc
+   (:func:`~repro.features.fast.cardinal_prefilter_lut`); the full
+   16-pixel ring is then gathered at the survivors, packed into two uint16
+   bitmasks (brighter/darker) and resolved by one gather from the
+   precomputed 65536-entry :func:`~repro.features.fast.segment_arc_lut` —
+   exactly the combinational 7x7-window check the hardware FAST Detection
+   module performs.
 2. **Harris**: responses are computed **sparsely** — integer Sobel products
    summed into int64 integral images, box sums gathered with four reads per
    FAST corner (:func:`~repro.features.harris.harris_scores_sparse`) —
@@ -17,12 +20,19 @@ of per-call buffers:
    tie-breaking (:func:`~repro.features.nms.suppress_keypoints_sparse`).
 4. **Smoothing**: the separable 7x7 Gaussian runs on slice views of one
    edge-padded buffer (no per-tap ``np.roll`` copies).
+5. **Orientation**: every keypoint's intensity centroid row by row from two
+   per-row prefix-sum tables of the level, one span per patch row
+   (:func:`~repro.features.orientation.intensity_centroids`), then each
+   centroid's ``atan2`` angle binned to the nearest of the 32 orientations.
+6. **Description**: the base class's batched
+   :meth:`~repro.engines.base.ExtractionEngine.describe` — one ``(K, 256)``
+   pattern comparison, row-wise bit packing and, for RS-BRIEF, one
+   byte-gather BRIEF rotation.
 
-Every step lands on bit-identical results to the per-stage ``reference``
-engine (asserted by ``tests/test_frontend_parity.py``); see the individual
-helpers for the exactness arguments.  Every call allocates its own arrays
-and the engine holds only immutable tables, so one instance can serve many
-frames in flight (:class:`repro.serving.FrameServer`).
+Every step lands on bit-identical results to the ``reference`` engine
+(asserted by ``tests/test_frontend_parity.py`` and
+``tests/test_backends_parity.py``); see the individual helpers for the
+exactness arguments.
 """
 
 from __future__ import annotations
@@ -40,6 +50,7 @@ from ..features.fast import (
 )
 from ..features.harris import harris_scores_sparse
 from ..features.nms import suppress_keypoints_sparse
+from ..features.orientation import compute_orientations
 from ..image import GrayImage
 from ..image.filters import (
     GAUSSIAN_BLUR_SIGMA,
@@ -47,7 +58,8 @@ from ..image.filters import (
     edge_pad_into,
     gaussian_kernel_1d,
 )
-from .base import DetectionEngine
+from .base import ExtractionEngine
+
 
 def _pack_ring_bits(flags: np.ndarray) -> np.ndarray:
     """Pack ``(16, K)`` ring flags into uint16 bitmasks (bit i = row i)."""
@@ -57,8 +69,9 @@ def _pack_ring_bits(flags: np.ndarray) -> np.ndarray:
     return masks
 
 
-class VectorizedEngine(DetectionEngine):
-    """Fused FAST + sparse Harris + sparse NMS + slice-view smoothing."""
+class VectorizedEngine(ExtractionEngine):
+    """Two-stage FAST, sparse Harris and NMS, slice-view smoothing, batched
+    orientation and description."""
 
     name = "vectorized"
 
@@ -73,11 +86,18 @@ class VectorizedEngine(DetectionEngine):
         self, level_image: GrayImage
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
         xs, ys = self._fast_corners(level_image)
-        if xs.size == 0:
+        corners_detected = int(xs.size)
+        if corners_detected == 0:
             return xs, ys, np.zeros(0, dtype=np.float64), 0
-        scores = harris_scores_sparse(level_image, xs, ys)
+        xs, ys, scores = self._score(level_image, xs, ys)
         keep = suppress_keypoints_sparse(xs, ys, scores, level_image.shape, radius=1)
-        return xs[keep], ys[keep], scores[keep], int(xs.size)
+        return xs[keep], ys[keep], scores[keep], corners_detected
+
+    def _score(
+        self, image: GrayImage, xs: np.ndarray, ys: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(xs, ys, scores)`` of the FAST corners that go on to NMS."""
+        return xs, ys, harris_scores_sparse(image, xs, ys)
 
     def _fast_corners(self, image: GrayImage) -> Tuple[np.ndarray, np.ndarray]:
         """FAST corners inside the border box, raster order, via the arc LUT.
@@ -205,3 +225,9 @@ class VectorizedEngine(DetectionEngine):
             output += tap_rows
         np.rint(output, out=output)
         return GrayImage(np.clip(output, 0, 255).astype(np.uint8))
+
+    # -- orientation -------------------------------------------------------
+    def orient(
+        self, smoothed: GrayImage, xs: np.ndarray, ys: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        return compute_orientations(smoothed, xs, ys, radius=self.grid.radius, grid=self.grid)

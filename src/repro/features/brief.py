@@ -13,8 +13,8 @@ designs the paper compares:
   the fixed, rotationally symmetric pattern and then circularly shift the
   resulting descriptor by ``8 * orientation_bin`` bits (the BRIEF Rotator).
 
-Both engines expose two entry points used by the compute backends in
-:mod:`repro.backends`: the scalar :meth:`describe` (one keypoint per call,
+Both engines expose two entry points used by the extraction engines in
+:mod:`repro.engines`: the scalar :meth:`describe` (one keypoint per call,
 the reference path) and the batched :meth:`describe_batch`, which evaluates
 the pattern for a whole keypoint array as one ``(K, 256)`` comparison
 followed by a row-wise ``packbits`` and — for RS-BRIEF — a single byte-gather
@@ -85,7 +85,7 @@ def evaluate_pattern_batch(
     ``s_int`` / ``d_int`` are integer test locations, either shared across the
     batch (``(num_bits, 2)``) or per keypoint (``(K, num_bits, 2)``, the
     pre-rotated original-ORB case).  Returns the ``(K, num_bits)`` boolean bit
-    matrix — the single batched comparison the vectorized backend packs into
+    matrix — the single batched comparison the vectorized engine packs into
     descriptors.  Callers must pre-filter keypoints to the pattern's border.
     """
     xs = np.asarray(xs, dtype=np.int64)

@@ -23,15 +23,12 @@ this equivalence, and :class:`ExtractionProfile` records the operation
 counts (extra descriptors, cached candidates) that differ between them and
 feed the hardware/runtime models.
 
-``ExtractorConfig.engine`` names one extraction engine, which fixes two
-halves: the full-frame detection pass (FAST + Harris + NMS + smoothing) runs
-on a :class:`~repro.frontend.DetectionEngine` (see ``docs/frontend.md``) and
-the per-keypoint compute (orientation + description) on the
-:class:`~repro.backends.KeypointBackend` of the same name (see
-``docs/backends.md``).  The default ``vectorized`` engine batches whole
-pyramid levels through numpy while ``reference`` keeps the per-stage,
-per-keypoint ground truth; both are bit-identical.  The multi-scale
-pyramid those engines consume comes from the extractor's
+``ExtractorConfig.engine`` names one :class:`~repro.engines.ExtractionEngine`
+(see ``docs/engines.md``), which smooths, detects (FAST + Harris + NMS),
+orients and describes every pyramid level.  The default ``vectorized``
+engine batches whole pyramid levels through numpy while ``reference`` keeps
+the per-stage, per-keypoint ground truth; both are bit-identical.  The
+multi-scale pyramid those engines consume comes from the extractor's
 :class:`~repro.pyramid.PyramidProvider`, which builds every level of the
 frame up front (see ``docs/pyramid.md``).  Candidates move through the
 extractor as coordinate/score arrays, the retained set is gathered out of
@@ -51,12 +48,11 @@ from ..config import ExtractorConfig, PyramidConfig
 from ..image import GrayImage, ImagePyramid, within_border
 from ..pyramid import PyramidProvider
 from ..telemetry import current_tracer
-from .brief import DescriptorEngine
 from .heap_filter import select_top
 from .keypoint import Feature, Keypoint
 
 if TYPE_CHECKING:
-    from ..backends import DescribedBatch
+    from ..engines import DescribedBatch
 
 
 @dataclass
@@ -257,7 +253,7 @@ class ExtractionResult:
         """Hashable per-feature records, in retained order.
 
         The bit-identity comparison key shared by every parity check in the
-        repo — engine/backend parity, hardware-model parity, thread- and
+        repo — engine parity, hardware-model parity, thread- and
         process-served extraction (``tests/test_serving.py``,
         ``tests/test_cluster.py``) — so the definition of "identical
         features" cannot drift between suites.  Two results are bit-identical
@@ -291,31 +287,34 @@ class OrbExtractor:
     config:
         Extractor configuration; ``config.use_rs_brief`` selects the
         descriptor strategy, ``config.rescheduled_workflow`` the workflow
-        order and ``config.engine`` the detection engine and keypoint backend.
+        order and ``config.engine`` the extraction engine.
     """
 
     def __init__(self, config: ExtractorConfig | None = None) -> None:
-        # imported here (not at module scope) so that repro.features,
-        # repro.backends and repro.frontend can be imported in any order
-        # without a cycle
-        from ..backends import HwExactBackend, ReferenceBackend, VectorizedBackend
-        from ..frontend import HwExactEngine, ReferenceEngine, VectorizedEngine
+        # imported here (not at module scope) so that repro.features and
+        # repro.engines can be imported in any order without a cycle
+        from ..engines import HwExactEngine, ReferenceEngine, VectorizedEngine
 
         self.config = config or ExtractorConfig()
-        frontend_class, backend_class = {
-            "reference": (ReferenceEngine, ReferenceBackend),
-            "vectorized": (VectorizedEngine, VectorizedBackend),
-            "hwexact": (HwExactEngine, HwExactBackend),
-        }[self.config.engine]
-        self.frontend = frontend_class(self.config)
-        self.backend = backend_class(self.config)
+        self.engine = {
+            "reference": ReferenceEngine,
+            "vectorized": VectorizedEngine,
+            "hwexact": HwExactEngine,
+        }[self.config.engine](self.config)
         self.pyramid_provider = PyramidProvider(self.config)
-        self.descriptor_engine: DescriptorEngine = self.backend.descriptor_engine
         self._border = max(
             self.config.fast.border,
-            self.descriptor_engine.patch_radius() + 1,
+            self.engine.descriptor_engine.patch_radius() + 1,
             self.config.descriptor.patch_radius + 1,
         )
+
+    @property
+    def frontend(self):  # read only by perfbench's traced pass
+        return self.engine
+
+    @property
+    def backend(self):  # read only by perfbench's traced pass
+        return self.engine
 
     # -- public API -------------------------------------------------------
     def extract(
@@ -359,7 +358,7 @@ class OrbExtractor:
         """Run the detection engine on one pyramid level; return candidate arrays.
 
         The engine performs the fused FAST + Harris + NMS pass (see
-        :mod:`repro.frontend`); this wrapper applies the descriptor-border
+        :mod:`repro.engines`); this wrapper applies the descriptor-border
         mask and updates the workload profile.  Returns ``(xs, ys, scores)``
         of the NMS survivors that keep a full descriptor border inside the
         level, filtered by array masking (no per-survivor Python loop).
@@ -369,7 +368,7 @@ class OrbExtractor:
             np.zeros(0, dtype=np.int64),
             np.zeros(0, dtype=np.float64),
         )
-        xs, ys, scores, corners_detected = self.frontend.detect_with_count(level_image)
+        xs, ys, scores, corners_detected = self.engine.detect_with_count(level_image)
         profile.keypoints_detected += corners_detected
         if xs.size == 0:
             profile.per_level_keypoints.append(0)
@@ -417,7 +416,7 @@ class OrbExtractor:
     ) -> FeatureArrays:
         """eSLAM order: describe every detected keypoint, then heap-filter.
 
-        Each level's candidates are described as one batch by the backend.
+        Each level's candidates are described as one batch by the engine.
         The scores of all batches, in level order, are the heap's offer
         stream: :func:`select_top` gives the rows the heap keeps, in heap
         order, and its comparison count, and the winners are gathered out of
@@ -427,15 +426,13 @@ class OrbExtractor:
         batches: List[Tuple[int, DescribedBatch]] = []
         for level in pyramid:
             with tracer.span("smooth", level=level.level):
-                smoothed = self.frontend.smooth(level.image)
+                smoothed = self.engine.smooth(level.image)
             with tracer.span("detect", level=level.level):
                 xs, ys, scores = self._detect_level_candidates(level.image, level.level, profile)
             if xs.size == 0:
                 continue
             with tracer.span("describe", level=level.level):
-                batch = self.backend.describe(smoothed, xs, ys, scores)
-            if batch.size == 0:
-                continue
+                batch = self.engine.describe(smoothed, xs, ys, scores)
             profile.descriptors_computed += batch.size
             batches.append((level.level, batch))
         offers = [batch.scores for _, batch in batches]
@@ -454,7 +451,7 @@ class OrbExtractor:
         level_data = []
         for level in pyramid:
             with tracer.span("smooth", level=level.level):
-                smoothed = self.frontend.smooth(level.image)
+                smoothed = self.engine.smooth(level.image)
             with tracer.span("detect", level=level.level):
                 xs, ys, scores = self._detect_level_candidates(level.image, level.level, profile)
             level_data.append((level.level, smoothed, xs, ys, scores))
@@ -480,14 +477,12 @@ class OrbExtractor:
                 continue
             selection = local_indices[retained[member_ranks]]
             with tracer.span("describe", level=level):
-                batch = self.backend.describe(
+                batch = self.engine.describe(
                     smoothed, xs[selection], ys[selection], scores[selection]
                 )
             profile.descriptors_computed += batch.size
             batches.append((level, batch))
-            ranks.append(member_ranks[batch.kept])
-        if not batches:
-            return FeatureArrays.empty()
+            ranks.append(member_ranks)
         return self._retained_arrays(batches, np.argsort(np.concatenate(ranks)))
 
 

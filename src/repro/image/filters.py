@@ -15,7 +15,7 @@ from ..errors import ImageError
 from .image import GrayImage
 
 #: The ORB pre-descriptor smoother: a 7x7 Gaussian with sigma 2.  Shared by
-#: :func:`gaussian_blur` and the detection engines (:mod:`repro.frontend`)
+#: :func:`gaussian_blur` and the extraction engines (:mod:`repro.engines`)
 #: so the dense and fused smoothing paths cannot silently diverge.
 GAUSSIAN_BLUR_SIZE: int = 7
 GAUSSIAN_BLUR_SIGMA: float = 2.0

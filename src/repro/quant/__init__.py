@@ -12,10 +12,9 @@ Two consumers share these definitions so the datapath can never fork:
   datapath units (:class:`~repro.hw.orb_extractor.units.FastDetectionUnit`
   and friends) plus all cycle/latency/resource modelling, but delegates the
   arithmetic itself to the kernels here;
-* the ``hwexact`` engine pair (:mod:`repro.frontend.hwexact`,
-  :mod:`repro.backends.hwexact`) runs the same kernels batched over whole
-  pyramid levels, so full sequences and served workloads execute under the
-  exact quantized arithmetic of the accelerator.
+* the ``hwexact`` engine (:mod:`repro.engines.hwexact`) runs the same
+  kernels batched over whole pyramid levels, so full sequences and served
+  workloads execute under the exact quantized arithmetic of the accelerator.
 
 ``tests/test_hwexact_parity.py`` asserts the two orchestrations are
 bit-identical; ``docs/hwexact.md`` documents the architecture.

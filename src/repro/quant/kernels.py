@@ -6,9 +6,9 @@ fixed-point arithmetic, exposed in two call styles:
 * a **scalar / per-window** form, consumed by the hardware datapath units in
   :mod:`repro.hw.orb_extractor.units` (one 7x7 window, one patch, one
   feature at a time — the granularity of the streaming hardware);
-* a **batched** form, consumed by the ``hwexact`` engine pair
-  (:mod:`repro.frontend.hwexact`, :mod:`repro.backends.hwexact`) which runs
-  whole pyramid levels through numpy.
+* a **batched** form, consumed by the ``hwexact`` engine
+  (:mod:`repro.engines.hwexact`) which runs whole pyramid levels through
+  numpy.
 
 Every quantity is an integer (or an exactly-representable float64) at every
 step, so the two call styles are bit-identical by arithmetic — not merely by

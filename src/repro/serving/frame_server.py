@@ -3,9 +3,8 @@
 The paper's accelerator keeps every pipeline stage busy by streaming frames
 through fixed hardware; the software twin gets the same effect from a
 :class:`FrameServer`: one :class:`~repro.features.OrbExtractor` — and
-therefore ONE detection engine (:mod:`repro.frontend`) and ONE keypoint
-compute backend (:mod:`repro.backends`) with all their precomputed tables —
-serves many frames in flight on a thread pool.  Extraction is a pure
+therefore ONE extraction engine (:mod:`repro.engines`) with all its
+precomputed tables — serves many frames in flight on a thread pool.  Extraction is a pure
 function of the image, numpy releases the GIL inside the array kernels, and
 the engines are stateless (immutable tables, no thread-local scratch: every
 call allocates its own arrays), so concurrent frames scale across cores

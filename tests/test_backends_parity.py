@@ -1,27 +1,22 @@
-"""Backend parity: the vectorized engine must be bit-identical to reference.
+"""Describe parity: the vectorized engine must be bit-identical to reference.
 
-The ``vectorized`` keypoint compute backend replaces per-keypoint Python
-call chains with whole-level array passes; these tests pin down that it is a
-pure reformulation — same retained features, same orientations (to the bit),
-same descriptors and same operation counts — for both workflow orders and
-both descriptor modes.  They also cover backend selection by engine name,
-the heap filter's equivalence to streaming heap offers and the batch-aware
-SLAM frame APIs.
+The ``vectorized`` engine's orientation and description replace
+per-keypoint Python call chains with whole-level array passes; these tests
+pin down that it is a pure reformulation — same retained features, same
+orientations (to the bit), same descriptors and same operation counts — for
+both workflow orders and both descriptor modes.  They also cover the
+describe border contract, describe-side engine selection, the heap filter's
+equivalence to streaming heap offers and the batch-aware SLAM frame APIs.
 """
 
 import numpy as np
 import pytest
 
-from repro.backends import (
-    DescribedBatch,
-    HwExactBackend,
-    ReferenceBackend,
-    VectorizedBackend,
-)
 from repro.config import ENGINES, ExtractorConfig, PyramidConfig, SlamConfig, TrackerConfig
+from repro.engines import HwExactEngine, ReferenceEngine, VectorizedEngine
 from repro.errors import FeatureError
 from repro.features import BoundedScoreHeap, OrbExtractor, select_top
-from repro.image import random_blocks
+from repro.image import gaussian_blur, random_blocks, within_border
 
 
 def _config(engine: str, use_rs_brief: bool, rescheduled: bool) -> ExtractorConfig:
@@ -79,53 +74,75 @@ class TestBackendParity:
         assert vars(reference.profile) == vars(vectorized.profile)
 
     def test_batch_level_parity(self, parity_image):
-        """Backend-level check: same DescribedBatch contents on raw candidates."""
-        from repro.image import gaussian_blur
-
+        """Engine-level check: same DescribedBatch contents on raw candidates."""
         config = _config("vectorized", True, True)
         smoothed = gaussian_blur(parity_image)
         rng = np.random.default_rng(0)
-        # include border keypoints so both backends exercise the drop path
         xs = rng.integers(0, 160, 64).astype(np.int64)
         ys = rng.integers(0, 120, 64).astype(np.int64)
-        scores = rng.random(64)
-        ref = ReferenceBackend(config).describe(smoothed, xs, ys, scores)
-        vec = VectorizedBackend(config).describe(smoothed, xs, ys, scores)
-        assert 0 < ref.size < 64  # some dropped, some kept
-        assert np.array_equal(ref.kept, vec.kept)
+        inside = within_border(xs, ys, smoothed.shape, config.descriptor.patch_radius)
+        xs, ys, scores = xs[inside], ys[inside], rng.random(64)[inside]
+        assert xs.size > 10  # the scene must actually exercise the path
+        ref = ReferenceEngine(config).describe(smoothed, xs, ys, scores)
+        vec = VectorizedEngine(config).describe(smoothed, xs, ys, scores)
+        assert ref.size == vec.size == xs.size
+        assert np.array_equal(ref.xs, vec.xs) and np.array_equal(ref.ys, vec.ys)
         assert np.array_equal(ref.orientation_bins, vec.orientation_bins)
         assert ref.orientation_rads.tobytes() == vec.orientation_rads.tobytes()
         assert np.array_equal(ref.descriptors, vec.descriptors)
 
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_out_of_border_keypoint_raises(self, parity_image, engine):
+        """``describe`` never drops a keypoint: one patch off the level raises."""
+        extractor = OrbExtractor(_config(engine, True, True))
+        smoothed = extractor.engine.smooth(parity_image)
+        radius = extractor.config.descriptor.patch_radius
+        xs = np.array([80, 60, radius - 1], dtype=np.int64)
+        ys = np.array([60, 50, 60], dtype=np.int64)
+        scores = np.ones(3)
+        assert extractor.engine.describe(smoothed, xs[:2], ys[:2], scores[:2]).size == 2
+        assert extractor.engine.describe(smoothed, xs[:0], ys[:0], scores[:0]).size == 0
+        with pytest.raises(FeatureError):
+            extractor.engine.describe(smoothed, xs, ys, scores)
+
 
 class TestBackendRegistry:
-    """Backend selection: each engine name builds the backend of that name."""
+    """Describe-side selection: the engine built by name describes as its class."""
 
-    def test_builtin_backends_registered(self):
+    def test_builtin_backends_registered(self, parity_image):
+        xs = np.array([80, 60], dtype=np.int64)
+        ys = np.array([60, 50], dtype=np.int64)
         for name in ENGINES:
-            assert OrbExtractor(ExtractorConfig(engine=name)).backend.name == name
+            config = _config(name, True, True)
+            engine = OrbExtractor(config).engine
+            assert engine.name == name
+            batch = engine.describe(engine.smooth(parity_image), xs, ys, np.ones(2))
+            assert batch.descriptors.shape == (2, config.descriptor.num_bytes)
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
             ExtractorConfig(engine="nonexistent")
 
-    def test_config_selects_backend_class(self):
-        assert isinstance(
-            OrbExtractor(ExtractorConfig(engine="reference")).backend, ReferenceBackend
-        )
-        assert isinstance(
-            OrbExtractor(ExtractorConfig(engine="vectorized")).backend, VectorizedBackend
-        )
-        assert isinstance(
-            OrbExtractor(ExtractorConfig(engine="hwexact")).backend, HwExactBackend
-        )
-        assert OrbExtractor().backend.name == "vectorized"  # the default
-
-    def test_empty_batch(self):
-        backend = VectorizedBackend(ExtractorConfig())
-        empty = DescribedBatch.empty(32)
-        assert empty.size == 0
-        assert backend.descriptor_engine is not None
+    def test_config_selects_backend_class(self, parity_image):
+        classes = {
+            "reference": ReferenceEngine,
+            "vectorized": VectorizedEngine,
+            "hwexact": HwExactEngine,
+        }
+        xs = np.array([80, 60, 100], dtype=np.int64)
+        ys = np.array([60, 50, 40], dtype=np.int64)
+        scores = np.ones(3)
+        for name, engine_class in classes.items():
+            config = _config(name, True, True)
+            selected = OrbExtractor(config).engine
+            direct = engine_class(config)
+            assert type(selected) is engine_class
+            smoothed = direct.smooth(parity_image)
+            got = selected.describe(smoothed, xs, ys, scores)
+            want = direct.describe(smoothed, xs, ys, scores)
+            assert np.array_equal(got.descriptors, want.descriptors)
+            assert np.array_equal(got.orientation_bins, want.orientation_bins)
+        assert type(OrbExtractor().engine) is VectorizedEngine  # the default
 
 
 def _heap_replay(scores, capacity):
@@ -171,14 +188,14 @@ class TestHeapFilter:
         """A frame keeps, in order, what the heap keeps of its described scores."""
         extractor = OrbExtractor(_config(engine, True, rescheduled))
         described = []
-        describe = extractor.backend.describe
+        describe = extractor.engine.describe
 
         def recording_describe(*args):
             batch = describe(*args)
             described.append(batch.scores)
             return batch
 
-        extractor.backend.describe = recording_describe
+        extractor.engine.describe = recording_describe
         result = extractor.extract(parity_image)
         offers = np.concatenate(described)
         items, heap_stats = _heap_replay(offers, extractor.config.max_features)
@@ -236,7 +253,7 @@ class TestComputeEngineSpeedup:
         import time
 
         from repro.features.orb import ExtractionProfile
-        from repro.image import ImagePyramid, gaussian_blur
+        from repro.image import ImagePyramid
 
         config = ExtractorConfig(
             image_width=320,
@@ -253,15 +270,15 @@ class TestComputeEngineSpeedup:
         )
         assert xs.size > 200
         timings = {}
-        for backend_class in (ReferenceBackend, VectorizedBackend):
-            backend = backend_class(config)
-            backend.describe(smoothed, xs, ys, scores)  # warm-up
+        for engine_class in (ReferenceEngine, VectorizedEngine):
+            engine = engine_class(config)
+            engine.describe(smoothed, xs, ys, scores)  # warm-up
             best = float("inf")
             for _ in range(3):
                 start = time.perf_counter()
-                backend.describe(smoothed, xs, ys, scores)
+                engine.describe(smoothed, xs, ys, scores)
                 best = min(best, time.perf_counter() - start)
-            timings[backend.name] = best
+            timings[engine.name] = best
         assert timings["reference"] / timings["vectorized"] >= 5.0
 
 
@@ -298,7 +315,7 @@ class TestSharedEngine:
         assert [record.sequence for record in records] == ["fr1/xyz", "fr1/desk"]
         summary = runner.summary()
         assert summary["runs"] == 2
-        assert summary["backend"] == "vectorized"
+        assert summary["engine"] == "vectorized"
 
     def test_batch_runner_rejects_resolution_mismatch(self):
         from repro.analysis import BatchRunner

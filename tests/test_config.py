@@ -110,7 +110,7 @@ class TestExtractorConfig:
         assert ENGINES == ("reference", "vectorized", "hwexact")
         for name in ENGINES:
             extractor = OrbExtractor(ExtractorConfig(engine=name))
-            assert (extractor.frontend.name, extractor.backend.name) == (name, name)
+            assert extractor.engine.name == name
 
 
 class TestRegistryErrorMessages:

@@ -1,11 +1,12 @@
-"""Detection-engine parity: the vectorized front-end must be bit-identical.
+"""Detection parity: the vectorized engine's front end must be bit-identical.
 
-The ``vectorized`` detection engine replaces the dense per-stage front-end
+The ``vectorized`` engine's detection and smoothing replace the dense per-stage front-end
 (full corner map, full Harris map, per-survivor NMS tie-break loop) with a
 fused arc-LUT / sparse-Harris / loop-free-NMS pass.  These tests pin down
 that it is a pure reformulation — same corner sets, same Harris scores (to
 the bit), same NMS survivors including tie chains, same retained features
-for both workflow orders — on randomized synthetic images.
+for both workflow orders — on randomized synthetic images.  They also
+cover engine selection by name.
 """
 
 import numpy as np
@@ -26,7 +27,7 @@ from repro.features import (
     suppress_keypoints_sparse,
 )
 from repro.features.fast import FAST_CARDINAL_POSITIONS, cardinal_prefilter_lut
-from repro.frontend import HwExactEngine, ReferenceEngine, VectorizedEngine
+from repro.engines import HwExactEngine, ReferenceEngine, VectorizedEngine
 from repro.image import GrayImage, checkerboard, gaussian_blur, random_blocks
 
 
@@ -47,28 +48,28 @@ def engines():
     return ReferenceEngine(config), VectorizedEngine(config)
 
 
+_ENGINE_CLASSES = {
+    "reference": ReferenceEngine,
+    "vectorized": VectorizedEngine,
+    "hwexact": HwExactEngine,
+}
+
+
 class TestEngineRegistry:
-    """Engine selection: each engine name builds the detection engine of that name."""
+    """Engine selection: each engine name builds the engine of that name."""
 
     def test_builtin_engines_registered(self):
         for name in ENGINES:
-            assert OrbExtractor(ExtractorConfig(engine=name)).frontend.name == name
+            assert OrbExtractor(ExtractorConfig(engine=name)).engine.name == name
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError):
             ExtractorConfig(engine="nonexistent")
 
     def test_config_selects_engine_class(self):
-        assert isinstance(
-            OrbExtractor(ExtractorConfig(engine="reference")).frontend, ReferenceEngine
-        )
-        assert isinstance(
-            OrbExtractor(ExtractorConfig(engine="vectorized")).frontend, VectorizedEngine
-        )
-        assert isinstance(
-            OrbExtractor(ExtractorConfig(engine="hwexact")).frontend, HwExactEngine
-        )
-        assert OrbExtractor().frontend.name == "vectorized"  # the default
+        for name, engine_class in _ENGINE_CLASSES.items():
+            assert type(OrbExtractor(ExtractorConfig(engine=name)).engine) is engine_class
+        assert type(OrbExtractor().engine) is VectorizedEngine  # the default
 
     def test_invalid_frontend_config_rejected(self):
         with pytest.raises(ValueError):

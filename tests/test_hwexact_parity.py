@@ -1,32 +1,39 @@
-"""hwexact parity: the quantized engine pair vs the hardware model.
+"""hwexact parity: the quantized engine vs the hardware model.
 
-The ``hwexact`` detection engine and keypoint backend run the FPGA model's
+The ``hwexact`` extraction engine runs the FPGA model's
 fixed-point arithmetic batched over whole levels; the hardware model's
 :meth:`~repro.hw.OrbExtractorAccelerator.extract_quantized` drives the same
 arithmetic unit by unit (per-window FAST/Harris, per-feature orientation and
 BRIEF, scalar heap offers).  These tests pin down that the two orchestrations
-are bit-identical — kernels first, then end to end — and that the quantized
-pair runs full synthetic-TUM sequences through the SLAM stack.
+are bit-identical — kernels first, then end to end — that its detection
+reuses the ``vectorized`` FAST pass exactly, and that the quantized engine
+runs full synthetic-TUM sequences through the SLAM stack.
 """
 
 import numpy as np
 import pytest
 
-from repro.backends.hwexact import HwExactBackend
-from repro.config import ExtractorConfig, PyramidConfig, SlamConfig, TrackerConfig
+from repro.config import ExtractorConfig, FastConfig, PyramidConfig, SlamConfig, TrackerConfig
 from repro.dataset import SequenceSpec, make_sequence
 from repro.errors import HardwareModelError
-from repro.features import OrbExtractor, OrientationGrid, intensity_centroids
-from repro.frontend.hwexact import HwExactEngine
+from repro.engines import HwExactEngine
+from repro.features import (
+    OrbExtractor,
+    OrientationGrid,
+    fast_corner_mask,
+    intensity_centroids,
+    suppress_keypoints_sparse,
+)
 from repro.hw import OrbExtractorAccelerator
 from repro.hw.orb_extractor import FastDetectionUnit, ImageSmootherUnit, OrientationUnit
-from repro.image import GrayImage, random_blocks
+from repro.image import GrayImage, checkerboard, random_blocks, within_border
 from repro.quant import (
     HARRIS_SCORE_FORMAT,
     harris_scores_quantized,
     harris_window_score_quantized,
     orientation_bins_quantized,
 )
+from repro.quant.kernels import HARRIS_WINDOW_RADIUS
 from repro.analysis import (
     BatchRunner,
     compare_float_vs_fixed_extraction,
@@ -55,18 +62,65 @@ def texture():
 class TestHwExactRegistry:
     def test_config_selects_hwexact_classes(self):
         extractor = OrbExtractor(_config())
-        assert isinstance(extractor.frontend, HwExactEngine)
-        assert isinstance(extractor.backend, HwExactBackend)
-        assert extractor.frontend.name == "hwexact"
-        assert extractor.backend.name == "hwexact"
+        assert isinstance(extractor.engine, HwExactEngine)
+        assert extractor.engine.name == "hwexact"
 
     def test_backend_requires_rs_brief(self):
         with pytest.raises(HardwareModelError):
-            HwExactBackend(ExtractorConfig(use_rs_brief=False))
+            HwExactEngine(ExtractorConfig(use_rs_brief=False))
 
     def test_engine_construction(self):
         engine = HwExactEngine(_config())
         assert int(engine._kernel_fixed.sum()) == 256
+
+
+def _dense_quantized_detect(image: GrayImage, fast: FastConfig):
+    """hwexact detection composed from the dense reference FAST mask."""
+    mask = fast_corner_mask(image, fast)
+    ys, xs = np.nonzero(mask)
+    xs, ys = xs.astype(np.int64), ys.astype(np.int64)
+    inside = within_border(xs, ys, image.shape, HARRIS_WINDOW_RADIUS)
+    xs, ys = xs[inside], ys[inside]
+    scores = harris_scores_quantized(image, xs, ys).astype(np.float64)
+    positive = scores > 0
+    xs, ys, scores = xs[positive], ys[positive], scores[positive]
+    keep = suppress_keypoints_sparse(xs, ys, scores, image.shape, radius=1)
+    return xs[keep], ys[keep], scores[keep], int(mask.sum())
+
+
+# (image, whether FAST borders >= 3 take the dense fallback of _fast_corners)
+_FAST_REUSE_IMAGES = {
+    "blocks": (random_blocks(120, 160, block=10, seed=7), False),
+    "checkerboard": (checkerboard(96, 128, square=5), True),
+}
+
+
+class TestFastReuse:
+    """hwexact detects with the vectorized two-stage FAST pass, exactly."""
+
+    @pytest.mark.parametrize("threshold", [5, 20, 60])
+    @pytest.mark.parametrize("border", [1, 2, 3, 16])
+    @pytest.mark.parametrize("image_name", list(_FAST_REUSE_IMAGES))
+    def test_matches_dense_mask_composition(self, image_name, border, threshold):
+        image, dense_fallback = _FAST_REUSE_IMAGES[image_name]
+        fast = FastConfig(border=border, threshold=threshold)
+        engine = HwExactEngine(ExtractorConfig(fast=fast))
+        fallback_calls = []
+        dense = engine._fast_corners_dense
+
+        def recording_dense(*args):
+            fallback_calls.append(args)
+            return dense(*args)
+
+        engine._fast_corners_dense = recording_dense
+        xs, ys, scores, corners = engine.detect_with_count(image)
+        ref_xs, ref_ys, ref_scores, ref_corners = _dense_quantized_detect(image, fast)
+        assert corners == ref_corners > 0
+        assert np.array_equal(xs, ref_xs) and np.array_equal(ys, ref_ys)
+        assert scores.tobytes() == ref_scores.tobytes()
+        assert xs.size > 0
+        # borders below 3 take the dense reference mask, not either stage
+        assert bool(fallback_calls) == (dense_fallback and border >= 3)
 
 
 class TestQuantizedHarrisParity:
@@ -170,8 +224,6 @@ class TestEndToEndParity:
         assert report["rows"][0]["engine_features"] > 30
 
     def test_hw_model_rejects_partial_windows(self):
-        from repro.config import FastConfig
-
         config = _config(fast=FastConfig(border=2))
         with pytest.raises(HardwareModelError):
             OrbExtractorAccelerator(config).extract_quantized(
@@ -215,7 +267,7 @@ class TestHwExactAtScale:
         ]
         records = runner.run_all(specs)
         assert len(records) == 2
-        assert runner.summary()["backend"] == "hwexact"
+        assert runner.summary()["engine"] == "hwexact"
         assert all(np.isfinite(record.ate_mean_cm) for record in records)
 
 

@@ -47,8 +47,7 @@ class TestFrameServer:
         extractor = OrbExtractor(serving_config)
         with FrameServer(extractor=extractor) as server:
             assert server.extractor is extractor
-            assert server.extractor.frontend is extractor.frontend
-            assert server.extractor.backend is extractor.backend
+            assert server.extractor.engine is extractor.engine
 
     def test_stats_and_bounded_in_flight(self, serving_config, serving_images):
         with FrameServer(
@@ -135,8 +134,7 @@ class TestServingEngineMatrix:
         sequential = [extractor.extract(image) for image in serving_images[:4]]
         with FrameServer(extractor=extractor, max_workers=3) as server:
             served = server.extract_many(serving_images[:4])
-        assert extractor.frontend.name == engine
-        assert extractor.backend.name == engine
+        assert extractor.engine.name == engine
         for seq_result, par_result in zip(sequential, served):
             assert _feature_key(seq_result) == _feature_key(par_result)
             assert vars(seq_result.profile) == vars(par_result.profile)
@@ -158,4 +156,4 @@ class TestParallelBatchRunner:
         par_records = parallel.run_all_parallel(specs, max_workers=3)
         assert par_records == seq_records
         assert parallel.records == sequential.records  # appended in spec order
-        assert parallel.summary()["backend"] == "vectorized"
+        assert parallel.summary()["engine"] == "vectorized"
