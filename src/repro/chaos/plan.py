@@ -8,15 +8,13 @@ killed every 8th frame, seeded at 7" and replay exactly that storm on
 every run, instead of poking workers from an unsynchronised timer thread
 whose interleaving never reproduces.
 
-Three fault kinds cover the failure surfaces of
+Two fault kinds cover the failure surfaces of
 :class:`~repro.cluster.ClusterServer`:
 
 * ``kill`` — SIGKILL one worker (→ crash handling: requeue/retry under
   supervision, structured failure without);
 * ``stall`` — SIGSTOP one worker for ``duration_s`` (→ heartbeat stall
-  detection; the supervisor kills and respawns it);
-* ``slow_frame`` — sleep ``duration_s`` in the producer before the
-  submission (→ load-pattern shaping for elasticity tests).
+  detection; the supervisor kills and respawns it).
 
 Faults fire *synchronously inside* ``submit`` (the server calls
 :meth:`FaultPlan.on_submit` before any resource is acquired for the job),
@@ -31,14 +29,13 @@ from __future__ import annotations
 
 import random
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ReproError
 
 #: Fault kinds a plan may schedule.
-FAULT_KINDS = ("kill", "stall", "slow_frame")
+FAULT_KINDS = ("kill", "stall")
 
 
 @dataclass(frozen=True)
@@ -46,8 +43,8 @@ class FaultEvent:
     """One scheduled fault.
 
     ``at_submit`` is the submission index (the cluster's job counter) the
-    fault fires at; ``worker_id`` is a *preference* — a dead or retired
-    preference falls back to the first alive worker, so a storm schedule
+    fault fires at; ``worker_id`` is a *preference* — a dead preference
+    falls back to the first alive worker, so a storm schedule
     stays meaningful even after earlier faults changed the pool.
     """
 
@@ -162,8 +159,6 @@ class FaultPlan:
             target = server.chaos_kill(event.worker_id)
         elif event.kind == "stall":
             target = server.chaos_stall(event.worker_id, duration_s=event.duration_s)
-        elif event.kind == "slow_frame":
-            time.sleep(event.duration_s)
         if journal is not None:
             journal.log(
                 f"chaos_{event.kind}",

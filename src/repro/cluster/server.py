@@ -1,11 +1,11 @@
-"""Process-sharded frame serving: one engine per worker process.
+"""Process-sharded frame serving: one extraction engine per worker process.
 
 :class:`ClusterServer` is the multi-core counterpart of
 :class:`repro.serving.FrameServer`.  The thread server keeps one engine busy
 from many threads, but every Python-level stage of the extractor shares the
 producer's GIL, so serving saturates near one host core.  The cluster
-spawns ``num_workers`` worker *processes*, each owning a full
-engine/backend pair (any registered pair: ``reference``, ``vectorized``,
+spawns ``num_workers`` worker *processes*, each owning the extraction
+engine its configuration names (``reference``, ``vectorized`` or
 ``hwexact``), and moves pixels through a shared-memory ring
 (:mod:`repro.cluster.shared_ring`) so no frame is ever pickled.
 
@@ -14,8 +14,7 @@ Semantics mirror the thread server deliberately:
 * **back-pressure** — at most ``max_in_flight`` frames are in flight; a
   submit beyond that blocks the producer on a condition variable (woken
   the instant a completion frees the window) instead of queueing unbounded
-  pixels — or, with ``on_overload`` set to ``"fail_fast"`` /
-  ``"degrade_to_local"``, sheds the submission instead of blocking;
+  pixels;
 * **in-order results** — :meth:`ClusterServer.extract_many` returns results
   in submission order regardless of worker completion order;
 * **identical output** — every worker builds its engine from the same
@@ -23,40 +22,37 @@ Semantics mirror the thread server deliberately:
   function, and the shared-memory transports are byte-exact, so results are
   bit-identical to sequential extraction (``tests/test_cluster.py``,
   ``tests/test_chaos.py``) no matter which worker ends up running a frame
-  — including frames that were stolen, requeued after a crash, or served
-  by the in-process degrade fallback;
+  — including frames requeued after a crash;
 * **clean lifecycle** — context manager, graceful drain on idempotent
   close, and crashed-worker handling: **unsupervised** (default), a dead
   worker fails its submissions with a :class:`~repro.errors.ReproError`
   and the cluster serves on survivors; **supervised** (pass a
   :class:`~repro.cluster.supervisor.SupervisorConfig`), a dead worker is
   respawned under capped exponential backoff and its jobs are *requeued*
-  through the router instead of failed, bounded by ``max_retries`` and the
+  to alive workers instead of failed, bounded by ``max_retries`` and the
   per-job ``deadline_s`` — past either budget the job fails with a
   structured :class:`~repro.errors.JobFailed` carrying its attempt
   history.
 
-Placement is delegated to a :class:`~repro.cluster.router.ShardPolicy`
-(``round_robin``, ``by_sequence`` or the load-aware ``least_loaded``,
-which reads a live per-worker :class:`~repro.cluster.router.WorkerLoad`
-view — queue depth + EWMA latency — snapshotted from :class:`ClusterStats`
-at routing time).  A **dispatcher thread** hands each worker at most
-:data:`DISPATCH_DEPTH` jobs at a time and keeps the rest in per-worker
-backlogs; with ``work_stealing=True`` an idle worker drains a saturated
-worker's backlog.  Stealing and crash requeueing move *where* a job runs,
-never *what* it computes: the job's future, frame ring slot and pixels
-are untouched, so results stay bit-identical and in submission order.
+Placement is one rule: job ``n`` goes to worker ``n % num_workers``; when
+that worker is down under supervision the job goes to the alive worker
+with the shallowest queue (lowest worker id on ties).  A **dispatcher
+thread** hands each worker at most :data:`DISPATCH_DEPTH` jobs at a time
+and keeps the rest in per-worker backlogs, where a crash requeue can still
+move them.  Requeueing moves *where* a job runs, never *what* it
+computes: the job's future, frame ring slot and pixels are untouched, so
+results stay bit-identical and in submission order.
 
 Every frame travels the same way: the producer copies its pixels into a
 :class:`~repro.cluster.shared_ring.SharedFrameRing` slot and the worker
 reads them through a view of that slot.  Results come back through the
 :class:`~repro.cluster.result_ring.SharedResultRing`, with a per-result
 pickle fallback (``docs/serving.md`` → Result transport).  Per-worker and
-aggregate counters — including restarts, retries, requeues, sheds, pool
-changes and the ``leaked_slots`` audit — live in :class:`ClusterStats`.
+aggregate counters — including restarts, retries, requeues and the
+``leaked_slots`` audit — live in :class:`ClusterStats`.
 
-Failure semantics (supervision, elasticity, shedding, deadline rules) are
-documented in ``docs/serving.md``.
+Failure semantics (supervision, deadlines, retry budgets) are documented
+in ``docs/serving.md``.
 """
 
 from __future__ import annotations
@@ -87,15 +83,11 @@ from ..telemetry import (
 )
 from .context import get_mp_context
 from .result_ring import RingSlotRef, SharedResultRing
-from .router import ShardPolicy, WorkerLoad, create_policy, route_to_alive
 from .shared_ring import SharedFrameRing
 from .supervisor import (
     WORKER_DEAD,
     WORKER_FAILED,
-    WORKER_RETIRED,
-    WORKER_RETIRING,
     WORKER_RUNNING,
-    ElasticityConfig,
     Supervisor,
     SupervisorConfig,
 )
@@ -105,15 +97,11 @@ from .worker import DEFAULT_RESULT_BATCH, SHUTDOWN, worker_main
 _HEALTH_POLL_S = 0.05
 
 #: Jobs handed to one worker's queue at a time.  Everything beyond this
-#: stays in the server-side backlog where the dispatcher can still steal
-#: it for an idle worker — and where a supervised requeue can still move
-#: it after a crash; small enough that stealing has material work to
-#: move, large enough that a worker is never starved between refills.
+#: stays in the server-side backlog, where a supervised requeue can still
+#: move it after a crash and a deadline can still expire it before it
+#: reaches a worker; large enough that a worker is never starved between
+#: refills.
 DISPATCH_DEPTH = 2
-
-#: Weight of the newest sample in the per-worker EWMA latency feeding the
-#: ``least_loaded`` load view.
-_EWMA_ALPHA = 0.2
 
 #: Safety net on ring acquisition.  Admission control guarantees a free
 #: slot exists whenever the ring is used (in-flight frames never exceed the
@@ -148,23 +136,19 @@ class WorkerStats:
     consume samples directly.
 
     ``state`` tracks the worker lifecycle (``running`` / ``dead`` /
-    ``failed`` / ``retiring`` / ``retired`` — see
-    :mod:`repro.cluster.supervisor`); ``alive`` stays the routing-facing
-    boolean and is true exactly while ``state == "running"``.
-    ``restarts`` counts supervised respawns of this worker slot.
+    ``failed`` — see :mod:`repro.cluster.supervisor`); ``alive`` stays the
+    routing-facing boolean and is true exactly while
+    ``state == "running"``.  ``restarts`` counts supervised respawns of
+    this worker slot.
     """
 
     def __init__(
-        self,
-        worker_id: int,
-        registry: Optional[MetricsRegistry] = None,
-        alive: bool = True,
-        state: str = WORKER_RUNNING,
+        self, worker_id: int, registry: Optional[MetricsRegistry] = None
     ) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.worker_id = worker_id
-        self.alive = alive
-        self.state = state
+        self.alive = True
+        self.state = WORKER_RUNNING
         # bounded recent-latency window (serving.frame_server.LATENCY_WINDOW)
         self.latencies_s: "deque[float]" = deque(maxlen=LATENCY_WINDOW)
         labels = {"worker": str(worker_id)}
@@ -183,19 +167,9 @@ class WorkerStats:
             help="frames owned by this worker (backlog + dispatched)",
             labels=labels,
         )
-        self._steals_counter = self.registry.counter(
-            "cluster_worker_steals_total",
-            help="jobs this worker stole from a saturated victim's backlog",
-            labels=labels,
-        )
         self._restarts_counter = self.registry.counter(
             "cluster_worker_restarts_total",
             help="supervised respawns of this worker slot",
-            labels=labels,
-        )
-        self._ewma_gauge = self.registry.gauge(
-            "cluster_worker_ewma_latency_s",
-            help="EWMA of this worker's per-frame latency (seconds)",
             labels=labels,
         )
         self._latency_histogram = self.registry.histogram(
@@ -232,28 +206,12 @@ class WorkerStats:
         self._queue_depth_gauge.set(value)
 
     @property
-    def steals(self) -> int:
-        return self._steals_counter.value
-
-    @steals.setter
-    def steals(self, value: int) -> None:
-        self._steals_counter.add(value - self._steals_counter.value)
-
-    @property
     def restarts(self) -> int:
         return self._restarts_counter.value
 
     @restarts.setter
     def restarts(self, value: int) -> None:
         self._restarts_counter.add(value - self._restarts_counter.value)
-
-    @property
-    def ewma_latency_s(self) -> float:
-        return self._ewma_gauge.value
-
-    @ewma_latency_s.setter
-    def ewma_latency_s(self, value: float) -> None:
-        self._ewma_gauge.set(value)
 
     def _observe_latency(self, latency_s: float) -> None:
         self.latencies_s.append(latency_s)
@@ -273,9 +231,7 @@ class WorkerStats:
             "frames_completed": self.frames_completed,
             "frames_failed": self.frames_failed,
             "queue_depth": self.queue_depth,
-            "steals": self.steals,
             "restarts": self.restarts,
-            "ewma_latency_ms": 1000.0 * self.ewma_latency_s,
             "alive": self.alive,
             "state": self.state,
             "latency_p50_ms": self.latency_p50_ms,
@@ -297,9 +253,8 @@ class ClusterStats:
 
     Field names match :class:`repro.serving.ServingStats` where the concept
     matches, so thread-server and cluster reports line up column for column.
-    On top of those, the routing/transport counters make the transports
-    observable: ``steals`` (jobs moved off a saturated worker's backlog),
-    ``frames_via_ring`` (frames carried by the frame ring) and
+    On top of those, the transport counters make the transports
+    observable: ``frames_via_ring`` (frames carried by the frame ring) and
     ``ring_bytes_copied`` (producer-side memcpy volume).  The return path
     has its own trio: ``results_zero_copy`` (results collected as packed
     arrays from the shared result ring), ``results_via_pickle`` (results
@@ -310,11 +265,9 @@ class ClusterStats:
     The robustness counters make failure handling observable:
     ``restarts`` (supervised worker respawns), ``requeued`` (jobs moved
     off a dead worker instead of failed), ``retries`` (requeued jobs that
-    had already been dispatched — i.e. actual re-executions), ``shed``
-    (submissions refused or served by the in-process degrade fallback
-    under overload), ``pool_grows`` / ``pool_shrinks`` (elastic membership
-    changes) and ``leaked_slots`` (transport slots that had to be
-    force-reclaimed — zero in a healthy run, asserted by the chaos tests).
+    had already been dispatched — i.e. actual re-executions) and
+    ``leaked_slots`` (transport slots that had to be force-reclaimed —
+    zero in a healthy run, asserted by the chaos tests).
     """
 
     #: aggregate counter attributes -> registry metric names; each becomes a
@@ -323,7 +276,6 @@ class ClusterStats:
         "frames_submitted": "cluster_frames_submitted_total",
         "frames_completed": "cluster_frames_completed_total",
         "frames_failed": "cluster_frames_failed_total",
-        "steals": "cluster_steals_total",
         "frames_via_ring": "cluster_frames_via_ring_total",
         "ring_bytes_copied": "cluster_ring_bytes_copied_total",
         "results_zero_copy": "cluster_results_zero_copy_total",
@@ -332,9 +284,6 @@ class ClusterStats:
         "restarts": "cluster_restarts_total",
         "retries": "cluster_retries_total",
         "requeued": "cluster_requeued_total",
-        "shed": "cluster_shed_total",
-        "pool_grows": "cluster_pool_grows_total",
-        "pool_shrinks": "cluster_pool_shrinks_total",
         "leaked_slots": "cluster_leaked_slots_total",
     }
 
@@ -403,13 +352,6 @@ class ClusterStats:
             worker.frames_completed += 1
             worker.queue_depth -= 1
             worker._observe_latency(latency_s)
-            if worker.frames_completed == 1:
-                worker.ewma_latency_s = latency_s
-            else:
-                worker.ewma_latency_s = (
-                    (1.0 - _EWMA_ALPHA) * worker.ewma_latency_s
-                    + _EWMA_ALPHA * latency_s
-                )
             self._touch_window()
 
     def _failed(self, worker_id: int) -> None:
@@ -428,14 +370,6 @@ class ClusterStats:
             self._counters["frames_submitted"].add(-1)
             self._in_flight_gauge.dec()
             self.workers[worker_id].queue_depth -= 1
-
-    def _stolen(self, victim_id: int, thief_id: int) -> None:
-        """Move one queued job's accounting from ``victim`` to ``thief``."""
-        with self._lock:
-            self._counters["steals"].inc()
-            self.workers[thief_id].steals += 1
-            self.workers[victim_id].queue_depth -= 1
-            self.workers[thief_id].queue_depth += 1
 
     def _via_ring(self, bytes_copied: int) -> None:
         """Record one frame carried by the frame ring and its copy volume."""
@@ -467,33 +401,14 @@ class ClusterStats:
             self._counters["restarts"].inc()
             self.workers[worker_id].restarts += 1
 
-    def _shed(self) -> None:
-        with self._lock:
-            self._counters["shed"].inc()
-
-    def _pool_grew(self) -> None:
-        with self._lock:
-            self._counters["pool_grows"].inc()
-
-    def _pool_shrank(self) -> None:
-        with self._lock:
-            self._counters["pool_shrinks"].inc()
-
     def _leaked(self, count: int) -> None:
         with self._lock:
             self._counters["leaked_slots"].inc(count)
 
-    def _add_worker(
-        self, alive: bool = False, state: str = WORKER_RETIRED
-    ) -> WorkerStats:
-        """Append stats for one worker slot (elastic growth starts not alive)."""
+    def _add_worker(self) -> WorkerStats:
+        """Append stats for one running worker slot."""
         with self._lock:
-            worker = WorkerStats(
-                worker_id=len(self.workers),
-                registry=self.registry,
-                alive=alive,
-                state=state,
-            )
+            worker = WorkerStats(worker_id=len(self.workers), registry=self.registry)
             self.workers.append(worker)
             return worker
 
@@ -551,19 +466,6 @@ class ClusterStats:
             return 0.0
         return self.frames_completed / active
 
-    def load_view(self) -> List[WorkerLoad]:
-        """Per-worker load snapshot fed to load-aware shard policies."""
-        with self._lock:
-            return [
-                WorkerLoad(
-                    worker_id=worker.worker_id,
-                    queue_depth=worker.queue_depth,
-                    ewma_latency_s=worker.ewma_latency_s,
-                    alive=worker.alive,
-                )
-                for worker in self.workers
-            ]
-
     def as_dict(self) -> Dict[str, object]:
         """JSON-friendly snapshot (benchmark reports).
 
@@ -578,7 +480,6 @@ class ClusterStats:
             "frames_failed": self.frames_failed,
             "max_in_flight": self.max_in_flight,
             "queue_depth": self.queue_depth,
-            "steals": self.steals,
             "frames_via_ring": self.frames_via_ring,
             "ring_bytes_copied": self.ring_bytes_copied,
             "results_zero_copy": self.results_zero_copy,
@@ -587,9 +488,6 @@ class ClusterStats:
             "restarts": self.restarts,
             "retries": self.retries,
             "requeued": self.requeued,
-            "shed": self.shed,
-            "pool_grows": self.pool_grows,
-            "pool_shrinks": self.pool_shrinks,
             "leaked_slots": self.leaked_slots,
             "latency_p50_ms": self.latency_p50_ms,
             "latency_p95_ms": self.latency_p95_ms,
@@ -604,7 +502,7 @@ class ClusterStats:
 @dataclass
 class _PendingJob:
     future: "Future[ExtractionResult]"
-    worker_id: int  # current owner: backlog shard, or executor once dispatched
+    worker_id: int  # current owner: backlog, or executor once dispatched
     slot: int  # frame ring slot holding the pixels
     key: int  # frame id (the caller's, or the job id when none supplied)
     height: int = 0  # frame shape, kept so a requeue can rebuild the message
@@ -619,88 +517,35 @@ class _PendingJob:
         return (job_id, self.key, self.slot, self.height, self.width)
 
 
-class _SequenceShard:
-    """Protocol adapter binding one shard key to a cluster server.
-
-    Satisfies the frame-serving protocol (``submit`` / ``max_in_flight`` /
-    ``extractor_config``), so a ``by_sequence`` cluster can drive
-    :meth:`repro.slam.SlamSystem.run` — every frame of the sequence lands on
-    the worker the key hashes to.  Lifecycle stays with the parent server.
-    """
-
-    def __init__(self, server: "ClusterServer", shard_key: int) -> None:
-        self._server = server
-        self.shard_key = int(shard_key)
-
-    @property
-    def extractor_config(self) -> ExtractorConfig:
-        return self._server.extractor_config
-
-    @property
-    def max_in_flight(self) -> int:
-        return self._server.max_in_flight
-
-    def submit(
-        self,
-        image: GrayImage,
-        frame_id: Optional[int] = None,
-        deadline_s: Optional[float] = None,
-    ) -> "Future[ExtractionResult]":
-        return self._server.submit(
-            image, shard_key=self.shard_key, frame_id=frame_id, deadline_s=deadline_s
-        )
-
-
 class ClusterServer:
     """Multi-process sharded frame extraction with shared-memory transport.
 
     Parameters
     ----------
     config:
-        Extractor configuration every worker builds its engine pair from
-        (defaults to :class:`~repro.config.ExtractorConfig`).  The shared
-        ring sizes its slots for ``config.image_shape``; larger frames are
-        rejected at submit.
+        Extractor configuration every worker builds its extraction engine
+        from (defaults to :class:`~repro.config.ExtractorConfig`).  The
+        shared ring sizes its slots for ``config.image_shape``; larger
+        frames are rejected at submit.
     num_workers:
-        Initial worker process count (shards).
-    policy:
-        Shard policy name (``"round_robin"``, ``"by_sequence"`` or
-        ``"least_loaded"``) or a :class:`~repro.cluster.router.ShardPolicy`
-        instance.
+        Worker process count; job ``n`` goes to worker
+        ``n % num_workers``.
     max_in_flight:
         Back-pressure bound across the whole cluster; defaults to
         ``2 * num_workers`` like the thread server.
     start_method:
         ``multiprocessing`` start method; defaults to ``fork`` where
         available (fast spin-up), else ``spawn``.
-    work_stealing:
-        When True, an idle worker (own backlog empty, dispatch window
-        open) is handed the oldest backlog job of a saturated worker.
-        Results stay bit-identical and in submission order — stealing
-        only relocates execution — but it deliberately overrides
-        ``by_sequence`` affinity under load imbalance, so it is opt-in.
     supervision:
         A :class:`~repro.cluster.supervisor.SupervisorConfig` turns crash
         handling from fail-fast into self-healing: dead workers respawn
         under capped exponential backoff, stalled workers (heartbeat) are
-        killed and respawned, and their jobs are requeued through the
-        router within ``max_retries`` / ``deadline_s`` budgets.
-    elasticity:
-        An :class:`~repro.cluster.supervisor.ElasticityConfig` lets the
-        control loop grow the pool to ``max_workers`` under queue
-        pressure and retire idle workers down to ``min_workers``.
-    on_overload:
-        What ``submit`` does when the cluster cannot take the frame right
-        now (in-flight window full, or no alive worker): ``"block"``
-        (default — wait, the thread-server semantics), ``"fail_fast"``
-        (raise :class:`~repro.errors.JobFailed` immediately) or
-        ``"degrade_to_local"`` (extract in-process with the same
-        configuration — bit-identical, slower, counted in
-        ``ClusterStats.shed``).
+        killed and respawned, and their jobs are requeued to alive
+        workers within ``max_retries`` / ``deadline_s`` budgets.
     fault_plan:
         A :class:`repro.chaos.FaultPlan` whose scheduled faults (worker
-        kills/stalls, slow frames) fire synchronously inside ``submit`` —
-        the chaos-test entry point.
+        kills and stalls) fire synchronously inside ``submit`` — the
+        chaos-test entry point.
     registry:
         A :class:`~repro.telemetry.MetricsRegistry` to expose every
         ``cluster_*`` metric through (one is created when omitted;
@@ -715,22 +560,17 @@ class ClusterServer:
         :class:`~repro.telemetry.Trace`.
     journal:
         An :class:`~repro.telemetry.EventJournal` receiving every
-        supervision/routing event (restarts, steals, sheds, requeues,
-        pool changes, leak reclaims) — always on; one is
-        created when omitted.
+        supervision event (deaths, restarts, requeues, expiries, leak
+        reclaims) — always on; one is created when omitted.
     """
 
     def __init__(
         self,
         config: Optional[ExtractorConfig] = None,
         num_workers: int = 2,
-        policy: str | ShardPolicy = "round_robin",
         max_in_flight: Optional[int] = None,
         start_method: Optional[str] = None,
-        work_stealing: bool = False,
         supervision: Optional[SupervisorConfig] = None,
-        elasticity: Optional[ElasticityConfig] = None,
-        on_overload: str = "block",
         fault_plan=None,
         registry: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
@@ -738,43 +578,27 @@ class ClusterServer:
     ) -> None:
         if num_workers <= 0:
             raise ReproError("num_workers must be positive")
-        if on_overload not in ("block", "fail_fast", "degrade_to_local"):
-            raise ReproError(
-                "on_overload must be one of 'block', 'fail_fast', "
-                f"'degrade_to_local', not {on_overload!r}"
-            )
-        if elasticity is not None and elasticity.min_workers > num_workers:
-            raise ReproError("num_workers must be >= elasticity.min_workers")
         self.config = config or ExtractorConfig()
         self.num_workers = num_workers
         self.max_in_flight = 2 * num_workers if max_in_flight is None else max_in_flight
         if self.max_in_flight < num_workers:
             raise ReproError("max_in_flight must be >= num_workers")
-        self.policy = policy if isinstance(policy, ShardPolicy) else create_policy(policy)
-        self.work_stealing = bool(work_stealing)
         self.supervision = supervision
-        self.elasticity = elasticity
-        self.on_overload = on_overload
         self.fault_plan = fault_plan
         self._context = get_mp_context(start_method)
         self._slot_bytes = self.config.image_height * self.config.image_width
         self._ring = SharedFrameRing(self.max_in_flight, self._slot_bytes)
-        capacity = num_workers
-        if elasticity is not None:
-            capacity = max(capacity, elasticity.max_workers)
         # heartbeat board: one monotonic timestamp per worker slot, written
         # by the worker between jobs, read by the supervisor's stall check;
         # torn double reads are tolerable (the check is a heuristic and a
         # false kill only costs a retry, never a wrong result)
-        self._heartbeats = self._context.Array("d", capacity, lock=False)
-        self._worker_capacity = capacity
-        # result ring: one slot range per worker slot (elastic capacity
-        # included, like the heartbeat board).  A range holds enough slots
-        # for a full unflushed batch plus the dispatch window that can be
-        # in flight ahead of the collector; a momentarily exhausted range
-        # just falls back to pickling that result.
+        self._heartbeats = self._context.Array("d", num_workers, lock=False)
+        # result ring: one slot range per worker slot.  A range holds
+        # enough slots for a full unflushed batch plus the dispatch window
+        # that can be in flight ahead of the collector; a momentarily
+        # exhausted range just falls back to pickling that result.
         self._result_ring = SharedResultRing(
-            capacity,
+            num_workers,
             DEFAULT_RESULT_BATCH + DISPATCH_DEPTH + 2,
             max_packed_nbytes(self.config),
         )
@@ -789,7 +613,7 @@ class ClusterServer:
         self._trace = Trace()
         self.stats = ClusterStats(registry=self.registry)
         for _ in range(num_workers):
-            self.stats._add_worker(alive=True, state=WORKER_RUNNING)
+            self.stats._add_worker()
         # transport occupancy as callback gauges: read live from the rings at
         # snapshot time instead of mirroring every acquire/release
         self.registry.gauge(
@@ -821,8 +645,6 @@ class ClusterServer:
         self._closing = False
         self._close_lock = threading.Lock()
         self._draining = False
-        self._local_extractor = None
-        self._local_lock = threading.Lock()
         self._stall_timers: List[threading.Timer] = []
         # admission window: one condition variable is the whole back-pressure
         # story — completions notify it, so a blocked submit wakes in
@@ -866,8 +688,8 @@ class ClusterServer:
         )
         self._collector.start()
         self._supervisor: Optional[Supervisor] = None
-        if supervision is not None or elasticity is not None:
-            self._supervisor = Supervisor(self, supervision, elasticity)
+        if supervision is not None:
+            self._supervisor = Supervisor(self, supervision)
             self._supervisor.start()
 
     def _start_worker_process(self, worker_id: int, job_queue, result_queue):
@@ -894,12 +716,8 @@ class ClusterServer:
     # -- protocol ----------------------------------------------------------
     @property
     def extractor_config(self) -> ExtractorConfig:
-        """Configuration every worker's engine pair was built from."""
+        """Configuration every worker's extraction engine was built from."""
         return self.config
-
-    def sequence_handle(self, shard_key: int) -> _SequenceShard:
-        """Frame-serving view pinned to ``shard_key`` (``by_sequence`` use)."""
-        return _SequenceShard(self, shard_key)
 
     def trace(self) -> Trace:
         """The merged cross-process trace of this server's run so far.
@@ -916,16 +734,10 @@ class ClusterServer:
         """Worker ids currently serving (``state == "running"``)."""
         return [worker.worker_id for worker in self.stats.workers if worker.alive]
 
-    @property
-    def pool_size(self) -> int:
-        """Number of alive workers (the elastic pool's current size)."""
-        return len(self.alive_worker_ids())
-
     # -- serving -----------------------------------------------------------
     def submit(
         self,
         image: GrayImage,
-        shard_key: Optional[int] = None,
         frame_id: Optional[int] = None,
         deadline_s: Optional[float] = None,
     ) -> "Future[ExtractionResult]":
@@ -938,9 +750,7 @@ class ClusterServer:
         ``deadline_s`` optionally bounds the frame's total serving budget;
         a supervised cluster fails the job with
         :class:`~repro.errors.JobFailed` (attempt history attached) instead
-        of retrying it past the budget.  With ``on_overload`` set to
-        ``"fail_fast"`` or ``"degrade_to_local"`` an overloaded cluster
-        sheds the submission instead of blocking.  Raises
+        of retrying it past the budget.  Raises
         :class:`~repro.errors.ReproError` when the server is closed, the
         routed worker has died (unsupervised), or every worker has died
         with no restart pending.
@@ -959,23 +769,16 @@ class ClusterServer:
             self.fault_plan.on_submit(self, job_id)
         submitted_s = time.perf_counter()
         deadline = submitted_s + deadline_s if deadline_s is not None else None
-        if self.on_overload == "block":
-            self._acquire_admission()
-        elif not self._try_acquire_admission():
-            return self._shed_submission(image, "cluster saturated")
+        self._acquire_admission()
         slot: Optional[int] = None
         registered = False
         worker_id = 0
         try:
             while True:
-                worker_id = self._route_once(job_id, shard_key)
+                worker_id = self._route_once(job_id)
                 if worker_id is not None:
                     break
-                if self.on_overload == "block":
-                    self._wait_for_alive_worker()
-                    continue
-                self._release_admission()
-                return self._shed_submission(image, "no alive worker (rebuilding)")
+                self._wait_for_alive_worker()
             future: "Future[ExtractionResult]" = Future()
             with self.tracer.span("ring_write", frame=key):
                 slot = self._ring.acquire(timeout=_RING_ACQUIRE_TIMEOUT_S)
@@ -1032,29 +835,33 @@ class ClusterServer:
             self._release_admission()
             raise
 
-    def _route_once(self, job_id: int, shard_key: Optional[int]) -> Optional[int]:
+    def _route_once(self, job_id: int) -> Optional[int]:
         """One routing pass: an alive worker id, or ``None`` (supervised,
-        nothing alive right now — the caller waits or sheds)."""
-        loads = self.stats.load_view()
-        if not any(load.alive for load in loads):
-            if self.supervision is not None or self.on_overload != "block":
-                return None
-            raise ReproError("every cluster worker has died; serving halted")
-        worker_id = self.policy.route(job_id, shard_key, len(loads), loads=loads)
-        if not 0 <= worker_id < len(loads):
-            raise ReproError(
-                f"shard policy routed to worker {worker_id}, outside "
-                f"[0, {len(loads)})"
-            )
-        if loads[worker_id].alive:
+        nothing alive right now — the caller waits for a restart).
+
+        Job ``n`` goes to worker ``n % num_workers``.  When that worker is
+        down, a supervised cluster reroutes to the shallowest alive queue;
+        an unsupervised one fails the submission.
+        """
+        workers = self.stats.workers
+        worker_id = job_id % self.num_workers
+        if workers[worker_id].alive:
             return worker_id
-        if self.supervision is None and self.elasticity is None:
-            raise ReproError(
-                f"cluster worker {worker_id} has died; frame cannot be served"
-            )
-        # supervised/elastic: the policy's first choice is down (dead,
-        # restarting or retired) — reroute to the shallowest alive queue
-        return route_to_alive(loads)
+        if self.supervision is not None:
+            return self._shallowest_alive()
+        if not any(worker.alive for worker in workers):
+            raise ReproError("every cluster worker has died; serving halted")
+        raise ReproError(
+            f"cluster worker {worker_id} has died; frame cannot be served"
+        )
+
+    def _shallowest_alive(self) -> Optional[int]:
+        """The alive worker with the shallowest queue (lowest worker id on
+        ties), or ``None`` when no worker is alive."""
+        alive = [worker for worker in self.stats.workers if worker.alive]
+        if not alive:
+            return None
+        return min(alive, key=lambda w: (w.queue_depth, w.worker_id)).worker_id
 
     def _fallback_target_locked(self, worker_id: int) -> int:
         """Replacement owner when ``worker_id`` died after routing.
@@ -1064,14 +871,7 @@ class ClusterServer:
         acceptable parking spot while its restart is pending (the
         dispatcher skips non-alive workers and the respawn drains it).
         """
-        best: Optional[int] = None
-        best_load: Optional[Tuple[int, float, int]] = None
-        for worker in self.stats.workers:
-            if not worker.alive:
-                continue
-            load = (worker.queue_depth, worker.ewma_latency_s, worker.worker_id)
-            if best_load is None or load < best_load:
-                best, best_load = worker.worker_id, load
+        best = self._shallowest_alive()
         if best is not None:
             return best
         if self.supervision is None:
@@ -1086,56 +886,24 @@ class ClusterServer:
                 return candidate.worker_id
         raise ReproError("every cluster worker has died; serving halted")
 
-    def _shed_submission(
-        self, image: GrayImage, reason: str
-    ) -> "Future[ExtractionResult]":
-        """Refuse or locally serve one submission the cluster cannot take."""
-        self.stats._shed()
-        self.journal.log("shed", reason=reason, mode=self.on_overload)
-        attempt = JobAttempt(worker_id=-1, reason=f"shed: {reason}", elapsed_s=0.0)
-        if self.on_overload == "fail_fast":
-            raise JobFailed(f"submission shed: {reason}", (attempt,))
-        # degrade_to_local: same configuration, so the result is
-        # bit-identical to what a worker would have produced
-        future: "Future[ExtractionResult]" = Future()
-        try:
-            future.set_result(self._extract_locally(image))
-        except BaseException as error:  # surface through the future
-            future.set_exception(error)
-        return future
-
-    def _extract_locally(self, image: GrayImage) -> ExtractionResult:
-        with self._local_lock:
-            if self._local_extractor is None:
-                from ..features import OrbExtractor
-
-                self._local_extractor = OrbExtractor(self.config)
-            return self._local_extractor.extract(image)
-
     def extract_many(
         self,
         images: Iterable[GrayImage],
-        shard_keys: Optional[Sequence[int]] = None,
         frame_ids: Optional[Sequence[int]] = None,
     ) -> List[ExtractionResult]:
         """Extract every image across the cluster; results in submission order.
 
-        ``shard_keys`` optionally supplies one affinity key per image
-        (required by the ``by_sequence`` policy); ``frame_ids`` optionally
-        supplies one frame id per image (trace labels).  Submission interleaves with
-        completion through the bounded in-flight window, and the returned
-        list is reassembled in order regardless of which worker finished
-        first.
+        ``frame_ids`` optionally supplies one frame id per image (trace
+        labels).  Submission interleaves with completion through the
+        bounded in-flight window, and the returned list is reassembled in
+        order regardless of which worker finished first.
         """
-        futures = []
-        for index, image in enumerate(images):
-            futures.append(
-                self.submit(
-                    image,
-                    shard_key=shard_keys[index] if shard_keys is not None else None,
-                    frame_id=frame_ids[index] if frame_ids is not None else None,
-                )
+        futures = [
+            self.submit(
+                image, frame_id=frame_ids[index] if frame_ids is not None else None
             )
+            for index, image in enumerate(images)
+        ]
         return [future.result() for future in futures]
 
     # -- admission (back-pressure) -----------------------------------------
@@ -1168,16 +936,6 @@ class ClusterServer:
                     return
                 self._admission.wait(timeout=1.0)
 
-    def _try_acquire_admission(self) -> bool:
-        """Non-blocking admission: False when the window is full."""
-        with self._admission:
-            if self._closed:
-                raise ReproError("ClusterServer is closed")
-            if self._admitted < self.max_in_flight:
-                self._admitted += 1
-                return True
-            return False
-
     def _release_admission(self) -> None:
         with self._admission:
             self._admitted -= 1
@@ -1197,9 +955,9 @@ class ClusterServer:
                     raise ReproError("every cluster worker has died; serving halted")
                 self._admission.wait(timeout=0.05)
 
-    # -- dispatch / work stealing ------------------------------------------
+    # -- dispatch ----------------------------------------------------------
     def _dispatch_loop(self) -> None:
-        """Move backlog jobs into worker queues, stealing for idle workers."""
+        """Move backlog jobs into worker queues as dispatch windows open."""
         while True:
             with self._dispatch_cv:
                 assignment = None
@@ -1209,15 +967,13 @@ class ClusterServer:
                     assignment = self._next_assignment()
                     if assignment is None:
                         self._dispatch_cv.wait(timeout=0.2)
-                worker_id, message, victim_id = assignment
+                worker_id, message = assignment
                 self._dispatched[worker_id] += 1
                 job_id = message[0]
                 with self._lock:
                     job = self._pending.get(job_id)
                     if job is not None:
                         job.dispatched = True
-                        if victim_id is not None:
-                            job.worker_id = worker_id
             if job is None:
                 # the job expired or failed while queued; give the window
                 # back and drop the stale message
@@ -1226,11 +982,6 @@ class ClusterServer:
                         0, self._dispatched[worker_id] - 1
                     )
                 continue
-            if victim_id is not None:
-                self.stats._stolen(victim_id, worker_id)
-                self.journal.log(
-                    "steal", worker_id=worker_id, victim=victim_id, job=job_id
-                )
             if self.tracer.enabled:
                 # backlog wait: submit hand-off until the dispatcher moved
                 # the job toward a worker queue (cross-thread, async kind)
@@ -1247,34 +998,16 @@ class ClusterServer:
                 self._dispatch_failed(worker_id, job_id)
 
     def _next_assignment(self):
-        """One (worker, job, stolen-from) triple, or None.  Caller holds CV.
+        """One (worker, job message) pair, or None.  Caller holds the CV.
 
-        A worker with an open dispatch window takes its own backlog first;
-        with ``work_stealing`` it otherwise takes the oldest job from the
-        deepest backlog of a *saturated* worker (dispatch window full), so
-        stealing moves genuinely-waiting work and never races a victim that
-        would have dispatched the job itself in this same pass.
+        The first alive worker with an open dispatch window and a non-empty
+        backlog takes the oldest job of its own backlog.
         """
-        pool = len(self._backlogs)
-        for worker_id in range(pool):
-            if not self.stats.workers[worker_id].alive:
+        for worker_id, backlog in enumerate(self._backlogs):
+            if not backlog or not self.stats.workers[worker_id].alive:
                 continue
-            if self._dispatched[worker_id] >= DISPATCH_DEPTH:
-                continue
-            if self._backlogs[worker_id]:
-                return worker_id, self._backlogs[worker_id].popleft(), None
-            if not self.work_stealing:
-                continue
-            victim_id, victim_depth = None, 0
-            for other in range(pool):
-                if other == worker_id or not self.stats.workers[other].alive:
-                    continue
-                if self._dispatched[other] < DISPATCH_DEPTH:
-                    continue  # victim would drain its own backlog anyway
-                if len(self._backlogs[other]) > victim_depth:
-                    victim_id, victim_depth = other, len(self._backlogs[other])
-            if victim_id is not None:
-                return worker_id, self._backlogs[victim_id].popleft(), victim_id
+            if self._dispatched[worker_id] < DISPATCH_DEPTH:
+                return worker_id, backlog.popleft()
         return None
 
     def _dispatch_failed(self, worker_id: int, job_id: int) -> None:
@@ -1396,7 +1129,7 @@ class ClusterServer:
             # must not see the window shrink before the in-flight
             # counter does (else max_in_flight can overshoot).  The
             # accounting target is the job's CURRENT owner — after a
-            # steal or crash requeue that is where its queue_depth sits.
+            # crash requeue that is where its queue_depth sits.
             if error is None:
                 if isinstance(payload, RingSlotRef):
                     # one memcpy out of the shared slot, then the slot is
@@ -1444,9 +1177,6 @@ class ClusterServer:
             worker = self.stats.workers[worker_id]
             if process.exitcode is None:
                 continue
-            if worker.state == WORKER_RETIRING:
-                self._finish_retire(worker_id)
-                continue
             if not worker.alive:
                 continue
             if self._draining and process.exitcode == 0:
@@ -1462,7 +1192,7 @@ class ClusterServer:
         (jobs fail with a :class:`~repro.errors.ReproError`, the worker is
         permanently down).  With supervision the worker is marked ``dead``
         for the supervisor to respawn, and every job it owned is requeued
-        through the router — front of the target backlog, submission order
+        to alive workers — front of the target backlog, submission order
         preserved — unless its deadline or retry budget is exhausted, in
         which case it fails with a :class:`~repro.errors.JobFailed`
         carrying the attempt history.
@@ -1592,7 +1322,7 @@ class ClusterServer:
     def chaos_kill(self, worker_id: Optional[int] = None) -> Optional[int]:
         """Kill one alive worker (SIGKILL) and fold the death in synchronously.
 
-        ``worker_id`` is a preference; a dead/retired preference falls back
+        ``worker_id`` is a preference; a dead preference falls back
         to the first alive worker.  Returns the killed worker id, or
         ``None`` when nothing was alive to kill.
         """
@@ -1658,21 +1388,14 @@ class ClusterServer:
     def _last_heartbeat(self, worker_id: int) -> float:
         return float(self._heartbeats[worker_id])
 
-    def _worker_is_idle(self, worker_id: int) -> bool:
-        """No backlog and no dispatched jobs (elastic retirement check)."""
-        with self._dispatch_cv:
-            return (
-                not self._backlogs[worker_id] and self._dispatched[worker_id] == 0
-            )
-
     def _kill_stalled_worker(self, worker_id: int, stalled_for_s: float) -> None:
         """Kill a heartbeat-stalled worker; its jobs requeue like a crash."""
         process = self._processes[worker_id]
         if process.exitcode is None:
             try:
                 process.kill()
-            except Exception:
-                return
+            except OSError:
+                return  # not signalable and not exited: the next tick retries
         process.join(timeout=5.0)
         self.journal.log(
             "stall_kill", worker_id=worker_id, stalled_for_s=round(stalled_for_s, 3)
@@ -1735,11 +1458,8 @@ class ClusterServer:
         )
         with self._admission:
             self._admission.notify_all()  # blocked producers can route again
-        try:
-            old_queue.close()
-            old_queue.cancel_join_thread()
-        except Exception:
-            pass
+        old_queue.close()
+        old_queue.cancel_join_thread()
         return True
 
     def _give_up_worker(self, worker_id: int) -> None:
@@ -1851,93 +1571,6 @@ class ClusterServer:
                 )
             )
 
-    def _grow_pool(self) -> bool:
-        """Add one worker (reusing a retired slot first); elasticity hook."""
-        if self._closed or self._closing:
-            return False
-        with self._lock:
-            slot_id = next(
-                (
-                    worker.worker_id
-                    for worker in self.stats.workers
-                    if worker.state == WORKER_RETIRED
-                ),
-                None,
-            )
-            appending = slot_id is None
-            if appending:
-                if len(self.stats.workers) >= self._worker_capacity:
-                    return False
-                slot_id = len(self.stats.workers)
-        queue = self._context.Queue()
-        result_queue = self._context.Queue()
-        self._heartbeats[slot_id] = 0.0
-        try:
-            process = self._start_worker_process(slot_id, queue, result_queue)
-        except Exception:
-            for failed_queue in (queue, result_queue):
-                failed_queue.close()
-                failed_queue.cancel_join_thread()
-            return False
-        with self._dispatch_cv:
-            with self._lock:
-                if appending:
-                    self.stats._add_worker()
-                    self._job_queues.append(queue)
-                    self._result_queues.append(result_queue)
-                    self._processes.append(process)
-                    self._backlogs.append(deque())
-                    self._dispatched.append(0)
-                else:
-                    self._job_queues[slot_id] = queue
-                    self._retired_result_queues.append(
-                        self._result_queues[slot_id]
-                    )
-                    self._result_queues[slot_id] = result_queue
-                    self._processes[slot_id] = process
-                worker = self.stats.workers[slot_id]
-                worker.state = WORKER_RUNNING
-                worker.alive = True
-            self._dispatch_cv.notify_all()
-        self.stats._pool_grew()
-        self.journal.log("pool_grow", worker_id=slot_id, pool=self.pool_size)
-        with self._admission:
-            self._admission.notify_all()
-        return True
-
-    def _retire_worker(self, worker_id: int) -> bool:
-        """Drain one idle worker out of the pool; elasticity hook."""
-        if self.elasticity is None or self._closed or self._closing:
-            return False
-        with self._dispatch_cv:
-            with self._lock:
-                worker = self.stats.workers[worker_id]
-                if worker.state != WORKER_RUNNING:
-                    return False
-                if self._backlogs[worker_id] or self._dispatched[worker_id] > 0:
-                    return False
-                alive = sum(1 for entry in self.stats.workers if entry.alive)
-                if alive <= self.elasticity.min_workers:
-                    return False
-                worker.state = WORKER_RETIRING
-                worker.alive = False
-        try:
-            self._job_queues[worker_id].put(SHUTDOWN)
-        except Exception:
-            pass  # its exit is observed by _check_worker_health either way
-        return True
-
-    def _finish_retire(self, worker_id: int) -> None:
-        process = self._processes[worker_id]
-        process.join(timeout=5.0)
-        with self._lock:
-            worker = self.stats.workers[worker_id]
-            if worker.state != WORKER_RETIRING:
-                return
-            worker.state = WORKER_RETIRED
-        self.stats._pool_shrank()
-        self.journal.log("pool_shrink", worker_id=worker_id, pool=self.pool_size)
-
     # -- lifecycle ---------------------------------------------------------
     def close(self, drain_timeout_s: float = 30.0) -> None:
         """Gracefully drain in-flight frames and tear the cluster down.
@@ -2002,18 +1635,15 @@ class ClusterServer:
                 if process.exitcode is None:
                     process.terminate()
                     process.join(timeout=5.0)
-            except Exception:
-                pass
+            except OSError:
+                pass  # the OS refused the signal; the rings are still released
         self._collector.join(timeout=5.0)
         all_queues = (
             self._job_queues + self._result_queues + self._retired_result_queues
         )
         for any_queue in all_queues:
-            try:
-                any_queue.close()
-                any_queue.cancel_join_thread()
-            except Exception:
-                pass
+            any_queue.close()
+            any_queue.cancel_join_thread()
         # leak audit: with every job released and every worker joined,
         # anything still leased was leaked by a crash path — reclaim it
         # and make it visible before the shared memory goes away

@@ -1,28 +1,20 @@
 """Self-healing control plane for the process cluster.
 
-The paper's FPGA datapath never dies; a production serving pool does.  This
-module holds the two control-loop configurations and the supervisor thread
-that keep a :class:`~repro.cluster.server.ClusterServer` serving through
-worker crashes, stalls and load swings:
+The paper's FPGA datapath never dies; a worker process can.  This module
+holds the supervision configuration and the supervisor thread that keep a
+:class:`~repro.cluster.server.ClusterServer` serving through worker
+crashes and stalls.  :class:`SupervisorConfig` turns it on: watch every
+worker process (exit code + heartbeat), kill stalled workers, respawn dead
+ones with the same engine configuration under capped exponential backoff,
+and requeue their in-flight/backlog jobs to alive workers.  A job is
+retried at most ``max_retries`` times and only inside its optional per-job
+``deadline_s``; past either budget it fails with a structured
+:class:`~repro.errors.JobFailed` carrying the full attempt history.
 
-* **Supervision** (:class:`SupervisorConfig`) — watch every worker process
-  (exit code + heartbeat), kill stalled workers, respawn dead ones with the
-  same engine configuration under capped exponential backoff, and requeue
-  their in-flight/backlog jobs through the router.  A job is retried at
-  most ``max_retries`` times and only inside its optional per-job
-  ``deadline_s``; past either budget it fails with a structured
-  :class:`~repro.errors.JobFailed` carrying the full attempt history.
-* **Elasticity** (:class:`ElasticityConfig`) — grow the pool toward
-  ``max_workers`` while the aggregate queue runs deeper than
-  ``grow_at_queue_depth`` frames per alive worker, and drain/retire
-  workers that have sat idle for ``shrink_idle_s`` back down to
-  ``min_workers``.  Shard policies already route against an ``alive`` load
-  view, so membership changes need no routing changes at all.
-
-The supervisor owns only the *decisions* (when to kill, respawn, grow,
-shrink, expire); the *mechanics* (process spawning, job requeueing, slot
-reclamation) live on the server so they share its locking discipline.
-Failure semantics are documented in ``docs/serving.md``.
+The supervisor owns only the *decisions* (when to kill, respawn, expire);
+the *mechanics* (process spawning, job requeueing, slot reclamation) live
+on the server so they share its locking discipline.  Failure semantics
+are documented in ``docs/serving.md``.
 """
 
 from __future__ import annotations
@@ -43,13 +35,10 @@ from ..errors import JobAttempt, JobFailed  # noqa: F401
 
 #: Worker lifecycle states tracked by :class:`~repro.cluster.WorkerStats`.
 #: ``running`` serves; ``dead`` awaits a supervised restart; ``failed`` is
-#: permanently gone (supervision off, or restart budget exhausted);
-#: ``retiring``/``retired`` mark a graceful elastic drain.
+#: permanently gone (supervision off, or restart budget exhausted).
 WORKER_RUNNING = "running"
 WORKER_DEAD = "dead"
 WORKER_FAILED = "failed"
-WORKER_RETIRING = "retiring"
-WORKER_RETIRED = "retired"
 
 
 @dataclass(frozen=True)
@@ -85,64 +74,22 @@ class SupervisorConfig:
             raise ReproError("max_restarts must be non-negative or None")
 
 
-@dataclass(frozen=True)
-class ElasticityConfig:
-    """Knobs of the pool-sizing control loop.
-
-    The pool grows (one worker per control tick) while the cluster-wide
-    queue depth exceeds ``grow_at_queue_depth`` frames per alive worker
-    and fewer than ``max_workers`` are alive; an alive worker beyond
-    ``min_workers`` whose queue has been empty for ``shrink_idle_s`` is
-    drained and retired.  ``target_latency_ms`` optionally adds a latency
-    trigger: grow when the mean alive EWMA latency exceeds the target
-    while frames are queued.
-    """
-
-    min_workers: int = 1
-    max_workers: int = 4
-    grow_at_queue_depth: float = 2.0
-    shrink_idle_s: float = 1.0
-    target_latency_ms: Optional[float] = None
-    interval_s: float = 0.02
-
-    def __post_init__(self) -> None:
-        if self.min_workers <= 0:
-            raise ReproError("min_workers must be positive")
-        if self.max_workers < self.min_workers:
-            raise ReproError("max_workers must be >= min_workers")
-        if self.grow_at_queue_depth <= 0.0:
-            raise ReproError("grow_at_queue_depth must be positive")
-        if self.shrink_idle_s <= 0.0:
-            raise ReproError("shrink_idle_s must be positive")
-
-
 class Supervisor:
-    """Control-loop thread: health, restarts, deadlines and pool sizing.
+    """Control-loop thread: health, restarts and deadlines.
 
-    One supervisor runs per server whenever supervision and/or elasticity
-    is configured.  Every tick it (1) folds observed worker exits into the
-    server's death handler, (2) kills workers whose heartbeat has stalled
-    while they hold dispatched jobs, (3) respawns dead workers whose
-    backoff window has passed, (4) expires queued jobs past their
-    deadline, and (5) grows/shrinks the pool.  A failing respawn simply
-    reschedules with a doubled backoff; a tick that raises is counted in
-    ``cluster_supervisor_tick_errors_total`` and journaled as a
-    ``supervisor_tick_error`` row, and the loop carries on.
+    One supervisor runs per server whenever supervision is configured.
+    Every tick it (1) folds observed worker exits into the server's death
+    handler, (2) kills workers whose heartbeat has stalled while they hold
+    dispatched jobs, (3) respawns dead workers whose backoff window has
+    passed, and (4) expires queued jobs past their deadline.  A failing
+    respawn simply reschedules with a doubled backoff; a tick that raises
+    is counted in ``cluster_supervisor_tick_errors_total`` and journaled
+    as a ``supervisor_tick_error`` row, and the loop carries on.
     """
 
-    def __init__(
-        self,
-        server: "ClusterServer",
-        supervision: Optional[SupervisorConfig],
-        elasticity: Optional[ElasticityConfig],
-    ) -> None:
+    def __init__(self, server: "ClusterServer", supervision: SupervisorConfig) -> None:
         self._server = server
         self.supervision = supervision
-        self.elasticity = elasticity
-        intervals = [
-            config.interval_s for config in (supervision, elasticity) if config
-        ]
-        self._interval_s = min(intervals) if intervals else 0.05
         self._tick_errors = server.registry.counter(
             "cluster_supervisor_tick_errors_total",
             help="supervisor control ticks that raised",
@@ -157,7 +104,6 @@ class Supervisor:
         self._next_restart_at: Dict[int, float] = {}
         self._backoff_s: Dict[int, float] = {}
         self._respawned_at: Dict[int, float] = {}
-        self._idle_since: Dict[int, float] = {}
 
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> None:
@@ -169,7 +115,7 @@ class Supervisor:
             self._thread.join(timeout=timeout_s)
 
     def _run(self) -> None:
-        while not self._stop_event.wait(self._interval_s):
+        while not self._stop_event.wait(self.supervision.interval_s):
             try:
                 self.tick()
             except Exception as error:
@@ -185,19 +131,14 @@ class Supervisor:
 
     # -- one control tick --------------------------------------------------
     def tick(self) -> None:
-        """One pass of every control loop (also callable from tests)."""
-        server = self._server
-        server._check_worker_health()
-        if self.supervision is not None:
-            self._kill_stalled_workers()
-            self._respawn_dead_workers()
-            server._expire_deadlines()
-        if self.elasticity is not None:
-            self._scale_pool()
+        """One pass of the control loop (also callable from tests)."""
+        self._server._check_worker_health()
+        self._kill_stalled_workers()
+        self._respawn_dead_workers()
+        self._server._expire_deadlines()
 
     # -- supervision -------------------------------------------------------
     def _kill_stalled_workers(self) -> None:
-        assert self.supervision is not None
         now = time.monotonic()
         for worker in list(self._server.stats.workers):
             worker_id = worker.worker_id
@@ -214,7 +155,6 @@ class Supervisor:
                 )
 
     def _respawn_dead_workers(self) -> None:
-        assert self.supervision is not None
         config = self.supervision
         now = time.monotonic()
         for worker in list(self._server.stats.workers):
@@ -260,37 +200,3 @@ class Supervisor:
     def _forget_schedule(self, worker_id: int) -> None:
         self._next_restart_at.pop(worker_id, None)
         self._backoff_s.pop(worker_id, None)
-
-    # -- elasticity --------------------------------------------------------
-    def _scale_pool(self) -> None:
-        assert self.elasticity is not None
-        config = self.elasticity
-        stats = self._server.stats
-        alive = [worker for worker in stats.workers if worker.alive]
-        if not alive:
-            return  # restarts (supervision) own the empty-pool case
-        queue_depth = stats.queue_depth
-        should_grow = queue_depth > config.grow_at_queue_depth * len(alive)
-        if config.target_latency_ms is not None and queue_depth > len(alive):
-            mean_ewma_ms = 1000.0 * sum(
-                worker.ewma_latency_s for worker in alive
-            ) / len(alive)
-            should_grow = should_grow or mean_ewma_ms > config.target_latency_ms
-        if should_grow and len(alive) < config.max_workers:
-            self._server._grow_pool()
-            return  # one membership change per tick keeps the loop stable
-        if len(alive) <= config.min_workers:
-            self._idle_since.clear()
-            return
-        now = time.monotonic()
-        for worker in alive:
-            if worker.queue_depth == 0 and self._server._worker_is_idle(
-                worker.worker_id
-            ):
-                idle_since = self._idle_since.setdefault(worker.worker_id, now)
-                if now - idle_since >= config.shrink_idle_s:
-                    if self._server._retire_worker(worker.worker_id):
-                        self._idle_since.pop(worker.worker_id, None)
-                        return  # one retirement per tick
-            else:
-                self._idle_since.pop(worker.worker_id, None)

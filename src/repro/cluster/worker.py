@@ -1,6 +1,6 @@
 """Worker-process entry point of the cluster serving layer.
 
-Each worker owns ONE engine/backend pair — exactly like one fixed-function
+Each worker owns ONE extraction engine — exactly like one fixed-function
 extraction pipeline of the paper's accelerator — built inside the worker
 process from the pickled :class:`~repro.config.ExtractorConfig`, so engines
 in different workers share nothing and the GIL of one process never stalls

@@ -35,7 +35,7 @@ class JobFailed(ReproError):
     Unlike a transport-level :class:`ReproError`, the failure is
     *structured*: :attr:`attempts` carries the full per-attempt history
     (which worker, why, and when), so callers can distinguish a deadline
-    miss from an exhausted retry budget or a shed submission.
+    miss from an exhausted retry budget or a permanently failed worker.
     """
 
     def __init__(self, message: str, attempts: Sequence[JobAttempt] = ()) -> None:

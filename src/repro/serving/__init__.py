@@ -1,8 +1,8 @@
 """Multi-frame serving: shared-engine extraction with frames in flight.
 
-:class:`FrameServer` runs many frames through ONE detection engine + keypoint
-backend pair on a thread pool with a bounded in-flight window; the process
-cluster (:mod:`repro.cluster`) scales the same semantics past the GIL.  Both
+:class:`FrameServer` runs many frames through ONE extraction engine on a
+thread pool with a bounded in-flight window; the process cluster
+(:mod:`repro.cluster`) scales the same semantics past the GIL.  Both
 satisfy the :class:`FrameServing` protocol consumed by
 :meth:`repro.slam.SlamSystem.run`.  See ``docs/serving.md``.
 """

@@ -83,7 +83,7 @@ class SlamRunResult:
 class SlamSystem:
     """Runs the full ORB-SLAM pipeline over RGB-D frames.
 
-    An already-built extractor (with its keypoint compute backend and
+    An already-built extractor (with its extraction engine and
     precomputed pattern tables) can be injected so many systems — e.g. the
     sequence sweeps run by :class:`repro.analysis.experiments.BatchRunner` —
     share one engine instead of rebuilding tables per run.
@@ -117,10 +117,9 @@ class SlamSystem:
         ``frame_server`` accepts anything satisfying the
         :class:`repro.serving.FrameServing` protocol — the thread
         :class:`repro.serving.FrameServer` or the process
-        :class:`repro.cluster.ClusterServer` (or one of its
-        ``sequence_handle`` shards) — and pipelines feature extraction for
-        the whole sequence through it, many frames in flight, while
-        tracking consumes the results in order.  Tracking output is
+        :class:`repro.cluster.ClusterServer` — and pipelines feature
+        extraction for the whole sequence through it, many frames in
+        flight, while tracking consumes the results in order.  Tracking output is
         identical to the sequential path because extraction is a pure
         per-frame function.
 

@@ -1,8 +1,8 @@
-"""Structured event journal for supervision and routing decisions.
+"""Structured event journal for supervision decisions.
 
 Counters say *how many* restarts happened; a chaos postmortem needs to know
-*when*, *to whom*, and *in what order* relative to the steals, sheds and
-requeues around them.  The journal records every supervision/routing event
+*when*, *to whom*, and *in what order* relative to the deaths, requeues
+and expiries around them.  The journal records every supervision event
 as a typed :class:`Event` with a monotonic timestamp (``time.perf_counter``
 — the same clock the tracer uses, so journal rows line up with trace spans)
 plus the active :class:`~repro.chaos.FaultPlan` seed when one is installed,
@@ -19,18 +19,13 @@ kind                meaning
 ``worker_failed``   worker gave up (restart budget exhausted)
 ``restart``         supervisor (or collector) respawned a worker
 ``stall_kill``      supervisor killed a worker whose heartbeat went stale
-``steal``           idle worker stole a queued frame from a victim's backlog
-``shed``            admission control rejected a submit (backlog full)
 ``requeue``         in-flight frames of a dead worker were re-dispatched
 ``expired``         a frame's deadline lapsed before dispatch
-``pool_grow``       elastic controller added a worker
-``pool_shrink``     elastic controller retired a worker
 ``leak_reclaim``    close() reclaimed slots a dead worker left pinned
 ``restart_backoff``  a respawn attempt failed; retry scheduled after backoff
 ``supervisor_tick_error``  a supervisor control tick raised (exception type)
 ``chaos_kill``      fault plan killed a worker (injected)
 ``chaos_stall``     fault plan wedged a worker's heartbeat (injected)
-``chaos_slow_frame``  fault plan slept the producer before a submission
 ==================  ==========================================================
 """
 

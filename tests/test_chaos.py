@@ -1,12 +1,12 @@
 """Chaos matrix: the cluster serves bit-identical results through faults.
 
 Every scenario here drives a :class:`~repro.cluster.ClusterServer` through
-seeded faults — worker kills, stalls, overload — and
-asserts the robustness contract from ``docs/serving.md``: every submitted
-frame either completes **bit-identical to sequential extraction, in
-submission order**, or fails with a *structured* error carrying its
-attempt history; no submission hangs; and after the storm the transport
-audit shows **zero leaked slots** and the pool is back inside its bounds.
+seeded faults — worker kills and stalls — and asserts the robustness
+contract from ``docs/serving.md``: every submitted frame either completes
+**bit-identical to sequential extraction, in submission order**, or fails
+with a *structured* error carrying its attempt history; no submission
+hangs; and after the storm the transport audit shows **zero leaked
+slots** and every killed worker slot is serving again.
 
 The host may have a single core, so the assertions are about correctness
 and counters, never about timing or throughput.
@@ -21,12 +21,7 @@ import pytest
 
 from repro.chaos import FAULT_KINDS, FaultEvent, FaultPlan
 from repro.cluster import server as server_module
-from repro.cluster import (
-    ClusterServer,
-    ElasticityConfig,
-    JobFailed,
-    SupervisorConfig,
-)
+from repro.cluster import ClusterServer, JobFailed, SupervisorConfig
 from repro.config import ExtractorConfig, PyramidConfig
 from repro.errors import ReproError
 from repro.features import OrbExtractor
@@ -73,14 +68,15 @@ def _wait_until(predicate, timeout_s=15.0, interval_s=0.02):
     return predicate()
 
 
-def _warm_up(server, images, count=2, sharded=False):
-    """Serve a couple of frames so every worker has booted and beaten."""
+def _warm_up(server, images, count=2):
+    """Serve a couple of frames so every worker has booted and beaten.
+
+    With the default two frames on a two-worker cluster, job ids 0 and 1
+    land one on each worker, so round-robin sends the even job ids of the
+    submissions that follow to worker 0.
+    """
     futures = [
-        server.submit(
-            images[index % len(images)],
-            frame_id=1_000_000 + index,
-            **({"shard_key": index} if sharded else {}),
-        )
+        server.submit(images[index % len(images)], frame_id=1_000_000 + index)
         for index in range(count)
     ]
     for future in futures:
@@ -108,14 +104,24 @@ class TestFaultPlan:
             FaultEvent(at_submit=0, kind="meteor")
 
     def test_events_fire_at_most_once(self):
-        plan = FaultPlan([FaultEvent(at_submit=2, kind="slow_frame")])
-        plan.on_submit(server=None, job_id=2)
-        plan.on_submit(server=None, job_id=2)
+        class StallRecorder:
+            def __init__(self):
+                self.stalled = []
+
+            def chaos_stall(self, worker_id, duration_s):
+                self.stalled.append(worker_id)
+                return worker_id
+
+        server = StallRecorder()
+        plan = FaultPlan([FaultEvent(at_submit=2, kind="stall", worker_id=1)])
+        plan.on_submit(server=server, job_id=2)
+        plan.on_submit(server=server, job_id=2)
         assert len(plan.fired) == 1
+        assert server.stalled == [1]
 
 
 class TestKillStorm:
-    """The acceptance gate: seeded kill-every-N storm, per engine pair."""
+    """The acceptance gate: seeded kill-every-N storm, per engine."""
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_bit_identical_in_order_through_kill_storm(
@@ -160,18 +166,17 @@ class TestRestartMidFlight:
         server = ClusterServer(
             config,
             num_workers=2,
-            policy="by_sequence",
             max_in_flight=8,
             supervision=FAST_SUPERVISION,
         )
         with server:
-            _warm_up(server, images, sharded=True)
-            # stall the shard's worker so its jobs are provably in flight
-            # (written to the ring + dispatched, result not flushed), then
-            # kill it mid-flight
+            _warm_up(server, images)
+            # stall worker 0 so the jobs round-robin sends it (job ids 2
+            # and 4) are provably in flight (written to the ring +
+            # dispatched, result not flushed), then kill it mid-flight
             assert server.chaos_stall(0, duration_s=30.0) == 0
             futures = [
-                server.submit(image, shard_key=0, frame_id=index)
+                server.submit(image, frame_id=index)
                 for index, image in enumerate(images)
             ]
             time.sleep(0.2)  # let the dispatcher hand jobs to the victim
@@ -265,15 +270,15 @@ class TestStallDetection:
         server = ClusterServer(
             chaos_config,
             num_workers=2,
-            policy="by_sequence",
             max_in_flight=8,
             supervision=supervision,
         )
         with server:
-            _warm_up(server, images, sharded=True)  # both workers have beaten
+            _warm_up(server, images)  # both workers have beaten
+            # round-robin sends job ids 2 and 4 to the stalled worker 0
             assert server.chaos_stall(0, duration_s=60.0) == 0
             futures = [
-                server.submit(image, shard_key=0, frame_id=index)
+                server.submit(image, frame_id=index)
                 for index, image in enumerate(images)
             ]
             # no manual kill: the supervisor must notice the flat heartbeat
@@ -406,72 +411,6 @@ class TestRetryBudget:
         assert report["restarts"] >= 1
 
 
-class TestShedding:
-    def test_fail_fast_sheds_when_saturated(self, chaos_config, chaos_images):
-        server = ClusterServer(
-            chaos_config, num_workers=1, max_in_flight=1, on_overload="fail_fast"
-        )
-        with server:
-            _warm_up(server, chaos_images, count=1)
-            assert server.chaos_stall(0, duration_s=1.0) == 0
-            first = server.submit(chaos_images[0], frame_id=0)
-            with pytest.raises(JobFailed) as excinfo:
-                server.submit(chaos_images[1], frame_id=1)
-            assert "shed" in str(excinfo.value)
-            assert excinfo.value.attempts[0].worker_id == -1
-            first.result(timeout=120)  # completes once the stall lifts
-        assert server.stats.as_dict()["shed"] == 1
-
-    def test_degrade_to_local_is_bit_identical(self, chaos_config, chaos_images):
-        baseline = _sequential_baseline(chaos_config, chaos_images[:2])
-        server = ClusterServer(
-            chaos_config,
-            num_workers=1,
-            max_in_flight=1,
-            on_overload="degrade_to_local",
-        )
-        with server:
-            _warm_up(server, chaos_images, count=1)
-            assert server.chaos_stall(0, duration_s=1.0) == 0
-            first = server.submit(chaos_images[0], frame_id=0)
-            second = server.submit(chaos_images[1], frame_id=1)
-            assert second.done()  # served synchronously in-process
-            assert _feature_key(second.result()) == baseline[1]
-            assert _feature_key(first.result(timeout=120)) == baseline[0]
-        assert server.stats.as_dict()["shed"] == 1
-
-
-class TestElasticity:
-    def test_pool_grows_under_load_and_shrinks_back(
-        self, chaos_config, chaos_images
-    ):
-        elasticity = ElasticityConfig(
-            min_workers=1,
-            max_workers=3,
-            grow_at_queue_depth=1.0,
-            shrink_idle_s=0.2,
-        )
-        server = ClusterServer(
-            chaos_config,
-            num_workers=1,
-            max_in_flight=8,
-            supervision=FAST_SUPERVISION,
-            elasticity=elasticity,
-        )
-        with server:
-            futures = [
-                server.submit(image, frame_id=index)
-                for index, image in enumerate(chaos_images)
-            ]
-            for future in futures:
-                future.result(timeout=120)
-            assert server.stats.pool_grows >= 1
-            assert _wait_until(lambda: len(server.alive_worker_ids()) == 1)
-            assert server.stats.pool_shrinks >= 1
-            assert 1 <= len(server.alive_worker_ids()) <= 3
-        assert server.stats.as_dict()["leaked_slots"] == 0
-
-
 class TestCloseRobustness:
     def test_close_is_idempotent_after_crash(self, chaos_config, chaos_images):
         server = ClusterServer(chaos_config, num_workers=2)
@@ -488,14 +427,13 @@ class TestCloseRobustness:
         self, chaos_config, chaos_images
     ):
         # unsupervised: the killed worker's jobs fail, and close() must
-        # still join cleanly and account every transport slot
-        server = ClusterServer(
-            chaos_config, num_workers=2, policy="by_sequence", max_in_flight=8
-        )
-        _warm_up(server, chaos_images, sharded=True)
+        # still join cleanly and account every transport slot; one worker,
+        # so every submission is in flight on the killed one
+        server = ClusterServer(chaos_config, num_workers=1, max_in_flight=8)
+        _warm_up(server, chaos_images)
         server.chaos_stall(0, duration_s=30.0)
         futures = [
-            server.submit(image, shard_key=0, frame_id=index)
+            server.submit(image, frame_id=index)
             for index, image in enumerate(chaos_images[:3])
         ]
         time.sleep(0.2)

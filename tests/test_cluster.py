@@ -2,9 +2,9 @@
 
 The serving parity matrix runs sequential extraction, the thread
 :class:`~repro.serving.FrameServer` and the process
-:class:`~repro.cluster.ClusterServer` across every extraction engine
-and both shard policies; the remaining classes pin down the transport,
-back-pressure, crash surfacing and the SLAM / batch-runner wiring.
+:class:`~repro.cluster.ClusterServer` across every extraction engine;
+the remaining classes pin down the transport, back-pressure, crash
+surfacing and the SLAM / batch-runner wiring.
 """
 
 import time
@@ -16,13 +16,11 @@ from repro.analysis import BatchRunner
 from repro.cluster import server as server_module
 from repro.cluster import worker as worker_module
 from repro.cluster import (
+    WORKER_FAILED,
     ClusterServer,
-    LeastLoadedPolicy,
     SharedFrameRing,
     SharedResultRing,
-    WorkerLoad,
-    available_policies,
-    create_policy,
+    SupervisorConfig,
 )
 from repro.config import ExtractorConfig, PyramidConfig, SlamConfig, TrackerConfig
 from repro.dataset import SequenceSpec, make_sequence
@@ -97,7 +95,7 @@ class TestSharedFrameRing:
 
 
 class TestServingParityMatrix:
-    """sequential == FrameServer == ClusterServer, every engine x policy."""
+    """sequential == FrameServer == ClusterServer, every engine."""
 
     @pytest.fixture(scope="class")
     def sequential_by_engine(self, cluster_config, cluster_images):
@@ -111,21 +109,15 @@ class TestServingParityMatrix:
         return results
 
     @pytest.mark.parametrize("engine", ["reference", "vectorized", "hwexact"])
-    @pytest.mark.parametrize("policy", ["round_robin", "by_sequence"])
     def test_cluster_bit_identical_to_sequential(
-        self, engine, policy, cluster_config, cluster_images, sequential_by_engine
+        self, engine, cluster_config, cluster_images, sequential_by_engine
     ):
         from dataclasses import replace
 
         config = replace(cluster_config, engine=engine)
         sequential = sequential_by_engine[engine]
-        shard_keys = (
-            [index % 2 for index in range(len(cluster_images))]
-            if policy == "by_sequence"
-            else None
-        )
-        with ClusterServer(config, num_workers=2, policy=policy) as server:
-            served = server.extract_many(cluster_images, shard_keys=shard_keys)
+        with ClusterServer(config, num_workers=2) as server:
+            served = server.extract_many(cluster_images)
         assert len(served) == len(sequential)
         for seq_result, cluster_result in zip(sequential, served):
             assert _feature_key(seq_result) == _feature_key(cluster_result)
@@ -181,21 +173,6 @@ class TestClusterServer:
             counts = [worker.frames_completed for worker in server.stats.workers]
         assert counts == [2, 2]
 
-    def test_by_sequence_pins_key_to_one_worker(self, cluster_config, cluster_images):
-        with ClusterServer(
-            cluster_config, num_workers=2, policy="by_sequence"
-        ) as server:
-            server.extract_many(cluster_images[:4], shard_keys=[1, 1, 1, 1])
-            counts = [worker.frames_completed for worker in server.stats.workers]
-        assert counts == [0, 4]
-
-    def test_by_sequence_requires_shard_key(self, cluster_config, cluster_images):
-        with ClusterServer(
-            cluster_config, num_workers=2, policy="by_sequence"
-        ) as server:
-            with pytest.raises(ReproError):
-                server.submit(cluster_images[0])
-
     def test_submit_after_close_rejected(self, cluster_config, cluster_images):
         server = ClusterServer(cluster_config, num_workers=1)
         server.close()
@@ -212,10 +189,6 @@ class TestClusterServer:
             ClusterServer(cluster_config, num_workers=0)
         with pytest.raises(ReproError):
             ClusterServer(cluster_config, num_workers=4, max_in_flight=2)
-        with pytest.raises(ReproError) as excinfo:
-            ClusterServer(cluster_config, policy="nope")
-        for name in available_policies():
-            assert name in str(excinfo.value)
 
     def test_bad_engine_rejected_before_any_worker_starts(self, cluster_config):
         # rejected by ExtractorConfig itself, so no worker ever starts with it
@@ -278,6 +251,27 @@ class TestClusterCrash:
             with pytest.raises(ReproError):
                 server.extract_many(cluster_images[:2])
 
+    def test_supervised_routes_around_failed_worker(
+        self, cluster_config, cluster_images
+    ):
+        # no restart budget: worker 0 stays down, so every job whose
+        # round-robin slot is worker 0 goes to the shallowest alive queue
+        supervision = SupervisorConfig(max_restarts=0)
+        expected = [OrbExtractor(cluster_config).extract(i) for i in cluster_images]
+        with ClusterServer(
+            cluster_config, num_workers=2, supervision=supervision
+        ) as server:
+            server.kill_worker(0)
+            deadline = time.monotonic() + 15.0
+            while server.stats.workers[0].state != WORKER_FAILED:
+                assert time.monotonic() < deadline
+                time.sleep(0.02)
+            served = server.extract_many(cluster_images)
+            counts = [worker.frames_completed for worker in server.stats.workers]
+        for seq_result, cluster_result in zip(expected, served):
+            assert _feature_key(seq_result) == _feature_key(cluster_result)
+        assert counts == [0, len(cluster_images)]
+
 
 class TestClusterSlam:
     @pytest.fixture(scope="class")
@@ -303,18 +297,6 @@ class TestClusterSlam:
             assert a.num_inliers == b.num_inliers
             assert np.array_equal(a.pose.rotation, b.pose.rotation)
             assert np.array_equal(a.pose.translation, b.pose.translation)
-
-    def test_sequence_handle_pins_run_to_one_worker(self, slam_setup):
-        config, sequence = slam_setup
-        sequential = SlamSystem(config).run(sequence)
-        with ClusterServer(
-            config.extractor, num_workers=2, policy="by_sequence"
-        ) as server:
-            handle = server.sequence_handle(1)
-            served = SlamSystem(config).run(sequence, frame_server=handle)
-            counts = [worker.frames_completed for worker in server.stats.workers]
-        assert served.ate().mean_cm == sequential.ate().mean_cm
-        assert counts[0] == 0 and counts[1] == sequential.num_frames
 
     def test_mismatched_server_config_rejected(self, slam_setup):
         config, sequence = slam_setup
@@ -392,118 +374,6 @@ class TestConditionVariableBackPressure:
         waiter.join(timeout=1.0)
         assert not waiter.is_alive()
         assert len(errors) == 1
-
-
-def _make_loads(*specs):
-    """WorkerLoad list from (queue_depth, ewma_latency_s, alive) triples."""
-    return [
-        WorkerLoad(worker_id=index, queue_depth=depth, ewma_latency_s=ewma, alive=alive)
-        for index, (depth, ewma, alive) in enumerate(specs)
-    ]
-
-
-class TestLeastLoadedPolicy:
-    def test_registered_in_policy_registry(self):
-        assert "least_loaded" in available_policies()
-        assert isinstance(create_policy("least_loaded"), LeastLoadedPolicy)
-
-    def test_picks_shallowest_queue(self):
-        policy = LeastLoadedPolicy()
-        loads = _make_loads((5, 0.01, True), (1, 0.01, True), (3, 0.01, True))
-        assert policy.route(0, None, 3, loads=loads) == 1
-
-    def test_routes_around_stalled_worker(self):
-        # a stalled worker keeps its backlog (deep queue, climbing EWMA);
-        # the policy must send new frames to the responsive one
-        policy = LeastLoadedPolicy()
-        loads = _make_loads((6, 2.5, True), (0, 0.01, True))
-        assert policy.route(0, None, 2, loads=loads) == 1
-
-    def test_skips_dead_workers(self):
-        policy = LeastLoadedPolicy()
-        loads = _make_loads((0, 0.0, False), (4, 0.1, True))
-        assert policy.route(0, None, 2, loads=loads) == 1
-
-    def test_tie_breaks_by_latency_then_worker_id(self):
-        policy = LeastLoadedPolicy()
-        by_latency = _make_loads((2, 0.5, True), (2, 0.1, True))
-        assert policy.route(0, None, 2, loads=by_latency) == 1
-        by_id = _make_loads((2, 0.1, True), (2, 0.1, True))
-        assert policy.route(0, None, 2, loads=by_id) == 0
-
-    def test_no_load_view_falls_back_to_round_robin(self):
-        policy = LeastLoadedPolicy()
-        assert policy.route(7, None, 3, loads=None) == 1
-
-    def test_no_alive_worker_raises(self):
-        policy = LeastLoadedPolicy()
-        with pytest.raises(ReproError):
-            policy.route(0, None, 2, loads=_make_loads((0, 0.0, False), (0, 0.0, False)))
-
-    def test_server_routes_around_killed_worker(self, cluster_config, cluster_images):
-        with ClusterServer(cluster_config, num_workers=2, policy="least_loaded") as server:
-            server.kill_worker(0)
-            served = server.extract_many(cluster_images)
-            counts = [worker.frames_completed for worker in server.stats.workers]
-        assert len(served) == len(cluster_images)
-        assert counts[0] == 0 and counts[1] == len(cluster_images)
-
-
-class TestWorkStealing:
-    @pytest.mark.parametrize("engine", ["reference", "vectorized", "hwexact"])
-    def test_stealing_bit_exact_across_engines(
-        self, engine, cluster_config, cluster_images
-    ):
-        """Stealing moves where a job runs, never what it computes."""
-        from dataclasses import replace
-
-        config = replace(cluster_config, engine=engine)
-        extractor = OrbExtractor(config)
-        sequential = [extractor.extract(image) for image in cluster_images] * 3
-        images = cluster_images * 3
-        # by_sequence pins every frame to one worker: without stealing the
-        # other worker would idle while a backlog builds
-        shard_keys = [1] * len(images)
-        with ClusterServer(
-            config,
-            num_workers=2,
-            policy="by_sequence",
-            max_in_flight=8,
-            work_stealing=True,
-        ) as server:
-            served = server.extract_many(images, shard_keys=shard_keys)
-            steals = server.stats.steals
-            counts = [worker.frames_completed for worker in server.stats.workers]
-        assert steals > 0
-        assert min(counts) > 0  # the idle worker drained the hot backlog
-        assert sum(counts) == len(images)
-        for seq_result, cluster_result in zip(sequential, served):
-            assert _feature_key(seq_result) == _feature_key(cluster_result)
-            assert vars(seq_result.profile) == vars(cluster_result.profile)
-
-    def test_stealing_off_by_default_preserves_affinity(
-        self, cluster_config, cluster_images
-    ):
-        with ClusterServer(cluster_config, num_workers=2, policy="by_sequence") as server:
-            shard_key = 0
-            target = server.policy.route(0, shard_key, 2)
-            server.extract_many(cluster_images, shard_keys=[shard_key] * len(cluster_images))
-            counts = [worker.frames_completed for worker in server.stats.workers]
-            steals = server.stats.steals
-        assert steals == 0
-        assert counts[target] == len(cluster_images)
-        assert counts[1 - target] == 0
-
-    def test_steal_counters_in_stats_dict(self, cluster_config, cluster_images):
-        with ClusterServer(
-            cluster_config, num_workers=2, work_stealing=True, max_in_flight=8
-        ) as server:
-            server.extract_many(cluster_images * 2)
-            stats = server.stats.as_dict()
-        assert "steals" in stats
-        assert stats["steals"] == sum(worker["steals"] for worker in stats["workers"])
-        for worker in stats["workers"]:
-            assert "ewma_latency_ms" in worker and worker["ewma_latency_ms"] > 0.0
 
 
 class TestSharedResultRing:

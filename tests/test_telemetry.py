@@ -373,19 +373,19 @@ class TestTraceMerge:
 class TestEventJournal:
     def test_log_filter_and_order(self):
         journal = EventJournal()
-        journal.log("steal", worker_id=1, job=4)
-        journal.log("shed", reason="backlog_full")
-        journal.log("steal", worker_id=0, job=5)
+        journal.log("requeue", worker_id=1, jobs=4)
+        journal.log("leak_reclaim", reason="ring_exhausted")
+        journal.log("requeue", worker_id=0, jobs=5)
         assert len(journal) == 3
-        steals = journal.events(kind="steal")
-        assert [event.worker_id for event in steals] == [1, 0]
-        assert journal.as_dicts()[1]["reason"] == "backlog_full"
+        requeues = journal.events(kind="requeue")
+        assert [event.worker_id for event in requeues] == [1, 0]
+        assert journal.as_dicts()[1]["reason"] == "ring_exhausted"
         at = [event.at_s for event in journal.events()]
         assert at == sorted(at)  # monotonic timestamps
 
     def test_fault_seed_stamps_subsequent_rows(self):
         journal = EventJournal()
-        journal.log("steal")
+        journal.log("requeue")
         journal.fault_seed = 7
         journal.log("worker_dead", worker_id=1)
         rows = journal.events()
@@ -395,7 +395,7 @@ class TestEventJournal:
     def test_bounded_capacity_drops_oldest(self):
         journal = EventJournal(capacity=4)
         for index in range(10):
-            journal.log("steal", job=index)
+            journal.log("expired", job=index)
         assert len(journal) == 4
         assert journal.dropped == 6
         assert [event.detail["job"] for event in journal.events()] == [6, 7, 8, 9]
@@ -412,17 +412,17 @@ class TestEventJournal:
 class TestStatsGoldenKeys:
     CLUSTER_KEYS = {
         "frames_submitted", "frames_completed", "frames_failed",
-        "max_in_flight", "queue_depth", "steals",
+        "max_in_flight", "queue_depth",
         "frames_via_ring", "ring_bytes_copied",
         "results_zero_copy", "results_via_pickle", "result_bytes_saved",
-        "restarts", "retries", "requeued", "shed", "pool_grows",
-        "pool_shrinks", "leaked_slots", "latency_p50_ms", "latency_p95_ms",
+        "restarts", "retries", "requeued",
+        "leaked_slots", "latency_p50_ms", "latency_p95_ms",
         "elapsed_s", "throughput_fps", "active_elapsed_s",
         "active_throughput_fps", "workers",
     }
     WORKER_KEYS = {
         "worker_id", "frames_completed", "frames_failed", "queue_depth",
-        "steals", "restarts", "ewma_latency_ms", "alive", "state",
+        "restarts", "alive", "state",
         "latency_p50_ms", "latency_p95_ms",
     }
     SERVING_KEYS = {
@@ -434,7 +434,7 @@ class TestStatsGoldenKeys:
     def test_cluster_stats_keys_and_counter_semantics(self):
         clock = [100.0]
         stats = ClusterStats(_clock=lambda: clock[0])
-        stats._add_worker(alive=True)
+        stats._add_worker()
         assert set(stats.as_dict()) == self.CLUSTER_KEYS
         stats._submitted(0)
         clock[0] += 0.1
@@ -451,7 +451,7 @@ class TestStatsGoldenKeys:
     def test_active_throughput_ignores_idle_gap(self):
         clock = [0.0]
         stats = ClusterStats(_clock=lambda: clock[0])
-        stats._add_worker(alive=True)
+        stats._add_worker()
         for _ in range(2):  # two frames separated by a long idle gap
             stats._submitted(0)
             clock[0] += 0.1
@@ -601,7 +601,7 @@ class TestDocsDrift:
         with open(doc_path) as handle:
             doc = handle.read()
         stats = ClusterStats()
-        stats._add_worker(alive=True)
+        stats._add_worker()
         missing = [f"`{key}`" for key in stats.as_dict() if f"`{key}`" not in doc]
         assert not missing, (
             f"ClusterStats.as_dict keys missing from docs: {missing}"
