@@ -92,7 +92,7 @@ class ExtractorConfig:
     (:mod:`repro.engines`) that smooths, detects (FAST + Harris + NMS),
     orients and describes every pyramid level:
 
-    * ``"vectorized"`` (default) -- fused arc-LUT / sparse-Harris detection
+    * ``"vectorized"`` (default) -- bit-sliced FAST / sparse-Harris detection
       and whole-level batched orientation and description;
     * ``"reference"`` -- dense per-stage detection and the per-keypoint
       scalar path, kept as bit-exact ground truth for ``"vectorized"``;

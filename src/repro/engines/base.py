@@ -6,14 +6,14 @@ Gaussian smoothing (:meth:`ExtractionEngine.smooth`), the fused FAST +
 Harris + NMS pass (:meth:`ExtractionEngine.detect_with_count`), orientation
 (:meth:`ExtractionEngine.orient`) and BRIEF/RS-BRIEF description
 (:meth:`ExtractionEngine.describe`).  An engine is constructed once from an
-:class:`~repro.config.ExtractorConfig`, owns its precomputed tables (arc
-lookup tables, Gaussian kernel, orientation grid, descriptor patterns) and
-then serves any number of pyramid levels and frames.  Three engines exist:
+:class:`~repro.config.ExtractorConfig`, owns its precomputed tables
+(Gaussian kernel, orientation grid, descriptor patterns) and then serves
+any number of pyramid levels and frames.  Three engines exist:
 
 * ``reference`` -- the dense per-stage functions and the scalar
   per-keypoint orientation + description, kept as bit-exact ground truth
   (:mod:`repro.engines.reference`);
-* ``vectorized`` -- the default: two-stage arc-LUT FAST, sparse Harris,
+* ``vectorized`` -- the default: bit-sliced FAST, sparse Harris,
   loop-free NMS, slice-view smoothing and whole-level batched orientation +
   description, bit-identical to ``reference``
   (:mod:`repro.engines.vectorized`);

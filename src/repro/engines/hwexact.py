@@ -5,8 +5,8 @@ in :mod:`repro.hw`, batched over whole pyramid levels.  It is the
 ``vectorized`` engine with three steps replaced:
 
 1. **FAST** (inherited): the segment test is pure integer comparisons,
-   identical between hardware and software, so the two-stage arc-LUT pass
-   of the ``vectorized`` engine finds exactly the hardware's corners.
+   identical between hardware and software, so the bit-sliced pass of the
+   ``vectorized`` engine finds exactly the hardware's corners.
 2. **Scoring**: only corners whose full 7x7 window fits inside the level
    are kept (the hardware never evaluates a partial window), scored by the
    integer-accumulator windowed response of the FAST Detection unit

@@ -3,19 +3,18 @@
 One pass per pyramid level with no full-image temporaries beyond a handful
 of per-call buffers and no Python-level per-keypoint work:
 
-1. **FAST**: two-stage.  The four compass-point comparisons run densely on
-   padded-slice views of the image (no ``np.roll`` copies) and reject every
-   pixel whose pattern cannot support a contiguous arc
-   (:func:`~repro.features.fast.cardinal_prefilter_lut`); the full
-   16-pixel ring is then gathered at the survivors, packed into two uint16
-   bitmasks (brighter/darker) and resolved by one gather from the
-   precomputed 65536-entry :func:`~repro.features.fast.segment_arc_lut` —
-   exactly the combinational 7x7-window check the hardware FAST Detection
-   module performs.
+1. **FAST**: bit-sliced.  All 16 ring comparisons run on slice views of
+   the level (no ``np.roll`` copies) against saturated uint8 thresholds,
+   their flags are packed 8 pixels per byte, and one AND/OR network over
+   the 16 packed planes (:func:`~repro.features.fast.segment_arc_network`)
+   resolves the contiguous-arc test for both polarities — the
+   combinational 7x7-window check the hardware FAST Detection module
+   performs, made for every pixel of the level in one pass.
 2. **Harris**: responses are computed **sparsely** — integer Sobel products
-   summed into int64 integral images, box sums gathered with four reads per
-   FAST corner (:func:`~repro.features.harris.harris_scores_sparse`) —
-   instead of scoring every pixel of the level.
+   over the bounding box of the corners' windows only, window sums by
+   exact sliding adds, read at each FAST corner
+   (:func:`~repro.features.harris.harris_scores_sparse`) — instead of
+   scoring every pixel of the level.
 3. **NMS**: sparse, loop-free suppression with vectorised raster-order
    tie-breaking (:func:`~repro.features.nms.suppress_keypoints_sparse`).
 4. **Smoothing**: the separable 7x7 Gaussian runs on slice views of one
@@ -41,13 +40,7 @@ from typing import Tuple
 
 import numpy as np
 
-from ..features.fast import (
-    FAST_CARDINAL_POSITIONS,
-    FAST_CIRCLE_OFFSETS,
-    cardinal_prefilter_lut,
-    fast_corner_mask,
-    segment_arc_lut,
-)
+from ..features.fast import FAST_CIRCLE_OFFSETS, fast_corner_mask, segment_arc_network
 from ..features.harris import harris_scores_sparse
 from ..features.nms import suppress_keypoints_sparse
 from ..features.orientation import compute_orientations
@@ -61,24 +54,14 @@ from ..image.filters import (
 from .base import ExtractionEngine
 
 
-def _pack_ring_bits(flags: np.ndarray) -> np.ndarray:
-    """Pack ``(16, K)`` ring flags into uint16 bitmasks (bit i = row i)."""
-    masks = np.zeros(flags.shape[1], dtype=np.uint16)
-    for index in range(16):
-        np.bitwise_or(masks, np.uint16(1 << index), out=masks, where=flags[index])
-    return masks
-
-
 class VectorizedEngine(ExtractionEngine):
-    """Two-stage FAST, sparse Harris and NMS, slice-view smoothing, batched
+    """Bit-sliced FAST, sparse Harris and NMS, slice-view smoothing, batched
     orientation and description."""
 
     name = "vectorized"
 
     def __init__(self, config) -> None:
         super().__init__(config)
-        self._arc_lut = segment_arc_lut(config.fast.arc_length)
-        self._cardinal_lut = cardinal_prefilter_lut(config.fast.arc_length)
         self._kernel = gaussian_kernel_1d(GAUSSIAN_BLUR_SIZE, GAUSSIAN_BLUR_SIGMA)
 
     # -- detection ---------------------------------------------------------
@@ -100,102 +83,49 @@ class VectorizedEngine(ExtractionEngine):
         return xs, ys, harris_scores_sparse(image, xs, ys)
 
     def _fast_corners(self, image: GrayImage) -> Tuple[np.ndarray, np.ndarray]:
-        """FAST corners inside the border box, raster order, via the arc LUT.
+        """FAST corners inside the border box, raster order, bit-sliced.
 
-        Two-stage: the dense pass evaluates only the four compass-point
-        comparisons and rejects pixels whose 4-bit pattern cannot support a
-        contiguous arc (:func:`cardinal_prefilter_lut`); the full 16-pixel
-        ring is then gathered and tested sparsely at the few surviving
-        candidates.  When the prefilter rejects too little (pathologically
-        corner-dense images) the dense 16-comparison path runs instead —
-        both stages decide every pixel with the exact reference comparisons.
+        Each of the 16 ring offsets is compared at once against every centre
+        of the inner box, through slice views of the level and saturated
+        uint8 thresholds, and the flags are packed 8 pixels per byte.  The
+        arc test then runs as one AND/OR network over the 16 packed planes
+        (:func:`segment_arc_network`), both polarities stacked, and the
+        corner bits are unpacked back to the inner box.  Every pixel is
+        decided by the reference comparisons.
         """
         cfg = self.config.fast
         height, width = image.shape
         border = cfg.border
-        empty = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
         if height < 2 * border + 1 or width < 2 * border + 1:
-            return empty
+            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
         if border < 3:
             # the rolled reference lets ring comparisons wrap around inside a
             # <3px border; keep those exact semantics via the dense path
             ys, xs = np.nonzero(fast_corner_mask(image, cfg))
             return xs.astype(np.int64), ys.astype(np.int64)
         pixels = image.pixels
-        inner = (height - 2 * border, width - 2 * border)
-        centre = pixels[border : height - border, border : width - border].astype(np.int16)
-        high = centre + cfg.threshold
-        low = centre - cfg.threshold
-        flags = np.empty(inner, dtype=bool)
-        # stage 1: compass-point patterns, 4 ring positions instead of 16
-        bright4 = np.zeros(inner, dtype=np.uint8)
-        dark4 = np.zeros(inner, dtype=np.uint8)
-        for bit, position in enumerate(FAST_CARDINAL_POSITIONS):
-            dx, dy = FAST_CIRCLE_OFFSETS[position]
-            ring = pixels[
-                border + dy : height - border + dy, border + dx : width - border + dx
-            ]
-            pattern_bit = np.uint8(1 << bit)
-            np.greater(ring, high, out=flags)
-            np.bitwise_or(bright4, pattern_bit, out=bright4, where=flags)
-            np.less(ring, low, out=flags)
-            np.bitwise_or(dark4, pattern_bit, out=dark4, where=flags)
-        candidates = self._cardinal_lut[bright4]
-        candidates |= self._cardinal_lut[dark4]
-        cand_ys, cand_xs = np.nonzero(candidates)
-        if cand_xs.size == 0:
-            return empty
-        if cand_xs.size * 4 > candidates.size:
-            return self._fast_corners_dense(image, high, low, flags)
-        # stage 2: full ring test, gathered only at the candidates.  The ring
-        # is laid out (16, K) so comparisons and bit packing broadcast along
-        # the contiguous candidate axis.
-        xs = cand_xs + border
-        ys = cand_ys + border
-        flat = pixels.reshape(-1)
-        base = ys * width + xs
-        ring_offsets = np.array(
-            [dy * width + dx for dx, dy in FAST_CIRCLE_OFFSETS], dtype=np.int64
-        )
-        ring = np.take(flat, ring_offsets[:, None] + base[None, :])
-        centre_values = np.take(flat, base).astype(np.int16)
-        # saturating uint8 thresholds are exact: a uint8 ring value can never
+        inner_height, inner_width = height - 2 * border, width - 2 * border
+        centre = pixels[border : height - border, border : width - border]
+        # saturated uint8 thresholds are exact: a uint8 ring value can never
         # exceed a clipped-high 255 or undercut a clipped-low 0, matching the
         # int16 comparisons of the reference for out-of-range thresholds
-        ring_high = np.minimum(centre_values + cfg.threshold, 255).astype(np.uint8)
-        ring_low = np.maximum(centre_values - cfg.threshold, 0).astype(np.uint8)
-        bright_mask = _pack_ring_bits(ring > ring_high[None, :])
-        dark_mask = _pack_ring_bits(ring < ring_low[None, :])
-        is_corner = self._arc_lut[bright_mask] | self._arc_lut[dark_mask]
-        return xs[is_corner], ys[is_corner]
-
-    def _fast_corners_dense(
-        self,
-        image: GrayImage,
-        high: np.ndarray,
-        low: np.ndarray,
-        flags: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Dense 16-comparison fallback for images full of candidates."""
-        cfg = self.config.fast
-        height, width = image.shape
-        border = cfg.border
-        pixels = image.pixels
-        inner = (height - 2 * border, width - 2 * border)
-        brighter = np.zeros(inner, dtype=np.uint16)
-        darker = np.zeros(inner, dtype=np.uint16)
+        # (a row operand, unlike a scalar one, keeps numpy's SIMD min/max loop)
+        threshold = min(cfg.threshold, 255)
+        ceiling = np.full(inner_width, 255 - threshold, dtype=np.uint8)
+        floor = np.full(inner_width, threshold, dtype=np.uint8)
+        high = np.minimum(centre, ceiling) + np.uint8(threshold)
+        low = np.maximum(centre, floor) - np.uint8(threshold)
+        flags = np.empty((inner_height, inner_width), dtype=bool)
+        planes = np.empty((16, 2, inner_height, (inner_width + 7) // 8), dtype=np.uint8)
         for index, (dx, dy) in enumerate(FAST_CIRCLE_OFFSETS):
             ring = pixels[
                 border + dy : height - border + dy, border + dx : width - border + dx
             ]
-            bit = np.uint16(1 << index)
-            np.greater(ring, high, out=flags)
-            np.bitwise_or(brighter, bit, out=brighter, where=flags)
-            np.less(ring, low, out=flags)
-            np.bitwise_or(darker, bit, out=darker, where=flags)
-        corners = self._arc_lut[brighter]
-        corners |= self._arc_lut[darker]
-        ys, xs = np.nonzero(corners)
+            planes[index, 0] = np.packbits(np.greater(ring, high, out=flags), axis=1)
+            planes[index, 1] = np.packbits(np.less(ring, low, out=flags), axis=1)
+        arcs = segment_arc_network(planes, cfg.arc_length)
+        corners = np.unpackbits(arcs[0] | arcs[1], axis=1, count=inner_width)
+        ys, xs = np.divmod(np.flatnonzero(corners.view(bool)), inner_width)
         return xs + border, ys + border
 
     # -- smoothing ---------------------------------------------------------

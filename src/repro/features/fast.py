@@ -9,13 +9,14 @@ Cache.
 
 The implementation is vectorised over the whole image so the software
 pipeline stays fast enough to run full synthetic sequences in the test suite;
-the hardware model in :mod:`repro.hw.orb_extractor.fast_detector` reuses the
-same circle offsets for its per-window functional check.
+:func:`segment_arc_network` resolves the arc test as the AND/OR network the
+``vectorized`` engine runs over bit-packed ring flags, and the hardware model
+in :mod:`repro.hw.orb_extractor.units` reuses the same circle offsets
+for its per-window functional check.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import List, Tuple
 
 import numpy as np
@@ -50,60 +51,44 @@ def _circular_arc_mask(flags: np.ndarray, arc_length: int) -> np.ndarray:
     return (run >= arc_length).any(axis=0)
 
 
-@lru_cache(maxsize=None)
-def segment_arc_lut(arc_length: int) -> np.ndarray:
-    """Lookup table resolving the segment test for every 16-bit ring bitmask.
+def segment_arc_network(planes: np.ndarray, arc_length: int) -> np.ndarray:
+    """Resolve the segment test with an AND/OR network over 16 ring planes.
 
-    Entry ``m`` is True when the 16 flag bits of ``m`` (bit ``i`` = circle
-    position ``i``, the :data:`FAST_CIRCLE_OFFSETS` order) contain a
-    wrap-around run of at least ``arc_length`` set bits — the same
-    computation :func:`_circular_arc_mask` performs per pixel, precomputed
-    once for all 65536 masks.  This is exactly the combinational
-    contiguous-arc check the hardware FAST Detection module evaluates on its
-    7x7 window.  The returned array is cached and read-only.
+    ``planes[i]`` holds the flags of circle position ``i`` (the
+    :data:`FAST_CIRCLE_OFFSETS` order) for any number of pixels, as bool or
+    as bit-packed integers, 8 pixels per uint8 byte.  Runs of doubling length
+    are ANDed from neighbouring start positions (``run_2m[i] = run_m[i] &
+    run_m[i + m]``, indices mod 16), the binary decomposition of
+    ``arc_length`` chains those runs into one run of exactly ``arc_length``
+    from each start, and the 16 starts are ORed.  The result, one plane,
+    flags every pixel with a wrap-around run of at least ``arc_length`` set
+    flags, the check :func:`_circular_arc_mask` makes with a run counter and
+    the hardware FAST Detection module makes combinationally on its 7x7
+    window.  Every operation is bitwise, so packed planes resolve 8 pixels
+    per byte.
     """
     if not 1 <= arc_length <= 16:
         raise FeatureError("arc_length must be in [1, 16]")
-    masks = np.arange(1 << 16, dtype=np.uint32)
-    bits = ((masks[:, None] >> np.arange(16, dtype=np.uint32)) & 1).astype(np.int32)
-    doubled = np.concatenate([bits, bits[:, : arc_length - 1]], axis=1)
-    run = np.zeros(masks.size, dtype=np.int32)
-    has_arc = np.zeros(masks.size, dtype=bool)
-    for position in range(doubled.shape[1]):
-        run = doubled[:, position] * (run + 1)
-        has_arc |= run >= arc_length
-    has_arc.setflags(write=False)
-    return has_arc
+    if planes.shape[0] != 16:
+        raise FeatureError("segment_arc_network expects 16 ring planes on axis 0")
+    runs, span = planes, 1  # runs[i]: planes i .. i + span - 1 all set
+    arc, covered = None, 0  # arc[i]: planes i .. i + covered - 1 all set
+    while True:
+        if arc_length & span:
+            arc = runs if arc is None else _and_rotated(arc, runs, covered)
+            covered += span
+        if 2 * span > arc_length:
+            return np.bitwise_or.reduce(arc, axis=0)
+        runs = _and_rotated(runs, runs, span)
+        span *= 2
 
 
-#: Indices of the four compass points (top, right, bottom, left) on the ring.
-FAST_CARDINAL_POSITIONS: Tuple[int, int, int, int] = (0, 4, 8, 12)
-
-
-@lru_cache(maxsize=None)
-def cardinal_prefilter_lut(arc_length: int) -> np.ndarray:
-    """16-entry necessary-condition LUT over the four compass-point flags.
-
-    Entry ``p`` (bit ``j`` = flag at :data:`FAST_CARDINAL_POSITIONS`\\ ``[j]``)
-    is True iff *some* full ring mask with exactly those compass flags passes
-    the segment test.  Because the arc test is monotone in set bits, that is
-    the mask with every non-compass bit set — so a False entry proves no
-    pixel with that compass pattern can be a corner, and the full 16-pixel
-    test only needs to run on the (typically few percent of) pixels whose
-    brighter or darker compass pattern survives.  This mirrors the classic
-    FAST high-speed test, generalised to any ``arc_length`` via
-    :func:`segment_arc_lut`.
-    """
-    arc = segment_arc_lut(arc_length)
-    quick = np.zeros(16, dtype=bool)
-    for pattern in range(16):
-        mask = 0xFFFF
-        for bit, position in enumerate(FAST_CARDINAL_POSITIONS):
-            if not (pattern >> bit) & 1:
-                mask &= ~(1 << position)
-        quick[pattern] = bool(arc[mask])
-    quick.setflags(write=False)
-    return quick
+def _and_rotated(planes: np.ndarray, other: np.ndarray, shift: int) -> np.ndarray:
+    """``planes[i] & other[(i + shift) % 16]`` for all 16 ``i``, uncopied."""
+    out = np.empty_like(planes)
+    np.bitwise_and(planes[: 16 - shift], other[shift:], out=out[: 16 - shift])
+    np.bitwise_and(planes[16 - shift :], other[:shift], out=out[16 - shift :])
+    return out
 
 
 def fast_corner_mask(image: GrayImage, config: FastConfig | None = None) -> np.ndarray:

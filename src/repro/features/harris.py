@@ -18,7 +18,7 @@ import numpy as np
 
 from ..errors import FeatureError
 from ..image import GrayImage
-from ..image.filters import edge_pad_into, sobel_gradients
+from ..image.filters import sobel_gradients
 
 #: Standard Harris sensitivity constant.
 HARRIS_K: float = 0.04
@@ -67,6 +67,14 @@ def _box_filter(values: np.ndarray, window: int) -> np.ndarray:
     return bottom - right - left + top
 
 
+#: Largest |Sobel product|: every gradient is at most 4*255 in magnitude.
+_MAX_GRADIENT_PRODUCT: int = (4 * 255) ** 2
+#: Rows of window sums formed per band.  Level-sized temporaries are
+#: page-faulted afresh on every call (about 4,000 faults per VGA level);
+#: band-sized ones are reused, which made the level-0 call 16 -> 6 ms.
+_BAND_ROWS: int = 64
+
+
 def harris_scores_sparse(
     image: GrayImage,
     xs: np.ndarray,
@@ -76,15 +84,19 @@ def harris_scores_sparse(
 ) -> np.ndarray:
     """Harris responses gathered only at ``(xs, ys)``, bit-identical to the map.
 
-    Avoids materialising the dense response: Sobel gradients and their
-    products are computed once in integer arithmetic, summed into int64
-    integral images, and the ``window x window`` box sums are gathered with
-    four reads per point.  This is exact — every value the float64 reference
-    pipeline produces up to the box sums is an integer far below 2**53
-    (|gradient| <= 4*255, so products < 2**21 and whole-image integrals
-    < 2**40), so its cumsums never round and the int64 path lands on the
-    same numbers.  The final ``det - k*trace**2`` is then evaluated with the
-    reference's float64 expression, making the result bit-identical to
+    Sobel gradients and their three products are computed in integers, and
+    only over the bounding box of the requested windows, one band of rows at
+    a time; the box is edge-replicated only where it leaves the level
+    (pixels for the Sobel taps, gradients for the windows, as
+    :func:`harris_response_map` pads them).  The ``window x window`` sums of
+    every box position are formed with exact sliding adds on both axes
+    (:func:`_window_sums`) and read at the requested points.  This is exact: |gradient| <= 4*255, so a
+    product is at most (4*255)**2 and a 7x7 window sum at most
+    49*(4*255)**2 < 2**31, and the int32 sums never wrap (windows wider
+    than 45 sum in int64).  The float64 reference pipeline produces the same
+    integers, all far below 2**53, so it never rounds before the final
+    ``det - k*trace**2``, which is evaluated here with the reference's
+    float64 expression, making the result bit-identical to
     ``harris_response_map(image)[ys, xs]``.
     """
     if block_radius < 1:
@@ -101,63 +113,86 @@ def harris_scores_sparse(
     if xs.size == 0:
         return np.zeros(0, dtype=np.float64)
     window = 2 * block_radius + 1
-    # Sobel via edge-padded integer views (same values as sobel_gradients),
-    # accumulated in place; int16 holds every intermediate (|gradient| <= 4*255)
-    padded = edge_pad_into(image.pixels, 1, np.empty((height + 2, width + 2), np.int16))
-    top, mid, bot = padded[:-2], padded[1:-1], padded[2:]
-    gx = np.empty((height, width), np.int16)
-    gy = np.empty((height, width), np.int16)
-    accum = np.empty((height, width), np.int16)
-    # gx = (top+2*mid+bot) on the right column minus the same on the left
-    np.add(top[:, 2:], bot[:, 2:], out=gx)
-    np.add(gx, mid[:, 2:], out=gx)
-    np.add(gx, mid[:, 2:], out=gx)
-    np.add(top[:, :-2], bot[:, :-2], out=accum)
-    np.add(accum, mid[:, :-2], out=accum)
-    np.add(accum, mid[:, :-2], out=accum)
-    gx -= accum
-    # gy = (left+2*mid+right) on the bottom row minus the same on the top
-    np.add(bot[:, :-2], bot[:, 2:], out=gy)
-    np.add(gy, bot[:, 1:-1], out=gy)
-    np.add(gy, bot[:, 1:-1], out=gy)
-    np.add(top[:, :-2], top[:, 2:], out=accum)
-    np.add(accum, top[:, 1:-1], out=accum)
-    np.add(accum, top[:, 1:-1], out=accum)
-    gy -= accum
-    # edge-padded gradients; products of replicated edges == replicated
-    # products, so padding the gradients once replaces three product pads
-    # the pad step also widens to int32: np.multiply with int16 operands would
-    # wrap in int16 before casting to an int32 out
-    pad_shape = (height + 2 * block_radius, width + 2 * block_radius)
-    gx_pad = edge_pad_into(gx, block_radius, np.empty(pad_shape, np.int32))
-    gy_pad = edge_pad_into(gy, block_radius, np.empty(pad_shape, np.int32))
-    products = np.empty((3,) + pad_shape, np.int32)
-    np.multiply(gx_pad, gx_pad, out=products[0])
-    np.multiply(gy_pad, gy_pad, out=products[1])
-    np.multiply(gx_pad, gy_pad, out=products[2])
-    # per-row prefix sums (contiguous cumsum), then a gathered difference over
-    # the window rows per point — cheaper than a full 2-D integral because the
-    # column accumulation is only paid at the K requested points.  Row totals
-    # are bounded by pad_width * (4*255)**2, so narrow images keep the whole
-    # prefix in int32 (exact either way; halves the memory traffic)
-    prefix_dtype = np.int32 if (pad_shape[1] + 1) * 1_040_400 < 2**31 else np.int64
-    prefix = np.empty((3, pad_shape[0], pad_shape[1] + 1), prefix_dtype)
-    prefix[:, :, 0] = 0
-    np.cumsum(products, axis=2, out=prefix[:, :, 1:])
-    # horizontal window sums for every output column (dense subtract of two
-    # prefix views), then the vertical accumulation is paid only at the K
-    # requested points: one (K, window) gather per channel
-    spans = np.subtract(prefix[:, :, window:], prefix[:, :, :width])
-    plane = pad_shape[0] * width
-    flat = spans.reshape(-1)
-    gather = (ys[:, None] + np.arange(window, dtype=np.int64)[None, :]) * width + xs[:, None]
-    sums = np.empty((3, xs.size), dtype=np.float64)
-    for channel in range(3):
-        sums[channel] = np.take(flat, gather + channel * plane).sum(axis=1)
-    sxx, syy, sxy = sums[0], sums[1], sums[2]
+    dtype = np.int32 if window * window * _MAX_GRADIENT_PRODUCT < 2**31 else np.int64
+    x_min, y_min = int(xs.min()), int(ys.min())
+    # the window box, [top, bottom) x [left, right)
+    top, bottom = y_min - block_radius, int(ys.max()) + block_radius + 1
+    left, right = x_min - block_radius, int(xs.max()) + block_radius + 1
+    sums = np.empty((3, bottom - top - window + 1, right - left - window + 1), dtype)
+    for start in range(0, sums.shape[1], _BAND_ROWS):
+        stop = min(start + _BAND_ROWS, sums.shape[1])
+        sums[:, start:stop] = _band_window_sums(
+            image.pixels, top + start, top + stop + window - 1, left, right, window, dtype
+        )
+    sxx, syy, sxy = sums[:, ys - y_min, xs - x_min].astype(np.float64)
     det = sxx * syy - sxy * sxy
     trace = sxx + syy
     return det - k * trace * trace
+
+
+def _band_window_sums(
+    pixels: np.ndarray, top: int, bottom: int, left: int, right: int, window: int, dtype
+) -> np.ndarray:
+    """``window x window`` sums of the three Sobel products over the level
+    rows ``[top, bottom)`` and columns ``[left, right)``, edge-replicated
+    outside the level."""
+    height, width = pixels.shape
+    inner_top, inner_bottom = max(top, 0), min(bottom, height)
+    inner_left, inner_right = max(left, 0), min(right, width)
+    # separable Sobel over the in-level part of the box, same integers as
+    # sobel_gradients: gx from vertically smoothed rows, gy from horizontally
+    # smoothed columns
+    pixels = _edge_crop(
+        pixels, inner_top - 1, inner_bottom + 1, inner_left - 1, inner_right + 1
+    ).astype(dtype)
+    rows = pixels[:-2] + 2 * pixels[1:-1] + pixels[2:]
+    cols = pixels[:, :-2] + 2 * pixels[:, 1:-1] + pixels[:, 2:]
+    # products of replicated gradients are the reference's replicated products
+    box = (top - inner_top, bottom - inner_top, left - inner_left, right - inner_left)
+    gx = _edge_crop(rows[:, 2:] - rows[:, :-2], *box)
+    gy = _edge_crop(cols[2:] - cols[:-2], *box)
+    products = np.empty((3,) + gx.shape, dtype)
+    np.multiply(gx, gx, out=products[0])
+    np.multiply(gy, gy, out=products[1])
+    np.multiply(gx, gy, out=products[2])
+    return _window_sums(_window_sums(products, window, axis=1), window, axis=2)
+
+
+def _edge_crop(values: np.ndarray, top: int, bottom: int, left: int, right: int) -> np.ndarray:
+    """``values[top:bottom, left:right]`` with rows and columns outside
+    ``values`` replicated from its edges (``np.pad(..., mode="edge")``)."""
+    height, width = values.shape
+    crop = values[max(top, 0) : min(bottom, height), max(left, 0) : min(right, width)]
+    pad = (
+        (max(-top, 0), max(bottom - height, 0)),
+        (max(-left, 0), max(right - width, 0)),
+    )
+    if any(pad[0] + pad[1]):
+        crop = np.pad(crop, pad, mode="edge")
+    return crop
+
+
+def _window_sums(values: np.ndarray, window: int, axis: int) -> np.ndarray:
+    """Sum of every ``window`` consecutive entries of ``values`` along ``axis``.
+
+    Runs of doubling length are added pairwise (``s2 = a[:-1] + a[1:]``,
+    ``s4 = s2[:-2] + s2[2:]``) and the binary decomposition of ``window``
+    chains them (``s7 = s4[:-3] + s2[4:-1] + a[6:]`` after aligning the
+    starts), so a window costs about ``2 * log2(window)`` whole-array adds and
+    integer inputs sum exactly.
+    """
+    runs = np.moveaxis(values, axis, 0)  # runs[i]: sum of entries i .. i + run_length - 1
+    run_length, count = 1, runs.shape[0] - window + 1
+    total, covered = None, 0  # total[i]: sum of entries i .. i + covered - 1
+    while True:
+        if window & run_length:
+            part = runs[covered : covered + count]
+            total = part if total is None else total + part
+            covered += run_length
+        if 2 * run_length > window:
+            return np.moveaxis(total, 0, axis)
+        runs = runs[:-run_length] + runs[run_length:]
+        run_length *= 2
 
 
 def harris_scores_at(

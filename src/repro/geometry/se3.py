@@ -270,7 +270,8 @@ def se3_log(pose: Pose) -> Tuple[np.ndarray, np.ndarray]:
         v_inv = np.eye(3) - 0.5 * skew
     else:
         half = theta / 2.0
-        cot_half = 1.0 / np.tan(half) if abs(np.tan(half)) > _EPS else 0.0
+        # tan(half) == half to float precision where it falls below _EPS
+        cot_half = 1.0 / np.tan(half) if abs(np.tan(half)) > _EPS else 1.0 / half
         v_inv = (
             np.eye(3)
             - 0.5 * skew

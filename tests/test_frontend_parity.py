@@ -2,7 +2,7 @@
 
 The ``vectorized`` engine's detection and smoothing replace the dense per-stage front-end
 (full corner map, full Harris map, per-survivor NMS tie-break loop) with a
-fused arc-LUT / sparse-Harris / loop-free-NMS pass.  These tests pin down
+fused bit-sliced-FAST / sparse-Harris / loop-free-NMS pass.  These tests pin down
 that it is a pure reformulation — same corner sets, same Harris scores (to
 the bit), same NMS survivors including tie chains, same retained features
 for both workflow orders — on randomized synthetic images.  They also
@@ -23,10 +23,9 @@ from repro.features import (
     harris_scores_at,
     harris_scores_sparse,
     non_maximum_suppression,
-    segment_arc_lut,
     suppress_keypoints_sparse,
 )
-from repro.features.fast import FAST_CARDINAL_POSITIONS, cardinal_prefilter_lut
+from repro.features.fast import segment_arc_network
 from repro.engines import HwExactEngine, ReferenceEngine, VectorizedEngine
 from repro.image import GrayImage, checkerboard, gaussian_blur, random_blocks
 
@@ -76,39 +75,33 @@ class TestEngineRegistry:
             ExtractorConfig(engine="")
 
 
-class TestArcLut:
-    def test_lut_matches_run_counting(self):
-        # exhaustive spot check of the 65536-entry LUT against a literal
-        # wrap-around run counter on a random sample plus edge masks
-        lut = segment_arc_lut(9)
-        rng = np.random.default_rng(0)
-        samples = set(int(v) for v in rng.integers(0, 1 << 16, 500))
-        samples.update([0, 0xFFFF, 0x01FF, 0xFF80, 0b1111000011110000])
-        for mask in samples:
-            bits = [(mask >> i) & 1 for i in range(16)]
-            doubled = bits + bits[:8]
-            run = best = 0
-            for flag in doubled:
-                run = run + 1 if flag else 0
-                best = max(best, run)
-            assert bool(lut[mask]) == (best >= 9), bin(mask)
-
-    def test_lut_arc_length_bounds(self):
-        assert segment_arc_lut(1)[1]  # any set bit passes
-        assert segment_arc_lut(16)[0xFFFF]
-        assert not segment_arc_lut(16)[0xFFFE]
-        with pytest.raises(FeatureError):
-            segment_arc_lut(17)
-
-    def test_cardinal_prefilter_is_necessary(self):
-        # every mask that passes the arc test must pass the compass prefilter
-        arc = segment_arc_lut(9)
-        quick = cardinal_prefilter_lut(9)
+class TestArcNetwork:
+    @pytest.mark.parametrize("packed", [True, False], ids=["packed", "bool"])
+    def test_every_mask_every_arc_length(self, packed):
+        # all 65536 ring masks, every arc length, against a literal
+        # wrap-around run counter; packed planes hold 8 masks per byte
         masks = np.arange(1 << 16)
-        patterns = np.zeros(1 << 16, dtype=np.int64)
-        for bit, position in enumerate(FAST_CARDINAL_POSITIONS):
-            patterns |= ((masks >> position) & 1) << bit
-        assert bool(np.all(~arc | quick[patterns]))
+        bits = ((masks[None, :] >> np.arange(16)[:, None]) & 1).astype(bool)
+        planes = np.packbits(bits, axis=1) if packed else bits
+        for arc_length in range(1, 17):
+            doubled = np.concatenate([bits, bits[: arc_length - 1]])
+            run = np.zeros(masks.size, dtype=np.int64)
+            expected = np.zeros(masks.size, dtype=bool)
+            for flags in doubled:
+                run = np.where(flags, run + 1, 0)
+                expected |= run >= arc_length
+            arcs = segment_arc_network(planes, arc_length)
+            if packed:
+                arcs = np.unpackbits(arcs, count=masks.size).astype(bool)
+            assert np.array_equal(arcs, expected), arc_length
+
+    def test_rejects_bad_arguments(self):
+        planes = np.zeros((16, 4), dtype=np.uint8)
+        for arc_length in (0, 17):
+            with pytest.raises(FeatureError):
+                segment_arc_network(planes, arc_length)
+        with pytest.raises(FeatureError):
+            segment_arc_network(planes[:15], 9)
 
 
 class TestFastParity:
@@ -123,8 +116,8 @@ class TestFastParity:
         assert np.array_equal(xs, ref_xs)
         assert np.array_equal(ys, ref_ys)
 
-    def test_dense_fallback_matches(self):
-        # a noisy image pushes the candidate ratio over the dense-path switch
+    def test_candidate_dense_image_matches(self):
+        # uniform noise at threshold 1: most of the inner box is a candidate
         rng = np.random.default_rng(3)
         image = GrayImage(rng.integers(0, 256, (96, 128), dtype=np.uint8))
         config = ExtractorConfig(fast=FastConfig(threshold=1))
@@ -132,6 +125,24 @@ class TestFastParity:
         ref_ys, ref_xs = np.nonzero(fast_corner_mask(image, config.fast))
         assert np.array_equal(xs, ref_xs)
         assert np.array_equal(ys, ref_ys)
+
+    @pytest.mark.parametrize("arc_length", [1, 5, 9, 12, 16])
+    @pytest.mark.parametrize("border", [3, 4, 16])
+    def test_inner_widths_off_the_byte_grid(self, border, arc_length):
+        # inner widths that are not multiples of 8 leave a partial last byte
+        # in every packed plane; its padding bits must never become corners
+        found = 0
+        for inner_width in (1, 7, 13, 37):
+            shape = (2 * border + 19, 2 * border + inner_width)
+            image = random_blocks(shape[0], shape[1], block=3, seed=inner_width)
+            for threshold in (0, 1, 20, 250):
+                fast = FastConfig(threshold=threshold, arc_length=arc_length, border=border)
+                xs, ys = VectorizedEngine(ExtractorConfig(fast=fast))._fast_corners(image)
+                ref_ys, ref_xs = np.nonzero(fast_corner_mask(image, fast))
+                assert np.array_equal(xs, ref_xs), (inner_width, threshold)
+                assert np.array_equal(ys, ref_ys), (inner_width, threshold)
+                found += xs.size
+        assert found > 0
 
     def test_checkerboard_and_flat_images(self):
         config = ExtractorConfig()
@@ -170,6 +181,43 @@ class TestSparseHarrisParity:
         sparse = harris_scores_sparse(blocks_image, xs, ys)
         dense = harris_response_map(blocks_image)[ys, xs]
         assert sparse.tobytes() == dense.tobytes()
+
+    @pytest.mark.parametrize("block_radius", [1, 2, 3, 4])
+    def test_edges_corners_and_single_points(self, block_radius):
+        # windows that leave the level on each side, alone and together, so
+        # the cropped box is edge-replicated on every side it crosses
+        height, width = 37, 53
+        image = random_blocks(height, width, block=4, seed=block_radius)
+        dense = harris_response_map(image, block_radius=block_radius)
+        near = range(block_radius + 2)
+        points = (
+            [(x, y) for x in near for y in near]
+            + [(width - 1 - x, y) for x in near for y in near]
+            + [(x, height - 1 - y) for x in near for y in near]
+            + [(width - 1 - x, height - 1 - y) for x in near for y in near]
+            + [(26, 0), (26, height - 1), (0, 18), (width - 1, 18), (26, 18)]
+        )
+        xs = np.array([p[0] for p in points], dtype=np.int64)
+        ys = np.array([p[1] for p in points], dtype=np.int64)
+        sparse = harris_scores_sparse(image, xs, ys, block_radius=block_radius)
+        assert sparse.tobytes() == dense[ys, xs].tobytes()
+        for x, y in points:
+            single = harris_scores_sparse(
+                image, np.array([x]), np.array([y]), block_radius=block_radius
+            )
+            assert single.tobytes() == dense[y : y + 1, x].tobytes(), (x, y)
+
+    def test_wide_windows_sum_without_wrapping(self):
+        # period-4 stripes give |gx| = 4*255 at every pixel, so one 47x47
+        # window of gx**2 exceeds 2**31 and must be summed in int64; 45x45
+        # is the widest window that fits int32
+        image = GrayImage(np.tile(np.array([0, 0, 255, 255], dtype=np.uint8), (60, 20)))
+        xs = np.array([30, 41, 0, 79])
+        ys = np.array([30, 20, 59, 0])
+        for block_radius in (22, 23):
+            sparse = harris_scores_sparse(image, xs, ys, block_radius=block_radius)
+            dense = harris_response_map(image, block_radius=block_radius)[ys, xs]
+            assert sparse.tobytes() == dense.tobytes(), block_radius
 
     def test_scores_at_matches_response_map(self, blocks_image):
         points = [(20, 30), (40, 50), (0, 0), (159, 119)]

@@ -162,6 +162,14 @@ class TestSe3:
         assert np.allclose(upsilon_back, upsilon, atol=1e-9)
         assert np.allclose(omega_back, omega, atol=1e-9)
 
+    def test_exp_log_roundtrip_at_tiny_rotation(self):
+        # |omega| just above the small-angle branch, where tan(|omega|/2)
+        # falls below its epsilon
+        pose = se3_exp(np.array([0.0, 0.0, 1.0]), np.array([1e-12, 0.0, 0.0]))
+        upsilon, omega = se3_log(pose)
+        assert se3_exp(upsilon, omega).is_close(pose, atol=1e-7)
+        assert np.allclose(upsilon, [0.0, 0.0, 1.0], atol=1e-9)
+
     @settings(max_examples=30, deadline=None)
     @given(_small_floats, _small_floats, _small_floats, _small_floats, _small_floats, _small_floats)
     def test_exp_log_property(self, a, b, c, d, e, f):

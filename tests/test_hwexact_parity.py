@@ -88,39 +88,28 @@ def _dense_quantized_detect(image: GrayImage, fast: FastConfig):
     return xs[keep], ys[keep], scores[keep], int(mask.sum())
 
 
-# (image, whether FAST borders >= 3 take the dense fallback of _fast_corners)
 _FAST_REUSE_IMAGES = {
-    "blocks": (random_blocks(120, 160, block=10, seed=7), False),
-    "checkerboard": (checkerboard(96, 128, square=5), True),
+    "blocks": random_blocks(120, 160, block=10, seed=7),
+    "checkerboard": checkerboard(96, 128, square=5),
 }
 
 
 class TestFastReuse:
-    """hwexact detects with the vectorized two-stage FAST pass, exactly."""
+    """hwexact detects with the vectorized FAST pass, exactly."""
 
     @pytest.mark.parametrize("threshold", [5, 20, 60])
     @pytest.mark.parametrize("border", [1, 2, 3, 16])
     @pytest.mark.parametrize("image_name", list(_FAST_REUSE_IMAGES))
     def test_matches_dense_mask_composition(self, image_name, border, threshold):
-        image, dense_fallback = _FAST_REUSE_IMAGES[image_name]
+        image = _FAST_REUSE_IMAGES[image_name]
         fast = FastConfig(border=border, threshold=threshold)
         engine = HwExactEngine(ExtractorConfig(fast=fast))
-        fallback_calls = []
-        dense = engine._fast_corners_dense
-
-        def recording_dense(*args):
-            fallback_calls.append(args)
-            return dense(*args)
-
-        engine._fast_corners_dense = recording_dense
         xs, ys, scores, corners = engine.detect_with_count(image)
         ref_xs, ref_ys, ref_scores, ref_corners = _dense_quantized_detect(image, fast)
         assert corners == ref_corners > 0
         assert np.array_equal(xs, ref_xs) and np.array_equal(ys, ref_ys)
         assert scores.tobytes() == ref_scores.tobytes()
         assert xs.size > 0
-        # borders below 3 take the dense reference mask, not either stage
-        assert bool(fallback_calls) == (dense_fallback and border >= 3)
 
 
 class TestQuantizedHarrisParity:
