@@ -4,8 +4,10 @@ This package reproduces "eSLAM: An Energy-Efficient Accelerator for Real-Time
 ORB-SLAM on FPGA Platform" (Liu, Yang, Chen, Zhao -- DAC 2019):
 
 * :mod:`repro.features` -- the RS-BRIEF descriptor (the paper's algorithmic
-  contribution), FAST/Harris/NMS/orientation and the full ORB extractor in
-  both the original and the rescheduled (streaming) workflow.
+  contribution), FAST/Harris/NMS/orientation and the full ORB extractor.
+  It models both the original and the rescheduled (streaming) workflow in
+  its operation counts, and in both it describes only the features the
+  heap keeps.
 * :mod:`repro.engines` -- the extraction engines behind the extractor
   (smoothing, FAST + Harris + NMS, orientation, description): the dense,
   scalar ``reference`` path, the fused, batched ``vectorized`` default

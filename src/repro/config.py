@@ -89,11 +89,11 @@ class ExtractorConfig:
     """Configuration of the full ORB extractor (software and hardware model).
 
     ``engine`` selects one of :data:`ENGINES`, the extraction engine
-    (:mod:`repro.engines`) that smooths, detects (FAST + Harris + NMS),
-    orients and describes every pyramid level:
+    (:mod:`repro.engines`) that detects (FAST + Harris + NMS) on every
+    pyramid level, then smooths, orients and describes the kept keypoints:
 
     * ``"vectorized"`` (default) -- bit-sliced FAST / sparse-Harris detection
-      and whole-level batched orientation and description;
+      and per-level batched orientation and description;
     * ``"reference"`` -- dense per-stage detection and the per-keypoint
       scalar path, kept as bit-exact ground truth for ``"vectorized"``;
     * ``"hwexact"`` -- the FPGA model's fixed-point arithmetic (integer

@@ -14,9 +14,8 @@ any number of pyramid levels and frames.  Three engines exist:
   per-keypoint orientation + description, kept as bit-exact ground truth
   (:mod:`repro.engines.reference`);
 * ``vectorized`` -- the default: bit-sliced FAST, sparse Harris,
-  loop-free NMS, slice-view smoothing and whole-level batched orientation +
-  description, bit-identical to ``reference``
-  (:mod:`repro.engines.vectorized`);
+  loop-free NMS, banded smoothing and batched orientation + description,
+  bit-identical to ``reference`` (:mod:`repro.engines.vectorized`);
 * ``hwexact`` -- ``vectorized`` with the FPGA model's fixed-point scoring,
   smoothing and orientation, bit-identical to :mod:`repro.hw` extraction
   rather than to the float engines (:mod:`repro.engines.hwexact`, see

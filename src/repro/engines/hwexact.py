@@ -17,11 +17,14 @@ in :mod:`repro.hw`, batched over whole pyramid levels.  It is the
    unit only emits positive-score maxima) and cannot shadow a positive
    neighbour, so dropping them before the inherited sparse NMS is exact.
 3. **Smoothing**: the 8-bit fixed-point Gaussian of the Image Smoother unit
-   (:func:`repro.quant.kernels.smooth_image_quantized`), integer MAC + shift.
-4. **Orientation** accumulates the intensity centroid one patch row at a
-   time, each row one span of a per-row prefix-sum table, as the
-   Orientation Computing unit adds one row per cycle (exact-integer
-   moments, bit-identical to the scalar hardware unit), quantizes the ratio
+   (:func:`repro.quant.kernels.smooth_image_quantized`), integer MAC + shift,
+   run in 64-row bands with the taps of equal weight summed first.
+4. **Orientation** takes the exact-integer intensity-centroid moments of
+   every patch from the shared batched kernel
+   (:func:`~repro.features.orientation.intensity_centroids`: one float64
+   matmul of the gathered patches against the masked moment weights, exact
+   because every partial sum is an integer below ``2**53``), bit-identical
+   to the scalar Orientation Computing unit, quantizes the ratio
    ``v/u`` to the Q6.10 :data:`~repro.quant.formats.ORIENTATION_RATIO_FORMAT`
    and resolves the 32-way label from the ratio and sign bits — the
    hardware LUT, no ``atan2``.  The continuous angle reported for each

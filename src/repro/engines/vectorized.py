@@ -17,10 +17,11 @@ of per-call buffers and no Python-level per-keypoint work:
    scoring every pixel of the level.
 3. **NMS**: sparse, loop-free suppression with vectorised raster-order
    tie-breaking (:func:`~repro.features.nms.suppress_keypoints_sparse`).
-4. **Smoothing**: the separable 7x7 Gaussian runs on slice views of one
-   edge-padded buffer (no per-tap ``np.roll`` copies).
-5. **Orientation**: every keypoint's intensity centroid row by row from two
-   per-row prefix-sum tables of the level, one span per patch row
+4. **Smoothing**: the separable 7x7 Gaussian runs in bands of 64 output
+   rows, on slice views of one small edge-padded buffer per band (no
+   per-tap ``np.roll`` copies, no level-sized float64 temporaries).
+5. **Orientation**: every keypoint's intensity-centroid moments from one
+   float64 matmul of its gathered patch against the masked moment weights
    (:func:`~repro.features.orientation.intensity_centroids`), then each
    centroid's ``atan2`` angle binned to the nearest of the 32 orientations.
 6. **Description**: the base class's batched
@@ -48,14 +49,15 @@ from ..image import GrayImage
 from ..image.filters import (
     GAUSSIAN_BLUR_SIGMA,
     GAUSSIAN_BLUR_SIZE,
-    edge_pad_into,
+    SMOOTHING_BAND_ROWS,
+    edge_padded_bands,
     gaussian_kernel_1d,
 )
 from .base import ExtractionEngine
 
 
 class VectorizedEngine(ExtractionEngine):
-    """Bit-sliced FAST, sparse Harris and NMS, slice-view smoothing, batched
+    """Bit-sliced FAST, sparse Harris and NMS, banded smoothing, batched
     orientation and description."""
 
     name = "vectorized"
@@ -130,31 +132,36 @@ class VectorizedEngine(ExtractionEngine):
 
     # -- smoothing ---------------------------------------------------------
     def smooth(self, level_image: GrayImage) -> GrayImage:
-        """Separable Gaussian on slice views; bit-identical to gaussian_blur.
+        """Separable Gaussian in bands of rows; bit-identical to gaussian_blur.
 
         The reference accumulates ``sum_k w_k * np.roll(padded, half-k)`` in
-        ascending tap order; the slice views here address the same elements,
-        so every float64 multiply-add happens on the same operands in the
-        same order and the rounded uint8 output cannot differ.
+        ascending tap order over the edge-padded level.  Each band of output
+        rows comes with the ``2 * half`` edge-padded rows around it
+        (:func:`~repro.image.filters.edge_padded_bands`) and both passes run
+        on slice views of it, so every float64 multiply-add happens on the
+        same operands in the same order and the rounded uint8 output cannot
+        differ.  Only band-sized float64 buffers are allocated.
         """
         kernel = self._kernel
         half = kernel.size // 2
         height, width = level_image.shape
-        padded = edge_pad_into(
-            level_image.pixels, half, np.empty((height + 2 * half, width + 2 * half))
+        result = np.empty((height, width), dtype=np.uint8)
+        horizontal, tap, output = np.empty(
+            (3, min(SMOOTHING_BAND_ROWS, height) + 2 * half, width)
         )
-        horizontal = padded[:, 0:width] * kernel[0]
-        tap = np.empty_like(horizontal)
-        for offset in range(1, kernel.size):
-            np.multiply(padded[:, offset : offset + width], kernel[offset], out=tap)
-            horizontal += tap
-        output = horizontal[0:height, :] * kernel[0]
-        tap_rows = tap[0:height, :]
-        for offset in range(1, kernel.size):
-            np.multiply(horizontal[offset : offset + height, :], kernel[offset], out=tap_rows)
-            output += tap_rows
-        np.rint(output, out=output)
-        return GrayImage(np.clip(output, 0, 255).astype(np.uint8))
+        for top, rows, band in edge_padded_bands(level_image.pixels, half, np.float64):
+            span = rows + 2 * half
+            np.multiply(band[:, 0:width], kernel[0], out=horizontal[:span])
+            for offset in range(1, kernel.size):
+                np.multiply(band[:, offset : offset + width], kernel[offset], out=tap[:span])
+                horizontal[:span] += tap[:span]
+            np.multiply(horizontal[0:rows], kernel[0], out=output[:rows])
+            for offset in range(1, kernel.size):
+                np.multiply(horizontal[offset : offset + rows], kernel[offset], out=tap[:rows])
+                output[:rows] += tap[:rows]
+            np.rint(output[:rows], out=output[:rows])
+            result[top : top + rows] = np.clip(output[:rows], 0, 255, out=output[:rows])
+        return GrayImage(result)
 
     # -- orientation -------------------------------------------------------
     def orient(

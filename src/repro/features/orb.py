@@ -5,29 +5,35 @@ FAST detection, Harris scoring, non-maximum suppression, Gaussian smoothing,
 orientation computation, BRIEF description (RS-BRIEF or original ORB) and
 best-N filtering over a multi-scale image pyramid.
 
-Two workflow orders are supported, matching Section 3.1 of the paper:
+Two workflow orders are modelled, matching Section 3.1 of the paper:
 
 * ``original``   -- detect -> filter (keep best N) -> describe.  This is the
   order of the original ORB implementation; on hardware it forces the
   descriptor pipeline to idle until filtering completes and requires caching
   every candidate keypoint's neighbourhood.
 * ``rescheduled`` -- detect -> describe -> filter.  eSLAM's streaming order:
-  descriptors are computed for *all* M detected keypoints as they stream by
+  the accelerator describes *all* M detected keypoints as they stream by
   and the heap keeps the best N at the end.  The extra ``M - N`` descriptor
   computations are the overhead the paper trades for the eliminated idle
   time and cache.
 
-Both orders produce the same final feature set whenever the filtering
-criterion depends only on the Harris score (which it does); tests assert
-this equivalence, and :class:`ExtractionProfile` records the operation
-counts (extra descriptors, cached candidates) that differ between them and
-feed the hardware/runtime models.
+The retained set depends only on the Harris scores of the candidates, and a
+descriptor is a pure function of (level, keypoint), so both orders keep the
+same features with the same descriptors.  The software therefore runs one
+path for both: detect every level, filter the candidate scores in level
+order (the heap's offer stream) with :func:`select_top`, then smooth and
+describe only the N kept keypoints.  The workflow changes only the
+:class:`ExtractionProfile` counts that feed the hardware/runtime models:
+``rescheduled`` counts the M descriptors and the heap comparisons the
+streaming hardware performs, ``original`` counts N descriptors and no heap
+work.
 
 ``ExtractorConfig.engine`` names one :class:`~repro.engines.ExtractionEngine`
-(see ``docs/engines.md``), which smooths, detects (FAST + Harris + NMS),
-orients and describes every pyramid level.  The default ``vectorized``
-engine batches whole pyramid levels through numpy while ``reference`` keeps
-the per-stage, per-keypoint ground truth; both are bit-identical.  The
+(see ``docs/engines.md``), which detects (FAST + Harris + NMS) on every
+pyramid level and smooths, orients and describes the kept keypoints.  The
+default ``vectorized`` engine batches each level through numpy while
+``reference`` keeps the per-stage, per-keypoint ground truth; both are
+bit-identical.  The
 multi-scale pyramid those engines consume comes from the extractor's
 :class:`~repro.pyramid.PyramidProvider`, which builds every level of the
 frame up front (see ``docs/pyramid.md``).  Candidates move through the
@@ -61,7 +67,11 @@ class ExtractionProfile:
 
     These counts drive the platform runtime models and the hardware cycle
     model: they are the workload description, independent of how long this
-    Python process happened to take.
+    Python process happened to take.  ``descriptors_computed`` is the
+    modelled descriptor work of the workflow: every border-clear candidate
+    (M) under ``rescheduled``, as the streaming hardware describes them all,
+    and the retained set (N) under ``original``.  The software extractor
+    describes only the N retained keypoints in both workflows.
     """
 
     pixels_processed: int = 0
@@ -75,7 +85,10 @@ class ExtractionProfile:
 
     @property
     def extra_descriptors(self) -> int:
-        """Descriptors computed beyond the retained set (rescheduling overhead)."""
+        """Modelled descriptors beyond the retained set (rescheduling overhead).
+
+        ``M - N`` under ``rescheduled``, 0 under ``original``.
+        """
         return max(0, self.descriptors_computed - self.features_retained)
 
 
@@ -332,10 +345,7 @@ class OrbExtractor:
                 workflow="rescheduled" if self.config.rescheduled_workflow else "original"
             )
             profile.pixels_processed = pyramid.total_pixels()
-            if self.config.rescheduled_workflow:
-                arrays = self._extract_rescheduled(pyramid, profile)
-            else:
-                arrays = self._extract_original(pyramid, profile)
+            arrays = self._extract(pyramid, profile)
             profile.features_retained = len(arrays)
             if tracer.enabled:
                 # the engine's workload counters, attached to the timeline so
@@ -363,127 +373,70 @@ class OrbExtractor:
         of the NMS survivors that keep a full descriptor border inside the
         level, filtered by array masking (no per-survivor Python loop).
         """
-        empty = (
-            np.zeros(0, dtype=np.int64),
-            np.zeros(0, dtype=np.int64),
-            np.zeros(0, dtype=np.float64),
-        )
         xs, ys, scores, corners_detected = self.engine.detect_with_count(level_image)
         profile.keypoints_detected += corners_detected
-        if xs.size == 0:
-            profile.per_level_keypoints.append(0)
-            return empty
         inside = within_border(xs, ys, level_image.shape, self._border)
-        xs = xs[inside]
-        ys = ys[inside]
-        profile.keypoints_after_nms += int(xs.size)
-        profile.per_level_keypoints.append(int(xs.size))
-        if xs.size == 0:
-            return empty
-        return xs, ys, scores[inside]
+        kept = int(np.count_nonzero(inside))
+        profile.keypoints_after_nms += kept
+        profile.per_level_keypoints.append(kept)
+        return xs[inside], ys[inside], scores[inside]
 
-    def _retained_arrays(
-        self, batches: List[Tuple[int, DescribedBatch]], rows: np.ndarray
-    ) -> FeatureArrays:
-        """Gather the retained set out of the per-level described batches.
+    def _extract(self, pyramid: ImagePyramid, profile: ExtractionProfile) -> FeatureArrays:
+        """Detect every level, keep the heap's best N, describe only those.
 
-        ``rows`` indexes the batches' rows concatenated in list order and
-        gives the retained order.
+        The candidate scores of all levels, in level order, are the heap's
+        offer stream: :func:`select_top` gives the rows the heap keeps, in
+        heap order, and its comparison count.  Each level that keeps any row
+        is then smoothed and its kept keypoints described as one batch, and
+        the described rows are gathered into heap order.
         """
+        tracer = current_tracer()
+        candidates = []
+        for level in pyramid:
+            with tracer.span("detect", level=level.level):
+                xs, ys, scores = self._detect_level_candidates(level.image, level.level, profile)
+            candidates.append((level, xs, ys, scores))
+        offers = np.concatenate([scores for _, _, _, scores in candidates])
+        with tracer.span("filter"):
+            rows, stats = select_top(offers, self.config.max_features)
+        if self.config.rescheduled_workflow:
+            # the streaming hardware describes every candidate it offers
+            profile.descriptors_computed = int(offers.size)
+            profile.heap_comparisons = stats.comparisons
+        else:
+            profile.descriptors_computed = int(rows.size)
         if rows.size == 0:
             return FeatureArrays.empty()
+        starts = np.cumsum([0] + [xs.size for _, xs, _, _ in candidates])
+        level_of_rank = np.searchsorted(starts, rows, side="right") - 1
+        batches: List[DescribedBatch] = []
+        for index, (level, xs, ys, scores) in enumerate(candidates):
+            local = rows[level_of_rank == index] - starts[index]
+            if local.size == 0:
+                continue
+            with tracer.span("smooth", level=level.level):
+                smoothed = self.engine.smooth(level.image)
+            with tracer.span("describe", level=level.level):
+                batches.append(
+                    self.engine.describe(smoothed, xs[local], ys[local], scores[local])
+                )
+        # the batches hold the kept rows grouped by level, in heap order within
+        # a level; the inverse of that permutation puts them back in heap order
+        order = np.argsort(np.argsort(level_of_rank, kind="stable"))
 
         def column(name: str) -> np.ndarray:
-            return np.concatenate([getattr(batch, name) for _, batch in batches])[rows]
+            return np.concatenate([getattr(batch, name) for batch in batches])[order]
 
-        levels = np.concatenate(
-            [np.full(batch.size, level, dtype=np.int64) for level, batch in batches]
-        )[rows]
         return FeatureArrays.from_level_columns(
             self.config.pyramid,
             descriptors=column("descriptors"),
-            levels=levels,
+            levels=np.array([level.level for level, _, _, _ in candidates])[level_of_rank],
             xs=column("xs"),
             ys=column("ys"),
             scores=column("scores"),
             orientation_bins=column("orientation_bins"),
             orientation_rads=column("orientation_rads"),
         )
-
-    # -- the two workflow orders --------------------------------------------
-    def _extract_rescheduled(
-        self, pyramid: ImagePyramid, profile: ExtractionProfile
-    ) -> FeatureArrays:
-        """eSLAM order: describe every detected keypoint, then heap-filter.
-
-        Each level's candidates are described as one batch by the engine.
-        The scores of all batches, in level order, are the heap's offer
-        stream: :func:`select_top` gives the rows the heap keeps, in heap
-        order, and its comparison count, and the winners are gathered out of
-        the batch columns.
-        """
-        tracer = current_tracer()
-        batches: List[Tuple[int, DescribedBatch]] = []
-        for level in pyramid:
-            with tracer.span("smooth", level=level.level):
-                smoothed = self.engine.smooth(level.image)
-            with tracer.span("detect", level=level.level):
-                xs, ys, scores = self._detect_level_candidates(level.image, level.level, profile)
-            if xs.size == 0:
-                continue
-            with tracer.span("describe", level=level.level):
-                batch = self.engine.describe(smoothed, xs, ys, scores)
-            profile.descriptors_computed += batch.size
-            batches.append((level.level, batch))
-        offers = [batch.scores for _, batch in batches]
-        with tracer.span("filter"):
-            rows, stats = select_top(
-                np.concatenate(offers) if offers else np.zeros(0), self.config.max_features
-            )
-            profile.heap_comparisons = stats.comparisons
-            return self._retained_arrays(batches, rows)
-
-    def _extract_original(
-        self, pyramid: ImagePyramid, profile: ExtractionProfile
-    ) -> FeatureArrays:
-        """Original order: collect all keypoints, filter to best N, then describe."""
-        tracer = current_tracer()
-        level_data = []
-        for level in pyramid:
-            with tracer.span("smooth", level=level.level):
-                smoothed = self.engine.smooth(level.image)
-            with tracer.span("detect", level=level.level):
-                xs, ys, scores = self._detect_level_candidates(level.image, level.level, profile)
-            level_data.append((level.level, smoothed, xs, ys, scores))
-        all_scores = np.concatenate([entry[4] for entry in level_data])
-        if all_scores.size == 0:
-            return FeatureArrays.empty()
-        level_ids = np.concatenate(
-            [np.full(entry[4].size, index, dtype=np.int64) for index, entry in enumerate(level_data)]
-        )
-        local_indices = np.concatenate(
-            [np.arange(entry[4].size, dtype=np.int64) for entry in level_data]
-        )
-        # global best-N filter, with the streaming heap's tie-breaking; this
-        # workflow's profile reports no heap comparisons
-        retained, _ = select_top(all_scores, self.config.max_features)
-        # describe the retained candidates level by level (one batch each),
-        # then put the described rows back into score-rank order
-        batches: List[Tuple[int, DescribedBatch]] = []
-        ranks = []
-        for index, (level, smoothed, xs, ys, scores) in enumerate(level_data):
-            member_ranks = np.nonzero(level_ids[retained] == index)[0]
-            if member_ranks.size == 0:
-                continue
-            selection = local_indices[retained[member_ranks]]
-            with tracer.span("describe", level=level):
-                batch = self.engine.describe(
-                    smoothed, xs[selection], ys[selection], scores[selection]
-                )
-            profile.descriptors_computed += batch.size
-            batches.append((level, batch))
-            ranks.append(member_ranks)
-        return self._retained_arrays(batches, np.argsort(np.concatenate(ranks)))
 
 
 def extract_features(image: GrayImage, config: ExtractorConfig | None = None) -> ExtractionResult:

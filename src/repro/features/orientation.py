@@ -13,19 +13,18 @@ by the hardware model.
 
 Two call styles are provided.  :func:`compute_orientation` is the scalar
 per-keypoint path (the reference backend).  :func:`intensity_centroids` is
-the one batched centroid kernel.  Like the hardware module, which adds one
-patch row per cycle, it accumulates the moments row by row: each row of the
-circular patch is one contiguous span, whose intensity sum and x-moment are
-two differences of per-row prefix sums of the level, so a keypoint costs
-``2r + 1`` spans instead of ``(2r + 1)**2`` pixel reads.  The span
-half-widths are cached in an :class:`OrientationGrid` so a long-lived
-backend never rebuilds them.  Both batched backends read it:
+the one batched centroid kernel: it gathers every keypoint's square patch
+out of a sliding-window view of the level and takes all three moments
+(mass, x-moment, y-moment) of all patches in one float64 matrix product
+against the masked weight table cached in an :class:`OrientationGrid`, so a
+long-lived backend never rebuilds it.  Both batched backends read it:
 :func:`compute_orientations` (the ``vectorized`` backend) bins its
 centroids through ``atan2``, and the ``hwexact`` backend through the
 quantized ratio LUT (:func:`repro.quant.kernels.orientation_bins_quantized`).
-The moments are exact integers, accumulated in int64 here and in float64 by
-the scalar path, so the batched centroids equal the scalar ones bit for bit
-(asserted by the orientation, backend and hwexact parity tests).
+Every product and partial sum of the moments is an integer far below
+``2**53``, so the float64 product is exact in any summation order and the
+batched centroids equal the scalar ones bit for bit (asserted by the
+orientation, backend and hwexact parity tests).
 """
 
 from __future__ import annotations
@@ -35,6 +34,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import FeatureError
 from ..image import GrayImage, circular_mask
@@ -46,8 +46,9 @@ ORIENTATION_PATCH_RADIUS: int = 15
 NUM_ORIENTATION_BINS: int = 32
 #: Width of one orientation bin in radians (11.25 degrees).
 ORIENTATION_BIN_RAD: float = 2.0 * math.pi / NUM_ORIENTATION_BINS
-#: Keypoints per centroid chunk (bounds the ``(K, 2r+1)`` row-span arrays).
-CENTROID_CHUNK: int = 2048
+#: Keypoints per centroid chunk (bounds the ``(K, (2r+1)**2)`` float64 patch
+#: matrix: 2 MB at radius 15).
+CENTROID_CHUNK: int = 256
 
 
 def intensity_centroid(patch: np.ndarray, mask: np.ndarray | None = None) -> Tuple[float, float]:
@@ -165,19 +166,23 @@ def compute_orientation(
 
 @dataclass(frozen=True)
 class OrientationGrid:
-    """Row-span table of the circular orientation patch.
+    """Row-span table and moment weights of the circular orientation patch.
 
     Every row ``dy`` of :func:`~repro.image.circular_mask` is one contiguous
     run of pixels, symmetric about the centre column, so the patch is fully
     described by its half-widths: row ``dy`` covers columns ``x - h(dy)`` to
-    ``x + h(dy)``.  ``half_widths`` holds ``h`` for ``dy = -radius .. radius``
-    as a ``(2 * radius + 1,)`` int64 array; :func:`intensity_centroids` turns
-    each row into one span of a row-prefix table.
+    ``x + h(dy)``, the span the hardware Orientation Computing unit adds in
+    one cycle.  ``half_widths`` holds ``h`` for ``dy = -radius .. radius``
+    as a ``(2 * radius + 1,)`` int64 array.  ``weights`` is the
+    ``((2r+1)**2, 3)`` float64 table ``(mask, dx * mask, dy * mask)`` of
+    those spans, flattened in row-major patch order:
+    :func:`intensity_centroids` multiplies the patches by it.
     """
 
     radius: int
     mask: np.ndarray
     half_widths: np.ndarray
+    weights: np.ndarray
 
     @classmethod
     def build(cls, radius: int) -> "OrientationGrid":
@@ -193,7 +198,14 @@ class OrientationGrid:
                 f"circular mask of radius {radius} has a row that is not one "
                 "contiguous run centred on the patch column"
             )
-        return cls(radius=radius, mask=mask, half_widths=half_widths)
+        dys, dxs = np.meshgrid(columns, columns, indexing="ij")
+        weights = np.stack([spans, dxs * spans, dys * spans], axis=-1)
+        return cls(
+            radius=radius,
+            mask=mask,
+            half_widths=half_widths,
+            weights=weights.reshape(-1, 3).astype(np.float64),
+        )
 
 
 def intensity_centroids(
@@ -201,17 +213,16 @@ def intensity_centroids(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Batched :func:`intensity_centroid` of the ``grid.radius`` patches at ``(xs, ys)``.
 
-    Accumulates the moments one patch row at a time, as the Orientation
-    Computing unit does.  Two int64 row-prefix tables of the level, each
-    with a leading zero column, give every row of every patch as one span
-    difference: ``P0`` is the running sum of ``I`` along x and ``P1`` the
-    running sum of ``x * I``.  For the span ``[x - h, x + h]`` of row
-    ``dy`` the row sums are ``s0 = P0[x + h + 1] - P0[x - h]`` and
-    ``s1 = P1[x + h + 1] - P1[x - h]``; the patch moments are
-    ``total = sum(s0)``, ``wx = sum(s1) - x * total`` and
-    ``wy = sum(dy * s0)``.  These are the exact integers the scalar path
-    sums in float64 (every partial sum stays below 2**53), so the centroids
-    equal it bit for bit.  Keypoints go through in chunks of
+    Each keypoint's ``(2r+1, 2r+1)`` patch is gathered out of a
+    :func:`~numpy.lib.stride_tricks.sliding_window_view` of the level, and
+    one float64 matrix product with ``grid.weights`` gives every patch's
+    moments ``total = sum(mask * I)``, ``wx = sum(dx * mask * I)`` and
+    ``wy = sum(dy * mask * I)``.  Every product and every partial sum is an
+    integer of magnitude at most ``255 * max(r, 1) * (2r+1)**2``
+    (``255 * 15 * 961 < 2**22`` at radius 15, below ``2**53`` for radii up
+    to 20,000), which float64 holds exactly, so the moments are exact in
+    any BLAS summation order: the same integers the scalar path sums, and
+    the centroids equal it bit for bit.  Keypoints go through in chunks of
     :data:`CENTROID_CHUNK`.
 
     Every patch must fit inside the image (the backends filter borders
@@ -228,8 +239,8 @@ def intensity_centroids(
     vs = np.zeros(count, dtype=np.float64)
     if count == 0:
         return us, vs
-    # flat indexing would silently wrap out-of-bounds patches; fail loudly
-    # like the scalar image.patch does instead
+    # fancy indexing would silently wrap negative window indices; fail
+    # loudly like the scalar image.patch does instead
     if (
         int(xs.min()) < radius
         or int(xs.max()) >= image.width - radius
@@ -239,35 +250,17 @@ def intensity_centroids(
         raise FeatureError(
             f"orientation patch of radius {radius} exceeds image bounds for some keypoints"
         )
-    height, width = image.shape
-    stride = width + 1
-    prefix0 = np.empty((height, stride), dtype=np.int64)
-    prefix1 = np.empty((height, stride), dtype=np.int64)
-    prefix0[:, 0] = 0
-    prefix1[:, 0] = 0
-    np.cumsum(image.pixels, axis=1, dtype=np.int64, out=prefix0[:, 1:])
-    # x * I <= 255 * (width - 1) fits int32; the running sums are int64
-    weighted = image.pixels * np.arange(width, dtype=np.int32)
-    np.cumsum(weighted, axis=1, dtype=np.int64, out=prefix1[:, 1:])
-    prefix0 = prefix0.reshape(-1)
-    prefix1 = prefix1.reshape(-1)
-    dys = np.arange(-radius, radius + 1, dtype=np.int64)
-    lo_offsets = dys * stride - grid.half_widths
-    hi_offsets = dys * stride + grid.half_widths + 1
-    centers = ys * stride + xs
+    side = 2 * radius + 1
+    windows = sliding_window_view(image.pixels, (side, side))
     for start in range(0, count, CENTROID_CHUNK):
         stop = min(count, start + CENTROID_CHUNK)
-        chunk = centers[start:stop, None]
-        lo = chunk + lo_offsets
-        hi = chunk + hi_offsets
-        row_sums = np.take(prefix0, hi) - np.take(prefix0, lo)
-        totals = row_sums.sum(axis=1)
-        wx = (np.take(prefix1, hi) - np.take(prefix1, lo)).sum(axis=1) - xs[start:stop] * totals
-        wy = row_sums @ dys
+        patches = windows[ys[start:stop] - radius, xs[start:stop] - radius]
+        moments = patches.reshape(stop - start, side * side).astype(np.float64) @ grid.weights
+        totals = moments[:, 0]
         safe = totals > 0
-        denominator = np.where(safe, totals, 1)
-        us[start:stop] = np.where(safe, wx / denominator, 0.0)
-        vs[start:stop] = np.where(safe, wy / denominator, 0.0)
+        denominator = np.where(safe, totals, 1.0)
+        us[start:stop] = np.where(safe, moments[:, 1] / denominator, 0.0)
+        vs[start:stop] = np.where(safe, moments[:, 2] / denominator, 0.0)
     return us, vs
 
 

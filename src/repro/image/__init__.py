@@ -3,7 +3,6 @@
 from .image import GrayImage, box_sum, circular_mask, integral_image, within_border
 from .filters import (
     box_blur,
-    edge_pad_into,
     gaussian_blur,
     gaussian_kernel_1d,
     gaussian_kernel_2d,
@@ -41,7 +40,6 @@ __all__ = [
     "gaussian_kernel_1d",
     "gaussian_kernel_2d",
     "sobel_gradients",
-    "edge_pad_into",
     "ImagePyramid",
     "PyramidLevel",
     "nearest_neighbor_resize",

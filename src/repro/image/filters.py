@@ -3,11 +3,14 @@
 The ORB Extractor applies a Gaussian blur to a 7x7 neighbourhood before the
 BRIEF tests are evaluated (the *Image Smoother* module in Figure 4 of the
 paper).  This module provides the separable Gaussian kernel used both by the
-software pipeline and by the hardware model, plus a simple box blur used by
-tests as a cheap reference.
+software pipeline and by the hardware model, the edge-padded row bands the
+banded smoothers of the engines read, plus a simple box blur used by tests
+as a cheap reference.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 import numpy as np
 
@@ -19,6 +22,9 @@ from .image import GrayImage
 #: so the dense and fused smoothing paths cannot silently diverge.
 GAUSSIAN_BLUR_SIZE: int = 7
 GAUSSIAN_BLUR_SIGMA: float = 2.0
+#: Output rows per band of the banded smoothers: a band's buffers stay a few
+#: hundred KB at VGA width instead of level-sized.
+SMOOTHING_BAND_ROWS: int = 64
 
 
 def gaussian_kernel_1d(size: int, sigma: float) -> np.ndarray:
@@ -95,18 +101,27 @@ def sobel_gradients(image: GrayImage) -> tuple[np.ndarray, np.ndarray]:
     return gx, gy
 
 
-def edge_pad_into(source: np.ndarray, pad: int, out: np.ndarray) -> np.ndarray:
-    """Edge-replicated padding written into a preallocated buffer.
+def edge_padded_bands(
+    pixels: np.ndarray, pad: int, dtype
+) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Yield ``(top, rows, band)`` over bands of :data:`SMOOTHING_BAND_ROWS` output rows.
 
-    Produces exactly ``np.pad(source, pad, mode="edge")`` (values only —
-    ``out`` may be a wider dtype, matching how the reference pipeline casts
-    before padding).  ``out`` must have shape ``(h + 2*pad, w + 2*pad)``.
+    ``band`` holds rows ``top .. top + rows + 2 * pad`` of
+    ``np.pad(pixels, pad, mode="edge")`` as ``dtype``: the rows around the
+    band are read by clamped row index and the columns replicate the edge,
+    as a hardware line buffer clamps addresses at image edges.  One buffer
+    is reused, so a band is only valid until the next one is yielded.
     """
-    h, w = source.shape
-    out[pad : pad + h, pad : pad + w] = source
-    if pad:
-        out[pad : pad + h, :pad] = out[pad : pad + h, pad : pad + 1]
-        out[pad : pad + h, pad + w :] = out[pad : pad + h, pad + w - 1 : pad + w]
-        out[:pad, :] = out[pad : pad + 1, :]
-        out[pad + h :, :] = out[pad + h - 1 : pad + h, :]
-    return out
+    height, width = pixels.shape
+    buffer = np.empty(
+        (min(SMOOTHING_BAND_ROWS, height) + 2 * pad, width + 2 * pad), dtype=dtype
+    )
+    for top in range(0, height, SMOOTHING_BAND_ROWS):
+        rows = min(SMOOTHING_BAND_ROWS, height - top)
+        band = buffer[: rows + 2 * pad]
+        band[:, pad : pad + width] = pixels[
+            np.clip(np.arange(top - pad, top + rows + pad), 0, height - 1)
+        ]
+        band[:, :pad] = band[:, pad : pad + 1]
+        band[:, pad + width :] = band[:, pad + width - 1 : pad + width]
+        yield top, rows, band

@@ -49,7 +49,7 @@ from ..features.orientation import (
     orientation_lut_labels,
 )
 from ..image import GrayImage
-from ..image.filters import gaussian_kernel_2d
+from ..image.filters import SMOOTHING_BAND_ROWS, edge_padded_bands, gaussian_kernel_2d
 from .formats import HARRIS_SCORE_FORMAT, ORIENTATION_RATIO_FORMAT
 
 #: Fraction bits of the fixed-point Harris sensitivity constant ``k``.
@@ -156,21 +156,39 @@ def smooth_image_quantized(
 
     Pure integer accumulation, so each interior pixel equals the per-window
     kernel exactly; borders replicate edges, matching a hardware line buffer
-    that clamps addresses at image edges.
+    that clamps addresses at image edges.  The image runs in bands of rows
+    (:func:`~repro.image.filters.edge_padded_bands`); per band the taps that
+    share a weight are summed first and multiplied once (the default
+    Gaussian has 9 distinct weights over its 49 taps).  Weights must be
+    non-negative, so no partial sum exceeds ``255 * sum(weights)`` and the
+    accumulator is the narrowest unsigned type that holds that bound:
+    uint16 for the default kernel, which sums to ``2**8``.
     """
-    size = int(kernel_fixed.shape[0])
-    half = size // 2
-    padded = np.pad(image.pixels.astype(np.int64), half, mode="edge")
+    kernel_fixed = np.asarray(kernel_fixed, dtype=np.int64)
+    if (kernel_fixed < 0).any():
+        raise HardwareModelError("smoother weights must be non-negative")
+    dtype = np.min_scalar_type(255 * int(kernel_fixed.sum()))
+    half = kernel_fixed.shape[0] // 2
+    taps_by_weight = [
+        (dtype.type(weight), np.argwhere(kernel_fixed == weight))
+        for weight in np.unique(kernel_fixed)
+        if weight
+    ]
     height, width = image.shape
-    accumulator = np.zeros((height, width), dtype=np.int64)
-    for row in range(size):
-        for col in range(size):
-            weight = int(kernel_fixed[row, col])
-            if weight:
-                accumulator += weight * padded[row : row + height, col : col + width]
-    return GrayImage(
-        np.clip(accumulator >> weight_bits, 0, 255).astype(np.uint8)
-    )
+    result = np.empty((height, width), dtype=np.uint8)
+    accumulator, group = np.empty((2, min(height, SMOOTHING_BAND_ROWS), width), dtype=dtype)
+    for top, rows, band in edge_padded_bands(image.pixels, half, dtype):
+        accumulator[:rows] = 0
+        for weight, taps in taps_by_weight:
+            (row, col), rest = taps[0], taps[1:]
+            np.copyto(group[:rows], band[row : row + rows, col : col + width])
+            for row, col in rest:
+                group[:rows] += band[row : row + rows, col : col + width]
+            group[:rows] *= weight
+            accumulator[:rows] += group[:rows]
+        accumulator[:rows] >>= weight_bits
+        result[top : top + rows] = np.minimum(accumulator[:rows], 255)
+    return GrayImage(result)
 
 
 # ---------------------------------------------------------------------------

@@ -185,28 +185,47 @@ class TestHeapFilter:
     @pytest.mark.parametrize("rescheduled", [True, False], ids=["rescheduled", "original"])
     @pytest.mark.parametrize("engine", ENGINES)
     def test_frame_filter_matches_heap_replay(self, parity_image, engine, rescheduled):
-        """A frame keeps, in order, what the heap keeps of its described scores."""
+        """A frame keeps, in order, what the heap keeps of its detected scores,
+        and describes exactly those keypoints, in both workflows."""
         extractor = OrbExtractor(_config(engine, True, rescheduled))
+        offered = []
         described = []
+        detect = extractor._detect_level_candidates
         describe = extractor.engine.describe
 
-        def recording_describe(*args):
-            batch = describe(*args)
-            described.append(batch.scores)
-            return batch
+        def recording_detect(*args):
+            candidates = detect(*args)
+            offered.append(candidates[2])
+            return candidates
 
+        def recording_describe(smoothed, xs, ys, scores):
+            described.append(sorted(zip(xs.tolist(), ys.tolist())))
+            return describe(smoothed, xs, ys, scores)
+
+        extractor._detect_level_candidates = recording_detect
         extractor.engine.describe = recording_describe
         result = extractor.extract(parity_image)
-        offers = np.concatenate(described)
+        offers = np.concatenate(offered)
         items, heap_stats = _heap_replay(offers, extractor.config.max_features)
         assert result.score_array().tolist() == offers[items].tolist()
+        # one describe call per level that keeps a feature, on exactly the
+        # features that level keeps
+        arrays = result.feature_arrays()
+        retained = []
+        for level in np.unique(arrays.levels):
+            kept = arrays.levels == level
+            retained.append(sorted(zip(arrays.xs[kept].tolist(), arrays.ys[kept].tolist())))
+        assert described == retained
+        assert sum(len(points) for points in described) == result.feature_count
         if rescheduled:
             assert heap_stats["replacements"] > 0  # the frame overflows the heap
             assert result.profile.heap_comparisons == heap_stats["comparisons"]
+            # the profile counts the streaming hardware's M descriptors
+            assert result.profile.descriptors_computed == offers.size
         else:
-            # filtering precedes description, so only the retained set is
-            # described and this workflow's profile counts no heap work
-            assert offers.size == result.feature_count
+            # this workflow's profile counts only the retained set and no
+            # heap work
+            assert result.profile.descriptors_computed == result.feature_count
             assert result.profile.heap_comparisons == 0
 
 

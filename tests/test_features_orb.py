@@ -92,8 +92,9 @@ class TestWorkflows:
         original = OrbExtractor(
             ExtractorConfig(rescheduled_workflow=False, **base)
         ).extract(blocks_image)
-        # rescheduling describes every detected keypoint (M), the original
-        # order only the retained N < M
+        # the rescheduled profile counts a descriptor for every detected
+        # keypoint (M), the work of the streaming hardware; the original
+        # order counts only the retained N < M
         assert (
             rescheduled.profile.descriptors_computed
             > original.profile.descriptors_computed

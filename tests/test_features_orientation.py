@@ -203,7 +203,7 @@ def _image_and_keypoints(draw):
 
 
 class TestIntensityCentroidsKernel:
-    """The row-span kernel equals the scalar centroid bit for bit."""
+    """The patch-matmul kernel equals the scalar centroid bit for bit."""
 
     @settings(max_examples=80, deadline=None)
     @given(_image_and_keypoints())
@@ -234,6 +234,24 @@ class TestIntensityCentroidsKernel:
         # a flat patch is symmetric, and a black one has zero weight:
         # both put the centroid at the centre
         assert not us.any() and not vs.any()
+
+    @pytest.mark.parametrize("pixels", ["saturated", "random"])
+    @pytest.mark.parametrize("radius", [1, 3, 15, 31])
+    def test_exact_at_the_moment_bound(self, radius, pixels):
+        # all-255 patches put every moment at its largest magnitude; keypoints
+        # sit at the minimum and maximum legal x and y
+        side = 2 * radius + 1
+        height, width = side + 9, side + 14
+        if pixels == "saturated":
+            image = GrayImage.full(height, width, 255)
+        else:
+            rng = np.random.default_rng(radius)
+            image = GrayImage(rng.integers(0, 256, (height, width), dtype=np.uint8))
+        xs, ys = _margin_keypoints(height, width, radius)
+        us, vs = intensity_centroids(image, xs, ys, OrientationGrid.build(radius))
+        expected_us, expected_vs = _scalar_centroids(image, xs, ys, radius)
+        assert np.array_equal(us, expected_us)
+        assert np.array_equal(vs, expected_vs)
 
     def test_empty_keypoints(self, blocks_image):
         empty = np.zeros(0, dtype=np.int64)

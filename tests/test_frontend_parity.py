@@ -311,6 +311,21 @@ class TestEngineParity:
                 vectorized.smooth(image).pixels, gaussian_blur(image).pixels
             )
 
+    @pytest.mark.parametrize("saturated", [False, True], ids=["random", "saturated"])
+    @pytest.mark.parametrize("height", [1, 2, 3, 6, 7, 63, 64, 65, 130])
+    def test_smooth_band_edges_bit_identical(self, engines, height, saturated):
+        # levels shorter than the 7-tap kernel, than one 64-row band, and a
+        # band boundary one row either side
+        _, vectorized = engines
+        rng = np.random.default_rng(height)
+        for width in (1, 2, 7, 33):
+            if saturated:
+                pixels = rng.integers(0, 2, (height, width)).astype(np.uint8) * 255
+            else:
+                pixels = rng.integers(0, 256, (height, width), dtype=np.uint8)
+            image = GrayImage(pixels)
+            assert np.array_equal(vectorized.smooth(image).pixels, gaussian_blur(image).pixels)
+
     def test_workspace_reuse_across_level_sizes(self):
         # one engine instance fed shrinking and growing level sizes: every
         # call allocates its own arrays, so no call may see another's shape

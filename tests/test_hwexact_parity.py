@@ -32,6 +32,8 @@ from repro.quant import (
     harris_scores_quantized,
     harris_window_score_quantized,
     orientation_bins_quantized,
+    quantize_gaussian_kernel,
+    smooth_image_quantized,
 )
 from repro.quant.kernels import HARRIS_WINDOW_RADIUS
 from repro.analysis import (
@@ -162,6 +164,40 @@ class TestQuantizedSmootherParity:
         unit = ImageSmootherUnit()
         flat = unit.smooth_image(GrayImage.full(32, 32, 93))
         assert np.all(flat.pixels == 93)
+
+
+def _smooth_taps_oracle(pixels: np.ndarray, kernel_fixed: np.ndarray, weight_bits: int):
+    """Every tap of the kernel, one int64 multiply-add each, over the padded image."""
+    half = kernel_fixed.shape[0] // 2
+    height, width = pixels.shape
+    padded = np.pad(pixels.astype(np.int64), half, mode="edge")
+    accumulator = np.zeros((height, width), dtype=np.int64)
+    for row, col in np.ndindex(*kernel_fixed.shape):
+        accumulator += int(kernel_fixed[row, col]) * padded[row : row + height, col : col + width]
+    return np.clip(accumulator >> weight_bits, 0, 255).astype(np.uint8)
+
+
+class TestBandedQuantizedSmoother:
+    @pytest.mark.parametrize("weight_bits", [8, 12])
+    @pytest.mark.parametrize("height", [1, 2, 3, 6, 7, 63, 64, 65, 130])
+    def test_band_edges_match_per_tap_accumulation(self, height, weight_bits):
+        # 2**8 weights accumulate in uint16, 2**12 ones in uint32
+        kernel_fixed = quantize_gaussian_kernel(7, 2.0, weight_bits)
+        rng = np.random.default_rng(height)
+        for width in (1, 2, 7, 33):
+            for pixels in (
+                rng.integers(0, 256, (height, width), dtype=np.uint8),
+                rng.integers(0, 2, (height, width)).astype(np.uint8) * 255,
+            ):
+                smoothed = smooth_image_quantized(GrayImage(pixels), kernel_fixed, weight_bits)
+                expected = _smooth_taps_oracle(pixels, kernel_fixed, weight_bits)
+                assert np.array_equal(smoothed.pixels, expected)
+
+    def test_rejects_negative_weight(self):
+        kernel_fixed = quantize_gaussian_kernel()
+        kernel_fixed[0, 0] = -1
+        with pytest.raises(HardwareModelError):
+            smooth_image_quantized(GrayImage.full(8, 8, 255), kernel_fixed)
 
 
 class TestQuantizedOrientationParity:
