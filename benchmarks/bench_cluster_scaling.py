@@ -1,12 +1,10 @@
-"""Cluster scaling: process-sharded throughput vs the thread FrameServer.
+"""Cluster scaling: process-sharded throughput vs a sequential loop.
 
-The thread server keeps one engine busy from many threads, but every
-Python-level stage shares the producer's GIL, so its scaling flattens near
-one host core; the process cluster shards engines across workers and moves
-frames through shared memory.  This report measures aggregate extraction
-throughput at 1 / 2 / 4 / ``cpu_count`` workers against a 4-thread
-:class:`~repro.serving.FrameServer` baseline and a plain sequential loop,
-on the same batch of tiny frames, and verifies the served results stay
+Every Python-level stage of the extractor holds its process's GIL, so the
+cluster shards engines across worker processes and moves frames through
+shared memory.  This report measures aggregate extraction throughput at
+1 / 2 / 4 / ``cpu_count`` workers against a plain sequential loop, on the
+same batch of tiny frames, and verifies the served results stay
 bit-identical to sequential extraction.  The sweep (and its hard speedup
 bar) carries the ``slow`` marker; the 2-worker smoke runs in the quick
 tier on every push.
@@ -14,7 +12,7 @@ tier on every push.
 ``cpu_count`` is recorded in the JSON: on a single-core host every mode
 collapses onto one core and the speedup columns document exactly that,
 while on a multi-core host the 4-worker cluster is expected to clear **2x**
-the thread server (asserted only when the host has >= 4 cores).
+the sequential loop (asserted only when the host has >= 4 cores).
 
 Set ``BENCH_REPORT_DIR`` to also write the report as
 ``bench_cluster_scaling.json`` (CI uploads these as artifacts).
@@ -30,12 +28,10 @@ from repro.cluster import ClusterServer
 from repro.config import ExtractorConfig, PyramidConfig
 from repro.features import OrbExtractor
 from repro.image import random_blocks
-from repro.serving import FrameServer
 
 from conftest import print_section, write_report_file
 
 NUM_FRAMES = 24
-BASELINE_THREADS = 4
 WORKER_SWEEP = [1, 2, 4]
 #: Timed passes per configuration; best-of-N damps shared-runner noise.
 TIMING_REPEATS = 2
@@ -92,14 +88,6 @@ def test_cluster_scaling_report(scaling_config, scaling_images):
         sequential_results = [sequential_extractor.extract(im) for im in scaling_images]
         sequential_s = min(sequential_s, time.perf_counter() - start)
 
-    with FrameServer(extractor=sequential_extractor, max_workers=BASELINE_THREADS) as server:
-        server.extract_many(scaling_images[:BASELINE_THREADS])  # warm the pool
-        thread_results, thread_s = _timed_extract(server, scaling_images)
-        thread_stats = server.stats.as_dict()
-    for seq_result, thread_result in zip(sequential_results, thread_results):
-        assert _feature_key(seq_result) == _feature_key(thread_result)
-    thread_fps = len(scaling_images) / thread_s
-
     worker_counts = sorted(set(WORKER_SWEEP + [cpu_count]))
     cluster_rows = []
     for workers in worker_counts:
@@ -116,7 +104,6 @@ def test_cluster_scaling_report(scaling_config, scaling_images):
                 "workers": workers,
                 "throughput_fps": fps,
                 "elapsed_s": cluster_s,
-                "speedup_vs_frame_server": fps / thread_fps if thread_fps else 0.0,
                 "speedup_vs_sequential": fps * sequential_s / len(scaling_images),
                 "stats": stats,
             }
@@ -131,25 +118,19 @@ def test_cluster_scaling_report(scaling_config, scaling_images):
         },
         "cpu_count": cpu_count,
         "sequential_fps": len(scaling_images) / sequential_s,
-        "frame_server": {
-            "max_workers": BASELINE_THREADS,
-            "throughput_fps": thread_fps,
-            "elapsed_s": thread_s,
-            "stats": thread_stats,
-        },
         "cluster": cluster_rows,
     }
-    print_section("cluster scaling: process shards vs thread FrameServer")
+    print_section("cluster scaling: process shards vs sequential")
     print(json.dumps(report, indent=2))
     write_report_file("bench_cluster_scaling.json", report)
 
     # every configuration served the full batch, in order, bit-identically
     assert all(row["stats"]["frames_failed"] == 0 for row in cluster_rows)
     # the acceptance bar only binds where the hardware can express it: with
-    # >= 4 cores the 4-worker cluster must at least double the thread server
+    # >= 4 cores the 4-worker cluster must at least double the sequential loop
     if cpu_count >= 4:
         at_four = next(row for row in cluster_rows if row["workers"] == 4)
-        assert at_four["speedup_vs_frame_server"] >= 2.0
+        assert at_four["speedup_vs_sequential"] >= 2.0
 
 
 def test_cluster_smoke_two_workers(scaling_config, scaling_images):

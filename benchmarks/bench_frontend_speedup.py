@@ -11,8 +11,8 @@ acceptance bar is a >= 4x fused speedup on the VGA level-0 workload while
 Run the quarter-resolution workload with ``pytest benchmarks/`` and the full
 VGA workload with ``pytest -m slow benchmarks/`` (it carries the ``slow``
 marker).  Alongside the engine comparison the report also times end-to-end
-extraction and the :class:`~repro.serving.FrameServer` multi-frame path, so
-the ``BENCH_*.json`` trajectory gets front-end and serving baselines.
+extraction and the :class:`~repro.cluster.ClusterServer` multi-frame path,
+so the ``BENCH_*.json`` trajectory gets front-end and serving baselines.
 """
 
 import json
@@ -22,6 +22,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.cluster import ClusterServer
 from repro.config import ExtractorConfig, PyramidConfig
 from repro.features import OrbExtractor
 from repro.features.fast import fast_corner_mask
@@ -29,7 +30,6 @@ from repro.features.harris import harris_response_map, harris_scores_sparse
 from repro.features.nms import non_maximum_suppression, suppress_keypoints_sparse
 from repro.engines import ReferenceEngine, VectorizedEngine
 from repro.image import gaussian_blur
-from repro.serving import FrameServer
 
 from conftest import print_section
 
@@ -89,14 +89,13 @@ def _extraction_time(config, image):
     return _best_of(lambda: extractor.extract(image), repeats=3)
 
 
-def _serving_report(config, image, num_frames=8, max_workers=4):
-    """Frames/s sequential vs through a FrameServer sharing one engine.
+def _serving_report(config, image, num_frames=8, num_workers=2):
+    """Frames/s sequential vs through a ``num_workers`` ClusterServer.
 
-    The server's wall-clock win scales with available cores (numpy releases
-    the GIL inside its kernels); on a single-core host the pool only adds
-    dispatch overhead, so the report records ``cpu_count`` next to the
-    ratio and the benchmark asserts identity-of-results elsewhere rather
-    than a threading speedup.
+    The server's wall-clock win scales with available cores; on a
+    single-core host the workers only add transport overhead, so the
+    report records ``cpu_count`` next to the ratio and the benchmark
+    asserts identity-of-results elsewhere rather than a serving speedup.
     """
     import os
 
@@ -109,8 +108,8 @@ def _serving_report(config, image, num_frames=8, max_workers=4):
             extractor.extract(frame)
 
     sequential_s = _best_of(sequential, repeats=2)
-    with FrameServer(extractor=extractor, max_workers=max_workers) as server:
-        server.extract_many(images)  # warm the pool
+    with ClusterServer(config, num_workers=num_workers) as server:
+        server.extract_many(images)  # warm every worker
 
         def served():
             server.extract_many(images)
@@ -118,7 +117,7 @@ def _serving_report(config, image, num_frames=8, max_workers=4):
         served_s = _best_of(served, repeats=2)
     return {
         "frames": num_frames,
-        "max_workers": max_workers,
+        "num_workers": num_workers,
         "cpu_count": os.cpu_count(),
         "sequential_fps": num_frames / sequential_s,
         "served_fps": num_frames / served_s,

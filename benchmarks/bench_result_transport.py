@@ -32,7 +32,7 @@ from repro.cluster import server as server_module
 from repro.config import ExtractorConfig, PyramidConfig
 from repro.features import OrbExtractor
 from repro.image import random_blocks
-from repro.serving.resultpack import packed_nbytes
+from repro.cluster.resultpack import packed_nbytes
 
 from conftest import print_section, write_report_file
 

@@ -15,12 +15,10 @@ ORB-SLAM on FPGA Platform" (Liu, Yang, Chen, Zhao -- DAC 2019):
   ``docs/engines.md``).  ``ExtractorConfig.engine`` picks one.
 * :mod:`repro.pyramid` -- the pyramid provider feeding those engines one
   eagerly built pyramid per frame (see ``docs/pyramid.md``).
-* :mod:`repro.serving` -- the :class:`~repro.serving.FrameServer`: many
-  frames in flight through one shared engine on a bounded
-  thread pool.
-* :mod:`repro.cluster` -- the :class:`~repro.cluster.ClusterServer`:
-  process-sharded serving, one engine per worker, zero-copy frame
-  hand-off through shared-memory ring slots (see ``docs/serving.md``).
+* :mod:`repro.cluster` -- the :class:`~repro.cluster.ClusterServer`, the
+  one frame server: many frames in flight across worker processes, one
+  engine per worker, zero-copy frame hand-off through shared-memory ring
+  slots (see ``docs/serving.md``).
 * :mod:`repro.matching`, :mod:`repro.geometry`, :mod:`repro.optimization`,
   :mod:`repro.slam` -- the software SLAM pipeline (matching, PnP + RANSAC,
   Levenberg-Marquardt pose optimisation, mapping, evaluation).

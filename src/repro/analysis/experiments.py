@@ -269,7 +269,6 @@ def _execute_spec(
     label: str,
     max_frames: Optional[int],
     extractor: Optional[OrbExtractor] = None,
-    frame_server=None,
 ) -> BatchRunRecord:
     """Run one sequence and summarise it as a :class:`BatchRunRecord`.
 
@@ -282,7 +281,7 @@ def _execute_spec(
     run_config = config if tracker is None else replace(config, tracker=tracker)
     sequence = make_sequence(spec)
     result = SlamSystem(run_config, extractor=extractor).run(
-        sequence, max_frames=max_frames, frame_server=frame_server
+        sequence, max_frames=max_frames
     )
     ate = result.ate()
     workload = result.mean_workload()
@@ -324,38 +323,16 @@ class BatchRunner:
     def __post_init__(self) -> None:
         self.extractor = OrbExtractor(self.config.extractor)
 
-    def _build_record(
-        self,
-        spec: SequenceSpec,
-        tracker: Optional[TrackerConfig],
-        label: str,
-        frame_server=None,
-    ) -> BatchRunRecord:
-        """Run one sequence through the shared engine; no record bookkeeping."""
-        return _execute_spec(
-            self.config,
-            spec,
-            tracker,
-            label,
-            self.max_frames,
-            extractor=self.extractor,
-            frame_server=frame_server,
-        )
-
     def run_sequence(
         self,
         spec: SequenceSpec,
         tracker: Optional[TrackerConfig] = None,
         label: str = "default",
-        frame_server=None,
     ) -> BatchRunRecord:
-        """Run SLAM over one synthetic sequence with the shared engine.
-
-        ``frame_server`` optionally pipelines per-frame extraction through a
-        :class:`repro.serving.FrameServer` (many frames in flight, identical
-        results).
-        """
-        record = self._build_record(spec, tracker, label, frame_server=frame_server)
+        """Run SLAM over one synthetic sequence with the shared engine."""
+        record = _execute_spec(
+            self.config, spec, tracker, label, self.max_frames, extractor=self.extractor
+        )
         self.records.append(record)
         return record
 
@@ -364,50 +341,9 @@ class BatchRunner:
         specs: Sequence[SequenceSpec],
         tracker: Optional[TrackerConfig] = None,
         label: str = "default",
-        frame_server=None,
     ) -> List[BatchRunRecord]:
         """Run every spec through the shared engine; returns the new records."""
-        return [
-            self.run_sequence(spec, tracker=tracker, label=label, frame_server=frame_server)
-            for spec in specs
-        ]
-
-    def run_all_parallel(
-        self,
-        specs: Sequence[SequenceSpec],
-        tracker: Optional[TrackerConfig] = None,
-        label: str = "default",
-        max_workers: Optional[int] = None,
-    ) -> List[BatchRunRecord]:
-        """Run the specs concurrently, every sequence on the ONE shared engine.
-
-        Sequences are independent SLAM runs, the extractor is stateless
-        across frames (immutable tables only), and numpy releases the
-        GIL inside its kernels, so a small thread pool overlaps the
-        per-sequence work.  Records are appended in spec order, so the
-        result — like each individual run — is identical to the sequential
-        sweep.
-        """
-        from concurrent.futures import ThreadPoolExecutor
-
-        if max_workers is not None and max_workers <= 0:
-            raise ReproError("max_workers must be positive")
-        workers = max_workers if max_workers is not None else min(4, max(1, len(specs)))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(self._build_record, spec, tracker, label) for spec in specs
-            ]
-            records, first_error = [], None
-            for future in futures:
-                try:
-                    records.append(future.result())
-                except Exception as error:  # keep completed runs, like run_all
-                    if first_error is None:
-                        first_error = error
-        self.records.extend(records)
-        if first_error is not None:
-            raise first_error
-        return records
+        return [self.run_sequence(spec, tracker=tracker, label=label) for spec in specs]
 
     def run_all_multiprocess(
         self,
@@ -422,8 +358,7 @@ class BatchRunner:
         Each spec runs as one task in a process pool: the worker builds its
         own engine from this runner's configuration and executes the whole
         sequence, so independent sweeps scale across host cores instead of
-        sharing one GIL (``run_all_parallel`` only overlaps the numpy
-        kernels).  Records come back in spec order and — like every
+        sharing one GIL.  Records come back in spec order and — like every
         execution mode of this runner — are identical to the sequential
         sweep, because each run is a pure function of (config, spec).
         """

@@ -5,13 +5,13 @@ extraction engine, and streams frames to them through
 ``multiprocessing.shared_memory`` ring slots (no pixel pickling).  Results
 return the same way: workers pack each extraction result's flat arrays
 into a :class:`SharedResultRing` slot and the result queues carry only
-tiny descriptors (``docs/serving.md`` → Result transport).  It mirrors
-the thread server's semantics — bounded in-flight back-pressure, in-order
-results, bit-identical extraction — while scaling past the single GIL.
-Job ``n`` goes to worker ``n % num_workers``.  With a
-:class:`SupervisorConfig` the cluster self-heals: crashed workers
-respawn, and their jobs requeue to alive workers under retry/deadline
-budgets.  See ``docs/serving.md`` for when to pick which server, and its
+tiny descriptors (``docs/serving.md`` → Result transport).  It is the
+one frame server :meth:`repro.slam.SlamSystem.run` pipelines through:
+bounded in-flight back-pressure, in-order results and bit-identical
+extraction, past the single GIL.  Job ``n`` goes to worker
+``n % num_workers``.  With a :class:`SupervisorConfig` the cluster
+self-heals: crashed workers respawn, and their jobs requeue to alive
+workers under retry/deadline budgets.  See ``docs/serving.md`` and its
 "Failure semantics" section for the supervision rules.
 """
 

@@ -4,7 +4,7 @@ The inbound half of the cluster moves pixels through shared memory
 (:class:`~repro.cluster.shared_ring.SharedFrameRing`); this module gives
 the *return* path the same discipline.  Workers pack each
 :class:`~repro.features.ExtractionResult` straight into a shared-memory slot
-(:mod:`repro.serving.resultpack` flat layout) and push only a tiny
+(:mod:`repro.cluster.resultpack` flat layout) and push only a tiny
 :class:`RingSlotRef` descriptor through the result queue; the collector
 rebuilds the result with one memcpy (or a zero-copy view) and frees the
 slot.  The descriptor is ~100 bytes where the pickled result is tens of

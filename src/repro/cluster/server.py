@@ -1,15 +1,14 @@
 """Process-sharded frame serving: one extraction engine per worker process.
 
-:class:`ClusterServer` is the multi-core counterpart of
-:class:`repro.serving.FrameServer`.  The thread server keeps one engine busy
-from many threads, but every Python-level stage of the extractor shares the
-producer's GIL, so serving saturates near one host core.  The cluster
-spawns ``num_workers`` worker *processes*, each owning the extraction
-engine its configuration names (``reference``, ``vectorized`` or
-``hwexact``), and moves pixels through a shared-memory ring
-(:mod:`repro.cluster.shared_ring`) so no frame is ever pickled.
+:class:`ClusterServer` is the one frame server: it keeps extraction busy
+on frames ahead of the tracker.  The extractor's Python-level stages hold
+the interpreter lock, so the cluster spawns ``num_workers`` worker
+*processes*, each owning the extraction engine its configuration names
+(``reference``, ``vectorized`` or ``hwexact``), and moves pixels through
+a shared-memory ring (:mod:`repro.cluster.shared_ring`) so no frame is
+ever pickled.
 
-Semantics mirror the thread server deliberately:
+Semantics:
 
 * **back-pressure** — at most ``max_in_flight`` frames are in flight; a
   submit beyond that blocks the producer on a condition variable (woken
@@ -72,8 +71,6 @@ from ..config import ExtractorConfig
 from ..errors import JobAttempt, JobFailed, ReproError
 from ..features import ExtractionResult
 from ..image import GrayImage
-from ..serving.frame_server import LATENCY_WINDOW
-from ..serving.resultpack import max_packed_nbytes, unpack_result
 from ..telemetry import (
     ActivityWindow,
     EventJournal,
@@ -83,6 +80,7 @@ from ..telemetry import (
 )
 from .context import get_mp_context
 from .result_ring import RingSlotRef, SharedResultRing
+from .resultpack import max_packed_nbytes, unpack_result
 from .shared_ring import SharedFrameRing
 from .supervisor import (
     WORKER_DEAD,
@@ -131,9 +129,7 @@ class WorkerStats:
     ``cluster_worker_*{worker="<id>"}`` metrics, so the existing
     ``worker.frames_completed += 1`` call sites keep working while every
     counter is scrape-able through the registry.  Latency percentiles read
-    a bounded log-bucket histogram (O(buckets), no deque sort);
-    ``latencies_s`` keeps the raw recent-sample window for callers that
-    consume samples directly.
+    a bounded log-bucket histogram (O(buckets), no deque sort).
 
     ``state`` tracks the worker lifecycle (``running`` / ``dead`` /
     ``failed`` — see :mod:`repro.cluster.supervisor`); ``alive`` stays the
@@ -149,8 +145,6 @@ class WorkerStats:
         self.worker_id = worker_id
         self.alive = True
         self.state = WORKER_RUNNING
-        # bounded recent-latency window (serving.frame_server.LATENCY_WINDOW)
-        self.latencies_s: "deque[float]" = deque(maxlen=LATENCY_WINDOW)
         labels = {"worker": str(worker_id)}
         self._completed_counter = self.registry.counter(
             "cluster_worker_frames_completed_total",
@@ -214,7 +208,6 @@ class WorkerStats:
         self._restarts_counter.add(value - self._restarts_counter.value)
 
     def _observe_latency(self, latency_s: float) -> None:
-        self.latencies_s.append(latency_s)
         self._latency_histogram.observe(latency_s)
 
     @property
@@ -251,10 +244,8 @@ class ClusterStats:
     actually serving, immune to idle gaps between replays).  All
     pre-telemetry ``as_dict()`` keys are preserved.
 
-    Field names match :class:`repro.serving.ServingStats` where the concept
-    matches, so thread-server and cluster reports line up column for column.
-    On top of those, the transport counters make the transports
-    observable: ``frames_via_ring`` (frames carried by the frame ring) and
+    The transport counters make the transports observable:
+    ``frames_via_ring`` (frames carried by the frame ring) and
     ``ring_bytes_copied`` (producer-side memcpy volume).  The return path
     has its own trio: ``results_zero_copy`` (results collected as packed
     arrays from the shared result ring), ``results_via_pickle`` (results
@@ -532,7 +523,7 @@ class ClusterServer:
         ``n % num_workers``.
     max_in_flight:
         Back-pressure bound across the whole cluster; defaults to
-        ``2 * num_workers`` like the thread server.
+        ``2 * num_workers``.
     start_method:
         ``multiprocessing`` start method; defaults to ``fork`` where
         available (fast spin-up), else ``spawn``.

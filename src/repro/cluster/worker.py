@@ -15,7 +15,7 @@ Results leave the worker through two transports, decided per result:
 * **result ring** — the worker packs the result's flat arrays straight
   into its own range of the
   :class:`~repro.cluster.result_ring.SharedResultRing`
-  (:mod:`repro.serving.resultpack` layout) and the batch entry carries only
+  (:mod:`repro.cluster.resultpack` layout) and the batch entry carries only
   a tiny :class:`~repro.cluster.result_ring.RingSlotRef`;
 * **pickle fallback** — when the worker's range is momentarily exhausted
   or a result outgrows its slot, the
@@ -103,9 +103,9 @@ def worker_main(
     from ..errors import ReproError
     from ..features import OrbExtractor
     from ..image import GrayImage
-    from ..serving.resultpack import pack_into
     from ..telemetry import Tracer, set_tracer
     from .result_ring import RingSlotRef, SharedResultRing
+    from .resultpack import pack_into
     from .shared_ring import attach_slot_view
 
     # Install the process-local tracer so the extractor's stage spans

@@ -24,9 +24,8 @@ any number of pyramid levels and frames.  Three engines exist:
 ``ExtractorConfig.engine`` names the engine and
 :class:`~repro.features.orb.OrbExtractor` builds it.  An engine holds only
 immutable tables and every call allocates its own arrays, so one instance
-can serve many extractors and many frames in flight concurrently (see
-:class:`repro.serving.FrameServer`).  ``docs/engines.md`` documents the
-architecture.
+can serve many extractors and any sequence of frames.  ``docs/engines.md``
+documents the architecture.
 """
 
 from __future__ import annotations

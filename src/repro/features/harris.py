@@ -72,7 +72,7 @@ _MAX_GRADIENT_PRODUCT: int = (4 * 255) ** 2
 #: Rows of window sums formed per band.  Level-sized temporaries are
 #: page-faulted afresh on every call (about 4,000 faults per VGA level);
 #: band-sized ones are reused, which made the level-0 call 16 -> 6 ms.
-_BAND_ROWS: int = 64
+HARRIS_BAND_ROWS: int = 64
 
 
 def harris_scores_sparse(
@@ -90,7 +90,7 @@ def harris_scores_sparse(
     (pixels for the Sobel taps, gradients for the windows, as
     :func:`harris_response_map` pads them).  The ``window x window`` sums of
     every box position are formed with exact sliding adds on both axes
-    (:func:`_window_sums`) and read at the requested points.  This is exact: |gradient| <= 4*255, so a
+    (:func:`window_sums`) and read at the requested points.  This is exact: |gradient| <= 4*255, so a
     product is at most (4*255)**2 and a 7x7 window sum at most
     49*(4*255)**2 < 2**31, and the int32 sums never wrap (windows wider
     than 45 sum in int64).  The float64 reference pipeline produces the same
@@ -119,8 +119,8 @@ def harris_scores_sparse(
     top, bottom = y_min - block_radius, int(ys.max()) + block_radius + 1
     left, right = x_min - block_radius, int(xs.max()) + block_radius + 1
     sums = np.empty((3, bottom - top - window + 1, right - left - window + 1), dtype)
-    for start in range(0, sums.shape[1], _BAND_ROWS):
-        stop = min(start + _BAND_ROWS, sums.shape[1])
+    for start in range(0, sums.shape[1], HARRIS_BAND_ROWS):
+        stop = min(start + HARRIS_BAND_ROWS, sums.shape[1])
         sums[:, start:stop] = _band_window_sums(
             image.pixels, top + start, top + stop + window - 1, left, right, window, dtype
         )
@@ -155,7 +155,7 @@ def _band_window_sums(
     np.multiply(gx, gx, out=products[0])
     np.multiply(gy, gy, out=products[1])
     np.multiply(gx, gy, out=products[2])
-    return _window_sums(_window_sums(products, window, axis=1), window, axis=2)
+    return window_sums(window_sums(products, window, axis=1), window, axis=2)
 
 
 def _edge_crop(values: np.ndarray, top: int, bottom: int, left: int, right: int) -> np.ndarray:
@@ -172,7 +172,7 @@ def _edge_crop(values: np.ndarray, top: int, bottom: int, left: int, right: int)
     return crop
 
 
-def _window_sums(values: np.ndarray, window: int, axis: int) -> np.ndarray:
+def window_sums(values: np.ndarray, window: int, axis: int) -> np.ndarray:
     """Sum of every ``window`` consecutive entries of ``values`` along ``axis``.
 
     Runs of doubling length are added pairwise (``s2 = a[:-1] + a[1:]``,

@@ -99,7 +99,7 @@ class FeatureArrays:
     This is the one representation of a retained feature set, from the
     extractor through the result transport to the tracker: one array per
     :class:`~repro.features.keypoint.Feature` attribute, so a result can be
-    packed into flat buffers (:mod:`repro.serving.resultpack`), shipped
+    packed into flat buffers (:mod:`repro.cluster.resultpack`), shipped
     across a process boundary without pickling, and rebuilt bit-identical
     on the other side.  ``orientation_bins`` uses ``-1`` and
     ``orientation_rads`` uses ``NaN`` for features whose orientation was
@@ -204,7 +204,7 @@ class ExtractionResult:
     record stream the accelerator's Heap module keeps (descriptor,
     coordinates, Harris score) — and every accessor below reads its
     columns directly.  The SLAM front-end, the result transport
-    (:mod:`repro.serving.resultpack`) and the parity checks never build
+    (:mod:`repro.cluster.resultpack`) and the parity checks never build
     per-feature objects; :attr:`features` materialises
     :class:`~repro.features.keypoint.Feature` objects lazily for callers
     that ask for them.
@@ -266,9 +266,8 @@ class ExtractionResult:
         """Hashable per-feature records, in retained order.
 
         The bit-identity comparison key shared by every parity check in the
-        repo — engine parity, hardware-model parity, thread- and
-        process-served extraction (``tests/test_serving.py``,
-        ``tests/test_cluster.py``) — so the definition of "identical
+        repo — engine parity, hardware-model parity, process-served
+        extraction (``tests/test_cluster.py``) — so the definition of "identical
         features" cannot drift between suites.  Two results are bit-identical
         iff their record lists compare equal.  A record is ``(level, x, y,
         score, orientation_bin, orientation_rad, descriptor bytes, x0, y0)``

@@ -31,8 +31,8 @@ def minimum_level_size(config: ExtractorConfig) -> int:
 class PyramidProvider:
     """Builds the whole :class:`~repro.image.ImagePyramid` of each frame.
 
-    Holds only immutable configuration, so one instance serves many frames
-    in flight (:class:`repro.serving.FrameServer`).
+    Holds only immutable configuration, so one instance serves any
+    sequence of frames.
     """
 
     def __init__(self, config: ExtractorConfig) -> None:

@@ -43,6 +43,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from ..errors import HardwareModelError
+from ..features.harris import HARRIS_BAND_ROWS, window_sums
 from ..features.orientation import (
     NUM_ORIENTATION_BINS,
     intensity_centroid,
@@ -221,13 +222,19 @@ def harris_window_score_quantized(window: np.ndarray) -> int:
 def harris_scores_quantized(image: GrayImage, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Batched :func:`harris_window_score_quantized` at ``(xs, ys)``.
 
-    Every intermediate is an int64, so the gathered box sums land on exactly
-    the accumulator values the per-window form computes.  The window-edge
-    zeroing of the per-window gradients is reproduced by the asymmetric box
-    spans: ``gx`` is undefined on the window's first/last *column* (so its
-    sum spans 7 rows x 5 cols), ``gy`` on the first/last *row* (5 x 7), and
-    their product only where both exist (5 x 5).  Points must keep the full
-    7x7 window inside the image.
+    The moment sums are formed only over the bounding box of the requested
+    windows, one band of :data:`~repro.features.harris.HARRIS_BAND_ROWS`
+    rows at a time, by exact sliding adds
+    (:func:`~repro.features.harris.window_sums`), and read at the points.
+    The window-edge zeroing of the per-window gradients is reproduced by
+    the asymmetric spans: ``gx`` is undefined on the window's first/last
+    *column* (so its sum spans 7 rows x 5 cols), ``gy`` on the first/last
+    *row* (5 x 7), and their product only where both exist (5 x 5).  A
+    doubled gradient is at most 255 in magnitude, so a 35-term sum of
+    products stays below 2**31 and the int32 sums are exact; the score is
+    then formed in int64, landing on exactly the accumulator values the
+    per-window form computes.  Points must keep the full 7x7 window inside
+    the image.
     """
     xs = np.asarray(xs, dtype=np.int64)
     ys = np.asarray(ys, dtype=np.int64)
@@ -246,30 +253,23 @@ def harris_scores_quantized(image: GrayImage, xs: np.ndarray, ys: np.ndarray) ->
         raise HardwareModelError(
             f"Harris window of radius {radius} exceeds image bounds for some points"
         )
-    pixels = image.pixels.astype(np.int64)
-    gx2 = np.zeros((height, width), dtype=np.int64)
-    gy2 = np.zeros((height, width), dtype=np.int64)
-    gx2[:, 1:-1] = pixels[:, 2:] - pixels[:, :-2]
-    gy2[1:-1, :] = pixels[2:, :] - pixels[:-2, :]
-    stride = width + 1
-
-    def _box(values: np.ndarray, half_rows: int, half_cols: int) -> np.ndarray:
-        # per-row prefix sums (one contiguous cumsum), then the vertical
-        # accumulation is paid only at the K requested points — the same
-        # sparse-gather shape as repro.features.harris.harris_scores_sparse,
-        # instead of a full 2-D integral image per moment channel
-        prefix = np.zeros((height, stride), dtype=np.int64)
-        np.cumsum(values, axis=1, out=prefix[:, 1:])
-        flat = prefix.reshape(-1)
-        window_rows = np.arange(-half_rows, half_rows + 1, dtype=np.int64)
-        rows = (ys[:, None] + window_rows[None, :]) * stride
-        right = np.take(flat, rows + (xs[:, None] + half_cols + 1))
-        left = np.take(flat, rows + (xs[:, None] - half_cols))
-        return (right - left).sum(axis=1)
-
-    sxx = _box(gx2 * gx2, radius, radius - 1)
-    syy = _box(gy2 * gy2, radius - 1, radius)
-    sxy = _box(gx2 * gy2, radius - 1, radius - 1)
+    side, inner = 2 * radius + 1, 2 * radius - 1
+    x_min, y_min = int(xs.min()), int(ys.min())
+    left, right = x_min - radius, int(xs.max()) + radius + 1
+    sums = np.empty((3, int(ys.max()) - y_min + 1, right - left - side + 1), np.int32)
+    for start in range(0, sums.shape[1], HARRIS_BAND_ROWS):
+        stop = min(start + HARRIS_BAND_ROWS, sums.shape[1])
+        # the level rows under the windows centred on rows y_min + [start, stop)
+        top = y_min - radius + start
+        band = image.pixels[top : top + stop - start + side - 1, left:right].astype(np.int32)
+        gx2 = band[:, 2:] - band[:, :-2]  # columns left+1 .. right-2
+        gy2 = band[2:] - band[:-2]  # rows top+1 .. bottom-2
+        sums[0, start:stop] = window_sums(window_sums(gx2 * gx2, side, 0), inner, 1)
+        sums[1, start:stop] = window_sums(window_sums(gy2 * gy2, inner, 0), side, 1)
+        sums[2, start:stop] = window_sums(
+            window_sums(gx2[1:-1] * gy2[:, 1:-1], inner, 0), inner, 1
+        )
+    sxx, syy, sxy = sums[:, ys - y_min, xs - x_min].astype(np.int64)
     det16 = sxx * syy - sxy * sxy
     trace4 = sxx + syy
     raw = (det16 << HARRIS_K_FRACTION_BITS) - HARRIS_K_FIXED * trace4 * trace4

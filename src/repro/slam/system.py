@@ -12,6 +12,7 @@ cycle.
 from __future__ import annotations
 
 import time
+import zlib
 from collections import deque
 from dataclasses import dataclass, field
 from typing import List, Optional
@@ -22,11 +23,28 @@ from ..config import SlamConfig
 from ..dataset import RgbdFrame, RgbdSequence
 from ..errors import ReproError
 from ..geometry import Pose
-from ..serving import stable_frame_id
 from ..telemetry import current_tracer
 from .evaluation import AteResult, absolute_trajectory_error
 from .frame import Frame
 from .tracker import Tracker, TrackingResult
+
+
+def stable_frame_id(sequence_name: str, frame_index: int) -> int:
+    """Deterministic, collision-resistant frame id (trace and journal label).
+
+    Two runs over the same sequence — even in different processes or with
+    different engines — derive the same id for the same frame, so their
+    traces line up frame for frame.  The sequence name is folded through
+    CRC-32 into the high bits and the frame index occupies the low 32 bits,
+    keeping ids non-negative int64 values while separating same-index
+    frames of different sequences.
+    """
+    if frame_index < 0:
+        raise ReproError("frame_index must be non-negative")
+    if frame_index >= 1 << 32:
+        raise ReproError("frame_index exceeds the 32-bit id field")
+    sequence_hash = zlib.crc32(sequence_name.encode("utf-8")) & 0x7FFFFFFF
+    return (sequence_hash << 32) | frame_index
 
 
 @dataclass
@@ -114,24 +132,20 @@ class SlamSystem:
     ) -> SlamRunResult:
         """Run the system over a whole sequence and collect results.
 
-        ``frame_server`` accepts anything satisfying the
-        :class:`repro.serving.FrameServing` protocol — the thread
-        :class:`repro.serving.FrameServer` or the process
-        :class:`repro.cluster.ClusterServer` — and pipelines feature
-        extraction for the whole sequence through it, many frames in
-        flight, while tracking consumes the results in order.  Tracking output is
-        identical to the sequential path because extraction is a pure
-        per-frame function.
+        ``frame_server`` takes a :class:`repro.cluster.ClusterServer` and
+        pipelines feature extraction for the whole sequence through it,
+        many frames in flight, while tracking consumes the results in
+        order.  Tracking output is identical to the sequential path
+        because extraction is a pure per-frame function.
 
         ``frame_ids`` overrides the frame id submitted per frame (the label
         on the server's trace spans and journal rows); by default each
-        frame gets :func:`repro.serving.stable_frame_id` of
+        frame gets :func:`stable_frame_id` of
         ``(sequence.name, frame.index)``, so runs over the same sequence
         label the same frame alike.
 
         ``frame_deadline_s`` optionally forwards a per-frame serving
-        budget to servers that support one (``submit(...,
-        deadline_s=...)`` — both shipped servers do): a frame past its
+        budget (``submit(..., deadline_s=...)``): a frame past its
         budget fails with :class:`repro.errors.JobFailed` instead of
         being retried or served arbitrarily late (``docs/serving.md`` →
         Failure semantics).
@@ -160,11 +174,6 @@ class SlamSystem:
         # bounded number of ExtractionResults is ever resident
         pending: deque = deque()
         next_to_submit = 0
-        # only forward the deadline when one was asked for, so any server
-        # satisfying the protocol keeps working without the keyword
-        submit_kwargs = {}
-        if frame_deadline_s is not None:
-            submit_kwargs["deadline_s"] = frame_deadline_s
         tracer = current_tracer()
         for index, rgbd_frame in enumerate(frames):
             extraction = None
@@ -175,7 +184,7 @@ class SlamSystem:
                         frame_server.submit(
                             frames[next_to_submit].image,
                             frame_id=frame_ids[next_to_submit],
-                            **submit_kwargs,
+                            deadline_s=frame_deadline_s,
                         )
                     )
                     next_to_submit += 1

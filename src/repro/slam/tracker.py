@@ -109,7 +109,7 @@ class Tracker:
 
         ``extraction`` optionally supplies a precomputed
         :class:`~repro.features.ExtractionResult` for the frame (produced by
-        a :class:`repro.serving.FrameServer` pipelining extraction ahead of
+        a :class:`repro.cluster.ClusterServer` pipelining extraction ahead of
         tracking); extraction is a pure function of the image, so the result
         is identical to extracting inline.
         """

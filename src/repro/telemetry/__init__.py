@@ -1,7 +1,7 @@
 """Observability layer for the serving stack (``docs/observability.md``).
 
 Three pillars, each importable on its own and all wired through
-``repro.serving`` / ``repro.cluster``:
+``repro.cluster``:
 
 * :mod:`~repro.telemetry.metrics` — ``Counter`` / ``Gauge`` / ``Histogram``
   primitives in a :class:`MetricsRegistry` with JSON and Prometheus text

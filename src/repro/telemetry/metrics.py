@@ -2,8 +2,8 @@
 
 The paper's evaluation is built around per-stage counters (Table 2's
 runtime breakdown); the reproduction's serving layer accumulated ~25
-ad-hoc counter dicts across :class:`~repro.serving.ServingStats`,
-:class:`~repro.cluster.ClusterStats`, and per-worker stats.  This module is the single store those views now share:
+ad-hoc counter dicts across :class:`~repro.cluster.ClusterStats` and the
+per-worker stats.  This module is the single store those views now share:
 
 * :class:`Counter` — monotonically increasing event count (plus a signed
   :meth:`Counter.add` escape hatch for the rare compensating adjustment,

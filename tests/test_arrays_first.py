@@ -10,7 +10,7 @@ import numpy as np
 
 from repro.cluster import ClusterServer
 from repro.features import Feature, OrbExtractor
-from repro.serving.resultpack import pack_into, packed_nbytes, unpack_result
+from repro.cluster.resultpack import pack_into, packed_nbytes, unpack_result
 from repro.slam import SlamSystem
 
 

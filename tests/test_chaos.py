@@ -460,7 +460,6 @@ class TestSlamDeadlinePassThrough:
     def test_frame_deadline_forwarded_to_server(self, chaos_config):
         from repro.config import SlamConfig
         from repro.dataset import SequenceSpec, make_sequence
-        from repro.serving import FrameServer
         from repro.slam import SlamSystem
 
         slam_config = SlamConfig(extractor=chaos_config)
@@ -470,9 +469,20 @@ class TestSlamDeadlinePassThrough:
             )
         )
         system = SlamSystem(slam_config)
-        with FrameServer(config=slam_config.extractor, max_workers=2) as frame_server:
+        with ClusterServer(
+            slam_config.extractor, num_workers=2, supervision=FAST_SUPERVISION
+        ) as frame_server:
+            deadlines = []
+            submit = frame_server.submit
+
+            def recording_submit(image, frame_id=None, deadline_s=None):
+                deadlines.append(deadline_s)
+                return submit(image, frame_id=frame_id, deadline_s=deadline_s)
+
+            frame_server.submit = recording_submit
             # a generous budget: every frame must serve inside it
             result = system.run(
                 sequence, frame_server=frame_server, frame_deadline_s=60.0
             )
         assert len(result.frame_results) == 3
+        assert deadlines == [60.0] * 3

@@ -1,7 +1,6 @@
 """ClusterServer: process-sharded serving, bit-identical to sequential.
 
-The serving parity matrix runs sequential extraction, the thread
-:class:`~repro.serving.FrameServer` and the process
+The serving parity matrix runs sequential extraction and the process
 :class:`~repro.cluster.ClusterServer` across every extraction engine;
 the remaining classes pin down the transport, back-pressure, crash
 surfacing and the SLAM / batch-runner wiring.
@@ -27,8 +26,7 @@ from repro.dataset import SequenceSpec, make_sequence
 from repro.errors import ReproError
 from repro.features import OrbExtractor
 from repro.image import GrayImage, random_blocks
-from repro.serving import FrameServer, FrameServing, stable_frame_id
-from repro.slam import SlamSystem
+from repro.slam import SlamSystem, stable_frame_id
 
 
 @pytest.fixture(scope="module")
@@ -95,7 +93,7 @@ class TestSharedFrameRing:
 
 
 class TestServingParityMatrix:
-    """sequential == FrameServer == ClusterServer, every engine."""
+    """sequential == ClusterServer, every engine."""
 
     @pytest.fixture(scope="class")
     def sequential_by_engine(self, cluster_config, cluster_images):
@@ -123,23 +121,10 @@ class TestServingParityMatrix:
             assert _feature_key(seq_result) == _feature_key(cluster_result)
             assert vars(seq_result.profile) == vars(cluster_result.profile)
 
-    @pytest.mark.parametrize("engine", ["reference", "vectorized", "hwexact"])
-    def test_thread_server_agrees_with_cluster(
-        self, engine, cluster_config, cluster_images, sequential_by_engine
-    ):
-        from dataclasses import replace
-
-        config = replace(cluster_config, engine=engine)
-        with FrameServer(config=config, max_workers=2) as server:
-            threaded = server.extract_many(cluster_images)
-        for seq_result, thread_result in zip(sequential_by_engine[engine], threaded):
-            assert _feature_key(seq_result) == _feature_key(thread_result)
-
 
 class TestClusterServer:
     def test_satisfies_serving_protocol(self, cluster_config):
         with ClusterServer(cluster_config, num_workers=1) as server:
-            assert isinstance(server, FrameServing)
             assert server.extractor_config == cluster_config
 
     def test_stats_and_bounded_in_flight(self, cluster_config, cluster_images):

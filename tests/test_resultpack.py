@@ -1,4 +1,4 @@
-"""repro.serving.resultpack: flat-buffer codec round-trip guarantees.
+"""repro.cluster.resultpack: flat-buffer codec round-trip guarantees.
 
 Property-style sweep: randomized frames and feature counts (empty results
 and full-heap results included) packed and unpacked across every engine
@@ -15,7 +15,7 @@ from repro.config import ExtractorConfig, PyramidConfig
 from repro.errors import ReproError
 from repro.features import OrbExtractor
 from repro.image import GrayImage, random_blocks
-from repro.serving.resultpack import (
+from repro.cluster.resultpack import (
     RESULT_PACK_MAGIC,
     max_packed_nbytes,
     pack_into,

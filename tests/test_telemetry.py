@@ -23,7 +23,6 @@ from repro.config import ExtractorConfig, PyramidConfig
 from repro.errors import ReproError
 from repro.features import OrbExtractor
 from repro.image import random_blocks
-from repro.serving import FrameServer
 from repro.telemetry import (
     ActivityWindow,
     Counter,
@@ -425,11 +424,6 @@ class TestStatsGoldenKeys:
         "restarts", "alive", "state",
         "latency_p50_ms", "latency_p95_ms",
     }
-    SERVING_KEYS = {
-        "frames_submitted", "frames_completed", "max_in_flight",
-        "latency_p50_ms", "latency_p95_ms", "elapsed_s", "throughput_fps",
-        "active_elapsed_s", "active_throughput_fps",
-    }
 
     def test_cluster_stats_keys_and_counter_semantics(self):
         clock = [100.0]
@@ -464,13 +458,6 @@ class TestStatsGoldenKeys:
 
     def test_worker_stats_keys(self):
         assert set(WorkerStats(0).as_dict()) == self.WORKER_KEYS
-
-    def test_serving_stats_keys(self, telemetry_config, telemetry_images):
-        with FrameServer(config=telemetry_config, max_workers=2) as server:
-            server.extract_many(telemetry_images[:2])
-            report = server.stats.as_dict()
-        assert set(report) == self.SERVING_KEYS
-        assert report["frames_completed"] == 2
 
 
 # ---------------------------------------------------------------------------
@@ -580,13 +567,6 @@ class TestDocsDrift:
             config, num_workers=1, registry=registry, supervision=FAST_SUPERVISION
         ) as server:
             server.extract_many(telemetry_images[:2])
-        with FrameServer(config=ExtractorConfig(
-            image_width=160,
-            image_height=120,
-            pyramid=PyramidConfig(num_levels=2),
-            max_features=150,
-        ), max_workers=1, registry=registry) as thread_server:
-            thread_server.extract_many(telemetry_images[:1])
         missing = [
             name for name in registry.metric_names() if name not in doc
         ]
