@@ -44,24 +44,36 @@ def test_kernel_full_extraction(benchmark, small_image):
     assert len(result.features) > 100
 
 
-def test_kernel_hamming_matrix(benchmark):
-    """The matcher at the QVGA operating point: 1024 frame descriptors
-    against a 5,400-point map (``slam-xyz-qvga``'s final map size)."""
+def _timed_hamming_matcher(benchmark, map_size):
+    """1024 frame descriptors against a ``map_size``-point map whose first
+    256 rows are planted copies of the first 256 frame descriptors."""
     rng = np.random.default_rng(0)
     frame = rng.integers(0, 256, (1024, 32), dtype=np.uint8)
-    global_map = rng.integers(0, 256, (5400, 32), dtype=np.uint8)
+    global_map = rng.integers(0, 256, (map_size, 32), dtype=np.uint8)
     global_map[:256] = frame[:256]
     matcher = BruteForceMatcher()
     matches = benchmark(matcher.match_arrays, frame, global_map)
-    print_section("Kernel: fused Hamming matcher (1024 x 5400 descriptors)")
+    print_section(f"Kernel: fused Hamming matcher (1024 x {map_size} descriptors)")
     stats = matcher.last_stats
     print(f"  distance evaluations: {stats.distance_evaluations}, "
           f"accepted: {stats.accepted}")
-    assert stats.distance_evaluations == 1024 * 5400
+    assert stats.distance_evaluations == 1024 * map_size
     # the 256 planted copies match at distance 0; unrelated random
     # descriptors sit ~128 bits apart and fail the 64-bit distance filter
     assert matches.train_indices.tolist() == list(range(256))
     assert matches.distances.tolist() == [0] * 256
+
+
+def test_kernel_hamming_matrix(benchmark):
+    """The matcher at the QVGA operating point: 1024 frame descriptors
+    against a 5,400-point map (``slam-xyz-qvga``'s final map size)."""
+    _timed_hamming_matcher(benchmark, 5400)
+
+
+def test_kernel_hamming_matrix_small_map(benchmark):
+    """A 2,000-point map: below 8,192 / 3 train rows, where numpy's default
+    ufunc buffer would put the XOR on its slow buffered loop."""
+    _timed_hamming_matcher(benchmark, 2000)
 
 
 def test_kernel_scene_rendering(benchmark):

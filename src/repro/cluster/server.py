@@ -284,6 +284,16 @@ class ClusterStats:
         _clock=None,
     ) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
+        # registry metrics are get-or-create: a second ClusterStats on the
+        # same registry would count into the first one's series
+        clash = [
+            name for name in self.registry.metric_names() if name.startswith("cluster_")
+        ]
+        if clash:
+            raise ReproError(
+                f"registry already holds cluster series {clash}; "
+                "give each ClusterServer its own MetricsRegistry"
+            )
         self.workers: List[WorkerStats] = []
         self._clock = _clock if _clock is not None else time.perf_counter
         self._counters = {
@@ -577,6 +587,11 @@ class ClusterServer:
         self.supervision = supervision
         self.fault_plan = fault_plan
         self._context = get_mp_context(start_method)
+        # stats first: a registry clash raises before any shared memory exists
+        self.registry = registry if registry is not None else MetricsRegistry()
+        self.stats = ClusterStats(registry=self.registry)
+        for _ in range(num_workers):
+            self.stats._add_worker()
         self._slot_bytes = self.config.image_height * self.config.image_width
         self._ring = SharedFrameRing(self.max_in_flight, self._slot_bytes)
         # heartbeat board: one monotonic timestamp per worker slot, written
@@ -598,13 +613,9 @@ class ClusterServer:
         # know no stale descriptor into the dead range is still in flight
         # on the collector thread (see _on_worker_exit)
         self._collect_lock = threading.Lock()
-        self.registry = registry if registry is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else Tracer(track="server")
         self.journal = journal if journal is not None else EventJournal()
         self._trace = Trace()
-        self.stats = ClusterStats(registry=self.registry)
-        for _ in range(num_workers):
-            self.stats._add_worker()
         # transport occupancy as callback gauges: read live from the rings at
         # snapshot time instead of mirroring every acquire/release
         self.registry.gauge(
@@ -801,17 +812,30 @@ class ClusterServer:
             # re-check and the append and orphan the message
             with self._dispatch_cv:
                 with self._lock:
-                    target = worker_id
-                    if not self.stats.workers[target].alive:
-                        target = self._fallback_target_locked(target)
-                    job.worker_id = target
-                    self._pending[job_id] = job
-                    registered = True
-                worker_id = target
-                self.stats._submitted(target)
+                    lost = not self.stats.workers[worker_id].alive
+                    if lost and self.supervision is not None:
+                        worker_id = self._fallback_target_locked(worker_id)
+                        lost = False
+                    job.worker_id = worker_id
+                    if not lost:
+                        self._pending[job_id] = job
+                        registered = True
+                self.stats._submitted(worker_id)
                 self.stats._via_ring(height * width)
-                self._backlogs[target].append(job.message(job_id))
-                self._dispatch_cv.notify_all()
+                if not lost:
+                    self._backlogs[worker_id].append(job.message(job_id))
+                    self._dispatch_cv.notify_all()
+            if lost:
+                # unsupervised, and the routed worker died after routing:
+                # the frame fails as one in flight on that worker would
+                self.stats._failed(worker_id)
+                self._release_job_resources(job)
+                self._release_admission()
+                future.set_exception(
+                    ReproError(
+                        f"cluster worker {worker_id} died before the frame was queued"
+                    )
+                )
             self.tracer.complete("submit", submitted_s, frame=key, worker=worker_id)
             return future
         except BaseException:
@@ -857,18 +881,14 @@ class ClusterServer:
     def _fallback_target_locked(self, worker_id: int) -> int:
         """Replacement owner when ``worker_id`` died after routing.
 
-        Callers hold ``_dispatch_cv`` + ``_lock``.  Prefers the shallowest
-        alive queue; with supervision the routed worker's own backlog is an
-        acceptable parking spot while its restart is pending (the
+        Supervised clusters only; callers hold ``_dispatch_cv`` + ``_lock``.
+        Prefers the shallowest alive queue; the routed worker's own backlog
+        is an acceptable parking spot while its restart is pending (the
         dispatcher skips non-alive workers and the respawn drains it).
         """
         best = self._shallowest_alive()
         if best is not None:
             return best
-        if self.supervision is None:
-            raise ReproError(
-                f"cluster worker {worker_id} has died; frame cannot be served"
-            )
         worker = self.stats.workers[worker_id]
         if worker.state == WORKER_DEAD:
             return worker_id  # held until the supervisor respawns it

@@ -35,8 +35,16 @@ MAX_DESCRIPTOR_BYTES = 4095
 TILE_BUDGET_BYTES = 1 << 20
 
 #: Scratch bytes per (query, train) cell of a tile: uint64 XOR, uint8
-#: popcount and int16 accumulator.
-_TILE_BYTES_PER_CELL = 8 + 1 + 2
+#: popcount, int16 widened popcount and int16 block.
+_TILE_BYTES_PER_CELL = 8 + 1 + 2 + 2
+
+#: numpy ufunc buffer size, in elements, while a tile is computed.  Under
+#: the default 8,192 numpy runs a broadcast ``(h, 1) ^ (M,)`` XOR through
+#: its buffered loop whenever a row has at most 8,192 / 3 elements, about
+#: 3x slower per cell; a tiny buffer keeps every M on the fast loop.  The
+#: tile needs no ufunc casts (``copyto`` widens outside the ufunc buffers),
+#: and the caller's size is restored before each tile is yielded.
+_TILE_BUFSIZE = 16
 
 #: Upper bound on the rows of one tile, so a row index within a tile fits in
 #: 15 bits (the matcher packs it beside a distance into one int32 key).
@@ -104,24 +112,44 @@ def distance_tiles(
     # word-major train layout: the word-w column of every train descriptor
     # is one contiguous row, XORed against a broadcast query column
     train_columns = np.ascontiguousarray(_descriptor_words(train).T)
-    num_words, num_train = train_columns.shape
+    num_train = train_columns.shape[1]
     height = max(1, min(query_words.shape[0], tile_rows(num_train)))
     xor = np.empty((height, num_train), dtype=np.uint64)
     counts = np.empty((height, num_train), dtype=np.uint8)
+    wide = np.empty((height, num_train), dtype=np.int16)
     block = np.empty((height, num_train), dtype=np.int16)
     for start in range(0, query_words.shape[0], height):
         rows = query_words[start : start + height]
-        tile = block[: rows.shape[0]]
-        tile_xor = xor[: rows.shape[0]]
-        tile_counts = counts[: rows.shape[0]]
-        for word in range(num_words):
-            np.bitwise_xor(rows[:, word, np.newaxis], train_columns[word], out=tile_xor)
-            if word == 0:
-                np.bitwise_count(tile_xor, out=tile)
-            else:
-                np.bitwise_count(tile_xor, out=tile_counts)
-                tile += tile_counts
-        yield start, tile
+        n = rows.shape[0]
+        saved_bufsize = np.setbufsize(_TILE_BUFSIZE)
+        try:
+            _fill_tile(rows, train_columns, block[:n], xor[:n], counts[:n], wide[:n])
+        finally:
+            np.setbufsize(saved_bufsize)
+        yield start, block[:n]
+
+
+def _fill_tile(
+    rows: np.ndarray,
+    train_columns: np.ndarray,
+    tile: np.ndarray,
+    xor: np.ndarray,
+    counts: np.ndarray,
+    wide: np.ndarray,
+) -> None:
+    """Write the distances of query ``rows`` to every train column into ``tile``.
+
+    Each word's uint8 popcounts are widened by ``copyto`` and added into
+    the int16 ``tile``: every ufunc call stays within one dtype.
+    """
+    for word in range(train_columns.shape[0]):
+        np.bitwise_xor(rows[:, word, np.newaxis], train_columns[word], out=xor)
+        np.bitwise_count(xor, out=counts)
+        if word == 0:
+            np.copyto(tile, counts)
+        else:
+            np.copyto(wide, counts)
+            np.add(tile, wide, out=tile)
 
 
 def hamming_distance(a: np.ndarray, b: np.ndarray) -> int:

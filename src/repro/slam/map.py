@@ -8,12 +8,21 @@ for a long period are deleted to keep the map bounded (Section 2.1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
 from ..errors import MapError
 from .map_point import MapPoint
+
+#: Per-point arrays of :class:`GlobalMap`; row ``r`` of each is one point.
+_COLUMNS = (
+    "_ids",
+    "_positions",
+    "_descriptors",
+    "_created",
+    "_last_matched",
+    "_times_matched",
+)
 
 
 @dataclass
@@ -25,123 +34,150 @@ class MapUpdateStats:
     points_total: int = 0
 
 
-class GlobalMap:
-    """Container of all :class:`MapPoint` landmarks.
+def _read_only(array: np.ndarray) -> np.ndarray:
+    view = array.view()
+    view.flags.writeable = False
+    return view
 
-    The map exposes dense descriptor/position matrices because both the
-    software matcher and the hardware BRIEF Matcher model operate on the
-    whole map at once.
+
+class GlobalMap:
+    """All landmarks, stored as one row per point in contiguous arrays.
+
+    The arrays are point ids, positions ``(M, 3)``, descriptors ``(M, B)``,
+    created frame, last matched frame and times matched.  Ids only grow and
+    culling keeps the survivors in order, so the rows stay in ascending id
+    order without any sort: the order the matcher's argmin breaks ties by.
+    The software matcher and the hardware BRIEF Matcher model both read the
+    whole map at once through :meth:`descriptor_matrix`.
     """
 
     def __init__(self, max_points: int = 20000) -> None:
         if max_points <= 0:
             raise MapError("max_points must be positive")
         self.max_points = max_points
-        self._points: Dict[int, MapPoint] = {}
         self._next_id = 0
-        self._dirty = True
-        self._descriptor_cache: Optional[np.ndarray] = None
-        self._position_cache: Optional[np.ndarray] = None
-        self._id_cache: List[int] = []
+        self._ids = np.zeros(0, dtype=np.int64)
+        self._positions = np.zeros((0, 3), dtype=np.float64)
+        self._descriptors = np.zeros((0, 32), dtype=np.uint8)
+        self._created = np.zeros(0, dtype=np.int64)
+        self._last_matched = np.zeros(0, dtype=np.int64)
+        self._times_matched = np.zeros(0, dtype=np.int64)
 
     # -- basic container protocol -----------------------------------------
     def __len__(self) -> int:
-        return len(self._points)
+        return int(self._ids.size)
+
+    def _row(self, point_id: int) -> int | None:
+        row = int(np.searchsorted(self._ids, point_id))
+        if row < self._ids.size and self._ids[row] == point_id:
+            return row
+        return None
 
     def __contains__(self, point_id: int) -> bool:
-        return point_id in self._points
+        return self._row(point_id) is not None
 
     def get(self, point_id: int) -> MapPoint:
-        try:
-            return self._points[point_id]
-        except KeyError as exc:
-            raise MapError(f"map point {point_id} does not exist") from exc
-
-    def points(self) -> List[MapPoint]:
-        return list(self._points.values())
+        """A snapshot of one point; later map updates do not change it."""
+        row = self._row(point_id)
+        if row is None:
+            raise MapError(f"map point {point_id} does not exist")
+        return MapPoint(
+            point_id=int(self._ids[row]),
+            position=self._positions[row].copy(),
+            descriptor=self._descriptors[row].copy(),
+            created_frame=int(self._created[row]),
+            last_matched_frame=int(self._last_matched[row]),
+            times_matched=int(self._times_matched[row]),
+        )
 
     # -- insertion -----------------------------------------------------------
     def add_point(
         self, position: np.ndarray, descriptor: np.ndarray, created_frame: int
     ) -> MapPoint:
-        """Create a new landmark; returns the created :class:`MapPoint`."""
-        if len(self._points) >= self.max_points:
+        """Create a new landmark; returns a snapshot of the created point."""
+        if len(self) >= self.max_points:
             raise MapError(f"map is full (max_points={self.max_points})")
-        point = MapPoint(
-            point_id=self._next_id,
-            position=position,
-            descriptor=descriptor,
-            created_frame=created_frame,
-        )
-        self._points[point.point_id] = point
-        self._next_id += 1
-        self._dirty = True
+        point = MapPoint(self._next_id, position, descriptor, created_frame)
+        self.add_points(point.position[np.newaxis], point.descriptor[np.newaxis], created_frame)
         return point
 
     def add_points(
-        self,
-        positions: Iterable[np.ndarray],
-        descriptors: Iterable[np.ndarray],
-        created_frame: int,
-    ) -> List[MapPoint]:
-        """Bulk insertion used by key-frame map updates."""
-        created = []
-        for position, descriptor in zip(positions, descriptors):
-            if len(self._points) >= self.max_points:
-                break
-            created.append(self.add_point(position, descriptor, created_frame))
-        return created
+        self, positions: np.ndarray, descriptors: np.ndarray, created_frame: int
+    ) -> np.ndarray:
+        """Append ``(K, 3)`` positions and ``(K, B)`` descriptors as new points.
+
+        Rows beyond ``max_points`` are dropped.  Returns the ids of the
+        points created, in row order.
+        """
+        positions = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
+        descriptors = np.asarray(descriptors, dtype=np.uint8)
+        if (
+            descriptors.ndim != 2
+            or descriptors.shape[0] != positions.shape[0]
+            or descriptors.shape[1] == 0
+        ):
+            raise MapError("descriptors must be one non-empty byte row per position")
+        if not len(self):
+            self._descriptors = np.zeros((0, descriptors.shape[1]), dtype=np.uint8)
+        elif descriptors.shape[1] != self._descriptors.shape[1]:
+            raise MapError(
+                f"descriptors of {descriptors.shape[1]} bytes do not fit a map "
+                f"of {self._descriptors.shape[1]}-byte descriptors"
+            )
+        count = min(positions.shape[0], self.max_points - len(self))
+        ids = np.arange(self._next_id, self._next_id + count, dtype=np.int64)
+        frames = np.full(count, created_frame, dtype=np.int64)
+        self._next_id += count
+        self._ids = np.concatenate([self._ids, ids])
+        self._positions = np.concatenate([self._positions, positions[:count]])
+        self._descriptors = np.concatenate([self._descriptors, descriptors[:count]])
+        self._created = np.concatenate([self._created, frames])
+        self._last_matched = np.concatenate([self._last_matched, frames])
+        self._times_matched = np.concatenate(
+            [self._times_matched, np.zeros(count, dtype=np.int64)]
+        )
+        return ids
 
     # -- dense views ------------------------------------------------------------
-    def _refresh_cache(self) -> None:
-        if not self._dirty:
-            return
-        ids = sorted(self._points)
-        self._id_cache = ids
-        if ids:
-            self._descriptor_cache = np.stack([self._points[i].descriptor for i in ids])
-            self._position_cache = np.stack([self._points[i].position for i in ids])
-        else:
-            self._descriptor_cache = np.zeros((0, 32), dtype=np.uint8)
-            self._position_cache = np.zeros((0, 3), dtype=np.float64)
-        self._dirty = False
-
+    # Read-only views of the stored arrays: no copy.  An add or a cull
+    # replaces the arrays, so a view describes the map until the next one.
     def descriptor_matrix(self) -> np.ndarray:
-        """All descriptors stacked ``(M, 32)`` in ascending point-id order."""
-        self._refresh_cache()
-        assert self._descriptor_cache is not None
-        return self._descriptor_cache
+        """All descriptors ``(M, B)`` in ascending point-id order."""
+        return _read_only(self._descriptors)
 
     def position_matrix(self) -> np.ndarray:
-        """All positions stacked ``(M, 3)`` in ascending point-id order."""
-        self._refresh_cache()
-        assert self._position_cache is not None
-        return self._position_cache
+        """All positions ``(M, 3)`` in ascending point-id order."""
+        return _read_only(self._positions)
 
-    def point_ids(self) -> List[int]:
+    def point_ids(self) -> np.ndarray:
         """Point ids in the row order of the dense matrices."""
-        self._refresh_cache()
-        return list(self._id_cache)
+        return _read_only(self._ids)
 
     # -- match bookkeeping / culling --------------------------------------------
-    def record_match(
-        self, point_id: int, frame_index: int, descriptor: np.ndarray | None = None
-    ) -> None:
-        self.get(point_id).record_match(frame_index, descriptor)
-        if descriptor is not None:
-            self._dirty = True
+    def record_matches(self, rows: np.ndarray, frame_index: int) -> None:
+        """Record that the points at matrix ``rows`` matched in ``frame_index``.
+
+        A row listed twice counts twice.  Raises :class:`MapError`, with
+        nothing written, if a row is out of range or ``frame_index`` is
+        older than a point's last match.
+        """
+        rows = np.asarray(rows, dtype=np.intp)
+        if rows.size == 0:
+            return
+        if rows.min() < 0 or rows.max() >= len(self):
+            raise MapError(f"map rows must lie in [0, {len(self)})")
+        if frame_index < self._last_matched[rows].max():
+            raise MapError("frames must be processed in increasing order")
+        self._last_matched[rows] = frame_index
+        np.add.at(self._times_matched, rows, 1)
 
     def cull(self, current_frame: int, ttl_frames: int) -> int:
         """Delete points unmatched for more than ``ttl_frames``; return count."""
         if ttl_frames <= 0:
             raise MapError("ttl_frames must be positive")
-        stale = [
-            point_id
-            for point_id, point in self._points.items()
-            if point.frames_since_match(current_frame) > ttl_frames
-        ]
-        for point_id in stale:
-            del self._points[point_id]
-        if stale:
-            self._dirty = True
-        return len(stale)
+        keep = current_frame - self._last_matched <= ttl_frames
+        removed = len(self) - int(np.count_nonzero(keep))
+        if removed:
+            for name in _COLUMNS:
+                setattr(self, name, getattr(self, name)[keep])
+        return removed

@@ -9,9 +9,14 @@ import numpy as np
 from ..errors import MapError
 
 
-@dataclass
+@dataclass(frozen=True)
 class MapPoint:
-    """A 3-D landmark in the global map.
+    """A snapshot of one landmark of the global map.
+
+    :class:`~repro.slam.GlobalMap` stores its points as arrays and returns
+    a ``MapPoint`` from ``get`` / ``add_point``.  The snapshot is frozen:
+    match bookkeeping goes through ``GlobalMap.record_matches``, so no
+    caller can update a copy by mistake.
 
     Attributes
     ----------
@@ -42,23 +47,10 @@ class MapPoint:
         descriptor = np.asarray(self.descriptor, dtype=np.uint8)
         if descriptor.ndim != 1 or descriptor.size == 0:
             raise MapError("map point descriptor must be a non-empty byte vector")
-        self.position = position
-        self.descriptor = descriptor
+        object.__setattr__(self, "position", position)
+        object.__setattr__(self, "descriptor", descriptor)
         if self.last_matched_frame < 0:
-            self.last_matched_frame = self.created_frame
-
-    def record_match(self, frame_index: int, descriptor: np.ndarray | None = None) -> None:
-        """Record that the point was matched in ``frame_index``.
-
-        Optionally refresh the representative descriptor with the newest
-        observation (keeps descriptors current under viewpoint change).
-        """
-        if frame_index < self.last_matched_frame:
-            raise MapError("frames must be processed in increasing order")
-        self.last_matched_frame = frame_index
-        self.times_matched += 1
-        if descriptor is not None:
-            self.descriptor = np.asarray(descriptor, dtype=np.uint8)
+            object.__setattr__(self, "last_matched_frame", self.created_frame)
 
     def frames_since_match(self, current_frame: int) -> int:
         """Number of frames since the point was last matched."""

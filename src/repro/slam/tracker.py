@@ -176,7 +176,7 @@ class Tracker:
         frame.pose = pose
         decision = self.keyframe_policy.evaluate(pose)
         frame.is_keyframe = decision.is_keyframe
-        matched_ids = self._record_matches(frame, inlier_matches)
+        self.map.record_matches(inlier_matches.train_indices, frame.index)
         if decision.is_keyframe:
             stats = self._update_map(
                 frame, matched_feature_indices=inlier_matches.query_indices
@@ -275,16 +275,6 @@ class Tracker:
         workload.lm_observations = inlier_matches.size
         return result.pose
 
-    def _record_matches(self, frame: Frame, inlier_matches: MatchArrays) -> List[int]:
-        """Update matched map points' statistics; return matched point ids."""
-        point_ids = self.map.point_ids()
-        matched_ids = []
-        for train_index in inlier_matches.train_indices.tolist():
-            point_id = point_ids[train_index]
-            self.map.record_match(point_id, frame.index)
-            matched_ids.append(point_id)
-        return matched_ids
-
     def _update_map(
         self, frame: Frame, matched_feature_indices: np.ndarray
     ) -> MapUpdateStats:
@@ -310,12 +300,8 @@ class Tracker:
             points_cam = frame.camera.back_project_many(pixels, depths[selected])
             points_world = frame.pose.inverse().transform(points_cam)
             descriptor_rows = frame.descriptor_matrix()[selected]
-            created = self.map.add_points(
-                list(points_world), list(descriptor_rows), frame.index
-            )
-        else:
-            created = []
-        stats.points_added = len(created)
+            created = self.map.add_points(points_world, descriptor_rows, frame.index)
+            stats.points_added = int(created.size)
         stats.points_deleted = self.map.cull(
             frame.index, self.config.tracker.map_point_ttl_frames
         )

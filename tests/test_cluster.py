@@ -221,6 +221,32 @@ class TestClusterCrash:
             assert not server.stats.workers[0].alive
             assert server.stats.frames_failed >= 1
 
+    def test_death_between_routing_and_registration_fails_the_frame(
+        self, cluster_config, cluster_images
+    ):
+        # the collector can notice a death after submit routed the job but
+        # before it registered it; unsupervised, the job must not move
+        with ClusterServer(cluster_config, num_workers=2) as server:
+            route = server._route_once
+
+            def route_then_die(job_id):
+                worker_id = route(job_id)
+                server.kill_worker(worker_id)
+                return worker_id
+
+            server._route_once = route_then_die
+            future = server.submit(cluster_images[0])  # job 0 -> worker 0
+            server._route_once = route
+            with pytest.raises(ReproError, match="died"):
+                future.result(timeout=30)
+            assert len(server.submit(cluster_images[1]).result(timeout=30).features) > 0
+            # the failed frame gave back its admission and ring slots
+            assert server._admitted == 0
+            assert server._ring.in_flight() == 0
+            report = server.stats.as_dict()
+        assert report["frames_failed"] == 1
+        assert [w["frames_completed"] for w in report["workers"]] == [0, 1]
+
     def test_submit_to_dead_worker_rejected(self, cluster_config, cluster_images):
         with ClusterServer(cluster_config, num_workers=2) as server:
             server.kill_worker(0)

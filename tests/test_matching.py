@@ -130,6 +130,82 @@ class TestDistanceMatrix:
         assert hamming_distance(a[0], b[0]) == expected[0, 0]
 
 
+class TestTileKernelEdges:
+    """``distance_tiles`` against the byte-table oracle at the kernel's edges."""
+
+    @staticmethod
+    def _tiled(query: np.ndarray, train: np.ndarray) -> np.ndarray:
+        distances = np.full((query.shape[0], train.shape[0]), -1, dtype=np.int32)
+        for start, block in hamming_module.distance_tiles(query, train):
+            assert block.dtype == np.int16
+            distances[start : start + block.shape[0]] = block
+        return distances
+
+    # 8,192 // 3 = 2,730: numpy's default ufunc buffer changes loop there
+    @pytest.mark.parametrize("num_train", [1, 2729, 2731, 2733, 5400])
+    def test_map_sizes_around_the_buffer_threshold(self, num_train):
+        rng = np.random.default_rng(num_train)
+        query = rng.integers(0, 256, (37, 32), dtype=np.uint8)
+        train = rng.integers(0, 256, (num_train, 32), dtype=np.uint8)
+        train[:5] = query[: min(5, num_train)]
+        assert np.array_equal(self._tiled(query, train), _byte_table_distances(query, train))
+
+    @pytest.mark.parametrize("width", range(1, 34))
+    def test_every_width_up_to_five_words(self, width):
+        rng = np.random.default_rng(100 + width)
+        query = rng.integers(0, 256, (11, width), dtype=np.uint8)
+        train = rng.integers(0, 256, (23, width), dtype=np.uint8)
+        train[:11] = ~query  # exact complements: distance 8 * width
+        got = self._tiled(query, train)
+        assert np.array_equal(got, _byte_table_distances(query, train))
+        assert np.all(np.diag(got[:, :11]) == 8 * width)
+
+    @pytest.mark.parametrize("width", [24, 25, 32, 33, 64])
+    def test_complement_pairs_past_the_uint8_partial(self, width):
+        # 256 differing bits is one past what a uint8 partial sum holds
+        ones = np.full((3, width), 255, dtype=np.uint8)
+        zeros = np.zeros((4, width), dtype=np.uint8)
+        rng = np.random.default_rng(width)
+        query = np.vstack([ones, zeros, rng.integers(0, 256, (2, width), dtype=np.uint8)])
+        train = np.vstack([zeros, ones, ~query[-2:]])
+        got = self._tiled(query, train)
+        assert np.array_equal(got, _byte_table_distances(query, train))
+        assert got[0, 0] == got[3, 4] == got[7, 7] == 8 * width
+
+    def test_bufsize_restored_after_match(self):
+        query = _random_descriptors(300, seed=1)
+        train = _random_descriptors(2000, seed=2)
+        with np.errstate():
+            np.setbufsize(4096)
+            BruteForceMatcher(MatcherConfig(cross_check=True)).match_arrays(query, train)
+            assert np.getbufsize() == 4096
+            # the consumer of each tile runs under the caller's buffer size
+            for _, _ in hamming_module.distance_tiles(query, train):
+                assert np.getbufsize() == 4096
+            with pytest.raises(DescriptorError):
+                BruteForceMatcher().match_arrays(query, train[:, :16])
+            assert np.getbufsize() == 4096
+
+    def test_bufsize_restored_after_error_inside_a_tile(self):
+        fill_tile = hamming_module._fill_tile
+        calls = []
+
+        def failing_fill_tile(*args):
+            calls.append(np.getbufsize())
+            if len(calls) == 2:
+                raise DescriptorError("injected failure in the second tile")
+            fill_tile(*args)
+
+        query = _random_descriptors(300, seed=3)
+        train = _random_descriptors(2000, seed=4)
+        before = np.getbufsize()
+        with mock.patch.object(hamming_module, "_fill_tile", failing_fill_tile):
+            with pytest.raises(DescriptorError, match="second tile"):
+                BruteForceMatcher().match_arrays(query, train)
+        assert calls == [hamming_module._TILE_BUFSIZE] * 2
+        assert np.getbufsize() == before
+
+
 class TestMinimumDistanceMatching:
     def test_finds_exact_copies(self):
         train = _random_descriptors(20, seed=8)

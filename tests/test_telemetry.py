@@ -459,6 +459,32 @@ class TestStatsGoldenKeys:
     def test_worker_stats_keys(self):
         assert set(WorkerStats(0).as_dict()) == self.WORKER_KEYS
 
+    def test_second_cluster_stats_on_one_registry_rejected(self):
+        # unlabelled cluster_* series would merge two servers' counts
+        registry = MetricsRegistry()
+        first = ClusterStats(registry=registry)
+        first._add_worker()
+        with pytest.raises(ReproError, match="cluster_frames_submitted_total"):
+            ClusterStats(registry=registry)
+        first._submitted(0)
+        assert registry.snapshot()["cluster_frames_submitted_total"] == 1
+        # a registry holding only other metrics is fine
+        other = MetricsRegistry()
+        other.counter("slam_frames_total")
+        ClusterStats(registry=other)
+
+    def test_second_cluster_server_on_one_registry_starts_nothing(
+        self, telemetry_config
+    ):
+        import multiprocessing
+
+        registry = MetricsRegistry()
+        with ClusterServer(telemetry_config, num_workers=1, registry=registry):
+            workers_before = multiprocessing.active_children()
+            with pytest.raises(ReproError, match="cluster_"):
+                ClusterServer(telemetry_config, num_workers=1, registry=registry)
+            assert multiprocessing.active_children() == workers_before
+
 
 # ---------------------------------------------------------------------------
 # the traced cluster (integration)
