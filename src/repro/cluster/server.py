@@ -1192,12 +1192,12 @@ class ClusterServer:
                 continue
             if self._draining and process.exitcode == 0:
                 continue  # normal sentinel exit while close() drains
-            self._on_worker_exit(worker_id, process.exitcode)
+            self._on_worker_exit(worker_id, process)
 
     def _on_worker_exit(
-        self, worker_id: int, exitcode: Optional[int], reason: Optional[str] = None
+        self, worker_id: int, process, reason: Optional[str] = None
     ) -> None:
-        """Fold one worker death into job state: fail (legacy) or requeue.
+        """Fold the exit of worker ``process`` into job state: fail (legacy) or requeue.
 
         Without supervision this matches the historical fail-fast handling
         (jobs fail with a :class:`~repro.errors.ReproError`, the worker is
@@ -1207,8 +1207,16 @@ class ClusterServer:
         preserved — unless its deadline or retry budget is exhausted, in
         which case it fails with a :class:`~repro.errors.JobFailed`
         carrying the attempt history.
+
+        Only the slot's current process counts: the supervisor may already
+        have folded this death and respawned the slot (a kill and the
+        health check both see the exit), and the replacement must not be
+        marked dead for its predecessor's exit.
         """
+        if self._processes[worker_id] is not process:
+            return  # already folded and respawned
         now = time.perf_counter()
+        exitcode = process.exitcode
         reason = reason or f"died (exit code {exitcode})"
         # Fold whatever the dead worker flushed before dying FIRST: those
         # futures complete (no wasted recompute), their ring slots free,
@@ -1221,7 +1229,10 @@ class ClusterServer:
         with self._dispatch_cv:
             with self._lock:
                 worker = self.stats.workers[worker_id]
-                if worker.state != WORKER_RUNNING:
+                if (
+                    worker.state != WORKER_RUNNING
+                    or self._processes[worker_id] is not process
+                ):
                     return  # already handled (kill + health check race)
                 supervised = self.supervision is not None
                 worker.state = WORKER_DEAD if supervised else WORKER_FAILED
@@ -1327,7 +1338,7 @@ class ClusterServer:
         if process.exitcode is None:
             process.kill()
         process.join()
-        self._on_worker_exit(worker_id, process.exitcode)
+        self._on_worker_exit(worker_id, process)
 
     # -- chaos hooks (repro.chaos.FaultPlan) --------------------------------
     def chaos_kill(self, worker_id: Optional[int] = None) -> Optional[int]:
@@ -1344,7 +1355,7 @@ class ClusterServer:
         if process.exitcode is None:
             process.kill()
         process.join(timeout=5.0)
-        self._on_worker_exit(target, process.exitcode, reason="chaos kill")
+        self._on_worker_exit(target, process, reason="chaos kill")
         return target
 
     def chaos_stall(
@@ -1413,7 +1424,7 @@ class ClusterServer:
         )
         self._on_worker_exit(
             worker_id,
-            process.exitcode,
+            process,
             reason=f"stalled (no heartbeat for {stalled_for_s:.1f}s); killed",
         )
 
@@ -1430,13 +1441,13 @@ class ClusterServer:
         itself failed (the supervisor retries after backoff).
         """
         if self._closed or self._closing:
-            return False
+            return self._respawn_refused(worker_id, "closing")
         worker = self.stats.workers[worker_id]
         if worker.state != WORKER_DEAD:
-            return False
+            return self._respawn_refused(worker_id, f"state {worker.state}")
         old_process = self._processes[worker_id]
         if old_process.exitcode is None:
-            return False  # still exiting; next tick
+            return self._respawn_refused(worker_id, "still exiting")  # next tick
         new_queue = self._context.Queue()
         new_result_queue = self._context.Queue()
         self._heartbeats[worker_id] = 0.0
@@ -1444,11 +1455,13 @@ class ClusterServer:
             process = self._start_worker_process(
                 worker_id, new_queue, new_result_queue
             )
-        except Exception:
+        except Exception as error:
             for failed_queue in (new_queue, new_result_queue):
                 failed_queue.close()
                 failed_queue.cancel_join_thread()
-            return False
+            return self._respawn_refused(
+                worker_id, f"spawn failed: {type(error).__name__}: {error}"
+            )
         old_queue = self._job_queues[worker_id]
         with self._dispatch_cv:
             with self._lock:
@@ -1472,6 +1485,11 @@ class ClusterServer:
         old_queue.close()
         old_queue.cancel_join_thread()
         return True
+
+    def _respawn_refused(self, worker_id: int, reason: str) -> bool:
+        """Journal why :meth:`_respawn_worker` did not respawn; returns False."""
+        self.journal.log("restart_refused", worker_id=worker_id, reason=reason)
+        return False
 
     def _give_up_worker(self, worker_id: int) -> None:
         """Turn a crash-looping worker permanent-failed (restart budget out).

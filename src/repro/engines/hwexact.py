@@ -21,9 +21,9 @@ in :mod:`repro.hw`, batched over whole pyramid levels.  It is the
    run in 64-row bands with the taps of equal weight summed first.
 4. **Orientation** takes the exact-integer intensity-centroid moments of
    every patch from the shared batched kernel
-   (:func:`~repro.features.orientation.intensity_centroids`: one float64
+   (:func:`~repro.features.orientation.intensity_centroids`: one float32
    matmul of the gathered patches against the masked moment weights, exact
-   because every partial sum is an integer below ``2**53``), bit-identical
+   because every partial sum is an integer below ``2**24``), bit-identical
    to the scalar Orientation Computing unit, quantizes the ratio
    ``v/u`` to the Q6.10 :data:`~repro.quant.formats.ORIENTATION_RATIO_FORMAT`
    and resolves the 32-way label from the ratio and sign bits — the

@@ -12,7 +12,7 @@ small window around the pixel.
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import Iterable, List, Tuple
 
 import numpy as np
 
@@ -85,12 +85,13 @@ def harris_scores_sparse(
     """Harris responses gathered only at ``(xs, ys)``, bit-identical to the map.
 
     Sobel gradients and their three products are computed in integers, and
-    only over the bounding box of the requested windows, one band of rows at
-    a time; the box is edge-replicated only where it leaves the level
-    (pixels for the Sobel taps, gradients for the windows, as
-    :func:`harris_response_map` pads them).  The ``window x window`` sums of
-    every box position are formed with exact sliding adds on both axes
-    (:func:`window_sums`) and read at the requested points.  This is exact: |gradient| <= 4*255, so a
+    only over the bounding box of the requested windows, one band of
+    :data:`HARRIS_BAND_ROWS` point rows at a time; the box is
+    edge-replicated only where it leaves the level (pixels for the Sobel
+    taps, gradients for the windows, as :func:`harris_response_map` pads
+    them).  The ``window x window`` sums are formed with exact sliding adds
+    down and across the band (:func:`_flat_window_sums`) and read at the
+    band's points.  This is exact: |gradient| <= 4*255, so a
     product is at most (4*255)**2 and a 7x7 window sum at most
     49*(4*255)**2 < 2**31, and the int32 sums never wrap (windows wider
     than 45 sum in int64).  The float64 reference pipeline produces the same
@@ -114,48 +115,92 @@ def harris_scores_sparse(
         return np.zeros(0, dtype=np.float64)
     window = 2 * block_radius + 1
     dtype = np.int32 if window * window * _MAX_GRADIENT_PRODUCT < 2**31 else np.int64
-    x_min, y_min = int(xs.min()), int(ys.min())
-    # the window box, [top, bottom) x [left, right)
-    top, bottom = y_min - block_radius, int(ys.max()) + block_radius + 1
+    # bands of point rows need the points in row order (raster input already is)
+    order = None if np.all(ys[1:] >= ys[:-1]) else np.argsort(ys, kind="stable")
+    if order is not None:
+        xs, ys = xs[order], ys[order]
+    x_min = int(xs.min())
+    # the window columns, [left, right)
     left, right = x_min - block_radius, int(xs.max()) + block_radius + 1
-    sums = np.empty((3, bottom - top - window + 1, right - left - window + 1), dtype)
-    for start in range(0, sums.shape[1], HARRIS_BAND_ROWS):
-        stop = min(start + HARRIS_BAND_ROWS, sums.shape[1])
-        sums[:, start:stop] = _band_window_sums(
-            image.pixels, top + start, top + stop + window - 1, left, right, window, dtype
+    sums = np.empty((3, xs.size), dtype)
+    tops = np.arange(int(ys[0]), int(ys[-1]) + 1, HARRIS_BAND_ROWS)
+    starts = np.searchsorted(ys, tops).tolist() + [xs.size]
+    for top, start, stop in zip(tops.tolist(), starts[:-1], starts[1:]):
+        if start == stop:
+            continue
+        # the gradient rows under the windows of point rows top .. last
+        last = int(ys[stop - 1])
+        products, stride = _band_products(
+            image.pixels, top - block_radius, last + block_radius + 1, left, right, dtype
         )
-    sxx, syy, sxy = sums[:, ys - y_min, xs - x_min].astype(np.float64)
+        band_sums = _flat_window_sums(_flat_window_sums(products, window, stride), window, 1)
+        # the window whose top-left gradient is (row r, column c) of the
+        # band is centred on level point (top + r, x_min + c)
+        corners = (ys[start:stop] - top) * stride + xs[start:stop] - x_min
+        sums[:, start:stop] = band_sums[:, corners]
+    sxx, syy, sxy = sums.astype(np.float64)
     det = sxx * syy - sxy * sxy
     trace = sxx + syy
-    return det - k * trace * trace
+    scores = det - k * trace * trace
+    if order is None:
+        return scores
+    result = np.empty_like(scores)
+    result[order] = scores
+    return result
 
 
-def _band_window_sums(
-    pixels: np.ndarray, top: int, bottom: int, left: int, right: int, window: int, dtype
-) -> np.ndarray:
-    """``window x window`` sums of the three Sobel products over the level
-    rows ``[top, bottom)`` and columns ``[left, right)``, edge-replicated
-    outside the level."""
+def _band_products(
+    pixels: np.ndarray, top: int, bottom: int, left: int, right: int, dtype
+) -> Tuple[np.ndarray, int]:
+    """The three Sobel products over the level rows ``[top, bottom)`` and
+    columns ``[left, right)``, edge-replicated outside the level.
+
+    Returns ``(products, stride)``: ``products[i]`` is a flat row-major grid
+    of ``stride`` columns whose first ``right - left`` hold the box; any
+    further columns hold values no window of the box reads.  Every step is
+    a contiguous 1-D operation on the flat arrays, which numpy runs without
+    a per-row loop.
+    """
     height, width = pixels.shape
     inner_top, inner_bottom = max(top, 0), min(bottom, height)
     inner_left, inner_right = max(left, 0), min(right, width)
     # separable Sobel over the in-level part of the box, same integers as
-    # sobel_gradients: gx from vertically smoothed rows, gy from horizontally
-    # smoothed columns
-    pixels = _edge_crop(
+    # sobel_gradients: gx from vertically smoothed rows, gy from
+    # horizontally smoothed ones, on the flat pixel crop of row stride
+    # ``stride``; gradient (r, c) lands at flat r * stride + c
+    crop = _edge_crop(
         pixels, inner_top - 1, inner_bottom + 1, inner_left - 1, inner_right + 1
     ).astype(dtype)
-    rows = pixels[:-2] + 2 * pixels[1:-1] + pixels[2:]
-    cols = pixels[:, :-2] + 2 * pixels[:, 1:-1] + pixels[:, 2:]
-    # products of replicated gradients are the reference's replicated products
-    box = (top - inner_top, bottom - inner_top, left - inner_left, right - inner_left)
-    gx = _edge_crop(rows[:, 2:] - rows[:, :-2], *box)
-    gy = _edge_crop(cols[2:] - cols[:-2], *box)
-    products = np.empty((3,) + gx.shape, dtype)
+    stride = crop.shape[1]
+    flat = crop.reshape(-1)
+    size = flat.size
+    smoothed = flat[stride : size - stride] + flat[stride : size - stride]
+    smoothed += flat[: size - 2 * stride]
+    smoothed += flat[2 * stride :]
+    gx = smoothed[2:] - smoothed[:-2]
+    smoothed = flat[1 : size - 1] + flat[1 : size - 1]
+    smoothed += flat[: size - 2]
+    smoothed += flat[2:]
+    gy = smoothed[2 * stride :] - smoothed[: -2 * stride]
+    if (top, bottom, left, right) != (inner_top, inner_bottom, inner_left, inner_right):
+        # products of replicated gradients are the reference's replicated products
+        box = (top - inner_top, bottom - inner_top, left - inner_left, right - inner_left)
+        rows = inner_bottom - inner_top
+        gx, gy = (
+            _edge_crop(
+                np.append(gradient, np.zeros(2, dtype)).reshape(rows, stride)[
+                    :, : inner_right - inner_left
+                ],
+                *box,
+            ).reshape(-1)
+            for gradient in (gx, gy)
+        )
+        stride = right - left
+    products = np.empty((3, gx.size), dtype)
     np.multiply(gx, gx, out=products[0])
     np.multiply(gy, gy, out=products[1])
     np.multiply(gx, gy, out=products[2])
-    return window_sums(window_sums(products, window, axis=1), window, axis=2)
+    return products, stride
 
 
 def _edge_crop(values: np.ndarray, top: int, bottom: int, left: int, right: int) -> np.ndarray:
@@ -181,17 +226,28 @@ def window_sums(values: np.ndarray, window: int, axis: int) -> np.ndarray:
     starts), so a window costs about ``2 * log2(window)`` whole-array adds and
     integer inputs sum exactly.
     """
-    runs = np.moveaxis(values, axis, 0)  # runs[i]: sum of entries i .. i + run_length - 1
-    run_length, count = 1, runs.shape[0] - window + 1
-    total, covered = None, 0  # total[i]: sum of entries i .. i + covered - 1
+    sums = _flat_window_sums(np.moveaxis(values, axis, -1), window, 1)
+    return np.moveaxis(sums, -1, axis)
+
+
+def _flat_window_sums(values: np.ndarray, window: int, step: int) -> np.ndarray:
+    """``out[..., i] = sum(values[..., i + j * step] for j < window)`` along
+    the last axis, for every ``i`` that keeps the whole window inside it.
+
+    ``step`` 1 sums along a flat row-major grid's rows and its row stride
+    sums down its columns; see :func:`window_sums` for the doubling runs.
+    """
+    count = values.shape[-1] - (window - 1) * step
+    runs, run_length = values, 1  # runs[..., i]: entries i, i + step, ... (run_length of them)
+    total, covered = None, 0  # total[..., i]: the first ``covered`` entries of window i
     while True:
         if window & run_length:
-            part = runs[covered : covered + count]
+            part = runs[..., covered * step : covered * step + count]
             total = part if total is None else total + part
             covered += run_length
         if 2 * run_length > window:
-            return np.moveaxis(total, 0, axis)
-        runs = runs[:-run_length] + runs[run_length:]
+            return total
+        runs = runs[..., : -run_length * step] + runs[..., run_length * step :]
         run_length *= 2
 
 

@@ -10,14 +10,18 @@ A bounded "keep the K largest" structure is most naturally a **min-heap of
 size K** keyed on score: a new feature replaces the root when it beats the
 current minimum.  The paper calls the module a max-heap (it retains maximal
 scores); :class:`BoundedScoreHeap` implements the retention semantics and
-additionally counts the comparisons performed, which the hardware cycle
-model uses for its heap-insertion cost.
+additionally counts the comparisons performed.  That count is reported as
+the extraction profile's ``heap_comparisons``; the hardware cycle model
+does not read it (it charges the heap by the retained features it drains
+and, in the original workflow, ``log2(capacity)`` steps per keypoint).
 
 The software extractor does not stream through the heap: :func:`select_top`
-is its closed form, returning the same retained rows and the same
-statistics from one stable argsort plus a blockwise count.  The scalar
-hardware model (:class:`~repro.hw.orb_extractor.units.FeatureHeapUnit`)
-keeps offering to :class:`BoundedScoreHeap` one feature at a time.
+returns the same retained rows and the same statistics from one partition
+plus a sort of the kept rows, the closed-form sift depths of the
+insertions, and one ``heapq`` pass over the bare scores for the
+replacements.  The scalar hardware model
+(:class:`~repro.hw.orb_extractor.units.FeatureHeapUnit`) keeps offering to
+:class:`BoundedScoreHeap` one feature at a time.
 """
 
 from __future__ import annotations
@@ -124,16 +128,15 @@ def select_top(scores: np.ndarray, capacity: int) -> Tuple[np.ndarray, HeapStati
     (score descending, offer order ascending), in the order of
     :meth:`BoundedScoreHeap.items_by_score`, and ``stats`` equals the heap's
     :class:`HeapStatistics` after the same offers.  The first ``capacity``
-    offers are insertions; a later offer is a replacement iff fewer than
-    ``capacity`` earlier offers score at least as high (it then beats the
-    heap minimum), and a rejection otherwise.
+    offers are insertions; a later offer is a replacement iff it beats the
+    heap minimum (:func:`_count_replacements`), and a rejection otherwise.
     """
     if capacity <= 0:
         raise FeatureError("heap capacity must be positive")
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 1:
         raise FeatureError("scores must be a 1-D array")
-    rows = np.argsort(-scores, kind="stable")[:capacity]
+    rows = _best_rows(scores, capacity)
     insertions = min(capacity, scores.size)
     replacements = _count_replacements(scores, capacity)
     stats = HeapStatistics(
@@ -143,43 +146,58 @@ def select_top(scores: np.ndarray, capacity: int) -> Tuple[np.ndarray, HeapStati
         # as BoundedScoreHeap.offer counts them: a sift per insertion into a
         # heap of size k, one root comparison per offer once full, and a
         # full-depth sift per replacement
-        comparisons=sum(size.bit_length() for size in range(1, insertions + 1))
+        comparisons=_bit_length_sum(insertions)
         + (scores.size - insertions)
         + replacements * capacity.bit_length(),
     )
     return rows, stats
 
 
-def _count_replacements(scores: np.ndarray, capacity: int, block: int = 256) -> int:
+def _best_rows(scores: np.ndarray, capacity: int) -> np.ndarray:
+    """The ``capacity`` best rows by (score descending, row ascending).
+
+    The ``capacity``-th highest score splits the rows: every row above it is
+    kept, and the earliest rows equal to it fill what is left, so only the
+    kept rows are sorted (stably, by descending score).
+    """
+    if scores.size > capacity:
+        cutoff = np.partition(scores, scores.size - capacity)[scores.size - capacity]
+        above = np.flatnonzero(scores > cutoff)
+        tied = np.flatnonzero(scores == cutoff)[: capacity - above.size]
+        kept = np.sort(np.concatenate([above, tied]))
+    else:
+        kept = np.arange(scores.size)
+    return kept[np.argsort(-scores[kept], kind="stable")]
+
+
+def _bit_length_sum(count: int) -> int:
+    """``sum(k.bit_length() for k in range(1, count + 1))`` in closed form.
+
+    ``k`` has at least ``b`` bits iff ``k >= 2**(b - 1)``, so with
+    ``L = count.bit_length()`` the sum is
+    ``sum_{b=1..L} (count - 2**(b - 1) + 1) = L * (count + 1) - (2**L - 1)``.
+    """
+    length = count.bit_length()
+    return length * (count + 1) - ((1 << length) - 1)
+
+
+def _count_replacements(scores: np.ndarray, capacity: int) -> int:
     """How many offers after the first ``capacity`` beat the heap minimum.
 
-    Offer ``i`` beats it iff fewer than ``capacity`` earlier scores are
-    ``>= scores[i]``.  Offers are counted a block at a time against ``best``,
-    the ``capacity`` highest earlier scores kept sorted.  A score at most
-    ``best[0]`` loses outright; for the rest, the earlier scores ``>=`` them
-    are the ones in ``best`` plus the earlier such scores of the block.
+    Only the scores decide it (an offer replaces iff it strictly beats the
+    minimum, whichever tied entry holds it), so this runs the heap on the
+    bare scores: a list ``heapq`` min-heap of floats, seeded with the
+    first ``capacity`` scores in sorted order (a valid heap).  Offers at or
+    below the seed minimum can never replace and are dropped first.
     """
-    best = np.sort(scores[:capacity])
+    if scores.size <= capacity:
+        return 0
+    heap = np.sort(scores[:capacity]).tolist()
+    later = scores[capacity:]
     replacements = 0
-    for start in range(capacity, scores.size, block):
-        chunk = scores[start : start + block]
-        contenders = chunk[chunk > best[0]]
-        earlier = capacity - np.searchsorted(best, contenders, side="left")
-        earlier += np.tril(contenders[None, :] >= contenders[:, None], k=-1).sum(axis=1)
-        replacements += int(np.count_nonzero(earlier < capacity))
-        best = np.sort(np.concatenate([best, contenders]))[-capacity:]
+    for score in later[later > heap[0]].tolist():
+        if score > heap[0]:
+            heapq.heapreplace(heap, score)
+            replacements += 1
     return replacements
 
-
-def top_k_by_score(scored_items: Iterable[Tuple[float, T]], k: int) -> List[T]:
-    """Reference implementation: keep the ``k`` best items by full sort.
-
-    Used by tests to validate that :class:`BoundedScoreHeap` retains exactly
-    the same set (streaming vs batch filtering must agree).  Ties are broken
-    in favour of earlier items, as in the heap.
-    """
-    if k <= 0:
-        raise FeatureError("k must be positive")
-    indexed = [(score, index, item) for index, (score, item) in enumerate(scored_items)]
-    indexed.sort(key=lambda entry: (-entry[0], entry[1]))
-    return [item for _, _, item in indexed[:k]]

@@ -45,7 +45,7 @@ built if a caller asks for them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
@@ -437,26 +437,3 @@ class OrbExtractor:
             orientation_rads=column("orientation_rads"),
         )
 
-
-def extract_features(image: GrayImage, config: ExtractorConfig | None = None) -> ExtractionResult:
-    """Convenience one-shot feature extraction with a fresh extractor."""
-    return OrbExtractor(config).extract(image)
-
-
-def check_workflow_equivalence(
-    image: GrayImage, config: ExtractorConfig | None = None
-) -> int:
-    """Return how many retained keypoint positions differ between workflows.
-
-    The rescheduled and original workflows must retain the same keypoints
-    (filtering depends only on Harris scores).  Descriptor values are
-    identical as well because description is a pure function of (image,
-    keypoint).  Returns the size of the symmetric difference of the retained
-    ``(level, x, y)`` sets; 0 means the workflows agree exactly.
-    """
-    cfg = config or ExtractorConfig()
-    rescheduled = OrbExtractor(replace(cfg, rescheduled_workflow=True)).extract(image)
-    original = OrbExtractor(replace(cfg, rescheduled_workflow=False)).extract(image)
-    keys_a = set(rescheduled.feature_arrays().keypoint_keys())
-    keys_b = set(original.feature_arrays().keypoint_keys())
-    return len(keys_a.symmetric_difference(keys_b))

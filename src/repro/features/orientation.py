@@ -15,16 +15,16 @@ Two call styles are provided.  :func:`compute_orientation` is the scalar
 per-keypoint path (the reference backend).  :func:`intensity_centroids` is
 the one batched centroid kernel: it gathers every keypoint's square patch
 out of a sliding-window view of the level and takes all three moments
-(mass, x-moment, y-moment) of all patches in one float64 matrix product
+(mass, x-moment, y-moment) of all patches in one float32 matrix product
 against the masked weight table cached in an :class:`OrientationGrid`, so a
 long-lived backend never rebuilds it.  Both batched backends read it:
 :func:`compute_orientations` (the ``vectorized`` backend) bins its
 centroids through ``atan2``, and the ``hwexact`` backend through the
 quantized ratio LUT (:func:`repro.quant.kernels.orientation_bins_quantized`).
-Every product and partial sum of the moments is an integer far below
-``2**53``, so the float64 product is exact in any summation order and the
-batched centroids equal the scalar ones bit for bit (asserted by the
-orientation, backend and hwexact parity tests).
+Every product and partial sum of the moments is an integer below
+``2**22`` at the default radius, so the float32 product is exact in any
+summation order and the batched centroids equal the scalar ones bit for
+bit (asserted by the orientation, backend and hwexact parity tests).
 """
 
 from __future__ import annotations
@@ -215,15 +215,15 @@ def intensity_centroids(
 
     Each keypoint's ``(2r+1, 2r+1)`` patch is gathered out of a
     :func:`~numpy.lib.stride_tricks.sliding_window_view` of the level, and
-    one float64 matrix product with ``grid.weights`` gives every patch's
+    one float32 matrix product with ``grid.weights`` gives every patch's
     moments ``total = sum(mask * I)``, ``wx = sum(dx * mask * I)`` and
     ``wy = sum(dy * mask * I)``.  Every product and every partial sum is an
     integer of magnitude at most ``255 * max(r, 1) * (2r+1)**2``
-    (``255 * 15 * 961 < 2**22`` at radius 15, below ``2**53`` for radii up
-    to 20,000), which float64 holds exactly, so the moments are exact in
-    any BLAS summation order: the same integers the scalar path sums, and
-    the centroids equal it bit for bit.  Keypoints go through in chunks of
-    :data:`CENTROID_CHUNK`.
+    (``255 * 15 * 961 < 2**22`` at radius 15), which float32 holds exactly
+    below ``2**24`` (float64, exact below ``2**53``, takes larger radii), so
+    the moments are exact in any BLAS summation order: the same integers
+    the scalar path sums, and the centroids, divided in float64, equal it
+    bit for bit.  Keypoints go through in chunks of :data:`CENTROID_CHUNK`.
 
     Every patch must fit inside the image (the backends filter borders
     beforehand).  Returns ``(us, vs)`` arrays of shape ``(K,)``; a patch of
@@ -251,11 +251,16 @@ def intensity_centroids(
             f"orientation patch of radius {radius} exceeds image bounds for some keypoints"
         )
     side = 2 * radius + 1
+    # float32 holds every partial sum exactly while the bound stays below 2**24
+    dtype = np.float32 if 255 * max(radius, 1) * side * side < 2**24 else np.float64
+    weights = grid.weights.astype(dtype)
     windows = sliding_window_view(image.pixels, (side, side))
     for start in range(0, count, CENTROID_CHUNK):
         stop = min(count, start + CENTROID_CHUNK)
         patches = windows[ys[start:stop] - radius, xs[start:stop] - radius]
-        moments = patches.reshape(stop - start, side * side).astype(np.float64) @ grid.weights
+        moments = (patches.reshape(stop - start, side * side).astype(dtype) @ weights).astype(
+            np.float64
+        )
         totals = moments[:, 0]
         safe = totals > 0
         denominator = np.where(safe, totals, 1.0)

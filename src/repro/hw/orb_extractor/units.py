@@ -305,7 +305,7 @@ class FeatureHeapUnit:
 
     @property
     def comparisons(self) -> int:
-        """Comparator operations performed so far (feeds the cycle model)."""
+        """Comparator operations performed so far (the profile's ``heap_comparisons``)."""
         return self._heap.stats.comparisons
 
     def __len__(self) -> int:

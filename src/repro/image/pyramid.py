@@ -56,7 +56,8 @@ def resize_nearest_into(src: np.ndarray, scale: float, out: np.ndarray) -> np.nd
     dst_h, dst_w = out.shape
     src_rows = resize_source_indices(dst_h, src_h, scale)
     src_cols = resize_source_indices(dst_w, src_w, scale)
-    out[:] = src[np.ix_(src_rows, src_cols)]
+    # two plain takes (whole rows, then columns) beat one 2-D fancy index
+    np.take(np.take(src, src_rows, axis=0), src_cols, axis=1, out=out)
     return out
 
 

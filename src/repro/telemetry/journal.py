@@ -23,6 +23,7 @@ kind                meaning
 ``expired``         a frame's deadline lapsed before dispatch
 ``leak_reclaim``    close() reclaimed slots a dead worker left pinned
 ``restart_backoff``  a respawn attempt failed; retry scheduled after backoff
+``restart_refused``  a respawn attempt did not start a worker (``reason``)
 ``supervisor_tick_error``  a supervisor control tick raised (exception type)
 ``chaos_kill``      fault plan killed a worker (injected)
 ``chaos_stall``     fault plan wedged a worker's heartbeat (injected)

@@ -162,6 +162,9 @@ _SELECT_TOP_CASES = {
     "n<N": (np.random.default_rng(5).random(7), 10),
     "n=N": (np.random.default_rng(6).random(10), 10),
     "capacity-1": (np.random.default_rng(7).random(600), 1),
+    "all-equal": (np.full(3000, 5.0), 1024),
+    "all-equal n<N": (np.full(9, 5.0), 16),
+    "all-equal capacity-1": (np.full(100, 5.0), 1),
 }
 
 

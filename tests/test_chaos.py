@@ -153,6 +153,31 @@ class TestKillStorm:
         assert report["frames_failed"] == 0
 
 
+class TestStaleExit:
+    """A death folded twice must not take down the slot's replacement."""
+
+    def test_exit_of_a_replaced_process_leaves_the_replacement_serving(
+        self, chaos_config, chaos_images
+    ):
+        server = ClusterServer(chaos_config, num_workers=2, supervision=FAST_SUPERVISION)
+        with server:
+            _warm_up(server, chaos_images)
+            victim = server._processes[0]
+            victim.kill()
+            victim.join()
+            # the supervisor's health check folds the death and respawns
+            assert _wait_until(lambda: server.stats.restarts >= 1)
+            assert _wait_until(lambda: server.alive_worker_ids() == [0, 1])
+            # the killer's own, later fold of the same exit is stale
+            server._on_worker_exit(0, victim, reason="chaos kill")
+            assert server.alive_worker_ids() == [0, 1]
+            assert server._processes[0] is not victim
+            assert server.submit(chaos_images[0]).result(timeout=60).feature_count > 0
+        assert [event.kind for event in server.journal.events("worker_dead")] == [
+            "worker_dead"
+        ]
+
+
 class TestRestartMidFlight:
     """Kill between ring write and result flush; the slots must come back."""
 

@@ -211,10 +211,11 @@ class TestClusterCrash:
     ):
         with ClusterServer(cluster_config, num_workers=2) as server:
             server.extract_many(cluster_images[:2])  # jobs 0, 1: warm both workers
-            process = server._processes[0]
-            process.kill()
-            process.join()
+            # worker 0 is stopped, so job 2 is still its frame in flight when
+            # the kill lands; kill_worker folds the death in before returning
+            assert server.chaos_stall(0, duration_s=30.0) == 0
             futures = [server.submit(image) for image in cluster_images[:2]]
+            server.kill_worker(0)
             with pytest.raises(ReproError, match="died"):
                 futures[0].result(timeout=30)  # job 2 -> dead worker 0
             assert len(futures[1].result(timeout=30).features) > 0  # worker 1 lives

@@ -5,7 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import FeatureError
-from repro.features import BoundedScoreHeap, top_k_by_score
+from repro.features import BoundedScoreHeap
+
+
+def top_k_by_score(scored_items, k):
+    """Oracle: the ``k`` best items by one full sort, earlier items first on
+    ties, as the streaming heap must keep them."""
+    indexed = [(score, index, item) for index, (score, item) in enumerate(scored_items)]
+    indexed.sort(key=lambda entry: (-entry[0], entry[1]))
+    return [item for _, _, item in indexed[:k]]
 
 
 class TestBoundedScoreHeap:
@@ -85,7 +93,3 @@ class TestEquivalenceWithSort:
         heap.extend(zip(scores, items))
         expected = top_k_by_score(zip(scores, items), capacity)
         assert heap.items_by_score() == expected
-
-    def test_top_k_rejects_bad_k(self):
-        with pytest.raises(FeatureError):
-            top_k_by_score([(1.0, "a")], 0)
