@@ -34,11 +34,11 @@ Quick start::
 
     from repro.config import SlamConfig
     from repro.dataset import SequenceSpec, make_sequence
-    from repro.slam import run_slam
+    from repro.slam import SlamSystem
 
     sequence = make_sequence(SequenceSpec(name="fr1/xyz", num_frames=30,
                                           image_width=320, image_height=240))
-    result = run_slam(sequence)
+    result = SlamSystem(SlamConfig()).run(sequence)
     print(result.ate().rmse_cm, "cm RMSE")
 """
 

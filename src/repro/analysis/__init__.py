@@ -4,13 +4,10 @@ from .tables import format_comparison, format_table
 from .report import ReportOptions, build_report, write_report
 from .experiments import (
     AccuracyRow,
-    BatchRunRecord,
-    BatchRunner,
     run_fig8_accuracy,
     run_fig9_trajectory,
     run_pyramid_ablation,
     run_rescheduling_ablation,
-    run_sequence_accuracy,
     run_table1_resources,
     run_table2_runtime,
     run_table3_energy,
@@ -28,14 +25,11 @@ __all__ = [
     "build_report",
     "write_report",
     "AccuracyRow",
-    "BatchRunRecord",
-    "BatchRunner",
     "run_table1_resources",
     "run_table2_runtime",
     "run_table3_energy",
     "run_fig8_accuracy",
     "run_fig9_trajectory",
-    "run_sequence_accuracy",
     "run_rescheduling_ablation",
     "run_pyramid_ablation",
     "compare_float_vs_fixed_extraction",

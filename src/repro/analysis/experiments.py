@@ -10,8 +10,8 @@ resolution while the example scripts run them at full scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from ..config import (
     ExtractorConfig,
@@ -20,7 +20,6 @@ from ..config import (
     TrackerConfig,
 )
 from ..dataset import SequenceSpec, make_sequence
-from ..errors import ReproError
 from ..features import OrbExtractor
 from ..hw import EslamAccelerator
 from ..image import GrayImage
@@ -138,26 +137,6 @@ def _accuracy_slam_config(
     )
 
 
-def run_sequence_accuracy(
-    sequence_name: str,
-    use_rs_brief: bool,
-    num_frames: int = 12,
-    image_width: int = 320,
-    image_height: int = 240,
-) -> float:
-    """Run SLAM on one synthetic sequence; return the mean ATE in centimetres."""
-    spec = SequenceSpec(
-        name=sequence_name,
-        num_frames=num_frames,
-        image_width=image_width,
-        image_height=image_height,
-    )
-    sequence = make_sequence(spec)
-    config = _accuracy_slam_config(image_width, image_height, use_rs_brief)
-    result = SlamSystem(config).run(sequence)
-    return result.ate().mean_cm
-
-
 def run_fig8_accuracy(
     num_frames: int = 12,
     image_width: int = 320,
@@ -166,8 +145,9 @@ def run_fig8_accuracy(
 ) -> List[AccuracyRow]:
     """RS-BRIEF vs original ORB trajectory error on the five sequences (Figure 8).
 
-    Uses one :class:`BatchRunner` per descriptor mode so each compute engine
-    (and its pattern tables) is built once and reused across all sequences.
+    Builds one :class:`OrbExtractor` per descriptor mode, so each extraction
+    engine (and its pattern tables) is built once and shared by every
+    sequence's :class:`SlamSystem`.
     """
     names = sequences or ["fr1/xyz", "fr2/xyz", "fr1/desk", "fr1/room", "fr2/rpy"]
     specs = [
@@ -179,18 +159,19 @@ def run_fig8_accuracy(
         )
         for name in names
     ]
-    runners = {
-        label: BatchRunner(config=_accuracy_slam_config(image_width, image_height, rs))
-        for label, rs in (("rs_brief", True), ("original_orb", False))
-    }
-    results = {
-        label: runner.run_all(specs, label=label) for label, runner in runners.items()
-    }
+    errors_cm: Dict[bool, List[float]] = {}
+    for use_rs_brief in (True, False):
+        config = _accuracy_slam_config(image_width, image_height, use_rs_brief)
+        extractor = OrbExtractor(config.extractor)
+        errors_cm[use_rs_brief] = [
+            SlamSystem(config, extractor=extractor).run(make_sequence(spec)).ate().mean_cm
+            for spec in specs
+        ]
     return [
         AccuracyRow(
             sequence=name,
-            rs_brief_error_cm=results["rs_brief"][index].ate_mean_cm,
-            original_orb_error_cm=results["original_orb"][index].ate_mean_cm,
+            rs_brief_error_cm=errors_cm[True][index],
+            original_orb_error_cm=errors_cm[False][index],
         )
         for index, name in enumerate(names)
     ]
@@ -219,196 +200,6 @@ def run_fig9_trajectory(
             "ground_truth_xyz": ate.ground_truth.tolist(),
         }
     return outputs
-
-
-# ---------------------------------------------------------------------------
-# Batched multi-sequence driver (one compute engine, many runs)
-# ---------------------------------------------------------------------------
-@dataclass
-class BatchRunRecord:
-    """Summary of one sequence run executed by :class:`BatchRunner`."""
-
-    sequence: str
-    tracker_label: str
-    num_frames: int
-    ate_mean_cm: float
-    ate_rmse_cm: float
-    tracking_success_ratio: float
-    features_per_frame: float
-    descriptors_computed: float
-
-    def as_row(self) -> Dict[str, object]:
-        """Row-dict form for :func:`repro.analysis.tables.format_table`."""
-        return {
-            "sequence": self.sequence,
-            "tracker": self.tracker_label,
-            "frames": self.num_frames,
-            "ate_mean_cm": self.ate_mean_cm,
-            "ate_rmse_cm": self.ate_rmse_cm,
-            "success": self.tracking_success_ratio,
-            "features/frame": self.features_per_frame,
-        }
-
-
-def _check_spec_resolution(config: SlamConfig, spec: SequenceSpec) -> None:
-    """Reject specs whose frames cannot be served by the configured engine."""
-    if (spec.image_width, spec.image_height) != (
-        config.extractor.image_width,
-        config.extractor.image_height,
-    ):
-        raise ReproError(
-            f"sequence {spec.name!r} resolution {spec.image_width}x{spec.image_height} "
-            "does not match the shared extractor configuration"
-        )
-
-
-def _execute_spec(
-    config: SlamConfig,
-    spec: SequenceSpec,
-    tracker: Optional[TrackerConfig],
-    label: str,
-    max_frames: Optional[int],
-    extractor: Optional[OrbExtractor] = None,
-) -> BatchRunRecord:
-    """Run one sequence and summarise it as a :class:`BatchRunRecord`.
-
-    Module-level so worker *processes* can run it: when ``extractor`` is
-    omitted, the :class:`SlamSystem` builds its own engine from ``config``
-    (each shard of :meth:`BatchRunner.run_all_multiprocess` owns one engine,
-    exactly like a cluster worker).
-    """
-    _check_spec_resolution(config, spec)
-    run_config = config if tracker is None else replace(config, tracker=tracker)
-    sequence = make_sequence(spec)
-    result = SlamSystem(run_config, extractor=extractor).run(
-        sequence, max_frames=max_frames
-    )
-    ate = result.ate()
-    workload = result.mean_workload()
-    return BatchRunRecord(
-        sequence=spec.name,
-        tracker_label=label,
-        num_frames=result.num_frames,
-        ate_mean_cm=ate.mean_cm,
-        ate_rmse_cm=ate.rmse_cm,
-        tracking_success_ratio=result.tracking_success_ratio,
-        features_per_frame=workload.get("features_retained", 0.0),
-        descriptors_computed=workload.get("descriptors_computed", 0.0),
-    )
-
-
-@dataclass
-class BatchRunner:
-    """Run many sequences / tracker configurations through ONE compute engine.
-
-    The expensive part of standing up a SLAM run is the extractor: descriptor
-    pattern tables, rotation gather tables and orientation grids are rebuilt
-    per :class:`OrbExtractor`.  ``BatchRunner`` builds the extractor (and its
-    extraction engine, see :mod:`repro.engines`) once and shares it
-    across every accuracy sweep, which is how the Figure-8 style experiments
-    amortise setup over five sequences x two descriptor modes.  Tracker-side
-    settings may vary per run; the extractor configuration is fixed for the
-    lifetime of the runner (a different extractor config needs a new engine).
-
-    :meth:`run_all_multiprocess` is the exception to the one-shared-engine
-    rule: it shards whole sequences across worker *processes*, each building
-    its own identical engine, so sweeps scale past the GIL (see
-    ``docs/serving.md``).
-    """
-
-    config: SlamConfig = field(default_factory=SlamConfig)
-    max_frames: Optional[int] = None
-    records: List[BatchRunRecord] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        self.extractor = OrbExtractor(self.config.extractor)
-
-    def run_sequence(
-        self,
-        spec: SequenceSpec,
-        tracker: Optional[TrackerConfig] = None,
-        label: str = "default",
-    ) -> BatchRunRecord:
-        """Run SLAM over one synthetic sequence with the shared engine."""
-        record = _execute_spec(
-            self.config, spec, tracker, label, self.max_frames, extractor=self.extractor
-        )
-        self.records.append(record)
-        return record
-
-    def run_all(
-        self,
-        specs: Sequence[SequenceSpec],
-        tracker: Optional[TrackerConfig] = None,
-        label: str = "default",
-    ) -> List[BatchRunRecord]:
-        """Run every spec through the shared engine; returns the new records."""
-        return [self.run_sequence(spec, tracker=tracker, label=label) for spec in specs]
-
-    def run_all_multiprocess(
-        self,
-        specs: Sequence[SequenceSpec],
-        tracker: Optional[TrackerConfig] = None,
-        label: str = "default",
-        num_workers: Optional[int] = None,
-        start_method: Optional[str] = None,
-    ) -> List[BatchRunRecord]:
-        """Shard the sweep across worker processes (one engine per worker).
-
-        Each spec runs as one task in a process pool: the worker builds its
-        own engine from this runner's configuration and executes the whole
-        sequence, so independent sweeps scale across host cores instead of
-        sharing one GIL.  Records come back in spec order and — like every
-        execution mode of this runner — are identical to the sequential
-        sweep, because each run is a pure function of (config, spec).
-        """
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        from ..cluster.context import get_mp_context
-
-        if num_workers is not None and num_workers <= 0:
-            raise ReproError("num_workers must be positive")
-        for spec in specs:  # fail fast, before paying any process spin-up
-            _check_spec_resolution(self.config, spec)
-        if not specs:
-            return []
-        workers = (
-            num_workers
-            if num_workers is not None
-            else min(len(specs), multiprocessing.cpu_count())
-        )
-        context = get_mp_context(start_method)
-        with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-            futures = [
-                pool.submit(
-                    _execute_spec, self.config, spec, tracker, label, self.max_frames
-                )
-                for spec in specs
-            ]
-            records, first_error = [], None
-            for future in futures:
-                try:
-                    records.append(future.result())
-                except Exception as error:  # keep completed runs, like run_all
-                    if first_error is None:
-                        first_error = error
-        self.records.extend(records)
-        if first_error is not None:
-            raise first_error
-        return records
-
-    def summary(self) -> Dict[str, object]:
-        """Aggregate view over all runs performed so far."""
-        if not self.records:
-            return {"runs": 0, "rows": []}
-        return {
-            "runs": len(self.records),
-            "mean_ate_cm": sum(r.ate_mean_cm for r in self.records) / len(self.records),
-            "total_frames": sum(r.num_frames for r in self.records),
-            "engine": self.extractor.engine.name,
-            "rows": [record.as_row() for record in self.records],
-        }
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,8 @@
-"""Multiprocessing start-method selection, shared by every process layer.
+"""Multiprocessing start-method selection for the cluster's worker processes.
 
-One definition for :class:`~repro.cluster.server.ClusterServer` and
-:meth:`repro.analysis.experiments.BatchRunner.run_all_multiprocess`, so the
-two multiprocess entry points cannot drift: prefer ``fork`` where the
+:class:`~repro.cluster.server.ClusterServer` prefers ``fork`` where the
 platform offers it (workers inherit the imported interpreter — engine
-spin-up in milliseconds), fall back to ``spawn`` elsewhere (each worker
+spin-up in milliseconds) and falls back to ``spawn`` elsewhere (each worker
 re-imports; everything handed to workers is picklable by design).
 """
 

@@ -166,13 +166,6 @@ def pack_into(result: ExtractionResult, buffer: Union[np.ndarray, memoryview]) -
     return total
 
 
-def pack_result(result: ExtractionResult) -> bytes:
-    """Pack ``result`` into a fresh ``bytes`` blob (convenience wrapper)."""
-    buffer = np.empty(packed_nbytes(result), dtype=np.uint8)
-    used = pack_into(result, buffer)
-    return buffer[:used].tobytes()
-
-
 def unpack_result(
     buffer: Union[bytes, np.ndarray, memoryview], copy: bool = True
 ) -> ExtractionResult:

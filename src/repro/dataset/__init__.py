@@ -8,7 +8,6 @@ from .trajectories import (
     desk_trajectory,
     room_trajectory,
     rpy_trajectory,
-    static_trajectory,
     xyz_trajectory,
 )
 from .sequence import (
@@ -16,13 +15,11 @@ from .sequence import (
     RgbdSequence,
     SequenceSpec,
     make_sequence,
-    paper_sequences,
 )
 from .tum import (
     TrajectoryEntry,
     format_trajectory,
     parse_trajectory,
-    read_trajectory,
     write_trajectory,
 )
 
@@ -39,15 +36,12 @@ __all__ = [
     "rpy_trajectory",
     "desk_trajectory",
     "room_trajectory",
-    "static_trajectory",
     "RgbdFrame",
     "RgbdSequence",
     "SequenceSpec",
     "make_sequence",
-    "paper_sequences",
     "TrajectoryEntry",
     "format_trajectory",
     "parse_trajectory",
-    "read_trajectory",
     "write_trajectory",
 ]

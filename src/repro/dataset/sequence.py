@@ -10,7 +10,7 @@ and trajectory generators.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Iterator, List, Optional
 
 import numpy as np
 
@@ -152,21 +152,3 @@ def make_sequence(
     return RgbdSequence(
         name=spec.name, camera=cam, frames=frames, frame_rate_hz=spec.frame_rate_hz
     )
-
-
-def paper_sequences(
-    num_frames: int = 40,
-    image_width: int = 640,
-    image_height: int = 480,
-) -> Dict[str, SequenceSpec]:
-    """Specs for the five sequences evaluated in the paper (Figure 8)."""
-    names: Sequence[str] = ("fr1/xyz", "fr2/xyz", "fr1/desk", "fr1/room", "fr2/rpy")
-    return {
-        name: SequenceSpec(
-            name=name,
-            num_frames=num_frames,
-            image_width=image_width,
-            image_height=image_height,
-        )
-        for name in names
-    }

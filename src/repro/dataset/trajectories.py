@@ -141,13 +141,6 @@ def room_trajectory(
     return poses
 
 
-def static_trajectory(num_frames: int = 10) -> List[Pose]:
-    """A perfectly static camera (useful for tests and noise-floor studies)."""
-    if num_frames < 1:
-        raise DatasetError("trajectory needs at least 1 frame")
-    return [Pose.identity() for _ in range(num_frames)]
-
-
 #: Mapping from TUM-style sequence names to (trajectory builder, recommended scene).
 SEQUENCE_BUILDERS: Dict[str, Callable[[int], List[Pose]]] = {
     "fr1/xyz": lambda n: xyz_trajectory(num_frames=n),

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
@@ -99,11 +99,3 @@ def write_trajectory(
 ) -> None:
     """Write world-to-camera poses to ``path`` in TUM format."""
     Path(path).write_text(format_trajectory(timestamps, poses))
-
-
-def read_trajectory(path: str | Path) -> Tuple[np.ndarray, List[Pose]]:
-    """Read a TUM trajectory file; return (timestamps, world-to-camera poses)."""
-    entries = parse_trajectory(Path(path).read_text())
-    timestamps = np.array([entry.timestamp for entry in entries])
-    poses = [entry.to_world_to_camera() for entry in entries]
-    return timestamps, poses

@@ -3,12 +3,9 @@
 from .keypoint import Feature, Keypoint
 from .fast import (
     FAST_CIRCLE_OFFSETS,
-    detect_fast_keypoints,
-    detect_fast_keypoints_arrays,
     fast_corner_mask,
-    is_fast_corner,
 )
-from .harris import HARRIS_K, harris_response_map, harris_scores_at, harris_scores_sparse
+from .harris import HARRIS_K, harris_response_map, harris_scores_sparse
 from .nms import non_maximum_suppression, suppress_keypoints, suppress_keypoints_sparse
 from .orientation import (
     NUM_ORIENTATION_BINS,
@@ -20,7 +17,6 @@ from .orientation import (
     intensity_centroid,
     intensity_centroids,
     orientation_angle,
-    orientation_lut_label,
     orientation_lut_labels,
 )
 from .patterns import BriefPattern, RotatedPatternLUT, original_brief_pattern, rotated_pattern
@@ -29,20 +25,17 @@ from .rs_brief import (
     descriptor_rotation_table,
     generate_seed,
     pattern_symmetry_error,
-    rotate_descriptor_bits,
     rotate_descriptor_bytes,
     rs_brief_pattern,
 )
 from .brief import (
     OriginalOrbDescriptorEngine,
     RsBriefDescriptorEngine,
-    descriptor_rotation_equivalence_error,
     evaluate_pattern,
     evaluate_pattern_batch,
     make_descriptor_engine,
     pack_bit_matrix,
     pack_bits,
-    unpack_bits,
 )
 from .heap_filter import BoundedScoreHeap, HeapStatistics, select_top
 from .orb import (
@@ -57,12 +50,8 @@ __all__ = [
     "Keypoint",
     "FAST_CIRCLE_OFFSETS",
     "fast_corner_mask",
-    "is_fast_corner",
-    "detect_fast_keypoints",
-    "detect_fast_keypoints_arrays",
     "HARRIS_K",
     "harris_response_map",
-    "harris_scores_at",
     "harris_scores_sparse",
     "non_maximum_suppression",
     "suppress_keypoints",
@@ -76,7 +65,6 @@ __all__ = [
     "intensity_centroid",
     "intensity_centroids",
     "orientation_angle",
-    "orientation_lut_label",
     "orientation_lut_labels",
     "BriefPattern",
     "RotatedPatternLUT",
@@ -85,7 +73,6 @@ __all__ = [
     "RsBriefSeed",
     "generate_seed",
     "rs_brief_pattern",
-    "rotate_descriptor_bits",
     "rotate_descriptor_bytes",
     "descriptor_rotation_table",
     "pattern_symmetry_error",
@@ -96,8 +83,6 @@ __all__ = [
     "evaluate_pattern_batch",
     "pack_bit_matrix",
     "pack_bits",
-    "unpack_bits",
-    "descriptor_rotation_equivalence_error",
     "BoundedScoreHeap",
     "HeapStatistics",
     "select_top",

@@ -45,14 +45,6 @@ def pack_bits(bits: np.ndarray) -> np.ndarray:
     return np.packbits(bits, bitorder="little")
 
 
-def unpack_bits(descriptor: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`pack_bits`."""
-    descriptor = np.asarray(descriptor, dtype=np.uint8)
-    if descriptor.ndim != 1:
-        raise DescriptorError("descriptor must be a 1-D byte array")
-    return np.unpackbits(descriptor, bitorder="little")
-
-
 def evaluate_pattern(
     image: GrayImage, x: int, y: int, pattern: BriefPattern
 ) -> np.ndarray:
@@ -266,29 +258,3 @@ def make_descriptor_engine(
     if use_rs_brief:
         return RsBriefDescriptorEngine(config)
     return OriginalOrbDescriptorEngine(config)
-
-
-def descriptor_rotation_equivalence_error(
-    smoothed: GrayImage,
-    keypoint: Keypoint,
-    config: DescriptorConfig | None = None,
-) -> int:
-    """Hamming distance between shift-rotation and true pattern-rotation.
-
-    For RS-BRIEF, computing the descriptor with the seed pattern rotated by
-    the orientation angle should give exactly the same bits as computing it
-    with the unrotated pattern and shifting.  Returns the number of differing
-    bits (0 in the ideal case; tiny values can appear from rounding of
-    rotated locations).  Exposed for validation tests and EXPERIMENTS.md.
-    """
-    from .patterns import rotated_pattern  # local import to avoid cycle at module load
-
-    cfg = config or DescriptorConfig()
-    engine = RsBriefDescriptorEngine(cfg)
-    shifted = engine.describe(smoothed, keypoint)
-    assert keypoint.orientation_bin is not None
-    angle = 2.0 * np.pi * keypoint.orientation_bin / NUM_ORIENTATION_BINS
-    rotated = rotated_pattern(engine.pattern, angle)
-    bits = evaluate_pattern(smoothed, keypoint.x, keypoint.y, rotated)
-    direct = pack_bits(bits)
-    return int(np.unpackbits(shifted ^ direct).sum())

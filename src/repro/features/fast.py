@@ -17,7 +17,7 @@ for its per-window functional check.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -118,60 +118,3 @@ def fast_corner_mask(image: GrayImage, config: FastConfig | None = None) -> np.n
     b = cfg.border
     valid[b : h - b, b : w - b] = True
     return corner & valid
-
-
-def is_fast_corner(image: GrayImage, x: int, y: int, config: FastConfig | None = None) -> bool:
-    """Scalar segment test for a single pixel (reference implementation).
-
-    This mirrors exactly what the hardware FAST Detection module computes for
-    one 7x7 window; it is used by unit tests to cross-check the vectorised
-    :func:`fast_corner_mask`.
-    """
-    cfg = config or FastConfig()
-    if not image.contains(x, y, border=3):
-        return False
-    center = image.intensity(x, y)
-    ring = [image.intensity(x + dx, y + dy) for dx, dy in FAST_CIRCLE_OFFSETS]
-    brighter = [v > center + cfg.threshold for v in ring]
-    darker = [v < center - cfg.threshold for v in ring]
-
-    def has_arc(flags: List[bool]) -> bool:
-        doubled = flags + flags[: cfg.arc_length - 1]
-        run = 0
-        for flag in doubled:
-            run = run + 1 if flag else 0
-            if run >= cfg.arc_length:
-                return True
-        return False
-
-    return has_arc(brighter) or has_arc(darker)
-
-
-def detect_fast_keypoints_arrays(
-    image: GrayImage, config: FastConfig | None = None
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Return ``(xs, ys)`` int64 arrays of all FAST corners in raster order.
-
-    Raster (row-major) order matches the streaming order in which the
-    hardware detects keypoints, which in turn determines heap insertion
-    order in the rescheduled workflow.  This is the array-native entry point
-    used on hot paths; :func:`detect_fast_keypoints` wraps it for callers
-    that want Python tuples.
-    """
-    cfg = config or FastConfig()
-    if cfg.arc_length > 16:
-        raise FeatureError("arc_length cannot exceed the 16-pixel circle")
-    mask = fast_corner_mask(image, cfg)
-    ys, xs = np.nonzero(mask)
-    return xs.astype(np.int64), ys.astype(np.int64)
-
-
-def detect_fast_keypoints(
-    image: GrayImage, config: FastConfig | None = None
-) -> List[Tuple[int, int]]:
-    """Return ``(x, y)`` coordinates of all FAST corners in raster order.
-
-    Thin list-of-tuples wrapper over :func:`detect_fast_keypoints_arrays`.
-    """
-    xs, ys = detect_fast_keypoints_arrays(image, config)
-    return list(zip(xs.tolist(), ys.tolist()))

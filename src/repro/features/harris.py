@@ -12,7 +12,7 @@ small window around the pixel.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -249,28 +249,3 @@ def _flat_window_sums(values: np.ndarray, window: int, step: int) -> np.ndarray:
             return total
         runs = runs[..., : -run_length * step] + runs[..., run_length * step :]
         run_length *= 2
-
-
-def harris_scores_at(
-    image: GrayImage,
-    points: Iterable[tuple[int, int]],
-    k: float = HARRIS_K,
-    block_radius: int = HARRIS_BLOCK_RADIUS,
-) -> List[float]:
-    """Return Harris scores for the given ``(x, y)`` points.
-
-    Vectorised: gathers from the sparse integral-image path instead of
-    building the full response map and looping (values are bit-identical to
-    ``harris_response_map(image)[y, x]``).
-    """
-    pairs = [(x, y) for x, y in points]
-    if not pairs:
-        return []
-    coords = np.asarray(pairs)
-    if not np.issubdtype(coords.dtype, np.integer):
-        raise FeatureError("harris_scores_at expects integer pixel coordinates")
-    coords = coords.astype(np.int64).reshape(-1, 2)
-    scores = harris_scores_sparse(
-        image, coords[:, 0], coords[:, 1], k=k, block_radius=block_radius
-    )
-    return scores.tolist()

@@ -114,10 +114,9 @@ def orientation_lut_labels(
     identical to :func:`discretize_orientation` applied to ``atan2(v, u)``;
     we implement it by comparing ``|v/u|`` against pre-computed tangent
     thresholds, which is exactly the comparison tree a LUT realises.  This
-    is the single definition of that tree — the scalar
-    :func:`orientation_lut_label`, the hardware Orientation Computing unit
-    and the batched ``hwexact`` backend all resolve labels through it, so
-    the LUT cannot fork.
+    is the single definition of that tree — the hardware Orientation
+    Computing unit and the batched ``hwexact`` engine both resolve labels
+    through it (via :mod:`repro.quant.kernels`), so the LUT cannot fork.
     """
     us = np.asarray(us, dtype=np.float64)
     vs = np.asarray(vs, dtype=np.float64)
@@ -139,11 +138,6 @@ def orientation_lut_labels(
     labels = np.rint(angle / bin_width).astype(np.int64) % num_bins
     labels = np.where(u_zero & ~v_zero, np.where(vs > 0, quarter, 3 * quarter), labels)
     return np.where(u_zero & v_zero, 0, labels)
-
-
-def orientation_lut_label(u: float, v: float, num_bins: int = NUM_ORIENTATION_BINS) -> int:
-    """Scalar :func:`orientation_lut_labels` (one centroid per call)."""
-    return int(orientation_lut_labels(np.array([u]), np.array([v]), num_bins)[0])
 
 
 def compute_orientation(

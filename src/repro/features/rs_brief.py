@@ -95,25 +95,6 @@ def rs_brief_pattern(
     return BriefPattern(s_all, d_all, cfg.patch_radius)
 
 
-def rotate_descriptor_bits(bits: np.ndarray, orientation_bin: int, seed_pairs: int = 8) -> np.ndarray:
-    """Rotate an RS-BRIEF descriptor (bit array) by ``orientation_bin`` steps.
-
-    Implements the BRIEF Rotator: for orientation ``n``, the first ``8 * n``
-    bits are moved from the beginning of the descriptor to the end, i.e. a
-    circular left-rotation by ``seed_pairs * n`` bit positions.  Computing the
-    descriptor with the *unrotated* pattern and then applying this shift is
-    equivalent to computing it with the pattern rotated by ``n`` bins.
-    """
-    bits = np.asarray(bits)
-    if bits.ndim != 1:
-        raise DescriptorError("descriptor bits must be a 1-D array")
-    num_bits = bits.size
-    if num_bits % seed_pairs != 0:
-        raise DescriptorError("descriptor length must be a multiple of seed_pairs")
-    shift = (seed_pairs * orientation_bin) % num_bits
-    return np.roll(bits, -shift)
-
-
 def rotate_descriptor_bytes(descriptor: np.ndarray, orientation_bin: int) -> np.ndarray:
     """Rotate a packed RS-BRIEF descriptor by whole bytes.
 

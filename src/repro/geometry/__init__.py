@@ -1,9 +1,8 @@
-"""Geometry substrate: SE(3), camera models, PnP, RANSAC, triangulation."""
+"""Geometry substrate: SE(3), camera models, PnP and RANSAC."""
 
 from .se3 import (
     Pose,
     hat,
-    interpolate_pose,
     quaternion_from_rotation,
     rotation_from_euler,
     rotation_from_quaternion,
@@ -14,14 +13,8 @@ from .se3 import (
     vee,
 )
 from .camera import PinholeCamera
-from .pnp import IterativePnpSolver, PnpResult, estimate_pose_3d3d, solve_pnp
-from .ransac import PnpRansac, RansacConfig, RansacResult, adaptive_iterations, ransac_generic
-from .triangulation import (
-    projection_matrix,
-    reprojection_error,
-    triangulate_dlt,
-    triangulate_midpoint,
-)
+from .pnp import IterativePnpSolver, PnpResult, estimate_pose_3d3d
+from .ransac import PnpRansac, RansacConfig, RansacResult, adaptive_iterations
 
 __all__ = [
     "Pose",
@@ -34,19 +27,12 @@ __all__ = [
     "rotation_from_euler",
     "quaternion_from_rotation",
     "rotation_from_quaternion",
-    "interpolate_pose",
     "PinholeCamera",
     "IterativePnpSolver",
     "PnpResult",
     "estimate_pose_3d3d",
-    "solve_pnp",
     "PnpRansac",
     "RansacConfig",
     "RansacResult",
     "adaptive_iterations",
-    "ransac_generic",
-    "projection_matrix",
-    "reprojection_error",
-    "triangulate_dlt",
-    "triangulate_midpoint",
 ]

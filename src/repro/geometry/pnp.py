@@ -7,9 +7,9 @@ rejecting mismatches (Section 2.1).  This module provides
 * :func:`estimate_pose_3d3d` -- a closed-form Horn/Kabsch alignment used to
   bootstrap from RGB-D correspondences where both sides have depth,
 * :class:`IterativePnpSolver` -- Gauss-Newton / Levenberg-Marquardt
-  minimisation of reprojection error on SE(3), the "P" in PnP proper,
-* :func:`solve_pnp` -- the convenience entry point used by RANSAC and the
-  tracker.
+  minimisation of reprojection error on SE(3), the "P" in PnP proper, which
+  :class:`~repro.geometry.ransac.PnpRansac` uses to fit samples without
+  depth and to refine the best inlier set.
 """
 
 from __future__ import annotations
@@ -171,15 +171,3 @@ class IterativePnpSolver:
             converged=converged,
             inlier_rmse_px=rmse,
         )
-
-
-def solve_pnp(
-    points_world: np.ndarray,
-    pixels: np.ndarray,
-    camera: PinholeCamera,
-    initial_pose: Pose | None = None,
-    max_iterations: int = 20,
-) -> PnpResult:
-    """Convenience wrapper creating an :class:`IterativePnpSolver` and solving."""
-    solver = IterativePnpSolver(camera, max_iterations=max_iterations)
-    return solver.solve(points_world, pixels, initial_pose=initial_pose)

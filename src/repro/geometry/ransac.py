@@ -10,7 +10,7 @@ to the best inlier set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -185,37 +185,3 @@ class PnpRansac:
             projected = self.camera.project(points_cam[valid])
             errors[valid] = np.linalg.norm(projected - pixels[valid], axis=1)
         return errors
-
-
-def ransac_generic(
-    data_size: int,
-    fit: Callable[[np.ndarray], Optional[object]],
-    score: Callable[[object], np.ndarray],
-    sample_size: int,
-    num_iterations: int,
-    inlier_threshold: float,
-    seed: int = 7,
-) -> tuple[Optional[object], np.ndarray]:
-    """Generic RANSAC loop for arbitrary model types.
-
-    ``fit`` maps sample indices to a model (or None); ``score`` maps a model
-    to per-datum residuals.  Returns the best model and its inlier mask.
-    Provided for completeness and reused by tests that exercise RANSAC with
-    synthetic 1-D models.
-    """
-    if data_size < sample_size:
-        raise GeometryError("not enough data for the requested sample size")
-    rng = np.random.default_rng(seed)
-    best_model: Optional[object] = None
-    best_mask = np.zeros(data_size, dtype=bool)
-    for _ in range(num_iterations):
-        sample = rng.choice(data_size, size=sample_size, replace=False)
-        model = fit(sample)
-        if model is None:
-            continue
-        residuals = np.asarray(score(model), dtype=np.float64)
-        mask = residuals < inlier_threshold
-        if mask.sum() > best_mask.sum():
-            best_mask = mask
-            best_model = model
-    return best_model, best_mask

@@ -278,13 +278,3 @@ def se3_log(pose: Pose) -> Tuple[np.ndarray, np.ndarray]:
             + (1.0 / (theta * theta)) * (1.0 - (theta * cot_half) / 2.0) * skew @ skew
         )
     return v_inv @ pose.translation, omega
-
-
-def interpolate_pose(pose_a: Pose, pose_b: Pose, alpha: float) -> Pose:
-    """Geodesic interpolation between two poses (``alpha`` in [0, 1])."""
-    if not 0.0 <= alpha <= 1.0:
-        raise GeometryError("alpha must be within [0, 1]")
-    relative = pose_b.compose(pose_a.inverse())
-    upsilon, omega = se3_log(relative)
-    step = se3_exp(alpha * upsilon, alpha * omega)
-    return step.compose(pose_a)

@@ -1,6 +1,6 @@
 """FPGA accelerator model: cycle accounting, datapath units, resources."""
 
-from .cycles import CycleBreakdown, cycles_to_ms, sum_totals
+from .cycles import CycleBreakdown
 from .fixed_point import (
     HARRIS_SCORE_FORMAT,
     ORIENTATION_RATIO_FORMAT,
@@ -9,7 +9,7 @@ from .fixed_point import (
 )
 from .axi import AxiPort, AxiTransferStats, SdramModel
 from .bram import BRAM36_BITS, BramRequirement, line_buffer_requirement, total_bram36
-from .resizer import ImageResizerModule, ResizerReport, validate_resizer_functional
+from .resizer import ImageResizerModule, ResizerReport
 from .resources import DeviceCapacity, ModuleResources, ResourceModel, ResourceReport
 from .accelerator import AcceleratorFrameReport, EslamAccelerator
 from .orb_extractor import (
@@ -22,8 +22,6 @@ from .brief_matcher import BriefMatcherAccelerator, MatcherLatencyReport
 
 __all__ = [
     "CycleBreakdown",
-    "cycles_to_ms",
-    "sum_totals",
     "FixedPointFormat",
     "PIXEL_FORMAT",
     "ORIENTATION_RATIO_FORMAT",
@@ -37,7 +35,6 @@ __all__ = [
     "total_bram36",
     "ImageResizerModule",
     "ResizerReport",
-    "validate_resizer_functional",
     "DeviceCapacity",
     "ModuleResources",
     "ResourceModel",

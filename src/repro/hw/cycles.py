@@ -12,7 +12,7 @@ dominates).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping
+from typing import Dict, Mapping
 
 from ..errors import HardwareModelError
 
@@ -90,15 +90,3 @@ class CycleBreakdown:
         for name, cycles in other.components.items():
             self.add(f"{prefix}{name}" if prefix else name, cycles)
         return self
-
-
-def cycles_to_ms(cycles: float, clock_hz: float) -> float:
-    """Convert a raw cycle count to milliseconds."""
-    if clock_hz <= 0:
-        raise HardwareModelError("clock frequency must be positive")
-    return cycles / clock_hz * 1e3
-
-
-def sum_totals(breakdowns: Iterable[CycleBreakdown]) -> float:
-    """Sum the totals of several breakdowns."""
-    return float(sum(b.total for b in breakdowns))

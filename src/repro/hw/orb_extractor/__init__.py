@@ -21,18 +21,8 @@ from .extractor import (
     ExtractorLatencyReport,
     OrbExtractorAccelerator,
 )
-from .streaming import (
-    StreamedKeypoint,
-    StreamingFrontEnd,
-    StreamingFrontEndResult,
-    compare_with_software,
-)
 
 __all__ = [
-    "StreamingFrontEnd",
-    "StreamingFrontEndResult",
-    "StreamedKeypoint",
-    "compare_with_software",
     "PingPongImageCache",
     "CacheLineState",
     "FsmTransition",

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import List
 
 from ..config import AcceleratorConfig, PyramidConfig
-from ..errors import HardwareModelError
 from ..image import (
     GrayImage,
     ImagePyramid,
@@ -108,18 +107,3 @@ class ImageResizerModule:
         for level_index, cycles in enumerate(report.per_level_cycles):
             breakdown.add(f"resize.level{level_index}", cycles)
         return breakdown
-
-
-def validate_resizer_functional(image: GrayImage, config: PyramidConfig | None = None) -> bool:
-    """Check that module output equals the software pyramid at every level."""
-    cfg = config or PyramidConfig()
-    module = ImageResizerModule(cfg)
-    software = ImagePyramid(image, cfg)
-    current = image
-    for level_index in range(1, cfg.num_levels):
-        current = module.resize(current)
-        if not (current == software.level(level_index).image):
-            return False
-    if cfg.num_levels < 1:
-        raise HardwareModelError("pyramid must have at least one level")
-    return True

@@ -1,8 +1,7 @@
 """Image substrate: containers, filtering, pyramids and synthetic textures."""
 
-from .image import GrayImage, box_sum, circular_mask, integral_image, within_border
+from .image import GrayImage, circular_mask, within_border
 from .filters import (
-    box_blur,
     gaussian_blur,
     gaussian_kernel_1d,
     gaussian_kernel_2d,
@@ -32,11 +31,8 @@ from .synthetic import (
 __all__ = [
     "GrayImage",
     "circular_mask",
-    "integral_image",
-    "box_sum",
     "within_border",
     "gaussian_blur",
-    "box_blur",
     "gaussian_kernel_1d",
     "gaussian_kernel_2d",
     "sobel_gradients",

@@ -3,9 +3,8 @@
 The ORB Extractor applies a Gaussian blur to a 7x7 neighbourhood before the
 BRIEF tests are evaluated (the *Image Smoother* module in Figure 4 of the
 paper).  This module provides the separable Gaussian kernel used both by the
-software pipeline and by the hardware model, the edge-padded row bands the
-banded smoothers of the engines read, plus a simple box blur used by tests
-as a cheap reference.
+software pipeline and by the hardware model, and the edge-padded row bands
+the banded smoothers of the engines read.
 """
 
 from __future__ import annotations
@@ -70,15 +69,6 @@ def gaussian_blur(
     matching a hardware line buffer that clamps addresses at image edges.
     """
     kernel = gaussian_kernel_1d(size, sigma)
-    blurred = _convolve_separable(image.pixels, kernel)
-    return GrayImage(np.clip(np.rint(blurred), 0, 255).astype(np.uint8))
-
-
-def box_blur(image: GrayImage, size: int = 3) -> GrayImage:
-    """Return a box-blurred copy of ``image`` (uniform kernel)."""
-    if size <= 0 or size % 2 == 0:
-        raise ImageError("kernel size must be a positive odd integer")
-    kernel = np.full(size, 1.0 / size)
     blurred = _convolve_separable(image.pixels, kernel)
     return GrayImage(np.clip(np.rint(blurred), 0, 255).astype(np.uint8))
 

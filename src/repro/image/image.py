@@ -150,25 +150,3 @@ def circular_mask(radius: int) -> np.ndarray:
     coords = np.arange(-radius, radius + 1)
     yy, xx = np.meshgrid(coords, coords, indexing="ij")
     return (xx * xx + yy * yy) <= radius * radius
-
-
-def integral_image(image: GrayImage) -> np.ndarray:
-    """Return the summed-area table of ``image`` (int64, same shape)."""
-    return np.cumsum(np.cumsum(image.pixels.astype(np.int64), axis=0), axis=1)
-
-
-def box_sum(integral: np.ndarray, x0: int, y0: int, x1: int, y1: int) -> int:
-    """Sum of pixels in the inclusive rectangle ``[x0, x1] x [y0, y1]``.
-
-    ``integral`` must come from :func:`integral_image`.
-    """
-    if x0 > x1 or y0 > y1:
-        raise ImageError("rectangle corners are inverted")
-    total = int(integral[y1, x1])
-    if x0 > 0:
-        total -= int(integral[y1, x0 - 1])
-    if y0 > 0:
-        total -= int(integral[y0 - 1, x1])
-    if x0 > 0 and y0 > 0:
-        total += int(integral[y0 - 1, x0 - 1])
-    return total

@@ -1,29 +1,19 @@
 """Descriptor matching: Hamming distance and brute-force matchers."""
 
-from .hamming import (
-    hamming_distance,
-    hamming_distance_matrix,
-    normalized_hamming,
-    popcount_bytes,
-)
+from .hamming import hamming_distance
 from .matcher import (
     BruteForceMatcher,
     Match,
     MatchArrays,
     MatchStatistics,
-    filter_matches_by_distance,
     match_minimum_distance,
 )
 
 __all__ = [
     "hamming_distance",
-    "hamming_distance_matrix",
-    "normalized_hamming",
-    "popcount_bytes",
     "BruteForceMatcher",
     "Match",
     "MatchArrays",
     "MatchStatistics",
     "match_minimum_distance",
-    "filter_matches_by_distance",
 ]

@@ -161,33 +161,3 @@ def hamming_distance(a: np.ndarray, b: np.ndarray) -> int:
     words_a = _descriptor_words(a.reshape(1, -1))
     words_b = _descriptor_words(b.reshape(1, -1))
     return int(np.bitwise_count(words_a ^ words_b).sum())
-
-
-def hamming_distance_matrix(descriptors_a: np.ndarray, descriptors_b: np.ndarray) -> np.ndarray:
-    """Return the ``(N, M)`` Hamming distance matrix between two descriptor sets.
-
-    ``descriptors_a`` has shape ``(N, B)`` and ``descriptors_b`` ``(M, B)``
-    where ``B`` is the descriptor byte length (32 for 256-bit descriptors).
-    The matcher never builds this matrix; it is for callers that need every
-    distance.
-    """
-    a = as_descriptor_matrix(descriptors_a, "descriptors_a")
-    b = as_descriptor_matrix(descriptors_b, "descriptors_b")
-    distances = np.empty((a.shape[0], b.shape[0]), dtype=np.int32)
-    for start, block in distance_tiles(a, b):
-        distances[start : start + block.shape[0]] = block
-    return distances
-
-
-def popcount_bytes(values: np.ndarray) -> np.ndarray:
-    """Return the popcount of every byte in ``values`` (same shape)."""
-    return np.bitwise_count(np.asarray(values, dtype=np.uint8))
-
-
-def normalized_hamming(a: np.ndarray, b: np.ndarray) -> float:
-    """Return the Hamming distance as a fraction of descriptor length in bits."""
-    a = np.asarray(a, dtype=np.uint8)
-    total_bits = a.size * 8
-    if total_bits == 0:
-        raise DescriptorError("descriptors must not be empty")
-    return hamming_distance(a, b) / total_bits

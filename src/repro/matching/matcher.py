@@ -10,7 +10,7 @@ used to reject ambiguous matches before pose estimation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List
 
 import numpy as np
 
@@ -253,8 +253,3 @@ def match_minimum_distance(
         Match(query_index=qi, train_index=ti, distance=d)
         for qi, (ti, d) in enumerate(zip(best.train.tolist(), best.distance.tolist()))
     ]
-
-
-def filter_matches_by_distance(matches: Sequence[Match], max_distance: int) -> List[Match]:
-    """Return the subset of ``matches`` whose distance is within ``max_distance``."""
-    return [m for m in matches if m.distance <= max_distance]

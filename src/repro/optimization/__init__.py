@@ -8,7 +8,7 @@ from .levenberg_marquardt import (
     numerical_jacobian,
 )
 from .reprojection import ReprojectionProblem, huber_weights
-from .pose_optimizer import PoseOptimizationResult, PoseOptimizer, optimize_pose
+from .pose_optimizer import PoseOptimizationResult, PoseOptimizer
 
 __all__ = [
     "LMConfig",
@@ -20,5 +20,4 @@ __all__ = [
     "huber_weights",
     "PoseOptimizationResult",
     "PoseOptimizer",
-    "optimize_pose",
 ]

@@ -92,16 +92,3 @@ class PoseOptimizer:
             converged=result.converged,
             cost_reduction=result.cost_reduction,
         )
-
-
-def optimize_pose(
-    camera: PinholeCamera,
-    points_world: np.ndarray,
-    observations: np.ndarray,
-    initial_pose: Pose,
-    max_iterations: int = 20,
-) -> PoseOptimizationResult:
-    """Convenience wrapper around :class:`PoseOptimizer`."""
-    return PoseOptimizer(camera, max_iterations=max_iterations).optimize(
-        points_world, observations, initial_pose
-    )

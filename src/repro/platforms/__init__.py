@@ -1,13 +1,12 @@
 """Platform models: runtime, power, pipeline scheduling and comparisons."""
 
-from .spec import ARM_CORTEX_A9, ESLAM, INTEL_I7, PlatformKind, PlatformSpec, platform_by_name
+from .spec import ARM_CORTEX_A9, ESLAM, INTEL_I7, PlatformKind, PlatformSpec
 from .workload import NOMINAL_WORKLOAD, FrameWorkload
 from .runtime import (
     PAPER_STAGE_RUNTIMES_MS,
     CpuRuntimeModel,
     EslamRuntimeModel,
     StageRuntimes,
-    paper_stage_runtimes,
     runtime_model_for,
 )
 from .pipeline import FrameTiming, PipelineModel, PipelineScheduleEntry
@@ -32,14 +31,12 @@ __all__ = [
     "ARM_CORTEX_A9",
     "INTEL_I7",
     "ESLAM",
-    "platform_by_name",
     "FrameWorkload",
     "NOMINAL_WORKLOAD",
     "CpuRuntimeModel",
     "EslamRuntimeModel",
     "StageRuntimes",
     "runtime_model_for",
-    "paper_stage_runtimes",
     "PAPER_STAGE_RUNTIMES_MS",
     "FrameTiming",
     "PipelineModel",

@@ -183,10 +183,3 @@ def runtime_model_for(platform: PlatformSpec):
     if platform.name in (ARM_CORTEX_A9.name, INTEL_I7.name):
         return CpuRuntimeModel(platform)
     raise PlatformModelError(f"unsupported platform '{platform.name}'")
-
-
-def paper_stage_runtimes(platform_name: str) -> Dict[str, float]:
-    """The Table 2 anchor values for a platform (for reporting/validation)."""
-    if platform_name not in PAPER_STAGE_RUNTIMES_MS:
-        raise PlatformModelError(f"no paper anchors for '{platform_name}'")
-    return dict(PAPER_STAGE_RUNTIMES_MS[platform_name])

@@ -63,26 +63,3 @@ ESLAM = PlatformSpec(
     power_w=1.936,
     description="Zynq XCZ7045: FE/FM on programmable logic, PE/PO/MU on the ARM host",
 )
-
-
-def platform_by_name(name: str) -> PlatformSpec:
-    """Look up one of the three paper platforms by (case-insensitive) name."""
-    table = {
-        spec.name.lower(): spec
-        for spec in (ARM_CORTEX_A9, INTEL_I7, ESLAM)
-    }
-    aliases = {
-        "arm": ARM_CORTEX_A9,
-        "arm cortex-a9": ARM_CORTEX_A9,
-        "cortex-a9": ARM_CORTEX_A9,
-        "i7": INTEL_I7,
-        "intel i7": INTEL_I7,
-        "intel i7-4700mq": INTEL_I7,
-        "eslam": ESLAM,
-    }
-    key = name.lower()
-    if key in table:
-        return table[key]
-    if key in aliases:
-        return aliases[key]
-    raise PlatformModelError(f"unknown platform '{name}'")

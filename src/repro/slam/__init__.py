@@ -13,7 +13,7 @@ from .evaluation import (
     relative_pose_error,
     umeyama_alignment,
 )
-from .system import SlamRunResult, SlamSystem, run_slam, stable_frame_id
+from .system import SlamRunResult, SlamSystem, stable_frame_id
 from .visualization import ascii_scatter, error_bars, matching_summary, trajectory_top_view
 
 __all__ = [
@@ -38,6 +38,5 @@ __all__ = [
     "umeyama_alignment",
     "SlamRunResult",
     "SlamSystem",
-    "run_slam",
     "stable_frame_id",
 ]

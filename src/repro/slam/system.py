@@ -103,7 +103,7 @@ class SlamSystem:
 
     An already-built extractor (with its extraction engine and
     precomputed pattern tables) can be injected so many systems — e.g. the
-    sequence sweeps run by :class:`repro.analysis.experiments.BatchRunner` —
+    sequence sweeps of :func:`repro.analysis.experiments.run_fig8_accuracy` —
     share one engine instead of rebuilding tables per run.
     """
 
@@ -210,12 +210,3 @@ class SlamSystem:
             result.ground_truth_poses.append(rgbd_frame.ground_truth_pose)
             result.timestamps.append(rgbd_frame.timestamp)
         return result
-
-
-def run_slam(
-    sequence: RgbdSequence,
-    config: SlamConfig | None = None,
-    max_frames: Optional[int] = None,
-) -> SlamRunResult:
-    """Convenience wrapper: construct a :class:`SlamSystem` and run it."""
-    return SlamSystem(config).run(sequence, max_frames=max_frames)

@@ -79,9 +79,9 @@ class Tracker:
     config:
         SLAM configuration (extractor, matcher, tracker sections).
     extractor:
-        Optional pre-built :class:`OrbExtractor` to reuse.  Batch drivers
-        (:class:`repro.analysis.experiments.BatchRunner`) share one extractor
-        — and therefore one keypoint compute backend with its precomputed
+        Optional pre-built :class:`OrbExtractor` to reuse.  Sequence sweeps
+        (:func:`repro.analysis.experiments.run_fig8_accuracy`) share one
+        extractor — and therefore one extraction engine with its precomputed
         pattern tables — across many sequences; its configuration must match
         ``config.extractor``.
     """

@@ -111,6 +111,6 @@ def tiny_slam_config() -> SlamConfig:
 @pytest.fixture(scope="session")
 def tiny_slam_result(tiny_sequence, tiny_slam_config):
     """A full SLAM run over the tiny sequence, shared across tests."""
-    from repro.slam import run_slam
+    from repro.slam import SlamSystem
 
-    return run_slam(tiny_sequence, tiny_slam_config)
+    return SlamSystem(tiny_slam_config).run(tiny_sequence)

@@ -5,10 +5,10 @@ import pytest
 from repro.analysis import (
     format_comparison,
     format_table,
+    run_fig8_accuracy,
     run_fig9_trajectory,
     run_pyramid_ablation,
     run_rescheduling_ablation,
-    run_sequence_accuracy,
     run_table1_resources,
     run_table2_runtime,
     run_table3_energy,
@@ -78,10 +78,12 @@ class TestAblationRunners:
 
 class TestAccuracyRunners:
     def test_sequence_accuracy_small_error(self):
-        error_cm = run_sequence_accuracy(
-            "fr1/xyz", use_rs_brief=True, num_frames=5, image_width=160, image_height=120
+        (row,) = run_fig8_accuracy(
+            num_frames=5, image_width=160, image_height=120, sequences=["fr1/xyz"]
         )
-        assert 0 <= error_cm < 10
+        assert row.sequence == "fr1/xyz"
+        assert 0 <= row.rs_brief_error_cm < 10
+        assert 0 <= row.original_orb_error_cm < 10
 
     def test_fig9_outputs_both_descriptors(self):
         result = run_fig9_trajectory(num_frames=5, image_width=160, image_height=120)

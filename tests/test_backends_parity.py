@@ -313,9 +313,9 @@ class TestSharedEngine:
         with pytest.raises(TrackingError):
             Tracker(SlamConfig(), extractor=foreign)
 
-    def test_batch_runner_shares_one_engine(self):
-        from repro.analysis import BatchRunner
-        from repro.dataset import SequenceSpec
+    def test_sequence_sweep_shares_one_engine(self):
+        from repro.dataset import SequenceSpec, make_sequence
+        from repro.slam import SlamSystem
 
         config = SlamConfig(
             extractor=ExtractorConfig(
@@ -326,26 +326,10 @@ class TestSharedEngine:
             ),
             tracker=TrackerConfig(ransac_iterations=32, pose_iterations=6),
         )
-        runner = BatchRunner(config=config)
-        engine = runner.extractor
-        specs = [
-            SequenceSpec(name="fr1/xyz", num_frames=3, image_width=160, image_height=120),
-            SequenceSpec(name="fr1/desk", num_frames=3, image_width=160, image_height=120),
-        ]
-        records = runner.run_all(specs)
-        assert runner.extractor is engine  # never rebuilt
-        assert [record.sequence for record in records] == ["fr1/xyz", "fr1/desk"]
-        summary = runner.summary()
-        assert summary["runs"] == 2
-        assert summary["engine"] == "vectorized"
-
-    def test_batch_runner_rejects_resolution_mismatch(self):
-        from repro.analysis import BatchRunner
-        from repro.dataset import SequenceSpec
-        from repro.errors import ReproError
-
-        runner = BatchRunner()
-        with pytest.raises(ReproError):
-            runner.run_sequence(
-                SequenceSpec(name="fr1/xyz", num_frames=2, image_width=64, image_height=64)
-            )
+        extractor = OrbExtractor(config.extractor)
+        for name in ("fr1/xyz", "fr1/desk"):
+            system = SlamSystem(config, extractor=extractor)
+            assert system.tracker.extractor is extractor  # never rebuilt
+            spec = SequenceSpec(name=name, num_frames=3, image_width=160, image_height=120)
+            assert system.run(make_sequence(spec)).num_frames == 3
+        assert extractor.engine.name == "vectorized"

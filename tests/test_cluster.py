@@ -3,7 +3,7 @@
 The serving parity matrix runs sequential extraction and the process
 :class:`~repro.cluster.ClusterServer` across every extraction engine;
 the remaining classes pin down the transport, back-pressure, crash
-surfacing and the SLAM / batch-runner wiring.
+surfacing and the SLAM wiring.
 """
 
 import time
@@ -11,7 +11,6 @@ import time
 import numpy as np
 import pytest
 
-from repro.analysis import BatchRunner
 from repro.cluster import server as server_module
 from repro.cluster import worker as worker_module
 from repro.cluster import (
@@ -316,35 +315,6 @@ class TestClusterSlam:
         with ClusterServer(other, num_workers=1) as server:
             with pytest.raises(ReproError):
                 SlamSystem(config).run(sequence, frame_server=server)
-
-
-class TestMultiprocessBatchRunner:
-    def test_multiprocess_sweep_identical_to_sequential(self, cluster_config):
-        config = SlamConfig(
-            extractor=cluster_config,
-            tracker=TrackerConfig(ransac_iterations=32, pose_iterations=6),
-        )
-        specs = [
-            SequenceSpec(name=name, num_frames=3, image_width=160, image_height=120)
-            for name in ("fr1/xyz", "fr1/desk", "fr2/rpy")
-        ]
-        sequential = BatchRunner(config=config)
-        sharded = BatchRunner(config=config)
-        seq_records = sequential.run_all(specs)
-        mp_records = sharded.run_all_multiprocess(specs, num_workers=2)
-        assert mp_records == seq_records
-        assert sharded.records == sequential.records  # appended in spec order
-
-    def test_invalid_worker_count_rejected(self, cluster_config):
-        runner = BatchRunner(config=SlamConfig(extractor=cluster_config))
-        with pytest.raises(ReproError):
-            runner.run_all_multiprocess([], num_workers=0)
-
-    def test_mismatched_resolution_fails_fast(self, cluster_config):
-        runner = BatchRunner(config=SlamConfig(extractor=cluster_config))
-        bad = [SequenceSpec(name="fr1/xyz", num_frames=2, image_width=64, image_height=64)]
-        with pytest.raises(ReproError):
-            runner.run_all_multiprocess(bad, num_workers=1)
 
 
 class TestConditionVariableBackPressure:

@@ -8,9 +8,7 @@ from repro.dataset import (
     SequenceSpec,
     format_trajectory,
     make_sequence,
-    paper_sequences,
     parse_trajectory,
-    read_trajectory,
     write_trajectory,
 )
 from repro.errors import DatasetError
@@ -88,11 +86,6 @@ class TestSequenceGeneration:
         )
         assert sequence.camera.fx == pytest.approx(520.9 * 0.25)
 
-    def test_paper_sequences_helper(self):
-        specs = paper_sequences(num_frames=10)
-        assert len(specs) == 5
-        assert all(spec.num_frames == 10 for spec in specs.values())
-
 
 class TestDepthConsistency:
     def test_rendered_depth_backprojects_onto_scene_plane(self, tiny_sequence):
@@ -144,10 +137,10 @@ class TestTumFormat:
         timestamps = [i / 30.0 for i in range(4)]
         path = tmp_path / "trajectory.txt"
         write_trajectory(path, timestamps, poses)
-        read_stamps, read_poses = read_trajectory(path)
-        assert np.allclose(read_stamps, timestamps)
-        for a, b in zip(poses, read_poses):
-            assert a.is_close(b, atol=1e-5)
+        entries = parse_trajectory(path.read_text())
+        assert np.allclose([entry.timestamp for entry in entries], timestamps)
+        for pose, entry in zip(poses, entries):
+            assert pose.is_close(entry.to_world_to_camera(), atol=1e-5)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(DatasetError):

@@ -9,7 +9,6 @@ from repro.dataset import (
     desk_trajectory,
     room_trajectory,
     rpy_trajectory,
-    static_trajectory,
     xyz_trajectory,
 )
 from repro.errors import DatasetError
@@ -74,10 +73,6 @@ class TestDeskAndRoom:
         poses = room_trajectory(num_frames=40, yaw_total_rad=np.pi / 2)
         total_rotation = poses[0].rotation_angle(poses[-1])
         assert total_rotation == pytest.approx(np.pi / 2, abs=1e-6)
-
-    def test_static_trajectory(self):
-        poses = static_trajectory(5)
-        assert all(p.is_close(Pose.identity()) for p in poses)
 
     def test_minimum_length_validation(self):
         with pytest.raises(DatasetError):

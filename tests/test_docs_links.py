@@ -1,13 +1,17 @@
-"""Every document the docs and the source point at exists, and the
-observability tables match the code.
+"""Every document and code path the docs and the source point at exists,
+and the observability tables match the code.
 
 A deleted or renamed ``docs/*.md`` must take its references with it: a
 relative ``](x.md)`` link between documents and a document path named in
-double backquotes in a ``src/`` docstring both have to resolve.  The
+double backquotes in a ``src/`` docstring both have to resolve.  So must a
+deleted or renamed function, class or module: every backquoted dotted
+``repro.…`` path in ``docs/*.md`` and in ``src/`` docstrings imports.  The
 ``as_dict()`` key tables and the event schema in ``docs/observability.md``
 list exactly the keys the stats report and the kinds the source logs.
 """
 
+import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -20,6 +24,8 @@ DOCS = ROOT / "docs"
 _DOC_LINK = re.compile(r"\]\(([^)#:\s]+\.md)(?:#[^)]*)?\)")
 _SOURCE_DOC = re.compile(r"``(docs/[\w./-]+\.md)``")
 _JOURNAL_KIND = re.compile(r"journal\.log\(\s*\"(\w+)\"")
+_CODE_PATH = re.compile(r"`~?(repro(?:\.\w+)+)(?:\(\))?`")
+_DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def test_relative_doc_links_resolve():
@@ -41,6 +47,50 @@ def test_docs_named_in_source_exist():
     ]
     assert named  # the pattern must match the docstrings' reference style
     missing = [(path, target) for path, target in named if not (ROOT / target).is_file()]
+    assert missing == []
+
+
+def _docstrings(path):
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, _DOCUMENTED):
+            docstring = ast.get_docstring(node, clean=False)
+            if docstring:
+                yield docstring
+
+
+def _resolves(dotted):
+    """Whether ``dotted`` imports: its longest importable module prefix,
+    then ``getattr`` for the rest."""
+    parts = dotted.split(".")
+    for split in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:split]))
+        except ImportError:
+            continue
+        try:
+            for name in parts[split:]:
+                target = getattr(target, name)
+        except AttributeError:
+            return False
+        return True
+    return False
+
+
+def test_dotted_code_paths_resolve():
+    in_docs = [
+        (doc.name, target)
+        for doc in sorted(DOCS.glob("*.md"))
+        for target in _CODE_PATH.findall(doc.read_text())
+    ]
+    in_source = [
+        (str(path.relative_to(ROOT)), target)
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for docstring in _docstrings(path)
+        for target in _CODE_PATH.findall(docstring)
+    ]
+    assert in_docs and in_source  # the pattern must match both reference styles
+    named = in_docs + in_source
+    missing = [(where, target) for where, target in named if not _resolves(target)]
     assert missing == []
 
 

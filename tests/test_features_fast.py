@@ -3,14 +3,34 @@
 import numpy as np
 import pytest
 
-from repro.config import FastConfig
-from repro.features import (
-    FAST_CIRCLE_OFFSETS,
-    detect_fast_keypoints,
-    fast_corner_mask,
-    is_fast_corner,
-)
+from repro.config import ExtractorConfig, FastConfig
+from repro.engines import VectorizedEngine
+from repro.features import FAST_CIRCLE_OFFSETS, fast_corner_mask
 from repro.image import GrayImage, checkerboard, isolated_corner
+
+
+def is_fast_corner(image, x, y, config=None):
+    """Scalar segment test for one pixel, as the hardware FAST Detection
+    module computes it on one 7x7 window: the oracle for the vectorised
+    :func:`fast_corner_mask`."""
+    cfg = config or FastConfig()
+    if not image.contains(x, y, border=3):
+        return False
+    center = image.intensity(x, y)
+    ring = [image.intensity(x + dx, y + dy) for dx, dy in FAST_CIRCLE_OFFSETS]
+
+    def has_arc(flags):
+        doubled = flags + flags[: cfg.arc_length - 1]
+        run = 0
+        for flag in doubled:
+            run = run + 1 if flag else 0
+            if run >= cfg.arc_length:
+                return True
+        return False
+
+    return has_arc([v > center + cfg.threshold for v in ring]) or has_arc(
+        [v < center - cfg.threshold for v in ring]
+    )
 
 
 class TestCircleOffsets:
@@ -77,9 +97,9 @@ class TestDetection:
         assert not fast_corner_mask(image).any()
 
     def test_detect_returns_raster_order(self, blocks_image):
-        points = detect_fast_keypoints(blocks_image)
-        keys = [(y, x) for x, y in points]
-        assert keys == sorted(keys)
+        xs, ys = VectorizedEngine(ExtractorConfig())._fast_corners(blocks_image)
+        keys = list(zip(ys.tolist(), xs.tolist()))
+        assert keys and keys == sorted(keys)
 
     def test_dark_corner_also_detected(self):
         pixels = np.full((64, 64), 220, dtype=np.uint8)

@@ -6,7 +6,7 @@ import pytest
 from repro.errors import FeatureError
 from repro.features import (
     harris_response_map,
-    harris_scores_at,
+    harris_scores_sparse,
     non_maximum_suppression,
     suppress_keypoints,
 )
@@ -34,14 +34,16 @@ class TestHarris:
 
     def test_scores_at_points(self, blocks_image):
         points = [(20, 30), (40, 50)]
-        scores = harris_scores_at(blocks_image, points)
+        scores = harris_scores_sparse(
+            blocks_image, np.array([x for x, _ in points]), np.array([y for _, y in points])
+        )
         response = harris_response_map(blocks_image)
         assert scores[0] == pytest.approx(response[30, 20])
         assert scores[1] == pytest.approx(response[50, 40])
 
     def test_scores_at_rejects_outside(self, blocks_image):
         with pytest.raises(FeatureError):
-            harris_scores_at(blocks_image, [(1000, 10)])
+            harris_scores_sparse(blocks_image, np.array([1000]), np.array([10]))
 
     def test_block_radius_must_be_positive(self, blocks_image):
         with pytest.raises(FeatureError):

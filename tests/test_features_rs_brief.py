@@ -12,7 +12,6 @@ from repro.errors import DescriptorError
 from repro.features import (
     generate_seed,
     pattern_symmetry_error,
-    rotate_descriptor_bits,
     rotate_descriptor_bytes,
     rs_brief_pattern,
 )
@@ -86,31 +85,34 @@ class TestRsBriefPattern:
         assert np.allclose(rotated, shifted, atol=1e-9)
 
 
+def _bits(descriptor):
+    return np.unpackbits(descriptor, bitorder="little")
+
+
 class TestDescriptorRotation:
     def test_bit_rotation_moves_prefix_to_end(self):
-        bits = np.arange(256) % 2
-        rotated = rotate_descriptor_bits(bits, orientation_bin=1, seed_pairs=8)
+        bits = (np.arange(256) * 5 // 3 % 2).astype(np.uint8)
+        rotated = _bits(rotate_descriptor_bytes(np.packbits(bits, bitorder="little"), 1))
         assert np.array_equal(rotated[:248], bits[8:])
         assert np.array_equal(rotated[248:], bits[:8])
 
     def test_bit_rotation_by_zero_is_identity(self):
-        bits = (np.arange(256) * 7 % 2).astype(np.uint8)
-        assert np.array_equal(rotate_descriptor_bits(bits, 0), bits)
+        descriptor = np.arange(32, dtype=np.uint8) * 7
+        assert np.array_equal(rotate_descriptor_bytes(descriptor, 0), descriptor)
 
     def test_full_turn_is_identity(self):
-        bits = (np.arange(256) * 3 % 2).astype(np.uint8)
-        assert np.array_equal(rotate_descriptor_bits(bits, 32), bits)
+        descriptor = np.arange(32, dtype=np.uint8) * 3
+        assert np.array_equal(rotate_descriptor_bytes(descriptor, 32), descriptor)
 
     def test_byte_rotation_equals_bit_rotation(self):
+        """The byte barrel shifter is the BRIEF Rotator's circular left
+        rotation by ``8 * n`` bits."""
         rng = np.random.default_rng(0)
         descriptor = rng.integers(0, 256, size=32, dtype=np.uint8)
-        bits = np.unpackbits(descriptor, bitorder="little")
         for orientation in (0, 1, 5, 17, 31):
             rotated_bytes = rotate_descriptor_bytes(descriptor, orientation)
-            rotated_bits = rotate_descriptor_bits(bits, orientation)
-            assert np.array_equal(
-                np.unpackbits(rotated_bytes, bitorder="little"), rotated_bits
-            )
+            rotated_bits = np.roll(_bits(descriptor), -8 * orientation)
+            assert np.array_equal(_bits(rotated_bytes), rotated_bits)
 
     def test_rotation_composition_is_additive(self):
         rng = np.random.default_rng(1)
@@ -121,9 +123,7 @@ class TestDescriptorRotation:
 
     def test_rejects_bad_lengths(self):
         with pytest.raises(DescriptorError):
-            rotate_descriptor_bits(np.zeros(100), 1, seed_pairs=8)
-        with pytest.raises(DescriptorError):
-            rotate_descriptor_bits(np.zeros((2, 8)), 1)
+            rotate_descriptor_bytes(np.zeros((2, 8)), 1)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=63), st.integers(min_value=0, max_value=63))

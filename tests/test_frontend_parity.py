@@ -16,11 +16,8 @@ from repro.config import ENGINES, ExtractorConfig, FastConfig, PyramidConfig
 from repro.errors import FeatureError
 from repro.features import (
     OrbExtractor,
-    detect_fast_keypoints,
-    detect_fast_keypoints_arrays,
     fast_corner_mask,
     harris_response_map,
-    harris_scores_at,
     harris_scores_sparse,
     non_maximum_suppression,
     suppress_keypoints_sparse,
@@ -154,13 +151,6 @@ class TestFastParity:
         xs, ys = engine._fast_corners(flat)
         assert xs.size == 0
 
-    def test_detect_arrays_wrapper_equivalence(self, blocks_image):
-        xs, ys = detect_fast_keypoints_arrays(blocks_image)
-        points = detect_fast_keypoints(blocks_image)
-        assert points == list(zip(xs.tolist(), ys.tolist()))
-        mask = fast_corner_mask(blocks_image)
-        assert xs.size == int(mask.sum())
-
 
 class TestSparseHarrisParity:
     @pytest.mark.parametrize("seed", [0, 4])
@@ -220,10 +210,9 @@ class TestSparseHarrisParity:
             assert sparse.tobytes() == dense.tobytes(), block_radius
 
     def test_scores_at_matches_response_map(self, blocks_image):
-        points = [(20, 30), (40, 50), (0, 0), (159, 119)]
-        scores = harris_scores_at(blocks_image, points)
-        dense = harris_response_map(blocks_image)
-        assert scores == [dense[y, x] for x, y in points]
+        xs, ys = np.array([20, 40, 0, 159]), np.array([30, 50, 0, 119])
+        scores = harris_scores_sparse(blocks_image, xs, ys)
+        assert scores.tolist() == harris_response_map(blocks_image)[ys, xs].tolist()
 
     def test_rejects_outside_points(self, blocks_image):
         with pytest.raises(FeatureError):

@@ -1,4 +1,4 @@
-"""Tests for the pinhole camera model and triangulation."""
+"""Tests for the pinhole camera model."""
 
 import numpy as np
 import pytest
@@ -7,11 +7,7 @@ from repro.errors import GeometryError
 from repro.geometry import (
     PinholeCamera,
     Pose,
-    projection_matrix,
-    reprojection_error,
     so3_exp,
-    triangulate_dlt,
-    triangulate_midpoint,
 )
 
 
@@ -88,52 +84,3 @@ class TestProjection:
     def test_project_world_point_behind_camera(self, camera):
         with pytest.raises(GeometryError):
             camera.project_world_point(np.array([0.0, 0.0, -2.0]), Pose.identity())
-
-
-class TestTriangulation:
-    @pytest.fixture()
-    def two_views(self, camera):
-        pose_a = Pose.identity()
-        pose_b = Pose(so3_exp(np.array([0.0, 0.05, 0.0])), np.array([-0.2, 0.0, 0.0]))
-        point = np.array([0.3, -0.1, 2.5])
-        pixel_a = camera.project(pose_a.transform(point))
-        pixel_b = camera.project(pose_b.transform(point))
-        return camera, pose_a, pose_b, pixel_a, pixel_b, point
-
-    def test_dlt_recovers_point(self, two_views):
-        camera, pose_a, pose_b, pixel_a, pixel_b, point = two_views
-        recovered = triangulate_dlt(camera, pose_a, pose_b, pixel_a, pixel_b)
-        assert np.allclose(recovered, point, atol=1e-6)
-
-    def test_midpoint_recovers_point(self, two_views):
-        camera, pose_a, pose_b, pixel_a, pixel_b, point = two_views
-        recovered = triangulate_midpoint(camera, pose_a, pose_b, pixel_a, pixel_b)
-        assert np.allclose(recovered, point, atol=1e-6)
-
-    def test_methods_agree(self, two_views):
-        camera, pose_a, pose_b, pixel_a, pixel_b, _ = two_views
-        dlt = triangulate_dlt(camera, pose_a, pose_b, pixel_a, pixel_b)
-        mid = triangulate_midpoint(camera, pose_a, pose_b, pixel_a, pixel_b)
-        assert np.allclose(dlt, mid, atol=1e-5)
-
-    def test_degenerate_identical_views_rejected(self, camera):
-        with pytest.raises(GeometryError):
-            triangulate_midpoint(
-                camera,
-                Pose.identity(),
-                Pose.identity(),
-                np.array([320.0, 240.0]),
-                np.array([320.0, 240.0]),
-            )
-
-    def test_projection_matrix_shape(self, camera, example_pose):
-        assert projection_matrix(camera, example_pose).shape == (3, 4)
-
-    def test_reprojection_error_zero_for_exact(self, two_views):
-        camera, pose_a, _, pixel_a, _, point = two_views
-        assert reprojection_error(camera, pose_a, point, pixel_a) == pytest.approx(0.0, abs=1e-9)
-
-    def test_reprojection_error_for_offset(self, two_views):
-        camera, pose_a, _, pixel_a, _, point = two_views
-        error = reprojection_error(camera, pose_a, point, pixel_a + np.array([3.0, 4.0]))
-        assert error == pytest.approx(5.0)

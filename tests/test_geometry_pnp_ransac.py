@@ -5,15 +5,14 @@ import pytest
 
 from repro.errors import GeometryError
 from repro.geometry import (
+    IterativePnpSolver,
     PinholeCamera,
     PnpRansac,
     Pose,
     RansacConfig,
     adaptive_iterations,
     estimate_pose_3d3d,
-    ransac_generic,
     so3_exp,
-    solve_pnp,
 )
 
 
@@ -57,30 +56,32 @@ class TestKabschAlignment:
 class TestIterativePnp:
     def test_recovers_pose_from_clean_data(self, synthetic_pnp_problem):
         camera, points, true_pose, pixels = synthetic_pnp_problem
-        result = solve_pnp(points, pixels, camera)
+        result = IterativePnpSolver(camera).solve(points, pixels)
         assert result.pose.translation_distance(true_pose) < 1e-4
         assert result.pose.rotation_angle(true_pose) < 1e-4
         assert result.inlier_rmse_px < 0.1
 
     def test_benefits_from_initial_guess(self, synthetic_pnp_problem):
         camera, points, true_pose, pixels = synthetic_pnp_problem
-        warm = solve_pnp(points, pixels, camera, initial_pose=true_pose, max_iterations=3)
+        warm = IterativePnpSolver(camera, max_iterations=3).solve(
+            points, pixels, initial_pose=true_pose
+        )
         assert warm.pose.translation_distance(true_pose) < 1e-6
 
     def test_handles_noisy_observations(self, synthetic_pnp_problem):
         camera, points, true_pose, pixels = synthetic_pnp_problem
         rng = np.random.default_rng(5)
         noisy = pixels + rng.normal(0, 0.5, pixels.shape)
-        result = solve_pnp(points, noisy, camera)
+        result = IterativePnpSolver(camera).solve(points, noisy)
         assert result.pose.translation_distance(true_pose) < 0.01
 
     def test_rejects_too_few_points(self, camera):
         with pytest.raises(GeometryError):
-            solve_pnp(np.zeros((3, 3)), np.zeros((3, 2)), camera)
+            IterativePnpSolver(camera).solve(np.zeros((3, 3)), np.zeros((3, 2)))
 
     def test_shape_validation(self, camera):
         with pytest.raises(GeometryError):
-            solve_pnp(np.zeros((5, 3)), np.zeros((4, 2)), camera)
+            IterativePnpSolver(camera).solve(np.zeros((5, 3)), np.zeros((4, 2)))
 
 
 class TestPnpRansac:
@@ -131,30 +132,3 @@ class TestAdaptiveIterations:
 
     def test_perfect_ratio_returns_one(self):
         assert adaptive_iterations(1.0, 4, 0.99, 123) == 1
-
-
-class TestGenericRansac:
-    def test_line_fitting_with_outliers(self):
-        rng = np.random.default_rng(11)
-        xs = np.linspace(0, 10, 50)
-        ys = 2.0 * xs + 1.0 + rng.normal(0, 0.05, 50)
-        ys[:10] += rng.uniform(5, 10, 10)  # outliers
-
-        def fit(indices):
-            a = np.polyfit(xs[indices], ys[indices], 1)
-            return a
-
-        def score(model):
-            return np.abs(np.polyval(model, xs) - ys)
-
-        model, mask = ransac_generic(
-            data_size=50, fit=fit, score=score, sample_size=2,
-            num_iterations=60, inlier_threshold=0.3,
-        )
-        assert model is not None
-        assert mask.sum() >= 38
-        assert model[0] == pytest.approx(2.0, abs=0.1)
-
-    def test_rejects_insufficient_data(self):
-        with pytest.raises(GeometryError):
-            ransac_generic(1, lambda idx: None, lambda m: np.zeros(1), 2, 10, 1.0)

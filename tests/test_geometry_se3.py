@@ -9,7 +9,6 @@ from repro.errors import GeometryError
 from repro.geometry import (
     Pose,
     hat,
-    interpolate_pose,
     quaternion_from_rotation,
     rotation_from_euler,
     rotation_from_quaternion,
@@ -177,22 +176,3 @@ class TestSe3:
         upsilon, omega = se3_log(pose)
         rebuilt = se3_exp(upsilon, omega)
         assert rebuilt.is_close(pose, atol=1e-7)
-
-
-class TestInterpolation:
-    def test_endpoints(self, example_pose):
-        assert interpolate_pose(Pose.identity(), example_pose, 0.0).is_close(
-            Pose.identity(), atol=1e-9
-        )
-        assert interpolate_pose(Pose.identity(), example_pose, 1.0).is_close(
-            example_pose, atol=1e-9
-        )
-
-    def test_midpoint_rotation_angle(self):
-        target = Pose(so3_exp(np.array([0.0, 0.0, 0.4])), np.zeros(3))
-        mid = interpolate_pose(Pose.identity(), target, 0.5)
-        assert mid.rotation_angle(Pose.identity()) == pytest.approx(0.2, abs=1e-9)
-
-    def test_rejects_alpha_out_of_range(self, example_pose):
-        with pytest.raises(GeometryError):
-            interpolate_pose(Pose.identity(), example_pose, 1.5)

@@ -14,7 +14,6 @@ from repro.hw import (
     FixedPointFormat,
     ORIENTATION_RATIO_FORMAT,
     SdramModel,
-    cycles_to_ms,
     line_buffer_requirement,
     total_bram36,
 )
@@ -48,7 +47,6 @@ class TestCycleBreakdown:
         breakdown = CycleBreakdown({"x": 1_000_000})
         assert breakdown.to_seconds(100e6) == pytest.approx(0.01)
         assert breakdown.to_milliseconds(100e6) == pytest.approx(10.0)
-        assert cycles_to_ms(500_000, 100e6) == pytest.approx(5.0)
 
     def test_scaling(self):
         breakdown = CycleBreakdown({"x": 10, "y": 20}).scaled(2.0)

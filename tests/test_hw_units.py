@@ -10,7 +10,6 @@ from repro.features import (
     RsBriefDescriptorEngine,
     compute_orientation,
     fast_corner_mask,
-    is_fast_corner,
 )
 from repro.hw.orb_extractor import (
     BriefComputingUnit,
@@ -40,9 +39,7 @@ class TestFastDetectionUnit:
             for x in range(20, 70, 3):
                 window = texture.pixels[y - 3 : y + 4, x - 3 : x + 4]
                 is_corner, _ = unit.evaluate_window(window)
-                assert is_corner == bool(software_mask[y, x]) or is_corner == is_fast_corner(
-                    texture, x, y, config
-                )
+                assert is_corner == bool(software_mask[y, x])
                 checked += 1
         assert checked > 100
 

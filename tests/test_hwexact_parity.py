@@ -37,7 +37,6 @@ from repro.quant import (
 )
 from repro.quant.kernels import HARRIS_WINDOW_RADIUS
 from repro.analysis import (
-    BatchRunner,
     compare_float_vs_fixed_extraction,
     run_hwexact_parity,
     run_quantization_divergence,
@@ -264,7 +263,7 @@ class TestEndToEndParity:
 
 
 class TestHwExactAtScale:
-    """Full synthetic-TUM sequences through SlamSystem / BatchRunner."""
+    """Full synthetic-TUM sequences through SlamSystem."""
 
     @pytest.fixture(scope="class")
     def slam_config(self):
@@ -284,16 +283,17 @@ class TestHwExactAtScale:
         assert result.tracking_success_ratio > 0.5
         assert np.isfinite(result.ate().mean_cm)
 
-    def test_batch_runner_shares_one_quantized_engine(self, slam_config):
-        runner = BatchRunner(config=slam_config)
-        specs = [
-            SequenceSpec(name=name, num_frames=3, image_width=160, image_height=120)
-            for name in ("fr1/xyz", "fr2/rpy")
-        ]
-        records = runner.run_all(specs)
-        assert len(records) == 2
-        assert runner.summary()["engine"] == "hwexact"
-        assert all(np.isfinite(record.ate_mean_cm) for record in records)
+    def test_sequence_sweep_shares_one_quantized_engine(self, slam_config):
+        from repro.slam import SlamSystem
+
+        extractor = OrbExtractor(slam_config.extractor)
+        errors_cm = []
+        for name in ("fr1/xyz", "fr2/rpy"):
+            spec = SequenceSpec(name=name, num_frames=3, image_width=160, image_height=120)
+            run = SlamSystem(slam_config, extractor=extractor).run(make_sequence(spec))
+            errors_cm.append(run.ate().mean_cm)
+        assert extractor.engine.name == "hwexact"
+        assert all(np.isfinite(error) for error in errors_cm)
 
 
 class TestQuantizationDivergence:

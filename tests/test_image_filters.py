@@ -6,7 +6,6 @@ import pytest
 from repro.errors import ImageError
 from repro.image import (
     GrayImage,
-    box_blur,
     gaussian_blur,
     gaussian_kernel_1d,
     gaussian_kernel_2d,
@@ -65,16 +64,6 @@ class TestGaussianBlur:
         blurred = gaussian_blur(GrayImage(pixels))
         # intermediate values appear near the step
         assert np.any((blurred.pixels > 20) & (blurred.pixels < 180))
-
-
-class TestBoxBlur:
-    def test_constant_invariance(self):
-        image = GrayImage.full(16, 16, 42)
-        assert np.all(box_blur(image).pixels == 42)
-
-    def test_rejects_even_kernel(self, blocks_image):
-        with pytest.raises(ImageError):
-            box_blur(blocks_image, size=4)
 
 
 class TestSobel:

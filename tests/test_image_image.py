@@ -1,12 +1,10 @@
-"""Tests for the GrayImage container and integral-image helpers."""
+"""Tests for the GrayImage container and the circular patch mask."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.errors import ImageError
-from repro.image import GrayImage, box_sum, circular_mask, integral_image
+from repro.image import GrayImage, circular_mask
 
 
 class TestConstruction:
@@ -104,39 +102,3 @@ class TestCircularMask:
         mask = circular_mask(5)
         assert np.array_equal(mask, mask.T)
         assert np.array_equal(mask, mask[::-1, ::-1])
-
-
-class TestIntegralImage:
-    def test_total_sum(self, blocks_image):
-        integral = integral_image(blocks_image)
-        assert integral[-1, -1] == blocks_image.pixels.astype(np.int64).sum()
-
-    def test_box_sum_matches_direct(self, blocks_image):
-        integral = integral_image(blocks_image)
-        direct = int(blocks_image.pixels[10:21, 5:16].astype(np.int64).sum())
-        assert box_sum(integral, 5, 10, 15, 20) == direct
-
-    def test_box_sum_single_pixel(self, blocks_image):
-        integral = integral_image(blocks_image)
-        assert box_sum(integral, 3, 4, 3, 4) == int(blocks_image.pixels[4, 3])
-
-    def test_box_sum_rejects_inverted(self, blocks_image):
-        integral = integral_image(blocks_image)
-        with pytest.raises(ImageError):
-            box_sum(integral, 5, 5, 4, 6)
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        x0=st.integers(0, 20),
-        y0=st.integers(0, 20),
-        dx=st.integers(0, 20),
-        dy=st.integers(0, 20),
-    )
-    def test_box_sum_property(self, x0, y0, dx, dy):
-        rng = np.random.default_rng(x0 * 1000 + y0 * 100 + dx * 10 + dy)
-        pixels = rng.integers(0, 256, size=(48, 48), dtype=np.uint8)
-        image = GrayImage(pixels)
-        integral = integral_image(image)
-        x1, y1 = x0 + dx, y0 + dy
-        expected = int(pixels[y0 : y1 + 1, x0 : x1 + 1].astype(np.int64).sum())
-        assert box_sum(integral, x0, y0, x1, y1) == expected

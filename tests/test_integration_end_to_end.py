@@ -13,7 +13,7 @@ from repro.config import ExtractorConfig, PyramidConfig, SlamConfig, TrackerConf
 from repro.dataset import SequenceSpec, make_sequence, parse_trajectory, format_trajectory
 from repro.hw import EslamAccelerator
 from repro.platforms import ESLAM, ARM_CORTEX_A9, PlatformComparison, HeterogeneousSlamSystem
-from repro.slam import absolute_trajectory_error, run_slam
+from repro.slam import SlamSystem, absolute_trajectory_error
 
 
 class TestAccuracyAcrossDescriptors:
@@ -28,7 +28,7 @@ class TestAccuracyAcrossDescriptors:
                 matcher=tiny_slam_config.matcher,
                 tracker=tiny_slam_config.tracker,
             )
-            result = run_slam(tiny_sequence, config)
+            result = SlamSystem(config).run(tiny_sequence)
             errors[label] = result.ate().mean_cm
         return errors
 
@@ -130,7 +130,7 @@ class TestRobustness:
             ),
             tracker=TrackerConfig(ransac_iterations=48, pose_iterations=8),
         )
-        result = run_slam(noisy_sequence, config)
+        result = SlamSystem(config).run(noisy_sequence)
         assert result.tracking_success_ratio == 1.0
         assert result.ate().rmse_cm < 8.0
 
@@ -154,7 +154,7 @@ class TestRobustness:
         sequence = RgbdSequence(
             name="custom", camera=camera, frames=list(textured.frames) + [blank]
         )
-        result = run_slam(sequence, tiny_slam_config)
+        result = SlamSystem(tiny_slam_config).run(sequence)
         assert result.num_frames == 3
         assert result.frame_results[2].tracked is False
         # pose falls back to the last tracked pose rather than crashing

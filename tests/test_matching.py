@@ -14,12 +14,8 @@ from repro.matching import hamming as hamming_module
 from repro.matching import (
     BruteForceMatcher,
     Match,
-    filter_matches_by_distance,
     hamming_distance,
-    hamming_distance_matrix,
     match_minimum_distance,
-    normalized_hamming,
-    popcount_bytes,
 )
 
 
@@ -37,6 +33,16 @@ def _byte_table_distances(query: np.ndarray, train: np.ndarray) -> np.ndarray:
     """Full ``(N, M)`` distance matrix by XOR tensor and byte-table lookup."""
     xor = np.bitwise_xor(query[:, np.newaxis, :], train[np.newaxis, :, :])
     return _POPCOUNT_TABLE[xor].sum(axis=2, dtype=np.int32)
+
+
+def hamming_distance_matrix(descriptors_a: np.ndarray, descriptors_b: np.ndarray) -> np.ndarray:
+    """Every tile of ``distance_tiles`` copied into one ``(N, M)`` int32 matrix."""
+    a = hamming_module.as_descriptor_matrix(descriptors_a, "descriptors_a")
+    b = hamming_module.as_descriptor_matrix(descriptors_b, "descriptors_b")
+    distances = np.empty((a.shape[0], b.shape[0]), dtype=np.int32)
+    for start, block in hamming_module.distance_tiles(a, b):
+        distances[start : start + block.shape[0]] = block
+    return distances
 
 
 class TestHammingDistance:
@@ -67,13 +73,14 @@ class TestHammingDistance:
             hamming_distance(np.zeros(32, dtype=np.uint8), np.zeros(16, dtype=np.uint8))
 
     def test_popcount_table(self):
-        values = np.array([0, 1, 3, 255], dtype=np.uint8)
-        assert popcount_bytes(values).tolist() == [0, 1, 2, 8]
+        zero = np.zeros(1, dtype=np.uint8)
+        counts = [hamming_distance(np.array([v], dtype=np.uint8), zero) for v in (0, 1, 3, 255)]
+        assert counts == [0, 1, 2, 8]
 
     def test_normalized_distance(self):
         a = np.zeros(32, dtype=np.uint8)
         b = np.full(32, 255, dtype=np.uint8)
-        assert normalized_hamming(a, b) == pytest.approx(1.0)
+        assert hamming_distance(a, b) / (a.size * 8) == pytest.approx(1.0)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -277,12 +284,6 @@ class TestBruteForceMatcher:
     def test_empty_returns_empty(self):
         matcher = BruteForceMatcher()
         assert matcher.match(np.zeros((0, 32), dtype=np.uint8), _random_descriptors(3)) == []
-
-
-class TestFilters:
-    def test_filter_by_distance(self):
-        matches = [Match(0, 1, 10), Match(1, 2, 40), Match(2, 3, 90)]
-        assert filter_matches_by_distance(matches, 40) == matches[:2]
 
 
 class TestVectorizedSelectionEquivalence:

@@ -12,7 +12,6 @@ from repro.optimization import (
     ReprojectionProblem,
     huber_weights,
     numerical_jacobian,
-    optimize_pose,
 )
 
 
@@ -171,7 +170,7 @@ class TestPoseOptimizer:
     def test_refines_a_perturbed_pose(self, noisy_problem):
         camera, points, observations, true_pose = noisy_problem
         perturbed = se3_exp(np.array([0.03, -0.02, 0.01]), np.array([0.02, 0.01, -0.02])).compose(true_pose)
-        result = optimize_pose(camera, points, observations, perturbed)
+        result = PoseOptimizer(camera).optimize(points, observations, perturbed)
         assert result.final_rmse_px < result.initial_rmse_px
         assert result.pose.translation_distance(true_pose) < 0.01
         assert result.pose.rotation_angle(true_pose) < 0.01
@@ -194,5 +193,7 @@ class TestPoseOptimizer:
 
     def test_reports_iteration_count(self, noisy_problem):
         camera, points, observations, true_pose = noisy_problem
-        result = optimize_pose(camera, points, observations, Pose.identity(), max_iterations=10)
+        result = PoseOptimizer(camera, max_iterations=10).optimize(
+            points, observations, Pose.identity()
+        )
         assert 1 <= result.iterations <= 10

@@ -16,14 +16,13 @@ from repro.platforms import (
     ESLAM,
     INTEL_I7,
     NOMINAL_WORKLOAD,
+    PAPER_STAGE_RUNTIMES_MS,
     CpuRuntimeModel,
     EslamRuntimeModel,
     FrameWorkload,
     PipelineModel,
     PlatformComparison,
     PlatformKind,
-    paper_stage_runtimes,
-    platform_by_name,
     runtime_model_for,
 )
 
@@ -37,15 +36,6 @@ class TestSpecs:
     def test_eslam_is_heterogeneous(self):
         assert ESLAM.kind is PlatformKind.HETEROGENEOUS
         assert ARM_CORTEX_A9.kind is PlatformKind.CPU_ONLY
-
-    def test_lookup_by_name_and_alias(self):
-        assert platform_by_name("eslam") is ESLAM
-        assert platform_by_name("ARM") is ARM_CORTEX_A9
-        assert platform_by_name("Intel i7-4700MQ") is INTEL_I7
-
-    def test_unknown_platform_rejected(self):
-        with pytest.raises(PlatformModelError):
-            platform_by_name("gpu")
 
     def test_eslam_power_overhead_vs_arm(self):
         """The paper: eSLAM power is ~23% higher than the ARM alone."""
@@ -82,7 +72,7 @@ class TestWorkload:
 class TestCpuRuntimeModels:
     def test_arm_matches_table2_at_nominal_workload(self):
         runtimes = CpuRuntimeModel(ARM_CORTEX_A9).stage_runtimes(NOMINAL_WORKLOAD)
-        paper = paper_stage_runtimes("ARM Cortex-A9")
+        paper = PAPER_STAGE_RUNTIMES_MS["ARM Cortex-A9"]
         assert runtimes.feature_extraction == pytest.approx(paper["feature_extraction"], rel=0.01)
         assert runtimes.feature_matching == pytest.approx(paper["feature_matching"], rel=0.01)
         assert runtimes.pose_estimation == pytest.approx(paper["pose_estimation"], rel=0.01)
@@ -91,7 +81,7 @@ class TestCpuRuntimeModels:
 
     def test_i7_matches_table2_at_nominal_workload(self):
         runtimes = CpuRuntimeModel(INTEL_I7).stage_runtimes(NOMINAL_WORKLOAD)
-        paper = paper_stage_runtimes("Intel i7-4700MQ")
+        paper = PAPER_STAGE_RUNTIMES_MS["Intel i7-4700MQ"]
         assert runtimes.feature_extraction == pytest.approx(paper["feature_extraction"], rel=0.01)
         assert runtimes.feature_matching == pytest.approx(paper["feature_matching"], rel=0.01)
 

@@ -19,12 +19,18 @@ from repro.cluster.resultpack import (
     RESULT_PACK_MAGIC,
     max_packed_nbytes,
     pack_into,
-    pack_result,
     packed_nbytes,
     unpack_result,
 )
 
 ENGINES = ["reference", "vectorized", "hwexact"]
+
+
+def pack_result(result):
+    """Pack ``result`` into a fresh ``bytes`` blob of its exact size."""
+    buffer = np.empty(packed_nbytes(result), dtype=np.uint8)
+    used = pack_into(result, buffer)
+    return buffer[:used].tobytes()
 
 
 def _config(engine="vectorized", max_features=150):

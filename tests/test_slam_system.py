@@ -6,7 +6,7 @@ import pytest
 from repro.config import SlamConfig
 from repro.errors import GeometryError, TrackingError
 from repro.geometry import PnpRansac, Pose
-from repro.slam import Frame, SlamSystem, Tracker, run_slam
+from repro.slam import Frame, SlamSystem, Tracker
 
 
 class TestFrame:
@@ -96,7 +96,7 @@ class TestPoseEstimationErrors:
 
         monkeypatch.setattr(PnpRansac, "estimate", broken)
         with pytest.raises(TypeError, match="bug inside pose estimation"):
-            run_slam(tiny_sequence, tiny_slam_config, max_frames=2)
+            SlamSystem(tiny_slam_config).run(tiny_sequence, max_frames=2)
 
     @pytest.mark.parametrize("error", [GeometryError, np.linalg.LinAlgError])
     def test_degenerate_geometry_is_a_tracking_failure(
@@ -106,7 +106,7 @@ class TestPoseEstimationErrors:
             raise error("degenerate correspondences")
 
         monkeypatch.setattr(PnpRansac, "estimate", degenerate)
-        result = run_slam(tiny_sequence, tiny_slam_config, max_frames=2)
+        result = SlamSystem(tiny_slam_config).run(tiny_sequence, max_frames=2)
         assert result.frame_results[0].tracked  # the map bootstrap needs no PnP
         assert not result.frame_results[1].tracked
         assert result.frame_results[1].pose.is_close(result.frame_results[0].pose)
@@ -141,7 +141,7 @@ class TestSlamSystem:
         assert "lm_iterations" in workload
 
     def test_run_slam_respects_max_frames(self, tiny_sequence, tiny_slam_config):
-        result = run_slam(tiny_sequence, tiny_slam_config, max_frames=3)
+        result = SlamSystem(tiny_slam_config).run(tiny_sequence, max_frames=3)
         assert result.num_frames == 3
 
     def test_independent_systems_do_not_share_state(self, tiny_sequence, tiny_slam_config):
@@ -157,6 +157,6 @@ class TestSlamSystem:
             matcher=tiny_slam_config.matcher,
             tracker=tiny_slam_config.tracker,
         )
-        result = run_slam(tiny_sequence, config, max_frames=3)
+        result = SlamSystem(config).run(tiny_sequence, max_frames=3)
         assert result.tracking_success_ratio == 1.0
         assert result.ate().rmse_cm < 8.0
