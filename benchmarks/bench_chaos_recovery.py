@@ -4,7 +4,8 @@ The robustness claim of ``docs/serving.md`` (Failure semantics) is that a
 supervised :class:`~repro.cluster.ClusterServer` turns worker crashes into
 *retries*, not failures: every submitted frame still returns bit-identical
 to sequential extraction, in submission order, while the supervisor
-respawns the killed workers and the transport audit stays leak-free.  This
+respawns the killed workers and, after close, nothing is left admitted or
+pending.  This
 report drives the same frame batch through a clean run and through a
 seeded :class:`~repro.chaos.FaultPlan` kill storm, and records what the
 storm cost: restarts, retries, requeued jobs, the time for the pool to
@@ -13,9 +14,10 @@ against the clean run.
 
 On a single-core host (CI) the throughput ratio mostly measures respawn
 overhead, so the assertions are about correctness and counters — recovery
-happened (``restarts > 0``), nothing leaked (``leaked_slots == 0``), no
-frame failed — never about timing bars.  ``cpu_count`` is recorded in the
-JSON so multi-core numbers read in context.
+happened (``restarts > 0``), every admission came back
+(``drained_after_close``), no frame failed — never about timing bars.
+``cpu_count`` is recorded in the JSON so multi-core numbers read in
+context.
 
 The quick tier (2 workers, kill every 6th of 24 frames, seed 7) runs on
 every push as the CI chaos smoke; the ``slow``-marked sweep storms every
@@ -71,7 +73,11 @@ def _feature_key(result):
 
 
 def _serve_batch(config, images, plan=None, num_workers=NUM_WORKERS):
-    """One cluster run over the batch; returns (keys, seconds, heal_s, stats)."""
+    """One cluster run over the batch.
+
+    Returns ``(keys, seconds, heal_s, healed, stats, drained)``; ``drained``
+    is the admission audit after close: nothing admitted, nothing pending.
+    """
     server = ClusterServer(
         config, num_workers=num_workers, supervision=SUPERVISION, fault_plan=plan
     )
@@ -94,11 +100,14 @@ def _serve_batch(config, images, plan=None, num_workers=NUM_WORKERS):
             time.sleep(0.01)
         heal_s = time.perf_counter() - heal_start
         healed = len(server.alive_worker_ids())
-    return keys, elapsed, heal_s, healed, server.stats.as_dict()
+    drained = server._admitted == 0 and not server._pending
+    return keys, elapsed, heal_s, healed, server.stats.as_dict(), drained
 
 
 def _storm_report(config, images, plan, baseline_keys, clean_s):
-    keys, storm_s, heal_s, healed, stats = _serve_batch(config, images, plan=plan)
+    keys, storm_s, heal_s, healed, stats, drained = _serve_batch(
+        config, images, plan=plan
+    )
     return {
         "bit_identical_in_order": keys == baseline_keys,
         "frames": len(images),
@@ -111,7 +120,7 @@ def _storm_report(config, images, plan, baseline_keys, clean_s):
         "retries": stats["retries"],
         "requeued": stats["requeued"],
         "frames_failed": stats["frames_failed"],
-        "leaked_slots": stats["leaked_slots"],
+        "drained_after_close": drained,
         "plan": plan.report(),
         "stats": stats,
     }
@@ -124,7 +133,7 @@ def test_chaos_recovery_quick():
     extractor = OrbExtractor(config)
     baseline_keys = [_feature_key(extractor.extract(image)) for image in images]
 
-    _, clean_s, _, _, clean_stats = _serve_batch(config, images, plan=None)
+    _, clean_s, _, _, _, clean_drained = _serve_batch(config, images, plan=None)
     plan = FaultPlan.storm(
         frames=NUM_FRAMES, every=KILL_EVERY, num_workers=NUM_WORKERS, seed=SEED
     )
@@ -141,7 +150,7 @@ def test_chaos_recovery_quick():
         "clean": {
             "elapsed_s": round(clean_s, 4),
             "throughput_fps": round(NUM_FRAMES / clean_s, 2),
-            "leaked_slots": clean_stats["leaked_slots"],
+            "drained_after_close": clean_drained,
         },
         "storm": storm,
     }
@@ -153,8 +162,8 @@ def test_chaos_recovery_quick():
     assert storm["restarts"] > 0  # the storm actually hit, and we recovered
     assert storm["requeued"] > 0
     assert storm["frames_failed"] == 0
-    assert storm["leaked_slots"] == 0
-    assert report["clean"]["leaked_slots"] == 0
+    assert storm["drained_after_close"]
+    assert report["clean"]["drained_after_close"]
     assert storm["pool_healed_to"] == NUM_WORKERS
 
 
@@ -165,7 +174,7 @@ def test_chaos_recovery_storm_sweep():
     images = _chaos_images(config)
     extractor = OrbExtractor(config)
     baseline_keys = [_feature_key(extractor.extract(image)) for image in images]
-    _, clean_s, _, _, _ = _serve_batch(config, images, plan=None)
+    clean_s = _serve_batch(config, images, plan=None)[1]
 
     rows = []
     for seed in (1, 2, 3):
@@ -189,7 +198,7 @@ def test_chaos_recovery_storm_sweep():
     for row in rows:
         assert row["bit_identical_in_order"]
         assert row["frames_failed"] == 0
-        assert row["leaked_slots"] == 0
+        assert row["drained_after_close"]
 
 
 if __name__ == "__main__":

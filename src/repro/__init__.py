@@ -17,8 +17,8 @@ ORB-SLAM on FPGA Platform" (Liu, Yang, Chen, Zhao -- DAC 2019):
   eagerly built pyramid per frame (see ``docs/pyramid.md``).
 * :mod:`repro.cluster` -- the :class:`~repro.cluster.ClusterServer`, the
   one frame server: many frames in flight across worker processes, one
-  engine per worker, zero-copy frame hand-off through shared-memory ring
-  slots (see ``docs/serving.md``).
+  engine per worker, frames and results on per-worker queues (see
+  ``docs/serving.md``).
 * :mod:`repro.matching`, :mod:`repro.geometry`, :mod:`repro.optimization`,
   :mod:`repro.slam` -- the software SLAM pipeline (matching, PnP + RANSAC,
   Levenberg-Marquardt pose optimisation, mapping, evaluation).

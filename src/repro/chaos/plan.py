@@ -21,15 +21,15 @@ Faults fire *synchronously inside* ``submit`` (the server calls
 so the fault's position in the submission stream is exact even on one
 core.  What stays nondeterministic — how far each worker got before the
 kill — is exactly what the tests must be robust to, and the invariants
-they assert (bit-identical in-order results, zero leaked slots) hold
-regardless.
+they assert (bit-identical in-order results, nothing left admitted or
+pending after close) hold regardless.
 """
 
 from __future__ import annotations
 
 import random
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ReproError

@@ -4,9 +4,8 @@
 on frames ahead of the tracker.  The extractor's Python-level stages hold
 the interpreter lock, so the cluster spawns ``num_workers`` worker
 *processes*, each owning the extraction engine its configuration names
-(``reference``, ``vectorized`` or ``hwexact``), and moves pixels through
-a shared-memory ring (:mod:`repro.cluster.shared_ring`) so no frame is
-ever pickled.
+(``reference``, ``vectorized`` or ``hwexact``).  Frames and results ride
+each worker's own ``multiprocessing`` queues.
 
 Semantics:
 
@@ -18,7 +17,7 @@ Semantics:
   in submission order regardless of worker completion order;
 * **identical output** — every worker builds its engine from the same
   :class:`~repro.config.ExtractorConfig`, extraction is a pure per-frame
-  function, and the shared-memory transports are byte-exact, so results are
+  function, and the queues carry exact copies, so results are
   bit-identical to sequential extraction (``tests/test_cluster.py``,
   ``tests/test_chaos.py``) no matter which worker ends up running a frame
   — including frames requeued after a crash;
@@ -39,16 +38,16 @@ with the shallowest queue (lowest worker id on ties).  A **dispatcher
 thread** hands each worker at most :data:`DISPATCH_DEPTH` jobs at a time
 and keeps the rest in per-worker backlogs, where a crash requeue can still
 move them.  Requeueing moves *where* a job runs, never *what* it
-computes: the job's future, frame ring slot and pixels are untouched, so
-results stay bit-identical and in submission order.
+computes: the job's future and pixels are untouched, so results stay
+bit-identical and in submission order.
 
-Every frame travels the same way: the producer copies its pixels into a
-:class:`~repro.cluster.shared_ring.SharedFrameRing` slot and the worker
-reads them through a view of that slot.  Results come back through the
-:class:`~repro.cluster.result_ring.SharedResultRing`, with a per-result
-pickle fallback (``docs/serving.md`` → Result transport).  Per-worker and
-aggregate counters — including restarts, retries, requeues and the
-``leaked_slots`` audit — live in :class:`ClusterStats`.
+Every frame travels the same way: ``submit`` takes one private copy of the
+pixels and the job message ``(job_id, key, pixels)`` is pickled onto the
+worker's job queue; the worker puts each
+:class:`~repro.features.ExtractionResult` into a batch on its result
+queue (``docs/serving.md`` → Transport).  Per-worker and aggregate
+counters — including restarts, retries and requeues — live in
+:class:`ClusterStats`.
 
 Failure semantics (supervision, deadlines, retry budgets) are documented
 in ``docs/serving.md``.
@@ -56,6 +55,7 @@ in ``docs/serving.md``.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import queue as queue_module
 import signal
@@ -66,6 +66,8 @@ from multiprocessing.connection import wait as mp_connection_wait
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..config import ExtractorConfig
 from ..errors import JobAttempt, JobFailed, ReproError
@@ -78,10 +80,6 @@ from ..telemetry import (
     Trace,
     Tracer,
 )
-from .context import get_mp_context
-from .result_ring import RingSlotRef, SharedResultRing
-from .resultpack import max_packed_nbytes, unpack_result
-from .shared_ring import SharedFrameRing
 from .supervisor import (
     WORKER_DEAD,
     WORKER_FAILED,
@@ -89,7 +87,7 @@ from .supervisor import (
     Supervisor,
     SupervisorConfig,
 )
-from .worker import DEFAULT_RESULT_BATCH, SHUTDOWN, worker_main
+from .worker import SHUTDOWN, worker_main
 
 #: How often the collector wakes to check worker health (seconds).
 _HEALTH_POLL_S = 0.05
@@ -100,25 +98,6 @@ _HEALTH_POLL_S = 0.05
 #: reaches a worker; large enough that a worker is never starved between
 #: refills.
 DISPATCH_DEPTH = 2
-
-#: Safety net on ring acquisition.  Admission control guarantees a free
-#: slot exists whenever the ring is used (in-flight frames never exceed the
-#: slot count), so hitting this timeout indicates a leaked slot, not
-#: back-pressure; it is counted in ``ClusterStats.leaked_slots``.
-_RING_ACQUIRE_TIMEOUT_S = 5.0
-
-
-def _safe_metric_read(fn):
-    """Wrap a callback-gauge reader so a snapshot taken mid-close (shared
-    memory already unlinked) reports 0 instead of raising."""
-
-    def read() -> float:
-        try:
-            return float(fn())
-        except Exception:
-            return 0.0
-
-    return read
 
 
 class WorkerStats:
@@ -244,21 +223,10 @@ class ClusterStats:
     actually serving, immune to idle gaps between replays).  All
     pre-telemetry ``as_dict()`` keys are preserved.
 
-    The transport counters make the transports observable:
-    ``frames_via_ring`` (frames carried by the frame ring) and
-    ``ring_bytes_copied`` (producer-side memcpy volume).  The return path
-    has its own trio: ``results_zero_copy`` (results collected as packed
-    arrays from the shared result ring), ``results_via_pickle`` (results
-    that rode the queue — range exhausted, or oversized) and
-    ``result_bytes_saved`` (packed bytes that skipped the pickle pipe
-    entirely).
-
     The robustness counters make failure handling observable:
     ``restarts`` (supervised worker respawns), ``requeued`` (jobs moved
-    off a dead worker instead of failed), ``retries`` (requeued jobs that
-    had already been dispatched — i.e. actual re-executions) and
-    ``leaked_slots`` (transport slots that had to be force-reclaimed —
-    zero in a healthy run, asserted by the chaos tests).
+    off a dead worker instead of failed) and ``retries`` (requeued jobs
+    that had already been dispatched — i.e. actual re-executions).
     """
 
     #: aggregate counter attributes -> registry metric names; each becomes a
@@ -267,15 +235,9 @@ class ClusterStats:
         "frames_submitted": "cluster_frames_submitted_total",
         "frames_completed": "cluster_frames_completed_total",
         "frames_failed": "cluster_frames_failed_total",
-        "frames_via_ring": "cluster_frames_via_ring_total",
-        "ring_bytes_copied": "cluster_ring_bytes_copied_total",
-        "results_zero_copy": "cluster_results_zero_copy_total",
-        "results_via_pickle": "cluster_results_via_pickle_total",
-        "result_bytes_saved": "cluster_result_bytes_saved_total",
         "restarts": "cluster_restarts_total",
         "retries": "cluster_retries_total",
         "requeued": "cluster_requeued_total",
-        "leaked_slots": "cluster_leaked_slots_total",
     }
 
     def __init__(
@@ -372,21 +334,6 @@ class ClusterStats:
             self._in_flight_gauge.dec()
             self.workers[worker_id].queue_depth -= 1
 
-    def _via_ring(self, bytes_copied: int) -> None:
-        """Record one frame carried by the frame ring and its copy volume."""
-        with self._lock:
-            self._counters["frames_via_ring"].inc()
-            self._counters["ring_bytes_copied"].inc(bytes_copied)
-
-    def _result_collected(self, zero_copy: bool, packed_nbytes: int) -> None:
-        """Record which transport carried one collected result."""
-        with self._lock:
-            if zero_copy:
-                self._counters["results_zero_copy"].inc()
-                self._counters["result_bytes_saved"].inc(packed_nbytes)
-            else:
-                self._counters["results_via_pickle"].inc()
-
     def _requeued(self, victim_id: int, target_id: int, retried: bool) -> None:
         """Move one crashed-worker job's accounting to its new owner."""
         with self._lock:
@@ -401,10 +348,6 @@ class ClusterStats:
         with self._lock:
             self._counters["restarts"].inc()
             self.workers[worker_id].restarts += 1
-
-    def _leaked(self, count: int) -> None:
-        with self._lock:
-            self._counters["leaked_slots"].inc(count)
 
     def _add_worker(self) -> WorkerStats:
         """Append stats for one running worker slot."""
@@ -481,15 +424,13 @@ class ClusterStats:
             "frames_failed": self.frames_failed,
             "max_in_flight": self.max_in_flight,
             "queue_depth": self.queue_depth,
-            "frames_via_ring": self.frames_via_ring,
-            "ring_bytes_copied": self.ring_bytes_copied,
-            "results_zero_copy": self.results_zero_copy,
-            "results_via_pickle": self.results_via_pickle,
-            "result_bytes_saved": self.result_bytes_saved,
+            # no shared-memory transport exists; perfbench's traced pass
+            # still reads these two keys
+            "frames_via_ring": 0,
+            "results_zero_copy": 0,
             "restarts": self.restarts,
             "retries": self.retries,
             "requeued": self.requeued,
-            "leaked_slots": self.leaked_slots,
             "latency_p50_ms": self.latency_p50_ms,
             "latency_p95_ms": self.latency_p95_ms,
             "elapsed_s": self.elapsed_s,
@@ -504,10 +445,8 @@ class ClusterStats:
 class _PendingJob:
     future: "Future[ExtractionResult]"
     worker_id: int  # current owner: backlog, or executor once dispatched
-    slot: int  # frame ring slot holding the pixels
     key: int  # frame id (the caller's, or the job id when none supplied)
-    height: int = 0  # frame shape, kept so a requeue can rebuild the message
-    width: int = 0
+    pixels: np.ndarray  # private copy, kept so a requeue can rebuild the message
     submitted_s: float = 0.0  # perf_counter at submit (attempt elapsed base)
     deadline: Optional[float] = None  # absolute perf_counter budget, or None
     dispatched: bool = False  # True once the message left for a worker queue
@@ -515,28 +454,26 @@ class _PendingJob:
 
     def message(self, job_id: int) -> Tuple:
         """The worker control message for this job (requeue rebuilds it)."""
-        return (job_id, self.key, self.slot, self.height, self.width)
+        return (job_id, self.key, self.pixels)
 
 
 class ClusterServer:
-    """Multi-process sharded frame extraction with shared-memory transport.
+    """Multi-process sharded frame extraction over per-worker queues.
 
     Parameters
     ----------
     config:
         Extractor configuration every worker builds its extraction engine
-        from (defaults to :class:`~repro.config.ExtractorConfig`).  The
-        shared ring sizes its slots for ``config.image_shape``; larger
-        frames are rejected at submit.
+        from (defaults to :class:`~repro.config.ExtractorConfig`).  A
+        frame whose shape is not ``config.image_shape`` is rejected at
+        submit.
     num_workers:
         Worker process count; job ``n`` goes to worker
         ``n % num_workers``.
     max_in_flight:
         Back-pressure bound across the whole cluster; defaults to
-        ``2 * num_workers``.
-    start_method:
-        ``multiprocessing`` start method; defaults to ``fork`` where
-        available (fast spin-up), else ``spawn``.
+        ``2 * num_workers``.  Workers start by ``fork`` where the platform
+        offers it (fast spin-up), else by ``spawn``.
     supervision:
         A :class:`~repro.cluster.supervisor.SupervisorConfig` turns crash
         handling from fail-fast into self-healing: dead workers respawn
@@ -561,8 +498,8 @@ class ClusterServer:
         :class:`~repro.telemetry.Trace`.
     journal:
         An :class:`~repro.telemetry.EventJournal` receiving every
-        supervision event (deaths, restarts, requeues, expiries, leak
-        reclaims) — always on; one is created when omitted.
+        supervision event (deaths, restarts, requeues, expiries) — always
+        on; one is created when omitted.
     """
 
     def __init__(
@@ -570,7 +507,6 @@ class ClusterServer:
         config: Optional[ExtractorConfig] = None,
         num_workers: int = 2,
         max_in_flight: Optional[int] = None,
-        start_method: Optional[str] = None,
         supervision: Optional[SupervisorConfig] = None,
         fault_plan=None,
         registry: Optional[MetricsRegistry] = None,
@@ -586,59 +522,35 @@ class ClusterServer:
             raise ReproError("max_in_flight must be >= num_workers")
         self.supervision = supervision
         self.fault_plan = fault_plan
-        self._context = get_mp_context(start_method)
-        # stats first: a registry clash raises before any shared memory exists
+        self._context = multiprocessing.get_context(
+            "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+        )
+        # stats first: a registry clash raises before any process starts
         self.registry = registry if registry is not None else MetricsRegistry()
         self.stats = ClusterStats(registry=self.registry)
         for _ in range(num_workers):
             self.stats._add_worker()
-        self._slot_bytes = self.config.image_height * self.config.image_width
-        self._ring = SharedFrameRing(self.max_in_flight, self._slot_bytes)
         # heartbeat board: one monotonic timestamp per worker slot, written
         # by the worker between jobs, read by the supervisor's stall check;
         # torn double reads are tolerable (the check is a heuristic and a
         # false kill only costs a retry, never a wrong result)
         self._heartbeats = self._context.Array("d", num_workers, lock=False)
-        # result ring: one slot range per worker slot.  A range holds
-        # enough slots for a full unflushed batch plus the dispatch window
-        # that can be in flight ahead of the collector; a momentarily
-        # exhausted range just falls back to pickling that result.
-        self._result_ring = SharedResultRing(
-            num_workers,
-            DEFAULT_RESULT_BATCH + DISPATCH_DEPTH + 2,
-            max_packed_nbytes(self.config),
-        )
         # makes "dequeue one result message + fold it" atomic, so when a
         # worker dies the death handler can drain its queue to empty and
-        # know no stale descriptor into the dead range is still in flight
-        # on the collector thread (see _on_worker_exit)
+        # know no result of the dead worker is still mid-fold on the
+        # collector thread before it requeues the rest (see _on_worker_exit)
         self._collect_lock = threading.Lock()
         self.tracer = tracer if tracer is not None else Tracer(track="server")
         self.journal = journal if journal is not None else EventJournal()
         self._trace = Trace()
-        # transport occupancy as callback gauges: read live from the rings at
-        # snapshot time instead of mirroring every acquire/release
-        self.registry.gauge(
-            "cluster_frame_ring_in_flight",
-            help="frame-ring slots currently acquired",
-            fn=_safe_metric_read(lambda: self._ring.in_flight()),
-        )
-        self.registry.gauge(
-            "cluster_result_ring_in_use",
-            help="result-ring slots currently claimed",
-            fn=_safe_metric_read(lambda: self._result_ring.in_use()),
-        )
         # one job queue AND one result queue per worker: multiprocessing
         # queues guard their pipe ends with cross-process locks, and a
         # worker SIGKILLed mid-put would leave a *shared* result queue's
         # write lock held forever, deadlocking every other worker's flush.
         # Per-worker queues confine that damage to the dead worker's own
         # queues, which a respawn replaces wholesale.
-        self._result_queues = [self._context.Queue() for _ in range(num_workers)]
-        self._job_queues = [self._context.Queue() for _ in range(num_workers)]
-        # queues of crashed workers: never written again, but drained until
-        # close so results the dead worker flushed before dying still count
-        self._retired_result_queues: List = []
+        self._job_queues: List = []
+        self._result_queues: List = []
         self._processes: List = []
         self._pending: Dict[int, _PendingJob] = {}
         self._lock = threading.Lock()
@@ -662,13 +574,12 @@ class ClusterServer:
         self._dispatcher_stop = False
         try:
             for worker_id in range(num_workers):
-                self._processes.append(
-                    self._start_worker_process(
-                        worker_id,
-                        self._job_queues[worker_id],
-                        self._result_queues[worker_id],
-                    )
+                process, job_queue, result_queue = self._start_worker_process(
+                    worker_id
                 )
+                self._processes.append(process)
+                self._job_queues.append(job_queue)
+                self._result_queues.append(result_queue)
         except BaseException:
             # partial spin-up: tear down what started before surfacing the
             # error, so no worker blocks on a queue that will never be fed
@@ -678,8 +589,6 @@ class ClusterServer:
             for any_queue in self._job_queues + self._result_queues:
                 any_queue.close()
                 any_queue.cancel_join_thread()
-            self._ring.close()
-            self._result_ring.close()
             raise
         self._dispatcher = threading.Thread(
             target=self._dispatch_loop, name="cluster-dispatcher", daemon=True
@@ -694,26 +603,45 @@ class ClusterServer:
             self._supervisor = Supervisor(self, supervision)
             self._supervisor.start()
 
-    def _start_worker_process(self, worker_id: int, job_queue, result_queue):
-        """Spawn one worker process over its queue pair and return it started."""
+    def _start_worker_process(self, worker_id: int):
+        """Start one worker over a fresh queue pair; returns
+        ``(process, job_queue, result_queue)``.
+
+        The worker must hold the only read end of its job pipe and the only
+        write end of its result pipe.  Then, once it dies, a result it was
+        killed halfway through writing reads as EOF instead of blocking the
+        collector forever, and a frame halfway into its job pipe fails the
+        feeder thread with EPIPE (ignored) instead of wedging it.  So the
+        queues are made just before the start, and the server closes its
+        own copies of those two ends right after it, before any sibling
+        can be forked with them.
+        """
+        job_queue = self._context.Queue()
+        result_queue = self._context.Queue()
         process = self._context.Process(
             target=worker_main,
             args=(
                 worker_id,
                 self.config,
-                self._ring.name,
-                self._slot_bytes,
                 job_queue,
                 result_queue,
                 self._heartbeats,
-                self._result_ring.handle(),
                 self.tracer.enabled,
             ),
             name=f"cluster-worker-{worker_id}",
             daemon=True,
         )
-        process.start()
-        return process
+        try:
+            process.start()
+        except BaseException:
+            for any_queue in (job_queue, result_queue):
+                any_queue.close()
+                any_queue.cancel_join_thread()
+            raise
+        job_queue._reader.close()
+        job_queue._ignore_epipe = True
+        result_queue._writer.close()
+        return process, job_queue, result_queue
 
     # -- protocol ----------------------------------------------------------
     @property
@@ -754,11 +682,17 @@ class ClusterServer:
         :class:`~repro.errors.JobFailed` (attempt history attached) instead
         of retrying it past the budget.  Raises
         :class:`~repro.errors.ReproError` when the server is closed, the
-        routed worker has died (unsupervised), or every worker has died
-        with no restart pending.
+        frame's shape is not ``config.image_shape``, the routed worker has
+        died (unsupervised), or every worker has died with no restart
+        pending.
         """
         if self._closed or self._closing:
             raise ReproError("ClusterServer is closed")
+        if image.pixels.shape != self.config.image_shape:
+            raise ReproError(
+                f"frame shape {image.pixels.shape} does not match the configured "
+                f"image shape {self.config.image_shape}"
+            )
         if frame_id is not None and frame_id < 0:
             raise ReproError("frame ids must be non-negative")
         if deadline_s is not None and deadline_s <= 0.0:
@@ -771,8 +705,10 @@ class ClusterServer:
             self.fault_plan.on_submit(self, job_id)
         submitted_s = time.perf_counter()
         deadline = submitted_s + deadline_s if deadline_s is not None else None
+        # the queue pickles the message on its feeder thread after submit
+        # returns, and the caller may reuse its array by then
+        pixels = image.pixels.copy()
         self._acquire_admission()
-        slot: Optional[int] = None
         registered = False
         worker_id = 0
         try:
@@ -782,27 +718,11 @@ class ClusterServer:
                     break
                 self._wait_for_alive_worker()
             future: "Future[ExtractionResult]" = Future()
-            with self.tracer.span("ring_write", frame=key):
-                slot = self._ring.acquire(timeout=_RING_ACQUIRE_TIMEOUT_S)
-                if slot is None:
-                    self.stats._leaked(1)
-                    self.journal.log(
-                        "leak_reclaim",
-                        job=job_id,
-                        reason="frame ring exhausted inside admission window",
-                    )
-                    raise ReproError(
-                        "no free frame ring slot inside the admission window "
-                        "(slot leak?)"
-                    )
-                height, width = self._ring.write(slot, image.pixels)
             job = _PendingJob(
                 future,
                 worker_id,
-                slot,
                 key,
-                height=height,
-                width=width,
+                pixels,
                 submitted_s=submitted_s,
                 deadline=deadline,
             )
@@ -821,7 +741,6 @@ class ClusterServer:
                         self._pending[job_id] = job
                         registered = True
                 self.stats._submitted(worker_id)
-                self.stats._via_ring(height * width)
                 if not lost:
                     self._backlogs[worker_id].append(job.message(job_id))
                     self._dispatch_cv.notify_all()
@@ -829,7 +748,6 @@ class ClusterServer:
                 # unsupervised, and the routed worker died after routing:
                 # the frame fails as one in flight on that worker would
                 self.stats._failed(worker_id)
-                self._release_job_resources(job)
                 self._release_admission()
                 future.set_exception(
                     ReproError(
@@ -844,9 +762,6 @@ class ClusterServer:
                     job = self._pending.pop(job_id, None)
                 if job is not None:
                     self.stats._abandoned(worker_id)
-                    self._release_job_resources(job)
-            elif slot is not None:
-                self._ring.release(slot)
             self._release_admission()
             raise
 
@@ -1040,7 +955,6 @@ class ClusterServer:
                 del self._pending[job_id]
                 failed_job = job
         self.stats._failed(failed_job.worker_id)
-        self._release_job_resources(failed_job)
         self._release_admission()
         failed_job.future.set_exception(
             ReproError(f"cluster worker {worker_id} queue rejected the frame")
@@ -1048,32 +962,37 @@ class ClusterServer:
 
     # -- result collection / worker health ---------------------------------
     def _collect_results(self) -> None:
-        """Sweep every worker's result queue, folding batches into futures.
+        """Sweep every alive worker's result queue, folding batches into futures.
 
-        The sweep covers live queues AND the retired queues of crashed
-        workers, so results a worker flushed just before dying still
-        complete their futures (the requeued duplicate, if any, is
-        discarded when ``_pending`` comes up empty).  Idle passes block on
-        the queues' underlying pipes via ``connection.wait`` — one poll
-        for N queues — falling back to a plain sleep when the pipe handles
-        are not exposed.
+        A dead worker's queue leaves the sweep: the death handler drains it
+        (results flushed before the death still complete their futures)
+        before it requeues the rest, and at EOF a pipe would otherwise read
+        as always ready.  Idle passes block on the queues' underlying pipes
+        via ``connection.wait`` — one poll for N queues — falling back to a
+        plain sleep when the pipe handles are not exposed.
         """
         while True:
             with self._lock:
-                queues = list(self._result_queues) + self._retired_result_queues
+                queues = [
+                    result_queue
+                    for result_queue, worker in zip(
+                        self._result_queues, self.stats.workers
+                    )
+                    if worker.alive
+                ]
             drained_any = False
             for result_queue in queues:
                 while True:
                     # dequeue + fold under one lock: a death handler that
-                    # sees this queue empty knows no descriptor from it is
-                    # still being folded (range reclaim safety)
+                    # sees this queue empty knows no result from it is
+                    # still being folded before it requeues the rest
                     with self._collect_lock:
                         try:
                             message = result_queue.get_nowait()
                         except queue_module.Empty:
                             break
                         except (EOFError, OSError, ValueError):
-                            break  # queue torn down (close, or crashed worker)
+                            break  # torn down (close), or its worker died
                         drained_any = True
                         self._fold_result_batch(message)
             if drained_any:
@@ -1093,11 +1012,11 @@ class ClusterServer:
         Each dequeue+fold is atomic under ``_collect_lock`` — shared with
         the collector sweep — so when this returns on ``Empty`` no message
         from the queue is mid-fold anywhere: results the worker flushed
-        before dying have completed their futures and returned their ring
-        slots, and the caller may safely force-reclaim the range.  (A
-        SIGKILL mid-put can truncate the stream; the unreadable remainder
-        surfaces as an error below and the jobs it carried are simply
-        requeued like any other loss.)
+        before dying have completed their futures, and the caller may
+        requeue exactly the jobs still pending.  (A SIGKILL mid-put can
+        truncate the stream; the dead worker held the pipe's only write
+        end, so the remainder reads as EOF below and the jobs it carried
+        are simply requeued like any other loss.)
         """
         while True:
             with self._collect_lock:
@@ -1130,32 +1049,18 @@ class ClusterServer:
                 job = self._pending.pop(job_id, None)
             if job is None:
                 # failed/expired earlier, or a pre-requeue duplicate from
-                # a worker that flushed before dying — but a packed slot
-                # must return to its range either way
-                if isinstance(payload, RingSlotRef):
-                    self._result_ring.free(payload.slot)
+                # a worker that flushed before dying
                 continue
-            # account the completion BEFORE freeing transport resources
-            # and the admission slot: a producer blocked on admission
-            # must not see the window shrink before the in-flight
-            # counter does (else max_in_flight can overshoot).  The
-            # accounting target is the job's CURRENT owner — after a
-            # crash requeue that is where its queue_depth sits.
+            # account the completion BEFORE freeing the admission slot: a
+            # producer blocked on admission must not see the window shrink
+            # before the in-flight counter does (else max_in_flight can
+            # overshoot).  The accounting target is the job's CURRENT
+            # owner — after a crash requeue that is where its queue_depth
+            # sits.
             if error is None:
-                if isinstance(payload, RingSlotRef):
-                    # one memcpy out of the shared slot, then the slot is
-                    # immediately reusable by its worker
-                    packed = self._result_ring.slot_view(payload.slot)
-                    result = unpack_result(packed[: payload.nbytes])
-                    self._result_ring.free(payload.slot)
-                    self.stats._result_collected(True, payload.nbytes)
-                else:
-                    result = payload
-                    self.stats._result_collected(False, 0)
                 self.stats._completed(job.worker_id, latency_s)
-                self._release_job_resources(job)
                 self._release_admission()
-                job.future.set_result(result)
+                job.future.set_result(payload)
                 if self.tracer.enabled:
                     self.tracer.record(
                         "serve",
@@ -1167,21 +1072,12 @@ class ClusterServer:
                     self.tracer.instant("resolve", frame=job.key)
             else:
                 self.stats._failed(job.worker_id)
-                self._release_job_resources(job)
                 self._release_admission()
                 job.future.set_exception(
                     ReproError(
                         f"cluster worker {worker_id} extraction failed: {error}"
                     )
                 )
-
-    def _release_job_resources(self, job: _PendingJob) -> None:
-        """Return a finished job's frame ring slot to the pool.
-
-        A collected result (or a failure) proves no worker still reads the
-        slot's pixels, so it can be reused at once.
-        """
-        self._ring.release(job.slot)
 
     def _check_worker_health(self) -> None:
         for worker_id, process in enumerate(list(self._processes)):
@@ -1219,10 +1115,11 @@ class ClusterServer:
         exitcode = process.exitcode
         reason = reason or f"died (exit code {exitcode})"
         # Fold whatever the dead worker flushed before dying FIRST: those
-        # futures complete (no wasted recompute), their ring slots free,
-        # and — because dequeue+fold is atomic — once the queue reads
-        # empty no descriptor into the dead range is in flight anywhere.
-        # The process is already joined, so the queue gains nothing more.
+        # futures complete (no wasted recompute), and — because
+        # dequeue+fold is atomic — once the queue reads empty no result of
+        # this worker is mid-fold anywhere, so the jobs still pending are
+        # exactly the ones to requeue.  The process is already joined, so
+        # the queue gains nothing more.
         self._drain_worker_result_queue(worker_id)
         failures: List[Tuple[_PendingJob, Exception]] = []
         requeued = 0
@@ -1249,11 +1146,6 @@ class ClusterServer:
                     del self._pending[job_id]
                 self._backlogs[worker_id].clear()
                 self._dispatched[worker_id] = 0
-                # force-reclaim the dead range: the drain above proved no
-                # descriptor into it survives, and a respawn cannot begin
-                # before this block publishes the DEAD state, so the
-                # reclaim can never race a replacement worker's claims
-                self._result_ring.reclaim_range(worker_id)
                 for job_id, job in doomed:
                     if not supervised:
                         failures.append(
@@ -1317,7 +1209,6 @@ class ClusterServer:
             self.journal.log("requeue", worker_id=worker_id, jobs=requeued)
         for job, error in failures:
             self.stats._failed(worker_id)
-            self._release_job_resources(job)
             self._release_admission()
             job.future.set_exception(error)
         with self._admission:
@@ -1435,9 +1326,9 @@ class ClusterServer:
         the slot is marked alive: stale job messages (already requeued
         elsewhere) can never reach the replacement, and a lock the dead
         process held on either old queue can never wedge the new one.  The
-        old result queue moves to the retired list so anything the worker
-        flushed before dying is still collected.  Returns False when the
-        server is closing, the slot is not restartable, or the spawn
+        old result queue holds nothing more: the death handler drained it
+        before marking the slot dead.  Returns False when the server is
+        closing, the slot is not restartable, or the spawn
         itself failed (the supervisor retries after backoff).
         """
         if self._closed or self._closing:
@@ -1448,27 +1339,19 @@ class ClusterServer:
         old_process = self._processes[worker_id]
         if old_process.exitcode is None:
             return self._respawn_refused(worker_id, "still exiting")  # next tick
-        new_queue = self._context.Queue()
-        new_result_queue = self._context.Queue()
         self._heartbeats[worker_id] = 0.0
         try:
-            process = self._start_worker_process(
-                worker_id, new_queue, new_result_queue
+            process, new_queue, new_result_queue = self._start_worker_process(
+                worker_id
             )
         except Exception as error:
-            for failed_queue in (new_queue, new_result_queue):
-                failed_queue.close()
-                failed_queue.cancel_join_thread()
             return self._respawn_refused(
                 worker_id, f"spawn failed: {type(error).__name__}: {error}"
             )
-        old_queue = self._job_queues[worker_id]
+        old_queues = (self._job_queues[worker_id], self._result_queues[worker_id])
         with self._dispatch_cv:
             with self._lock:
                 self._job_queues[worker_id] = new_queue
-                self._retired_result_queues.append(
-                    self._result_queues[worker_id]
-                )
                 self._result_queues[worker_id] = new_result_queue
                 self._processes[worker_id] = process
                 worker.state = WORKER_RUNNING
@@ -1482,8 +1365,9 @@ class ClusterServer:
         )
         with self._admission:
             self._admission.notify_all()  # blocked producers can route again
-        old_queue.close()
-        old_queue.cancel_join_thread()
+        for old_queue in old_queues:
+            old_queue.close()
+            old_queue.cancel_join_thread()
         return True
 
     def _respawn_refused(self, worker_id: int, reason: str) -> bool:
@@ -1552,7 +1436,6 @@ class ClusterServer:
         )
         for job, error in failures:
             self.stats._failed(worker_id)
-            self._release_job_resources(job)
             self._release_admission()
             job.future.set_exception(error)
         with self._admission:
@@ -1561,10 +1444,9 @@ class ClusterServer:
     def _expire_deadlines(self) -> None:
         """Fail queued (undispatched) jobs whose deadline has passed.
 
-        Dispatched jobs are left alone — releasing a ring slot a live
-        worker may still be reading would race; their deadline is enforced
-        at requeue time if the worker dies, or simply when the (late)
-        result arrives.
+        Dispatched jobs are left alone — a live worker may already be
+        extracting them; their deadline is enforced at requeue time if the
+        worker dies, or simply when the (late) result arrives.
         """
         now = time.perf_counter()
         expired: List[Tuple[int, _PendingJob]] = []
@@ -1592,7 +1474,6 @@ class ClusterServer:
             )
             self.journal.log("expired", worker_id=job.worker_id, job=job_id)
             self.stats._failed(job.worker_id)
-            self._release_job_resources(job)
             self._release_admission()
             job.future.set_exception(
                 JobFailed(
@@ -1605,10 +1486,10 @@ class ClusterServer:
         """Gracefully drain in-flight frames and tear the cluster down.
 
         Idempotent and crash-safe: a second call returns immediately, a
-        worker that died mid-drain neither hangs the drain nor races the
-        shared-memory unlink (every process is joined before the rings are
-        released), and any transport slot a crash left leased is
-        force-reclaimed and counted in ``ClusterStats.leaked_slots``.
+        worker that died mid-drain does not hang the drain, every frame
+        still pending fails with a :class:`~repro.errors.ReproError` and
+        gives back its admission slot, and every process is joined before
+        the queues close.
         """
         with self._close_lock:
             if self._closed or self._closing:
@@ -1653,7 +1534,6 @@ class ClusterServer:
             self._pending.clear()
         for job_id, job in leftovers:
             self.stats._failed(job.worker_id)
-            self._release_job_resources(job)
             self._release_admission()
             job.future.set_exception(
                 ReproError("ClusterServer closed before the frame was served")
@@ -1665,26 +1545,11 @@ class ClusterServer:
                     process.terminate()
                     process.join(timeout=5.0)
             except OSError:
-                pass  # the OS refused the signal; the rings are still released
+                pass  # the OS refused the signal; the queues still close
         self._collector.join(timeout=5.0)
-        all_queues = (
-            self._job_queues + self._result_queues + self._retired_result_queues
-        )
-        for any_queue in all_queues:
+        for any_queue in self._job_queues + self._result_queues:
             any_queue.close()
             any_queue.cancel_join_thread()
-        # leak audit: with every job released and every worker joined,
-        # anything still leased was leaked by a crash path — reclaim it
-        # and make it visible before the shared memory goes away
-        # every crash already reclaimed its result range synchronously, so a
-        # result slot still claimed here lost its descriptor without a crash
-        # — a genuine leak
-        leaked = self._ring.in_flight() + self._result_ring.in_use()
-        if leaked:
-            self.stats._leaked(leaked)
-            self.journal.log("leak_reclaim", count=leaked, at="close")
-        self._ring.close()
-        self._result_ring.close()
 
     def __enter__(self) -> "ClusterServer":
         return self

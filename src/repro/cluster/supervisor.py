@@ -29,10 +29,6 @@ from ..errors import ReproError
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (server imports us)
     from .server import ClusterServer
 
-# re-exported here so cluster callers find the failure types next to the
-# supervision configuration that produces them
-from ..errors import JobAttempt, JobFailed  # noqa: F401
-
 #: Worker lifecycle states tracked by :class:`~repro.cluster.WorkerStats`.
 #: ``running`` serves; ``dead`` awaits a supervised restart; ``failed`` is
 #: permanently gone (supervision off, or restart budget exhausted).
@@ -46,7 +42,7 @@ class SupervisorConfig:
     """Knobs of the worker supervision / retry loop.
 
     ``max_retries`` bounds how often one job may be requeued after worker
-    deaths (the N+1-th death fails it with :class:`JobFailed`).
+    deaths (the N+1-th death fails it with :class:`~repro.errors.JobFailed`).
     ``heartbeat_timeout_s`` declares a worker *stalled* when it holds
     dispatched jobs but has not beaten for this long — it is then killed
     and restarted, and its jobs requeued, so the worst cost of a false

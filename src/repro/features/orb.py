@@ -98,10 +98,9 @@ class FeatureArrays:
 
     This is the one representation of a retained feature set, from the
     extractor through the result transport to the tracker: one array per
-    :class:`~repro.features.keypoint.Feature` attribute, so a result can be
-    packed into flat buffers (:mod:`repro.cluster.resultpack`), shipped
-    across a process boundary without pickling, and rebuilt bit-identical
-    on the other side.  ``orientation_bins`` uses ``-1`` and
+    :class:`~repro.features.keypoint.Feature` attribute, so a result
+    pickles as a handful of arrays across a process boundary and arrives
+    bit-identical on the other side.  ``orientation_bins`` uses ``-1`` and
     ``orientation_rads`` uses ``NaN`` for features whose orientation was
     never computed.
     """
@@ -203,11 +202,10 @@ class ExtractionResult:
     The retained set is held as one :class:`FeatureArrays` — the same flat
     record stream the accelerator's Heap module keeps (descriptor,
     coordinates, Harris score) — and every accessor below reads its
-    columns directly.  The SLAM front-end, the result transport
-    (:mod:`repro.cluster.resultpack`) and the parity checks never build
-    per-feature objects; :attr:`features` materialises
-    :class:`~repro.features.keypoint.Feature` objects lazily for callers
-    that ask for them.
+    columns directly.  The SLAM front-end, the cluster's result queues and
+    the parity checks never build per-feature objects; :attr:`features`
+    materialises :class:`~repro.features.keypoint.Feature` objects lazily
+    for callers that ask for them.
     """
 
     def __init__(self, arrays: FeatureArrays, profile: ExtractionProfile) -> None:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from ..config import AcceleratorConfig, DescriptorConfig, ExtractorConfig
+from ..config import AcceleratorConfig, ExtractorConfig
 from ..errors import HardwareModelError
 from .bram import BramRequirement, line_buffer_requirement, total_bram36
 

@@ -112,7 +112,17 @@ class SlamSystem:
         self.tracker = Tracker(self.config, extractor=extractor)
 
     def process_frame(self, rgbd_frame: RgbdFrame, camera, extraction=None) -> TrackingResult:
-        """Process a single RGB-D frame (lower-level entry point)."""
+        """Process a single RGB-D frame (lower-level entry point).
+
+        Raises :class:`~repro.errors.ReproError` when the frame's image
+        shape is not ``config.extractor.image_shape``.
+        """
+        shape = rgbd_frame.image.pixels.shape
+        if shape != self.config.extractor.image_shape:
+            raise ReproError(
+                f"frame {rgbd_frame.index} has image shape {shape}, but the "
+                f"extractor is configured for {self.config.extractor.image_shape}"
+            )
         frame = Frame(
             index=rgbd_frame.index,
             timestamp=rgbd_frame.timestamp,

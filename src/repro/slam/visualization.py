@@ -9,7 +9,7 @@ which the examples and the Figure-9 benchmark print to the terminal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 

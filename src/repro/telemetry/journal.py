@@ -21,7 +21,6 @@ kind                meaning
 ``stall_kill``      supervisor killed a worker whose heartbeat went stale
 ``requeue``         in-flight frames of a dead worker were re-dispatched
 ``expired``         a frame's deadline lapsed before dispatch
-``leak_reclaim``    close() reclaimed slots a dead worker left pinned
 ``restart_backoff``  a respawn attempt failed; retry scheduled after backoff
 ``restart_refused``  a respawn attempt did not start a worker (``reason``)
 ``supervisor_tick_error``  a supervisor control tick raised (exception type)

@@ -8,9 +8,7 @@ per-worker stats.  This module is the single store those views now share:
 * :class:`Counter` — monotonically increasing event count (plus a signed
   :meth:`Counter.add` escape hatch for the rare compensating adjustment,
   e.g. a submission abandoned before it ever ran);
-* :class:`Gauge` — a point-in-time value, settable or computed on read
-  from a callback (the Prometheus "collect" idiom — used for the
-  transport-ring views whose source of truth is shared memory);
+* :class:`Gauge` — a settable point-in-time value;
 * :class:`Histogram` — **fixed log-bucket** distribution: ``observe`` is
   O(1), ``percentile`` is O(buckets), memory is bounded by the bucket
   count, and p50/p95/p99 are accurate to one bucket's relative width
@@ -24,9 +22,9 @@ per-worker stats.  This module is the single store those views now share:
 Metric mutation methods take a tiny per-metric lock, so standalone use is
 thread-safe; the serving stats additionally serialize related updates
 under their own coarser locks exactly as before.  The naming scheme
-(``serving_*``, ``cluster_*``, ``cluster_worker_*{worker=...}``,
-``*_ring_*``) is documented — and drift-checked by
-``tests/test_telemetry.py`` — in ``docs/observability.md``.
+(``cluster_*``, ``cluster_worker_*{worker=...}``) is documented — and
+drift-checked by ``tests/test_telemetry.py`` — in
+``docs/observability.md``.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ from __future__ import annotations
 import json
 import math
 import threading
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import ReproError
 
@@ -116,32 +114,25 @@ class Counter(Metric):
 
 
 class Gauge(Metric):
-    """A point-in-time value: set/inc/dec, or computed on read via ``fn``."""
+    """A point-in-time value: set/inc/dec."""
 
     kind = "gauge"
 
-    def __init__(self, name, help="", labels=None, fn: Optional[Callable] = None) -> None:
+    def __init__(self, name, help="", labels=None) -> None:
         super().__init__(name, help, labels)
         self._value = 0
-        self._fn = fn
 
     def set(self, value) -> None:
-        if self._fn is not None:
-            raise ReproError(f"gauge {self.name} is callback-backed; cannot set")
         with self._lock:
             self._value = value
 
     def set_max(self, value) -> None:
         """Raise the gauge to ``value`` if larger (high-watermark gauges)."""
-        if self._fn is not None:
-            raise ReproError(f"gauge {self.name} is callback-backed; cannot set")
         with self._lock:
             if value > self._value:
                 self._value = value
 
     def inc(self, amount=1) -> None:
-        if self._fn is not None:
-            raise ReproError(f"gauge {self.name} is callback-backed; cannot inc")
         with self._lock:
             self._value += amount
 
@@ -150,8 +141,6 @@ class Gauge(Metric):
 
     @property
     def value(self):
-        if self._fn is not None:
-            return self._fn()
         with self._lock:
             return self._value
 
@@ -343,8 +332,8 @@ class MetricsRegistry:
     def counter(self, name: str, help: str = "", labels=None) -> Counter:
         return self._get_or_create(Counter, name, help, labels)
 
-    def gauge(self, name: str, help: str = "", labels=None, fn=None) -> Gauge:
-        return self._get_or_create(Gauge, name, help, labels, fn=fn)
+    def gauge(self, name: str, help: str = "", labels=None) -> Gauge:
+        return self._get_or_create(Gauge, name, help, labels)
 
     def histogram(
         self,

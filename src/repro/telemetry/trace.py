@@ -18,7 +18,7 @@ records that journey as spans and merges them onto one timeline:
   worker ships the drained buffer **with each result flush** (and once
   more at shutdown), so spans ride the existing result queue — a crashed
   worker's already-flushed spans survive because the supervisor drains
-  the dead worker's result queue before reclaiming anything.
+  the dead worker's result queue before requeueing its jobs.
 * :class:`Trace` — the server-side merge.  Each worker's ``perf_counter``
   epoch differs from the server's; every shipped buffer carries the
   worker clock at flush time, the server stamps its own clock at receipt,

@@ -2,24 +2,18 @@
 
 The serving parity matrix runs sequential extraction and the process
 :class:`~repro.cluster.ClusterServer` across every extraction engine;
-the remaining classes pin down the transport, back-pressure, crash
+the remaining classes pin down the queue transport, back-pressure, crash
 surfacing and the SLAM wiring.
 """
 
+import os
 import time
 
 import numpy as np
 import pytest
 
-from repro.cluster import server as server_module
 from repro.cluster import worker as worker_module
-from repro.cluster import (
-    WORKER_FAILED,
-    ClusterServer,
-    SharedFrameRing,
-    SharedResultRing,
-    SupervisorConfig,
-)
+from repro.cluster import WORKER_FAILED, ClusterServer, SupervisorConfig
 from repro.config import ExtractorConfig, PyramidConfig, SlamConfig, TrackerConfig
 from repro.dataset import SequenceSpec, make_sequence
 from repro.errors import ReproError
@@ -45,50 +39,6 @@ def cluster_images():
 
 def _feature_key(result):
     return result.feature_records()  # the repo-wide bit-identity key
-
-
-class TestSharedFrameRing:
-    def test_write_then_view_roundtrip(self, cluster_images):
-        pixels = cluster_images[0].pixels
-        with SharedFrameRing(num_slots=2, slot_bytes=pixels.size) as ring:
-            slot = ring.acquire()
-            height, width = ring.write(slot, pixels)
-            from multiprocessing import shared_memory
-
-            from repro.cluster.shared_ring import attach_slot_view
-
-            shm = shared_memory.SharedMemory(name=ring.name)
-            try:
-                view = attach_slot_view(shm, slot, pixels.size, height, width)
-                assert np.array_equal(view, pixels)
-            finally:
-                del view  # drop the buffer reference before closing the map
-                shm.close()
-            ring.release(slot)
-
-    def test_backpressure_and_release(self):
-        with SharedFrameRing(num_slots=2, slot_bytes=16) as ring:
-            first = ring.acquire()
-            second = ring.acquire()
-            assert {first, second} == {0, 1}
-            assert ring.in_flight() == 2
-            assert ring.acquire(timeout=0.05) is None  # full: back-pressure
-            ring.release(first)
-            assert ring.acquire(timeout=0.05) == first
-
-    def test_double_release_rejected(self):
-        with SharedFrameRing(num_slots=1, slot_bytes=16) as ring:
-            slot = ring.acquire()
-            ring.release(slot)
-            with pytest.raises(ReproError):
-                ring.release(slot)
-
-    def test_oversize_frame_rejected(self):
-        with SharedFrameRing(num_slots=1, slot_bytes=4) as ring:
-            slot = ring.acquire()
-            with pytest.raises(ReproError):
-                ring.write(slot, np.zeros((3, 3), dtype=np.uint8))
-            ring.release(slot)
 
 
 class TestServingParityMatrix:
@@ -145,11 +95,10 @@ class TestClusterServer:
         assert all(worker.queue_depth == 0 for worker in stats.workers)
         report = stats.as_dict()
         assert report["frames_completed"] == len(cluster_images)
-        assert report["frames_via_ring"] == len(cluster_images)
-        assert report["ring_bytes_copied"] == sum(
-            image.pixels.size for image in cluster_images
-        )
         assert len(report["workers"]) == 2
+        # admission audit: every frame gave its window slot back
+        assert server._admitted == 0
+        assert not server._pending
 
     def test_round_robin_spreads_frames(self, cluster_config, cluster_images):
         with ClusterServer(cluster_config, num_workers=2) as server:
@@ -191,12 +140,28 @@ class TestClusterServer:
 
     def test_oversize_frame_rejected_at_submit(self, cluster_config):
         big = GrayImage(np.zeros((240, 320), dtype=np.uint8))
+        undersized = GrayImage(np.zeros((60, 80), dtype=np.uint8))
         with ClusterServer(cluster_config, num_workers=1) as server:
-            with pytest.raises(ReproError):
-                server.submit(big)
-            # the reserved slot was returned: serving still works afterwards
-            small = GrayImage(np.zeros((120, 160), dtype=np.uint8))
-            assert server.submit(small).result(timeout=30) is not None
+            for wrong in (big, undersized):
+                with pytest.raises(ReproError, match="image shape"):
+                    server.submit(wrong)
+            # nothing was admitted: serving still works afterwards
+            assert server._admitted == 0
+            fitting = GrayImage(np.zeros((120, 160), dtype=np.uint8))
+            assert server.submit(fitting).result(timeout=30) is not None
+
+    def test_caller_may_reuse_its_pixels_after_submit(
+        self, cluster_config, cluster_images
+    ):
+        # submit keeps a private copy: the queue pickles it only later, on
+        # its feeder thread, so an overwrite right after submit must not land
+        expected = OrbExtractor(cluster_config).extract(cluster_images[0])
+        frame = GrayImage(cluster_images[0].pixels.copy())
+        with ClusterServer(cluster_config, num_workers=1) as server:
+            future = server.submit(frame)
+            frame.pixels[:] = 0
+            served = future.result(timeout=30)
+        assert _feature_key(served) == _feature_key(expected)
 
     def test_negative_frame_id_rejected(self, cluster_config, cluster_images):
         with ClusterServer(cluster_config, num_workers=1) as server:
@@ -240,9 +205,9 @@ class TestClusterCrash:
             with pytest.raises(ReproError, match="died"):
                 future.result(timeout=30)
             assert len(server.submit(cluster_images[1]).result(timeout=30).features) > 0
-            # the failed frame gave back its admission and ring slots
+            # the failed frame gave back its admission slot
             assert server._admitted == 0
-            assert server._ring.in_flight() == 0
+            assert not server._pending
             report = server.stats.as_dict()
         assert report["frames_failed"] == 1
         assert [w["frames_completed"] for w in report["workers"]] == [0, 1]
@@ -284,6 +249,63 @@ class TestClusterCrash:
         assert counts == [0, len(cluster_images)]
 
 
+class TestPipeOwnership:
+    """Only a worker holds the pipe ends its death must close.
+
+    A worker killed halfway through putting a result leaves half a message
+    in its result pipe: the collector then reads EOF only if no other
+    process holds that pipe's write end, and it blocks forever otherwise.
+    Likewise a frame halfway into a dead worker's job pipe fails the
+    server's feeder thread only if nobody else holds the read end.
+    """
+
+    @staticmethod
+    def _holders(pids, inode, writable):
+        found = []
+        for pid in pids:
+            for fd in os.listdir(f"/proc/{pid}/fd"):
+                try:
+                    if os.readlink(f"/proc/{pid}/fd/{fd}") != f"pipe:[{inode}]":
+                        continue
+                    with open(f"/proc/{pid}/fdinfo/{fd}") as info:
+                        flags = int(info.read().split("flags:")[1].split()[0], 8)
+                except OSError:
+                    continue  # closed while listing
+                if bool(flags & os.O_WRONLY) == writable:
+                    found.append(pid)
+        return found
+
+    def _assert_each_worker_owns_its_ends(self, server):
+        pids = [os.getpid()] + [process.pid for process in server._processes]
+        for worker_id, process in enumerate(server._processes):
+            result_reader = server._result_queues[worker_id]._reader
+            job_writer = server._job_queues[worker_id]._writer
+            result_pipe = os.fstat(result_reader.fileno()).st_ino
+            job_pipe = os.fstat(job_writer.fileno()).st_ino
+            assert self._holders(pids, result_pipe, writable=True) == [process.pid]
+            assert self._holders(pids, job_pipe, writable=False) == [process.pid]
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fdinfo"), reason="reads /proc/<pid>/fdinfo"
+    )
+    def test_only_the_worker_holds_the_ends_a_crash_must_close(
+        self, cluster_config, cluster_images
+    ):
+        supervision = SupervisorConfig(restart_backoff_s=0.02)
+        with ClusterServer(
+            cluster_config, num_workers=2, supervision=supervision
+        ) as server:
+            self._assert_each_worker_owns_its_ends(server)
+            server.kill_worker(0)
+            deadline = time.monotonic() + 15.0
+            while server.stats.workers[0].restarts < 1:
+                assert time.monotonic() < deadline
+                time.sleep(0.02)
+            # the replacement got fresh queues; no sibling inherited them
+            self._assert_each_worker_owns_its_ends(server)
+            assert server.submit(cluster_images[0]).result(timeout=30) is not None
+
+
 class TestClusterSlam:
     @pytest.fixture(scope="class")
     def slam_setup(self, cluster_config):
@@ -317,140 +339,20 @@ class TestClusterSlam:
                 SlamSystem(config).run(sequence, frame_server=server)
 
 
-class TestConditionVariableBackPressure:
-    """The ring's free pool is a condition variable, not a poll loop."""
-
-    def test_blocked_acquire_wakes_on_release(self):
-        import threading
-
-        with SharedFrameRing(num_slots=1, slot_bytes=16) as ring:
-            slot = ring.acquire()
-            woken = []
-            waiter = threading.Thread(
-                target=lambda: woken.append(ring.acquire(timeout=5.0))
-            )
-            waiter.start()
-            time.sleep(0.05)  # let the waiter park on the condition variable
-            ring.release(slot)
-            waiter.join(timeout=1.0)  # a notify wake, not a poll tick
-            assert not waiter.is_alive()
-            assert woken == [slot]
-
-    def test_blocked_acquire_raises_on_close(self):
-        import threading
-
-        ring = SharedFrameRing(num_slots=1, slot_bytes=16)
-        ring.acquire()
-        errors = []
-
-        def wait_for_slot():
-            try:
-                ring.acquire(timeout=5.0)
-            except ReproError as error:
-                errors.append(error)
-
-        waiter = threading.Thread(target=wait_for_slot)
-        waiter.start()
-        time.sleep(0.05)
-        ring.close()  # waiters must be released immediately, not time out
-        waiter.join(timeout=1.0)
-        assert not waiter.is_alive()
-        assert len(errors) == 1
-
-
-class TestSharedResultRing:
-    def test_claim_write_free_cycle(self):
-        with SharedResultRing(2, 3, slot_bytes=64) as ring:
-            slot = ring.try_claim(1)
-            assert slot is not None and 3 <= slot < 6  # inside range 1
-            view = ring.slot_view(slot)
-            view[:4] = [1, 2, 3, 4]
-            assert ring.in_use() == 1
-            ring.free(slot)
-            assert ring.in_use() == 0
-
-    def test_exhausted_range_returns_none_not_blocks(self):
-        with SharedResultRing(2, 2, slot_bytes=8) as ring:
-            assert ring.try_claim(0) is not None
-            assert ring.try_claim(0) is not None
-            assert ring.try_claim(0) is None  # own range full
-            assert ring.try_claim(1) is not None  # other range unaffected
-
-    def test_reclaim_range_frees_only_the_dead_workers_slots(self):
-        with SharedResultRing(2, 2, slot_bytes=8) as ring:
-            ring.try_claim(0)
-            survivor = ring.try_claim(1)
-            assert ring.reclaim_range(0) == 1
-            assert ring.in_use() == 1  # the survivor's slot is untouched
-            ring.free(survivor)
-
-    def test_attach_sees_owner_claims(self):
-        with SharedResultRing(1, 2, slot_bytes=32) as ring:
-            attached = SharedResultRing.attach(ring.handle())
-            slot = attached.try_claim(0)
-            attached.slot_view(slot)[:3] = [7, 8, 9]
-            assert ring.in_use() == 1
-            assert list(ring.slot_view(slot)[:3]) == [7, 8, 9]
-            attached.close()
-
-    def test_rejects_bad_geometry_and_ranges(self):
-        with pytest.raises(ReproError):
-            SharedResultRing(0, 1, slot_bytes=8)
-        with SharedResultRing(1, 1, slot_bytes=8) as ring:
-            with pytest.raises(ReproError):
-                ring.try_claim(5)
-            with pytest.raises(ReproError):
-                ring.free(99)
-
-
 class TestResultTransport:
-    def test_ring_transport_counts_zero_copy_results(
-        self, cluster_config, cluster_images
-    ):
-        with ClusterServer(cluster_config, num_workers=2) as server:
-            expected = [
-                OrbExtractor(cluster_config).extract(image)
-                for image in cluster_images
-            ]
-            served = server.extract_many(cluster_images)
-            report = server.stats.as_dict()
-        for seq_result, cluster_result in zip(expected, served):
-            assert _feature_key(seq_result) == _feature_key(cluster_result)
-        assert report["results_zero_copy"] == len(cluster_images)
-        assert report["results_via_pickle"] == 0
-        assert report["result_bytes_saved"] > 0
-        assert report["leaked_slots"] == 0
-
-    def test_forced_pickle_fallback_is_bit_identical(
-        self, cluster_config, cluster_images, monkeypatch
-    ):
-        # result-ring slots too small for any packed result: every result
-        # must take the per-result pickle fallback through the queue
-        monkeypatch.setattr(server_module, "max_packed_nbytes", lambda config: 64)
-        with ClusterServer(cluster_config, num_workers=2) as server:
-            expected = [
-                OrbExtractor(cluster_config).extract(image)
-                for image in cluster_images
-            ]
-            served = server.extract_many(cluster_images)
-            report = server.stats.as_dict()
-        for seq_result, cluster_result in zip(expected, served):
-            assert _feature_key(seq_result) == _feature_key(cluster_result)
-        assert report["results_zero_copy"] == 0
-        assert report["results_via_pickle"] == len(cluster_images)
-        assert report["result_bytes_saved"] == 0
-        assert report["leaked_slots"] == 0
-
     def test_result_batch_of_one_flushes_every_result(
         self, cluster_config, cluster_images, monkeypatch
     ):
         # fork-started workers inherit the patched module constant
         monkeypatch.setattr(worker_module, "DEFAULT_RESULT_BATCH", 1)
+        extractor = OrbExtractor(cluster_config)
         with ClusterServer(cluster_config, num_workers=1) as server:
             served = server.extract_many(cluster_images)
             report = server.stats.as_dict()
-        assert len(served) == len(cluster_images)
-        assert report["results_zero_copy"] == len(cluster_images)
+        assert [_feature_key(result) for result in served] == [
+            _feature_key(extractor.extract(image)) for image in cluster_images
+        ]
+        assert report["frames_completed"] == len(cluster_images)
 
 
 class TestStableFrameIds:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.config import SlamConfig
-from repro.errors import GeometryError, TrackingError
+from repro.errors import GeometryError, ReproError, TrackingError
 from repro.geometry import PnpRansac, Pose
 from repro.slam import Frame, SlamSystem, Tracker
 
@@ -160,3 +160,8 @@ class TestSlamSystem:
         result = SlamSystem(config).run(tiny_sequence, max_frames=3)
         assert result.tracking_success_ratio == 1.0
         assert result.ate().rmse_cm < 8.0
+
+    def test_frame_size_mismatch_rejected(self, tiny_sequence):
+        # the default configuration expects 640x480; the sequence is 160x120
+        with pytest.raises(ReproError, match="image shape"):
+            SlamSystem(SlamConfig()).run(tiny_sequence, max_frames=1)
