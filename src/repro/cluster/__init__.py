@@ -8,7 +8,7 @@ results through that worker's own ``multiprocessing`` queues
 back-pressure, in-order results and bit-identical extraction, past the
 single GIL.  Job ``n`` goes to worker ``n % num_workers``.  With a
 :class:`SupervisorConfig` the cluster self-heals: crashed workers respawn,
-and their jobs requeue to alive workers under retry/deadline budgets.
+and their jobs requeue to alive workers under a retry budget.
 See ``docs/serving.md`` and its "Failure semantics" section for the
 supervision rules.
 """

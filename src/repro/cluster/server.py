@@ -27,30 +27,28 @@ Semantics:
   and the cluster serves on survivors; **supervised** (pass a
   :class:`~repro.cluster.supervisor.SupervisorConfig`), a dead worker is
   respawned under capped exponential backoff and its jobs are *requeued*
-  to alive workers instead of failed, bounded by ``max_retries`` and the
-  per-job ``deadline_s`` — past either budget the job fails with a
-  structured :class:`~repro.errors.JobFailed` carrying its attempt
-  history.
+  to alive workers instead of failed, bounded by ``max_retries`` — past
+  that budget the job fails with a structured
+  :class:`~repro.errors.JobFailed` carrying its attempt history.
 
 Placement is one rule: job ``n`` goes to worker ``n % num_workers``; when
 that worker is down under supervision the job goes to the alive worker
-with the shallowest queue (lowest worker id on ties).  A **dispatcher
-thread** hands each worker at most :data:`DISPATCH_DEPTH` jobs at a time
-and keeps the rest in per-worker backlogs, where a crash requeue can still
-move them.  Requeueing moves *where* a job runs, never *what* it
-computes: the job's future and pixels are untouched, so results stay
-bit-identical and in submission order.
+with the shallowest queue (lowest worker id on ties).  A pending job is in
+exactly one of two places: its owner's job queue (the owner is running),
+or parked on a dead slot until that slot respawns.  Requeueing moves
+*where* a job runs, never *what* it computes: the job's future and pixels
+are untouched, so results stay bit-identical and in submission order.
 
 Every frame travels the same way: ``submit`` takes one private copy of the
-pixels and the job message ``(job_id, key, pixels)`` is pickled onto the
-worker's job queue; the worker puts each
-:class:`~repro.features.ExtractionResult` into a batch on its result
-queue (``docs/serving.md`` → Transport).  Per-worker and aggregate
+pixels and puts the job message ``(job_id, key, pixels)`` on the routed
+worker's job queue, whose feeder thread pickles it; the worker puts each
+:class:`~repro.features.ExtractionResult` on its result queue as soon as
+it completes (``docs/serving.md`` → Transport).  Per-worker and aggregate
 counters — including restarts, retries and requeues — live in
 :class:`ClusterStats`.
 
-Failure semantics (supervision, deadlines, retry budgets) are documented
-in ``docs/serving.md``.
+Failure semantics (supervision, retry budgets) are documented in
+``docs/serving.md``.
 """
 
 from __future__ import annotations
@@ -61,7 +59,6 @@ import queue as queue_module
 import signal
 import threading
 import time
-from collections import deque
 from multiprocessing.connection import wait as mp_connection_wait
 from concurrent.futures import Future
 from dataclasses import dataclass, field
@@ -92,23 +89,16 @@ from .worker import SHUTDOWN, worker_main
 #: How often the collector wakes to check worker health (seconds).
 _HEALTH_POLL_S = 0.05
 
-#: Jobs handed to one worker's queue at a time.  Everything beyond this
-#: stays in the server-side backlog, where a supervised requeue can still
-#: move it after a crash and a deadline can still expire it before it
-#: reaches a worker; large enough that a worker is never starved between
-#: refills.
-DISPATCH_DEPTH = 2
-
 
 class WorkerStats:
     """Counters of one worker process, maintained by the parent.
 
     A view over the cluster's :class:`~repro.telemetry.MetricsRegistry`:
-    the numeric attributes are read/write properties backed by
-    ``cluster_worker_*{worker="<id>"}`` metrics, so the existing
-    ``worker.frames_completed += 1`` call sites keep working while every
-    counter is scrape-able through the registry.  Latency percentiles read
-    a bounded log-bucket histogram (O(buckets), no deque sort).
+    the numeric attributes are read-only properties over
+    ``cluster_worker_*{worker="<id>"}`` metrics, which
+    :class:`ClusterStats`' bookkeeping updates directly, so the registry
+    is the only store.  Latency percentiles read a bounded log-bucket
+    histogram (O(buckets), no deque sort).
 
     ``state`` tracks the worker lifecycle (``running`` / ``dead`` /
     ``failed`` — see :mod:`repro.cluster.supervisor`); ``alive`` stays the
@@ -137,7 +127,7 @@ class WorkerStats:
         )
         self._queue_depth_gauge = self.registry.gauge(
             "cluster_worker_queue_depth",
-            help="frames owned by this worker (backlog + dispatched)",
+            help="frames owned by this worker (queued, running or parked)",
             labels=labels,
         )
         self._restarts_counter = self.registry.counter(
@@ -151,43 +141,22 @@ class WorkerStats:
             labels=labels,
         )
 
-    # -- registry-backed read/write attributes ------------------------------
-    # Counter setters apply the delta against the live value; every write
-    # happens under ClusterStats._lock, so read-modify-write is serialized.
+    # -- registry-backed read-only attributes -------------------------------
     @property
     def frames_completed(self) -> int:
         return self._completed_counter.value
-
-    @frames_completed.setter
-    def frames_completed(self, value: int) -> None:
-        self._completed_counter.add(value - self._completed_counter.value)
 
     @property
     def frames_failed(self) -> int:
         return self._failed_counter.value
 
-    @frames_failed.setter
-    def frames_failed(self, value: int) -> None:
-        self._failed_counter.add(value - self._failed_counter.value)
-
     @property
     def queue_depth(self) -> int:
         return self._queue_depth_gauge.value
 
-    @queue_depth.setter
-    def queue_depth(self, value: int) -> None:
-        self._queue_depth_gauge.set(value)
-
     @property
     def restarts(self) -> int:
         return self._restarts_counter.value
-
-    @restarts.setter
-    def restarts(self, value: int) -> None:
-        self._restarts_counter.add(value - self._restarts_counter.value)
-
-    def _observe_latency(self, latency_s: float) -> None:
-        self._latency_histogram.observe(latency_s)
 
     @property
     def latency_p50_ms(self) -> float:
@@ -226,7 +195,7 @@ class ClusterStats:
     The robustness counters make failure handling observable:
     ``restarts`` (supervised worker respawns), ``requeued`` (jobs moved
     off a dead worker instead of failed) and ``retries`` (requeued jobs
-    that had already been dispatched — i.e. actual re-executions).
+    that may have started on the dead worker — re-executions).
     """
 
     #: aggregate counter attributes -> registry metric names; each becomes a
@@ -302,7 +271,7 @@ class ClusterStats:
             self._counters["frames_submitted"].inc()
             self._in_flight_gauge.inc()
             self._max_in_flight_gauge.set_max(self._in_flight_gauge.value)
-            self.workers[worker_id].queue_depth += 1
+            self.workers[worker_id]._queue_depth_gauge.inc()
             self._touch_window()
 
     def _completed(self, worker_id: int, latency_s: float) -> None:
@@ -312,9 +281,9 @@ class ClusterStats:
             self._in_flight_gauge.dec()
             self._latency_histogram.observe(latency_s)
             worker = self.workers[worker_id]
-            worker.frames_completed += 1
-            worker.queue_depth -= 1
-            worker._observe_latency(latency_s)
+            worker._completed_counter.inc()
+            worker._queue_depth_gauge.dec()
+            worker._latency_histogram.observe(latency_s)
             self._touch_window()
 
     def _failed(self, worker_id: int) -> None:
@@ -323,8 +292,8 @@ class ClusterStats:
             self._counters["frames_failed"].inc()
             self._in_flight_gauge.dec()
             worker = self.workers[worker_id]
-            worker.frames_failed += 1
-            worker.queue_depth -= 1
+            worker._failed_counter.inc()
+            worker._queue_depth_gauge.dec()
             self._touch_window()
 
     def _abandoned(self, worker_id: int) -> None:
@@ -332,7 +301,7 @@ class ClusterStats:
         with self._lock:
             self._counters["frames_submitted"].add(-1)
             self._in_flight_gauge.dec()
-            self.workers[worker_id].queue_depth -= 1
+            self.workers[worker_id]._queue_depth_gauge.dec()
 
     def _requeued(self, victim_id: int, target_id: int, retried: bool) -> None:
         """Move one crashed-worker job's accounting to its new owner."""
@@ -341,13 +310,13 @@ class ClusterStats:
             if retried:
                 self._counters["retries"].inc()
             if victim_id != target_id:
-                self.workers[victim_id].queue_depth -= 1
-                self.workers[target_id].queue_depth += 1
+                self.workers[victim_id]._queue_depth_gauge.dec()
+                self.workers[target_id]._queue_depth_gauge.inc()
 
     def _restarted(self, worker_id: int) -> None:
         with self._lock:
             self._counters["restarts"].inc()
-            self.workers[worker_id].restarts += 1
+            self.workers[worker_id]._restarts_counter.inc()
 
     def _add_worker(self) -> WorkerStats:
         """Append stats for one running worker slot."""
@@ -444,17 +413,11 @@ class ClusterStats:
 @dataclass
 class _PendingJob:
     future: "Future[ExtractionResult]"
-    worker_id: int  # current owner: backlog, or executor once dispatched
+    worker_id: int  # current owner: its job queue, or its dead slot (parked)
     key: int  # frame id (the caller's, or the job id when none supplied)
     pixels: np.ndarray  # private copy, kept so a requeue can rebuild the message
     submitted_s: float = 0.0  # perf_counter at submit (attempt elapsed base)
-    deadline: Optional[float] = None  # absolute perf_counter budget, or None
-    dispatched: bool = False  # True once the message left for a worker queue
     attempts: List[JobAttempt] = field(default_factory=list)
-
-    def message(self, job_id: int) -> Tuple:
-        """The worker control message for this job (requeue rebuilds it)."""
-        return (job_id, self.key, self.pixels)
 
 
 class ClusterServer:
@@ -479,7 +442,7 @@ class ClusterServer:
         handling from fail-fast into self-healing: dead workers respawn
         under capped exponential backoff, stalled workers (heartbeat) are
         killed and respawned, and their jobs are requeued to alive
-        workers within ``max_retries`` / ``deadline_s`` budgets.
+        workers within the ``max_retries`` budget.
     fault_plan:
         A :class:`repro.chaos.FaultPlan` whose scheduled faults (worker
         kills and stalls) fire synchronously inside ``submit`` — the
@@ -490,7 +453,7 @@ class ClusterServer:
         reachable as ``server.registry`` either way).
     tracer:
         A :class:`~repro.telemetry.Tracer` for the producer-side spans
-        (submit, backlog wait, transport, collect).  Pass one with
+        (submit, serve, resolve).  Pass one with
         ``enabled=True`` to trace a run; the default tracer is disabled
         and every instrumentation point is a guarded no-op.  Worker
         processes inherit the enabled flag and ship their spans back on
@@ -498,8 +461,8 @@ class ClusterServer:
         :class:`~repro.telemetry.Trace`.
     journal:
         An :class:`~repro.telemetry.EventJournal` receiving every
-        supervision event (deaths, restarts, requeues, expiries) — always
-        on; one is created when omitted.
+        supervision event (deaths, restarts, requeues) and every frame a
+        worker failed to extract — always on; one is created when omitted.
     """
 
     def __init__(
@@ -566,12 +529,6 @@ class ClusterServer:
         # close also notify so blocked producers re-check liveness
         self._admission = threading.Condition()
         self._admitted = 0
-        # dispatcher state: per-worker backlogs held server-side, at most
-        # DISPATCH_DEPTH jobs resident in a worker's own queue at a time
-        self._dispatch_cv = threading.Condition()
-        self._backlogs: List[deque] = [deque() for _ in range(num_workers)]
-        self._dispatched = [0] * num_workers
-        self._dispatcher_stop = False
         try:
             for worker_id in range(num_workers):
                 process, job_queue, result_queue = self._start_worker_process(
@@ -590,10 +547,6 @@ class ClusterServer:
                 any_queue.close()
                 any_queue.cancel_join_thread()
             raise
-        self._dispatcher = threading.Thread(
-            target=self._dispatch_loop, name="cluster-dispatcher", daemon=True
-        )
-        self._dispatcher.start()
         self._collector = threading.Thread(
             target=self._collect_results, name="cluster-collector", daemon=True
         )
@@ -653,7 +606,7 @@ class ClusterServer:
         """The merged cross-process trace of this server's run so far.
 
         Drains the producer-side tracer into the merge (worker buffers are
-        folded in as their result flushes arrive) and returns the
+        folded in as their results arrive) and returns the
         :class:`~repro.telemetry.Trace` — call after the frames of
         interest have resolved, then ``export_chrome_trace(path)`` it.
         """
@@ -666,21 +619,14 @@ class ClusterServer:
 
     # -- serving -----------------------------------------------------------
     def submit(
-        self,
-        image: GrayImage,
-        frame_id: Optional[int] = None,
-        deadline_s: Optional[float] = None,
+        self, image: GrayImage, frame_id: Optional[int] = None
     ) -> "Future[ExtractionResult]":
         """Queue one frame; blocks while ``max_in_flight`` frames are pending.
 
         Returns a future resolving to the same
         :class:`~repro.features.ExtractionResult` sequential extraction
         would produce.  ``frame_id`` labels the frame's trace spans and
-        worker messages (the job id is used when it is omitted).
-        ``deadline_s`` optionally bounds the frame's total serving budget;
-        a supervised cluster fails the job with
-        :class:`~repro.errors.JobFailed` (attempt history attached) instead
-        of retrying it past the budget.  Raises
+        worker messages (the job id is used when it is omitted).  Raises
         :class:`~repro.errors.ReproError` when the server is closed, the
         frame's shape is not ``config.image_shape``, the routed worker has
         died (unsupervised), or every worker has died with no restart
@@ -695,8 +641,6 @@ class ClusterServer:
             )
         if frame_id is not None and frame_id < 0:
             raise ReproError("frame ids must be non-negative")
-        if deadline_s is not None and deadline_s <= 0.0:
-            raise ReproError("deadline_s must be positive")
         with self._lock:
             job_id = self._next_job_id
             self._next_job_id += 1
@@ -704,7 +648,6 @@ class ClusterServer:
         if self.fault_plan is not None:
             self.fault_plan.on_submit(self, job_id)
         submitted_s = time.perf_counter()
-        deadline = submitted_s + deadline_s if deadline_s is not None else None
         # the queue pickles the message on its feeder thread after submit
         # returns, and the caller may reuse its array by then
         pixels = image.pixels.copy()
@@ -718,32 +661,19 @@ class ClusterServer:
                     break
                 self._wait_for_alive_worker()
             future: "Future[ExtractionResult]" = Future()
-            job = _PendingJob(
-                future,
-                worker_id,
-                key,
-                pixels,
-                submitted_s=submitted_s,
-                deadline=deadline,
-            )
-            # register + backlog-append under BOTH locks (dispatch CV outer,
-            # state lock inner — the same nesting the death handler takes),
-            # so a worker death can never interleave between the alive
-            # re-check and the append and orphan the message
-            with self._dispatch_cv:
-                with self._lock:
-                    lost = not self.stats.workers[worker_id].alive
-                    if lost and self.supervision is not None:
-                        worker_id = self._fallback_target_locked(worker_id)
-                        lost = False
-                    job.worker_id = worker_id
-                    if not lost:
-                        self._pending[job_id] = job
-                        registered = True
+            job = _PendingJob(future, worker_id, key, pixels, submitted_s=submitted_s)
+            # register + send in one critical section, so a worker death can
+            # never interleave between the alive re-check and the put and
+            # orphan the message
+            with self._lock:
+                lost = not self.stats.workers[worker_id].alive
+                if lost and self.supervision is not None:
+                    worker_id = self._fallback_target_locked(worker_id)
+                    lost = False
                 self.stats._submitted(worker_id)
                 if not lost:
-                    self._backlogs[worker_id].append(job.message(job_id))
-                    self._dispatch_cv.notify_all()
+                    registered = True
+                    self._send_locked(job_id, job, worker_id)
             if lost:
                 # unsupervised, and the routed worker died after routing:
                 # the frame fails as one in flight on that worker would
@@ -764,6 +694,30 @@ class ClusterServer:
                     self.stats._abandoned(worker_id)
             self._release_admission()
             raise
+
+    def _send_locked(self, job_id: int, job: _PendingJob, target: int) -> None:
+        """Give ``job`` to slot ``target``; the caller holds ``_lock``.
+
+        A running target gets the message on its job queue (``put`` only
+        appends to the feeder buffer; the feeder thread pickles it).  A dead
+        target parks the job until :meth:`_respawn_worker` sends it.  Every
+        send deletes and reinserts the job in ``_pending``, so each worker's
+        jobs sit in ``_pending`` in the order they reached its queue — the
+        order :meth:`_on_worker_exit` charges retries by.
+        """
+        self._pending.pop(job_id, None)
+        job.worker_id = target
+        self._pending[job_id] = job
+        if self.stats.workers[target].alive:
+            self._job_queues[target].put((job_id, job.key, job.pixels))
+
+    def _owned_locked(self, worker_id: int) -> List[Tuple[int, _PendingJob]]:
+        """``worker_id``'s pending jobs in send order; caller holds ``_lock``."""
+        return [
+            (job_id, job)
+            for job_id, job in self._pending.items()
+            if job.worker_id == worker_id
+        ]
 
     def _route_once(self, job_id: int) -> Optional[int]:
         """One routing pass: an alive worker id, or ``None`` (supervised,
@@ -796,10 +750,10 @@ class ClusterServer:
     def _fallback_target_locked(self, worker_id: int) -> int:
         """Replacement owner when ``worker_id`` died after routing.
 
-        Supervised clusters only; callers hold ``_dispatch_cv`` + ``_lock``.
-        Prefers the shallowest alive queue; the routed worker's own backlog
-        is an acceptable parking spot while its restart is pending (the
-        dispatcher skips non-alive workers and the respawn drains it).
+        Supervised clusters only; callers hold ``_lock``.  Prefers the
+        shallowest alive queue; the routed worker's own dead slot is an
+        acceptable parking spot while its restart is pending (the respawn
+        sends what is parked on it).
         """
         best = self._shallowest_alive()
         if best is not None:
@@ -881,91 +835,12 @@ class ClusterServer:
                     raise ReproError("every cluster worker has died; serving halted")
                 self._admission.wait(timeout=0.05)
 
-    # -- dispatch ----------------------------------------------------------
-    def _dispatch_loop(self) -> None:
-        """Move backlog jobs into worker queues as dispatch windows open."""
-        while True:
-            with self._dispatch_cv:
-                assignment = None
-                while assignment is None:
-                    if self._dispatcher_stop:
-                        return
-                    assignment = self._next_assignment()
-                    if assignment is None:
-                        self._dispatch_cv.wait(timeout=0.2)
-                worker_id, message = assignment
-                self._dispatched[worker_id] += 1
-                job_id = message[0]
-                with self._lock:
-                    job = self._pending.get(job_id)
-                    if job is not None:
-                        job.dispatched = True
-            if job is None:
-                # the job expired or failed while queued; give the window
-                # back and drop the stale message
-                with self._dispatch_cv:
-                    self._dispatched[worker_id] = max(
-                        0, self._dispatched[worker_id] - 1
-                    )
-                continue
-            if self.tracer.enabled:
-                # backlog wait: submit hand-off until the dispatcher moved
-                # the job toward a worker queue (cross-thread, async kind)
-                self.tracer.record(
-                    "backlog_wait",
-                    job.submitted_s,
-                    time.perf_counter(),
-                    frame=job.key,
-                    worker=worker_id,
-                )
-            try:
-                self._job_queues[worker_id].put(message)
-            except BaseException:
-                self._dispatch_failed(worker_id, job_id)
-
-    def _next_assignment(self):
-        """One (worker, job message) pair, or None.  Caller holds the CV.
-
-        The first alive worker with an open dispatch window and a non-empty
-        backlog takes the oldest job of its own backlog.
-        """
-        for worker_id, backlog in enumerate(self._backlogs):
-            if not backlog or not self.stats.workers[worker_id].alive:
-                continue
-            if self._dispatched[worker_id] < DISPATCH_DEPTH:
-                return worker_id, backlog.popleft()
-        return None
-
-    def _dispatch_failed(self, worker_id: int, job_id: int) -> None:
-        """Handle a job whose queue hand-off raised (torn-down queue)."""
-        failed_job = None
-        with self._dispatch_cv:
-            self._dispatched[worker_id] = max(0, self._dispatched[worker_id] - 1)
-            with self._lock:
-                job = self._pending.get(job_id)
-                if job is None or job.worker_id != worker_id:
-                    return  # already failed or requeued by the death handler
-                if self.supervision is not None and not self._closing:
-                    # the death handler (or respawn) will move it; putting
-                    # it back preserves submission order at the front
-                    job.dispatched = False
-                    self._backlogs[worker_id].appendleft(job.message(job_id))
-                    self._dispatch_cv.notify_all()
-                    return
-                del self._pending[job_id]
-                failed_job = job
-        self.stats._failed(failed_job.worker_id)
-        self._release_admission()
-        failed_job.future.set_exception(
-            ReproError(f"cluster worker {worker_id} queue rejected the frame")
-        )
-
     # -- result collection / worker health ---------------------------------
     def _collect_results(self) -> None:
-        """Sweep every alive worker's result queue, folding batches into futures.
+        """Sweep every alive worker's result queue, folding results into futures.
 
         A dead worker's queue leaves the sweep: the death handler drains it
-        (results flushed before the death still complete their futures)
+        (results sent before the death still complete their futures)
         before it requeues the rest, and at EOF a pipe would otherwise read
         as always ready.  Idle passes block on the queues' underlying pipes
         via ``connection.wait`` — one poll for N queues — falling back to a
@@ -994,7 +869,7 @@ class ClusterServer:
                         except (EOFError, OSError, ValueError):
                             break  # torn down (close), or its worker died
                         drained_any = True
-                        self._fold_result_batch(message)
+                        self._fold_result(message)
             if drained_any:
                 continue
             if self._closed and not self._pending:
@@ -1011,7 +886,7 @@ class ClusterServer:
 
         Each dequeue+fold is atomic under ``_collect_lock`` — shared with
         the collector sweep — so when this returns on ``Empty`` no message
-        from the queue is mid-fold anywhere: results the worker flushed
+        from the queue is mid-fold anywhere: results the worker sent
         before dying have completed their futures, and the caller may
         requeue exactly the jobs still pending.  (A SIGKILL mid-put can
         truncate the stream; the dead worker held the pipe's only write
@@ -1027,57 +902,50 @@ class ClusterServer:
                     return
                 except (EOFError, OSError, ValueError):
                     return  # torn stream (killed mid-put / queue closed)
-                self._fold_result_batch(message)
+                self._fold_result(message)
 
-    def _fold_result_batch(self, message) -> None:
-        worker_id, batch, trace_blob = message
+    def _fold_result(self, message) -> None:
+        worker_id, job_id, payload, latency_s, error, trace_blob = message
         if trace_blob is not None:
-            # the worker's drained span buffer rode along with this flush;
-            # its clock-at-flush stamp feeds the track's offset calibration
+            # the worker's drained span buffer rode along with this result;
+            # its clock-at-send stamp feeds the track's offset calibration
             worker_clock_s, worker_records = trace_blob
             self._trace.add_worker_spans(
                 f"worker-{worker_id}", worker_records, worker_clock_s
             )
-        with self._dispatch_cv:
-            # the executor finished len(batch) jobs: reopen its window
-            self._dispatched[worker_id] = max(
-                0, self._dispatched[worker_id] - len(batch)
-            )
-            self._dispatch_cv.notify_all()
-        for job_id, payload, latency_s, error in batch:
-            with self._lock:
-                job = self._pending.pop(job_id, None)
-            if job is None:
-                # failed/expired earlier, or a pre-requeue duplicate from
-                # a worker that flushed before dying
-                continue
-            # account the completion BEFORE freeing the admission slot: a
-            # producer blocked on admission must not see the window shrink
-            # before the in-flight counter does (else max_in_flight can
-            # overshoot).  The accounting target is the job's CURRENT
-            # owner — after a crash requeue that is where its queue_depth
-            # sits.
-            if error is None:
-                self.stats._completed(job.worker_id, latency_s)
-                self._release_admission()
-                job.future.set_result(payload)
-                if self.tracer.enabled:
-                    self.tracer.record(
-                        "serve",
-                        job.submitted_s,
-                        time.perf_counter(),
-                        frame=job.key,
-                        worker=worker_id,
-                    )
-                    self.tracer.instant("resolve", frame=job.key)
-            else:
-                self.stats._failed(job.worker_id)
-                self._release_admission()
-                job.future.set_exception(
-                    ReproError(
-                        f"cluster worker {worker_id} extraction failed: {error}"
-                    )
+        with self._lock:
+            job = self._pending.pop(job_id, None)
+        if job is None:
+            return  # close() failed it while its result was on the way
+        # account the completion BEFORE freeing the admission slot: a
+        # producer blocked on admission must not see the window shrink
+        # before the in-flight counter does (else max_in_flight can
+        # overshoot).  The accounting target is the job's CURRENT owner —
+        # after a crash requeue that is where its queue_depth sits.
+        if error is None:
+            self.stats._completed(job.worker_id, latency_s)
+            self._release_admission()
+            job.future.set_result(payload)
+            if self.tracer.enabled:
+                self.tracer.record(
+                    "serve",
+                    job.submitted_s,
+                    time.perf_counter(),
+                    frame=job.key,
+                    worker=worker_id,
                 )
+                self.tracer.instant("resolve", frame=job.key)
+        else:
+            # the worker absorbed the exception to keep serving: count the
+            # frame as failed and journal why
+            self.stats._failed(job.worker_id)
+            self._release_admission()
+            self.journal.log(
+                "frame_failed", worker_id=worker_id, frame=job.key, error=error
+            )
+            job.future.set_exception(
+                ReproError(f"cluster worker {worker_id} extraction failed: {error}")
+            )
 
     def _check_worker_health(self) -> None:
         for worker_id, process in enumerate(list(self._processes)):
@@ -1099,8 +967,8 @@ class ClusterServer:
         (jobs fail with a :class:`~repro.errors.ReproError`, the worker is
         permanently down).  With supervision the worker is marked ``dead``
         for the supervisor to respawn, and every job it owned is requeued
-        to alive workers — front of the target backlog, submission order
-        preserved — unless its deadline or retry budget is exhausted, in
+        to the back of an alive worker's queue (or parked on this slot
+        while nothing is alive) unless its retry budget is exhausted, in
         which case it fails with a :class:`~repro.errors.JobFailed`
         carrying the attempt history.
 
@@ -1114,7 +982,7 @@ class ClusterServer:
         now = time.perf_counter()
         exitcode = process.exitcode
         reason = reason or f"died (exit code {exitcode})"
-        # Fold whatever the dead worker flushed before dying FIRST: those
+        # Fold whatever the dead worker sent before dying FIRST: those
         # futures complete (no wasted recompute), and — because
         # dequeue+fold is atomic — once the queue reads empty no result of
         # this worker is mid-fold anywhere, so the jobs still pending are
@@ -1123,61 +991,43 @@ class ClusterServer:
         self._drain_worker_result_queue(worker_id)
         failures: List[Tuple[_PendingJob, Exception]] = []
         requeued = 0
-        with self._dispatch_cv:
-            with self._lock:
-                worker = self.stats.workers[worker_id]
-                if (
-                    worker.state != WORKER_RUNNING
-                    or self._processes[worker_id] is not process
-                ):
-                    return  # already handled (kill + health check race)
-                supervised = self.supervision is not None
-                worker.state = WORKER_DEAD if supervised else WORKER_FAILED
-                worker.alive = False
-                doomed = sorted(
-                    (
-                        (job_id, job)
-                        for job_id, job in self._pending.items()
-                        if job.worker_id == worker_id
-                    ),
-                    reverse=True,  # appendleft in descending id keeps order
-                )
-                for job_id, _ in doomed:
+        with self._lock:
+            worker = self.stats.workers[worker_id]
+            if (
+                worker.state != WORKER_RUNNING
+                or self._processes[worker_id] is not process
+            ):
+                return  # already handled (kill + health check race)
+            supervised = self.supervision is not None
+            worker.state = WORKER_DEAD if supervised else WORKER_FAILED
+            worker.alive = False
+            # The worker ran its queue first in, first out and sent each
+            # result as it completed, and its result queue is drained: so
+            # of its pending jobs, in send order (``_pending`` order, see
+            # _send_locked), only the first can have started (unless the
+            # worker died with an earlier result still in its feeder
+            # buffer).  Only that one burns retry budget; the rest move
+            # without cost.
+            for position, (job_id, job) in enumerate(self._owned_locked(worker_id)):
+                if not supervised:
                     del self._pending[job_id]
-                self._backlogs[worker_id].clear()
-                self._dispatched[worker_id] = 0
-                for job_id, job in doomed:
-                    if not supervised:
-                        failures.append(
-                            (
-                                job,
-                                ReproError(
-                                    f"cluster worker {worker_id} {reason} "
-                                    "with frames in flight"
-                                ),
-                            )
+                    failures.append(
+                        (
+                            job,
+                            ReproError(
+                                f"cluster worker {worker_id} {reason} "
+                                "with frames in flight"
+                            ),
                         )
-                        continue
-                    was_dispatched = job.dispatched
-                    if was_dispatched:
-                        # only a job that actually reached the worker burns
-                        # retry budget; a queued job just moves
-                        job.attempts.append(
-                            JobAttempt(worker_id, reason, now - job.submitted_s)
-                        )
-                    if job.deadline is not None and now > job.deadline:
-                        failures.append(
-                            (
-                                job,
-                                JobFailed(
-                                    f"frame deadline expired after worker "
-                                    f"{worker_id} {reason}",
-                                    tuple(job.attempts),
-                                ),
-                            )
-                        )
-                        continue
+                    )
+                    continue
+                started = position == 0
+                if started:
+                    job.attempts.append(
+                        JobAttempt(worker_id, reason, now - job.submitted_s)
+                    )
                     if len(job.attempts) > self.supervision.max_retries:
+                        del self._pending[job_id]
                         failures.append(
                             (
                                 job,
@@ -1189,14 +1039,10 @@ class ClusterServer:
                             )
                         )
                         continue
-                    target = self._fallback_target_locked(worker_id)
-                    job.worker_id = target
-                    job.dispatched = False
-                    self._pending[job_id] = job
-                    self._backlogs[target].appendleft(job.message(job_id))
-                    self.stats._requeued(worker_id, target, retried=was_dispatched)
-                    requeued += 1
-            self._dispatch_cv.notify_all()
+                target = self._fallback_target_locked(worker_id)
+                self._send_locked(job_id, job, target)
+                self.stats._requeued(worker_id, target, retried=started)
+                requeued += 1
         self.journal.log(
             "worker_dead",
             worker_id=worker_id,
@@ -1294,10 +1140,6 @@ class ClusterServer:
         return None
 
     # -- supervisor-facing mechanics ---------------------------------------
-    def _dispatched_count(self, worker_id: int) -> int:
-        with self._dispatch_cv:
-            return self._dispatched[worker_id]
-
     def _last_heartbeat(self, worker_id: int) -> float:
         return float(self._heartbeats[worker_id])
 
@@ -1327,7 +1169,9 @@ class ClusterServer:
         elsewhere) can never reach the replacement, and a lock the dead
         process held on either old queue can never wedge the new one.  The
         old result queue holds nothing more: the death handler drained it
-        before marking the slot dead.  Returns False when the server is
+        before marking the slot dead.  Every job parked on the slot goes
+        onto the new job queue, in ``_pending`` order, in the same critical
+        section that marks the slot alive.  Returns False when the server is
         closing, the slot is not restartable, or the spawn
         itself failed (the supervisor retries after backoff).
         """
@@ -1349,14 +1193,14 @@ class ClusterServer:
                 worker_id, f"spawn failed: {type(error).__name__}: {error}"
             )
         old_queues = (self._job_queues[worker_id], self._result_queues[worker_id])
-        with self._dispatch_cv:
-            with self._lock:
-                self._job_queues[worker_id] = new_queue
-                self._result_queues[worker_id] = new_result_queue
-                self._processes[worker_id] = process
-                worker.state = WORKER_RUNNING
-                worker.alive = True
-            self._dispatch_cv.notify_all()
+        with self._lock:
+            self._job_queues[worker_id] = new_queue
+            self._result_queues[worker_id] = new_result_queue
+            self._processes[worker_id] = process
+            worker.state = WORKER_RUNNING
+            worker.alive = True
+            for job_id, job in self._owned_locked(worker_id):
+                self._send_locked(job_id, job, worker_id)
         self.stats._restarted(worker_id)
         self.journal.log(
             "restart",
@@ -1384,53 +1228,36 @@ class ClusterServer:
         """
         now = time.perf_counter()
         failures: List[Tuple[_PendingJob, Exception]] = []
-        with self._dispatch_cv:
-            with self._lock:
-                worker = self.stats.workers[worker_id]
-                if worker.state != WORKER_DEAD:
-                    return
-                worker.state = WORKER_FAILED
-                held = sorted(
-                    (
-                        (job_id, job)
-                        for job_id, job in self._pending.items()
-                        if job.worker_id == worker_id
-                    ),
-                    reverse=True,
-                )
-                for job_id, _ in held:
+        with self._lock:
+            worker = self.stats.workers[worker_id]
+            if worker.state != WORKER_DEAD:
+                return
+            worker.state = WORKER_FAILED
+            for job_id, job in self._owned_locked(worker_id):
+                try:
+                    target = self._fallback_target_locked(worker_id)
+                except ReproError:
                     del self._pending[job_id]
-                self._backlogs[worker_id].clear()
-                for job_id, job in held:
-                    try:
-                        target = self._fallback_target_locked(worker_id)
-                    except ReproError:
-                        target = None
-                    if target is None or target == worker_id:
-                        job.attempts.append(
-                            JobAttempt(
-                                worker_id,
-                                "worker restart budget exhausted",
-                                now - job.submitted_s,
-                            )
+                    job.attempts.append(
+                        JobAttempt(
+                            worker_id,
+                            "worker restart budget exhausted",
+                            now - job.submitted_s,
                         )
-                        failures.append(
-                            (
-                                job,
-                                JobFailed(
-                                    f"cluster worker {worker_id} permanently "
-                                    "failed (restart budget exhausted)",
-                                    tuple(job.attempts),
-                                ),
-                            )
+                    )
+                    failures.append(
+                        (
+                            job,
+                            JobFailed(
+                                f"cluster worker {worker_id} permanently "
+                                "failed (restart budget exhausted)",
+                                tuple(job.attempts),
+                            ),
                         )
-                        continue
-                    job.worker_id = target
-                    job.dispatched = False
-                    self._pending[job_id] = job
-                    self._backlogs[target].appendleft(job.message(job_id))
-                    self.stats._requeued(worker_id, target, retried=False)
-            self._dispatch_cv.notify_all()
+                    )
+                    continue
+                self._send_locked(job_id, job, target)
+                self.stats._requeued(worker_id, target, retried=False)
         self.journal.log(
             "worker_failed", worker_id=worker_id, failed=len(failures)
         )
@@ -1440,46 +1267,6 @@ class ClusterServer:
             job.future.set_exception(error)
         with self._admission:
             self._admission.notify_all()
-
-    def _expire_deadlines(self) -> None:
-        """Fail queued (undispatched) jobs whose deadline has passed.
-
-        Dispatched jobs are left alone — a live worker may already be
-        extracting them; their deadline is enforced at requeue time if the
-        worker dies, or simply when the (late) result arrives.
-        """
-        now = time.perf_counter()
-        expired: List[Tuple[int, _PendingJob]] = []
-        with self._dispatch_cv:
-            with self._lock:
-                for job_id, job in list(self._pending.items()):
-                    if job.deadline is None or job.dispatched or now <= job.deadline:
-                        continue
-                    backlog = self._backlogs[job.worker_id]
-                    for message in backlog:
-                        if message[0] == job_id:
-                            backlog.remove(message)
-                            break
-                    else:
-                        continue  # mid-dispatch; the next pass settles it
-                    del self._pending[job_id]
-                    expired.append((job_id, job))
-        for job_id, job in expired:
-            job.attempts.append(
-                JobAttempt(
-                    job.worker_id,
-                    "deadline expired before dispatch",
-                    now - job.submitted_s,
-                )
-            )
-            self.journal.log("expired", worker_id=job.worker_id, job=job_id)
-            self.stats._failed(job.worker_id)
-            self._release_admission()
-            job.future.set_exception(
-                JobFailed(
-                    "frame deadline expired before dispatch", tuple(job.attempts)
-                )
-            )
 
     # -- lifecycle ---------------------------------------------------------
     def close(self, drain_timeout_s: float = 30.0) -> None:
@@ -1519,10 +1306,6 @@ class ClusterServer:
         with self._admission:
             self._closed = True
             self._admission.notify_all()  # blocked producers raise, not hang
-        with self._dispatch_cv:
-            self._dispatcher_stop = True
-            self._dispatch_cv.notify_all()
-        self._dispatcher.join(timeout=5.0)
         for worker_id, worker in enumerate(self.stats.workers):
             if worker.alive:
                 try:

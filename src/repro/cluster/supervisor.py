@@ -6,12 +6,11 @@ holds the supervision configuration and the supervisor thread that keep a
 crashes and stalls.  :class:`SupervisorConfig` turns it on: watch every
 worker process (exit code + heartbeat), kill stalled workers, respawn dead
 ones with the same engine configuration under capped exponential backoff,
-and requeue their in-flight/backlog jobs to alive workers.  A job is
-retried at most ``max_retries`` times and only inside its optional per-job
-``deadline_s``; past either budget it fails with a structured
+and requeue their pending jobs to alive workers.  A job is retried at most
+``max_retries`` times; past that budget it fails with a structured
 :class:`~repro.errors.JobFailed` carrying the full attempt history.
 
-The supervisor owns only the *decisions* (when to kill, respawn, expire);
+The supervisor owns only the *decisions* (when to kill, respawn, give up);
 the *mechanics* (process spawning, job requeueing, slot reclamation) live
 on the server so they share its locking discipline.  Failure semantics
 are documented in ``docs/serving.md``.
@@ -43,8 +42,8 @@ class SupervisorConfig:
 
     ``max_retries`` bounds how often one job may be requeued after worker
     deaths (the N+1-th death fails it with :class:`~repro.errors.JobFailed`).
-    ``heartbeat_timeout_s`` declares a worker *stalled* when it holds
-    dispatched jobs but has not beaten for this long — it is then killed
+    ``heartbeat_timeout_s`` declares a worker *stalled* when it owns
+    pending jobs but has not beaten for this long — it is then killed
     and restarted, and its jobs requeued, so the worst cost of a false
     positive (one genuinely slow frame) is a retry, never a wrong result.
     Restarts back off exponentially from ``restart_backoff_s`` doubling up
@@ -71,16 +70,16 @@ class SupervisorConfig:
 
 
 class Supervisor:
-    """Control-loop thread: health, restarts and deadlines.
+    """Control-loop thread: health, stalls and restarts.
 
     One supervisor runs per server whenever supervision is configured.
     Every tick it (1) folds observed worker exits into the server's death
-    handler, (2) kills workers whose heartbeat has stalled while they hold
-    dispatched jobs, (3) respawns dead workers whose backoff window has
-    passed, and (4) expires queued jobs past their deadline.  A failing
-    respawn simply reschedules with a doubled backoff; a tick that raises
-    is counted in ``cluster_supervisor_tick_errors_total`` and journaled
-    as a ``supervisor_tick_error`` row, and the loop carries on.
+    handler, (2) kills workers whose heartbeat has stalled while they own
+    pending jobs, and (3) respawns dead workers whose backoff window has
+    passed.  A failing respawn simply reschedules with a doubled backoff;
+    a tick that raises is counted in
+    ``cluster_supervisor_tick_errors_total`` and journaled as a
+    ``supervisor_tick_error`` row, and the loop carries on.
     """
 
     def __init__(self, server: "ClusterServer", supervision: SupervisorConfig) -> None:
@@ -131,7 +130,6 @@ class Supervisor:
         self._server._check_worker_health()
         self._kill_stalled_workers()
         self._respawn_dead_workers()
-        self._server._expire_deadlines()
 
     # -- supervision -------------------------------------------------------
     def _kill_stalled_workers(self) -> None:
@@ -140,7 +138,7 @@ class Supervisor:
             worker_id = worker.worker_id
             if worker.state != WORKER_RUNNING:
                 continue
-            if self._server._dispatched_count(worker_id) <= 0:
+            if worker.queue_depth <= 0:
                 continue  # an idle worker parked on its queue cannot stall
             beat = self._server._last_heartbeat(worker_id)
             if beat <= 0.0:

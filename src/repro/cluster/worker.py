@@ -9,10 +9,10 @@ worker's own job queue; ``key`` is the frame id (the caller-supplied one, or
 the job id when none was given) and labels the worker's trace spans.
 
 Each :class:`~repro.features.ExtractionResult` goes back on the worker's
-own result queue.  Results are buffered per worker and flushed as ONE
-queue put when the batch fills (:data:`DEFAULT_RESULT_BATCH` entries) or
-the job queue runs dry, cutting pipe syscalls at high frame rates without
-delaying results while the worker is idle.
+own result queue the moment its extraction completes, one put per job:
+the tracker waits on results in order, so a finished result never waits
+behind the next job.  Jobs run first in, first out, and the server's
+retry charge after a crash relies on that order.
 
 Robustness plumbing (``docs/serving.md`` → Failure semantics): workers
 ignore ``SIGINT`` so a Ctrl-C aimed at the parent never kills the pool out
@@ -35,11 +35,6 @@ import time
 #: Control message closing a worker's job queue (graceful drain).
 SHUTDOWN = None
 
-#: Results buffered per worker before a flush is forced.  The buffer also
-#: flushes whenever the job queue is momentarily empty, so batching only
-#: coalesces puts while the worker is saturated and never adds idle latency.
-DEFAULT_RESULT_BATCH = 8
-
 #: How often a parked worker refreshes its heartbeat while waiting for work.
 HEARTBEAT_INTERVAL_S = 0.5
 
@@ -54,16 +49,15 @@ def worker_main(
 ) -> None:
     """Consume frame jobs until the shutdown sentinel arrives.
 
-    Result messages are ``(worker_id, batch, trace_blob)`` where ``batch``
-    is a list of ``(job_id, payload, latency_s, error)`` entries (exactly
-    one of ``payload`` / ``error`` set per entry); ``payload`` is the
-    :class:`~repro.features.ExtractionResult`.  ``trace_blob`` is ``None``
-    unless ``trace_enabled``, in which case it
-    is ``(worker_perf_counter_at_flush, drained_span_records)`` — the
-    worker's span buffer rides every flush back to the server, which uses
+    Result messages are ``(worker_id, job_id, payload, latency_s, error,
+    trace_blob)``, one per job, with exactly one of ``payload`` / ``error``
+    set; ``payload`` is the :class:`~repro.features.ExtractionResult`.
+    ``trace_blob`` is ``None`` unless ``trace_enabled``, in which case it
+    is ``(worker_perf_counter_at_send, drained_span_records)`` — the
+    worker's span buffer rides every result back to the server, which uses
     the clock stamp to calibrate this worker's ``perf_counter`` offset
     (:meth:`repro.telemetry.Trace.add_worker_spans`).  Because spans ride
-    the *result queue*, a crashed worker's already-flushed spans survive:
+    the *result queue*, a crashed worker's already-sent spans survive:
     the server drains the dead queue before requeueing its jobs.
 
     ``heartbeat`` is a shared double array indexed by worker id;
@@ -88,66 +82,32 @@ def worker_main(
     tracer = Tracer(enabled=trace_enabled, track=f"worker-{worker_id}")
     set_tracer(tracer)
 
-    pending = []
-
     def beat() -> None:
         heartbeat[worker_id] = time.monotonic()
-
-    def trace_blob():
-        """The drained span buffer + flush-time clock stamp (None if off)."""
-        if not tracer.enabled:
-            return None
-        return (time.perf_counter(), tracer.drain())
-
-    def flush() -> None:
-        if pending:
-            result_queue.put((worker_id, list(pending), trace_blob()))
-            pending.clear()
-
-    def get_blocking():
-        """Blocking get that keeps the heartbeat fresh while parked."""
-        while True:
-            try:
-                return job_queue.get(timeout=HEARTBEAT_INTERVAL_S)
-            except queue_module.Empty:
-                beat()
 
     extractor = OrbExtractor(config)
     beat()
     while True:
         try:
-            if pending:
-                # drain without blocking while results are buffered; a
-                # dry queue flushes them before we park on the blocking
-                # get
-                try:
-                    message = job_queue.get_nowait()
-                except queue_module.Empty:
-                    flush()
-                    message = get_blocking()
-            else:
-                message = get_blocking()
+            message = job_queue.get(timeout=HEARTBEAT_INTERVAL_S)
+        except queue_module.Empty:
+            beat()  # parked on an empty queue: keep the heartbeat fresh
+            continue
         except (EOFError, OSError):
             return  # parent tore the queue down (close after crash)
         if message is SHUTDOWN:
-            flush()
-            if tracer.enabled and len(tracer):
-                # spans recorded since the last result flush (tail of a
-                # drain) ride out on an empty batch before we exit
-                result_queue.put((worker_id, [], trace_blob()))
-            break
+            return
         beat()
         job_id, key, pixels = message
         start = time.perf_counter()
+        result = error = None
         try:
             with tracer.span("extract", frame=key):
                 result = extractor.extract(GrayImage(pixels), frame_id=key)
-            latency = time.perf_counter() - start
-            pending.append((job_id, result, latency, None))
-        except Exception as error:  # surface, don't kill the worker
-            latency = time.perf_counter() - start
-            pending.append((job_id, None, latency, repr(error)))
+        except Exception as caught:  # surface, don't kill the worker
+            error = repr(caught)
+        latency = time.perf_counter() - start
         tracer.complete("serve_frame", start, frame=key)
+        trace_blob = (time.perf_counter(), tracer.drain()) if tracer.enabled else None
+        result_queue.put((worker_id, job_id, result, latency, error, trace_blob))
         beat()
-        if len(pending) >= DEFAULT_RESULT_BATCH:
-            flush()

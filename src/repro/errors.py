@@ -17,11 +17,11 @@ class ReproError(Exception):
 
 @dataclass(frozen=True)
 class JobAttempt:
-    """One failed attempt at serving a frame (crash, stall, deadline).
+    """One failed attempt at serving a frame (crash, stall, lost worker).
 
-    ``worker_id`` is the worker that owned the attempt (-1 when the frame
-    never reached a worker), ``reason`` states why the attempt ended and
-    ``elapsed_s`` measures from the original submission to the failure.
+    ``worker_id`` is the worker that owned the attempt, ``reason`` states
+    why the attempt ended and ``elapsed_s`` measures from the original
+    submission to the failure.
     """
 
     worker_id: int
@@ -30,12 +30,12 @@ class JobAttempt:
 
 
 class JobFailed(ReproError):
-    """A served frame definitively failed after its retry/deadline budget.
+    """A served frame definitively failed after its retry budget.
 
     Unlike a transport-level :class:`ReproError`, the failure is
     *structured*: :attr:`attempts` carries the full per-attempt history
-    (which worker, why, and when), so callers can distinguish a deadline
-    miss from an exhausted retry budget or a permanently failed worker.
+    (which worker, why, and when), so callers can distinguish an
+    exhausted retry budget from a permanently failed worker.
     """
 
     def __init__(self, message: str, attempts: Sequence[JobAttempt] = ()) -> None:

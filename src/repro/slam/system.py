@@ -138,7 +138,6 @@ class SlamSystem:
         max_frames: Optional[int] = None,
         frame_server=None,
         frame_ids: Optional[List[int]] = None,
-        frame_deadline_s: Optional[float] = None,
     ) -> SlamRunResult:
         """Run the system over a whole sequence and collect results.
 
@@ -153,12 +152,6 @@ class SlamSystem:
         frame gets :func:`stable_frame_id` of
         ``(sequence.name, frame.index)``, so runs over the same sequence
         label the same frame alike.
-
-        ``frame_deadline_s`` optionally forwards a per-frame serving
-        budget (``submit(..., deadline_s=...)``): a frame past its
-        budget fails with :class:`repro.errors.JobFailed` instead of
-        being retried or served arbitrarily late (``docs/serving.md`` →
-        Failure semantics).
         """
         result = SlamRunResult(sequence_name=sequence.name)
         frames = [
@@ -194,7 +187,6 @@ class SlamSystem:
                         frame_server.submit(
                             frames[next_to_submit].image,
                             frame_id=frame_ids[next_to_submit],
-                            deadline_s=frame_deadline_s,
                         )
                     )
                     next_to_submit += 1

@@ -1,8 +1,8 @@
 """Structured event journal for supervision decisions.
 
 Counters say *how many* restarts happened; a chaos postmortem needs to know
-*when*, *to whom*, and *in what order* relative to the deaths, requeues
-and expiries around them.  The journal records every supervision event
+*when*, *to whom*, and *in what order* relative to the deaths and requeues
+around them.  The journal records every supervision event
 as a typed :class:`Event` with a monotonic timestamp (``time.perf_counter``
 — the same clock the tracer uses, so journal rows line up with trace spans)
 plus the active :class:`~repro.chaos.FaultPlan` seed when one is installed,
@@ -19,8 +19,8 @@ kind                meaning
 ``worker_failed``   worker gave up (restart budget exhausted)
 ``restart``         supervisor (or collector) respawned a worker
 ``stall_kill``      supervisor killed a worker whose heartbeat went stale
-``requeue``         in-flight frames of a dead worker were re-dispatched
-``expired``         a frame's deadline lapsed before dispatch
+``requeue``         pending frames of a dead worker were sent elsewhere
+``frame_failed``    extraction raised in a worker (``frame``, ``error``)
 ``restart_backoff``  a respawn attempt failed; retry scheduled after backoff
 ``restart_refused``  a respawn attempt did not start a worker (``reason``)
 ``supervisor_tick_error``  a supervisor control tick raised (exception type)

@@ -1,24 +1,24 @@
 """Cross-process frame tracing for the serving stack.
 
-A frame served by the cluster lives in four places — the producer thread,
-the dispatcher, a worker process, the collector — and none of the existing
+A frame served by the cluster lives in three places — the producer thread,
+a worker process, the collector — and none of the existing
 counters can say *where a particular frame spent its time*.  This module
 records that journey as spans and merges them onto one timeline:
 
 * :class:`Tracer` — a per-process (or per-thread-pool) span recorder.
   ``span(name, frame=...)`` is a context manager for thread-scoped spans,
   ``record(...)`` logs a span whose endpoints were measured elsewhere
-  (cross-thread waits such as backlog time), ``instant(...)`` marks a
+  (cross-thread waits such as ``await_result``), ``instant(...)`` marks a
   point event.  **A disabled tracer is a no-op behind a single ``if``**:
   ``span`` returns a shared no-op context manager and ``record`` /
   ``instant`` return immediately, so instrumentation can stay in every
   hot path permanently (``benchmarks/bench_telemetry_overhead.py`` holds
   the disabled cost to statistical zero).
 * Worker processes record spans into their local buffer and the cluster
-  worker ships the drained buffer **with each result flush** (and once
-  more at shutdown), so spans ride the existing result queue — a crashed
-  worker's already-flushed spans survive because the supervisor drains
-  the dead worker's result queue before requeueing its jobs.
+  worker ships the drained buffer **with each result**, so spans ride
+  the existing result queue — a crashed worker's already-sent spans
+  survive because the server drains the dead worker's result queue
+  before requeueing its jobs.
 * :class:`Trace` — the server-side merge.  Each worker's ``perf_counter``
   epoch differs from the server's; every shipped buffer carries the
   worker clock at flush time, the server stamps its own clock at receipt,

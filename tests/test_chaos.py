@@ -14,13 +14,15 @@ and counters, never about timing or throughput.
 
 import os
 import signal
+import sys
+import threading
 import time
 from dataclasses import replace
 
 import pytest
 
 from repro.chaos import FAULT_KINDS, FaultEvent, FaultPlan
-from repro.cluster import ClusterServer, JobFailed, SupervisorConfig
+from repro.cluster import WORKER_DEAD, ClusterServer, JobFailed, SupervisorConfig
 from repro.config import ExtractorConfig, PyramidConfig
 from repro.errors import ReproError
 from repro.features import OrbExtractor
@@ -157,6 +159,40 @@ class TestKillStorm:
         _assert_nothing_admitted(server)
         assert server.stats.as_dict()["frames_failed"] == 0
 
+    def test_storm_with_more_workers_than_cores(self, chaos_config, chaos_images):
+        # submit, requeue and respawn share _pending and the worker queues;
+        # with four workers on a small host, kills and stalls every third
+        # submission and a short switch interval, a lost update shows as a
+        # wrong or missing result or an admission never given back
+        images = chaos_images * 2
+        baseline = _sequential_baseline(chaos_config, images)
+        plan = FaultPlan.storm(
+            frames=len(images), every=3, kinds=FAULT_KINDS, num_workers=4, seed=5
+        )
+        supervision = replace(FAST_SUPERVISION, max_retries=len(plan.events))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            server = ClusterServer(
+                chaos_config,
+                num_workers=4,
+                max_in_flight=8,
+                supervision=supervision,
+                fault_plan=plan,
+            )
+            with server:
+                futures = [
+                    server.submit(image, frame_id=index)
+                    for index, image in enumerate(images)
+                ]
+                served = [_feature_key(f.result(timeout=120)) for f in futures]
+                assert _wait_until(lambda: len(server.alive_worker_ids()) == 4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert served == baseline
+        assert server.stats.frames_failed == 0
+        _assert_nothing_admitted(server)
+
 
 class TestStaleExit:
     """A death folded twice must not take down the slot's replacement."""
@@ -202,19 +238,19 @@ class TestRestartMidFlight:
         with server:
             _warm_up(server, images)
             # stall worker 0 so the jobs round-robin sends it (job ids 2
-            # and 4) are provably in flight (dispatched, result not
-            # flushed), then kill it mid-flight
+            # and 4) are provably in flight (queued, result not sent),
+            # then kill it mid-flight
             assert server.chaos_stall(0, duration_s=30.0) == 0
             futures = [
                 server.submit(image, frame_id=index)
                 for index, image in enumerate(images)
             ]
-            time.sleep(0.2)  # let the dispatcher hand jobs to the victim
+            assert server.stats.workers[0].queue_depth == 2
             assert server.chaos_kill(0) == 0
             served = [_feature_key(f.result(timeout=120)) for f in futures]
             assert served == baseline
             assert server.stats.requeued > 0
-            assert server.stats.retries > 0  # dispatched jobs were re-run
+            assert server.stats.retries == 1  # the victim's first job re-ran
             assert _wait_until(lambda: server.stats.restarts >= 1)
             # every admission the requeued jobs held came back
             _assert_nothing_admitted(server)
@@ -288,57 +324,6 @@ class TestSupervisorTickErrors:
         assert served == _sequential_baseline(chaos_config, chaos_images[:1])[0]
 
 
-class TestDeadlines:
-    def test_undispatched_jobs_expire_with_attempt_history(
-        self, chaos_config, chaos_images
-    ):
-        server = ClusterServer(
-            chaos_config,
-            num_workers=1,
-            max_in_flight=6,
-            supervision=FAST_SUPERVISION,
-        )
-        with server:
-            _warm_up(server, chaos_images, count=1)
-            assert server.chaos_stall(0, duration_s=1.0) == 0
-            futures = [
-                server.submit(image, frame_id=index, deadline_s=0.3)
-                for index, image in enumerate(chaos_images[:6])
-            ]
-            outcomes = []
-            for future in futures:
-                try:
-                    future.result(timeout=120)
-                    outcomes.append("ok")
-                except JobFailed as error:
-                    assert error.attempts  # structured history, never bare
-                    assert "deadline" in str(error)
-                    outcomes.append("deadline")
-            # the dispatch window reached the stalled worker: those frames
-            # complete (late); the queued remainder expired at the deadline
-            assert "deadline" in outcomes
-        _assert_nothing_admitted(server)
-
-    def test_dispatched_job_past_deadline_fails_at_worker_death(
-        self, chaos_config, chaos_images
-    ):
-        server = ClusterServer(
-            chaos_config, num_workers=1, supervision=FAST_SUPERVISION
-        )
-        with server:
-            _warm_up(server, chaos_images, count=1)
-            assert server.chaos_stall(0, duration_s=60.0) == 0
-            future = server.submit(chaos_images[0], frame_id=0, deadline_s=0.2)
-            assert _wait_until(lambda: server._dispatched_count(0) > 0)
-            time.sleep(0.3)  # push the job past its budget while in flight
-            server.chaos_kill(0)
-            with pytest.raises(JobFailed) as excinfo:
-                future.result(timeout=120)
-        assert excinfo.value.attempts
-        assert excinfo.value.attempts[0].worker_id == 0
-        assert "deadline" in str(excinfo.value)
-
-
 class TestRetryBudget:
     def test_exhausted_retry_budget_fails_with_history(
         self, chaos_config, chaos_images
@@ -351,7 +336,7 @@ class TestRetryBudget:
             _warm_up(server, chaos_images, count=1)
             assert server.chaos_stall(0, duration_s=60.0) == 0
             future = server.submit(chaos_images[0], frame_id=0)
-            assert _wait_until(lambda: server._dispatched_count(0) > 0)
+            assert _wait_until(lambda: server.stats.workers[0].queue_depth > 0)
             server.chaos_kill(0)
             with pytest.raises(JobFailed) as excinfo:
                 future.result(timeout=120)
@@ -368,12 +353,133 @@ class TestRetryBudget:
             _warm_up(server, chaos_images, count=1)
             assert server.chaos_stall(0, duration_s=60.0) == 0
             future = server.submit(chaos_images[0], frame_id=0)
-            assert _wait_until(lambda: server._dispatched_count(0) > 0)
+            assert _wait_until(lambda: server.stats.workers[0].queue_depth > 0)
             server.chaos_kill(0)  # attempt 1 of the default budget of 2
             assert _feature_key(future.result(timeout=120)) == baseline[0]
         report = server.stats.as_dict()
         assert report["retries"] >= 1
         assert report["restarts"] >= 1
+
+    def test_only_the_earliest_sent_job_burns_budget(
+        self, chaos_config, chaos_images
+    ):
+        # the worker runs its queue first in, first out and sends each
+        # result as it completes, so of three jobs stuck behind a stall
+        # only the first can have started: it alone is charged
+        images = chaos_images[:3]
+        baseline = _sequential_baseline(chaos_config, images)
+        supervision = replace(FAST_SUPERVISION, max_retries=0)
+        server = ClusterServer(
+            chaos_config, num_workers=1, max_in_flight=4, supervision=supervision
+        )
+        with server:
+            _warm_up(server, chaos_images, count=1)
+            assert server.chaos_stall(0, duration_s=60.0) == 0
+            futures = [
+                server.submit(image, frame_id=index)
+                for index, image in enumerate(images)
+            ]
+            assert server.stats.workers[0].queue_depth == 3
+            server.chaos_kill(0)
+            with pytest.raises(JobFailed, match="retry budget") as excinfo:
+                futures[0].result(timeout=120)
+            served = [_feature_key(f.result(timeout=120)) for f in futures[1:]]
+        assert served == baseline[1:]
+        assert len(excinfo.value.attempts) == 1
+        report = server.stats.as_dict()
+        assert report["frames_failed"] == 1
+        assert report["requeued"] == 2
+        assert report["retries"] == 0
+        _assert_nothing_admitted(server)
+
+    def test_requeued_job_is_charged_by_its_place_in_the_new_queue(
+        self, chaos_config, chaos_images
+    ):
+        # job 2 (worker 0) is requeued behind job 3 on worker 1; when worker
+        # 1 dies too, job 3 is the one that can have started, so job 2 is
+        # not charged a second time and survives a budget of one retry
+        images = chaos_images[:2]
+        baseline = _sequential_baseline(chaos_config, images)
+        supervision = replace(FAST_SUPERVISION, max_retries=1)
+        server = ClusterServer(chaos_config, num_workers=2, supervision=supervision)
+        with server:
+            _warm_up(server, chaos_images)
+            assert server.chaos_stall(0, duration_s=60.0) == 0
+            assert server.chaos_stall(1, duration_s=60.0) == 1
+            futures = [
+                server.submit(image, frame_id=index)
+                for index, image in enumerate(images)
+            ]
+            assert server.chaos_kill(0) == 0
+            assert server.stats.workers[1].queue_depth == 2
+            assert server.chaos_kill(1) == 1
+            served = [_feature_key(f.result(timeout=120)) for f in futures]
+        assert served == baseline
+        report = server.stats.as_dict()
+        assert report["frames_failed"] == 0
+        assert report["retries"] == 2
+        _assert_nothing_admitted(server)
+
+
+class TestDeadSlots:
+    """A slot that is dead with its restart pending holds work, not loses it."""
+
+    #: the supervisor ticks only when a test calls ``tick()``
+    MANUAL_SUPERVISION = replace(FAST_SUPERVISION, interval_s=3600.0)
+
+    def test_submit_while_every_slot_is_dead_is_served_after_respawn(
+        self, chaos_config, chaos_images
+    ):
+        baseline = _sequential_baseline(chaos_config, chaos_images[:1])
+        server = ClusterServer(
+            chaos_config, num_workers=1, supervision=self.MANUAL_SUPERVISION
+        )
+        with server:
+            _warm_up(server, chaos_images, count=1)
+            server.kill_worker(0)
+            futures = []
+            submitter = threading.Thread(
+                target=lambda: futures.append(
+                    server.submit(chaos_images[0], frame_id=0)
+                )
+            )
+            submitter.start()
+            time.sleep(0.2)
+            assert not futures  # waiting: nothing alive, restart pending
+            server._supervisor.tick()
+            submitter.join(timeout=60)
+            assert not submitter.is_alive()
+            assert _feature_key(futures[0].result(timeout=60)) == baseline[0]
+        assert server.stats.restarts == 1
+        _assert_nothing_admitted(server)
+
+    def test_job_parked_on_a_dead_slot_is_sent_at_respawn(
+        self, chaos_config, chaos_images
+    ):
+        baseline = _sequential_baseline(chaos_config, chaos_images[:1])
+        server = ClusterServer(
+            chaos_config, num_workers=1, supervision=self.MANUAL_SUPERVISION
+        )
+        with server:
+            _warm_up(server, chaos_images, count=1)
+            route = server._route_once
+
+            def route_then_die(job_id):
+                worker_id = route(job_id)
+                server.kill_worker(worker_id)
+                return worker_id
+
+            # the only worker dies after routing: the job parks on its slot
+            server._route_once = route_then_die
+            future = server.submit(chaos_images[0], frame_id=0)
+            server._route_once = route
+            assert server.stats.workers[0].state == WORKER_DEAD
+            assert server.stats.workers[0].queue_depth == 1
+            assert not future.done()
+            server._supervisor.tick()  # respawns the slot, which sends it
+            assert _feature_key(future.result(timeout=60)) == baseline[0]
+        assert server.stats.restarts == 1
+        _assert_nothing_admitted(server)
 
 
 class TestCloseRobustness:
@@ -419,35 +525,3 @@ class TestCloseRobustness:
             assert server._processes[0].exitcode is None  # still alive
             future = server.submit(chaos_images[0], frame_id=0)
             assert _feature_key(future.result(timeout=60)) == baseline[0]
-
-
-class TestSlamDeadlinePassThrough:
-    def test_frame_deadline_forwarded_to_server(self, chaos_config):
-        from repro.config import SlamConfig
-        from repro.dataset import SequenceSpec, make_sequence
-        from repro.slam import SlamSystem
-
-        slam_config = SlamConfig(extractor=chaos_config)
-        sequence = make_sequence(
-            SequenceSpec(
-                name="fr1/xyz", num_frames=3, image_width=160, image_height=120
-            )
-        )
-        system = SlamSystem(slam_config)
-        with ClusterServer(
-            slam_config.extractor, num_workers=2, supervision=FAST_SUPERVISION
-        ) as frame_server:
-            deadlines = []
-            submit = frame_server.submit
-
-            def recording_submit(image, frame_id=None, deadline_s=None):
-                deadlines.append(deadline_s)
-                return submit(image, frame_id=frame_id, deadline_s=deadline_s)
-
-            frame_server.submit = recording_submit
-            # a generous budget: every frame must serve inside it
-            result = system.run(
-                sequence, frame_server=frame_server, frame_deadline_s=60.0
-            )
-        assert len(result.frame_results) == 3
-        assert deadlines == [60.0] * 3

@@ -12,7 +12,6 @@ import time
 import numpy as np
 import pytest
 
-from repro.cluster import worker as worker_module
 from repro.cluster import WORKER_FAILED, ClusterServer, SupervisorConfig
 from repro.config import ExtractorConfig, PyramidConfig, SlamConfig, TrackerConfig
 from repro.dataset import SequenceSpec, make_sequence
@@ -341,18 +340,62 @@ class TestClusterSlam:
 
 class TestResultTransport:
     def test_result_batch_of_one_flushes_every_result(
+        self, cluster_config, cluster_images, monkeypatch, tmp_path
+    ):
+        # each result leaves the worker as it completes: frame 0 resolves
+        # while the one worker is still held on frame 1, queued behind it
+        expected = [OrbExtractor(cluster_config).extract(i) for i in cluster_images[:2]]
+        release = tmp_path / "release"
+        extract = OrbExtractor.extract
+
+        def held_extract(self, image, frame_id=None):
+            if frame_id == 1:
+                give_up = time.monotonic() + 60.0
+                while not release.exists() and time.monotonic() < give_up:
+                    time.sleep(0.01)
+            return extract(self, image, frame_id=frame_id)
+
+        # fork-started workers inherit the patched method
+        monkeypatch.setattr(OrbExtractor, "extract", held_extract)
+        with ClusterServer(cluster_config, num_workers=1) as server:
+            first = server.submit(cluster_images[0], frame_id=0)
+            held = server.submit(cluster_images[1], frame_id=1)
+            first.result(timeout=30)
+            assert not held.done()
+            release.touch()
+            served = [first.result(), held.result(timeout=30)]
+        assert [_feature_key(result) for result in served] == [
+            _feature_key(result) for result in expected
+        ]
+
+
+class TestWorkerErrors:
+    def test_failed_extraction_is_counted_journaled_and_serving_continues(
         self, cluster_config, cluster_images, monkeypatch
     ):
-        # fork-started workers inherit the patched module constant
-        monkeypatch.setattr(worker_module, "DEFAULT_RESULT_BATCH", 1)
-        extractor = OrbExtractor(cluster_config)
+        expected = OrbExtractor(cluster_config).extract(cluster_images[1])
+        extract = OrbExtractor.extract
+
+        def failing_extract(self, image, frame_id=None):
+            if frame_id == 7:
+                raise RuntimeError("injected extraction failure")
+            return extract(self, image, frame_id=frame_id)
+
+        # fork-started workers inherit the patched method
+        monkeypatch.setattr(OrbExtractor, "extract", failing_extract)
         with ClusterServer(cluster_config, num_workers=1) as server:
-            served = server.extract_many(cluster_images)
+            failed = server.submit(cluster_images[0], frame_id=7)
+            with pytest.raises(ReproError, match="injected extraction failure"):
+                failed.result(timeout=30)
+            served = server.submit(cluster_images[1], frame_id=8).result(timeout=30)
+            rows = server.journal.events(kind="frame_failed")
             report = server.stats.as_dict()
-        assert [_feature_key(result) for result in served] == [
-            _feature_key(extractor.extract(image)) for image in cluster_images
-        ]
-        assert report["frames_completed"] == len(cluster_images)
+        assert report["frames_failed"] == 1
+        assert len(rows) == 1
+        assert rows[0].worker_id == 0
+        assert rows[0].detail["frame"] == 7
+        assert "injected extraction failure" in rows[0].detail["error"]
+        assert _feature_key(served) == _feature_key(expected)
 
 
 class TestStableFrameIds:

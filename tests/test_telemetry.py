@@ -18,7 +18,6 @@ import pytest
 
 from repro.chaos import FaultEvent, FaultPlan
 from repro.cluster import ClusterServer, ClusterStats, SupervisorConfig, WorkerStats
-from repro.cluster import worker as worker_module
 from repro.config import ExtractorConfig, PyramidConfig
 from repro.errors import ReproError
 from repro.features import OrbExtractor
@@ -505,11 +504,9 @@ class TestClusterTracing:
         assert {"extract", "serve_frame"} <= worker_names
 
     def test_flushed_spans_survive_worker_crash(
-        self, telemetry_config, telemetry_images, monkeypatch
+        self, telemetry_config, telemetry_images
     ):
-        # flush (and ship spans) after every frame; fork-started workers
-        # inherit the patched module constant
-        monkeypatch.setattr(worker_module, "DEFAULT_RESULT_BATCH", 1)
+        # every result ships the worker's spans recorded since the last one
         tracer = Tracer(enabled=True, track="server")
         with ClusterServer(
             telemetry_config,
