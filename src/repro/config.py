@@ -13,7 +13,7 @@ The defaults mirror the configuration evaluated in the paper:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Tuple
 
 from .registry import unknown_name_message
@@ -131,10 +131,6 @@ class ExtractorConfig:
     def image_shape(self) -> Tuple[int, int]:
         return (self.image_height, self.image_width)
 
-    def with_descriptor_mode(self, use_rs_brief: bool) -> "ExtractorConfig":
-        """Return a copy of this configuration with the descriptor mode changed."""
-        return replace(self, use_rs_brief=use_rs_brief)
-
 
 @dataclass(frozen=True)
 class MatcherConfig:
@@ -186,10 +182,6 @@ class AcceleratorConfig:
     cache_lines: int = 3
     heap_capacity: int = 1024
     matcher_parallelism: int = 4
-
-    @property
-    def clock_period_s(self) -> float:
-        return 1.0 / self.clock_hz
 
 
 DEFAULT_SLAM_CONFIG = SlamConfig()

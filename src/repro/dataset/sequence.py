@@ -31,13 +31,6 @@ class RgbdFrame:
     depth: np.ndarray
     ground_truth_pose: Pose  # world-to-camera
 
-    def depth_at(self, x: float, y: float) -> float:
-        """Nearest-neighbour depth lookup at pixel ``(x, y)`` (0 if invalid)."""
-        xi, yi = int(round(x)), int(round(y))
-        if not (0 <= yi < self.depth.shape[0] and 0 <= xi < self.depth.shape[1]):
-            return 0.0
-        return float(self.depth[yi, xi])
-
 
 @dataclass
 class RgbdSequence:

@@ -47,9 +47,6 @@ class HeapStatistics:
     rejections: int = 0
     comparisons: int = 0
 
-    def total_offered(self) -> int:
-        return self.insertions + self.replacements + self.rejections
-
 
 @dataclass
 class BoundedScoreHeap(Generic[T]):
@@ -76,12 +73,6 @@ class BoundedScoreHeap(Generic[T]):
     @property
     def is_full(self) -> bool:
         return len(self._heap) >= self.capacity
-
-    def min_score(self) -> float:
-        """Return the smallest retained score (the eviction threshold)."""
-        if not self._heap:
-            raise FeatureError("heap is empty")
-        return self._heap[0][0]
 
     def offer(self, score: float, item: T) -> bool:
         """Offer an item; return True if it is retained.

@@ -36,17 +36,6 @@ class Keypoint:
     orientation_bin: Optional[int] = None
     orientation_rad: Optional[float] = None
 
-    def with_orientation(self, orientation_bin: int, orientation_rad: float) -> "Keypoint":
-        """Return a copy of this keypoint annotated with its orientation."""
-        return Keypoint(
-            x=self.x,
-            y=self.y,
-            score=self.score,
-            level=self.level,
-            orientation_bin=orientation_bin,
-            orientation_rad=orientation_rad,
-        )
-
 
 @dataclass(frozen=True)
 class Feature:
@@ -81,7 +70,3 @@ class Feature:
     @property
     def score(self) -> float:
         return self.keypoint.score
-
-    def descriptor_bits(self) -> np.ndarray:
-        """Return the descriptor as an array of 0/1 bits, LSB-first per byte."""
-        return np.unpackbits(self.descriptor, bitorder="little")

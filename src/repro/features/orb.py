@@ -72,6 +72,26 @@ class ExtractionProfile:
     (M) under ``rescheduled``, as the streaming hardware describes them all,
     and the retained set (N) under ``original``.  The software extractor
     describes only the N retained keypoints in both workflows.
+
+    Who reads each counter:
+
+    * ``pixels_processed``, ``descriptors_computed``, ``features_retained``:
+      the tracker copies them into :class:`~repro.slam.StageWorkload`, which
+      ``FrameWorkload.from_stage_workload`` hands to the platform runtime
+      models (:mod:`repro.platforms.runtime`), and
+      ``OrbExtractorAccelerator.extract`` passes the last two to its cycle
+      model (the rescheduled schedule's descriptor stall, heap flush and
+      write-back); perfbench reports them as ``fe.descriptors`` and
+      ``fe.retained_ratio``.
+    * ``keypoints_after_nms``: ``OrbExtractorAccelerator.extract``, where
+      the ``original`` schedule charges its filter pass by it
+      (``docs/hwexact.md`` gives its ``vectorized``/``hwexact`` difference).
+    * ``keypoints_detected``: the tracker's ``StageWorkload`` and perfbench's
+      ``fe.keypoints``; no cycle or runtime model reads it.
+    * ``heap_comparisons``: perfbench's traced pass (``fe.heap_comparisons``)
+      only; the cycle model charges the heap by ``features_retained``.
+    * ``per_level_keypoints`` and ``workflow``: no reader; they are part of
+      the profile the golden digests pin.
     """
 
     pixels_processed: int = 0
@@ -82,14 +102,6 @@ class ExtractionProfile:
     heap_comparisons: int = 0
     per_level_keypoints: List[int] = field(default_factory=list)
     workflow: str = "rescheduled"
-
-    @property
-    def extra_descriptors(self) -> int:
-        """Modelled descriptors beyond the retained set (rescheduling overhead).
-
-        ``M - N`` under ``rescheduled``, 0 under ``original``.
-        """
-        return max(0, self.descriptors_computed - self.features_retained)
 
 
 @dataclass
@@ -251,14 +263,6 @@ class ExtractionResult:
     def keypoint_array(self) -> np.ndarray:
         """Return level-0 keypoint coordinates as an ``(N, 2)`` float array."""
         return np.column_stack((self._arrays.x0, self._arrays.y0))
-
-    def score_array(self) -> np.ndarray:
-        """Harris scores of the retained features, ``(N,)`` float64."""
-        return self._arrays.scores
-
-    def level_array(self) -> np.ndarray:
-        """Pyramid level of each retained feature, ``(N,)`` int64."""
-        return self._arrays.levels
 
     def feature_records(self) -> List[tuple]:
         """Hashable per-feature records, in retained order.

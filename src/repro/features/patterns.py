@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -161,11 +161,6 @@ class RotatedPatternLUT:
         """Return the pre-rotated pattern closest to ``angle_rad``."""
         return self._patterns[self.angle_index(angle_rad)]
 
-    def pattern_at(self, index: int) -> BriefPattern:
-        if not 0 <= index < self.num_angles:
-            raise DescriptorError(f"index {index} outside [0, {self.num_angles})")
-        return self._patterns[index]
-
     def rounded_stack(self) -> Tuple[np.ndarray, np.ndarray]:
         """All pre-rotated patterns as ``(num_angles, num_bits, 2)`` int arrays.
 
@@ -192,12 +187,5 @@ class RotatedPatternLUT:
         """Total number of (x, y) locations the LUT must store on chip."""
         return self.num_angles * 2 * self.base_pattern.num_bits
 
-    def max_discretization_error_rad(self) -> float:
-        """Worst-case angular error introduced by the discretisation."""
-        return math.pi / self.num_angles
-
     def __len__(self) -> int:
         return self.num_angles
-
-    def patterns(self) -> Sequence[BriefPattern]:
-        return tuple(self._patterns)

@@ -10,12 +10,10 @@ map points from RGB-D frames).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
 from ..errors import GeometryError
-from .se3 import Pose
 
 
 @dataclass(frozen=True)
@@ -59,19 +57,13 @@ class PinholeCamera:
             height=max(1, int(round(self.height * factor))),
         )
 
-    # -- matrices -----------------------------------------------------------
-    def intrinsic_matrix(self) -> np.ndarray:
-        return np.array(
-            [[self.fx, 0.0, self.cx], [0.0, self.fy, self.cy], [0.0, 0.0, 1.0]]
-        )
-
     # -- projection -----------------------------------------------------------
     def project(self, points_cam: np.ndarray) -> np.ndarray:
         """Project camera-frame 3-D points to pixel coordinates.
 
         ``points_cam`` is ``(3,)`` or ``(N, 3)``; points must have positive
-        depth.  Returns ``(2,)`` or ``(N, 2)`` pixel coordinates (not clipped
-        to the image bounds -- use :meth:`is_visible` for that).
+        depth.  Returns ``(2,)`` or ``(N, 2)`` pixel coordinates, not
+        clipped to the image bounds.
         """
         points = np.asarray(points_cam, dtype=np.float64)
         single = points.ndim == 1
@@ -110,19 +102,3 @@ class PinholeCamera:
         x = (pixels[:, 0] - self.cx) / self.fx
         y = (pixels[:, 1] - self.cy) / self.fy
         return np.stack([x, y, np.ones_like(x)], axis=1)
-
-    # -- visibility -------------------------------------------------------------
-    def is_visible(self, pixel: np.ndarray, margin: float = 0.0) -> bool:
-        """Return True if ``pixel`` lies within the image bounds minus ``margin``."""
-        u, v = float(pixel[0]), float(pixel[1])
-        return (
-            margin <= u < self.width - margin and margin <= v < self.height - margin
-        )
-
-    def project_world_point(self, point_world: np.ndarray, pose: Pose) -> Tuple[np.ndarray, float]:
-        """Project a world point through ``pose``; return (pixel, depth)."""
-        point_cam = pose.transform(np.asarray(point_world, dtype=np.float64))
-        depth = float(point_cam[2])
-        if depth <= 0:
-            raise GeometryError("point is behind the camera")
-        return self.project(point_cam), depth

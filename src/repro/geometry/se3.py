@@ -170,30 +170,7 @@ class Pose:
     def identity(cls) -> "Pose":
         return cls(np.eye(3), np.zeros(3))
 
-    @classmethod
-    def from_matrix(cls, matrix: np.ndarray) -> "Pose":
-        matrix = np.asarray(matrix, dtype=np.float64)
-        if matrix.shape != (4, 4):
-            raise GeometryError("homogeneous pose matrix must be 4x4")
-        return cls(matrix[:3, :3], matrix[:3, 3])
-
-    @classmethod
-    def from_rt(cls, rotation: np.ndarray, translation: np.ndarray) -> "Pose":
-        return cls(rotation, translation)
-
-    @classmethod
-    def from_quaternion_translation(
-        cls, quaternion: np.ndarray, translation: np.ndarray
-    ) -> "Pose":
-        return cls(rotation_from_quaternion(quaternion), translation)
-
     # -- algebra ----------------------------------------------------------
-    def matrix(self) -> np.ndarray:
-        out = np.eye(4)
-        out[:3, :3] = self.rotation
-        out[:3, 3] = self.translation
-        return out
-
     def inverse(self) -> "Pose":
         rotation_t = self.rotation.T
         return Pose(rotation_t, -rotation_t @ self.translation)
@@ -215,10 +192,6 @@ class Pose:
             return self.rotation @ points + self.translation
         return points @ self.rotation.T + self.translation
 
-    def relative_to(self, other: "Pose") -> "Pose":
-        """Return the transform taking ``other``'s camera frame to ``self``'s."""
-        return self.compose(other.inverse())
-
     # -- metrics ----------------------------------------------------------
     def translation_distance(self, other: "Pose") -> float:
         """Euclidean distance between the camera centres of two poses."""
@@ -235,12 +208,6 @@ class Pose:
 
     def quaternion(self) -> np.ndarray:
         return quaternion_from_rotation(self.rotation)
-
-    def is_close(self, other: "Pose", atol: float = 1e-9) -> bool:
-        return bool(
-            np.allclose(self.rotation, other.rotation, atol=atol)
-            and np.allclose(self.translation, other.translation, atol=atol)
-        )
 
 
 def se3_exp(upsilon: np.ndarray, omega: np.ndarray) -> Pose:

@@ -9,7 +9,6 @@ from .fixed_point import (
 )
 from .axi import AxiPort, AxiTransferStats, SdramModel
 from .bram import BRAM36_BITS, BramRequirement, line_buffer_requirement, total_bram36
-from .resizer import ImageResizerModule, ResizerReport
 from .resources import DeviceCapacity, ModuleResources, ResourceModel, ResourceReport
 from .accelerator import AcceleratorFrameReport, EslamAccelerator
 from .orb_extractor import (
@@ -33,8 +32,6 @@ __all__ = [
     "BRAM36_BITS",
     "line_buffer_requirement",
     "total_bram36",
-    "ImageResizerModule",
-    "ResizerReport",
     "DeviceCapacity",
     "ModuleResources",
     "ResourceModel",

@@ -1,8 +1,8 @@
 """Top-level eSLAM FPGA accelerator model (Figure 3).
 
-Composes the ORB Extractor, the BRIEF Matcher and the Image Resizing module
-behind a shared AXI/SDRAM interface, producing per-frame functional outputs
-(features, matches) together with the modelled FPGA latency of the feature
+Composes the ORB Extractor and the BRIEF Matcher behind a shared AXI/SDRAM
+interface, producing per-frame functional outputs (features, matches)
+together with the modelled FPGA latency of the feature
 extraction (FE) and feature matching (FM) stages that feed the heterogeneous
 pipeline model in :mod:`repro.platforms`.
 """
@@ -22,7 +22,6 @@ from ..matching import Match
 from .axi import SdramModel
 from .brief_matcher import BriefMatcherAccelerator, MatcherLatencyReport
 from .orb_extractor import ExtractorLatencyReport, OrbExtractorAccelerator
-from .resizer import ImageResizerModule
 from .resources import DeviceCapacity, ResourceModel, ResourceReport
 
 
@@ -35,19 +34,9 @@ class AcceleratorFrameReport:
     extractor_report: ExtractorLatencyReport
     matcher_report: Optional[MatcherLatencyReport]
 
-    @property
-    def feature_extraction_ms(self) -> float:
-        return self.extractor_report.latency_ms
-
-    @property
-    def feature_matching_ms(self) -> float:
-        if self.matcher_report is None:
-            return 0.0
-        return self.matcher_report.latency_ms
-
 
 class EslamAccelerator:
-    """The FPGA portion of eSLAM: extractor + matcher + resizer."""
+    """The FPGA portion of eSLAM: extractor + matcher."""
 
     def __init__(
         self,
@@ -59,7 +48,6 @@ class EslamAccelerator:
         self.accel_config = accel_config or AcceleratorConfig()
         self.extractor = OrbExtractorAccelerator(self.extractor_config, self.accel_config)
         self.matcher = BriefMatcherAccelerator(self.accel_config)
-        self.resizer = ImageResizerModule(self.extractor_config.pyramid, self.accel_config)
         self.sdram = SdramModel(sdram_capacity_bytes)
         self._reserve_sdram_buffers()
 

@@ -70,13 +70,6 @@ class AxiPort:
         self.total_cycles += stats.cycles
         return CycleBreakdown({f"{self.name}.write": stats.cycles})
 
-    def bandwidth_bytes_per_cycle(self) -> float:
-        """Effective sustained bandwidth of this port (bytes per cycle)."""
-        beat_bytes = self.config.axi_data_bytes
-        burst_len = self.config.axi_burst_length
-        cycles_per_burst = burst_len + self.config.axi_latency_cycles
-        return beat_bytes * burst_len / cycles_per_burst
-
     def streaming_read_cycles(self, num_bytes: int, compute_cycles: float) -> float:
         """Cycles for a read that overlaps with ``compute_cycles`` of processing.
 
@@ -119,23 +112,7 @@ class SdramModel:
             )
         self._allocations[name] = num_bytes
 
-    def free(self, name: str) -> None:
-        if name not in self._allocations:
-            raise HardwareModelError(f"buffer '{name}' is not allocated")
-        del self._allocations[name]
-
     @property
     def used_bytes(self) -> int:
         return sum(self._allocations.values())
 
-    @property
-    def free_bytes(self) -> int:
-        return self.capacity_bytes - self.used_bytes
-
-    def allocation(self, name: str) -> int:
-        if name not in self._allocations:
-            raise HardwareModelError(f"buffer '{name}' is not allocated")
-        return self._allocations[name]
-
-    def allocations(self) -> dict[str, int]:
-        return dict(self._allocations)

@@ -1,7 +1,6 @@
 """BRIEF Matcher accelerator: distance computation, comparator and caches."""
 
 from .units import (
-    ComparatorUnit,
     DescriptorCacheUnit,
     DistanceComputingUnit,
     MatchRecord,
@@ -11,7 +10,6 @@ from .matcher_accel import BriefMatcherAccelerator, MatcherLatencyReport
 
 __all__ = [
     "DistanceComputingUnit",
-    "ComparatorUnit",
     "DescriptorCacheUnit",
     "ResultCacheUnit",
     "MatchRecord",

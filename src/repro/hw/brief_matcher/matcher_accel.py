@@ -20,7 +20,6 @@ from ...matching import Match, match_minimum_distance
 from ..axi import AxiPort
 from ..cycles import CycleBreakdown
 from .units import (
-    ComparatorUnit,
     DescriptorCacheUnit,
     DistanceComputingUnit,
     MatchRecord,
@@ -58,7 +57,6 @@ class BriefMatcherAccelerator:
             descriptor_bytes=self.DESCRIPTOR_BYTES,
             lanes=self.accel_config.matcher_parallelism,
         )
-        self.comparator = ComparatorUnit()
         self.descriptor_cache = DescriptorCacheUnit(
             frame_capacity=self.accel_config.heap_capacity
         )

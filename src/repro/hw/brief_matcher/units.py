@@ -16,7 +16,6 @@ import numpy as np
 
 from ...errors import HardwareModelError
 from ...matching.hamming import hamming_distance
-from .. import bram
 
 
 class DistanceComputingUnit:
@@ -65,26 +64,6 @@ class MatchRecord:
     best_distance: int
 
 
-class ComparatorUnit:
-    """Running-minimum search over the streamed Hamming distances."""
-
-    def __init__(self) -> None:
-        self.comparisons = 0
-
-    def find_minimum(self, distances: np.ndarray, query_index: int) -> MatchRecord:
-        """Return the minimum distance and its index for one query row."""
-        values = np.asarray(distances)
-        if values.ndim != 1 or values.size == 0:
-            raise HardwareModelError("distance row must be a non-empty 1-D array")
-        self.comparisons += values.size
-        best_index = int(np.argmin(values))
-        return MatchRecord(
-            query_index=query_index,
-            best_index=best_index,
-            best_distance=int(values[best_index]),
-        )
-
-
 class DescriptorCacheUnit:
     """On-chip buffer for current-frame and global-map descriptors."""
 
@@ -112,28 +91,6 @@ class DescriptorCacheUnit:
             )
         self._map_descriptors = descriptors
 
-    @property
-    def frame_descriptors(self) -> np.ndarray:
-        if self._frame_descriptors is None:
-            raise HardwareModelError("frame descriptors have not been loaded")
-        return self._frame_descriptors
-
-    @property
-    def map_descriptors(self) -> np.ndarray:
-        if self._map_descriptors is None:
-            raise HardwareModelError("map descriptors have not been loaded")
-        return self._map_descriptors
-
-    def bram_requirements(self, descriptor_bytes: int = 32) -> List[bram.BramRequirement]:
-        return [
-            bram.BramRequirement(
-                "matcher.frame_descriptors", self.frame_capacity, descriptor_bytes * 8
-            ),
-            bram.BramRequirement(
-                "matcher.map_descriptors", self.map_capacity, descriptor_bytes * 8
-            ),
-        ]
-
 
 class ResultCacheUnit:
     """Buffer of match results awaiting write-back to SDRAM."""
@@ -153,6 +110,3 @@ class ResultCacheUnit:
 
     def clear(self) -> None:
         self.records.clear()
-
-    def writeback_bytes(self) -> int:
-        return len(self.records) * self.RESULT_RECORD_BYTES

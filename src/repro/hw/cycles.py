@@ -12,7 +12,7 @@ dominates).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping
+from typing import Dict
 
 from ..errors import HardwareModelError
 
@@ -47,34 +47,6 @@ class CycleBreakdown:
         if factor < 0:
             raise HardwareModelError("scale factor must be non-negative")
         return CycleBreakdown({k: v * factor for k, v in self.components.items()})
-
-    @classmethod
-    def sequential(cls, parts: Mapping[str, "CycleBreakdown"]) -> "CycleBreakdown":
-        """Concatenate activities in time; component names are prefixed."""
-        merged = cls()
-        for prefix, part in parts.items():
-            for name, cycles in part.components.items():
-                merged.add(f"{prefix}.{name}", cycles)
-        return merged
-
-    @classmethod
-    def overlapped(cls, parts: Mapping[str, "CycleBreakdown"]) -> "CycleBreakdown":
-        """Overlap activities; the total equals the slowest part.
-
-        The returned breakdown contains a single ``<name>.total`` entry for
-        the dominating part plus zero-cost informational entries for the
-        hidden ones, so reports still show what was overlapped.
-        """
-        if not parts:
-            return cls()
-        slowest_name = max(parts, key=lambda name: parts[name].total)
-        merged = cls()
-        for name, part in parts.items():
-            if name == slowest_name:
-                merged.add(f"{name}.total", part.total)
-            else:
-                merged.add(f"{name}.hidden", 0.0)
-        return merged
 
     def to_seconds(self, clock_hz: float) -> float:
         """Convert the total cycle count to seconds at ``clock_hz``."""

@@ -13,7 +13,6 @@ from .units import (
     FeatureHeapUnit,
     HeapEntry,
     ImageSmootherUnit,
-    NmsUnit,
     OrientationUnit,
 )
 from .extractor import (
@@ -29,7 +28,6 @@ __all__ = [
     "stream_image_through_cache",
     "FastDetectionUnit",
     "ImageSmootherUnit",
-    "NmsUnit",
     "OrientationUnit",
     "BriefComputingUnit",
     "BriefRotatorUnit",

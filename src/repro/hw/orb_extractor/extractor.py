@@ -42,7 +42,6 @@ from .units import (
     FeatureHeapUnit,
     HeapEntry,
     ImageSmootherUnit,
-    NmsUnit,
     OrientationUnit,
 )
 
@@ -90,7 +89,6 @@ class OrbExtractorAccelerator:
         self.axi = AxiPort(self.accel_config, name="orb_extractor")
         self.fast_unit = FastDetectionUnit(self.extractor_config.fast)
         self.smoother_unit = ImageSmootherUnit()
-        self.nms_unit = NmsUnit()
         self.orientation_unit = OrientationUnit()
         self.brief_unit = BriefComputingUnit(self.extractor_config.descriptor)
         self.rotator_unit = BriefRotatorUnit()
@@ -107,11 +105,6 @@ class OrbExtractorAccelerator:
             features_retained=result.profile.features_retained,
         )
         return result, report
-
-    def latency_for_image(self, image: GrayImage) -> ExtractorLatencyReport:
-        """Latency model only (runs the reference extractor for the workload)."""
-        _, report = self.extract(image)
-        return report
 
     def extract_quantized(
         self, image: GrayImage

@@ -22,7 +22,6 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ...errors import HardwareModelError
-from .. import bram
 
 
 @dataclass
@@ -114,11 +113,6 @@ class PingPongImageCache:
         return (others[0], others[1])
 
     # -- data access ------------------------------------------------------------
-    @property
-    def is_initialized(self) -> bool:
-        """True once two lines have been pre-stored (the FSM's initial condition)."""
-        return sum(1 for line in self.lines if line.is_valid) >= 2
-
     def readable_columns(self) -> int:
         """Number of distinct image columns currently resident in the cache."""
         return sum(self.columns_per_line for line in self.lines if line.is_valid)
@@ -156,15 +150,6 @@ class PingPongImageCache:
         raise HardwareModelError(f"column {column_index} is not resident in the cache")
 
     # -- reporting ------------------------------------------------------------
-    def bram_requirement(self, name: str = "image_cache") -> bram.BramRequirement:
-        """On-chip storage of the cache (used by the resource model)."""
-        return bram.BramRequirement(
-            name=name,
-            depth=self.rows,
-            width_bits=self.columns_per_line * 8,
-            copies=self.num_lines,
-        )
-
     def fsm_schedule(self) -> List[Tuple[int, Tuple[int, int]]]:
         """Return the (filling line, streaming lines) sequence observed so far.
 

@@ -34,7 +34,6 @@ from ...quant.kernels import (
     smooth_image_quantized,
     smooth_window_quantized,
 )
-from ..cycles import CycleBreakdown
 
 
 # ---------------------------------------------------------------------------
@@ -125,45 +124,6 @@ class ImageSmootherUnit:
         """
         self.windows_processed += image.num_pixels
         return smooth_image_quantized(image, self.kernel_fixed, self.weight_bits)
-
-    def multipliers_required(self) -> int:
-        """Number of multiply units in a fully unrolled implementation."""
-        return self.size * self.size
-
-
-# ---------------------------------------------------------------------------
-# Non-maximum suppression
-# ---------------------------------------------------------------------------
-class NmsUnit:
-    """Streaming 3x3 non-maximum suppression on Harris scores.
-
-    Functionally identical to :func:`repro.features.nms.non_maximum_suppression`
-    restricted to a 3x3 window; the hardware keeps a 3-row score buffer and
-    emits a keypoint only if its score is the strict maximum of the
-    neighbourhood (ties resolved in raster order by construction).
-    """
-
-    def __init__(self) -> None:
-        self.windows_evaluated = 0
-
-    def is_local_maximum(self, score_window: np.ndarray) -> bool:
-        """Return True if the centre of a 3x3 score window is the maximum."""
-        window = np.asarray(score_window, dtype=np.float64)
-        if window.shape != (3, 3):
-            raise HardwareModelError("NMS window must be 3x3")
-        self.windows_evaluated += 1
-        center = window[1, 1]
-        if center <= 0:
-            return False
-        neighbours = window.copy()
-        neighbours[1, 1] = -np.inf
-        # strictly greater than earlier (raster-order) neighbours, greater or
-        # equal to later ones, mirrors the streaming tie-break
-        earlier = [window[0, 0], window[0, 1], window[0, 2], window[1, 0]]
-        later = [window[1, 2], window[2, 0], window[2, 1], window[2, 2]]
-        return all(center > value for value in earlier) and all(
-            center >= value for value in later
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -294,10 +254,8 @@ class FeatureHeapUnit:
     def __init__(self, capacity: int = 1024) -> None:
         self.capacity = capacity
         self._heap: BoundedScoreHeap[HeapEntry] = BoundedScoreHeap(capacity)
-        self.offers = 0
 
     def offer(self, entry: HeapEntry) -> bool:
-        self.offers += 1
         return self._heap.offer(entry.score, entry)
 
     def retained(self) -> List[HeapEntry]:
@@ -311,16 +269,3 @@ class FeatureHeapUnit:
     def __len__(self) -> int:
         return len(self._heap)
 
-    def insertion_cycles(self) -> float:
-        """Average cycles per offered feature (log2(capacity) comparator steps)."""
-        return float(max(1, self.capacity.bit_length()))
-
-    def flush_cycles(self) -> float:
-        """Cycles to drain the heap contents to the AXI write channel."""
-        return float(len(self._heap))
-
-    def cycle_breakdown(self) -> CycleBreakdown:
-        breakdown = CycleBreakdown()
-        breakdown.add("heap.insert", self.offers * self.insertion_cycles())
-        breakdown.add("heap.flush", self.flush_cycles())
-        return breakdown

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List
 
 from ..config import AcceleratorConfig, ExtractorConfig
-from ..errors import HardwareModelError
 from .bram import BramRequirement, line_buffer_requirement, total_bram36
 
 
@@ -288,15 +287,3 @@ class ResourceModel:
     def calibration_targets() -> Dict[str, int]:
         """The Table 1 totals the default configuration is calibrated to."""
         return {"LUT": 56954, "FF": 67809, "DSP": 111, "BRAM": 78}
-
-    def scaling_factor(self) -> float:
-        """Rough LUT scaling of a non-default configuration vs the default.
-
-        Used by ablation benchmarks to show how descriptor width, heap size
-        and matcher parallelism move the resource needle.
-        """
-        default = ResourceModel().estimate().totals().luts
-        current = self.estimate().totals().luts
-        if default <= 0:
-            raise HardwareModelError("default resource estimate must be positive")
-        return current / default

@@ -10,7 +10,7 @@ bounds checks).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -77,12 +77,6 @@ class GrayImage:
         return hash((self.shape, self.pixels.tobytes()))
 
     # -- pixel access ----------------------------------------------------
-    def intensity(self, x: int, y: int) -> int:
-        """Return the intensity at column ``x``, row ``y``."""
-        if not self.contains(x, y):
-            raise ImageError(f"pixel ({x}, {y}) outside image of shape {self.shape}")
-        return int(self.pixels[y, x])
-
     def contains(self, x: float, y: float, border: int = 0) -> bool:
         """Return True if ``(x, y)`` lies inside the image minus ``border``."""
         return (
@@ -117,13 +111,6 @@ class GrayImage:
 
     def copy(self) -> "GrayImage":
         return GrayImage(self.pixels.copy())
-
-    # -- iteration ---------------------------------------------------------
-    def iter_rows(self) -> Iterator[np.ndarray]:
-        """Yield rows in raster order (the order the hardware streams pixels)."""
-        for row in self.pixels:
-            yield row
-
 
 def within_border(
     xs: np.ndarray, ys: np.ndarray, shape: Tuple[int, int], border: int

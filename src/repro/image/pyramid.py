@@ -3,9 +3,7 @@
 The eSLAM accelerator contains an *Image Resizing* module that generates a
 4-layer pyramid by nearest-neighbour downsampling: while the ORB Extractor is
 processing layer ``k``, the resizer produces layer ``k+1`` from layer ``k``.
-This module provides the same functional behaviour in software; the hardware
-cycle model in :mod:`repro.hw` reuses :func:`nearest_neighbor_resize` for its
-functional output.
+This module provides the same functional behaviour in software.
 """
 
 from __future__ import annotations
@@ -24,8 +22,8 @@ def resize_dimensions(height: int, width: int, scale: float) -> Tuple[int, int]:
     """Destination ``(height, width)`` of one nearest-neighbour resize step.
 
     The single definition of the level-size rounding rule, shared by the
-    software pyramid and the hardware Image Resizing model (:mod:`repro.hw.resizer`), so level geometry cannot
-    drift between the software and hardware paths.
+    resize, :func:`pyramid_level_shapes` and the input check, so level
+    geometry cannot drift between them.
     """
     if scale < 1.0:
         raise ImageError("scale must be >= 1.0 for downsampling")
@@ -67,8 +65,8 @@ def pyramid_level_shapes(
     """Shape of every pyramid level for a ``height`` x ``width`` base image.
 
     Pure arithmetic (no pixels touched): applies :func:`resize_dimensions`
-    level by level, so the input check and the hardware model can reason
-    about level sizes without building anything.
+    level by level, so the input check can reason about level sizes
+    without building anything.
     """
     cfg = config or PyramidConfig()
     shapes = [(int(height), int(width))]
@@ -136,10 +134,6 @@ class PyramidLevel:
     scale: float
     image: GrayImage
 
-    def to_level0(self, x: float, y: float) -> Tuple[float, float]:
-        """Map coordinates from this level back to level-0 pixel coordinates."""
-        return x * self.scale, y * self.scale
-
 
 class ImagePyramid:
     """A multi-scale pyramid built by successive nearest-neighbour resizing.
@@ -204,10 +198,6 @@ class ImagePyramid:
         the pixel counts used by that comparison and by the cycle model.
         """
         return sum(lvl.image.num_pixels for lvl in self._levels)
-
-    def pixel_counts(self) -> List[int]:
-        """Per-level pixel counts, level 0 first."""
-        return [lvl.image.num_pixels for lvl in self._levels]
 
 
 def pyramid_pixel_ratio(levels_a: int, levels_b: int, scale: float = 1.2) -> float:

@@ -61,11 +61,6 @@ class ReprojectionProblem:
         residual = np.stack([u, v], axis=1) - self.observations
         return residual.reshape(-1)
 
-    def total_error(self, pose: Pose) -> float:
-        """Return E(p): the sum of squared reprojection errors."""
-        residual = self.residuals(pose)
-        return float(residual @ residual)
-
     def rmse(self, pose: Pose) -> float:
         """Root-mean-square pixel error over all observations."""
         residual = self.residuals(pose).reshape(-1, 2)

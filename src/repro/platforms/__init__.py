@@ -11,11 +11,6 @@ from .runtime import (
 )
 from .pipeline import FrameTiming, PipelineModel, PipelineScheduleEntry
 from .comparison import PlatformComparison
-from .heterogeneous import (
-    FramePlatformTiming,
-    HeterogeneousRunResult,
-    HeterogeneousSlamSystem,
-)
 from .sensitivity import (
     SensitivityAnalysis,
     SweepPoint,
@@ -42,7 +37,4 @@ __all__ = [
     "PipelineModel",
     "PipelineScheduleEntry",
     "PlatformComparison",
-    "HeterogeneousSlamSystem",
-    "HeterogeneousRunResult",
-    "FramePlatformTiming",
 ]

@@ -46,10 +46,6 @@ class PipelineScheduleEntry:
     start_ms: float
     end_ms: float
 
-    @property
-    def duration_ms(self) -> float:
-        return self.end_ms - self.start_ms
-
 
 class PipelineModel:
     """Computes frame time / frame rate / energy for a platform and stage set."""
@@ -172,8 +168,3 @@ class PipelineModel:
                 )
             )
         return entries
-
-    def makespan_ms(self, stages: StageRuntimes, is_keyframe: bool) -> float:
-        """End time of the last scheduled stage (equals frame_time for eSLAM)."""
-        entries = self.schedule(stages, is_keyframe)
-        return max(entry.end_ms for entry in entries)

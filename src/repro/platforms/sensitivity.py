@@ -95,33 +95,6 @@ class SensitivityAnalysis:
             points.append(self.evaluate(workload, float(budget)))
         return points
 
-    def resolution_sweep(
-        self, scales: Sequence[float] = (0.5, 0.75, 1.0, 1.5)
-    ) -> List[SweepPoint]:
-        """How the input resolution (pixel count scaling) moves the numbers.
-
-        Keypoint counts are assumed to scale with pixel count, the map and the
-        back-end workloads are held fixed.
-        """
-        points = []
-        for scale in scales:
-            pixel_factor = scale * scale
-            workload = FrameWorkload(
-                pixels_processed=int(NOMINAL_WORKLOAD.pixels_processed * pixel_factor),
-                descriptors_computed=int(NOMINAL_WORKLOAD.descriptors_computed * pixel_factor),
-                features_retained=NOMINAL_WORKLOAD.features_retained,
-                map_points=NOMINAL_WORKLOAD.map_points,
-                distance_evaluations=NOMINAL_WORKLOAD.distance_evaluations,
-                ransac_iterations=NOMINAL_WORKLOAD.ransac_iterations,
-                correspondences=NOMINAL_WORKLOAD.correspondences,
-                lm_iterations=NOMINAL_WORKLOAD.lm_iterations,
-                lm_observations=NOMINAL_WORKLOAD.lm_observations,
-                map_points_added=NOMINAL_WORKLOAD.map_points_added,
-                map_points_culled_scan=NOMINAL_WORKLOAD.map_points_culled_scan,
-            )
-            points.append(self.evaluate(workload, scale))
-        return points
-
     # -- derived metrics ------------------------------------------------------------
     @staticmethod
     def real_time_limit(points: Sequence[SweepPoint], platform: str, fps: float = 30.0) -> float | None:

@@ -2,9 +2,9 @@
 
 The paper's Image Resizing module streams layer ``k+1`` while the ORB
 Extractor processes layer ``k``; in software every level of the
-:class:`~repro.image.ImagePyramid` is built up front, with the same
-sampling grid and level-size rounding as the hardware model
-(:mod:`repro.hw.resizer`).  :class:`PyramidProvider` is the seam between the
+:class:`~repro.image.ImagePyramid` is built up front, with the hardware's
+nearest-neighbour sampling grid and level-size rounding.
+:class:`PyramidProvider` is the seam between the
 extractor and that build: ``acquire`` hands out a frame's pyramid and
 ``release`` returns it once extraction is done.  ``docs/pyramid.md``
 describes the level geometry and the input check.

@@ -59,10 +59,6 @@ class FixedPointFormat:
             return 0.0
         return -(2 ** (self.integer_bits + self.fraction_bits)) / self.scale
 
-    @property
-    def resolution(self) -> float:
-        return 1.0 / self.scale
-
     def quantize(self, value):
         """Round ``value`` (scalar or array) to the nearest representable number."""
         array = np.asarray(value, dtype=np.float64)
@@ -70,28 +66,12 @@ class FixedPointFormat:
         quantized = np.rint(array * self.scale) / self.scale
         return np.clip(quantized, self.min_value, self.max_value)
 
-    def to_integer(self, value):
-        """Return the raw integer representation of ``value``."""
-        array = np.asarray(value, dtype=np.float64)
-        _require_finite(array, "convert")
-        clipped = np.clip(array, self.min_value, self.max_value)
-        return np.rint(clipped * self.scale).astype(np.int64)
-
-    def from_integer(self, raw):
-        """Convert a raw integer representation back to a real value."""
-        return np.asarray(raw, dtype=np.float64) / self.scale
-
     def saturate_integer(self, raw):
         """Clip raw integer values to the format's representable range."""
         array = np.asarray(raw, dtype=np.int64)
         low = int(round(self.min_value * self.scale))
         high = int(round(self.max_value * self.scale))
         return np.clip(array, low, high)
-
-    def quantization_error(self, value) -> float:
-        """Maximum absolute quantisation error over ``value``."""
-        array = np.asarray(value, dtype=np.float64)
-        return float(np.abs(array - self.quantize(array)).max())
 
 
 #: Format used for pixel intensities (unsigned 8-bit integers).

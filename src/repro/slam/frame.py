@@ -92,21 +92,3 @@ class Frame:
         depths = np.zeros(pixels.shape[0], dtype=np.float64)
         depths[valid] = self.depth[ys[valid], xs[valid]]
         return depths
-
-    # -- geometry helpers --------------------------------------------------
-    def back_project_feature(self, feature_index: int) -> Optional[np.ndarray]:
-        """World-frame 3-D point of a feature using its depth and frame pose.
-
-        Returns ``None`` when the feature has no valid depth.  Requires the
-        frame pose to be set.
-        """
-        if self.pose is None:
-            raise TrackingError("frame pose must be estimated before back-projection")
-        depth = self.feature_depth(feature_index)
-        if depth <= 0:
-            return None
-        arrays = self.extraction.feature_arrays()
-        point_cam = self.camera.back_project(
-            float(arrays.x0[feature_index]), float(arrays.y0[feature_index]), depth
-        )
-        return self.pose.inverse().transform(point_cam)

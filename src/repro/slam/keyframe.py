@@ -66,8 +66,3 @@ class KeyframePolicy:
         if self.num_frames == 0:
             return 0.0
         return self.num_keyframes / self.num_frames
-
-    def reset(self) -> None:
-        self._last_keyframe_pose = None
-        self.num_keyframes = 0
-        self.num_frames = 0

@@ -91,16 +91,6 @@ class GlobalMap:
         )
 
     # -- insertion -----------------------------------------------------------
-    def add_point(
-        self, position: np.ndarray, descriptor: np.ndarray, created_frame: int
-    ) -> MapPoint:
-        """Create a new landmark; returns a snapshot of the created point."""
-        if len(self) >= self.max_points:
-            raise MapError(f"map is full (max_points={self.max_points})")
-        point = MapPoint(self._next_id, position, descriptor, created_frame)
-        self.add_points(point.position[np.newaxis], point.descriptor[np.newaxis], created_frame)
-        return point
-
     def add_points(
         self, positions: np.ndarray, descriptors: np.ndarray, created_frame: int
     ) -> np.ndarray:

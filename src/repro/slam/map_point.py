@@ -14,7 +14,7 @@ class MapPoint:
     """A snapshot of one landmark of the global map.
 
     :class:`~repro.slam.GlobalMap` stores its points as arrays and returns
-    a ``MapPoint`` from ``get`` / ``add_point``.  The snapshot is frozen:
+    a ``MapPoint`` from ``get``.  The snapshot is frozen:
     match bookkeeping goes through ``GlobalMap.record_matches``, so no
     caller can update a copy by mistake.
 
@@ -51,7 +51,3 @@ class MapPoint:
         object.__setattr__(self, "descriptor", descriptor)
         if self.last_matched_frame < 0:
             object.__setattr__(self, "last_matched_frame", self.created_frame)
-
-    def frames_since_match(self, current_frame: int) -> int:
-        """Number of frames since the point was last matched."""
-        return max(0, current_frame - self.last_matched_frame)

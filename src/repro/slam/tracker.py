@@ -122,10 +122,6 @@ class Tracker:
         self.results.append(result)
         return result
 
-    @property
-    def last_pose(self) -> Optional[Pose]:
-        return self._last_pose
-
     def estimated_poses(self) -> List[Pose]:
         return [result.pose for result in self.results]
 

@@ -6,8 +6,8 @@ around them.  The journal records every supervision event
 as a typed :class:`Event` with a monotonic timestamp (``time.perf_counter``
 — the same clock the tracer uses, so journal rows line up with trace spans)
 plus the active :class:`~repro.chaos.FaultPlan` seed when one is installed,
-turning a seeded chaos run into a replayable timeline
-(:meth:`EventJournal.timeline`).
+so the rows of :meth:`EventJournal.events` name the storm that produced
+them.
 
 Event kinds logged by the stack (``docs/observability.md`` → Event journal
 schema):
@@ -115,34 +115,6 @@ class EventJournal:
             rows = [event for event in rows if event.kind == kind]
         return rows
 
-    def as_dicts(self) -> List[dict]:
-        return [event.as_dict() for event in self.events()]
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._events)
-
-    def timeline(self) -> str:
-        """The journal rendered as a readable postmortem timeline.
-
-        Timestamps are shown relative to the first row; one line per
-        event, e.g.::
-
-            +0.000s  chaos_kill    worker=1  [seed 7]
-            +0.004s  worker_dead   worker=1  requeued=2
-            +0.012s  restart       worker=1  restarts=1
-        """
-        rows = self.events()
-        if not rows:
-            return "(empty journal)"
-        origin = rows[0].at_s
-        lines = []
-        for event in rows:
-            parts = [f"+{event.at_s - origin:.3f}s", f"{event.kind:<16}"]
-            if event.worker_id is not None:
-                parts.append(f"worker={event.worker_id}")
-            parts.extend(f"{key}={value}" for key, value in event.detail.items())
-            if event.seed is not None:
-                parts.append(f"[seed {event.seed}]")
-            lines.append("  ".join(parts))
-        return "\n".join(lines)

@@ -15,8 +15,7 @@ per-worker stats.  This module is the single store those views now share:
   (``growth - 1``, 25% by default).  This is what lets a stats scrape
   read latency percentiles without snapshotting and sorting a deque
   under the stats lock.
-* :class:`MetricsRegistry` — name+labels → metric store with
-  :meth:`~MetricsRegistry.snapshot` (plain dict), JSON and Prometheus
+* :class:`MetricsRegistry` — name+labels → metric store with Prometheus
   text exposition.
 
 Metric mutation methods take a tiny per-metric lock, so standalone use is
@@ -29,7 +28,6 @@ drift-checked by ``tests/test_telemetry.py`` — in
 
 from __future__ import annotations
 
-import json
 import math
 import threading
 from typing import Dict, List, Optional, Tuple
@@ -246,17 +244,6 @@ class Histogram(Metric):
                     return lower + fraction * (upper - lower)
             return self.bounds[-1] * self.growth  # unreachable with count > 0
 
-    def summary(self) -> Dict[str, float]:
-        """The scrape-friendly digest exported by the registry snapshot."""
-        return {
-            "count": self.count,
-            "sum": self.sum,
-            "mean": self.mean,
-            "p50": self.percentile(50.0),
-            "p95": self.percentile(95.0),
-            "p99": self.percentile(99.0),
-        }
-
 
 #: Idle gap (seconds) beyond which an activity window stops accruing time
 #: between events.  Larger than any healthy inter-frame gap at serving
@@ -301,7 +288,7 @@ class ActivityWindow:
 
 
 class MetricsRegistry:
-    """Name+labels → metric store with snapshot/JSON/Prometheus exposition.
+    """Name+labels → metric store with Prometheus text exposition.
 
     ``counter`` / ``gauge`` / ``histogram`` are **get-or-create**: asking
     for an existing (name, labels) pair returns the existing instance, so
@@ -363,19 +350,6 @@ class MetricsRegistry:
         """Sorted, de-duplicated base names (labels folded together)."""
         with self._lock:
             return sorted({metric.name for metric in self._metrics.values()})
-
-    def snapshot(self) -> Dict[str, object]:
-        """One plain dict: ``name{labels}`` → value (histograms → digest)."""
-        report: Dict[str, object] = {}
-        for metric in self.metrics():
-            if isinstance(metric, Histogram):
-                report[metric.full_name] = metric.summary()
-            else:
-                report[metric.full_name] = metric.value
-        return report
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
 
     def prometheus_text(self) -> str:
         """Prometheus text exposition format (one scrape body).

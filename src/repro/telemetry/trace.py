@@ -269,11 +269,6 @@ class Trace:
             if records:
                 self._pending.setdefault(track, []).extend(records)
 
-    def clock_offset(self, track: str) -> Optional[float]:
-        """Current offset estimate for ``track`` (None before any sample)."""
-        with self._lock:
-            return self._offsets.get(track)
-
     # -- merged views --------------------------------------------------------
     def spans(self, track: Optional[str] = None) -> List[tuple]:
         """Offset-corrected records, sorted by start time.

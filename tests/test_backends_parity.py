@@ -210,7 +210,7 @@ class TestHeapFilter:
         result = extractor.extract(parity_image)
         offers = np.concatenate(offered)
         items, heap_stats = _heap_replay(offers, extractor.config.max_features)
-        assert result.score_array().tolist() == offers[items].tolist()
+        assert result.feature_arrays().scores.tolist() == offers[items].tolist()
         # one describe call per level that keeps a feature, on exactly the
         # features that level keeps
         arrays = result.feature_arrays()
@@ -261,8 +261,9 @@ class TestFrameBatchApis:
         assert first is second  # cached, not rebuilt per call
         assert first.shape == (len(extraction_result.features), 32)
         assert extraction_result.keypoint_array().shape == (len(extraction_result.features), 2)
-        assert extraction_result.score_array().shape == (len(extraction_result.features),)
-        assert extraction_result.level_array().shape == (len(extraction_result.features),)
+        arrays = extraction_result.feature_arrays()
+        assert arrays.scores.shape == (len(extraction_result.features),)
+        assert arrays.levels.shape == (len(extraction_result.features),)
 
 
 class TestComputeEngineSpeedup:

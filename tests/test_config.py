@@ -73,13 +73,6 @@ class TestExtractorConfig:
         assert config.image_shape == (480, 640)
         assert config.max_features == 1024
 
-    def test_with_descriptor_mode_flips_only_the_flag(self):
-        config = ExtractorConfig()
-        flipped = config.with_descriptor_mode(False)
-        assert flipped.use_rs_brief is False
-        assert flipped.max_features == config.max_features
-        assert config.use_rs_brief is True
-
     def test_default_backend_is_vectorized(self):
         assert ExtractorConfig().engine == "vectorized"
 
@@ -170,7 +163,6 @@ class TestAcceleratorConfig:
     def test_clock_matches_paper(self):
         config = AcceleratorConfig()
         assert config.clock_hz == pytest.approx(100e6)
-        assert config.clock_period_s == pytest.approx(1e-8)
 
     def test_heap_capacity_default(self):
         assert AcceleratorConfig().heap_capacity == 1024

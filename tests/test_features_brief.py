@@ -26,7 +26,9 @@ def smoothed_image():
 
 
 def _oriented_keypoint(x=48, y=48, orientation_bin=0, orientation_rad=0.0):
-    return Keypoint(x=x, y=y, score=1.0).with_orientation(orientation_bin, orientation_rad)
+    return Keypoint(
+        x=x, y=y, score=1.0, orientation_bin=orientation_bin, orientation_rad=orientation_rad
+    )
 
 
 def _rotation_equivalence_error(smoothed, keypoint):
@@ -112,12 +114,12 @@ class TestRsBriefEngine:
 
         center = 64
         bin0, rad0 = compute_orientation(base, center, center)
-        keypoint0 = Keypoint(center, center, 1.0).with_orientation(bin0, rad0)
+        keypoint0 = Keypoint(center, center, 1.0, orientation_bin=bin0, orientation_rad=rad0)
         descriptor0 = engine.describe(base, keypoint0)
         # rotate the image by exactly 4 bins (45 degrees)
         rotated = rotate_image(base, 4 * 2 * np.pi / 32, fill=128)
         bin1, rad1 = compute_orientation(rotated, center, center)
-        keypoint1 = Keypoint(center, center, 1.0).with_orientation(bin1, rad1)
+        keypoint1 = Keypoint(center, center, 1.0, orientation_bin=bin1, orientation_rad=rad1)
         descriptor1 = engine.describe(rotated, keypoint1)
         distance = hamming_distance(descriptor0, descriptor1)
         # unrelated descriptors average ~128 bits; the rotated feature must be

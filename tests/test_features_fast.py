@@ -16,8 +16,8 @@ def is_fast_corner(image, x, y, config=None):
     cfg = config or FastConfig()
     if not image.contains(x, y, border=3):
         return False
-    center = image.intensity(x, y)
-    ring = [image.intensity(x + dx, y + dy) for dx, dy in FAST_CIRCLE_OFFSETS]
+    center = int(image.pixels[y, x])
+    ring = [int(image.pixels[y + dy, x + dx]) for dx, dy in FAST_CIRCLE_OFFSETS]
 
     def has_arc(flags):
         doubled = flags + flags[: cfg.arc_length - 1]

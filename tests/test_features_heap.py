@@ -42,16 +42,6 @@ class TestBoundedScoreHeap:
         assert retained is False
         assert heap.items_by_score() == ["first"]
 
-    def test_min_score_threshold(self):
-        heap = BoundedScoreHeap(capacity=3)
-        for score in (1.0, 5.0, 3.0, 7.0):
-            heap.offer(score, score)
-        assert heap.min_score() == 3.0
-
-    def test_min_score_on_empty_raises(self):
-        with pytest.raises(FeatureError):
-            BoundedScoreHeap(capacity=2).min_score()
-
     def test_statistics_counts(self):
         heap = BoundedScoreHeap(capacity=2)
         heap.offer(1.0, "a")
@@ -61,7 +51,6 @@ class TestBoundedScoreHeap:
         assert heap.stats.insertions == 2
         assert heap.stats.replacements == 1
         assert heap.stats.rejections == 1
-        assert heap.stats.total_offered() == 4
         assert heap.stats.comparisons > 0
 
     def test_capacity_must_be_positive(self):

@@ -99,24 +99,15 @@ class TestRotatedPatternLUT:
         assert lut.angle_index(math.radians(5.0)) == 0
         assert lut.angle_index(math.radians(7.0)) == 1
 
-    def test_max_discretization_error_is_6_degrees(self):
-        lut = RotatedPatternLUT(original_brief_pattern(seed=5))
-        assert lut.max_discretization_error_rad() == pytest.approx(math.radians(6.0))
-
     def test_storage_cost_matches_paper_motivation(self):
         # 30 patterns x 2 sets x 256 locations = 15360 stored locations;
         # this is the memory cost RS-BRIEF eliminates
         lut = RotatedPatternLUT(original_brief_pattern(seed=5))
         assert lut.storage_locations() == 30 * 2 * 256
 
-    def test_pattern_at_bounds(self):
-        lut = RotatedPatternLUT(original_brief_pattern(seed=5))
-        with pytest.raises(DescriptorError):
-            lut.pattern_at(30)
-
     def test_lut_patterns_are_rotations_of_base(self):
         base = original_brief_pattern(seed=6)
         lut = RotatedPatternLUT(base, num_angles=12)
-        fifth = lut.pattern_at(5)
         expected = rotated_pattern(base, 2 * math.pi * 5 / 12)
+        fifth = lut.pattern_for_angle(2 * math.pi * 5 / 12)
         assert np.allclose(fifth.s_locations, expected.s_locations)

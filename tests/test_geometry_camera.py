@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import GeometryError
-from repro.geometry import (
-    PinholeCamera,
-    Pose,
-    so3_exp,
-)
+from repro.geometry import PinholeCamera
 
 
 class TestIntrinsics:
@@ -28,12 +24,6 @@ class TestIntrinsics:
             PinholeCamera(fx=-1, fy=1, cx=0, cy=0)
         with pytest.raises(GeometryError):
             PinholeCamera.tum_freiburg1().scaled(0.0)
-
-    def test_intrinsic_matrix(self, camera):
-        matrix = camera.intrinsic_matrix()
-        assert matrix[0, 0] == camera.fx
-        assert matrix[1, 2] == camera.cy
-        assert matrix[2, 2] == 1.0
 
 
 class TestProjection:
@@ -70,17 +60,3 @@ class TestProjection:
         rays = camera.pixel_rays(np.array([[camera.cx, camera.cy]]))
         assert np.allclose(rays[0], [0.0, 0.0, 1.0])
 
-    def test_is_visible(self, camera):
-        assert camera.is_visible(np.array([320.0, 240.0]))
-        assert not camera.is_visible(np.array([-1.0, 240.0]))
-        assert not camera.is_visible(np.array([320.0, 240.0]), margin=300)
-
-    def test_project_world_point(self, camera, example_pose):
-        point_world = example_pose.inverse().transform(np.array([0.1, 0.2, 3.0]))
-        pixel, depth = camera.project_world_point(point_world, example_pose)
-        assert depth == pytest.approx(3.0)
-        assert camera.is_visible(pixel)
-
-    def test_project_world_point_behind_camera(self, camera):
-        with pytest.raises(GeometryError):
-            camera.project_world_point(np.array([0.0, 0.0, -2.0]), Pose.identity())

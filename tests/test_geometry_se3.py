@@ -19,6 +19,8 @@ from repro.geometry import (
     vee,
 )
 
+from poses import poses_close
+
 _small_floats = st.floats(min_value=-1.5, max_value=1.5, allow_nan=False)
 
 
@@ -104,19 +106,16 @@ class TestPose:
 
     def test_compose_and_inverse(self, example_pose):
         composed = example_pose.compose(example_pose.inverse())
-        assert composed.is_close(Pose.identity(), atol=1e-10)
+        assert poses_close(composed, Pose.identity(), atol=1e-10)
 
     def test_matmul_operator(self, example_pose):
-        assert (example_pose @ Pose.identity()).is_close(example_pose)
+        assert poses_close(example_pose @ Pose.identity(), example_pose)
 
     def test_transform_single_and_batch_agree(self, example_pose):
         points = np.random.default_rng(0).normal(size=(5, 3))
         batch = example_pose.transform(points)
         for i in range(5):
             assert np.allclose(batch[i], example_pose.transform(points[i]))
-
-    def test_matrix_roundtrip(self, example_pose):
-        assert Pose.from_matrix(example_pose.matrix()).is_close(example_pose)
 
     def test_camera_center(self, example_pose):
         center = example_pose.camera_center()
@@ -132,21 +131,11 @@ class TestPose:
         b = Pose(so3_exp(np.array([0.0, 0.3, 0.0])), np.zeros(3))
         assert a.rotation_angle(b) == pytest.approx(0.3)
 
-    def test_relative_to(self, example_pose):
-        relative = example_pose.relative_to(example_pose)
-        assert relative.is_close(Pose.identity(), atol=1e-12)
-
-    def test_quaternion_translation_constructor(self, example_pose):
-        rebuilt = Pose.from_quaternion_translation(
-            quaternion_from_rotation(example_pose.rotation), example_pose.translation
-        )
-        assert rebuilt.is_close(example_pose, atol=1e-9)
-
 
 class TestSe3:
     def test_exp_of_zero(self):
         pose = se3_exp(np.zeros(3), np.zeros(3))
-        assert pose.is_close(Pose.identity())
+        assert poses_close(pose, Pose.identity())
 
     def test_pure_translation(self):
         pose = se3_exp(np.array([1.0, 2.0, 3.0]), np.zeros(3))
@@ -166,7 +155,7 @@ class TestSe3:
         # falls below its epsilon
         pose = se3_exp(np.array([0.0, 0.0, 1.0]), np.array([1e-12, 0.0, 0.0]))
         upsilon, omega = se3_log(pose)
-        assert se3_exp(upsilon, omega).is_close(pose, atol=1e-7)
+        assert poses_close(se3_exp(upsilon, omega), pose, atol=1e-7)
         assert np.allclose(upsilon, [0.0, 0.0, 1.0], atol=1e-9)
 
     @settings(max_examples=30, deadline=None)
@@ -175,4 +164,4 @@ class TestSe3:
         pose = se3_exp(np.array([a, b, c]), np.array([d, e, f]))
         upsilon, omega = se3_log(pose)
         rebuilt = se3_exp(upsilon, omega)
-        assert rebuilt.is_close(pose, atol=1e-7)
+        assert poses_close(rebuilt, pose, atol=1e-7)

@@ -25,11 +25,12 @@ class TestFsmSchedule:
 
     def test_initialisation_after_two_lines(self):
         cache = PingPongImageCache(rows=8, columns_per_line=4)
-        assert not cache.is_initialized
+        assert cache.readable_columns() == 0
         cache.push_columns(np.zeros((8, 4), dtype=np.uint8))
-        assert not cache.is_initialized
+        assert cache.readable_columns() == 4
         cache.push_columns(np.zeros((8, 4), dtype=np.uint8))
-        assert cache.is_initialized  # 16 columns pre-stored, as in the paper
+        # two lines pre-stored (16 columns at the paper's 8 per line)
+        assert cache.readable_columns() == 8
 
     def test_figure5_schedule_shape(self):
         """After init, fill target cycles A->B->C->A while others stream (Fig. 5)."""
@@ -87,10 +88,3 @@ class TestDataAccess:
             cache.window(center_column=4, width=7)
         window = cache.window(center_column=28, width=7)
         assert np.array_equal(window, image.pixels[:, 25:32])
-
-    def test_bram_requirement_reflects_geometry(self):
-        cache = PingPongImageCache(rows=480, columns_per_line=8)
-        requirement = cache.bram_requirement()
-        assert requirement.copies == 3
-        assert requirement.depth == 480
-        assert requirement.width_bits == 64

@@ -18,7 +18,6 @@ from repro.hw.orb_extractor import (
     FeatureHeapUnit,
     HeapEntry,
     ImageSmootherUnit,
-    NmsUnit,
     OrientationUnit,
 )
 from repro.image import GrayImage, gaussian_blur, random_blocks
@@ -89,42 +88,9 @@ class TestImageSmootherUnit:
         assert max(errors) <= 4
         assert float(np.mean(errors)) <= 1.5
 
-    def test_multiplier_count(self):
-        assert ImageSmootherUnit().multipliers_required() == 49
-
     def test_rejects_wrong_window(self):
         with pytest.raises(HardwareModelError):
             ImageSmootherUnit().smooth_window(np.zeros((3, 3)))
-
-
-class TestNmsUnit:
-    def test_center_maximum_survives(self):
-        window = np.array([[1, 2, 3], [4, 9, 5], [6, 7, 8]], dtype=float)
-        assert NmsUnit().is_local_maximum(window)
-
-    def test_center_not_maximum_suppressed(self):
-        window = np.array([[1, 2, 3], [4, 5, 9], [6, 7, 8]], dtype=float)
-        assert not NmsUnit().is_local_maximum(window)
-
-    def test_tie_with_earlier_neighbour_suppressed(self):
-        window = np.zeros((3, 3))
-        window[1, 1] = 5.0
-        window[0, 0] = 5.0  # earlier in raster order wins
-        assert not NmsUnit().is_local_maximum(window)
-
-    def test_tie_with_later_neighbour_kept(self):
-        window = np.zeros((3, 3))
-        window[1, 1] = 5.0
-        window[2, 2] = 5.0  # later in raster order loses
-        assert NmsUnit().is_local_maximum(window)
-
-    def test_nonpositive_center_rejected(self):
-        window = np.zeros((3, 3))
-        assert not NmsUnit().is_local_maximum(window)
-
-    def test_window_shape_validated(self):
-        with pytest.raises(HardwareModelError):
-            NmsUnit().is_local_maximum(np.zeros((5, 5)))
 
 
 class TestOrientationUnit:
@@ -167,7 +133,9 @@ class TestBriefComputingAndRotator:
         rotator = BriefRotatorUnit()
         for (x, y) in [(40, 40), (50, 60), (64, 30)]:
             orientation_bin, orientation_rad = compute_orientation(smoothed, x, y)
-            keypoint = Keypoint(x, y, 1.0).with_orientation(orientation_bin, orientation_rad)
+            keypoint = Keypoint(
+                x, y, 1.0, orientation_bin=orientation_bin, orientation_rad=orientation_rad
+            )
             software = engine.describe(smoothed, keypoint)
             patch = smoothed.patch(x, y, config.patch_radius)
             hardware = rotator.rotate(unit.describe(patch), orientation_bin)
@@ -202,14 +170,3 @@ class TestFeatureHeapUnit:
             heap.offer(self._entry(score))
         retained_scores = [entry.score for entry in heap.retained()]
         assert retained_scores == [7.0, 5.0, 3.0]
-
-    def test_insertion_cycles_logarithmic(self):
-        assert FeatureHeapUnit(capacity=1024).insertion_cycles() == 11
-
-    def test_cycle_breakdown_counts_offers(self):
-        heap = FeatureHeapUnit(capacity=4)
-        for score in range(10):
-            heap.offer(self._entry(float(score)))
-        breakdown = heap.cycle_breakdown()
-        assert breakdown.components["heap.insert"] == 10 * heap.insertion_cycles()
-        assert breakdown.components["heap.flush"] == 4

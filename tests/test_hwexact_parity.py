@@ -256,7 +256,7 @@ class TestEndToEndParity:
 
     def test_quantized_scores_are_integers(self, texture):
         result = OrbExtractor(_config()).extract(texture)
-        scores = result.score_array()
+        scores = result.feature_arrays().scores
         assert np.all(scores == np.rint(scores))
         assert np.all(scores > 0)
         assert float(scores.max()) <= HARRIS_SCORE_FORMAT.max_value

@@ -44,14 +44,6 @@ class TestConstruction:
 
 
 class TestAccessors:
-    def test_intensity(self, blocks_image):
-        value = blocks_image.intensity(5, 7)
-        assert value == int(blocks_image.pixels[7, 5])
-
-    def test_intensity_out_of_bounds(self, blocks_image):
-        with pytest.raises(ImageError):
-            blocks_image.intensity(blocks_image.width, 0)
-
     def test_contains_with_border(self):
         image = GrayImage.zeros(10, 10)
         assert image.contains(5, 5, border=3)
@@ -71,12 +63,6 @@ class TestAccessors:
         clone = blocks_image.copy()
         assert clone == blocks_image
         assert clone is not blocks_image
-
-    def test_iter_rows_matches_pixels(self):
-        image = GrayImage(np.arange(6, dtype=np.uint8).reshape(2, 3))
-        rows = list(image.iter_rows())
-        assert len(rows) == 2
-        assert np.array_equal(rows[1], np.array([3, 4, 5], dtype=np.uint8))
 
 
 class TestCircularMask:

@@ -57,7 +57,7 @@ class TestImagePyramid:
 
     def test_total_pixels_and_counts(self, large_blocks_image):
         pyramid = ImagePyramid(large_blocks_image, PyramidConfig(num_levels=2))
-        counts = pyramid.pixel_counts()
+        counts = [level.image.num_pixels for level in pyramid]
         assert len(counts) == 2
         assert pyramid.total_pixels() == sum(counts)
         assert counts[0] == large_blocks_image.num_pixels
@@ -67,13 +67,6 @@ class TestImagePyramid:
         with pytest.raises(ImageError):
             pyramid.level(10)
 
-    def test_to_level0_coordinate_mapping(self, large_blocks_image):
-        pyramid = ImagePyramid(large_blocks_image, PyramidConfig(num_levels=3, scale_factor=1.5))
-        level = pyramid.level(2)
-        x0, y0 = level.to_level0(10, 20)
-        assert x0 == pytest.approx(10 * 1.5**2)
-        assert y0 == pytest.approx(20 * 1.5**2)
-
     def test_iteration_order(self, large_blocks_image):
         pyramid = ImagePyramid(large_blocks_image)
         levels = [level.level for level in pyramid]
@@ -81,7 +74,7 @@ class TestImagePyramid:
 
 
 class TestSharedResizeArithmetic:
-    """One rounding rule for software levels, providers and the hw resizer."""
+    """One rounding rule for software levels and providers."""
 
     def test_resize_dimensions_matches_resize_output(self, blocks_image):
         for scale in (1.0, 1.2, 1.5, 2.0):
@@ -93,18 +86,6 @@ class TestSharedResizeArithmetic:
         pyramid = ImagePyramid(large_blocks_image, config)
         shapes = pyramid_level_shapes(240, 320, config)
         assert shapes == [level.image.shape for level in pyramid]
-        assert pyramid.pixel_counts() == [h * w for h, w in shapes]
-
-    def test_hw_resizer_uses_the_same_rule(self, large_blocks_image):
-        from repro.hw.resizer import ImageResizerModule
-
-        module = ImageResizerModule(PyramidConfig(num_levels=4))
-        assert module.output_shape(large_blocks_image) == resize_dimensions(
-            240, 320, module.pyramid_config.scale_factor
-        )
-        assert module.resize(large_blocks_image).shape == module.output_shape(
-            large_blocks_image
-        )
 
 
 class TestPyramidPixelRatio:

@@ -106,12 +106,12 @@ class TestReprojectionProblem:
 
     def test_zero_error_at_true_pose(self, problem):
         prob, true_pose = problem
-        assert prob.total_error(true_pose) == pytest.approx(0.0, abs=1e-12)
+        assert np.abs(prob.residuals(true_pose)).max() == pytest.approx(0.0, abs=1e-9)
         assert prob.rmse(true_pose) == pytest.approx(0.0, abs=1e-9)
 
     def test_positive_error_at_wrong_pose(self, problem):
         prob, _ = problem
-        assert prob.total_error(Pose.identity()) > 0
+        assert prob.rmse(Pose.identity()) > 0
 
     def test_analytic_jacobian_matches_numeric(self, problem):
         prob, true_pose = problem

@@ -14,6 +14,12 @@ def _descriptor(seed: int = 0) -> np.ndarray:
     return np.random.default_rng(seed).integers(0, 256, 32, dtype=np.uint8)
 
 
+def _add_point(global_map, position, descriptor, created_frame) -> MapPoint:
+    """Add one point through ``add_points``; return its snapshot."""
+    (point_id,) = global_map.add_points([position], [descriptor], created_frame)
+    return global_map.get(int(point_id))
+
+
 class TestMapPoint:
     def test_construction_defaults(self):
         point = MapPoint(
@@ -28,10 +34,6 @@ class TestMapPoint:
         with pytest.raises(AttributeError):
             point.times_matched = 1
 
-    def test_frames_since_match(self):
-        point = MapPoint(0, [0, 0, 1], _descriptor(), created_frame=2)
-        assert point.frames_since_match(10) == 8
-
     def test_invalid_descriptor_rejected(self):
         with pytest.raises(MapError):
             MapPoint(0, [0, 0, 1], np.zeros((0,), dtype=np.uint8), created_frame=0)
@@ -40,20 +42,20 @@ class TestMapPoint:
 class TestGlobalMap:
     def test_add_and_get(self):
         global_map = GlobalMap()
-        point = global_map.add_point([1, 2, 3], _descriptor(), created_frame=0)
+        point = _add_point(global_map, [1, 2, 3], _descriptor(), created_frame=0)
         assert len(global_map) == 1
         assert point.point_id in global_map
         assert global_map.get(point.point_id).position[2] == 3
 
     def test_ids_are_unique_and_increasing(self):
         global_map = GlobalMap()
-        ids = [global_map.add_point([0, 0, i], _descriptor(i), 0).point_id for i in range(5)]
+        ids = [_add_point(global_map, [0, 0, i], _descriptor(i), 0).point_id for i in range(5)]
         assert ids == sorted(set(ids))
 
     def test_dense_matrices_match_points(self):
         global_map = GlobalMap()
         for i in range(4):
-            global_map.add_point([i, 0, 1], _descriptor(i), 0)
+            _add_point(global_map, [i, 0, 1], _descriptor(i), 0)
         descriptors = global_map.descriptor_matrix()
         positions = global_map.position_matrix()
         assert descriptors.shape == (4, 32)
@@ -62,22 +64,15 @@ class TestGlobalMap:
 
     def test_matrices_update_after_insertion(self):
         global_map = GlobalMap()
-        global_map.add_point([0, 0, 1], _descriptor(0), 0)
+        _add_point(global_map, [0, 0, 1], _descriptor(0), 0)
         assert global_map.descriptor_matrix().shape[0] == 1
-        global_map.add_point([0, 0, 2], _descriptor(1), 0)
+        _add_point(global_map, [0, 0, 2], _descriptor(1), 0)
         assert global_map.descriptor_matrix().shape[0] == 2
 
     def test_empty_map_matrices(self):
         global_map = GlobalMap()
         assert global_map.descriptor_matrix().shape == (0, 32)
         assert global_map.position_matrix().shape == (0, 3)
-
-    def test_capacity_enforced(self):
-        global_map = GlobalMap(max_points=2)
-        global_map.add_point([0, 0, 1], _descriptor(0), 0)
-        global_map.add_point([0, 0, 2], _descriptor(1), 0)
-        with pytest.raises(MapError):
-            global_map.add_point([0, 0, 3], _descriptor(2), 0)
 
     def test_bulk_add_stops_at_capacity(self):
         global_map = GlobalMap(max_points=3)
@@ -89,8 +84,8 @@ class TestGlobalMap:
 
     def test_cull_removes_stale_points(self):
         global_map = GlobalMap()
-        stale = global_map.add_point([0, 0, 1], _descriptor(0), created_frame=0)
-        fresh = global_map.add_point([0, 0, 2], _descriptor(1), created_frame=0)
+        stale = _add_point(global_map, [0, 0, 1], _descriptor(0), created_frame=0)
+        fresh = _add_point(global_map, [0, 0, 2], _descriptor(1), created_frame=0)
         global_map.record_matches(np.array([1]), 20)
         removed = global_map.cull(current_frame=40, ttl_frames=30)
         assert removed == 1
@@ -108,7 +103,7 @@ class TestGlobalMap:
     def test_point_ids_align_with_matrix_rows(self):
         global_map = GlobalMap()
         for i in range(3):
-            global_map.add_point([0, 0, i], _descriptor(i), 0)
+            _add_point(global_map, [0, 0, i], _descriptor(i), 0)
         ids = global_map.point_ids()
         positions = global_map.position_matrix()
         for row, point_id in enumerate(ids):
@@ -116,7 +111,7 @@ class TestGlobalMap:
 
     def test_record_matches_updates_state(self):
         global_map = GlobalMap()
-        point = global_map.add_point([0, 0, 1], _descriptor(), created_frame=0)
+        point = _add_point(global_map, [0, 0, 1], _descriptor(), created_frame=0)
         global_map.record_matches(np.array([0]), 4)
         assert global_map.get(point.point_id).last_matched_frame == 4
         assert global_map.get(point.point_id).times_matched == 1
@@ -125,7 +120,7 @@ class TestGlobalMap:
 
     def test_record_matches_rejects_time_travel(self):
         global_map = GlobalMap()
-        global_map.add_point([0, 0, 1], _descriptor(), created_frame=10)
+        _add_point(global_map, [0, 0, 1], _descriptor(), created_frame=10)
         with pytest.raises(MapError):
             global_map.record_matches(np.array([0]), 5)
 
@@ -253,10 +248,3 @@ class TestKeyframePolicy:
         for i in range(4):
             policy.evaluate(Pose(np.eye(3), np.array([0.001 * i, 0, 0])))
         assert policy.keyframe_ratio == pytest.approx(0.25)
-
-    def test_reset(self):
-        policy = KeyframePolicy()
-        policy.evaluate(Pose.identity())
-        policy.reset()
-        assert policy.num_frames == 0
-        assert policy.evaluate(Pose.identity()).is_keyframe

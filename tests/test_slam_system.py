@@ -1,5 +1,7 @@
 """Integration tests for the tracker and the full SLAM system."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,8 @@ from repro.config import SlamConfig
 from repro.errors import GeometryError, ReproError, TrackingError
 from repro.geometry import PnpRansac, Pose
 from repro.slam import Frame, SlamSystem, Tracker
+
+from poses import poses_close
 
 
 class TestFrame:
@@ -33,24 +37,6 @@ class TestFrame:
         assert frame.descriptor_matrix().shape == (0, 32)
         assert frame.keypoint_pixels().shape == (0, 2)
 
-    def test_back_projection_requires_pose(self, tiny_sequence, tiny_slam_config):
-        from repro.features import OrbExtractor
-
-        rgbd = tiny_sequence[0]
-        frame = Frame(
-            index=0,
-            timestamp=0.0,
-            image=rgbd.image,
-            depth=rgbd.depth,
-            camera=tiny_sequence.camera,
-        )
-        frame.set_features(OrbExtractor(tiny_slam_config.extractor).extract(rgbd.image))
-        with pytest.raises(TrackingError):
-            frame.back_project_feature(0)
-        frame.pose = Pose.identity()
-        point = frame.back_project_feature(0)
-        assert point is None or point.shape == (3,)
-
 
 class TestTrackerOnSequence:
     def test_first_frame_initialises_map(self, tiny_sequence, tiny_slam_config):
@@ -62,7 +48,7 @@ class TestTrackerOnSequence:
         )
         result = tracker.process(frame)
         assert result.is_keyframe
-        assert result.pose.is_close(Pose.identity())
+        assert poses_close(result.pose, Pose.identity())
         assert len(tracker.map) > 50
 
     def test_second_frame_tracks_against_map(self, tiny_sequence, tiny_slam_config):
@@ -109,7 +95,7 @@ class TestPoseEstimationErrors:
         result = SlamSystem(tiny_slam_config).run(tiny_sequence, max_frames=2)
         assert result.frame_results[0].tracked  # the map bootstrap needs no PnP
         assert not result.frame_results[1].tracked
-        assert result.frame_results[1].pose.is_close(result.frame_results[0].pose)
+        assert poses_close(result.frame_results[1].pose, result.frame_results[0].pose)
 
 
 class TestSlamSystem:
@@ -149,11 +135,11 @@ class TestSlamSystem:
         first = SlamSystem(tiny_slam_config).run(tiny_sequence, max_frames=3)
         second = SlamSystem(tiny_slam_config).run(tiny_sequence, max_frames=3)
         for a, b in zip(first.estimated_poses, second.estimated_poses):
-            assert a.is_close(b, atol=1e-12)
+            assert poses_close(a, b, atol=1e-12)
 
     def test_original_orb_configuration_also_tracks(self, tiny_sequence, tiny_slam_config):
         config = SlamConfig(
-            extractor=tiny_slam_config.extractor.with_descriptor_mode(False),
+            extractor=replace(tiny_slam_config.extractor, use_rs_brief=False),
             matcher=tiny_slam_config.matcher,
             tracker=tiny_slam_config.tracker,
         )

@@ -128,13 +128,6 @@ class TestHistogram:
         with pytest.raises(ReproError):
             histogram.percentile(101.0)
 
-    def test_summary_digest_keys(self):
-        histogram = Histogram("latency_s")
-        histogram.observe(0.01)
-        digest = histogram.summary()
-        assert set(digest) == {"count", "sum", "mean", "p50", "p95", "p99"}
-        assert digest["count"] == 1
-
 
 class TestMetricsRegistry:
     def test_get_or_create_returns_same_instance(self):
@@ -155,15 +148,6 @@ class TestMetricsRegistry:
         registry.counter("x_total")
         with pytest.raises(ReproError):
             registry.gauge("x_total")
-
-    def test_snapshot_and_json(self):
-        registry = MetricsRegistry()
-        registry.counter("x_total").inc(3)
-        registry.histogram("h_s").observe(0.01)
-        snapshot = registry.snapshot()
-        assert snapshot["x_total"] == 3
-        assert snapshot["h_s"]["count"] == 1
-        assert '"x_total": 3' in registry.to_json()
 
     def test_prometheus_text_exposition(self):
         registry = MetricsRegistry()
@@ -255,10 +239,9 @@ class TestTraceMerge:
         trace.add_worker_spans("w", records, worker_clock_s=11.0, server_clock_s=111.0)
         # a slower transit over-estimates; the running minimum ignores it
         trace.add_worker_spans("w", [], worker_clock_s=12.0, server_clock_s=112.5)
-        assert trace.clock_offset("w") == pytest.approx(100.0)
+        assert trace.spans()[0][3] == pytest.approx(10.0 + 100.0)
         # a faster transit is a strictly better bound and replaces it
         trace.add_worker_spans("w", [], worker_clock_s=13.0, server_clock_s=112.8)
-        assert trace.clock_offset("w") == pytest.approx(99.8)
         (merged,) = trace.spans()
         assert merged[0] == "w"
         assert merged[3] == pytest.approx(10.0 + 99.8)  # start on server clock
@@ -366,7 +349,7 @@ class TestEventJournal:
         assert len(journal) == 3
         requeues = journal.events(kind="requeue")
         assert [event.worker_id for event in requeues] == [1, 0]
-        assert journal.as_dicts()[1]["reason"] == "ring_exhausted"
+        assert journal.events()[1].as_dict()["reason"] == "ring_exhausted"
         at = [event.at_s for event in journal.events()]
         assert at == sorted(at)  # monotonic timestamps
 
@@ -377,7 +360,6 @@ class TestEventJournal:
         journal.log("worker_dead", worker_id=1)
         rows = journal.events()
         assert rows[0].seed is None and rows[1].seed == 7
-        assert "[seed 7]" in journal.timeline()
 
     def test_bounded_capacity_drops_oldest(self):
         journal = EventJournal(capacity=4)
@@ -386,9 +368,6 @@ class TestEventJournal:
         assert len(journal) == 4
         assert journal.dropped == 6
         assert [event.detail["job"] for event in journal.events()] == [6, 7, 8, 9]
-
-    def test_empty_timeline(self):
-        assert EventJournal().timeline() == "(empty journal)"
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +435,7 @@ class TestStatsGoldenKeys:
         with pytest.raises(ReproError, match="cluster_frames_submitted_total"):
             ClusterStats(registry=registry)
         first._submitted(0)
-        assert registry.snapshot()["cluster_frames_submitted_total"] == 1
+        assert registry.counter("cluster_frames_submitted_total").value == 1
         # a registry holding only other metrics is fine
         other = MetricsRegistry()
         other.counter("slam_frames_total")
@@ -491,13 +470,13 @@ class TestClusterTracing:
             results = server.extract_many(telemetry_images)
             trace = server.trace()
         assert len(results) == len(telemetry_images)
+        # a worker track exists only through add_worker_spans, which
+        # calibrates its clock offset
         assert trace.tracks() == ["server", "worker-0", "worker-1"]
         assert trace.validate() == []
         coverage = trace.frame_coverage()
         assert len(coverage) == len(telemetry_images)
         assert all(row["covered"] for row in coverage.values())
-        for track in ("worker-0", "worker-1"):
-            assert trace.clock_offset(track) is not None
         worker_names = {
             item[2] for item in trace.spans() if item[0].startswith("worker")
         }

@@ -92,11 +92,6 @@ class TestSensitivityAnalysis:
         arm = [p.runtime_ms[ARM_CORTEX_A9.name] for p in points]
         assert arm[0] < arm[-1]
 
-    def test_resolution_sweep(self, analysis):
-        points = analysis.resolution_sweep((0.5, 1.0, 1.5))
-        i7 = [p.runtime_ms[INTEL_I7.name] for p in points]
-        assert i7 == sorted(i7)
-
     def test_real_time_limit(self, analysis):
         points = analysis.map_size_sweep((500, 1500, 3000, 6000))
         eslam_limit = SensitivityAnalysis.real_time_limit(points, ESLAM.name, fps=30.0)
