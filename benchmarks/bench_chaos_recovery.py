@@ -100,7 +100,7 @@ def _serve_batch(config, images, plan=None, num_workers=NUM_WORKERS):
             time.sleep(0.01)
         heal_s = time.perf_counter() - heal_start
         healed = len(server.alive_worker_ids())
-    drained = server._admitted == 0 and not server._pending
+    drained = not server._pending and server.stats.queue_depth == 0
     return keys, elapsed, heal_s, healed, server.stats.as_dict(), drained
 
 

@@ -9,10 +9,10 @@ each worker's own ``multiprocessing`` queues.
 
 Semantics:
 
-* **back-pressure** — at most ``max_in_flight`` frames are in flight; a
-  submit beyond that blocks the producer on a condition variable (woken
-  the instant a completion frees the window) instead of queueing unbounded
-  pixels;
+* **back-pressure** — the pending table is the admission window: at most
+  ``max_in_flight`` jobs are pending, and a submit beyond that waits on a
+  condition variable over the server's one lock, which every job leaving
+  the table notifies, instead of queueing unbounded pixels;
 * **in-order results** — :meth:`ClusterServer.extract_many` returns results
   in submission order regardless of worker completion order;
 * **identical output** — every worker builds its engine from the same
@@ -31,13 +31,16 @@ Semantics:
   that budget the job fails with a structured
   :class:`~repro.errors.JobFailed` carrying its attempt history.
 
-Placement is one rule: job ``n`` goes to worker ``n % num_workers``; when
-that worker is down under supervision the job goes to the alive worker
-with the shallowest queue (lowest worker id on ties).  A pending job is in
-exactly one of two places: its owner's job queue (the owner is running),
-or parked on a dead slot until that slot respawns.  Requeueing moves
-*where* a job runs, never *what* it computes: the job's future and pixels
-are untouched, so results stay bit-identical and in submission order.
+Placement is one rule, shared by ``submit`` and the death handler: job
+``n`` goes to its owner, worker ``n % num_workers``, while that worker is
+alive; otherwise (supervised) to the alive worker with the shallowest queue
+(lowest worker id on ties); otherwise it parks on a dead slot until that
+slot respawns.  ``submit`` waits for room and for a live worker, routes,
+registers and puts in one critical section, so only a death parks a job.
+A pending job is in exactly one of two places: its owner's job queue (the
+owner is running), or parked on a dead slot.  Requeueing moves *where* a
+job runs, never *what* it computes: the job's future and pixels are
+untouched, so results stay bit-identical and in submission order.
 
 Every frame travels the same way: ``submit`` takes one private copy of the
 pixels and puts the job message ``(job_id, key, pixels)`` on the routed
@@ -101,10 +104,9 @@ class WorkerStats:
     histogram (O(buckets), no deque sort).
 
     ``state`` tracks the worker lifecycle (``running`` / ``dead`` /
-    ``failed`` — see :mod:`repro.cluster.supervisor`); ``alive`` stays the
-    routing-facing boolean and is true exactly while
-    ``state == "running"``.  ``restarts`` counts supervised respawns of
-    this worker slot.
+    ``failed`` — see :mod:`repro.cluster.supervisor`); ``alive`` reads it
+    and is true exactly while ``state == "running"``.  ``restarts``
+    counts supervised respawns of this worker slot.
     """
 
     def __init__(
@@ -112,7 +114,6 @@ class WorkerStats:
     ) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.worker_id = worker_id
-        self.alive = True
         self.state = WORKER_RUNNING
         labels = {"worker": str(worker_id)}
         self._completed_counter = self.registry.counter(
@@ -140,6 +141,10 @@ class WorkerStats:
             help="per-frame latency of this worker (seconds)",
             labels=labels,
         )
+
+    @property
+    def alive(self) -> bool:
+        return self.state == WORKER_RUNNING
 
     # -- registry-backed read-only attributes -------------------------------
     @property
@@ -189,8 +194,7 @@ class ClusterStats:
     latency percentiles read a bounded log-bucket histogram, and an
     :class:`~repro.telemetry.ActivityWindow` adds ``active_elapsed_s`` /
     ``active_throughput_fps`` (throughput over the time the cluster was
-    actually serving, immune to idle gaps between replays).  All
-    pre-telemetry ``as_dict()`` keys are preserved.
+    actually serving, immune to idle gaps between replays).
 
     The robustness counters make failure handling observable:
     ``restarts`` (supervised worker respawns), ``requeued`` (jobs moved
@@ -245,8 +249,6 @@ class ClusterStats:
             help="accumulated active serving time (idle gaps capped)",
         )
         self._window = ActivityWindow(clock=self._clock)
-        self._first_submit_s: Optional[float] = None
-        self._last_completed_s: Optional[float] = None
         self._lock = threading.Lock()
 
     def __getattr__(self, attr: str):
@@ -266,8 +268,6 @@ class ClusterStats:
 
     def _submitted(self, worker_id: int) -> None:
         with self._lock:
-            if self._first_submit_s is None:
-                self._first_submit_s = self._clock()
             self._counters["frames_submitted"].inc()
             self._in_flight_gauge.inc()
             self._max_in_flight_gauge.set_max(self._in_flight_gauge.value)
@@ -276,7 +276,6 @@ class ClusterStats:
 
     def _completed(self, worker_id: int, latency_s: float) -> None:
         with self._lock:
-            self._last_completed_s = self._clock()
             self._counters["frames_completed"].inc()
             self._in_flight_gauge.dec()
             self._latency_histogram.observe(latency_s)
@@ -288,20 +287,12 @@ class ClusterStats:
 
     def _failed(self, worker_id: int) -> None:
         with self._lock:
-            self._last_completed_s = self._clock()
             self._counters["frames_failed"].inc()
             self._in_flight_gauge.dec()
             worker = self.workers[worker_id]
             worker._failed_counter.inc()
             worker._queue_depth_gauge.dec()
             self._touch_window()
-
-    def _abandoned(self, worker_id: int) -> None:
-        """Undo a submission whose hand-off failed (never extracted)."""
-        with self._lock:
-            self._counters["frames_submitted"].add(-1)
-            self._in_flight_gauge.dec()
-            self.workers[worker_id]._queue_depth_gauge.dec()
 
     def _requeued(self, victim_id: int, target_id: int, retried: bool) -> None:
         """Move one crashed-worker job's accounting to its new owner."""
@@ -349,21 +340,6 @@ class ClusterStats:
         return 1000.0 * self._latency_histogram.percentile(95.0)
 
     @property
-    def elapsed_s(self) -> float:
-        """Wall-clock span from first submit to last completion."""
-        if self._first_submit_s is None or self._last_completed_s is None:
-            return 0.0
-        return max(0.0, self._last_completed_s - self._first_submit_s)
-
-    @property
-    def throughput_fps(self) -> float:
-        """Completed frames per wall-clock second across the whole cluster."""
-        elapsed = self.elapsed_s
-        if elapsed <= 0.0:
-            return 0.0
-        return self.frames_completed / elapsed
-
-    @property
     def active_elapsed_s(self) -> float:
         """Accumulated *active* serving time (idle gaps capped)."""
         with self._lock:
@@ -371,20 +347,15 @@ class ClusterStats:
 
     @property
     def active_throughput_fps(self) -> float:
-        """Completed frames per second of *active* time — unlike the legacy
-        ``throughput_fps``, this does not deflate across idle gaps between
-        replays on a long-lived server."""
+        """Completed frames per second of *active* time, which does not
+        deflate across idle gaps between replays on a long-lived server."""
         active = self.active_elapsed_s
         if active <= 0.0:
             return 0.0
         return self.frames_completed / active
 
     def as_dict(self) -> Dict[str, object]:
-        """JSON-friendly snapshot (benchmark reports).
-
-        Every pre-telemetry key is preserved; ``active_elapsed_s`` /
-        ``active_throughput_fps`` are additive.
-        """
+        """JSON-friendly snapshot (benchmark reports)."""
         with self._lock:  # per-worker rows snapshot under the append lock
             workers = [worker.as_dict() for worker in self.workers]
         return {
@@ -402,8 +373,6 @@ class ClusterStats:
             "requeued": self.requeued,
             "latency_p50_ms": self.latency_p50_ms,
             "latency_p95_ms": self.latency_p95_ms,
-            "elapsed_s": self.elapsed_s,
-            "throughput_fps": self.throughput_fps,
             "active_elapsed_s": self.active_elapsed_s,
             "active_throughput_fps": self.active_throughput_fps,
             "workers": workers,
@@ -515,20 +484,19 @@ class ClusterServer:
         self._job_queues: List = []
         self._result_queues: List = []
         self._processes: List = []
+        # the pending table is the admission window: at most max_in_flight
+        # jobs, each in its owner's job queue or parked on a dead slot.  One
+        # lock guards it with the worker states, queues and processes;
+        # every job leaving the table notifies _room, so a blocked submit
+        # wakes at once, and death, respawn, give-up and close notify all
+        # waiters so they re-check liveness
         self._pending: Dict[int, _PendingJob] = {}
         self._lock = threading.Lock()
+        self._room = threading.Condition(self._lock)
         self._next_job_id = 0
-        self._closed = False
-        self._closing = False
-        self._close_lock = threading.Lock()
-        self._draining = False
+        self._closing = False  # close() has begun: no new submissions
+        self._closed = False  # drain over: blocked submits raise
         self._stall_timers: List[threading.Timer] = []
-        # admission window: one condition variable is the whole back-pressure
-        # story — completions notify it, so a blocked submit wakes in
-        # microseconds instead of a poll tick; worker death, respawn and
-        # close also notify so blocked producers re-check liveness
-        self._admission = threading.Condition()
-        self._admitted = 0
         try:
             for worker_id in range(num_workers):
                 process, job_queue, result_queue = self._start_worker_process(
@@ -597,11 +565,6 @@ class ClusterServer:
         return process, job_queue, result_queue
 
     # -- protocol ----------------------------------------------------------
-    @property
-    def extractor_config(self) -> ExtractorConfig:
-        """Configuration every worker's extraction engine was built from."""
-        return self.config
-
     def trace(self) -> Trace:
         """The merged cross-process trace of this server's run so far.
 
@@ -632,7 +595,7 @@ class ClusterServer:
         died (unsupervised), or every worker has died with no restart
         pending.
         """
-        if self._closed or self._closing:
+        if self._closing:
             raise ReproError("ClusterServer is closed")
         if image.pixels.shape != self.config.image_shape:
             raise ReproError(
@@ -651,49 +614,50 @@ class ClusterServer:
         # the queue pickles the message on its feeder thread after submit
         # returns, and the caller may reuse its array by then
         pixels = image.pixels.copy()
-        self._acquire_admission()
-        registered = False
-        worker_id = 0
-        try:
+        # wait, route, register and put in one critical section: the worker
+        # found alive here is still alive at the put, so only a death parks
+        # a job.  The timeout is a lost-wakeup safety net, not the latency.
+        with self._room:
             while True:
-                worker_id = self._route_once(job_id)
-                if worker_id is not None:
-                    break
-                self._wait_for_alive_worker()
-            future: "Future[ExtractionResult]" = Future()
-            job = _PendingJob(future, worker_id, key, pixels, submitted_s=submitted_s)
-            # register + send in one critical section, so a worker death can
-            # never interleave between the alive re-check and the put and
-            # orphan the message
-            with self._lock:
-                lost = not self.stats.workers[worker_id].alive
-                if lost and self.supervision is not None:
-                    worker_id = self._fallback_target_locked(worker_id)
-                    lost = False
-                self.stats._submitted(worker_id)
-                if not lost:
-                    registered = True
-                    self._send_locked(job_id, job, worker_id)
-            if lost:
-                # unsupervised, and the routed worker died after routing:
-                # the frame fails as one in flight on that worker would
-                self.stats._failed(worker_id)
-                self._release_admission()
-                future.set_exception(
-                    ReproError(
-                        f"cluster worker {worker_id} died before the frame was queued"
+                if self._closed:
+                    raise ReproError(
+                        "ClusterServer closed while waiting for an admission slot"
                     )
-                )
-            self.tracer.complete("submit", submitted_s, frame=key, worker=worker_id)
-            return future
-        except BaseException:
-            if registered:
-                with self._lock:
-                    job = self._pending.pop(job_id, None)
-                if job is not None:
-                    self.stats._abandoned(worker_id)
-            self._release_admission()
-            raise
+                if any(worker.alive for worker in self.stats.workers):
+                    if len(self._pending) < self.max_in_flight:
+                        break
+                elif not self._recovery_possible():
+                    raise ReproError("every cluster worker has died; serving halted")
+                self._room.wait(timeout=1.0)
+            target = self._target_locked(job_id % self.num_workers)
+            job = _PendingJob(Future(), target, key, pixels, submitted_s=submitted_s)
+            self._send_locked(job_id, job, target)
+            self.stats._submitted(target)
+        self.tracer.complete("submit", submitted_s, frame=key, worker=target)
+        return job.future
+
+    def _target_locked(self, owner: int) -> int:
+        """Where a job owned by slot ``owner`` goes; the caller holds ``_lock``.
+
+        The owner while it is alive.  Otherwise, under supervision, the
+        alive worker with the shallowest queue (lowest worker id on ties),
+        else a dead slot awaiting its restart — the owner's own first —
+        whose respawn sends the job.  Unsupervised, a dead owner fails the
+        job; so does a supervised cluster with nothing alive or pending
+        restart.
+        """
+        workers = self.stats.workers
+        if workers[owner].alive:
+            return owner
+        if self.supervision is None:
+            raise ReproError(f"cluster worker {owner} has died; frame cannot be served")
+        alive = [worker for worker in workers if worker.alive]
+        if alive:
+            return min(alive, key=lambda w: (w.queue_depth, w.worker_id)).worker_id
+        dead = [worker.worker_id for worker in workers if worker.state == WORKER_DEAD]
+        if dead:
+            return owner if owner in dead else dead[0]
+        raise ReproError("every cluster worker has died; serving halted")
 
     def _send_locked(self, job_id: int, job: _PendingJob, target: int) -> None:
         """Give ``job`` to slot ``target``; the caller holds ``_lock``.
@@ -705,11 +669,11 @@ class ClusterServer:
         jobs sit in ``_pending`` in the order they reached its queue — the
         order :meth:`_on_worker_exit` charges retries by.
         """
+        if self.stats.workers[target].alive:
+            self._job_queues[target].put((job_id, job.key, job.pixels))
         self._pending.pop(job_id, None)
         job.worker_id = target
         self._pending[job_id] = job
-        if self.stats.workers[target].alive:
-            self._job_queues[target].put((job_id, job.key, job.pixels))
 
     def _owned_locked(self, worker_id: int) -> List[Tuple[int, _PendingJob]]:
         """``worker_id``'s pending jobs in send order; caller holds ``_lock``."""
@@ -719,52 +683,35 @@ class ClusterServer:
             if job.worker_id == worker_id
         ]
 
-    def _route_once(self, job_id: int) -> Optional[int]:
-        """One routing pass: an alive worker id, or ``None`` (supervised,
-        nothing alive right now — the caller waits for a restart).
+    def _retire_locked(
+        self, job_id: int, latency_s: Optional[float] = None
+    ) -> Optional[_PendingJob]:
+        """Take ``job_id`` out of the window; the caller holds ``_lock``.
 
-        Job ``n`` goes to worker ``n % num_workers``.  When that worker is
-        down, a supervised cluster reroutes to the shallowest alive queue;
-        an unsupervised one fails the submission.
+        Counts the job completed (``latency_s`` given) or failed against
+        its current owner and wakes one blocked submit.  Counting in the
+        same critical section that frees the slot keeps the in-flight
+        gauge, and so its high-watermark, within ``max_in_flight``.  The
+        caller resolves the returned future after releasing ``_lock``:
+        callbacks run inline and may call :meth:`submit`.  Returns ``None``
+        when the job already left (close failed it while its result was on
+        the way).
         """
-        workers = self.stats.workers
-        worker_id = job_id % self.num_workers
-        if workers[worker_id].alive:
-            return worker_id
-        if self.supervision is not None:
-            return self._shallowest_alive()
-        if not any(worker.alive for worker in workers):
-            raise ReproError("every cluster worker has died; serving halted")
-        raise ReproError(
-            f"cluster worker {worker_id} has died; frame cannot be served"
-        )
-
-    def _shallowest_alive(self) -> Optional[int]:
-        """The alive worker with the shallowest queue (lowest worker id on
-        ties), or ``None`` when no worker is alive."""
-        alive = [worker for worker in self.stats.workers if worker.alive]
-        if not alive:
+        job = self._pending.pop(job_id, None)
+        if job is None:
             return None
-        return min(alive, key=lambda w: (w.queue_depth, w.worker_id)).worker_id
+        if latency_s is None:
+            self.stats._failed(job.worker_id)
+        else:
+            self.stats._completed(job.worker_id, latency_s)
+        self._room.notify()
+        return job
 
-    def _fallback_target_locked(self, worker_id: int) -> int:
-        """Replacement owner when ``worker_id`` died after routing.
-
-        Supervised clusters only; callers hold ``_lock``.  Prefers the
-        shallowest alive queue; the routed worker's own dead slot is an
-        acceptable parking spot while its restart is pending (the respawn
-        sends what is parked on it).
-        """
-        best = self._shallowest_alive()
-        if best is not None:
-            return best
-        worker = self.stats.workers[worker_id]
-        if worker.state == WORKER_DEAD:
-            return worker_id  # held until the supervisor respawns it
-        for candidate in self.stats.workers:
-            if candidate.state == WORKER_DEAD:
-                return candidate.worker_id
-        raise ReproError("every cluster worker has died; serving halted")
+    def _recovery_possible(self) -> bool:
+        """True while a supervised restart could bring a worker back."""
+        if self.supervision is None:
+            return False
+        return any(worker.state == WORKER_DEAD for worker in self.stats.workers)
 
     def extract_many(
         self,
@@ -786,55 +733,6 @@ class ClusterServer:
         ]
         return [future.result() for future in futures]
 
-    # -- admission (back-pressure) -----------------------------------------
-    def _recovery_possible(self) -> bool:
-        """True while a supervised restart could bring a worker back."""
-        if self.supervision is None:
-            return False
-        return any(worker.state == WORKER_DEAD for worker in self.stats.workers)
-
-    def _acquire_admission(self) -> None:
-        """Block until the in-flight window has room, watching worker health.
-
-        Wake-ups are notifications (completion, worker death/respawn,
-        close) — the short wait timeout below is only a lost-wakeup safety
-        net, not the release latency.
-        """
-        with self._admission:
-            while True:
-                if self._closed:
-                    raise ReproError(
-                        "ClusterServer closed while waiting for an admission slot"
-                    )
-                if not any(worker.alive for worker in self.stats.workers):
-                    if not self._recovery_possible():
-                        raise ReproError(
-                            "every cluster worker has died; serving halted"
-                        )
-                elif self._admitted < self.max_in_flight:
-                    self._admitted += 1
-                    return
-                self._admission.wait(timeout=1.0)
-
-    def _release_admission(self) -> None:
-        with self._admission:
-            self._admitted -= 1
-            self._admission.notify()
-
-    def _wait_for_alive_worker(self) -> None:
-        """Park a blocked producer until a worker is alive again."""
-        with self._admission:
-            while True:
-                if self._closed:
-                    raise ReproError(
-                        "ClusterServer closed while waiting for a worker restart"
-                    )
-                if any(worker.alive for worker in self.stats.workers):
-                    return
-                if not self._recovery_possible():
-                    raise ReproError("every cluster worker has died; serving halted")
-                self._admission.wait(timeout=0.05)
-
     # -- result collection / worker health ---------------------------------
     def _collect_results(self) -> None:
         """Sweep every alive worker's result queue, folding results into futures.
@@ -847,62 +745,45 @@ class ClusterServer:
         plain sleep when the pipe handles are not exposed.
         """
         while True:
-            with self._lock:
-                queues = [
-                    result_queue
-                    for result_queue, worker in zip(
-                        self._result_queues, self.stats.workers
-                    )
-                    if worker.alive
-                ]
-            drained_any = False
-            for result_queue in queues:
-                while True:
-                    # dequeue + fold under one lock: a death handler that
-                    # sees this queue empty knows no result from it is
-                    # still being folded before it requeues the rest
-                    with self._collect_lock:
-                        try:
-                            message = result_queue.get_nowait()
-                        except queue_module.Empty:
-                            break
-                        except (EOFError, OSError, ValueError):
-                            break  # torn down (close), or its worker died
-                        drained_any = True
-                        self._fold_result(message)
-            if drained_any:
+            alive = self.alive_worker_ids()
+            drained = [self._drain_worker_result_queue(worker_id) for worker_id in alive]
+            if any(drained):
                 continue
             if self._closed and not self._pending:
                 return
             self._check_worker_health()
             try:
-                readers = [result_queue._reader for result_queue in queues]
+                readers = [self._result_queues[worker_id]._reader for worker_id in alive]
                 mp_connection_wait(readers, timeout=_HEALTH_POLL_S)
             except (AttributeError, OSError, ValueError):
                 time.sleep(_HEALTH_POLL_S)
 
-    def _drain_worker_result_queue(self, worker_id: int) -> None:
-        """Fold everything a (dead) worker's result queue still holds.
+    def _drain_worker_result_queue(self, worker_id: int) -> bool:
+        """Fold everything worker ``worker_id``'s result queue holds now;
+        True when it held anything.
 
-        Each dequeue+fold is atomic under ``_collect_lock`` — shared with
-        the collector sweep — so when this returns on ``Empty`` no message
-        from the queue is mid-fold anywhere: results the worker sent
-        before dying have completed their futures, and the caller may
-        requeue exactly the jobs still pending.  (A SIGKILL mid-put can
-        truncate the stream; the dead worker held the pipe's only write
-        end, so the remainder reads as EOF below and the jobs it carried
-        are simply requeued like any other loss.)
+        Each dequeue+fold is atomic under ``_collect_lock``, so when this
+        returns on ``Empty`` no message from the queue is mid-fold
+        anywhere: the death handler, which drains a dead worker's queue
+        here before it requeues, knows that results the worker sent before
+        dying have completed their futures and that exactly the jobs still
+        pending need a new owner.  (A SIGKILL mid-put can truncate the
+        stream; the dead worker held the pipe's only write end, so the
+        remainder reads as EOF below and the jobs it carried are simply
+        requeued like any other loss.)
         """
+        folded = False
         while True:
             with self._collect_lock:
                 result_queue = self._result_queues[worker_id]
                 try:
                     message = result_queue.get_nowait()
                 except queue_module.Empty:
-                    return
+                    return folded
                 except (EOFError, OSError, ValueError):
-                    return  # torn stream (killed mid-put / queue closed)
+                    return folded  # torn stream (killed mid-put / queue closed)
                 self._fold_result(message)
+                folded = True
 
     def _fold_result(self, message) -> None:
         worker_id, job_id, payload, latency_s, error, trace_blob = message
@@ -914,63 +795,52 @@ class ClusterServer:
                 f"worker-{worker_id}", worker_records, worker_clock_s
             )
         with self._lock:
-            job = self._pending.pop(job_id, None)
+            job = self._retire_locked(job_id, latency_s if error is None else None)
         if job is None:
-            return  # close() failed it while its result was on the way
-        # account the completion BEFORE freeing the admission slot: a
-        # producer blocked on admission must not see the window shrink
-        # before the in-flight counter does (else max_in_flight can
-        # overshoot).  The accounting target is the job's CURRENT owner —
-        # after a crash requeue that is where its queue_depth sits.
-        if error is None:
-            self.stats._completed(job.worker_id, latency_s)
-            self._release_admission()
-            job.future.set_result(payload)
-            if self.tracer.enabled:
-                self.tracer.record(
-                    "serve",
-                    job.submitted_s,
-                    time.perf_counter(),
-                    frame=job.key,
-                    worker=worker_id,
-                )
-                self.tracer.instant("resolve", frame=job.key)
-        else:
+            return
+        if error is not None:
             # the worker absorbed the exception to keep serving: count the
             # frame as failed and journal why
-            self.stats._failed(job.worker_id)
-            self._release_admission()
             self.journal.log(
                 "frame_failed", worker_id=worker_id, frame=job.key, error=error
             )
             job.future.set_exception(
                 ReproError(f"cluster worker {worker_id} extraction failed: {error}")
             )
+            return
+        # record before resolving: the future's callbacks may read trace()
+        if self.tracer.enabled:
+            self.tracer.record(
+                "serve",
+                job.submitted_s,
+                time.perf_counter(),
+                frame=job.key,
+                worker=worker_id,
+            )
+            self.tracer.instant("resolve", frame=job.key)
+        job.future.set_result(payload)
 
     def _check_worker_health(self) -> None:
         for worker_id, process in enumerate(list(self._processes)):
-            worker = self.stats.workers[worker_id]
-            if process.exitcode is None:
+            if process.exitcode is None or not self.stats.workers[worker_id].alive:
                 continue
-            if not worker.alive:
-                continue
-            if self._draining and process.exitcode == 0:
+            if self._closing and process.exitcode == 0:
                 continue  # normal sentinel exit while close() drains
             self._on_worker_exit(worker_id, process)
 
     def _on_worker_exit(
         self, worker_id: int, process, reason: Optional[str] = None
     ) -> None:
-        """Fold the exit of worker ``process`` into job state: fail (legacy) or requeue.
+        """Fold the exit of worker ``process`` into job state: fail or requeue.
 
-        Without supervision this matches the historical fail-fast handling
-        (jobs fail with a :class:`~repro.errors.ReproError`, the worker is
-        permanently down).  With supervision the worker is marked ``dead``
-        for the supervisor to respawn, and every job it owned is requeued
-        to the back of an alive worker's queue (or parked on this slot
-        while nothing is alive) unless its retry budget is exhausted, in
-        which case it fails with a :class:`~repro.errors.JobFailed`
-        carrying the attempt history.
+        Without supervision the worker is permanently down and its jobs
+        fail with a :class:`~repro.errors.ReproError`.  With supervision
+        the worker is marked ``dead`` for the supervisor to respawn, and
+        every job it owned goes by :meth:`_target_locked` to the back of an
+        alive worker's queue (or parks on a dead slot while nothing is
+        alive) unless its retry budget is exhausted, in which case it
+        fails with a :class:`~repro.errors.JobFailed` carrying the attempt
+        history.
 
         Only the slot's current process counts: the supervisor may already
         have folded this death and respawned the slot (a kill and the
@@ -1000,7 +870,6 @@ class ClusterServer:
                 return  # already handled (kill + health check race)
             supervised = self.supervision is not None
             worker.state = WORKER_DEAD if supervised else WORKER_FAILED
-            worker.alive = False
             # The worker ran its queue first in, first out and sent each
             # result as it completed, and its result queue is drained: so
             # of its pending jobs, in send order (``_pending`` order, see
@@ -1010,16 +879,10 @@ class ClusterServer:
             # without cost.
             for position, (job_id, job) in enumerate(self._owned_locked(worker_id)):
                 if not supervised:
-                    del self._pending[job_id]
-                    failures.append(
-                        (
-                            job,
-                            ReproError(
-                                f"cluster worker {worker_id} {reason} "
-                                "with frames in flight"
-                            ),
-                        )
+                    error = ReproError(
+                        f"cluster worker {worker_id} {reason} with frames in flight"
                     )
+                    failures.append((self._retire_locked(job_id), error))
                     continue
                 started = position == 0
                 if started:
@@ -1027,22 +890,17 @@ class ClusterServer:
                         JobAttempt(worker_id, reason, now - job.submitted_s)
                     )
                     if len(job.attempts) > self.supervision.max_retries:
-                        del self._pending[job_id]
-                        failures.append(
-                            (
-                                job,
-                                JobFailed(
-                                    f"retry budget of "
-                                    f"{self.supervision.max_retries} exhausted",
-                                    tuple(job.attempts),
-                                ),
-                            )
+                        error = JobFailed(
+                            f"retry budget of {self.supervision.max_retries} exhausted",
+                            tuple(job.attempts),
                         )
+                        failures.append((self._retire_locked(job_id), error))
                         continue
-                target = self._fallback_target_locked(worker_id)
+                target = self._target_locked(worker_id)
                 self._send_locked(job_id, job, target)
                 self.stats._requeued(worker_id, target, retried=started)
                 requeued += 1
+            self._room.notify_all()  # blocked producers re-check liveness
         self.journal.log(
             "worker_dead",
             worker_id=worker_id,
@@ -1054,28 +912,7 @@ class ClusterServer:
         if requeued:
             self.journal.log("requeue", worker_id=worker_id, jobs=requeued)
         for job, error in failures:
-            self.stats._failed(worker_id)
-            self._release_admission()
             job.future.set_exception(error)
-        with self._admission:
-            self._admission.notify_all()  # blocked producers re-check liveness
-
-    def kill_worker(self, worker_id: int) -> None:
-        """Fault-injection hook: kill one worker and surface the failure.
-
-        Used by the crash tests (and :class:`repro.chaos.FaultPlan`): the
-        worker process is killed and joined; without supervision every
-        submission pending on it fails with a
-        :class:`~repro.errors.ReproError`, with supervision its jobs are
-        requeued and the supervisor respawns it.
-        """
-        if not 0 <= worker_id < len(self.stats.workers):
-            raise ReproError(f"no cluster worker {worker_id}")
-        process = self._processes[worker_id]
-        if process.exitcode is None:
-            process.kill()
-        process.join()
-        self._on_worker_exit(worker_id, process)
 
     # -- chaos hooks (repro.chaos.FaultPlan) --------------------------------
     def chaos_kill(self, worker_id: Optional[int] = None) -> Optional[int]:
@@ -1083,16 +920,14 @@ class ClusterServer:
 
         ``worker_id`` is a preference; a dead preference falls back
         to the first alive worker.  Returns the killed worker id, or
-        ``None`` when nothing was alive to kill.
+        ``None`` when nothing was alive to kill.  Without supervision the
+        worker's pending frames fail with a :class:`~repro.errors.ReproError`;
+        with it they are requeued and the supervisor respawns the slot.
         """
         target = self._pick_chaos_target(worker_id)
         if target is None:
             return None
-        process = self._processes[target]
-        if process.exitcode is None:
-            process.kill()
-        process.join(timeout=5.0)
-        self._on_worker_exit(target, process, reason="chaos kill")
+        self._kill(target, reason="chaos kill")
         return target
 
     def chaos_stall(
@@ -1143,23 +978,13 @@ class ClusterServer:
     def _last_heartbeat(self, worker_id: int) -> float:
         return float(self._heartbeats[worker_id])
 
-    def _kill_stalled_worker(self, worker_id: int, stalled_for_s: float) -> None:
-        """Kill a heartbeat-stalled worker; its jobs requeue like a crash."""
+    def _kill(self, worker_id: int, reason: str) -> None:
+        """SIGKILL worker ``worker_id``, join it and fold its death in."""
         process = self._processes[worker_id]
         if process.exitcode is None:
-            try:
-                process.kill()
-            except OSError:
-                return  # not signalable and not exited: the next tick retries
+            process.kill()
         process.join(timeout=5.0)
-        self.journal.log(
-            "stall_kill", worker_id=worker_id, stalled_for_s=round(stalled_for_s, 3)
-        )
-        self._on_worker_exit(
-            worker_id,
-            process,
-            reason=f"stalled (no heartbeat for {stalled_for_s:.1f}s); killed",
-        )
+        self._on_worker_exit(worker_id, process, reason=reason)
 
     def _respawn_worker(self, worker_id: int) -> bool:
         """Restart one dead worker slot with the same engine configuration.
@@ -1175,7 +1000,7 @@ class ClusterServer:
         closing, the slot is not restartable, or the spawn
         itself failed (the supervisor retries after backoff).
         """
-        if self._closed or self._closing:
+        if self._closing:
             return self._respawn_refused(worker_id, "closing")
         worker = self.stats.workers[worker_id]
         if worker.state != WORKER_DEAD:
@@ -1198,17 +1023,15 @@ class ClusterServer:
             self._result_queues[worker_id] = new_result_queue
             self._processes[worker_id] = process
             worker.state = WORKER_RUNNING
-            worker.alive = True
             for job_id, job in self._owned_locked(worker_id):
                 self._send_locked(job_id, job, worker_id)
+            self._room.notify_all()  # blocked producers can route again
         self.stats._restarted(worker_id)
         self.journal.log(
             "restart",
             worker_id=worker_id,
             restarts=self.stats.workers[worker_id].restarts,
         )
-        with self._admission:
-            self._admission.notify_all()  # blocked producers can route again
         for old_queue in old_queues:
             old_queue.close()
             old_queue.cancel_join_thread()
@@ -1235,9 +1058,8 @@ class ClusterServer:
             worker.state = WORKER_FAILED
             for job_id, job in self._owned_locked(worker_id):
                 try:
-                    target = self._fallback_target_locked(worker_id)
+                    target = self._target_locked(worker_id)
                 except ReproError:
-                    del self._pending[job_id]
                     job.attempts.append(
                         JobAttempt(
                             worker_id,
@@ -1245,28 +1067,21 @@ class ClusterServer:
                             now - job.submitted_s,
                         )
                     )
-                    failures.append(
-                        (
-                            job,
-                            JobFailed(
-                                f"cluster worker {worker_id} permanently "
-                                "failed (restart budget exhausted)",
-                                tuple(job.attempts),
-                            ),
-                        )
+                    error = JobFailed(
+                        f"cluster worker {worker_id} permanently "
+                        "failed (restart budget exhausted)",
+                        tuple(job.attempts),
                     )
+                    failures.append((self._retire_locked(job_id), error))
                     continue
                 self._send_locked(job_id, job, target)
                 self.stats._requeued(worker_id, target, retried=False)
+            self._room.notify_all()  # no restart may be pending any more
         self.journal.log(
             "worker_failed", worker_id=worker_id, failed=len(failures)
         )
         for job, error in failures:
-            self.stats._failed(worker_id)
-            self._release_admission()
             job.future.set_exception(error)
-        with self._admission:
-            self._admission.notify_all()
 
     # -- lifecycle ---------------------------------------------------------
     def close(self, drain_timeout_s: float = 30.0) -> None:
@@ -1275,14 +1090,13 @@ class ClusterServer:
         Idempotent and crash-safe: a second call returns immediately, a
         worker that died mid-drain does not hang the drain, every frame
         still pending fails with a :class:`~repro.errors.ReproError` and
-        gives back its admission slot, and every process is joined before
-        the queues close.
+        leaves the pending table, and every process is joined before the
+        queues close.
         """
-        with self._close_lock:
-            if self._closed or self._closing:
+        with self._lock:
+            if self._closing:
                 return
             self._closing = True
-            self._draining = True
         for timer in self._stall_timers:
             timer.cancel()
         for process in self._processes:
@@ -1303,21 +1117,17 @@ class ClusterServer:
             time.sleep(_HEALTH_POLL_S)
         if self._supervisor is not None:
             self._supervisor.stop()
-        with self._admission:
+        with self._lock:
             self._closed = True
-            self._admission.notify_all()  # blocked producers raise, not hang
+            leftovers = [self._retire_locked(job_id) for job_id in list(self._pending)]
+            self._room.notify_all()  # blocked producers raise, not hang
         for worker_id, worker in enumerate(self.stats.workers):
             if worker.alive:
                 try:
                     self._job_queues[worker_id].put(SHUTDOWN)
                 except (ValueError, OSError):
                     pass
-        with self._lock:
-            leftovers = list(self._pending.items())
-            self._pending.clear()
-        for job_id, job in leftovers:
-            self.stats._failed(job.worker_id)
-            self._release_admission()
+        for job in leftovers:
             job.future.set_exception(
                 ReproError("ClusterServer closed before the frame was served")
             )

@@ -11,7 +11,7 @@ and requeue their pending jobs to alive workers.  A job is retried at most
 :class:`~repro.errors.JobFailed` carrying the full attempt history.
 
 The supervisor owns only the *decisions* (when to kill, respawn, give up);
-the *mechanics* (process spawning, job requeueing, slot reclamation) live
+the *mechanics* (killing, process spawning, job requeueing) live
 on the server so they share its locking discipline.  Failure semantics
 are documented in ``docs/serving.md``.
 """
@@ -143,9 +143,16 @@ class Supervisor:
             beat = self._server._last_heartbeat(worker_id)
             if beat <= 0.0:
                 continue  # not booted yet; spin-up is covered by exit codes
-            if now - beat > self.supervision.heartbeat_timeout_s:
-                self._server._kill_stalled_worker(
-                    worker_id, stalled_for_s=now - beat
+            stalled_for_s = now - beat
+            if stalled_for_s > self.supervision.heartbeat_timeout_s:
+                self._server.journal.log(
+                    "stall_kill",
+                    worker_id=worker_id,
+                    stalled_for_s=round(stalled_for_s, 3),
+                )
+                self._server._kill(
+                    worker_id,
+                    reason=f"stalled (no heartbeat for {stalled_for_s:.1f}s); killed",
                 )
 
     def _respawn_dead_workers(self) -> None:

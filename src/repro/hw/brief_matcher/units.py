@@ -10,7 +10,7 @@ Cache buffer inputs/outputs between AXI transfers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -72,24 +72,18 @@ class DescriptorCacheUnit:
             raise HardwareModelError("cache capacities must be positive")
         self.frame_capacity = frame_capacity
         self.map_capacity = map_capacity
-        self._frame_descriptors: Optional[np.ndarray] = None
-        self._map_descriptors: Optional[np.ndarray] = None
 
     def load_frame_descriptors(self, descriptors: np.ndarray) -> None:
-        descriptors = np.asarray(descriptors, dtype=np.uint8)
-        if descriptors.shape[0] > self.frame_capacity:
+        if len(descriptors) > self.frame_capacity:
             raise HardwareModelError(
-                f"{descriptors.shape[0]} frame descriptors exceed capacity {self.frame_capacity}"
+                f"{len(descriptors)} frame descriptors exceed capacity {self.frame_capacity}"
             )
-        self._frame_descriptors = descriptors
 
     def load_map_descriptors(self, descriptors: np.ndarray) -> None:
-        descriptors = np.asarray(descriptors, dtype=np.uint8)
-        if descriptors.shape[0] > self.map_capacity:
+        if len(descriptors) > self.map_capacity:
             raise HardwareModelError(
-                f"{descriptors.shape[0]} map descriptors exceed capacity {self.map_capacity}"
+                f"{len(descriptors)} map descriptors exceed capacity {self.map_capacity}"
             )
-        self._map_descriptors = descriptors
 
 
 class ResultCacheUnit:

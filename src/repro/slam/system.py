@@ -159,7 +159,7 @@ class SlamSystem:
             for rgbd_frame in sequence
             if max_frames is None or rgbd_frame.index < max_frames
         ]
-        if frame_server is not None and frame_server.extractor_config != self.config.extractor:
+        if frame_server is not None and frame_server.config != self.config.extractor:
             raise ReproError(
                 "frame server extractor configuration does not match the "
                 "SLAM extractor configuration"

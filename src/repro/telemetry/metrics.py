@@ -5,9 +5,7 @@ runtime breakdown); the reproduction's serving layer accumulated ~25
 ad-hoc counter dicts across :class:`~repro.cluster.ClusterStats` and the
 per-worker stats.  This module is the single store those views now share:
 
-* :class:`Counter` — monotonically increasing event count (plus a signed
-  :meth:`Counter.add` escape hatch for the rare compensating adjustment,
-  e.g. a submission abandoned before it ever ran);
+* :class:`Counter` — monotonically increasing event count;
 * :class:`Gauge` — a settable point-in-time value;
 * :class:`Histogram` — **fixed log-bucket** distribution: ``observe`` is
   O(1), ``percentile`` is O(buckets), memory is bounded by the bucket
@@ -80,13 +78,8 @@ class Metric:
 
 
 class Counter(Metric):
-    """A monotonically increasing event counter.
-
-    :meth:`inc` rejects negative amounts; the rare bookkeeping that must
-    *undo* an event that never happened (an abandoned submission) uses
-    :meth:`add`, which accepts signed amounts and is deliberately uglier
-    to reach for.
-    """
+    """A monotonically increasing event counter (:meth:`inc` rejects
+    negative amounts)."""
 
     kind = "counter"
 
@@ -97,11 +90,6 @@ class Counter(Metric):
     def inc(self, amount: int = 1) -> None:
         if amount < 0:
             raise ReproError("Counter.inc amount must be non-negative")
-        with self._lock:
-            self._value += amount
-
-    def add(self, amount: int) -> None:
-        """Signed adjustment (compensating bookkeeping only)."""
         with self._lock:
             self._value += amount
 
@@ -254,9 +242,9 @@ DEFAULT_ACTIVITY_GAP_S = 0.5
 class ActivityWindow:
     """Accumulated *active* serving time, ignoring idle gaps.
 
-    The legacy ``elapsed_s`` spans first-submit→last-complete across a
-    server's whole lifetime, so two replays separated by a minute of idle
-    report a deflated ``throughput_fps``.  This window instead accrues
+    A span from first submit to last completion would cover a server's
+    whole lifetime, so two replays separated by a minute of idle would
+    report a deflated throughput.  This window instead accrues
     ``min(now - last_event, gap_s)`` on every submit/complete event: time
     between back-to-back frames counts fully, while any pause longer than
     ``gap_s`` contributes at most ``gap_s``.  ``active_throughput =

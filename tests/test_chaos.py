@@ -70,10 +70,10 @@ def _wait_until(predicate, timeout_s=15.0, interval_s=0.02):
 
 
 def _assert_nothing_admitted(server):
-    """Admission audit after drain or close: every frame gave its window
-    slot back and no job is left pending."""
-    assert server._admitted == 0
+    """Admission audit after drain or close: no job is left in the pending
+    table (the admission window) or counted in flight."""
     assert not server._pending
+    assert server.stats.queue_depth == 0
 
 
 def _warm_up(server, images, count=2):
@@ -316,7 +316,7 @@ class TestSupervisorTickErrors:
             assert len(rows) == 1
             assert rows[0].detail["error"] == "RuntimeError"
             # later ticks still supervise: a killed worker is respawned
-            server.kill_worker(0)
+            assert server.chaos_kill(0) == 0
             assert _wait_until(lambda: server.stats.workers[0].restarts == 1)
             assert _wait_until(lambda: len(server.alive_worker_ids()) == 2)
             served = _feature_key(server.submit(chaos_images[0]).result(timeout=60))
@@ -436,7 +436,7 @@ class TestDeadSlots:
         )
         with server:
             _warm_up(server, chaos_images, count=1)
-            server.kill_worker(0)
+            assert server.chaos_kill(0) == 0
             futures = []
             submitter = threading.Thread(
                 target=lambda: futures.append(
@@ -462,23 +462,19 @@ class TestDeadSlots:
         )
         with server:
             _warm_up(server, chaos_images, count=1)
-            route = server._route_once
-
-            def route_then_die(job_id):
-                worker_id = route(job_id)
-                server.kill_worker(worker_id)
-                return worker_id
-
-            # the only worker dies after routing: the job parks on its slot
-            server._route_once = route_then_die
+            # the only worker holds the job, stopped, when it dies: with
+            # nothing alive, the job parks on the dead slot
+            assert server.chaos_stall(0, duration_s=60.0) == 0
             future = server.submit(chaos_images[0], frame_id=0)
-            server._route_once = route
+            assert server.chaos_kill(0) == 0
             assert server.stats.workers[0].state == WORKER_DEAD
             assert server.stats.workers[0].queue_depth == 1
             assert not future.done()
             server._supervisor.tick()  # respawns the slot, which sends it
             assert _feature_key(future.result(timeout=60)) == baseline[0]
-        assert server.stats.restarts == 1
+        report = server.stats.as_dict()
+        assert report["restarts"] == 1
+        assert report["requeued"] == report["retries"] == 1
         _assert_nothing_admitted(server)
 
 
@@ -487,7 +483,7 @@ class TestCloseRobustness:
         server = ClusterServer(chaos_config, num_workers=2)
         future = server.submit(chaos_images[0], frame_id=0)
         future.result(timeout=60)
-        server.kill_worker(0)
+        assert server.chaos_kill(0) == 0
         server.close()
         server.close()  # second close must be a no-op, not a crash
         _assert_nothing_admitted(server)

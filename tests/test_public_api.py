@@ -58,9 +58,6 @@ UNREACHED = {
     "repro.slam.frame.Frame.feature_depth": (
         "the scalar reference the vectorised feature_depths is checked against"
     ),
-    "repro.cluster.server.ClusterServer.kill_worker": (
-        "the fault injector of the crash, chaos and pipe-ownership tests"
-    ),
 }
 
 _DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
