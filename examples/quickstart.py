@@ -7,8 +7,10 @@ frames:
 1. render two views of a textured scene from known camera poses,
 2. extract ORB features with the RS-BRIEF descriptor (the paper's pattern),
 3. match them by Hamming distance,
-4. estimate the relative camera pose with PnP + RANSAC and refine it with
-   Levenberg-Marquardt,
+4. estimate the relative camera pose with PnP + RANSAC, then refine it on
+   the inliers with pose optimisation; both run the one Levenberg-Marquardt
+   pose solver, ``repro.geometry.refine_pose``, PnP plain and pose
+   optimisation with Huber weights,
 5. compare against the ground-truth motion.
 
 Run with:  python examples/quickstart.py
@@ -86,7 +88,7 @@ def main() -> None:
     estimate = ransac.estimate(points_world, observations, observed_depths=observed_depths)
     print(f"RANSAC kept {estimate.num_inliers}/{len(points_world)} correspondences")
 
-    # -- 5. refine and compare with ground truth ------------------------------------
+    # -- 5. refine with pose optimisation and compare with ground truth -------------
     optimizer = PoseOptimizer(camera)
     refined = optimizer.optimize(
         points_world[estimate.inlier_mask],

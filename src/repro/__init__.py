@@ -21,7 +21,8 @@ ORB-SLAM on FPGA Platform" (Liu, Yang, Chen, Zhao -- DAC 2019):
   ``docs/serving.md``).
 * :mod:`repro.matching`, :mod:`repro.geometry`, :mod:`repro.optimization`,
   :mod:`repro.slam` -- the software SLAM pipeline (matching, PnP + RANSAC,
-  Levenberg-Marquardt pose optimisation, mapping, evaluation).
+  pose optimisation, mapping, evaluation).  PnP and pose optimisation run
+  one Levenberg-Marquardt pose solver, :func:`repro.geometry.refine_pose`.
 * :mod:`repro.dataset` -- synthetic TUM-style RGB-D sequences with ground
   truth (the offline stand-in for the TUM benchmark).
 * :mod:`repro.hw` -- the cycle-approximate model of the FPGA accelerator

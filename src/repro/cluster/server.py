@@ -592,8 +592,10 @@ class ClusterServer:
         worker messages (the job id is used when it is omitted).  Raises
         :class:`~repro.errors.ReproError` when the server is closed, the
         frame's shape is not ``config.image_shape``, the routed worker has
-        died (unsupervised), or every worker has died with no restart
-        pending.
+        died (unsupervised), every worker has died with no restart pending,
+        or it is called from a future's done-callback on the server's
+        collector or supervisor thread while it would have to wait (see
+        ``docs/serving.md``).
         """
         if self._closing:
             raise ReproError("ClusterServer is closed")
@@ -628,6 +630,18 @@ class ClusterServer:
                         break
                 elif not self._recovery_possible():
                     raise ReproError("every cluster worker has died; serving halted")
+                current = threading.current_thread()
+                if current is self._collector or (
+                    self._supervisor is not None and current is self._supervisor._thread
+                ):
+                    # a done-callback: futures resolve on these threads, the
+                    # collector frees every slot and the supervisor revives
+                    # workers, so waiting on either would hang the server
+                    raise ReproError(
+                        "submit from a future's done-callback found no admission "
+                        "slot or live worker; the server's own threads cannot "
+                        "wait for one"
+                    )
                 self._room.wait(timeout=1.0)
             target = self._target_locked(job_id % self.num_workers)
             job = _PendingJob(Future(), target, key, pixels, submitted_s=submitted_s)

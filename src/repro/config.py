@@ -138,7 +138,6 @@ class MatcherConfig:
 
     max_hamming_distance: int = 64
     ratio_threshold: float = 0.85
-    cross_check: bool = False
 
     def __post_init__(self) -> None:
         if self.max_hamming_distance < 0:

@@ -70,10 +70,6 @@ class GeometryError(ReproError):
     """Raised for degenerate geometric configurations (e.g. singular poses)."""
 
 
-class OptimizationError(ReproError):
-    """Raised when an optimiser is configured or invoked incorrectly."""
-
-
 class TrackingError(ReproError):
     """Raised when the SLAM tracker cannot localise a frame."""
 

@@ -1,4 +1,4 @@
-"""Geometry substrate: SE(3), camera models, PnP and RANSAC."""
+"""Geometry substrate: SE(3), camera models, the one pose solver and RANSAC."""
 
 from .se3 import (
     Pose,
@@ -13,7 +13,7 @@ from .se3 import (
     vee,
 )
 from .camera import PinholeCamera
-from .pnp import IterativePnpSolver, PnpResult, estimate_pose_3d3d
+from .pnp import PoseRefinement, estimate_pose_3d3d, refine_pose
 from .ransac import PnpRansac, RansacConfig, RansacResult, adaptive_iterations
 
 __all__ = [
@@ -28,9 +28,9 @@ __all__ = [
     "quaternion_from_rotation",
     "rotation_from_quaternion",
     "PinholeCamera",
-    "IterativePnpSolver",
-    "PnpResult",
+    "PoseRefinement",
     "estimate_pose_3d3d",
+    "refine_pose",
     "PnpRansac",
     "RansacConfig",
     "RansacResult",

@@ -1,23 +1,32 @@
 """RANSAC outlier rejection for pose estimation.
 
 RANSAC (Random Sample Consensus) is used by eSLAM's pose-estimation stage to
-eliminate feature mismatches before the pose is refined.  The generic driver
-here repeatedly fits a model to a minimal random sample, scores it by the
-number of inliers under a pixel-error threshold, and finally refits the model
-to the best inlier set.
+eliminate feature mismatches before the pose is refined.  The driver here
+repeatedly fits a pose to a minimal random sample, scores it by the number of
+inliers under a pixel-error threshold, and finally refines the pose on the
+best inlier set with :func:`~repro.geometry.pnp.refine_pose`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from ..errors import GeometryError
 from .camera import PinholeCamera
-from .pnp import IterativePnpSolver, estimate_pose_3d3d
+from .pnp import estimate_pose_3d3d, refine_pose
 from .se3 import Pose
+
+#: Correspondences per minimal sample.
+SAMPLE_SIZE = 4
+#: Probability that the adaptive bound draws at least one all-inlier sample.
+CONFIDENCE = 0.99
+#: PnP refinement: LM iteration cap, relative cost tolerance, damping cap.
+PNP_MAX_ITERATIONS = 20
+PNP_COST_TOLERANCE = 1e-8
+PNP_MAX_LAMBDA = 1e6
 
 
 @dataclass
@@ -27,7 +36,6 @@ class RansacResult:
     model: Pose
     inlier_mask: np.ndarray
     num_iterations: int
-    best_score: int
     success: bool
 
     @property
@@ -43,13 +51,9 @@ class RansacConfig:
     """Parameters of the RANSAC loop."""
 
     num_iterations: int = 128
-    sample_size: int = 4
     inlier_threshold_px: float = 3.0
     min_inliers: int = 8
-    confidence: float = 0.99
     seed: int = 7
-    refine_with_inliers: bool = True
-    extra: dict = field(default_factory=dict)
 
 
 def adaptive_iterations(
@@ -79,14 +83,13 @@ class PnpRansac:
     bootstraps a pose with the 3-D/3-D Kabsch alignment (using depth of the
     observed features, the information an RGB-D frame provides), evaluates
     reprojection error over all correspondences and keeps the largest
-    consensus set.  The final pose is refined on all inliers with the
-    iterative PnP solver.
+    consensus set.  The final pose is refined on all inliers with
+    :func:`~repro.geometry.pnp.refine_pose`.
     """
 
     def __init__(self, camera: PinholeCamera, config: RansacConfig | None = None) -> None:
         self.camera = camera
         self.config = config or RansacConfig()
-        self._solver = IterativePnpSolver(camera)
 
     def estimate(
         self,
@@ -99,10 +102,8 @@ class PnpRansac:
         world = np.asarray(points_world, dtype=np.float64)
         pix = np.asarray(pixels, dtype=np.float64)
         n = world.shape[0]
-        if n < self.config.sample_size:
-            raise GeometryError(
-                f"need at least {self.config.sample_size} correspondences, got {n}"
-            )
+        if n < SAMPLE_SIZE:
+            raise GeometryError(f"need at least {SAMPLE_SIZE} correspondences, got {n}")
         rng = np.random.default_rng(self.config.seed)
         best_mask = np.zeros(n, dtype=bool)
         best_pose = initial_pose or Pose.identity()
@@ -114,7 +115,7 @@ class PnpRansac:
             if iteration >= max_iterations:
                 break
             iterations_run = iteration + 1
-            sample = rng.choice(n, size=self.config.sample_size, replace=False)
+            sample = rng.choice(n, size=SAMPLE_SIZE, replace=False)
             pose = self._fit_sample(world[sample], pix[sample], observed_depths, sample, initial_pose)
             if pose is None:
                 continue
@@ -126,27 +127,18 @@ class PnpRansac:
                 best_mask = mask
                 best_pose = pose
                 max_iterations = adaptive_iterations(
-                    score / n,
-                    self.config.sample_size,
-                    self.config.confidence,
-                    self.config.num_iterations,
+                    score / n, SAMPLE_SIZE, CONFIDENCE, self.config.num_iterations
                 )
         success = best_score >= self.config.min_inliers
-        if success and self.config.refine_with_inliers and best_mask.sum() >= 4:
-            refined = self._solver.solve(
-                world[best_mask], pix[best_mask], initial_pose=best_pose
-            )
-            errors = self._reprojection_errors(refined.pose, world, pix)
-            refined_mask = errors < threshold
+        if success and best_mask.sum() >= SAMPLE_SIZE:
+            best_pose = self._refine(world[best_mask], pix[best_mask], best_pose)
+            refined_mask = self._reprojection_errors(best_pose, world, pix) < threshold
             if refined_mask.sum() >= best_mask.sum():
-                best_pose, best_mask = refined.pose, refined_mask
-            else:
-                best_pose = refined.pose
+                best_mask = refined_mask
         return RansacResult(
             model=best_pose,
             inlier_mask=best_mask,
             num_iterations=iterations_run,
-            best_score=max(best_score, 0),
             success=success,
         )
 
@@ -166,12 +158,21 @@ class PnpRansac:
                 if np.all(depths > 0):
                     cam_points = self.camera.back_project_many(pixel_sample, depths)
                     return estimate_pose_3d3d(world_sample, cam_points)
-            result = self._solver.solve(
-                world_sample, pixel_sample, initial_pose=initial_pose
-            )
-            return result.pose
+            return self._refine(world_sample, pixel_sample, initial_pose or Pose.identity())
         except (GeometryError, np.linalg.LinAlgError):
             return None
+
+    def _refine(self, points_world: np.ndarray, pixels: np.ndarray, pose: Pose) -> Pose:
+        """Levenberg-Marquardt PnP from ``pose`` with the PnP constants."""
+        return refine_pose(
+            self.camera,
+            points_world,
+            pixels,
+            pose,
+            max_iterations=PNP_MAX_ITERATIONS,
+            cost_tolerance=PNP_COST_TOLERANCE,
+            max_lambda=PNP_MAX_LAMBDA,
+        ).pose
 
     def _reprojection_errors(
         self, pose: Pose, points_world: np.ndarray, pixels: np.ndarray

@@ -46,10 +46,6 @@ _TILE_BYTES_PER_CELL = 8 + 1 + 2 + 2
 #: and the caller's size is restored before each tile is yielded.
 _TILE_BUFSIZE = 16
 
-#: Upper bound on the rows of one tile, so a row index within a tile fits in
-#: 15 bits (the matcher packs it beside a distance into one int32 key).
-_MAX_TILE_ROWS = 1 << 15
-
 
 def as_descriptor_matrix(descriptors: np.ndarray, name: str) -> np.ndarray:
     """Return ``descriptors`` as a 2-D ``(N, bytes)`` uint8 matrix.
@@ -84,7 +80,7 @@ def _descriptor_words(matrix: np.ndarray) -> np.ndarray:
 def tile_rows(num_train: int) -> int:
     """Query rows per tile against ``num_train`` train descriptors."""
     per_row = max(num_train, 1) * _TILE_BYTES_PER_CELL
-    return int(min(_MAX_TILE_ROWS, max(1, TILE_BUDGET_BYTES // per_row)))
+    return max(1, TILE_BUDGET_BYTES // per_row)
 
 
 def distance_tiles(

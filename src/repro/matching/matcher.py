@@ -3,8 +3,8 @@
 Feature matching in eSLAM compares every descriptor of the current frame with
 every descriptor of the global map and keeps the minimum-distance candidate
 (Section 3.2).  The software matcher reproduces that behaviour and adds the
-standard quality filters (maximum distance, Lowe ratio test, cross-check)
-used to reject ambiguous matches before pose estimation.
+standard quality filters (maximum distance, Lowe ratio test) used to reject
+ambiguous matches before pose estimation.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ class MatchStatistics:
     accepted: int = 0
     rejected_distance: int = 0
     rejected_ratio: int = 0
-    rejected_cross_check: int = 0
 
 
 @dataclass(frozen=True)
@@ -85,7 +84,7 @@ class MatchArrays:
 
 
 class BruteForceMatcher:
-    """Exhaustive Hamming matcher with optional ratio and cross-check filters."""
+    """Exhaustive Hamming matcher with distance and ratio filters."""
 
     def __init__(self, config: MatcherConfig | None = None) -> None:
         self.config = config or MatcherConfig()
@@ -99,7 +98,7 @@ class BruteForceMatcher:
         """Match every query descriptor against the train set.
 
         Returns at most one match per query descriptor; matches that fail the
-        distance, ratio or cross-check criteria are dropped.  Thin object
+        distance or ratio criteria are dropped.  Thin object
         wrapper over :meth:`match_arrays` — identical output and statistics.
         """
         return self.match_arrays(query_descriptors, train_descriptors).to_matches()
@@ -112,11 +111,10 @@ class BruteForceMatcher:
         """Array fast path of :meth:`match`: no per-``Match`` construction.
 
         One fused pass over the distance tiles keeps, per query, the best
-        and second-best distance and the argmin (and, with cross-check, the
-        reverse argmin per train row), so the ``N x M`` distance matrix is
-        never built.  Every quality filter then runs as one array pass per
-        criterion; the rejection counters tally exactly like the old
-        per-query loop (distance first, then ratio, then cross-check), and
+        and second-best distance and the argmin, so the ``N x M`` distance
+        matrix is never built.  Every quality filter then runs as one array
+        pass per criterion; the rejection counters tally exactly like the old
+        per-query loop (distance first, then ratio), and
         the accepted rows come back as :class:`MatchArrays` so hot paths
         never build per-correspondence Python objects.
         """
@@ -132,20 +130,13 @@ class BruteForceMatcher:
         if query.ndim != 2 or train.ndim != 2:
             raise DescriptorError("descriptor sets must be 2-D (N, bytes) arrays")
         ratio_test = self.config.ratio_threshold < 1.0 and train.shape[0] >= 2
-        best = _reduce_distance_tiles(
-            query, train, second_best=ratio_test, reverse_best=self.config.cross_check
-        )
+        best = _reduce_distance_tiles(query, train, second_best=ratio_test)
         stats.distance_evaluations = query.shape[0] * train.shape[0]
-        query_range = np.arange(query.shape[0])
         alive = best.distance <= self.config.max_hamming_distance
         stats.rejected_distance = int(np.count_nonzero(~alive))
         passes_ratio = self._ratio_test_mask(best.distance, best.second_distance)
         stats.rejected_ratio = int(np.count_nonzero(alive & ~passes_ratio))
         alive &= passes_ratio
-        if self.config.cross_check:
-            mutual = best.reverse_train[best.train] == query_range
-            stats.rejected_cross_check = int(np.count_nonzero(alive & ~mutual))
-            alive &= mutual
         accepted = np.nonzero(alive)[0].astype(np.int64)
         stats.accepted = int(accepted.size)
         return MatchArrays(
@@ -171,19 +162,17 @@ class BruteForceMatcher:
 
 @dataclass(frozen=True)
 class _TileReduction:
-    """Per-query (and optionally per-train) reductions of the distance set.
+    """Per-query reductions of the distance set.
 
     ``train``/``distance`` are every query row's argmin (first index on
     ties, as ``np.argmin``) and its distance.  ``second_distance`` is the
     row minimum with the argmin *position* masked out, so a duplicate of
-    the best distance counts as second-best.  ``reverse_train`` is every
-    train column's argmin over the queries (lowest query index on ties).
+    the best distance counts as second-best.
     """
 
     train: np.ndarray
     distance: np.ndarray
     second_distance: np.ndarray | None
-    reverse_train: np.ndarray | None
 
 
 #: Fills the masked argmin position before the second-best row minimum;
@@ -192,21 +181,17 @@ _MASKED_DISTANCE = np.iinfo(np.int16).max
 
 
 def _reduce_distance_tiles(
-    query: np.ndarray, train: np.ndarray, *, second_best: bool, reverse_best: bool
+    query: np.ndarray, train: np.ndarray, *, second_best: bool
 ) -> _TileReduction:
     """Reduce the query x train distances tile by tile (never the full matrix).
 
-    Bit-identical to ``np.argmin`` / masked ``min`` over the full matrix:
-    rows reduce within one tile, and a train column's running minimum is
-    replaced only by a strictly smaller one from a later tile, so the lowest
-    query index keeps a tie.
+    Bit-identical to ``np.argmin`` / masked ``min`` over the full matrix,
+    because every query row reduces within one tile.
     """
-    num_queries, num_train = query.shape[0], train.shape[0]
+    num_queries = query.shape[0]
     best_train = np.empty(num_queries, dtype=np.int64)
     best_distance = np.empty(num_queries, dtype=np.int16)
     second = np.empty(num_queries, dtype=np.int16) if second_best else None
-    reverse_train = np.zeros(num_train, dtype=np.int64) if reverse_best else None
-    column_min = np.full(num_train, np.iinfo(np.int32).max, dtype=np.int32)
     for start, block in distance_tiles(query, train):
         height = block.shape[0]
         stop = start + height
@@ -214,25 +199,10 @@ def _reduce_distance_tiles(
         tile_best = block.argmin(axis=1)
         best_train[start:stop] = tile_best
         best_distance[start:stop] = block[rows, tile_best]
-        if reverse_train is not None:
-            # (distance << 16 | row) keys: one min over the rows yields a
-            # column's minimum distance and, on ties, its lowest row
-            keys = np.left_shift(block, 16, dtype=np.int32)
-            keys |= rows.astype(np.int32)[:, np.newaxis]
-            tile_keys = keys.min(axis=0)
-            tile_min = tile_keys >> 16
-            improved = tile_min < column_min
-            column_min[improved] = tile_min[improved]
-            reverse_train[improved] = (tile_keys[improved] & 0xFFFF) + start
         if second is not None:
             block[rows, tile_best] = _MASKED_DISTANCE
             second[start:stop] = block.min(axis=1)
-    return _TileReduction(
-        train=best_train,
-        distance=best_distance,
-        second_distance=second,
-        reverse_train=reverse_train,
-    )
+    return _TileReduction(train=best_train, distance=best_distance, second_distance=second)
 
 
 def match_minimum_distance(
@@ -248,7 +218,7 @@ def match_minimum_distance(
     train = as_descriptor_matrix(train_descriptors, "train descriptors")
     if query.size == 0 or train.size == 0:
         return []
-    best = _reduce_distance_tiles(query, train, second_best=False, reverse_best=False)
+    best = _reduce_distance_tiles(query, train, second_best=False)
     return [
         Match(query_index=qi, train_index=ti, distance=d)
         for qi, (ti, d) in enumerate(zip(best.train.tolist(), best.distance.tolist()))

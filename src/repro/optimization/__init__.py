@@ -1,23 +1,10 @@
-"""Optimisation substrate: Levenberg-Marquardt and pose-only bundle adjustment."""
+"""Pose optimisation: the Levenberg-Marquardt refinement of a tracked pose.
 
-from .levenberg_marquardt import (
-    LMConfig,
-    LMHistoryEntry,
-    LMResult,
-    LevenbergMarquardt,
-    numerical_jacobian,
-)
-from .reprojection import ReprojectionProblem, huber_weights
-from .pose_optimizer import PoseOptimizationResult, PoseOptimizer
+The loop and the reprojection model it minimises live in
+:mod:`repro.geometry.pnp`, shared with PnP + RANSAC; this package holds only
+the pose-optimisation stage's own constants, its Huber threshold among them.
+"""
 
-__all__ = [
-    "LMConfig",
-    "LMHistoryEntry",
-    "LMResult",
-    "LevenbergMarquardt",
-    "numerical_jacobian",
-    "ReprojectionProblem",
-    "huber_weights",
-    "PoseOptimizationResult",
-    "PoseOptimizer",
-]
+from .pose_optimizer import PoseOptimizer
+
+__all__ = ["PoseOptimizer"]

@@ -7,6 +7,7 @@ surfacing and the SLAM wiring.
 """
 
 import os
+import threading
 import time
 
 import numpy as np
@@ -166,6 +167,80 @@ class TestClusterServer:
         with ClusterServer(cluster_config, num_workers=1) as server:
             with pytest.raises(ReproError):
                 server.submit(cluster_images[0], frame_id=-1)
+
+    def test_submit_from_a_done_callback_never_hangs_the_server(
+        self, cluster_config, cluster_images
+    ):
+        # futures resolve on the collector thread, the only thread that
+        # frees a slot: a callback's submit into a full window must fail,
+        # not wait for a slot only its own thread could free
+        outcomes, resubmitted = [], []
+
+        def resubmit(_future):
+            try:
+                resubmitted.append(server.submit(cluster_images[0]))
+                outcomes.append("submitted")
+            except ReproError:
+                outcomes.append("rejected")
+
+        produced = []
+
+        def produce():
+            for index in range(20):
+                future = server.submit(cluster_images[index % len(cluster_images)])
+                future.add_done_callback(resubmit)
+                produced.append(future)
+
+        with ClusterServer(cluster_config, num_workers=1, max_in_flight=2) as server:
+            producer = threading.Thread(target=produce, daemon=True)
+            producer.start()
+            producer.join(timeout=20)
+            assert not producer.is_alive(), "a callback's submit hung the server"
+            for future in produced:
+                future.result(timeout=20)
+            deadline = time.monotonic() + 20
+            while len(outcomes) < len(produced) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            for future in resubmitted:
+                future.result(timeout=20)
+        assert len(produced) == 20
+        assert sorted(set(outcomes)) <= ["rejected", "submitted"]
+        assert len(outcomes) == 20
+
+    def test_submit_from_a_supervisor_callback_never_hangs_the_server(
+        self, cluster_config, cluster_images
+    ):
+        # a stall kill fails the job (no retries) on the supervisor thread
+        # while the only worker is dead: a callback's submit must fail, not
+        # wait for the respawn only that thread could perform
+        supervision = SupervisorConfig(max_retries=0, heartbeat_timeout_s=0.2)
+        outcomes = []
+        called = threading.Event()
+
+        def resubmit(_future):
+            try:
+                server.submit(cluster_images[0])
+                outcomes.append("submitted")
+            except ReproError:
+                outcomes.append("rejected")
+            called.set()
+
+        with ClusterServer(
+            cluster_config, num_workers=1, max_in_flight=1, supervision=supervision
+        ) as server:
+            server.extract_many(cluster_images[:1])
+            future = server.submit(cluster_images[0])
+            server.chaos_stall(0, duration_s=2.0)
+            future.add_done_callback(resubmit)
+            with pytest.raises(ReproError):
+                future.result(timeout=20)
+            assert called.wait(timeout=20), "a callback's submit hung the server"
+            assert outcomes in (["rejected"], ["submitted"])
+            # the supervisor carries on: the slot respawns and serves again
+            served = server.extract_many(cluster_images[:1])
+        assert _feature_key(served[0]) == _feature_key(
+            OrbExtractor(cluster_config).extract(cluster_images[0])
+        )
 
 
 class TestClusterCrash:

@@ -5,15 +5,16 @@ import pytest
 
 from repro.errors import GeometryError
 from repro.geometry import (
-    IterativePnpSolver,
     PinholeCamera,
     PnpRansac,
     Pose,
     RansacConfig,
     adaptive_iterations,
     estimate_pose_3d3d,
+    refine_pose,
     so3_exp,
 )
+from repro.geometry.ransac import PNP_COST_TOLERANCE, PNP_MAX_ITERATIONS, PNP_MAX_LAMBDA
 
 from poses import poses_close
 
@@ -55,35 +56,46 @@ class TestKabschAlignment:
         assert recovered.rotation_angle(pose) < 1e-2
 
 
+def solve_pnp(camera, points, pixels, initial_pose=None, max_iterations=PNP_MAX_ITERATIONS):
+    """The PnP refinement PnpRansac runs: the pose solver with the PnP constants."""
+    return refine_pose(
+        camera,
+        points,
+        pixels,
+        initial_pose or Pose.identity(),
+        max_iterations=max_iterations,
+        cost_tolerance=PNP_COST_TOLERANCE,
+        max_lambda=PNP_MAX_LAMBDA,
+    )
+
+
 class TestIterativePnp:
     def test_recovers_pose_from_clean_data(self, synthetic_pnp_problem):
         camera, points, true_pose, pixels = synthetic_pnp_problem
-        result = IterativePnpSolver(camera).solve(points, pixels)
+        result = solve_pnp(camera, points, pixels)
         assert result.pose.translation_distance(true_pose) < 1e-4
         assert result.pose.rotation_angle(true_pose) < 1e-4
-        assert result.inlier_rmse_px < 0.1
+        assert result.final_rmse_px < 0.1
 
     def test_benefits_from_initial_guess(self, synthetic_pnp_problem):
         camera, points, true_pose, pixels = synthetic_pnp_problem
-        warm = IterativePnpSolver(camera, max_iterations=3).solve(
-            points, pixels, initial_pose=true_pose
-        )
+        warm = solve_pnp(camera, points, pixels, initial_pose=true_pose, max_iterations=3)
         assert warm.pose.translation_distance(true_pose) < 1e-6
 
     def test_handles_noisy_observations(self, synthetic_pnp_problem):
         camera, points, true_pose, pixels = synthetic_pnp_problem
         rng = np.random.default_rng(5)
         noisy = pixels + rng.normal(0, 0.5, pixels.shape)
-        result = IterativePnpSolver(camera).solve(points, noisy)
+        result = solve_pnp(camera, points, noisy)
         assert result.pose.translation_distance(true_pose) < 0.01
 
     def test_rejects_too_few_points(self, camera):
         with pytest.raises(GeometryError):
-            IterativePnpSolver(camera).solve(np.zeros((3, 3)), np.zeros((3, 2)))
+            solve_pnp(camera, np.zeros((2, 3)), np.zeros((2, 2)))
 
     def test_shape_validation(self, camera):
         with pytest.raises(GeometryError):
-            IterativePnpSolver(camera).solve(np.zeros((5, 3)), np.zeros((4, 2)))
+            solve_pnp(camera, np.zeros((5, 3)), np.zeros((4, 2)))
 
 
 class TestPnpRansac:

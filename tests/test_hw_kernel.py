@@ -11,12 +11,11 @@ from repro.hw import (
     AxiPort,
     BramRequirement,
     CycleBreakdown,
-    FixedPointFormat,
-    ORIENTATION_RATIO_FORMAT,
     SdramModel,
     line_buffer_requirement,
     total_bram36,
 )
+from repro.quant import ORIENTATION_RATIO_FORMAT, FixedPointFormat
 
 
 class TestCycleBreakdown:

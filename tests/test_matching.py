@@ -184,7 +184,7 @@ class TestTileKernelEdges:
         train = _random_descriptors(2000, seed=2)
         with np.errstate():
             np.setbufsize(4096)
-            BruteForceMatcher(MatcherConfig(cross_check=True)).match_arrays(query, train)
+            BruteForceMatcher().match_arrays(query, train)
             assert np.getbufsize() == 4096
             # the consumer of each tile runs under the caller's buffer size
             for _, _ in hamming_module.distance_tiles(query, train):
@@ -262,15 +262,6 @@ class TestBruteForceMatcher:
         assert matcher.match(base[np.newaxis, :], train) == []
         assert matcher.last_stats.rejected_ratio == 1
 
-    def test_cross_check_requires_mutual_best(self):
-        train = _random_descriptors(20, seed=15)
-        query = train[:5]
-        matcher = BruteForceMatcher(
-            MatcherConfig(max_hamming_distance=64, ratio_threshold=1.0, cross_check=True)
-        )
-        matches = matcher.match(query, train)
-        assert [m.train_index for m in matches] == [0, 1, 2, 3, 4]
-
     def test_statistics_populated(self):
         query = _random_descriptors(4, seed=16)
         train = _random_descriptors(6, seed=17)
@@ -295,8 +286,7 @@ class TestVectorizedSelectionEquivalence:
         distances = _byte_table_distances(query, train)
         best_train = np.argmin(distances, axis=1)
         best_distance = distances[np.arange(distances.shape[0]), best_train]
-        reverse_best = np.argmin(distances, axis=0) if config.cross_check else None
-        matches, rejected = [], {"distance": 0, "ratio": 0, "cross": 0}
+        matches, rejected = [], {"distance": 0, "ratio": 0}
         for qi in range(distances.shape[0]):
             ti, dist = int(best_train[qi]), int(best_distance[qi])
             if dist > config.max_hamming_distance:
@@ -310,30 +300,23 @@ class TestVectorizedSelectionEquivalence:
             if not passes:
                 rejected["ratio"] += 1
                 continue
-            if reverse_best is not None and int(reverse_best[ti]) != qi:
-                rejected["cross"] += 1
-                continue
             matches.append(Match(qi, ti, dist))
         return matches, rejected
 
-    @pytest.mark.parametrize("cross_check", [False, True])
     @pytest.mark.parametrize("ratio", [0.5, 0.85, 1.0])
-    def test_matches_and_counters_equal_loop(self, cross_check, ratio):
+    def test_matches_and_counters_equal_loop(self, ratio):
         rng = np.random.default_rng(42)
-        config = MatcherConfig(
-            max_hamming_distance=40, ratio_threshold=ratio, cross_check=cross_check
-        )
+        config = MatcherConfig(max_hamming_distance=40, ratio_threshold=ratio)
         for trial in range(25):
             query = rng.integers(0, 256, (8, 8), dtype=np.uint8)
             train = rng.integers(0, 256, (10, 8), dtype=np.uint8)
-            train[:4] = query[:4]  # guarantee accepts, ties and mutual bests
+            train[:4] = query[:4]  # guarantee accepts and ties
             matcher = BruteForceMatcher(config)
             got = matcher.match(query, train)
             expected, rejected = self._loop_oracle(query, train, config)
             assert got == expected
             assert matcher.last_stats.rejected_distance == rejected["distance"]
             assert matcher.last_stats.rejected_ratio == rejected["ratio"]
-            assert matcher.last_stats.rejected_cross_check == rejected["cross"]
             assert matcher.last_stats.accepted == len(expected)
 
     @settings(max_examples=80, deadline=None)
@@ -343,26 +326,24 @@ class TestVectorizedSelectionEquivalence:
         num_train=st.integers(min_value=1, max_value=24),
         tile_height=st.integers(min_value=1, max_value=9),
         bits=st.sampled_from([1, 8]),
-        cross_check=st.booleans(),
         ratio=st.sampled_from([1.0, 0.85, 0.5]),
         max_distance=st.sampled_from([0, 256]),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
     @example(width=32, num_query=1, num_train=1, tile_height=1, bits=8,
-             cross_check=True, ratio=0.5, max_distance=256, seed=0)
+             ratio=0.5, max_distance=256, seed=0)
     @example(width=20, num_query=23, num_train=1, tile_height=4, bits=1,
-             cross_check=True, ratio=0.85, max_distance=256, seed=1)
+             ratio=0.85, max_distance=256, seed=1)
     @example(width=16, num_query=1, num_train=24, tile_height=9, bits=1,
-             cross_check=False, ratio=0.5, max_distance=0, seed=2)
+             ratio=0.5, max_distance=0, seed=2)
     def test_tiled_kernel_equals_byte_table_oracle(
-        self, width, num_query, num_train, tile_height, bits, cross_check, ratio,
-        max_distance, seed,
+        self, width, num_query, num_train, tile_height, bits, ratio, max_distance, seed
     ):
         """The fused tiles are bit-identical to a full-matrix search.
 
         ``bits=1`` draws bytes from {0, 1} and rows are duplicated across
-        and within both sets, so equal best distances, duplicated
-        second-bests and tied reverse argmins all occur; the tile height is
+        and within both sets, so equal best distances and duplicated
+        second-bests both occur; the tile height is
         forced small so queries span several (partial) tiles.
         """
         rng = np.random.default_rng(seed)
@@ -377,9 +358,7 @@ class TestVectorizedSelectionEquivalence:
         train[rng.integers(0, num_train, num_train // 3)] = train[
             rng.integers(0, num_train, num_train // 3)
         ]
-        config = MatcherConfig(
-            max_hamming_distance=max_distance, ratio_threshold=ratio, cross_check=cross_check
-        )
+        config = MatcherConfig(max_hamming_distance=max_distance, ratio_threshold=ratio)
         matcher = BruteForceMatcher(config)
         with mock.patch.object(hamming_module, "tile_rows", lambda num_train: tile_height):
             got = matcher.match_arrays(query, train)
@@ -391,7 +370,6 @@ class TestVectorizedSelectionEquivalence:
         stats = matcher.last_stats
         assert stats.rejected_distance == rejected["distance"]
         assert stats.rejected_ratio == rejected["ratio"]
-        assert stats.rejected_cross_check == rejected["cross"]
         assert stats.accepted == len(expected)
         assert stats.distance_evaluations == num_query * num_train
         distances = _byte_table_distances(query, train)
@@ -404,12 +382,11 @@ class TestVectorizedSelectionEquivalence:
 class TestMatcherMemory:
     """The matcher reduces tiles; it never holds an ``N x M`` array."""
 
-    @pytest.mark.parametrize("cross_check", [False, True])
-    def test_peak_allocation_at_qvga_operating_point(self, cross_check):
+    def test_peak_allocation_at_qvga_operating_point(self):
         rng = np.random.default_rng(7)
         query = rng.integers(0, 256, (1024, 32), dtype=np.uint8)
         train = rng.integers(0, 256, (5400, 32), dtype=np.uint8)
-        matcher = BruteForceMatcher(MatcherConfig(cross_check=cross_check))
+        matcher = BruteForceMatcher()
         tracemalloc.start()
         try:
             matcher.match_arrays(query, train)
@@ -423,12 +400,9 @@ class TestMatcherMemory:
 class TestMatchArrays:
     """The array fast path must mirror the Match-object API exactly."""
 
-    @pytest.mark.parametrize("cross_check", [False, True])
-    def test_arrays_equal_objects_and_stats(self, cross_check):
+    def test_arrays_equal_objects_and_stats(self):
         rng = np.random.default_rng(9)
-        config = MatcherConfig(
-            max_hamming_distance=48, ratio_threshold=0.9, cross_check=cross_check
-        )
+        config = MatcherConfig(max_hamming_distance=48, ratio_threshold=0.9)
         for trial in range(10):
             query = rng.integers(0, 256, (12, 8), dtype=np.uint8)
             train = rng.integers(0, 256, (15, 8), dtype=np.uint8)
