@@ -83,15 +83,14 @@ def tile_rows(num_train: int) -> int:
     return max(1, TILE_BUDGET_BYTES // per_row)
 
 
-def distance_tiles(
+def descriptor_words(
     query_descriptors: np.ndarray, train_descriptors: np.ndarray
-) -> Iterator[Tuple[int, np.ndarray]]:
-    """Yield the Hamming distances between two descriptor sets tile by tile.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Check two descriptor sets and return the kernel's views of them.
 
-    Each item is ``(start, block)`` where ``block`` is an ``(h, M)`` int16
-    array holding the distances of query rows ``start .. start + h`` to all
-    ``M`` train rows.  ``block`` is a scratch buffer that the next tile
-    overwrites: reduce or copy it before advancing the iterator.
+    Returns the ``(N, W)`` uint64 query words and the word-major ``(W, M)``
+    train columns, ``W = ceil(B / 8)``.  Raises :class:`DescriptorError`
+    when the byte widths differ or exceed :data:`MAX_DESCRIPTOR_BYTES`.
     """
     query = as_descriptor_matrix(query_descriptors, "query descriptors")
     train = as_descriptor_matrix(train_descriptors, "train descriptors")
@@ -104,16 +103,59 @@ def distance_tiles(
             f"descriptors of {query.shape[1]} bytes exceed the "
             f"{MAX_DESCRIPTOR_BYTES}-byte limit of the int16 accumulator"
         )
-    query_words = _descriptor_words(query)
     # word-major train layout: the word-w column of every train descriptor
     # is one contiguous row, XORed against a broadcast query column
-    train_columns = np.ascontiguousarray(_descriptor_words(train).T)
+    return _descriptor_words(query), np.ascontiguousarray(_descriptor_words(train).T)
+
+
+class TileScratch:
+    """The four scratch buffers of a tile, grown on demand and reused.
+
+    One instance serves any sequence of :func:`word_tiles` calls whose
+    tiles are consumed one at a time, so a caller that runs many small
+    train sets (the matcher's image cells) allocates them once.
+    """
+
+    def __init__(self) -> None:
+        self._buffers: Tuple[np.ndarray, ...] = ()
+
+    def views(self, height: int, width: int) -> Tuple[np.ndarray, ...]:
+        """``(xor, counts, wide, block)`` views of shape ``(height, width)``."""
+        cells = height * width
+        if not self._buffers or self._buffers[0].size < cells:
+            self._buffers = tuple(
+                np.empty(cells, dtype=dtype)
+                for dtype in (np.uint64, np.uint8, np.int16, np.int16)
+            )
+        return tuple(buffer[:cells].reshape(height, width) for buffer in self._buffers)
+
+
+def distance_tiles(
+    query_descriptors: np.ndarray, train_descriptors: np.ndarray
+) -> Iterator[Tuple[int, np.ndarray]]:
+    """Yield the Hamming distances between two descriptor sets tile by tile.
+
+    Each item is ``(start, block)`` where ``block`` is an ``(h, M)`` int16
+    array holding the distances of query rows ``start .. start + h`` to all
+    ``M`` train rows.  ``block`` is a scratch buffer that the next tile
+    overwrites: reduce or copy it before advancing the iterator.
+    """
+    query_words, train_columns = descriptor_words(query_descriptors, train_descriptors)
+    yield from word_tiles(query_words, train_columns, TileScratch())
+
+
+def word_tiles(
+    query_words: np.ndarray, train_columns: np.ndarray, scratch: TileScratch
+) -> Iterator[Tuple[int, np.ndarray]]:
+    """:func:`distance_tiles` over the views :func:`descriptor_words` returns.
+
+    The tiles are written into ``scratch``; a caller that checked and
+    viewed its descriptors once can run this on row and column subsets of
+    the views without paying for either again.
+    """
     num_train = train_columns.shape[1]
     height = max(1, min(query_words.shape[0], tile_rows(num_train)))
-    xor = np.empty((height, num_train), dtype=np.uint64)
-    counts = np.empty((height, num_train), dtype=np.uint8)
-    wide = np.empty((height, num_train), dtype=np.int16)
-    block = np.empty((height, num_train), dtype=np.int16)
+    xor, counts, wide, block = scratch.views(height, num_train)
     for start in range(0, query_words.shape[0], height):
         rows = query_words[start : start + height]
         n = rows.shape[0]

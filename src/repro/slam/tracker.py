@@ -6,6 +6,15 @@ pose optimisation (Levenberg-Marquardt on reprojection error), key-frame
 decision and map updating.  It also records per-stage workload statistics so
 the platform runtime models can translate the *same* work into latencies on
 the ARM, Intel i7 and eSLAM platforms.
+
+Matching searches by projection: the map is projected under the previous
+frame's pose, and each feature meets only the map points that land in its
+image cell's window (:data:`repro.matching.matcher.WINDOW_GRID`).  When the
+window yields fewer than ``min_matches`` matches, or RANSAC fails on them,
+the same frame is matched again by brute force over the whole map; that is
+the one recovery path.  The workload's ``distance_evaluations`` is the
+brute-force pair count on both paths, because the platform models charge the
+paper's whole-map BRIEF Matcher.
 """
 
 from __future__ import annotations
@@ -34,6 +43,11 @@ class StageWorkload:
     pixels processed, descriptors computed, descriptor-pair distances
     evaluated, RANSAC/LM iterations run and map points touched.  The platform
     models in :mod:`repro.platforms` convert them into per-stage runtimes.
+
+    ``distance_evaluations`` is the brute-force pair count, features times
+    ``map_points_matched_against``, even when the frame was matched through
+    the projection window: the ARM/i7 models and the paper's BRIEF Matcher,
+    which searches the whole map, charge that count.
     """
 
     # feature extraction
@@ -162,11 +176,16 @@ class Tracker:
 
     # -- stages 2-5: matching, pose estimation/optimisation, map update ----------
     def _track(self, frame: Frame, workload: StageWorkload) -> TrackingResult:
-        matches = self._match(frame, workload)
-        if matches.size < self.config.tracker.min_matches:
-            return self._tracking_failure(frame, workload, matches.size)
-        pose, inlier_matches = self._estimate_pose(frame, matches, workload)
-        if pose is None:
+        # the projection window first; brute force over the whole map
+        # recovers a frame the window loses
+        for windowed in (True, False):
+            matches = self._match(frame, workload, windowed)
+            if matches.size < self.config.tracker.min_matches:
+                continue
+            pose, inlier_matches = self._estimate_pose(frame, matches, workload)
+            if pose is not None:
+                break
+        else:
             return self._tracking_failure(frame, workload, matches.size)
         pose = self._optimize_pose(frame, pose, inlier_matches, workload)
         frame.pose = pose
@@ -194,21 +213,44 @@ class Tracker:
             workload=workload,
         )
 
-    def _match(self, frame: Frame, workload: StageWorkload) -> MatchArrays:
+    def _match(self, frame: Frame, workload: StageWorkload, windowed: bool) -> MatchArrays:
         """Match the frame against the map; arrays only on the hot path.
 
-        The matcher's :class:`~repro.matching.MatchArrays` feed pose
-        estimation, optimisation and map updating through vectorised index
-        gathers; per-correspondence :class:`~repro.matching.Match` objects
-        are never materialised while tracking.
+        ``windowed`` compares each feature only with the map points that
+        project near it under the previous pose (see :meth:`_project_map`);
+        otherwise every feature meets every map point.  The matcher's
+        :class:`~repro.matching.MatchArrays` feed pose estimation,
+        optimisation and map updating through vectorised index gathers;
+        per-correspondence :class:`~repro.matching.Match` objects are never
+        materialised while tracking.  ``distance_evaluations`` is the
+        brute-force pair count on both paths.
         """
         map_descriptors = self.map.descriptor_matrix()
-        matches = self.matcher.match_arrays(frame.descriptor_matrix(), map_descriptors)
+        if windowed:
+            matches = self.matcher.match_arrays(
+                frame.descriptor_matrix(),
+                map_descriptors,
+                query_pixels=frame.keypoint_pixels(),
+                train_pixels=self._project_map(frame),
+            )
+        else:
+            matches = self.matcher.match_arrays(frame.descriptor_matrix(), map_descriptors)
         stats = self.matcher.last_stats
         workload.map_points_matched_against = stats.num_candidates
         workload.distance_evaluations = stats.distance_evaluations
         workload.matches_accepted = stats.accepted
         return matches
+
+    def _project_map(self, frame: Frame) -> np.ndarray:
+        """Pixels of every map point under the previous pose, ``(M, 2)``.
+
+        A point behind the camera gets NaN, which falls in no window.
+        """
+        points_cam = self._last_pose.transform(self.map.position_matrix())
+        pixels = np.full((points_cam.shape[0], 2), np.nan)
+        in_front = points_cam[:, 2] > 0
+        pixels[in_front] = frame.camera.project(points_cam[in_front])
+        return pixels
 
     def _estimate_pose(
         self, frame: Frame, matches: MatchArrays, workload: StageWorkload

@@ -1,8 +1,10 @@
 """Golden tracking: the tracker's per-frame output on VGA and QVGA sequences.
 
 The golden digests pin extraction; these values pin what the tracker makes
-of it.  Six seeded fr1/desk 640x480 frames and twelve seeded fr1/xyz
-320x240 frames run through a default :class:`~repro.slam.SlamSystem`, and
+of it: windowed tracking, where each frame is matched through the
+projection window under the previous pose and no frame here needs the
+brute-force recovery.  Six seeded fr1/desk 640x480 frames and twelve seeded
+fr1/xyz 320x240 frames run through a default :class:`~repro.slam.SlamSystem`, and
 each frame's tracked and key-frame flags, match and inlier counts, RANSAC
 iterations and pose-optimisation LM iterations must equal the values below
 exactly.  Poses are compared within 1e-9 rather than by digest, because the
@@ -22,26 +24,26 @@ from repro.slam import SlamSystem
 #: ransac_iterations, lm_iterations, rotation vector, translation).
 DESK_VGA = [
     (1, 1, 0, 0, 0, 0, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
-    (1, 1, 497, 385, 12, 5, (0.002987891724930732, -0.07542389272194992, -0.06981418377336099), (-0.03739902869190934, -0.05066723727422683, -0.09077460096099094)),
-    (1, 1, 560, 444, 11, 5, (0.004667514205264131, -0.04675406498362462, -0.1398634759812095), (-0.16536119895513268, -0.030074345196254446, -0.14993696674419119)),
-    (1, 1, 560, 483, 7, 5, (-0.004330343035292765, 0.04840413753851059, -0.2101947982097496), (-0.3377326318654083, 0.04439667242907433, -0.12600825172463276)),
-    (1, 1, 533, 456, 8, 5, (-0.012082246952827495, 0.07627839739738619, -0.2795677728449577), (-0.4536132192247002, 0.09208827624485558, -0.05326625637185181)),
-    (1, 1, 508, 447, 6, 5, (0.00025047624073471826, 0.0007244072228038115, -0.3499975261696066), (-0.49537758921135516, 0.08960265940459704, 0.00040246903134955514)),
+    (1, 1, 466, 327, 18, 5, (0.0035289815610750736, -0.07473787001305725, -0.06962715880233422), (-0.03941386319681154, -0.04868704095595187, -0.09121833923614087)),
+    (1, 1, 620, 568, 5, 5, (0.005200975348280994, -0.045921892451917225, -0.13970486999234769), (-0.167612874132416, -0.0282758926515772, -0.14961305830972213)),
+    (1, 1, 584, 506, 7, 5, (-0.003196118395901284, 0.049198411096417614, -0.21030637310140915), (-0.33972505619222804, 0.04841059019712766, -0.1258374157767045)),
+    (1, 1, 612, 566, 4, 5, (-0.010369216660254428, 0.07667744243422761, -0.2797854609884556), (-0.45433668320165194, 0.09794234260973182, -0.053145532860521004)),
+    (1, 1, 393, 316, 9, 5, (0.00014056155765572228, 0.00048235798756795346, -0.3500923245051588), (-0.4943811644656205, 0.08971228580089008, 0.0013993174381071933)),
 ]
 
 XYZ_QVGA = [
     (1, 1, 0, 0, 0, 0, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
-    (1, 1, 615, 532, 7, 5, (-0.000650076738707154, 0.008725407115808215, 0.00030310515114974573), (-0.1996997921002302, -0.1276049976945476, -0.024889849587412333)),
-    (1, 1, 714, 666, 4, 5, (0.0014414893316396424, 0.008998311679418343, 0.0008278418363518572), (-0.2744919897461724, 0.001029884611504303, -0.07375463650601405)),
-    (1, 1, 738, 664, 5, 1, (0.0018708949298338244, 0.0036450610233559008, 0.0007133717418332656), (-0.18495395228146877, 0.13032990165903735, -0.12901527149283462)),
-    (1, 1, 723, 658, 5, 5, (0.0007932690132597704, 0.007688387280266058, 0.00026261773231801134), (-0.019356202260733174, 0.0013330134678034484, -0.1480810485714724)),
-    (1, 1, 737, 690, 4, 1, (-0.0019499247521231318, 0.00406459719675168, 8.742377657675404e-05), (0.16615044655597339, -0.129560348990736, -0.1220062725793774)),
-    (1, 1, 833, 804, 3, 5, (0.0003753965536997568, 0.006451843417798522, 0.0003732922792514854), (0.2326572259263623, -0.0016490139532265118, -0.07287987843421143)),
-    (1, 1, 759, 720, 4, 4, (0.0011479314296480342, 0.01046309050668, 0.0003475356474847842), (0.14847277995110025, 0.1277722595131936, -0.018020082186533167)),
-    (1, 1, 979, 976, 2, 1, (-1.376900128686679e-06, -6.612053204026532e-05, -0.00012226819428428948), (0.0004809202246966545, 2.607867095536733e-06, 3.664223286002668e-06)),
-    (1, 1, 941, 931, 2, 4, (-0.00032522472730555534, 0.008060159615522438, 0.000398853532865818), (-0.1977898430045263, -0.12684009308430444, -0.024674468360715112)),
-    (1, 1, 952, 947, 2, 5, (0.0008616819500817886, 0.009011930305640329, 0.0007614361817822353), (-0.27454690297710754, -0.0004856503179000609, -0.07414956310138514)),
-    (1, 1, 956, 944, 2, 5, (0.0024319716902105777, 0.00406439139780989, 0.0006821188665597168), (-0.18622443643356273, 0.1318924286205351, -0.12880505176194118)),
+    (1, 1, 686, 598, 6, 5, (-0.001592071888758178, 0.008457949724611901, 0.00029746936159314114), (-0.19899737534454093, -0.12978777340856712, -0.024999040814590087)),
+    (1, 1, 776, 744, 3, 5, (0.0017588017926142866, 0.008956775662013484, 0.0006916140120539804), (-0.2744930275326508, 0.002135105225235267, -0.07345933131618852)),
+    (1, 1, 757, 724, 4, 5, (0.002483679555801783, 0.004195793203797677, 0.0006584463136819), (-0.18651914336446385, 0.13202273167467377, -0.12893692459200384)),
+    (1, 1, 714, 666, 4, 1, (0.0011750499073846913, 0.007564600791431812, 0.0007619873334277531), (-0.019647023523078767, 0.0024027446702445956, -0.14767617575166844)),
+    (1, 1, 717, 678, 3, 1, (-0.0004644192809854882, 0.004089144774542772, -0.00020790543049065412), (0.1651263619722955, -0.1256352232424803, -0.12263516614644465)),
+    (1, 1, 835, 811, 3, 5, (0.002171661339203284, 0.005741659329357242, 0.0002529204600911137), (0.23412671565877757, 0.0031482429933005576, -0.07278267281917462)),
+    (1, 1, 779, 754, 3, 5, (0.003207484298879945, 0.010004211004296923, 0.0003541283017477527), (0.14954420724380613, 0.1332502758893454, -0.01781525669146225)),
+    (1, 1, 939, 926, 2, 5, (-0.00023473986022579742, 0.0004623945359858705, -1.4645034063521477e-05), (-0.001040644874887664, -0.0005314844653763687, -0.00018240328405614003)),
+    (1, 1, 884, 865, 3, 5, (-0.0003402944764639051, 0.00845033303412147, 0.00022212441546351925), (-0.19879487290117617, -0.12656222151627744, -0.02500152228038297)),
+    (1, 1, 914, 910, 2, 5, (0.0015323019460619408, 0.009037976987033864, 0.0007342102976241919), (-0.2747401198062158, 0.0013752575699481962, -0.07416458597747237)),
+    (1, 1, 923, 920, 2, 1, (0.002250297215631268, 0.004893251901231475, 0.0008723549036490171), (-0.18875386030011182, 0.13144136350033012, -0.1286672209237588)),
 ]
 
 

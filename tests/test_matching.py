@@ -436,3 +436,95 @@ class TestMatchArrays:
         assert arrays.query_indices.dtype == np.int64
         assert arrays.distances.tolist() == [0] * 6
         assert arrays.train_indices.tolist() == list(range(6))
+
+
+class TestWindowedMatching:
+    """``match_arrays`` with pixels: each image cell meets only its window."""
+
+    @staticmethod
+    def _perfbench_sized_inputs(seed: int):
+        """1,024 queries and 3,000 map rows; 1,200 rows are noisy query copies.
+
+        200 queries have two copies, so the ratio test has work to do.
+        """
+        rng = np.random.default_rng(seed)
+        query = rng.integers(0, 256, (1024, 32), dtype=np.uint8)
+        train = rng.integers(0, 256, (3000, 32), dtype=np.uint8)
+        copies = rng.choice(3000, 1200, replace=False)
+        sources = rng.choice(1024, 1000, replace=False)
+        flips = rng.integers(0, 256, (1200, 32), dtype=np.uint8)
+        flips &= rng.integers(0, 256, (1200, 32), dtype=np.uint8)
+        flips &= rng.integers(0, 256, (1200, 32), dtype=np.uint8)  # ~1 bit in 8
+        train[copies] = query[np.concatenate([sources, sources[:200]])] ^ flips
+        return rng, query, train
+
+    def test_window_covering_every_row_equals_brute_force(self):
+        rng, query, train = self._perfbench_sized_inputs(seed=11)
+        # every pixel inside one 12 px square: each cell's box, grown by
+        # the window radius, holds every train pixel
+        query_pixels = 200.0 + 12.0 * rng.random((1024, 2))
+        train_pixels = 200.0 + 12.0 * rng.random((3000, 2))
+        windowed_matcher, brute_matcher = BruteForceMatcher(), BruteForceMatcher()
+        windowed = windowed_matcher.match_arrays(
+            query, train, query_pixels=query_pixels, train_pixels=train_pixels
+        )
+        brute = brute_matcher.match_arrays(query, train)
+        assert brute.size > 300
+        assert brute_matcher.last_stats.rejected_ratio > 50
+        assert np.array_equal(windowed.query_indices, brute.query_indices)
+        assert np.array_equal(windowed.train_indices, brute.train_indices)
+        assert np.array_equal(windowed.distances, brute.distances)
+        assert windowed_matcher.last_stats == brute_matcher.last_stats
+
+    def test_match_outside_the_cell_box_is_not_found(self):
+        rng, query, train = self._perfbench_sized_inputs(seed=12)
+        query_pixels = rng.random((1024, 2)) * (320.0, 240.0)
+        train_pixels = rng.random((3000, 2)) * (320.0, 240.0)
+        # query 0 sits in the top-left cell; its exact copy projects to the
+        # far corner, well outside that cell's box
+        query_pixels[0] = (2.0, 2.0)
+        train[7] = query[0]
+        train_pixels[7] = (318.0, 238.0)
+        brute = BruteForceMatcher().match_arrays(query, train)
+        assert 0 in brute.query_indices and brute.train_indices[0] == 7
+        windowed = BruteForceMatcher().match_arrays(
+            query, train, query_pixels=query_pixels, train_pixels=train_pixels
+        )
+        assert 7 not in windowed.train_indices[windowed.query_indices == 0]
+        # moved into the box, the copy is found again
+        train_pixels[7] = (10.0, 10.0)
+        windowed = BruteForceMatcher().match_arrays(
+            query, train, query_pixels=query_pixels, train_pixels=train_pixels
+        )
+        assert windowed.train_indices[windowed.query_indices == 0].tolist() == [7]
+
+    def test_point_without_pixel_is_never_matched(self):
+        query = _random_descriptors(40, seed=5)
+        train = np.vstack([query, _random_descriptors(40, seed=6)])
+        query_pixels = np.random.default_rng(5).random((40, 2)) * 100.0
+        train_pixels = np.vstack([query_pixels, query_pixels])
+        train_pixels[:40:2] = np.nan  # behind the camera
+        matcher = BruteForceMatcher()
+        windowed = matcher.match_arrays(
+            query, train, query_pixels=query_pixels, train_pixels=train_pixels
+        )
+        assert not np.any(np.isin(windowed.train_indices, np.arange(0, 40, 2)))
+        assert set(range(1, 40, 2)) <= set(windowed.query_indices.tolist())
+        # the counters charge the brute-force pairs, not the window's
+        assert matcher.last_stats.distance_evaluations == 40 * 80
+
+    def test_query_with_an_empty_window_is_never_matched(self):
+        query = _random_descriptors(10, seed=7)
+        config = MatcherConfig(max_hamming_distance=10**6, ratio_threshold=1.0)
+        windowed = BruteForceMatcher(config).match_arrays(
+            query,
+            query,
+            query_pixels=np.zeros((10, 2)),
+            train_pixels=np.full((10, 2), 500.0),
+        )
+        assert windowed.size == 0
+
+    def test_pixels_come_in_pairs(self):
+        query = _random_descriptors(4)
+        with pytest.raises(DescriptorError):
+            BruteForceMatcher().match_arrays(query, query, query_pixels=np.zeros((4, 2)))

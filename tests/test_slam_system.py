@@ -5,7 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.config import SlamConfig
+from repro.config import ExtractorConfig, SlamConfig
+from repro.dataset import SequenceSpec, make_sequence
 from repro.errors import GeometryError, ReproError, TrackingError
 from repro.geometry import PnpRansac, Pose
 from repro.slam import Frame, SlamSystem, Tracker
@@ -69,6 +70,37 @@ class TestTrackerOnSequence:
         assert workload.distance_evaluations > 0
         assert workload.ransac_inliers > 0
         assert workload.map_size_after > 0
+
+
+class TestBruteForceRecovery:
+    """A frame the projection window loses is matched again by brute force."""
+
+    def test_dropped_frames_fall_back_to_brute_force(self):
+        # fr1/room turns through the room: 17 frames on, the previous pose
+        # puts the map far from where it appears.  (fr1/xyz's translation
+        # never leaves the window at any frame gap.)
+        sequence = make_sequence(
+            SequenceSpec(
+                name="fr1/room", num_frames=24, image_width=320, image_height=240,
+                image_noise_std=2.0, depth_noise_std_m=0.005, seed=1,
+            )
+        )
+        config = SlamConfig(extractor=ExtractorConfig(image_width=320, image_height=240))
+        system = SlamSystem(config)
+        matcher = system.tracker.matcher
+        match_arrays = matcher.match_arrays
+        calls = []
+
+        def recording(*args, **kwargs):
+            calls.append(kwargs.get("train_pixels") is not None)
+            return match_arrays(*args, **kwargs)
+
+        matcher.match_arrays = recording
+        system.process_frame(sequence[0], sequence.camera)
+        result = system.process_frame(sequence[17], sequence.camera)
+        assert calls == [True, False]  # the window, then brute force
+        assert result.tracked
+        assert result.num_inliers >= config.tracker.min_matches
 
 
 class TestPoseEstimationErrors:
