@@ -222,19 +222,14 @@ class Tracker:
         :class:`~repro.matching.MatchArrays` feed pose estimation,
         optimisation and map updating through vectorised index gathers;
         per-correspondence :class:`~repro.matching.Match` objects are never
-        materialised while tracking.  ``distance_evaluations`` is the
-        brute-force pair count on both paths.
+        materialised while tracking.
         """
-        map_descriptors = self.map.descriptor_matrix()
-        if windowed:
-            matches = self.matcher.match_arrays(
-                frame.descriptor_matrix(),
-                map_descriptors,
-                query_pixels=frame.keypoint_pixels(),
-                train_pixels=self._project_map(frame),
-            )
-        else:
-            matches = self.matcher.match_arrays(frame.descriptor_matrix(), map_descriptors)
+        matches = self.matcher.match_arrays(
+            frame.descriptor_matrix(),
+            self.map.descriptor_matrix(),
+            query_pixels=frame.keypoint_pixels() if windowed else None,
+            train_pixels=self._project_map(frame) if windowed else None,
+        )
         stats = self.matcher.last_stats
         workload.map_points_matched_against = stats.num_candidates
         workload.distance_evaluations = stats.distance_evaluations
