@@ -1,21 +1,21 @@
-"""hwexact cross-validation report: parity, divergence and quantized throughput.
+"""hwexact report: quantization divergence, agreement and quantized throughput.
 
 Prints one JSON report with three sections:
 
-* **parity** — the batched ``hwexact`` engine vs the hardware model's
-  unit-by-unit quantized extraction (must be bit-identical, the tentpole
-  guarantee of ``tests/test_hwexact_parity.py`` restated at benchmark scale);
 * **divergence** — float-vs-fixed keypoint/descriptor agreement rates and
   the end-to-end trajectory divergence on a synthetic TUM sequence (the
   paper's accuracy-preservation claim, quantified);
+* **agreement** — the same keypoint/descriptor agreement on one 320x240
+  texture;
 * **throughput** — per-stage timings of the quantized engine next to the
   float ``vectorized`` engine, so the cost of running the
   fixed-point datapath in software is on record alongside the other
   ``BENCH_*.json`` baselines.
 
 The default workload runs at quarter resolution; the ``slow`` marker runs
-the paper's VGA frame through the batched engines (the scalar hardware walk
-stays at reduced size — it evaluates every window in Python).
+the paper's VGA frame.  Bit-identity of the engine with the scalar hardware
+walk is a tier-1 gate (``tests/test_hwexact_parity.py``), not part of this
+report.
 """
 
 import json
@@ -24,11 +24,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.analysis import (
-    compare_float_vs_fixed_extraction,
-    run_hwexact_parity,
-    run_quantization_divergence,
-)
+from repro.analysis import compare_float_vs_fixed_extraction, run_quantization_divergence
 from repro.config import ExtractorConfig, PyramidConfig
 from repro.features import OrbExtractor
 
@@ -83,7 +79,7 @@ def _throughput_report(config: ExtractorConfig, image, workload_name: str):
     }
 
 
-def test_hwexact_parity_and_divergence_report(small_image):
+def test_hwexact_divergence_report(small_image):
     config = ExtractorConfig(
         image_width=320,
         image_height=240,
@@ -91,20 +87,16 @@ def test_hwexact_parity_and_divergence_report(small_image):
         max_features=400,
         engine="hwexact",
     )
-    parity = run_hwexact_parity()  # reduced size: the hw model walks windows
     divergence = run_quantization_divergence(num_frames=6)
     agreement = compare_float_vs_fixed_extraction(small_image, config)
     throughput = _throughput_report(config, small_image, "hwexact-320x240")
     report = {
-        "parity": parity,
         "divergence": divergence,
         "agreement_320x240": agreement,
         "throughput": throughput,
     }
-    print_section("hwexact: parity, quantization divergence, throughput")
+    print_section("hwexact: quantization divergence, agreement, throughput")
     print(json.dumps(report, indent=2))
-    # the tentpole guarantee: batched engines == hardware model, to the bit
-    assert parity["bit_identical"]
     # the quantized detector stays close to the float detector
     assert agreement["fixed_coverage_1px"] > 0.5
     # fixed-point SLAM accuracy stays in the float pipeline's regime

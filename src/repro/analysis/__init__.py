@@ -14,7 +14,6 @@ from .experiments import (
 )
 from .hwexact import (
     compare_float_vs_fixed_extraction,
-    run_hwexact_parity,
     run_quantization_divergence,
 )
 
@@ -33,6 +32,5 @@ __all__ = [
     "run_rescheduling_ablation",
     "run_pyramid_ablation",
     "compare_float_vs_fixed_extraction",
-    "run_hwexact_parity",
     "run_quantization_divergence",
 ]

@@ -1,20 +1,13 @@
-"""Cross-validation harness for the quantized ``hwexact`` engine pair.
+"""What the quantized ``hwexact`` engine's fixed-point arithmetic costs.
 
-Two experiments back the tentpole claim of the hardware model:
-
-* :func:`run_hwexact_parity` — the batched ``hwexact`` engines
-  (``ExtractorConfig(engine="hwexact")``) must
-  reproduce the hardware model's unit-by-unit quantized extraction
-  (:meth:`repro.hw.OrbExtractorAccelerator.extract_quantized`) **bit for
-  bit**: same retained keypoints, scores, orientation labels, descriptors
-  and workload profiles.  The two sides share only the arithmetic kernels
-  of :mod:`repro.quant`; orchestration (streaming scalar windows vs whole
-  level numpy passes) is independent, so agreement validates both.
-* :func:`run_quantization_divergence` — quantifies what fixed-point
-  arithmetic *costs* relative to the float ``vectorized`` pipeline:
-  keypoint set agreement (exact and within a 1-pixel radius), descriptor
-  agreement on shared keypoints, and end-to-end trajectory divergence on a
-  synthetic TUM sequence (the paper's accuracy-preservation claim).
+:func:`compare_float_vs_fixed_extraction` and
+:func:`run_quantization_divergence` measure the ``hwexact`` engine
+(``ExtractorConfig(engine="hwexact")``) against the float ``vectorized``
+engine: keypoint set agreement (exact and within a 1-pixel radius),
+descriptor agreement on shared keypoints, and end-to-end trajectory
+divergence on a synthetic TUM sequence (the paper's accuracy-preservation
+claim).  That the engine computes what the datapath would, bit for bit, is
+checked against the scalar hardware walk in ``tests/hw_oracle.py``.
 
 Both functions return plain dictionaries so the benchmark harness
 (``benchmarks/bench_hwexact_parity.py``) can print them as JSON reports and
@@ -24,19 +17,19 @@ Both functions return plain dictionaries so the benchmark harness
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
 import numpy as np
 
 from ..config import ExtractorConfig, PyramidConfig, SlamConfig, TrackerConfig
 from ..dataset import SequenceSpec, make_sequence
 from ..features import ExtractionResult, OrbExtractor
-from ..image import GrayImage, random_blocks
+from ..image import GrayImage
 from ..slam import SlamSystem
 
 
-def _default_parity_config() -> ExtractorConfig:
-    """Small workload: the hw model walks every window in Python."""
+def _default_config() -> ExtractorConfig:
+    """The small workload: 160x120, two levels, 100 features."""
     return ExtractorConfig(
         image_width=160,
         image_height=120,
@@ -44,57 +37,6 @@ def _default_parity_config() -> ExtractorConfig:
         max_features=100,
         engine="hwexact",
     )
-
-
-def run_hwexact_parity(
-    images: Optional[Sequence[GrayImage]] = None,
-    config: Optional[ExtractorConfig] = None,
-) -> Dict[str, object]:
-    """Engine-pair extraction vs hardware-model quantized extraction.
-
-    Returns per-image feature counts and mismatch counts; ``bit_identical``
-    is True only if every feature record *and* every workload profile agrees
-    exactly across all images.
-    """
-    from ..hw import OrbExtractorAccelerator
-
-    config = config or _default_parity_config()
-    if images is None:
-        images = [
-            random_blocks(config.image_height, config.image_width, block=10, seed=seed)
-            for seed in (7, 21)
-        ]
-    engine_extractor = OrbExtractor(config)
-    accelerator = OrbExtractorAccelerator(config)
-    rows = []
-    total_mismatches = 0
-    profiles_equal = True
-    for index, image in enumerate(images):
-        engine_result = engine_extractor.extract(image)
-        hw_result, _ = accelerator.extract_quantized(image)
-        engine_records = engine_result.feature_records()
-        hw_records = hw_result.feature_records()
-        mismatches = sum(a != b for a, b in zip(engine_records, hw_records))
-        mismatches += abs(len(engine_records) - len(hw_records))
-        total_mismatches += mismatches
-        profile_match = vars(engine_result.profile) == vars(hw_result.profile)
-        profiles_equal = profiles_equal and profile_match
-        rows.append(
-            {
-                "image": index,
-                "engine_features": len(engine_records),
-                "hw_features": len(hw_records),
-                "mismatched_features": mismatches,
-                "profile_match": profile_match,
-            }
-        )
-    return {
-        "images": len(rows),
-        "rows": rows,
-        "total_mismatches": total_mismatches,
-        "profiles_equal": profiles_equal,
-        "bit_identical": total_mismatches == 0 and profiles_equal,
-    }
 
 
 def _rows_by_keypoint(result: ExtractionResult) -> Dict[tuple, int]:
@@ -124,9 +66,9 @@ def compare_float_vs_fixed_extraction(
     """Keypoint/descriptor agreement between the float and quantized pipelines.
 
     ``config`` (any engine selection) is re-targeted to the ``vectorized``
-    pair for the float run and the ``hwexact`` pair for the fixed run.
+    engine for the float run and the ``hwexact`` engine for the fixed run.
     """
-    config = config or _default_parity_config()
+    config = config or _default_config()
     float_result = OrbExtractor(replace(config, engine="vectorized")).extract(image)
     fixed_result = OrbExtractor(replace(config, engine="hwexact")).extract(image)
     float_rows = _rows_by_keypoint(float_result)
@@ -174,8 +116,8 @@ def run_quantization_divergence(
     """Float-vs-fixed divergence at extraction and trajectory level.
 
     Runs the same synthetic TUM sequence through :class:`SlamSystem` twice —
-    once with the float ``vectorized`` engine pair, once with the quantized
-    ``hwexact`` pair — and reports per-frame extraction agreement plus the
+    once with the float ``vectorized`` engine, once with the quantized
+    ``hwexact`` engine — and reports per-frame extraction agreement plus the
     ATE of each run and the RMSE between the two estimated trajectories.
 
     ``harris_score_shift`` / ``orientation_ratio_format`` optionally rebind

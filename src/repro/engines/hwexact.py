@@ -11,8 +11,8 @@ in :mod:`repro.hw`, batched over whole pyramid levels.  It is the
    are kept (the hardware never evaluates a partial window), scored by the
    integer-accumulator windowed response of the FAST Detection unit
    (:func:`repro.quant.kernels.harris_scores_quantized`) — bit-identical to
-   :meth:`~repro.hw.orb_extractor.units.FastDetectionUnit.evaluate_window`
-   per pixel because every intermediate is an integer.  Corners whose
+   the per-window Harris of the scalar hardware walk (the test oracle in
+   ``tests/hw_oracle.py``) because every intermediate is an integer.  Corners whose
    quantized score is non-positive never reach the heap (the hardware NMS
    unit only emits positive-score maxima) and cannot shadow a positive
    neighbour, so dropping them before the inherited sparse NMS is exact.
@@ -24,7 +24,7 @@ in :mod:`repro.hw`, batched over whole pyramid levels.  It is the
    (:func:`~repro.features.orientation.intensity_centroids`: one float32
    matmul of the gathered patches against the masked moment weights, exact
    because every partial sum is an integer below ``2**24``), bit-identical
-   to the scalar Orientation Computing unit, quantizes the ratio
+   to the oracle's scalar Orientation unit, quantizes the ratio
    ``v/u`` to the Q6.10 :data:`~repro.quant.formats.ORIENTATION_RATIO_FORMAT`
    and resolves the 32-way label from the ratio and sign bits — the
    hardware LUT, no ``atan2``.  The continuous angle reported for each
@@ -32,12 +32,12 @@ in :mod:`repro.hw`, batched over whole pyramid levels.  It is the
    produces a finer angle, and RS-BRIEF rotation only consumes the bin.
 5. **Description** (inherited): the fixed RS-BRIEF pattern against the
    quantized-smoothed level plus the BRIEF Rotator byte shift, already
-   proven bit-identical to the hardware BRIEF Computing + Rotator units.
+   proven bit-identical to the oracle's BRIEF Computing + Rotator walk.
 
 Like the hardware accelerator, this engine requires RS-BRIEF: the original
 ORB descriptor needs the 30-pattern LUT the paper's datapath explicitly
 avoids.  ``tests/test_hwexact_parity.py`` asserts this engine reproduces the
-hardware model's quantized extraction bit for bit; ``docs/hwexact.md``
+scalar hardware walk of ``tests/hw_oracle.py`` bit for bit; ``docs/hwexact.md``
 documents the architecture.
 """
 

@@ -6,7 +6,7 @@ from .fast import (
     fast_corner_mask,
 )
 from .harris import HARRIS_K, harris_response_map, harris_scores_sparse
-from .nms import non_maximum_suppression, suppress_keypoints, suppress_keypoints_sparse
+from .nms import non_maximum_suppression, suppress_keypoints_sparse
 from .orientation import (
     NUM_ORIENTATION_BINS,
     ORIENTATION_PATCH_RADIUS,
@@ -37,7 +37,7 @@ from .brief import (
     pack_bit_matrix,
     pack_bits,
 )
-from .heap_filter import BoundedScoreHeap, HeapStatistics, select_top
+from .heap_filter import HeapStatistics, select_top
 from .orb import (
     ExtractionProfile,
     ExtractionResult,
@@ -54,7 +54,6 @@ __all__ = [
     "harris_response_map",
     "harris_scores_sparse",
     "non_maximum_suppression",
-    "suppress_keypoints",
     "suppress_keypoints_sparse",
     "NUM_ORIENTATION_BINS",
     "ORIENTATION_PATCH_RADIUS",
@@ -83,7 +82,6 @@ __all__ = [
     "evaluate_pattern_batch",
     "pack_bit_matrix",
     "pack_bits",
-    "BoundedScoreHeap",
     "HeapStatistics",
     "select_top",
     "ExtractionProfile",

@@ -9,38 +9,33 @@ computed.
 A bounded "keep the K largest" structure is most naturally a **min-heap of
 size K** keyed on score: a new feature replaces the root when it beats the
 current minimum.  The paper calls the module a max-heap (it retains maximal
-scores); :class:`BoundedScoreHeap` implements the retention semantics and
-additionally counts the comparisons performed.  That count is reported as
-the extraction profile's ``heap_comparisons``; the hardware cycle model
-does not read it (it charges the heap by the retained features it drains
-and, in the original workflow, ``log2(capacity)`` steps per keypoint).
+scores).  The streaming heap also counts the comparisons it performs; that
+count is reported as the extraction profile's ``heap_comparisons``, and the
+hardware cycle model does not read it (it charges the heap by the retained
+features it drains and, in the original workflow, ``log2(capacity)`` steps
+per keypoint).
 
-The software extractor does not stream through the heap: :func:`select_top`
-returns the same retained rows and the same statistics from one partition
-plus a sort of the kept rows, the closed-form sift depths of the
-insertions, and one ``heapq`` pass over the bare scores for the
-replacements.  The scalar hardware model
-(:class:`~repro.hw.orb_extractor.units.FeatureHeapUnit`) keeps offering to
-:class:`BoundedScoreHeap` one feature at a time.
+The extractor does not stream through a heap: :func:`select_top` returns
+the rows and statistics of the streaming heap from one partition plus a
+sort of the kept rows, the closed-form sift depths of the insertions, and
+one ``heapq`` pass over the bare scores for the replacements.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
-from dataclasses import dataclass, field
-from typing import Generic, Iterable, List, Tuple, TypeVar
+from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
 from ..errors import FeatureError
 
-T = TypeVar("T")
-
 
 @dataclass
 class HeapStatistics:
-    """Operation counts accumulated by the heap (consumed by the cycle model)."""
+    """Operation counts of the streaming heap: insertions, replacements,
+    rejections and comparator steps."""
 
     insertions: int = 0
     replacements: int = 0
@@ -48,79 +43,18 @@ class HeapStatistics:
     comparisons: int = 0
 
 
-@dataclass
-class BoundedScoreHeap(Generic[T]):
-    """Keep the ``capacity`` items with the largest scores.
-
-    Items are arbitrary payloads (feature records); scores are floats.  Ties
-    are broken in favour of the earlier-inserted item, matching streaming
-    hardware where an equal-scoring later feature does not evict an earlier
-    one.
-    """
-
-    capacity: int
-    _heap: List[Tuple[float, int, T]] = field(default_factory=list)
-    _counter: "itertools.count[int]" = field(default_factory=itertools.count)
-    stats: HeapStatistics = field(default_factory=HeapStatistics)
-
-    def __post_init__(self) -> None:
-        if self.capacity <= 0:
-            raise FeatureError("heap capacity must be positive")
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    @property
-    def is_full(self) -> bool:
-        return len(self._heap) >= self.capacity
-
-    def offer(self, score: float, item: T) -> bool:
-        """Offer an item; return True if it is retained.
-
-        A full heap retains the item only if its score strictly exceeds the
-        current minimum; the displaced minimum is discarded.
-        """
-        # ``-next(counter)`` makes earlier items win ties: for equal scores the
-        # earlier item has a larger tiebreaker and therefore is *not* the root.
-        order = -next(self._counter)
-        if not self.is_full:
-            heapq.heappush(self._heap, (score, order, item))
-            self.stats.insertions += 1
-            self.stats.comparisons += max(1, len(self._heap).bit_length())
-            return True
-        self.stats.comparisons += 1
-        if score > self._heap[0][0]:
-            heapq.heapreplace(self._heap, (score, order, item))
-            self.stats.replacements += 1
-            self.stats.comparisons += max(1, self.capacity.bit_length())
-            return True
-        self.stats.rejections += 1
-        return False
-
-    def extend(self, scored_items: Iterable[Tuple[float, T]]) -> None:
-        """Offer every ``(score, item)`` pair in order."""
-        for score, item in scored_items:
-            self.offer(score, item)
-
-    def items_by_score(self) -> List[T]:
-        """Return retained items sorted by descending score (stable for ties)."""
-        ordered = sorted(self._heap, key=lambda entry: (-entry[0], -entry[1]))
-        return [item for _, _, item in ordered]
-
-    def scores(self) -> List[float]:
-        """Return retained scores in descending order."""
-        return sorted((score for score, _, _ in self._heap), reverse=True)
-
-
 def select_top(scores: np.ndarray, capacity: int) -> Tuple[np.ndarray, HeapStatistics]:
-    """Rows a :class:`BoundedScoreHeap` keeps when offered ``scores`` in order.
+    """Rows a bounded min-heap of ``capacity`` keeps when offered ``scores`` in order.
 
-    Returns ``(rows, stats)``: ``rows`` are the ``capacity`` best indices by
-    (score descending, offer order ascending), in the order of
-    :meth:`BoundedScoreHeap.items_by_score`, and ``stats`` equals the heap's
-    :class:`HeapStatistics` after the same offers.  The first ``capacity``
-    offers are insertions; a later offer is a replacement iff it beats the
-    heap minimum (:func:`_count_replacements`), and a rejection otherwise.
+    The heap keeps an offer while it has room, and once full replaces its
+    minimum by an offer that strictly beats it; ties go to the earlier
+    offer.  Returns ``(rows, stats)``: ``rows`` are the ``capacity`` best
+    indices by (score descending, offer order ascending), and ``stats``
+    counts what that heap does.  The first ``capacity`` offers are
+    insertions, each a sift up a heap of its new size; a later offer is a
+    replacement iff it beats the heap minimum (:func:`_count_replacements`),
+    and a rejection otherwise.  Every later offer costs one comparison with
+    the root, and a replacement a sift down the full depth.
     """
     if capacity <= 0:
         raise FeatureError("heap capacity must be positive")
@@ -134,9 +68,8 @@ def select_top(scores: np.ndarray, capacity: int) -> Tuple[np.ndarray, HeapStati
         insertions=insertions,
         replacements=replacements,
         rejections=scores.size - insertions - replacements,
-        # as BoundedScoreHeap.offer counts them: a sift per insertion into a
-        # heap of size k, one root comparison per offer once full, and a
-        # full-depth sift per replacement
+        # a sift per insertion into a heap of size k, one root comparison
+        # per offer once full, and a full-depth sift per replacement
         comparisons=_bit_length_sum(insertions)
         + (scores.size - insertions)
         + replacements * capacity.bit_length(),

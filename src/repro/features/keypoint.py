@@ -66,7 +66,3 @@ class Feature:
     @property
     def num_bits(self) -> int:
         return self.descriptor.size * 8
-
-    @property
-    def score(self) -> float:
-        return self.keypoint.score

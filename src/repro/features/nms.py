@@ -7,7 +7,7 @@ maximum Harris score survives.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -253,28 +253,3 @@ def _greedy_raster_independent_set(keys: np.ndarray, stride: int, radius: int) -
         selected[:count] |= chosen
         undecided[:count] &= ~ready
     return selected[:count]
-
-
-def suppress_keypoints(
-    points: Sequence[Tuple[int, int]],
-    scores: Sequence[float],
-    shape: Tuple[int, int],
-    radius: int = 1,
-) -> List[int]:
-    """Sparse-input NMS: return indices of ``points`` that survive suppression.
-
-    Convenience wrapper used when corners are already in list form (e.g. by
-    the hardware model, which streams keypoints rather than full maps).
-    """
-    if len(points) != len(scores):
-        raise FeatureError("points and scores must have the same length")
-    h, w = shape
-    corner_mask = np.zeros((h, w), dtype=bool)
-    score_map = np.full((h, w), -np.inf)
-    for (x, y), score in zip(points, scores):
-        if not (0 <= x < w and 0 <= y < h):
-            raise FeatureError(f"point ({x}, {y}) outside shape {shape}")
-        corner_mask[y, x] = True
-        score_map[y, x] = score
-    keep = non_maximum_suppression(corner_mask, score_map, radius=radius)
-    return [i for i, (x, y) in enumerate(points) if keep[y, x]]

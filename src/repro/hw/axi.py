@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 from ..config import AcceleratorConfig
 from ..errors import HardwareModelError
-from .cycles import CycleBreakdown
 
 
 @dataclass
@@ -35,12 +34,8 @@ class AxiPort:
     memory-controller latency).
     """
 
-    def __init__(self, config: AcceleratorConfig | None = None, name: str = "axi") -> None:
+    def __init__(self, config: AcceleratorConfig | None = None) -> None:
         self.config = config or AcceleratorConfig()
-        self.name = name
-        self.total_bytes_read = 0
-        self.total_bytes_written = 0
-        self.total_cycles = 0.0
 
     # -- transfer cost ------------------------------------------------------
     def transfer_stats(self, num_bytes: int) -> AxiTransferStats:
@@ -55,20 +50,6 @@ class AxiPort:
         bursts = (beats + burst_len - 1) // burst_len
         cycles = float(beats + bursts * self.config.axi_latency_cycles)
         return AxiTransferStats(num_bytes, beats, bursts, cycles)
-
-    def read(self, num_bytes: int) -> CycleBreakdown:
-        """Account for a read of ``num_bytes`` from SDRAM."""
-        stats = self.transfer_stats(num_bytes)
-        self.total_bytes_read += stats.bytes_transferred
-        self.total_cycles += stats.cycles
-        return CycleBreakdown({f"{self.name}.read": stats.cycles})
-
-    def write(self, num_bytes: int) -> CycleBreakdown:
-        """Account for a write of ``num_bytes`` to SDRAM."""
-        stats = self.transfer_stats(num_bytes)
-        self.total_bytes_written += stats.bytes_transferred
-        self.total_cycles += stats.cycles
-        return CycleBreakdown({f"{self.name}.write": stats.cycles})
 
     def streaming_read_cycles(self, num_bytes: int, compute_cycles: float) -> float:
         """Cycles for a read that overlaps with ``compute_cycles`` of processing.

@@ -52,7 +52,7 @@ class BriefMatcherAccelerator:
 
     def __init__(self, accel_config: AcceleratorConfig | None = None) -> None:
         self.accel_config = accel_config or AcceleratorConfig()
-        self.axi = AxiPort(self.accel_config, name="brief_matcher")
+        self.axi = AxiPort(self.accel_config)
         self.distance_unit = DistanceComputingUnit(
             descriptor_bytes=self.DESCRIPTOR_BYTES,
             lanes=self.accel_config.matcher_parallelism,

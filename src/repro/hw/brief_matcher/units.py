@@ -15,7 +15,6 @@ from typing import List
 import numpy as np
 
 from ...errors import HardwareModelError
-from ...matching.hamming import hamming_distance
 
 
 class DistanceComputingUnit:
@@ -31,18 +30,6 @@ class DistanceComputingUnit:
             raise HardwareModelError("descriptor_bytes and lanes must be positive")
         self.descriptor_bytes = descriptor_bytes
         self.lanes = lanes
-        self.pairs_evaluated = 0
-
-    def distance(self, descriptor_a: np.ndarray, descriptor_b: np.ndarray) -> int:
-        """Hamming distance of one descriptor pair (functional reference)."""
-        a = np.asarray(descriptor_a, dtype=np.uint8)
-        b = np.asarray(descriptor_b, dtype=np.uint8)
-        if a.size != self.descriptor_bytes or b.size != self.descriptor_bytes:
-            raise HardwareModelError(
-                f"descriptors must be {self.descriptor_bytes} bytes"
-            )
-        self.pairs_evaluated += 1
-        return hamming_distance(a, b)
 
     def cycles_for(self, num_queries: int, num_candidates: int) -> float:
         """Total cycles to evaluate the full distance matrix."""

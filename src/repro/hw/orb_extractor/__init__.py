@@ -6,15 +6,7 @@ from .image_cache import (
     PingPongImageCache,
     stream_image_through_cache,
 )
-from .units import (
-    BriefComputingUnit,
-    BriefRotatorUnit,
-    FastDetectionUnit,
-    FeatureHeapUnit,
-    HeapEntry,
-    ImageSmootherUnit,
-    OrientationUnit,
-)
+from .units import BriefComputingUnit, BriefRotatorUnit, OrientationUnit
 from .extractor import (
     FEATURE_RECORD_BYTES,
     ExtractorLatencyReport,
@@ -26,13 +18,9 @@ __all__ = [
     "CacheLineState",
     "FsmTransition",
     "stream_image_through_cache",
-    "FastDetectionUnit",
-    "ImageSmootherUnit",
     "OrientationUnit",
     "BriefComputingUnit",
     "BriefRotatorUnit",
-    "FeatureHeapUnit",
-    "HeapEntry",
     "FEATURE_RECORD_BYTES",
     "ExtractorLatencyReport",
     "OrbExtractorAccelerator",

@@ -12,9 +12,9 @@ ping-pong caches and the AXI port into a model of the whole ORB Extractor
 * the heap filters the streamed features down to the best 1024, and
 * the results are written back over AXI when the pyramid finishes.
 
-The functional output is produced by the software reference extractor with
-the rescheduled workflow (bit-identical descriptors); the cycle count is
-derived from the same extraction profile, so the model's latency responds to
+The functional output is produced by an :class:`~repro.features.OrbExtractor`
+with the configured engine; the cycle count is derived from the same
+extraction profile, so the model's latency responds to
 the actual workload (image size, pyramid depth, keypoint density) rather than
 being a constant.
 """
@@ -24,26 +24,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-import numpy as np
-
 from ...config import AcceleratorConfig, ExtractorConfig
 from ...errors import HardwareModelError
-from ...features import ExtractionResult, FeatureArrays, OrbExtractor
-from ...features.nms import suppress_keypoints
-from ...features.orb import ExtractionProfile
-from ...features.orientation import ORIENTATION_BIN_RAD
-from ...image import GrayImage, ImagePyramid, within_border
+from ...features import ExtractionResult, OrbExtractor
+from ...image import GrayImage, ImagePyramid
 from ..axi import AxiPort
 from ..cycles import CycleBreakdown
-from .units import (
-    BriefComputingUnit,
-    BriefRotatorUnit,
-    FastDetectionUnit,
-    FeatureHeapUnit,
-    HeapEntry,
-    ImageSmootherUnit,
-    OrientationUnit,
-)
+from .units import BriefComputingUnit, BriefRotatorUnit, OrientationUnit
 
 #: Bytes written back to SDRAM per retained feature: 32-byte descriptor,
 #: 4-byte packed coordinates/level and 4-byte Harris score.
@@ -86,12 +73,9 @@ class OrbExtractorAccelerator:
                 "requires the 30-pattern LUT the paper explicitly avoids"
             )
         self._reference = OrbExtractor(self.extractor_config)
-        self.axi = AxiPort(self.accel_config, name="orb_extractor")
-        self.fast_unit = FastDetectionUnit(self.extractor_config.fast)
-        self.smoother_unit = ImageSmootherUnit()
+        self.axi = AxiPort(self.accel_config)
         self.orientation_unit = OrientationUnit()
         self.brief_unit = BriefComputingUnit(self.extractor_config.descriptor)
-        self.rotator_unit = BriefRotatorUnit()
         self.heap_capacity = self.extractor_config.max_features
 
     # -- functional + timing ----------------------------------------------------
@@ -105,135 +89,6 @@ class OrbExtractorAccelerator:
             features_retained=result.profile.features_retained,
         )
         return result, report
-
-    def extract_quantized(
-        self, image: GrayImage
-    ) -> tuple[ExtractionResult, ExtractorLatencyReport]:
-        """Quantized functional extraction, driven unit by unit.
-
-        Runs the actual fixed-point datapath: every interior 7x7 window
-        through :class:`~.units.FastDetectionUnit` (integer Harris
-        accumulators), raster-order NMS on the quantized scores, the 8-bit
-        fixed-point :class:`~.units.ImageSmootherUnit`, per-feature
-        :class:`~.units.OrientationUnit` (Q6.10 ratio LUT) and
-        :class:`~.units.BriefComputingUnit` + :class:`~.units.BriefRotatorUnit`,
-        filtered through the :class:`~.units.FeatureHeapUnit`.
-
-        The output is bit-identical to the batched ``hwexact`` engine pair
-        (``ExtractorConfig(engine="hwexact")``) —
-        asserted by ``tests/test_hwexact_parity.py`` — because both sides
-        share the arithmetic kernels of :mod:`repro.quant`; this scalar
-        orchestration is the cross-check that the batched engines really
-        compute what the streaming hardware would.  Requires a FAST border
-        of at least 3 (the hardware never evaluates a partial window).
-        """
-        config = self.extractor_config
-        if config.fast.border < 3:
-            raise HardwareModelError(
-                "the hardware window pipeline needs a FAST border of at least 3"
-            )
-        pyramid = ImagePyramid(image, config.pyramid)
-        profile = ExtractionProfile(workflow="rescheduled")
-        profile.pixels_processed = pyramid.total_pixels()
-        descriptor_border = max(
-            config.fast.border,
-            int(np.ceil(self.brief_unit.pattern.max_radius())) + 1,
-            config.descriptor.patch_radius + 1,
-        )
-        heap = FeatureHeapUnit(capacity=self.heap_capacity)
-        patch_radius = config.descriptor.patch_radius
-        for level in pyramid:
-            level_image = level.image
-            smoothed = self.smoother_unit.smooth_image(level_image)
-            xs, ys, scores = self._detect_level_quantized(level_image, profile)
-            if not xs:
-                profile.per_level_keypoints.append(0)
-                continue
-            keep = suppress_keypoints(
-                list(zip(xs, ys)), scores, level_image.shape, radius=1
-            )
-            survivors = [
-                index
-                for index in keep
-                if within_border(
-                    np.int64(xs[index]),
-                    np.int64(ys[index]),
-                    level_image.shape,
-                    descriptor_border,
-                )
-            ]
-            profile.keypoints_after_nms += len(survivors)
-            profile.per_level_keypoints.append(len(survivors))
-            for index in survivors:
-                x, y = xs[index], ys[index]
-                patch = smoothed.patch(x, y, patch_radius)
-                orientation_bin = self.orientation_unit.orientation_bin(patch)
-                descriptor = self.rotator_unit.rotate(
-                    self.brief_unit.describe(patch), orientation_bin
-                )
-                profile.descriptors_computed += 1
-                heap.offer(
-                    HeapEntry(
-                        x=x,
-                        y=y,
-                        level=level.level,
-                        score=scores[index],
-                        descriptor=descriptor,
-                        orientation_bin=orientation_bin,
-                    )
-                )
-        profile.heap_comparisons = heap.comparisons
-        arrays = self._retained_arrays(heap.retained())
-        profile.features_retained = len(arrays)
-        result = ExtractionResult(arrays, profile)
-        report = self.latency_from_profile(
-            image,
-            keypoints_after_nms=profile.keypoints_after_nms,
-            descriptors_computed=profile.descriptors_computed,
-            features_retained=profile.features_retained,
-        )
-        return result, report
-
-    def _detect_level_quantized(
-        self, level_image: GrayImage, profile: ExtractionProfile
-    ) -> tuple[List[int], List[int], List[float]]:
-        """FAST + quantized Harris over every complete window of one level."""
-        height, width = level_image.shape
-        border = self.extractor_config.fast.border
-        pixels = level_image.pixels
-        xs: List[int] = []
-        ys: List[int] = []
-        scores: List[float] = []
-        detected = 0
-        for y in range(border, height - border):
-            for x in range(border, width - border):
-                window = pixels[y - 3 : y + 4, x - 3 : x + 4]
-                is_corner, score = self.fast_unit.evaluate_window(window)
-                if not is_corner:
-                    continue
-                detected += 1
-                if score > 0:
-                    xs.append(x)
-                    ys.append(y)
-                    scores.append(score)
-        profile.keypoints_detected += detected
-        return xs, ys, scores
-
-    def _retained_arrays(self, entries: List[HeapEntry]) -> FeatureArrays:
-        """The heap's retained records as the extraction result's columns."""
-        if not entries:
-            return FeatureArrays.empty()
-        bins = np.array([entry.orientation_bin for entry in entries], dtype=np.int64)
-        return FeatureArrays.from_level_columns(
-            self.extractor_config.pyramid,
-            descriptors=np.stack([entry.descriptor for entry in entries]),
-            levels=np.array([entry.level for entry in entries], dtype=np.int64),
-            xs=np.array([entry.x for entry in entries], dtype=np.int64),
-            ys=np.array([entry.y for entry in entries], dtype=np.int64),
-            scores=np.array([entry.score for entry in entries], dtype=np.float64),
-            orientation_bins=bins,
-            orientation_rads=bins * ORIENTATION_BIN_RAD,
-        )
 
     # -- cycle model ----------------------------------------------------------
     def latency_from_profile(

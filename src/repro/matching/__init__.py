@@ -1,6 +1,5 @@
 """Descriptor matching: Hamming distance and brute-force matchers."""
 
-from .hamming import hamming_distance
 from .matcher import (
     BruteForceMatcher,
     Match,
@@ -10,7 +9,6 @@ from .matcher import (
 )
 
 __all__ = [
-    "hamming_distance",
     "BruteForceMatcher",
     "Match",
     "MatchArrays",

@@ -188,14 +188,3 @@ def _fill_tile(
         else:
             np.copyto(wide, counts)
             np.add(tile, wide, out=tile)
-
-
-def hamming_distance(a: np.ndarray, b: np.ndarray) -> int:
-    """Return the Hamming distance between two packed descriptors."""
-    a = np.asarray(a, dtype=np.uint8)
-    b = np.asarray(b, dtype=np.uint8)
-    if a.shape != b.shape:
-        raise DescriptorError(f"descriptor shapes differ: {a.shape} vs {b.shape}")
-    words_a = _descriptor_words(a.reshape(1, -1))
-    words_b = _descriptor_words(b.reshape(1, -1))
-    return int(np.bitwise_count(words_a ^ words_b).sum())

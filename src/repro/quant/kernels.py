@@ -1,19 +1,14 @@
 """Quantized arithmetic kernels of the FPGA datapath.
 
 Each kernel is the *single* definition of one piece of the accelerator's
-fixed-point arithmetic, exposed in two call styles:
-
-* a **scalar / per-window** form, consumed by the hardware datapath units in
-  :mod:`repro.hw.orb_extractor.units` (one 7x7 window, one patch, one
-  feature at a time — the granularity of the streaming hardware);
-* a **batched** form, consumed by the ``hwexact`` engine
-  (:mod:`repro.engines.hwexact`) which runs whole pyramid levels through
-  numpy.
+fixed-point arithmetic, in the batched form the ``hwexact`` engine
+(:mod:`repro.engines.hwexact`) runs over whole pyramid levels.
 
 Every quantity is an integer (or an exactly-representable float64) at every
-step, so the two call styles are bit-identical by arithmetic — not merely by
-testing — and ``tests/test_hwexact_parity.py`` pins the equivalence down at
-the kernel level and end to end.
+step, so the batched kernels equal the per-window and per-feature arithmetic
+of the streaming hardware bit for bit.  ``tests/test_hwexact_parity.py``
+checks that against the scalar hardware walk of ``tests/hw_oracle.py``,
+kernel by kernel and end to end.
 
 The quantisation choices model the paper's datapath:
 
@@ -31,9 +26,10 @@ The quantisation choices model the paper's datapath:
   :data:`~repro.quant.formats.ORIENTATION_RATIO_FORMAT` and resolves the
   32-way label from the quantized ratio plus sign bits (the LUT comparison
   tree), never evaluating ``atan2``.
-* **RS-BRIEF** evaluates the 256 fixed test pairs on the quantized-smoothed
-  patch and packs bits LSB-first (bit ``i`` into byte ``i // 8``), the exact
-  layout of the hardware BRIEF Computing unit.
+* **RS-BRIEF** needs no kernel of its own: the 256 fixed test pairs on the
+  quantized-smoothed patch, packed LSB-first (bit ``i`` into byte
+  ``i // 8``), are exactly the software descriptor's layout, so the engine
+  keeps the ``vectorized`` describe.
 """
 
 from __future__ import annotations
@@ -44,11 +40,7 @@ import numpy as np
 
 from ..errors import HardwareModelError
 from ..features.harris import HARRIS_BAND_ROWS, window_sums
-from ..features.orientation import (
-    NUM_ORIENTATION_BINS,
-    intensity_centroid,
-    orientation_lut_labels,
-)
+from ..features.orientation import NUM_ORIENTATION_BINS, orientation_lut_labels
 from ..image import GrayImage
 from ..image.filters import SMOOTHING_BAND_ROWS, edge_padded_bands, gaussian_kernel_2d
 from .formats import HARRIS_SCORE_FORMAT, ORIENTATION_RATIO_FORMAT
@@ -81,8 +73,7 @@ def quantization_overrides(
     Sensitivity sweeps (``benchmarks/bench_quant_sensitivity.py`` via
     :func:`repro.analysis.run_quantization_divergence`) need to ask "what if
     the hardware spent more/fewer bits here?" without forking the kernels.
-    Within the ``with`` block every kernel call — scalar hardware units and
-    batched ``hwexact`` engines alike — sees the overridden
+    Within the ``with`` block every kernel call sees the overridden
     :data:`HARRIS_SCORE_SHIFT` and/or ``ORIENTATION_RATIO_FORMAT``; the
     defaults are restored on exit even if the body raises.
 
@@ -137,26 +128,15 @@ def quantize_gaussian_kernel(
     return quantized
 
 
-def smooth_window_quantized(
-    window: np.ndarray, kernel_fixed: np.ndarray, weight_bits: int = SMOOTHER_WEIGHT_BITS
-) -> int:
-    """Smoothed centre pixel of one window (the hardware MAC + shift)."""
-    window = np.asarray(window, dtype=np.int64)
-    if window.shape != kernel_fixed.shape:
-        raise HardwareModelError(
-            f"smoother window must be {kernel_fixed.shape[0]}x{kernel_fixed.shape[1]}"
-        )
-    accumulator = int((window * kernel_fixed).sum())
-    return int(np.clip(accumulator >> weight_bits, 0, 255))
-
-
 def smooth_image_quantized(
     image: GrayImage, kernel_fixed: np.ndarray, weight_bits: int = SMOOTHER_WEIGHT_BITS
 ) -> GrayImage:
-    """Whole-image form of :func:`smooth_window_quantized`.
+    """The quantized Gaussian over a whole image: per pixel, the 7x7
+    multiply-accumulate with ``kernel_fixed``, then a right shift by
+    ``weight_bits`` and a clamp to 255.
 
-    Pure integer accumulation, so each interior pixel equals the per-window
-    kernel exactly; borders replicate edges, matching a hardware line buffer
+    Pure integer accumulation, so each pixel equals the hardware's
+    per-window MAC exactly; borders replicate edges, matching a hardware line buffer
     that clamps addresses at image edges.  The image runs in bands of rows
     (:func:`~repro.image.filters.edge_padded_bands`); per band the taps that
     share a weight are summed first and multiplied once (the default
@@ -195,32 +175,13 @@ def smooth_image_quantized(
 # ---------------------------------------------------------------------------
 # Harris response (integer accumulators)
 # ---------------------------------------------------------------------------
-def harris_window_score_quantized(window: np.ndarray) -> int:
-    """Quantized Harris response of one 7x7 window (integer accumulators).
-
-    Doubled central-difference gradients are accumulated into the integer
-    second-moment sums; the score is rescaled by :data:`HARRIS_SCORE_SHIFT`
-    and saturated to :data:`~repro.quant.formats.HARRIS_SCORE_FORMAT`.
-    """
-    window = np.asarray(window, dtype=np.int64)
-    side = 2 * HARRIS_WINDOW_RADIUS + 1
-    if window.shape != (side, side):
-        raise HardwareModelError(f"Harris window must be {side}x{side}")
-    gx2 = np.zeros_like(window)
-    gy2 = np.zeros_like(window)
-    gx2[:, 1:-1] = window[:, 2:] - window[:, :-2]
-    gy2[1:-1, :] = window[2:, :] - window[:-2, :]
-    sxx = int((gx2 * gx2).sum())
-    syy = int((gy2 * gy2).sum())
-    sxy = int((gx2 * gy2).sum())
-    det16 = sxx * syy - sxy * sxy
-    trace4 = sxx + syy
-    raw = (det16 << HARRIS_K_FRACTION_BITS) - HARRIS_K_FIXED * trace4 * trace4
-    return int(HARRIS_SCORE_FORMAT.saturate_integer(raw >> HARRIS_SCORE_SHIFT))
-
-
 def harris_scores_quantized(image: GrayImage, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Batched :func:`harris_window_score_quantized` at ``(xs, ys)``.
+    """Quantized Harris response of the 7x7 windows centred at ``(xs, ys)``.
+
+    Per window, doubled central-difference gradients are accumulated into
+    integer second-moment sums; the score is rescaled by
+    :data:`HARRIS_SCORE_SHIFT` and saturated to
+    :data:`~repro.quant.formats.HARRIS_SCORE_FORMAT`.
 
     The moment sums are formed only over the bounding box of the requested
     windows, one band of :data:`~repro.features.harris.HARRIS_BAND_ROWS`
@@ -301,38 +262,3 @@ def orientation_bins_quantized(
     labels = orientation_lut_labels(us, v_quantized, num_bins)
     both_tiny = (np.abs(us) < _CENTROID_TINY) & (np.abs(vs) < _CENTROID_TINY)
     return np.where(both_tiny, 0, labels).astype(np.int64)
-
-
-def orientation_bin_from_patch_quantized(
-    patch: np.ndarray, num_bins: int = NUM_ORIENTATION_BINS
-) -> int:
-    """Per-patch form of :func:`orientation_bins_quantized` (hardware unit path)."""
-    u, v = intensity_centroid(np.asarray(patch, dtype=np.float64))
-    return int(orientation_bins_quantized(np.array([u]), np.array([v]), num_bins)[0])
-
-
-# ---------------------------------------------------------------------------
-# RS-BRIEF bit evaluation
-# ---------------------------------------------------------------------------
-def brief_descriptor_from_patch(
-    patch: np.ndarray, s_int: np.ndarray, d_int: np.ndarray
-) -> np.ndarray:
-    """Unrotated descriptor bytes from a smoothed patch (hardware bit order).
-
-    Evaluates the rounded test locations against the patch centre and packs
-    bit ``i`` into byte ``i // 8`` LSB-first, exactly as the BRIEF Computing
-    unit's comparators feed its output register.
-    """
-    patch = np.asarray(patch, dtype=np.int64)
-    if patch.ndim != 2 or patch.shape[0] != patch.shape[1] or patch.shape[0] % 2 == 0:
-        raise HardwareModelError("descriptor patch must be square with odd side")
-    radius = patch.shape[0] // 2
-    max_offset = int(np.abs(np.concatenate([s_int, d_int])).max())
-    if radius < max_offset:
-        raise HardwareModelError(
-            f"patch radius {radius} too small for pattern radius {max_offset}"
-        )
-    s_vals = patch[radius + s_int[:, 1], radius + s_int[:, 0]]
-    d_vals = patch[radius + d_int[:, 1], radius + d_int[:, 0]]
-    bits = (s_vals > d_vals).astype(np.uint8)
-    return np.packbits(bits, bitorder="little")

@@ -15,8 +15,10 @@ import pytest
 from repro.config import ENGINES, ExtractorConfig, PyramidConfig, SlamConfig, TrackerConfig
 from repro.engines import HwExactEngine, ReferenceEngine, VectorizedEngine
 from repro.errors import FeatureError
-from repro.features import BoundedScoreHeap, OrbExtractor, select_top
+from repro.features import OrbExtractor, select_top
 from repro.image import gaussian_blur, random_blocks, within_border
+
+from hw_oracle import BoundedScoreHeap
 
 
 def _config(engine: str, use_rs_brief: bool, rescheduled: bool) -> ExtractorConfig:
@@ -58,7 +60,7 @@ class TestBackendParity:
             # bit-exact: == on the raw float, not approx
             assert ref.keypoint.orientation_rad == vec.keypoint.orientation_rad
             assert ref.descriptor.tobytes() == vec.descriptor.tobytes()
-            assert ref.score == vec.score
+            assert ref.keypoint.score == vec.keypoint.score
             assert (ref.x0, ref.y0) == (vec.x0, vec.y0)
 
     @pytest.mark.parametrize("rescheduled", [True, False], ids=["rescheduled", "original"])

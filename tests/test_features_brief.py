@@ -17,7 +17,8 @@ from repro.features import (
     rs_brief_pattern,
 )
 from repro.image import GrayImage, gaussian_blur, random_blocks, rotate_image
-from repro.matching import hamming_distance
+
+from hw_oracle import hamming_distance
 
 
 @pytest.fixture(scope="module")

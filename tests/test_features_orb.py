@@ -31,7 +31,7 @@ class TestExtraction:
         assert array.shape == (len(extraction_result.features), 2)
 
     def test_features_sorted_by_score(self, extraction_result):
-        scores = [f.score for f in extraction_result.features]
+        scores = [f.keypoint.score for f in extraction_result.features]
         assert scores == sorted(scores, reverse=True)
 
     def test_all_features_have_orientation(self, extraction_result):

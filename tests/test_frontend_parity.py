@@ -361,7 +361,7 @@ class TestEndToEndParity:
                 vec.keypoint.y,
             )
             # bit-exact: == on the raw floats, not approx
-            assert ref.score == vec.score
+            assert ref.keypoint.score == vec.keypoint.score
             assert ref.keypoint.orientation_rad == vec.keypoint.orientation_rad
             assert ref.descriptor.tobytes() == vec.descriptor.tobytes()
             assert (ref.x0, ref.y0) == (vec.x0, vec.y0)

@@ -129,14 +129,6 @@ class TestAxiPort:
         port = AxiPort()
         assert port.transfer_stats(9).beats == 2
 
-    def test_read_write_accounting(self):
-        port = AxiPort()
-        port.read(1000)
-        port.write(500)
-        assert port.total_bytes_read == 1000
-        assert port.total_bytes_written == 500
-        assert port.total_cycles > 0
-
     def test_streaming_read_hidden_when_compute_dominates(self):
         port = AxiPort()
         visible = port.streaming_read_cycles(10_000, compute_cycles=1_000_000)

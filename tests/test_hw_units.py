@@ -1,4 +1,6 @@
-"""Tests for the ORB Extractor datapath units (functional behaviour vs software)."""
+"""Tests for the ORB Extractor datapath units: the scalar walk's units of
+``tests/hw_oracle.py`` against the software pipeline, and the cycle costs
+the latency model reads."""
 
 import numpy as np
 import pytest
@@ -10,17 +12,18 @@ from repro.features import (
     RsBriefDescriptorEngine,
     compute_orientation,
     fast_corner_mask,
+    rs_brief_pattern,
 )
-from repro.hw.orb_extractor import (
-    BriefComputingUnit,
-    BriefRotatorUnit,
+from repro.hw.orb_extractor import BriefComputingUnit, OrientationUnit
+from repro.image import gaussian_blur, random_blocks
+
+from hw_oracle import (
     FastDetectionUnit,
-    FeatureHeapUnit,
-    HeapEntry,
     ImageSmootherUnit,
-    OrientationUnit,
+    brief_descriptor_from_patch,
+    orientation_bin_from_patch_quantized,
+    rotate_descriptor,
 )
-from repro.image import GrayImage, gaussian_blur, random_blocks
 
 
 @pytest.fixture(scope="module")
@@ -60,12 +63,6 @@ class TestFastDetectionUnit:
         with pytest.raises(HardwareModelError):
             FastDetectionUnit().evaluate_window(np.zeros((5, 5)))
 
-    def test_counts_windows(self):
-        unit = FastDetectionUnit()
-        unit.evaluate_window(np.zeros((7, 7)))
-        unit.evaluate_window(np.zeros((7, 7)))
-        assert unit.windows_evaluated == 2
-
 
 class TestImageSmootherUnit:
     def test_quantised_kernel_sums_to_scale(self):
@@ -96,14 +93,13 @@ class TestImageSmootherUnit:
 class TestOrientationUnit:
     def test_matches_software_orientation(self, texture):
         smoothed = gaussian_blur(texture)
-        unit = OrientationUnit()
         agreements = 0
         total = 0
         for y in range(20, 76, 5):
             for x in range(20, 76, 5):
                 software_bin, _ = compute_orientation(smoothed, x, y, radius=15)
                 patch = smoothed.patch(x, y, 15)
-                hardware_bin = unit.orientation_bin(patch)
+                hardware_bin = orientation_bin_from_patch_quantized(patch)
                 total += 1
                 # fixed-point v/u quantisation may move the angle across a bin
                 # boundary; allow a one-bin difference but require it to be rare
@@ -114,8 +110,8 @@ class TestOrientationUnit:
         assert agreements / total > 0.9
 
     def test_uniform_patch_bin_zero(self):
-        unit = OrientationUnit()
-        assert unit.orientation_bin(np.full((31, 31), 90, dtype=np.uint8)) == 0
+        patch = np.full((31, 31), 90, dtype=np.uint8)
+        assert orientation_bin_from_patch_quantized(patch) == 0
 
     def test_cycles_per_feature_positive(self):
         assert OrientationUnit().cycles_per_feature() > 0
@@ -129,8 +125,7 @@ class TestBriefComputingAndRotator:
         smoothed = gaussian_blur(texture)
         config = DescriptorConfig()
         engine = RsBriefDescriptorEngine(config)
-        unit = BriefComputingUnit(config)
-        rotator = BriefRotatorUnit()
+        s_int, d_int = rs_brief_pattern(config).rounded()
         for (x, y) in [(40, 40), (50, 60), (64, 30)]:
             orientation_bin, orientation_rad = compute_orientation(smoothed, x, y)
             keypoint = Keypoint(
@@ -138,7 +133,9 @@ class TestBriefComputingAndRotator:
             )
             software = engine.describe(smoothed, keypoint)
             patch = smoothed.patch(x, y, config.patch_radius)
-            hardware = rotator.rotate(unit.describe(patch), orientation_bin)
+            hardware = rotate_descriptor(
+                brief_descriptor_from_patch(patch, s_int, d_int), orientation_bin
+            )
             assert np.array_equal(software, hardware)
 
     def test_cycles_per_feature(self):
@@ -146,27 +143,15 @@ class TestBriefComputingAndRotator:
         assert unit.cycles_per_feature() == pytest.approx(8.0)
 
     def test_patch_too_small_rejected(self):
-        unit = BriefComputingUnit()
+        s_int, d_int = rs_brief_pattern(DescriptorConfig()).rounded()
         with pytest.raises(HardwareModelError):
-            unit.describe(np.zeros((7, 7), dtype=np.uint8))
+            brief_descriptor_from_patch(np.zeros((7, 7), dtype=np.uint8), s_int, d_int)
 
     def test_rotator_validates_bin(self):
         with pytest.raises(HardwareModelError):
-            BriefRotatorUnit().rotate(np.zeros(32, dtype=np.uint8), 32)
+            rotate_descriptor(np.zeros(32, dtype=np.uint8), 32)
 
     def test_rotator_is_byte_roll(self):
         descriptor = np.arange(32, dtype=np.uint8)
-        rotated = BriefRotatorUnit().rotate(descriptor, 3)
+        rotated = rotate_descriptor(descriptor, 3)
         assert np.array_equal(rotated, np.roll(descriptor, -3))
-
-
-class TestFeatureHeapUnit:
-    def _entry(self, score):
-        return HeapEntry(x=0, y=0, level=0, score=score, descriptor=np.zeros(32, dtype=np.uint8))
-
-    def test_keeps_best_scores(self):
-        heap = FeatureHeapUnit(capacity=3)
-        for score in (1.0, 5.0, 3.0, 7.0, 2.0):
-            heap.offer(self._entry(score))
-        retained_scores = [entry.score for entry in heap.retained()]
-        assert retained_scores == [7.0, 5.0, 3.0]

@@ -1,13 +1,14 @@
-"""hwexact parity: the quantized engine vs the hardware model.
+"""hwexact parity: the quantized engine vs the scalar hardware walk.
 
-The ``hwexact`` extraction engine runs the FPGA model's
-fixed-point arithmetic batched over whole levels; the hardware model's
-:meth:`~repro.hw.OrbExtractorAccelerator.extract_quantized` drives the same
-arithmetic unit by unit (per-window FAST/Harris, per-feature orientation and
-BRIEF, scalar heap offers).  These tests pin down that the two orchestrations
-are bit-identical — kernels first, then end to end — that its detection
-reuses the ``vectorized`` FAST pass exactly, and that the quantized engine
-runs full synthetic-TUM sequences through the SLAM stack.
+The ``hwexact`` extraction engine runs the FPGA model's fixed-point
+arithmetic batched over whole levels; the oracle of ``tests/hw_oracle.py``
+drives the same arithmetic unit by unit (per-window FAST/Harris,
+per-feature orientation and BRIEF, scalar heap offers).  These tests pin
+down that the two are bit-identical — kernels first, then end to end, with
+a one-LSB engine fault the end-to-end comparison must catch — that the
+engine's detection reuses the ``vectorized`` FAST pass exactly, and that
+the quantized engine runs full synthetic-TUM sequences through the SLAM
+stack.
 """
 
 import numpy as np
@@ -17,6 +18,7 @@ from repro.config import ExtractorConfig, FastConfig, PyramidConfig, SlamConfig,
 from repro.dataset import SequenceSpec, make_sequence
 from repro.errors import HardwareModelError
 from repro.engines import HwExactEngine
+from repro.engines import hwexact as hwexact_module
 from repro.features import (
     OrbExtractor,
     OrientationGrid,
@@ -24,22 +26,25 @@ from repro.features import (
     intensity_centroids,
     suppress_keypoints_sparse,
 )
-from repro.hw import OrbExtractorAccelerator
-from repro.hw.orb_extractor import FastDetectionUnit, ImageSmootherUnit, OrientationUnit
 from repro.image import GrayImage, checkerboard, random_blocks, within_border
 from repro.quant import (
     HARRIS_SCORE_FORMAT,
     harris_scores_quantized,
-    harris_window_score_quantized,
     orientation_bins_quantized,
+    quantization_overrides,
     quantize_gaussian_kernel,
     smooth_image_quantized,
 )
 from repro.quant.kernels import HARRIS_WINDOW_RADIUS
-from repro.analysis import (
-    compare_float_vs_fixed_extraction,
+from repro.analysis import compare_float_vs_fixed_extraction, run_quantization_divergence
+
+from hw_oracle import (
+    FastDetectionUnit,
+    ImageSmootherUnit,
+    extract_quantized,
+    harris_window_score_quantized,
+    orientation_bin_from_patch_quantized,
     run_hwexact_parity,
-    run_quantization_divergence,
 )
 
 
@@ -58,6 +63,12 @@ def _config(**kwargs) -> ExtractorConfig:
 @pytest.fixture(scope="module")
 def texture():
     return random_blocks(120, 160, block=10, seed=7)
+
+
+@pytest.fixture(scope="module")
+def parity_images(texture):
+    """The end-to-end parity inputs at the default 160x120 workload."""
+    return [texture, random_blocks(120, 160, block=10, seed=21)]
 
 
 class TestHwExactRegistry:
@@ -128,6 +139,17 @@ class TestQuantizedHarrisParity:
             is_corner, score = unit.evaluate_window(window)
             if is_corner:
                 assert score == float(batched[index])
+
+    def test_score_shift_override_reaches_both_forms(self, texture):
+        xs = np.arange(10, 150, 7, dtype=np.int64)
+        ys = np.full(xs.size, 60, dtype=np.int64)
+        windows = [texture.pixels[57:64, x - 3 : x + 4] for x in xs.tolist()]
+        default = [harris_window_score_quantized(window) for window in windows]
+        with quantization_overrides(harris_score_shift=20):
+            batched = harris_scores_quantized(texture, xs, ys).tolist()
+            per_window = [harris_window_score_quantized(window) for window in windows]
+        assert batched == per_window
+        assert per_window != default
 
     def test_score_register_never_saturates(self):
         # worst-case windows: extreme alternating patterns stay inside Q24.0
@@ -201,7 +223,6 @@ class TestBandedQuantizedSmoother:
 
 class TestQuantizedOrientationParity:
     def test_batched_matches_per_patch_unit(self, texture):
-        unit = OrientationUnit()
         engine = HwExactEngine(_config())
         smoothed = engine.smooth(texture)
         xs, ys = np.meshgrid(np.arange(20, 140, 7), np.arange(20, 100, 7))
@@ -211,7 +232,7 @@ class TestQuantizedOrientationParity:
         bins = orientation_bins_quantized(us, vs)
         for index in range(xs.size):
             patch = smoothed.patch(int(xs[index]), int(ys[index]), 15)
-            assert int(bins[index]) == unit.orientation_bin(patch)
+            assert int(bins[index]) == orientation_bin_from_patch_quantized(patch)
 
     def test_axis_aligned_and_degenerate_centroids(self):
         us = np.array([0.0, 0.0, 0.0, 5.0, -5.0, 1e-13])
@@ -221,22 +242,10 @@ class TestQuantizedOrientationParity:
 
 
 class TestEndToEndParity:
-    def test_engine_pair_bit_identical_to_hw_model(self, texture):
-        config = _config()
-        engine_result = OrbExtractor(config).extract(texture)
-        hw_result, report = OrbExtractorAccelerator(config).extract_quantized(texture)
-        assert len(engine_result.features) == len(hw_result.features)
-        assert len(engine_result.features) > 50
-        for engine_feature, hw_feature in zip(engine_result.features, hw_result.features):
-            a, b = engine_feature.keypoint, hw_feature.keypoint
-            assert (a.level, a.x, a.y) == (b.level, b.x, b.y)
-            assert engine_feature.score == hw_feature.score
-            assert a.orientation_bin == b.orientation_bin
-            assert a.orientation_rad == b.orientation_rad
-            assert engine_feature.descriptor.tobytes() == hw_feature.descriptor.tobytes()
-            assert (engine_feature.x0, engine_feature.y0) == (hw_feature.x0, hw_feature.y0)
-        assert vars(engine_result.profile) == vars(hw_result.profile)
-        assert report.latency_ms > 0
+    def test_engine_pair_bit_identical_to_hw_model(self, parity_images):
+        report = run_hwexact_parity(parity_images, _config())
+        assert report["bit_identical"]
+        assert all(row["engine_features"] > 50 for row in report["rows"])
 
     def test_parity_harness_reports_bit_identical(self):
         report = run_hwexact_parity(
@@ -247,12 +256,28 @@ class TestEndToEndParity:
         assert report["total_mismatches"] == 0
         assert report["rows"][0]["engine_features"] > 30
 
+    def test_parity_catches_one_lsb_engine_harris_fault(self, parity_images, monkeypatch):
+        """The mutant: the engine's best level-0 score is 1 LSB higher, the
+        oracle is untouched, and the comparison must report it."""
+        faulty_calls = []
+
+        def one_lsb_high(image, xs, ys):
+            scores = harris_scores_quantized(image, xs, ys)
+            if not faulty_calls:
+                scores[np.argmax(scores)] += 1
+            faulty_calls.append(xs.size)
+            return scores
+
+        monkeypatch.setattr(hwexact_module, "harris_scores_quantized", one_lsb_high)
+        report = run_hwexact_parity(parity_images, _config())
+        assert faulty_calls
+        assert not report["bit_identical"]
+        assert report["total_mismatches"] == 1
+
     def test_hw_model_rejects_partial_windows(self):
         config = _config(fast=FastConfig(border=2))
         with pytest.raises(HardwareModelError):
-            OrbExtractorAccelerator(config).extract_quantized(
-                random_blocks(64, 64, block=6, seed=1)
-            )
+            extract_quantized(random_blocks(64, 64, block=6, seed=1), config)
 
     def test_quantized_scores_are_integers(self, texture):
         result = OrbExtractor(_config()).extract(texture)

@@ -25,12 +25,7 @@ from repro.engines.vectorized import (
     SMOOTHING_ROUNDING_MARGIN,
     _symmetric_taps,
 )
-from repro.features import (
-    BoundedScoreHeap,
-    non_maximum_suppression,
-    select_top,
-    suppress_keypoints_sparse,
-)
+from repro.features import non_maximum_suppression, select_top, suppress_keypoints_sparse
 from repro.features.heap_filter import _bit_length_sum
 from repro.features.nms import NMS_BAND_ROWS
 from repro.image import GrayImage, gaussian_blur
@@ -41,6 +36,8 @@ from repro.image.filters import (
     edge_padded_bands,
     gaussian_kernel_1d,
 )
+
+from hw_oracle import BoundedScoreHeap
 
 
 @pytest.fixture(scope="module")

@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 from repro.dataset import TrajectoryEntry
 from repro.features import rotate_descriptor_bytes
 from repro.geometry import Pose, se3_exp
-from repro.matching import hamming_distance
 from repro.platforms import ARM_CORTEX_A9, CpuRuntimeModel, NOMINAL_WORKLOAD
 from repro.slam import absolute_trajectory_error
 
+from hw_oracle import hamming_distance
 from poses import poses_close
 
 

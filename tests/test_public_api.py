@@ -52,9 +52,6 @@ UNREACHED = {
         "the inverse the round-trip tests of TrajectoryEntry.from_world_to_camera "
         "compare against"
     ),
-    "repro.hw.orb_extractor.units.ImageSmootherUnit.smooth_window": (
-        "the per-window reference the quantized smooth_image is checked against"
-    ),
     "repro.slam.frame.Frame.feature_depth": (
         "the scalar reference the vectorised feature_depths is checked against"
     ),
